@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet partitionlint matrix check bench benchcmp profile fuzz chaos chaos-disk chaos-replica rpcsmoke live-smoke loadbench clean
+.PHONY: all build test race vet partitionlint matrix check bench bench-selftest benchcmp profile fuzz chaos chaos-disk chaos-replica rpcsmoke live-smoke loadbench clean
 
 all: build
 
@@ -56,6 +56,7 @@ fuzz:
 	$(GO) test -fuzz '^FuzzDecodeRequest$$' -fuzztime $(FUZZTIME) ./internal/rpc/
 	$(GO) test -fuzz '^FuzzDecodeRecord$$' -fuzztime $(FUZZTIME) ./internal/db/diskdb/
 	$(GO) test -fuzz '^FuzzScanSegment$$' -fuzztime $(FUZZTIME) ./internal/db/diskdb/
+	$(GO) test -fuzz '^FuzzAppendBlockRow$$' -fuzztime $(FUZZTIME) ./internal/export/
 
 # Storage chaos battery under the race detector: fault-injection unit
 # tests, WAL crash/recovery sweep and the figure byte-identity test.
@@ -78,6 +79,24 @@ CHAOS_REPLICA_OUT ?= chaos-replica.json
 chaos-replica:
 	CHAOS_REPLICA_OUT=$(abspath $(CHAOS_REPLICA_OUT)) $(GO) test -race -v -run 'TestChaosReplica' ./internal/serve/
 
+# The benchmark that backs performance and simplicity claims is bench/
+# (contract: BENCHMARK.json, workloads and metrics: bench/README.md).
+# Evidence for a claim is two results files compared under the bounds:
+#
+#	bash bench/run.sh                         # writes bench/out/results.json
+#	bash bench/run.sh -compare parent.json change.json
+#
+# bench-selftest runs that program's own unit tests and its -quick smoke.
+bench-selftest:
+	cd bench && $(GO) test ./...
+
+# HISTORY — `make bench`, `make benchcmp`, `make loadbench` and the
+# committed BENCH_pr*.json snapshots predate bench/. They measure
+# 400-tx/day archives and a response cache at 99.98 % hits, in five
+# incompatible file shapes; they remain for the allocs/op gate CI still
+# runs and for reading old PR records, and are not evidence for new
+# claims. Use bench/run.sh -compare for those.
+#
 # Benchmarks: three iterations per benchmark (benchtime=1x was too noisy
 # to diff between snapshots; iteration counts land in the JSON), raw text
 # kept, converted into a machine-readable JSON snapshot for the PR record.
@@ -105,6 +124,9 @@ benchcmp:
 # `go tool pprof cpu.pprof` / `go tool pprof -alloc_objects mem.pprof`.
 # heap.pprof is an end-of-run live-heap snapshot (inuse_space), the view
 # that catches pools pinning memory rather than churning it.
+# forksim/cpu.pprof is one whole `forksim -days 90 -out` run — simulation,
+# figure rendering and the CSV export, the figures-90d op of bench/ — and
+# forksim/heap.pprof the rows it retains; the CSVs themselves are dropped.
 PROFILE_DIR ?= profiles
 
 profile:
@@ -114,7 +136,9 @@ profile:
 		-memprofilerate 1 .
 	$(GO) test -bench '^BenchmarkFullFidelityDay$$' -benchtime=3x -run '^$$' \
 		-memprofile $(PROFILE_DIR)/heap.pprof .
-	@echo "profiles in $(PROFILE_DIR)/: cpu.pprof mem.pprof heap.pprof"
+	$(GO) run ./cmd/forksim -days 90 -out $(PROFILE_DIR)/forksim/out -profile $(PROFILE_DIR)/forksim > /dev/null
+	rm -rf $(PROFILE_DIR)/forksim/out
+	@echo "profiles in $(PROFILE_DIR)/: cpu.pprof mem.pprof heap.pprof forksim/cpu.pprof forksim/heap.pprof"
 
 # RPC smoke: boot forkserve, curl every method on both chain endpoints
 # and check /debug/metrics (what CI's rpc-smoke job runs).
@@ -131,7 +155,8 @@ LIVESMOKE_OUT ?= live-smoke-out
 live-smoke:
 	GO="$(GO)" LIVESMOKE_OUT="$(LIVESMOKE_OUT)" sh scripts/livesmoke.sh
 
-# Serving-layer load benchmark: closed-loop generator against an
+# Serving-layer load benchmark (HISTORY, see above: bench/'s rpc-cold-uniform
+# and rpc-hot-zipf workloads replace it): closed-loop generator against an
 # in-process archive; throughput and latency percentiles land in
 # LOAD_JSON for the PR record.
 LOAD_JSON ?= BENCH_pr4.json

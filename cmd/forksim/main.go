@@ -106,10 +106,17 @@ func main() {
 		log.Fatal(err)
 	}
 	col := analysis.NewCollector(sc.Epoch)
-	rec := &forkwatch.Recorder{}
 	eng.AddObserver(col)
-	eng.AddObserver(rec)
+	// The ledger capture is only paid for when it will be written out.
+	rec := &forkwatch.Recorder{}
+	if *outDir != "" {
+		rec.Reserve(sc.LedgerSizeHint())
+		eng.AddObserver(rec)
+	}
 
+	// The CPU profile spans the whole command — simulation, figure
+	// rendering and the CSV export — so it stops when main returns; the
+	// heap profile is the retained state right after the run.
 	if *profDir != "" {
 		if err := os.MkdirAll(*profDir, 0o755); err != nil {
 			log.Fatal(err)
@@ -121,13 +128,18 @@ func main() {
 		if err := pprof.StartCPUProfile(cpuF); err != nil {
 			log.Fatal(err)
 		}
-		defer cpuF.Close()
+		defer func() {
+			pprof.StopCPUProfile()
+			if err := cpuF.Close(); err != nil {
+				log.Fatal(err)
+			}
+			log.Printf("wrote cpu.pprof and heap.pprof to %s", *profDir)
+		}()
 	}
 	if err := eng.Run(); err != nil {
 		log.Fatal(err)
 	}
 	if *profDir != "" {
-		pprof.StopCPUProfile()
 		heapF, err := os.Create(filepath.Join(*profDir, "heap.pprof"))
 		if err != nil {
 			log.Fatal(err)
@@ -137,7 +149,6 @@ func main() {
 			log.Fatal(err)
 		}
 		heapF.Close()
-		log.Printf("wrote cpu.pprof and heap.pprof to %s", *profDir)
 	}
 	rep := &forkwatch.Report{Scenario: sc, Collector: col}
 	fmt.Print(rep.Summary())

@@ -151,6 +151,7 @@ func RunRecorded(sc *Scenario) (*Report, *Recorder, error) {
 	}
 	col := analysis.NewCollector(sc.Epoch)
 	rec := &export.Recorder{}
+	rec.Reserve(sc.LedgerSizeHint())
 	eng.AddObserver(col)
 	eng.AddObserver(rec)
 	if err := eng.Run(); err != nil {

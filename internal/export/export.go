@@ -6,13 +6,11 @@
 package export
 
 import (
-	"encoding/csv"
 	"fmt"
 	"io"
 	"math/big"
+	"slices"
 	"sort"
-	"strconv"
-	"strings"
 
 	"forkwatch/internal/chain"
 	"forkwatch/internal/sim"
@@ -42,186 +40,56 @@ type TxRow struct {
 	Contract    bool
 }
 
-// blockHeader is the CSV header of the block table.
-var blockHeader = []string{"chain", "number", "hash", "time", "difficulty", "coinbase", "txcount"}
+// writeBufSize is how much encoded table the writers gather before handing
+// it to the io.Writer: large enough that a 170 MB table is a few hundred
+// writes, small enough to stay cache-resident between the encoder and the
+// copy into the kernel.
+const writeBufSize = 256 << 10
 
-// txHeader is the CSV header of the transaction table.
-var txHeader = []string{"chain", "block", "blocktime", "hash", "from", "nonce", "chainid", "contract"}
+// newWriteBuf returns the one buffer a table writer reuses for every row;
+// the slack keeps the row that crosses writeBufSize from growing it.
+func newWriteBuf() []byte { return make([]byte, 0, writeBufSize+1024) }
 
-// BlockHeader returns the block-table CSV header.
-func BlockHeader() []string { return blockHeader }
-
-// TxHeader returns the transaction-table CSV header.
-func TxHeader() []string { return txHeader }
-
-// EncodeBlockRow renders one block row exactly as WriteBlocks does — the
-// shared formatting layer that lets the streaming analyzer's CSVs
-// converge byte-identically with the batch export.
-func EncodeBlockRow(r BlockRow) []string {
-	return []string{
-		r.Chain,
-		strconv.FormatUint(r.Number, 10),
-		r.Hash.Hex(),
-		strconv.FormatUint(r.Time, 10),
-		r.Difficulty.String(),
-		r.Coinbase.Hex(),
-		strconv.Itoa(r.TxCount),
+// spill writes buf to w once it holds at least threshold bytes and returns
+// the buffer to keep appending to.
+func spill(w io.Writer, buf []byte, threshold int) ([]byte, error) {
+	if len(buf) < threshold {
+		return buf, nil
 	}
+	_, err := w.Write(buf)
+	return buf[:0], err
 }
 
-// EncodeTxRow renders one transaction row exactly as WriteTxs does.
-func EncodeTxRow(r TxRow) []string {
-	return []string{
-		r.Chain,
-		strconv.FormatUint(r.BlockNumber, 10),
-		strconv.FormatUint(r.BlockTime, 10),
-		r.Hash.Hex(),
-		r.From.Hex(),
-		strconv.FormatUint(r.Nonce, 10),
-		strconv.FormatUint(r.ChainID, 10),
-		strconv.FormatBool(r.Contract),
-	}
-}
-
-// WriteBlocks writes block rows as CSV.
+// WriteBlocks writes block rows as CSV. A row without a difficulty has no
+// CSV form ReadBlocks would accept and is an error.
 func WriteBlocks(w io.Writer, rows []BlockRow) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(blockHeader); err != nil {
-		return err
-	}
-	for _, r := range rows {
-		if err := cw.Write(EncodeBlockRow(r)); err != nil {
+	buf := AppendBlockHeader(newWriteBuf())
+	var err error
+	for i := range rows {
+		if rows[i].Difficulty == nil {
+			return fmt.Errorf("export: block row %d (%s block %d) has no difficulty", i, rows[i].Chain, rows[i].Number)
+		}
+		buf = AppendBlockRow(buf, rows[i])
+		if buf, err = spill(w, buf, writeBufSize); err != nil {
 			return err
 		}
 	}
-	cw.Flush()
-	return cw.Error()
+	_, err = spill(w, buf, 1)
+	return err
 }
 
 // WriteTxs writes transaction rows as CSV.
 func WriteTxs(w io.Writer, rows []TxRow) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(txHeader); err != nil {
-		return err
-	}
-	for _, r := range rows {
-		if err := cw.Write(EncodeTxRow(r)); err != nil {
+	buf := AppendTxHeader(newWriteBuf())
+	var err error
+	for i := range rows {
+		buf = AppendTxRow(buf, rows[i])
+		if buf, err = spill(w, buf, writeBufSize); err != nil {
 			return err
 		}
 	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// ReadBlocks parses a block CSV.
-func ReadBlocks(r io.Reader) ([]BlockRow, error) {
-	cr := csv.NewReader(r)
-	recs, err := cr.ReadAll()
-	if err != nil {
-		return nil, err
-	}
-	if len(recs) == 0 {
-		return nil, fmt.Errorf("export: empty block table")
-	}
-	if err := checkHeader(recs[0], blockHeader); err != nil {
-		return nil, err
-	}
-	rows := make([]BlockRow, 0, len(recs)-1)
-	for i, rec := range recs[1:] {
-		if len(rec) != len(blockHeader) {
-			return nil, fmt.Errorf("export: block row %d has %d fields", i+1, len(rec))
-		}
-		num, err := strconv.ParseUint(rec[1], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("export: block row %d number: %w", i+1, err)
-		}
-		tm, err := strconv.ParseUint(rec[3], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("export: block row %d time: %w", i+1, err)
-		}
-		diff, ok := new(big.Int).SetString(rec[4], 10)
-		if !ok {
-			return nil, fmt.Errorf("export: block row %d difficulty %q", i+1, rec[4])
-		}
-		txc, err := strconv.Atoi(rec[6])
-		if err != nil {
-			return nil, fmt.Errorf("export: block row %d txcount: %w", i+1, err)
-		}
-		rows = append(rows, BlockRow{
-			Chain:      rec[0],
-			Number:     num,
-			Hash:       types.HexToHash(rec[2]),
-			Time:       tm,
-			Difficulty: diff,
-			Coinbase:   types.HexToAddress(rec[5]),
-			TxCount:    txc,
-		})
-	}
-	return rows, nil
-}
-
-// ReadTxs parses a transaction CSV.
-func ReadTxs(r io.Reader) ([]TxRow, error) {
-	cr := csv.NewReader(r)
-	recs, err := cr.ReadAll()
-	if err != nil {
-		return nil, err
-	}
-	if len(recs) == 0 {
-		return nil, fmt.Errorf("export: empty tx table")
-	}
-	if err := checkHeader(recs[0], txHeader); err != nil {
-		return nil, err
-	}
-	rows := make([]TxRow, 0, len(recs)-1)
-	for i, rec := range recs[1:] {
-		if len(rec) != len(txHeader) {
-			return nil, fmt.Errorf("export: tx row %d has %d fields", i+1, len(rec))
-		}
-		blockNum, err := strconv.ParseUint(rec[1], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("export: tx row %d block: %w", i+1, err)
-		}
-		blockTime, err := strconv.ParseUint(rec[2], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("export: tx row %d blocktime: %w", i+1, err)
-		}
-		nonce, err := strconv.ParseUint(rec[5], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("export: tx row %d nonce: %w", i+1, err)
-		}
-		chainID, err := strconv.ParseUint(rec[6], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("export: tx row %d chainid: %w", i+1, err)
-		}
-		contract, err := strconv.ParseBool(rec[7])
-		if err != nil {
-			return nil, fmt.Errorf("export: tx row %d contract: %w", i+1, err)
-		}
-		rows = append(rows, TxRow{
-			Chain:       rec[0],
-			BlockNumber: blockNum,
-			BlockTime:   blockTime,
-			Hash:        types.HexToHash(rec[3]),
-			From:        types.HexToAddress(rec[4]),
-			Nonce:       nonce,
-			ChainID:     chainID,
-			Contract:    contract,
-		})
-	}
-	return rows, nil
-}
-
-func checkHeader(got, want []string) error {
-	if len(got) != len(want) {
-		return fmt.Errorf("export: header %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			return fmt.Errorf("export: header %v, want %v", got, want)
-		}
-	}
-	return nil
+	_, err = spill(w, buf, 1)
+	return err
 }
 
 // FromBlockchain extracts rows from a full ledger's canonical chain
@@ -328,11 +196,60 @@ func FromStore(name string, st *chain.Store) ([]BlockRow, []TxRow, error) {
 }
 
 // Recorder is a sim.Observer that captures rows during a simulation run,
-// in either ledger mode.
+// in either ledger mode. The zero value is ready to use; Reserve spares a
+// long run the regrowth of its row slices.
+//
+// Each captured row's Difficulty points into a slab the recorder owns:
+// big.Int headers and their words are carved from chunks allocated a few
+// thousand blocks at a time, so recording costs no allocation per block.
+// A chunk lives as long as any row pointing into it; rows are free to be
+// copied, sorted and retained past the recorder, but a Difficulty is the
+// row's own value, not scratch — mutating one in place may reallocate it
+// (its words have no spare capacity) and never touches a neighbour.
 type Recorder struct {
 	Blocks []BlockRow
 	Txs    []TxRow
 	Days   []DayRow
+
+	ints  []big.Int  // unused headers of the current chunk
+	words []big.Word // unused words of the current chunk
+}
+
+// slabChunk is how many difficulty headers (and words) one slab chunk
+// holds: 2 allocations per 4096 blocks.
+const slabChunk = 4096
+
+// Reserve makes room for the given number of further block and
+// transaction rows. It is a capacity hint: recording more than reserved
+// still works, by the usual slice growth.
+func (rec *Recorder) Reserve(blocks, txs int) {
+	rec.Blocks = slices.Grow(rec.Blocks, blocks)
+	rec.Txs = slices.Grow(rec.Txs, txs)
+}
+
+// copyDifficulty copies v into the slab and returns the copy (nil for
+// nil). The event that carried v is pooled and its difficulty buffer is
+// recycled at the day barrier, so a retaining observer must copy it.
+func (rec *Recorder) copyDifficulty(v *big.Int) *big.Int {
+	if v == nil {
+		return nil
+	}
+	src := v.Bits()
+	if len(rec.ints) == 0 {
+		rec.ints = make([]big.Int, slabChunk)
+	}
+	if len(rec.words) < len(src) {
+		rec.words = make([]big.Word, max(slabChunk, len(src)))
+	}
+	n := copy(rec.words, src)
+	d := &rec.ints[0]
+	// The three-index slice caps the copy at its own words.
+	d.SetBits(rec.words[:n:n])
+	if v.Sign() < 0 {
+		d.Neg(d)
+	}
+	rec.ints, rec.words = rec.ints[1:], rec.words[n:]
+	return d
 }
 
 // OnBlock implements sim.Observer.
@@ -341,9 +258,7 @@ func (rec *Recorder) OnBlock(ev *sim.BlockEvent) {
 		Chain:      ev.Chain,
 		Number:     ev.Number,
 		Time:       ev.Time,
-		// The event is pooled and its Difficulty buffer is recycled at the
-		// day barrier; a retaining observer must copy it.
-		Difficulty: types.BigCopy(ev.Difficulty),
+		Difficulty: rec.copyDifficulty(ev.Difficulty),
 		Coinbase:   ev.Coinbase,
 		TxCount:    len(ev.Txs),
 	})
@@ -399,105 +314,26 @@ func (r DayRow) Value(chain string) (usd, hashrate float64) {
 	return 0, 0
 }
 
-// dayHeader builds the day-table CSV header for a chain list: "day", the
-// per-chain usd columns, then the per-chain hashrate columns — for the
-// historical pair exactly the legacy "day,ethusd,etcusd,ethhashrate,
-// etchashrate" layout.
-func dayHeader(chains []string) []string {
-	out := []string{"day"}
-	for _, c := range chains {
-		out = append(out, strings.ToLower(c)+"usd")
-	}
-	for _, c := range chains {
-		out = append(out, strings.ToLower(c)+"hashrate")
-	}
-	return out
-}
-
-// DayHeader returns the day-table CSV header for a chain list.
-func DayHeader(chains []string) []string { return dayHeader(chains) }
-
-// EncodeDayRow renders one day row exactly as WriteDays does.
-func EncodeDayRow(r DayRow) []string {
-	rec := []string{strconv.Itoa(r.Day)}
-	for _, v := range r.USD {
-		rec = append(rec, strconv.FormatFloat(v, 'g', -1, 64))
-	}
-	for _, v := range r.Hashrate {
-		rec = append(rec, strconv.FormatFloat(v, 'g', -1, 64))
-	}
-	return rec
-}
-
 // WriteDays writes day rows as CSV. All rows must share one chain list
 // (one simulation's partitions).
 func WriteDays(w io.Writer, rows []DayRow) error {
-	cw := csv.NewWriter(w)
 	var chains []string
 	if len(rows) > 0 {
 		chains = rows[0].Chains
 	}
-	if err := cw.Write(dayHeader(chains)); err != nil {
-		return err
-	}
+	buf := AppendDayHeader(newWriteBuf(), chains)
+	var err error
 	for i, r := range rows {
 		if len(r.Chains) != len(chains) || len(r.USD) != len(chains) || len(r.Hashrate) != len(chains) {
 			return fmt.Errorf("export: day row %d has %d chains, want %d", i, len(r.Chains), len(chains))
 		}
-		if err := cw.Write(EncodeDayRow(r)); err != nil {
+		buf = AppendDayRow(buf, r)
+		if buf, err = spill(w, buf, writeBufSize); err != nil {
 			return err
 		}
 	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// ReadDays parses a day CSV, recovering the chain list from the header's
-// <chain>usd / <chain>hashrate column pairs.
-func ReadDays(r io.Reader) ([]DayRow, error) {
-	cr := csv.NewReader(r)
-	recs, err := cr.ReadAll()
-	if err != nil {
-		return nil, err
-	}
-	if len(recs) == 0 {
-		return nil, fmt.Errorf("export: empty day table")
-	}
-	header := recs[0]
-	if len(header) < 1 || header[0] != "day" || len(header)%2 == 0 {
-		return nil, fmt.Errorf("export: bad day header %v", header)
-	}
-	k := (len(header) - 1) / 2
-	chains := make([]string, k)
-	for i := 0; i < k; i++ {
-		u := header[1+i]
-		h := header[1+k+i]
-		name := strings.TrimSuffix(u, "usd")
-		if name == u || strings.TrimSuffix(h, "hashrate") != name {
-			return nil, fmt.Errorf("export: bad day header %v: columns %q/%q", header, u, h)
-		}
-		chains[i] = strings.ToUpper(name)
-	}
-	rows := make([]DayRow, 0, len(recs)-1)
-	for i, rec := range recs[1:] {
-		if len(rec) != len(header) {
-			return nil, fmt.Errorf("export: day row %d has %d fields", i+1, len(rec))
-		}
-		day, err := strconv.Atoi(rec[0])
-		if err != nil {
-			return nil, fmt.Errorf("export: day row %d: %w", i+1, err)
-		}
-		vals := make([]float64, 2*k)
-		for j := range vals {
-			v, err := strconv.ParseFloat(rec[j+1], 64)
-			if err != nil {
-				return nil, fmt.Errorf("export: day row %d field %d: %w", i+1, j+1, err)
-			}
-			vals[j] = v
-		}
-		rows = append(rows, DayRow{Day: day, Chains: chains, USD: vals[:k], Hashrate: vals[k : 2*k]})
-	}
-	return rows, nil
+	_, err = spill(w, buf, 1)
+	return err
 }
 
 // Replay feeds exported rows back through a sim.Observer (typically the
@@ -517,9 +353,13 @@ func Replay(blocks []BlockRow, txs []TxRow, epoch uint64, dayLength uint64, obs 
 		}
 		return blocks[i].Number < blocks[j].Number
 	})
-	txByBlock := make(map[string][]TxRow)
+	type blockKey struct {
+		chain string
+		n     uint64
+	}
+	txByBlock := make(map[blockKey][]TxRow)
 	for _, t := range txs {
-		key := t.Chain + "#" + strconv.FormatUint(t.BlockNumber, 10)
+		key := blockKey{t.Chain, t.BlockNumber}
 		txByBlock[key] = append(txByBlock[key], t)
 	}
 	lastTime := map[string]uint64{}
@@ -538,8 +378,7 @@ func Replay(blocks []BlockRow, txs []TxRow, epoch uint64, dayLength uint64, obs 
 			Difficulty: b.Difficulty,
 			Coinbase:   b.Coinbase,
 		}
-		key := b.Chain + "#" + strconv.FormatUint(b.Number, 10)
-		for _, t := range txByBlock[key] {
+		for _, t := range txByBlock[blockKey{b.Chain, b.Number}] {
 			ev.Txs = append(ev.Txs, sim.TxInfo{
 				Hash:       t.Hash,
 				From:       t.From,

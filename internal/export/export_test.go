@@ -53,6 +53,27 @@ func TestBlocksRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWriteBlocksRejectsNilDifficulty: a row without a difficulty used to
+// be written as the literal "<nil>", a table ReadBlocks then refused; the
+// writer now names the row instead.
+func TestWriteBlocksRejectsNilDifficulty(t *testing.T) {
+	rows := sampleBlocks()
+	rows[1].Difficulty = nil
+	var buf bytes.Buffer
+	err := WriteBlocks(&buf, rows)
+	if err == nil {
+		t.Fatalf("WriteBlocks accepted a nil difficulty and wrote %q", buf.String())
+	}
+	for _, want := range []string{"row 1", "ETH", "block 2", "difficulty"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %q", err, want)
+		}
+	}
+	if strings.Contains(buf.String(), "<nil>") {
+		t.Errorf("WriteBlocks wrote a <nil> difficulty: %q", buf.String())
+	}
+}
+
 func TestTxsRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteTxs(&buf, sampleTxs()); err != nil {

@@ -23,8 +23,6 @@
 package live
 
 import (
-	"bytes"
-	"encoding/csv"
 	"math"
 	"sync"
 
@@ -150,25 +148,6 @@ func (p *pairCorr) corr() float64 {
 	return cov / math.Sqrt(vx*vy)
 }
 
-// csvBuf is an append-only CSV table.
-type csvBuf struct {
-	buf         bytes.Buffer
-	w           *csv.Writer
-	wroteHeader bool
-}
-
-func (c *csvBuf) init() {
-	if c.w == nil {
-		c.w = csv.NewWriter(&c.buf)
-	}
-}
-
-func (c *csvBuf) write(rec []string) {
-	c.init()
-	_ = c.w.Write(rec)
-	c.w.Flush()
-}
-
 // Analyzer consumes the event stream and maintains every O1–O6
 // observable incrementally, while appending the export CSV tables with
 // byte-identical formatting. Feed it in-process as a sim.Observer, or
@@ -181,9 +160,11 @@ type Analyzer struct {
 	order  []string
 	chains map[string]*chainState
 
-	blocksCSV csvBuf
-	txsCSV    csvBuf
-	daysCSV   csvBuf
+	// The CSV tables, appended to by export's row encoders. daysCSV
+	// stays empty until the first day event names its columns.
+	blocksCSV []byte
+	txsCSV    []byte
+	daysCSV   []byte
 
 	seen      map[string]seenRec
 	seenQ     []string // FIFO eviction order for the bounded set
@@ -207,8 +188,8 @@ func NewAnalyzer(epoch uint64, opts Options) *Analyzer {
 		chains: map[string]*chainState{},
 		seen:   map[string]seenRec{},
 	}
-	a.blocksCSV.write(export.BlockHeader())
-	a.txsCSV.write(export.TxHeader())
+	a.blocksCSV = export.AppendBlockHeader(nil)
+	a.txsCSV = export.AppendTxHeader(nil)
 	return a
 }
 
@@ -279,14 +260,14 @@ func (a *Analyzer) ApplyHead(h *feed.HeadEvent) {
 	// CSV convergence: reproduce exactly what export.Recorder captures
 	// from the same event (zero block hash — events carry none — and the
 	// 0/1 chain-bound marker in place of the per-chain EIP-155 id).
-	a.blocksCSV.write(export.EncodeBlockRow(export.BlockRow{
+	a.blocksCSV = export.AppendBlockRow(a.blocksCSV, export.BlockRow{
 		Chain:      h.Chain,
 		Number:     h.Number,
 		Time:       h.Time,
 		Difficulty: diff,
 		Coinbase:   coinbase,
 		TxCount:    len(h.Txs),
-	}))
+	})
 	for _, tx := range h.Txs {
 		row := export.TxRow{
 			Chain:       h.Chain,
@@ -299,7 +280,7 @@ func (a *Analyzer) ApplyHead(h *feed.HeadEvent) {
 		if tx.ChainBound {
 			row.ChainID = 1
 		}
-		a.txsCSV.write(export.EncodeTxRow(row))
+		a.txsCSV = export.AppendTxRow(a.txsCSV, row)
 	}
 
 	cs := a.chain(h.Chain)
@@ -403,16 +384,15 @@ func (a *Analyzer) ApplyDay(d *feed.DayEvent) {
 			hpu[i] = cs.dayDiff / a.opts.RewardEther / pd.USD
 		}
 	}
-	if !a.daysCSV.wroteHeader {
-		a.daysCSV.write(export.DayHeader(row.Chains))
-		a.daysCSV.wroteHeader = true
+	if len(a.daysCSV) == 0 {
+		a.daysCSV = export.AppendDayHeader(nil, row.Chains)
 		for i := 0; i < len(d.Partitions); i++ {
 			for j := i + 1; j < len(d.Partitions); j++ {
 				a.pairs = append(a.pairs, &pairCorr{a: d.Partitions[i].Chain, b: d.Partitions[j].Chain})
 			}
 		}
 	}
-	a.daysCSV.write(export.EncodeDayRow(row))
+	a.daysCSV = export.AppendDayRow(a.daysCSV, row)
 	k := 0
 	for i := 0; i < len(d.Partitions); i++ {
 		for j := i + 1; j < len(d.Partitions); j++ {
@@ -439,14 +419,14 @@ func (a *Analyzer) Events() uint64 {
 func (a *Analyzer) BlocksCSV() []byte {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return append([]byte(nil), a.blocksCSV.buf.Bytes()...)
+	return append([]byte(nil), a.blocksCSV...)
 }
 
 // TxsCSV returns the transaction table accumulated so far.
 func (a *Analyzer) TxsCSV() []byte {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return append([]byte(nil), a.txsCSV.buf.Bytes()...)
+	return append([]byte(nil), a.txsCSV...)
 }
 
 // DaysCSV returns the day table accumulated so far. With no day events
@@ -454,12 +434,10 @@ func (a *Analyzer) TxsCSV() []byte {
 func (a *Analyzer) DaysCSV() []byte {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if !a.daysCSV.wroteHeader {
-		var empty csvBuf
-		empty.write(export.DayHeader(nil))
-		return empty.buf.Bytes()
+	if len(a.daysCSV) == 0 {
+		return export.AppendDayHeader(nil, nil)
 	}
-	return append([]byte(nil), a.daysCSV.buf.Bytes()...)
+	return append([]byte(nil), a.daysCSV...)
 }
 
 // ChainLive is one chain's rolling O1–O6 view.

@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"strings"
 
+	"forkwatch/internal/chain"
 	"forkwatch/internal/db"
 	"forkwatch/internal/db/faultkv"
 	"forkwatch/internal/market"
@@ -284,6 +285,26 @@ func (sc *Scenario) ResolveParallelism() int {
 		return sc.Parallelism
 	}
 	return runtime.GOMAXPROCS(0)
+}
+
+// LedgerSizeHint estimates how many blocks and transactions a run of the
+// scenario mines over all partitions, for observers that retain every one
+// and want to size their storage once. Blocks: every partition's
+// difficulty filter steers towards the target block time (a chain that
+// lost its miners runs behind for a while, a growing one slightly ahead;
+// 2 % covers the latter). Transactions: the base daily rates, each mined
+// transaction replayed at most ReplayProbability of the time, plus one
+// fund-splitting transaction per user and partition. Neither is a bound.
+func (sc *Scenario) LedgerSizeHint() (blocks, txs int) {
+	specs := sc.PartitionSpecs()
+	perChain := float64(sc.Days) * float64(sc.DayLength) / float64(chain.MainnetLikeConfig().TargetBlockTime)
+	blocks = int(1.02 * perChain * float64(len(specs)))
+	var perDay float64
+	for _, sp := range specs {
+		perDay += sp.TxPerDay
+	}
+	txs = int(float64(sc.Days)*perDay*(1+sc.ReplayProbability)) + sc.Users*len(specs)
+	return blocks, txs
 }
 
 // GenesisDifficulty returns the difficulty at which the pre-fork network

@@ -258,6 +258,32 @@ func TestEngineFastRun(t *testing.T) {
 	}
 }
 
+// TestLedgerSizeHint: on the default calibration the hint covers the
+// blocks a run mines (a retaining observer that reserves it never regrows)
+// without reserving much more, and lands near the transaction count.
+func TestLedgerSizeHint(t *testing.T) {
+	sc := NewScenario(5, 30)
+	eng, err := New(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks, txs := 0, 0
+	eng.AddObserver(&observerFunc{onBlock: func(ev *BlockEvent) {
+		blocks++
+		txs += len(ev.Txs)
+	}})
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	hintBlocks, hintTxs := sc.LedgerSizeHint()
+	if hintBlocks < blocks || hintBlocks > blocks+blocks/5 {
+		t.Errorf("block hint %d for %d mined blocks, want within +20%%", hintBlocks, blocks)
+	}
+	if hintTxs < txs/2 || hintTxs > 2*txs {
+		t.Errorf("tx hint %d for %d mined txs, want within a factor of 2", hintTxs, txs)
+	}
+}
+
 func TestEngineDeterministic(t *testing.T) {
 	run := func() (int, int) {
 		sc := shortScenario(42, 3, ModeFast)

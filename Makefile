@@ -99,8 +99,10 @@ bench-selftest:
 #
 # Benchmarks: three iterations per benchmark (benchtime=1x was too noisy
 # to diff between snapshots; iteration counts land in the JSON), raw text
-# kept, converted into a machine-readable JSON snapshot for the PR record.
-BENCH_JSON ?= BENCH_pr10.json
+# kept, converted into a machine-readable JSON snapshot. The default output
+# is a scratch file: the committed BENCH_pr*.json snapshots are records and
+# are only ever read (BENCH_BASELINE).
+BENCH_JSON ?= bench-run.json
 
 bench:
 	$(GO) test -bench=. -benchtime=3x -benchmem -run '^$$' ./... | tee bench.out
@@ -112,7 +114,7 @@ bench:
 # counts are deterministic per build, so a regression past
 # BENCH_ALLOC_THRESHOLD is a real leak in the pooled-allocation engine,
 # and CI fails on it. Set BENCH_ALLOC_THRESHOLD=0 to report only.
-BENCH_BASELINE ?= BENCH_pr6.json
+BENCH_BASELINE ?= BENCH_pr10.json
 BENCH_THRESHOLD ?= 0
 BENCH_ALLOC_THRESHOLD ?= 10
 
@@ -158,8 +160,8 @@ live-smoke:
 # Serving-layer load benchmark (HISTORY, see above: bench/'s rpc-cold-uniform
 # and rpc-hot-zipf workloads replace it): closed-loop generator against an
 # in-process archive; throughput and latency percentiles land in
-# LOAD_JSON for the PR record.
-LOAD_JSON ?= BENCH_pr4.json
+# LOAD_JSON (a scratch file, not the committed BENCH_pr4.json record).
+LOAD_JSON ?= load-run.json
 LOAD_DURATION ?= 5s
 LOAD_CLIENTS ?= 64
 LOAD_SUBS ?= 8

@@ -2,8 +2,8 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"os"
@@ -14,6 +14,7 @@ import (
 
 	"forkwatch/internal/live"
 	"forkwatch/internal/live/feed"
+	"forkwatch/internal/rpc"
 )
 
 // followLive attaches the streaming analyzer to a forkserve archive and
@@ -31,58 +32,39 @@ func followLive(target, outDir string, epoch uint64) error {
 	fmt.Printf("following %s\n", routeURL)
 
 	an := live.NewAnalyzer(epoch, live.Options{})
-	client := &http.Client{Timeout: 10 * time.Second}
+	client := rpc.NewClient(routeURL, &http.Client{Timeout: 10 * time.Second})
 	var (
 		cursor   uint64
-		id       int
 		failures int
 		lastDay  = -1
 	)
 	for {
-		id++
-		body := fmt.Sprintf(`{"jsonrpc":"2.0","id":%d,"method":"fork_liveEvents","params":["events",%d,4096]}`,
-			id, cursor)
-		resp, err := client.Post(routeURL, "application/json", strings.NewReader(body))
-		if err != nil {
+		var page struct {
+			Events []feed.Event `json:"events"`
+			Cursor uint64       `json:"cursor"`
+			Gap    bool         `json:"gap"`
+		}
+		if err := client.Call(&page, "fork_liveEvents", "events", cursor, 4096); err != nil {
+			// The server's answer is final, except a shed request (HTTP
+			// 429: rate limit or a full queue); that and anything the
+			// transport did are retried from the same cursor.
+			var rpcErr *rpc.Error
+			if errors.As(err, &rpcErr) && rpcErr.Code != rpc.ErrCodeOverloaded {
+				return fmt.Errorf("fork_liveEvents: %w", err)
+			}
 			failures++
 			if failures > 120 {
-				return fmt.Errorf("giving up after %d consecutive transport failures: %w", failures, err)
+				return fmt.Errorf("giving up after %d consecutive failed requests: %w", failures, err)
 			}
 			time.Sleep(250 * time.Millisecond)
 			continue
 		}
-		raw, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			failures++
-			time.Sleep(250 * time.Millisecond)
-			continue
-		}
-		var envelope struct {
-			Result struct {
-				Events []feed.Event `json:"events"`
-				Cursor uint64       `json:"cursor"`
-				Gap    bool         `json:"gap"`
-			} `json:"result"`
-			Error *struct {
-				Code    int    `json:"code"`
-				Message string `json:"message"`
-			} `json:"error"`
-		}
-		if err := json.Unmarshal(raw, &envelope); err != nil {
-			failures++
-			time.Sleep(250 * time.Millisecond)
-			continue
-		}
 		failures = 0
-		if envelope.Error != nil {
-			return fmt.Errorf("fork_liveEvents: %d %s", envelope.Error.Code, envelope.Error.Message)
-		}
-		if envelope.Result.Gap {
+		if page.Gap {
 			fmt.Printf("WARNING: cursor %d fell off the replay ring; observables are inexact from here\n", cursor)
 		}
 		done := false
-		for _, ev := range envelope.Result.Events {
+		for _, ev := range page.Events {
 			if err := an.Apply(ev); err != nil {
 				return fmt.Errorf("applying event %d: %w", ev.Seq, err)
 			}
@@ -97,8 +79,8 @@ func followLive(target, outDir string, epoch uint64) error {
 		if done {
 			break
 		}
-		cursor = envelope.Result.Cursor
-		if len(envelope.Result.Events) == 0 {
+		cursor = page.Cursor
+		if len(page.Events) == 0 {
 			time.Sleep(200 * time.Millisecond)
 		}
 	}

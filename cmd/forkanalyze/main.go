@@ -6,11 +6,10 @@
 //
 // With -follow it instead attaches to a live forkserve archive and
 // replays the measurement feed as it happens: the streaming analyzer
-// maintains every O1–O6 observable incrementally, prints a rolling
-// per-chain line at each day barrier, and — when the run publishes its
-// EOF marker — prints the same figure summary and (with -out) writes
-// CSV tables byte-identical to what a batch export of the same run
-// would produce.
+// feeds the same collector -dir uses, prints a rolling per-chain line at
+// each day barrier, and — when the run publishes its EOF marker — prints
+// the same figure summary and (with -out) writes CSV tables byte-identical
+// to what a batch export of the same run would produce.
 //
 // Usage:
 //
@@ -126,7 +125,7 @@ func main() {
 		for i := 0; i < len(chains); i++ {
 			for j := i + 1; j < len(chains); j++ {
 				fmt.Printf("Fig 3  hashes/USD correlation %s vs %s: %.4f\n",
-					chains[i], chains[j], col.PayoffCorrelation(5, chains[i], chains[j]))
+					chains[i], chains[j], col.PayoffCorrelation(analysis.RewardEther, chains[i], chains[j]))
 			}
 		}
 	} else {

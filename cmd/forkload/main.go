@@ -267,40 +267,17 @@ type subStats struct {
 	errors int64
 }
 
-// subCall issues one JSON-RPC call and decodes the result envelope.
-func subCall(hc *http.Client, url, method, params string, result any) error {
-	body := fmt.Sprintf(`{"jsonrpc":"2.0","id":1,"method":"%s","params":%s}`, method, params)
-	resp, err := hc.Post(url, "application/json", strings.NewReader(body))
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	var envelope struct {
-		Result json.RawMessage `json:"result"`
-		Error  *rpc.Error      `json:"error"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&envelope); err != nil {
-		return err
-	}
-	if envelope.Error != nil {
-		return envelope.Error
-	}
-	if result != nil {
-		return json.Unmarshal(envelope.Result, result)
-	}
-	return nil
-}
-
 // subscriberLoop replays the live feed from cursor 0 to the run's EOF
 // marker through a poll subscription, over and over until the deadline:
 // subscription registration, polling and teardown all stay hot for the
 // whole run.
 func subscriberLoop(hc *http.Client, routeURL, stream string, deadline time.Time, st *subStats) {
+	cl := rpc.NewClient(routeURL, hc)
 	for time.Now().Before(deadline) {
 		var sub struct {
 			Subscription string `json:"subscription"`
 		}
-		if err := subCall(hc, routeURL, "fork_subscribe", fmt.Sprintf(`["%s",0]`, stream), &sub); err != nil {
+		if err := cl.Call(&sub, "fork_subscribe", stream, 0); err != nil {
 			st.errors++
 			time.Sleep(100 * time.Millisecond)
 			continue
@@ -312,8 +289,7 @@ func subscriberLoop(hc *http.Client, routeURL, stream string, deadline time.Time
 				} `json:"events"`
 				Gap bool `json:"gap"`
 			}
-			if err := subCall(hc, routeURL, "fork_pollSubscription",
-				fmt.Sprintf(`["%s",4096,200]`, sub.Subscription), &poll); err != nil {
+			if err := cl.Call(&poll, "fork_pollSubscription", sub.Subscription, 4096, 200); err != nil {
 				st.errors++
 				break
 			}
@@ -331,7 +307,9 @@ func subscriberLoop(hc *http.Client, routeURL, stream string, deadline time.Time
 				break
 			}
 		}
-		_ = subCall(hc, routeURL, "fork_unsubscribe", fmt.Sprintf(`["%s"]`, sub.Subscription), nil)
+		// A failed teardown leaves nothing to act on: the load run goes on
+		// with a new subscription either way.
+		_ = cl.Call(nil, "fork_unsubscribe", sub.Subscription)
 	}
 }
 

@@ -224,13 +224,13 @@ func (r *Report) Figure2() (difficulty, txPerDay, pctContract Series) {
 func (r *Report) Figure3() (hashesPerUSD Series, correlation float64) {
 	c := r.Collector
 	s := r.series("hashes/USD", func(chain string) []float64 {
-		return c.HashesPerUSD(chain, 5)
+		return c.HashesPerUSD(chain, analysis.RewardEther)
 	})
 	names := r.Chains()
 	sum, pairs := 0.0, 0
 	for i := 0; i < len(names); i++ {
 		for j := i + 1; j < len(names); j++ {
-			sum += c.PayoffCorrelation(5, names[i], names[j])
+			sum += c.PayoffCorrelation(analysis.RewardEther, names[i], names[j])
 			pairs++
 		}
 	}
@@ -315,7 +315,7 @@ func (r *Report) Summary() string {
 	for i := 0; i < len(names); i++ {
 		for j := i + 1; j < len(names); j++ {
 			fmt.Fprintf(&b, "O4     hashes/USD correlation %s vs %s: %.4f\n",
-				names[i], names[j], c.PayoffCorrelation(5, names[i], names[j]))
+				names[i], names[j], c.PayoffCorrelation(analysis.RewardEther, names[i], names[j]))
 		}
 	}
 

@@ -19,10 +19,9 @@ import (
 
 // HourBucket aggregates one chain-hour.
 type HourBucket struct {
-	Blocks    int
-	SumDiff   float64
-	SumDelta  float64
-	LastDelta uint64
+	Blocks   int
+	SumDiff  float64
+	SumDelta float64
 }
 
 // DayBucket aggregates one chain-day.
@@ -47,6 +46,10 @@ type txSeen struct {
 	day   int
 }
 
+// RewardEther is the block reward behind every hashes-per-USD figure: the
+// paper's pre-Byzantium 5 ether.
+const RewardEther = 5
+
 // chainSeries bundles one chain's bucket slices so the per-block hot path
 // resolves the chain name once instead of once per bucket access.
 type chainSeries struct {
@@ -60,14 +63,37 @@ type Collector struct {
 	series map[string]*chainSeries
 	seen   map[types.Hash]txSeen
 	days   int
+
+	// A collector fed from an endless stream bounds the first-seen set:
+	// past seenBound entries (0 = unbounded) the oldest is forgotten,
+	// trading long-range echo detection for bounded memory. seenQ is the
+	// eviction order and is only kept when there is a bound.
+	seenBound int
+	seenQ     []types.Hash
+	evictions uint64
+	onEcho    EchoFunc
 }
+
+// EchoFunc receives one hit of the first-seen join as it is counted: tx,
+// mined in ev, was first seen on firstChain on firstDay.
+type EchoFunc func(ev *sim.BlockEvent, tx *sim.TxInfo, firstChain string, firstDay int)
 
 // NewCollector returns a collector for a run starting at the given epoch.
 func NewCollector(epoch uint64) *Collector {
+	return NewStreamCollector(epoch, 0, nil)
+}
+
+// NewStreamCollector is NewCollector for a consumer that follows a run as
+// it happens (internal/live): the first-seen set holds at most seenBound
+// hashes (0 = unbounded) and onEcho, when not nil, is called for every
+// echo.
+func NewStreamCollector(epoch uint64, seenBound int, onEcho EchoFunc) *Collector {
 	return &Collector{
-		epoch:  epoch,
-		series: map[string]*chainSeries{},
-		seen:   map[types.Hash]txSeen{},
+		epoch:     epoch,
+		series:    map[string]*chainSeries{},
+		seen:      map[types.Hash]txSeen{},
+		seenBound: seenBound,
+		onEcho:    onEcho,
 	}
 }
 
@@ -101,11 +127,19 @@ func (c *Collector) hourly(chain string) []*HourBucket {
 	return nil
 }
 
-func (c *Collector) daily(chain string) []*DayBucket {
+// Daily returns the chain's per-day buckets, indexed by day; the last one
+// is the day still being filled. The buckets are the collector's own.
+func (c *Collector) Daily(chain string) []*DayBucket {
 	if cs, ok := c.series[chain]; ok {
 		return cs.daily
 	}
 	return nil
+}
+
+// SeenSet reports the first-seen set's current size and how many entries
+// the bound has evicted from it.
+func (c *Collector) SeenSet() (size int, evictions uint64) {
+	return len(c.seen), c.evictions
 }
 
 // OnBlock implements sim.Observer.
@@ -120,12 +154,12 @@ func (c *Collector) OnBlock(ev *sim.BlockEvent) {
 	d := types.BigToFloat64(ev.Difficulty)
 	hb.SumDiff += d
 	hb.SumDelta += float64(ev.Delta)
-	hb.LastDelta = ev.Delta
 
 	db := cs.day(ev.Day)
 	db.Blocks++
 	db.ByPool[ev.Coinbase]++
-	for _, tx := range ev.Txs {
+	for i := range ev.Txs {
+		tx := &ev.Txs[i]
 		db.Txs++
 		if tx.Contract {
 			db.ContractTxs++
@@ -141,8 +175,19 @@ func (c *Collector) OnBlock(ev *sim.BlockEvent) {
 			if prev.day == ev.Day {
 				db.SameDayEchoes++
 			}
+			if c.onEcho != nil {
+				c.onEcho(ev, tx, prev.chain, prev.day)
+			}
 		} else if !ok {
 			c.seen[tx.Hash] = txSeen{chain: ev.Chain, day: ev.Day}
+			if c.seenBound > 0 {
+				c.seenQ = append(c.seenQ, tx.Hash)
+				if len(c.seenQ) > c.seenBound {
+					delete(c.seen, c.seenQ[0])
+					c.seenQ = c.seenQ[1:]
+					c.evictions++
+				}
+			}
 		}
 	}
 }
@@ -173,9 +218,6 @@ func (c *Collector) Days() int {
 	return days
 }
 
-// Hours returns the number of observed hours for a chain.
-func (c *Collector) Hours(chain string) int { return len(c.hourly(chain)) }
-
 // BlocksPerHour returns the Fig 1 (top) series for a chain.
 func (c *Collector) BlocksPerHour(chain string) []float64 {
 	out := make([]float64, len(c.hourly(chain)))
@@ -185,91 +227,109 @@ func (c *Collector) BlocksPerHour(chain string) []float64 {
 	return out
 }
 
-// HourlyMeanDifficulty returns the Fig 1 (middle) series: the mean block
-// difficulty per hour (0 for empty hours carries the previous value).
-func (c *Collector) HourlyMeanDifficulty(chain string) []float64 {
+// hourlyMean divides each hour's sum by its block count; an hour without
+// blocks carries the previous hour's mean.
+func (c *Collector) hourlyMean(chain string, sum func(*HourBucket) float64) []float64 {
 	out := make([]float64, len(c.hourly(chain)))
 	prev := 0.0
 	for i, b := range c.hourly(chain) {
 		if b.Blocks > 0 {
-			prev = b.SumDiff / float64(b.Blocks)
+			prev = sum(b) / float64(b.Blocks)
 		}
 		out[i] = prev
 	}
 	return out
 }
 
+// HourlyMeanDifficulty returns the Fig 1 (middle) series: the mean block
+// difficulty per hour.
+func (c *Collector) HourlyMeanDifficulty(chain string) []float64 {
+	return c.hourlyMean(chain, func(b *HourBucket) float64 { return b.SumDiff })
+}
+
 // HourlyMeanDelta returns the Fig 1 (bottom) series: the mean inter-block
 // time per hour in seconds.
 func (c *Collector) HourlyMeanDelta(chain string) []float64 {
-	out := make([]float64, len(c.hourly(chain)))
-	prev := 0.0
-	for i, b := range c.hourly(chain) {
-		if b.Blocks > 0 {
-			prev = b.SumDelta / float64(b.Blocks)
-		}
-		out[i] = prev
+	return c.hourlyMean(chain, func(b *HourBucket) float64 { return b.SumDelta })
+}
+
+// The per-day statistics below are the one definition of each figure's
+// value: the series accessors map them over a chain's days, the live
+// snapshot reads them off the day it is on.
+
+// PctContract is the percent of the day's transactions that were contract
+// calls.
+func (b *DayBucket) PctContract() float64 { return pct(b.ContractTxs, b.Txs) }
+
+// EchoPct is the day's echoes as a percentage of its transactions.
+func (b *DayBucket) EchoPct() float64 { return pct(b.Echoes, b.Txs) }
+
+func pct(part, whole int) float64 {
+	if whole == 0 {
+		return 0
+	}
+	return 100 * float64(part) / float64(whole)
+}
+
+// HashesPerUSD is the expected hashes to earn one USD on the day, from its
+// difficulty, the block reward and the price (0 without a price).
+func (b *DayBucket) HashesPerUSD(rewardEther float64) float64 {
+	if b.USD <= 0 {
+		return 0
+	}
+	return b.Difficulty / rewardEther / b.USD
+}
+
+// TopNShare is the fraction of the day's blocks mined by its n most
+// productive pools.
+func (b *DayBucket) TopNShare(n int) float64 { return pool.TopNFromCounts(b.ByPool, n) }
+
+// PoolGini is the Gini coefficient of the day's block production across
+// pools.
+func (b *DayBucket) PoolGini() float64 {
+	w := make([]float64, 0, len(b.ByPool))
+	for _, n := range b.ByPool {
+		w = append(w, float64(n))
+	}
+	return pool.GiniOf(w)
+}
+
+// perDay maps stat over the chain's day buckets; days past the chain's
+// last bucket (up to Days()) are 0.
+func (c *Collector) perDay(chain string, stat func(*DayBucket) float64) []float64 {
+	out := make([]float64, c.Days())
+	for i, b := range c.Daily(chain) {
+		out[i] = stat(b)
 	}
 	return out
 }
 
 // DailyDifficulty returns the Fig 2 (top) series.
 func (c *Collector) DailyDifficulty(chain string) []float64 {
-	days := c.Days()
-	out := make([]float64, days)
-	for i := 0; i < days && i < len(c.daily(chain)); i++ {
-		out[i] = c.daily(chain)[i].Difficulty
-	}
-	return out
+	return c.perDay(chain, func(b *DayBucket) float64 { return b.Difficulty })
 }
 
 // DailyHashrate returns the chain's allocated hashrate per day, from the
 // day events — the series behind the matrix sweep's share columns.
 func (c *Collector) DailyHashrate(chain string) []float64 {
-	days := c.Days()
-	out := make([]float64, days)
-	for i := 0; i < days && i < len(c.daily(chain)); i++ {
-		out[i] = c.daily(chain)[i].Hashrate
-	}
-	return out
+	return c.perDay(chain, func(b *DayBucket) float64 { return b.Hashrate })
 }
 
 // TxPerDay returns the Fig 2 (middle) series.
 func (c *Collector) TxPerDay(chain string) []float64 {
-	days := c.Days()
-	out := make([]float64, days)
-	for i := 0; i < days && i < len(c.daily(chain)); i++ {
-		out[i] = float64(c.daily(chain)[i].Txs)
-	}
-	return out
+	return c.perDay(chain, func(b *DayBucket) float64 { return float64(b.Txs) })
 }
 
 // PctContract returns the Fig 2 (bottom) series: percent of the day's
 // transactions that were contract calls.
 func (c *Collector) PctContract(chain string) []float64 {
-	days := c.Days()
-	out := make([]float64, days)
-	for i := 0; i < days && i < len(c.daily(chain)); i++ {
-		b := c.daily(chain)[i]
-		if b.Txs > 0 {
-			out[i] = 100 * float64(b.ContractTxs) / float64(b.Txs)
-		}
-	}
-	return out
+	return c.perDay(chain, (*DayBucket).PctContract)
 }
 
 // HashesPerUSD returns the Fig 3 series for a chain: expected hashes to
 // earn one USD, from the daily difficulty, reward and price.
 func (c *Collector) HashesPerUSD(chain string, rewardEther float64) []float64 {
-	days := c.Days()
-	out := make([]float64, days)
-	for i := 0; i < days && i < len(c.daily(chain)); i++ {
-		b := c.daily(chain)[i]
-		if b.USD > 0 {
-			out[i] = b.Difficulty / rewardEther / b.USD
-		}
-	}
-	return out
+	return c.perDay(chain, func(b *DayBucket) float64 { return b.HashesPerUSD(rewardEther) })
 }
 
 // PayoffCorrelation returns the Pearson correlation of two chains'
@@ -285,37 +345,19 @@ func (c *Collector) PayoffCorrelation(rewardEther float64, chainA, chainB string
 // EchoesPerDay returns the Fig 4 (bottom) series for a chain: the number
 // of that day's transactions first seen on the other chain.
 func (c *Collector) EchoesPerDay(chain string) []float64 {
-	days := c.Days()
-	out := make([]float64, days)
-	for i := 0; i < days && i < len(c.daily(chain)); i++ {
-		out[i] = float64(c.daily(chain)[i].Echoes)
-	}
-	return out
+	return c.perDay(chain, func(b *DayBucket) float64 { return float64(b.Echoes) })
 }
 
 // EchoPct returns the Fig 4 (top) series: echoes as a percentage of the
 // chain's daily transactions.
 func (c *Collector) EchoPct(chain string) []float64 {
-	days := c.Days()
-	out := make([]float64, days)
-	for i := 0; i < days && i < len(c.daily(chain)); i++ {
-		b := c.daily(chain)[i]
-		if b.Txs > 0 {
-			out[i] = 100 * float64(b.Echoes) / float64(b.Txs)
-		}
-	}
-	return out
+	return c.perDay(chain, (*DayBucket).EchoPct)
 }
 
 // SameDayEchoesPerDay returns the Fig 4 "Same time" series: echoes whose
 // original and rebroadcast both mined within the same day.
 func (c *Collector) SameDayEchoesPerDay(chain string) []float64 {
-	days := c.Days()
-	out := make([]float64, days)
-	for i := 0; i < days && i < len(c.daily(chain)); i++ {
-		out[i] = float64(c.daily(chain)[i].SameDayEchoes)
-	}
-	return out
+	return c.perDay(chain, func(b *DayBucket) float64 { return float64(b.SameDayEchoes) })
 }
 
 // TotalEchoes sums echo counts per chain direction: the value for chain
@@ -323,7 +365,7 @@ func (c *Collector) SameDayEchoesPerDay(chain string) []float64 {
 // ETC.
 func (c *Collector) TotalEchoes(chain string) int {
 	total := 0
-	for _, b := range c.daily(chain) {
+	for _, b := range c.Daily(chain) {
 		total += b.Echoes
 	}
 	return total
@@ -332,12 +374,7 @@ func (c *Collector) TotalEchoes(chain string) int {
 // TopNShare returns the Fig 5 series for a chain: the fraction of each
 // day's blocks mined by the n most productive pools that day.
 func (c *Collector) TopNShare(chain string, n int) []float64 {
-	days := c.Days()
-	out := make([]float64, days)
-	for i := 0; i < days && i < len(c.daily(chain)); i++ {
-		out[i] = pool.TopNFromCounts(c.daily(chain)[i].ByPool, n)
-	}
-	return out
+	return c.perDay(chain, func(b *DayBucket) float64 { return b.TopNShare(n) })
 }
 
 // PoolGini returns the daily Gini coefficient of the chain's block
@@ -345,17 +382,7 @@ func (c *Collector) TopNShare(chain string, n int) []float64 {
 // and the natural statistic for the paper's closing question about
 // whether pool distributions reflect fundamental market trends.
 func (c *Collector) PoolGini(chain string) []float64 {
-	days := c.Days()
-	out := make([]float64, days)
-	for i := 0; i < days && i < len(c.daily(chain)); i++ {
-		counts := c.daily(chain)[i].ByPool
-		w := make([]float64, 0, len(counts))
-		for _, n := range counts {
-			w = append(w, float64(n))
-		}
-		out[i] = pool.GiniOf(w)
-	}
-	return out
+	return c.perDay(chain, (*DayBucket).PoolGini)
 }
 
 // RecoveryHour returns the first hour (since the fork) at which the
@@ -365,11 +392,10 @@ func (c *Collector) PoolGini(chain string) []float64 {
 // Returns -1 if never. This is experiment E2: the paper measured ~2 days
 // for ETC.
 func (c *Collector) RecoveryHour(chain string, targetBlockTime float64, frac float64, sustain int) int {
-	rate := c.BlocksPerHour(chain)
 	want := frac * 3600 / targetBlockTime
 	run := 0
-	for h := 0; h < len(rate); h++ {
-		if rate[h] >= want {
+	for h, b := range c.hourly(chain) {
+		if float64(b.Blocks) >= want {
 			run++
 			if run >= sustain {
 				return h - sustain + 1

@@ -130,6 +130,15 @@ func TestHashesPerUSDAndCorrelation(t *testing.T) {
 	if corr := c.PayoffCorrelation(5, "ETH", "ETC"); math.Abs(corr-1) > 1e-9 {
 		t.Errorf("correlation = %v", corr)
 	}
+	// Difficulty 70e12, 5 ether reward, $14: 1e12 hashes per USD; no price,
+	// no value.
+	b := DayBucket{Difficulty: 70e12, USD: 14}
+	if got := b.HashesPerUSD(RewardEther); math.Abs(got-1e12)/1e12 > 1e-9 {
+		t.Errorf("HashesPerUSD = %g, want 1e12", got)
+	}
+	if got := (&DayBucket{Difficulty: 70e12}).HashesPerUSD(RewardEther); got != 0 {
+		t.Errorf("HashesPerUSD without a price = %g, want 0", got)
+	}
 }
 
 func TestTopNShare(t *testing.T) {

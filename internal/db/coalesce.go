@@ -39,6 +39,10 @@ func NewCoalescer(inner KV) *Coalescer {
 	return &Coalescer{inner: inner, idx: make(map[string]int)}
 }
 
+// Inner returns the wrapped store, so an owner shutting the stack down can
+// reach the layer that holds resources (a Coalescer itself holds none).
+func (c *Coalescer) Inner() KV { return c.inner }
+
 // Get implements KV, consulting the overlay before the inner store.
 func (c *Coalescer) Get(key []byte) ([]byte, bool, error) {
 	c.mu.RLock()

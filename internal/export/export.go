@@ -92,37 +92,45 @@ func WriteTxs(w io.Writer, rows []TxRow) error {
 	return err
 }
 
+// appendBlockRows appends b's block row to blocks and one row per
+// transaction to txs; a transaction's Contract flag comes from the receipt
+// at its index, when receipts has one.
+func appendBlockRows(blocks []BlockRow, txs []TxRow, name string, b *chain.Block, receipts []*chain.Receipt) ([]BlockRow, []TxRow) {
+	blocks = append(blocks, BlockRow{
+		Chain:      name,
+		Number:     b.Number(),
+		Hash:       b.Hash(),
+		Time:       b.Header.Time,
+		Difficulty: b.Header.Difficulty,
+		Coinbase:   b.Header.Coinbase,
+		TxCount:    len(b.Txs),
+	})
+	for i, tx := range b.Txs {
+		row := TxRow{
+			Chain:       name,
+			BlockNumber: b.Number(),
+			BlockTime:   b.Header.Time,
+			Hash:        tx.Hash(),
+			From:        tx.From,
+			Nonce:       tx.Nonce,
+			ChainID:     tx.ChainID,
+		}
+		if i < len(receipts) {
+			row.Contract = receipts[i].ContractCall
+		}
+		txs = append(txs, row)
+	}
+	return blocks, txs
+}
+
 // FromBlockchain extracts rows from a full ledger's canonical chain
 // (blocks 1..head; genesis carries no transactions).
 func FromBlockchain(name string, bc *chain.Blockchain) ([]BlockRow, []TxRow) {
 	var blocks []BlockRow
 	var txs []TxRow
 	for _, b := range bc.CanonicalBlocks(1, bc.Head().Number()) {
-		blocks = append(blocks, BlockRow{
-			Chain:      name,
-			Number:     b.Number(),
-			Hash:       b.Hash(),
-			Time:       b.Header.Time,
-			Difficulty: b.Header.Difficulty,
-			Coinbase:   b.Header.Coinbase,
-			TxCount:    len(b.Txs),
-		})
 		receipts, _, _ := bc.Receipts(b.Hash())
-		for i, tx := range b.Txs {
-			row := TxRow{
-				Chain:       name,
-				BlockNumber: b.Number(),
-				BlockTime:   b.Header.Time,
-				Hash:        tx.Hash(),
-				From:        tx.From,
-				Nonce:       tx.Nonce,
-				ChainID:     tx.ChainID,
-			}
-			if receipts != nil && i < len(receipts) {
-				row.Contract = receipts[i].ContractCall
-			}
-			txs = append(txs, row)
-		}
+		blocks, txs = appendBlockRows(blocks, txs, name, b, receipts)
 	}
 	return blocks, txs
 }
@@ -163,34 +171,11 @@ func FromStore(name string, st *chain.Store) ([]BlockRow, []TxRow, error) {
 		if !ok {
 			return nil, nil, fmt.Errorf("export: canonical block %d (%s) missing from store", n, h)
 		}
-		blocks = append(blocks, BlockRow{
-			Chain:      name,
-			Number:     b.Number(),
-			Hash:       b.Hash(),
-			Time:       b.Header.Time,
-			Difficulty: b.Header.Difficulty,
-			Coinbase:   b.Header.Coinbase,
-			TxCount:    len(b.Txs),
-		})
 		receipts, _, err := st.Receipts(h)
 		if err != nil {
 			return nil, nil, fmt.Errorf("export: reading receipts of block %d: %w", n, err)
 		}
-		for i, tx := range b.Txs {
-			row := TxRow{
-				Chain:       name,
-				BlockNumber: b.Number(),
-				BlockTime:   b.Header.Time,
-				Hash:        tx.Hash(),
-				From:        tx.From,
-				Nonce:       tx.Nonce,
-				ChainID:     tx.ChainID,
-			}
-			if receipts != nil && i < len(receipts) {
-				row.Contract = receipts[i].ContractCall
-			}
-			txs = append(txs, row)
-		}
+		blocks, txs = appendBlockRows(blocks, txs, name, b, receipts)
 	}
 	return blocks, txs, nil
 }
@@ -252,34 +237,41 @@ func (rec *Recorder) copyDifficulty(v *big.Int) *big.Int {
 	return d
 }
 
-// OnBlock implements sim.Observer.
-func (rec *Recorder) OnBlock(ev *sim.BlockEvent) {
-	rec.Blocks = append(rec.Blocks, BlockRow{
+// BlockRowOf is the block row an event becomes: the one event-to-row
+// mapping behind the Recorder and the live analyzer's tables. Events carry
+// no block hash, so Hash stays zero. Difficulty is the event's own, which
+// the engine recycles at the day barrier: a caller that keeps the row
+// copies it.
+func BlockRowOf(ev *sim.BlockEvent) BlockRow {
+	return BlockRow{
 		Chain:      ev.Chain,
 		Number:     ev.Number,
 		Time:       ev.Time,
-		Difficulty: rec.copyDifficulty(ev.Difficulty),
+		Difficulty: ev.Difficulty,
 		Coinbase:   ev.Coinbase,
 		TxCount:    len(ev.Txs),
-	})
-	for _, tx := range ev.Txs {
-		row := TxRow{
-			Chain:       ev.Chain,
-			BlockNumber: ev.Number,
-			BlockTime:   ev.Time,
-			Hash:        tx.Hash,
-			From:        tx.From,
-			Contract:    tx.Contract,
-		}
-		if tx.ChainBound {
-			row.ChainID = 1 // the exact id is a per-chain constant
-		}
-		rec.Txs = append(rec.Txs, row)
 	}
 }
 
-// OnDay implements sim.Observer.
-func (rec *Recorder) OnDay(ev *sim.DayEvent) {
+// TxRowOf is the row for tx, one of ev's transactions. ChainID is a 0/1
+// chain-bound marker: the exact id is a per-chain constant.
+func TxRowOf(ev *sim.BlockEvent, tx *sim.TxInfo) TxRow {
+	row := TxRow{
+		Chain:       ev.Chain,
+		BlockNumber: ev.Number,
+		BlockTime:   ev.Time,
+		Hash:        tx.Hash,
+		From:        tx.From,
+		Contract:    tx.Contract,
+	}
+	if tx.ChainBound {
+		row.ChainID = 1
+	}
+	return row
+}
+
+// DayRowOf is the day row an event becomes.
+func DayRowOf(ev *sim.DayEvent) DayRow {
 	row := DayRow{
 		Day:      ev.Day,
 		Chains:   make([]string, len(ev.Partitions)),
@@ -291,7 +283,22 @@ func (rec *Recorder) OnDay(ev *sim.DayEvent) {
 		row.USD[i] = pd.USD
 		row.Hashrate[i] = pd.Hashrate
 	}
-	rec.Days = append(rec.Days, row)
+	return row
+}
+
+// OnBlock implements sim.Observer.
+func (rec *Recorder) OnBlock(ev *sim.BlockEvent) {
+	row := BlockRowOf(ev)
+	row.Difficulty = rec.copyDifficulty(ev.Difficulty)
+	rec.Blocks = append(rec.Blocks, row)
+	for i := range ev.Txs {
+		rec.Txs = append(rec.Txs, TxRowOf(ev, &ev.Txs[i]))
+	}
+}
+
+// OnDay implements sim.Observer.
+func (rec *Recorder) OnDay(ev *sim.DayEvent) {
+	rec.Days = append(rec.Days, DayRowOf(ev))
 }
 
 // DayRow is one exported day record (prices and hashrates — the

@@ -13,6 +13,7 @@
 package feed
 
 import (
+	"encoding/hex"
 	"fmt"
 	"math/big"
 
@@ -146,14 +147,88 @@ func DayFromSim(ev *sim.DayEvent) *DayEvent {
 	return d
 }
 
-// ParseDifficulty recovers the big.Int behind a wire difficulty string
-// (zero when unparsable).
-func ParseDifficulty(s string) *big.Int {
+// MaxDay is the largest day index a wire event may carry (about 179
+// years of simulated days). Consumers keep one bucket per day up to the
+// highest index seen, so an unchecked index is an allocation the sender
+// chooses.
+const MaxDay = 1<<16 - 1
+
+// HeadToSim is the checked inverse of HeadFromSim: the one place a wire
+// head becomes the engine's event. A difficulty that is not a decimal
+// integer, a hash or address that is not 0x plus exactly the type's hex
+// digits, or a day outside [0, MaxDay] is an error — a damaged event must
+// not reach the observables as zeros, or index their buckets.
+func HeadToSim(h *HeadEvent) (*sim.BlockEvent, error) {
+	var dec decoder
+	ev := &sim.BlockEvent{
+		Chain:      h.Chain,
+		Day:        dec.day(h.Day),
+		Number:     h.Number,
+		Time:       h.Time,
+		Delta:      h.Delta,
+		Difficulty: dec.difficulty(h.Difficulty),
+	}
+	dec.hex(ev.Coinbase[:], h.Coinbase)
+	if len(h.Txs) > 0 {
+		ev.Txs = make([]sim.TxInfo, len(h.Txs))
+	}
+	for i, tx := range h.Txs {
+		ev.Txs[i] = sim.TxInfo{Contract: tx.Contract, ChainBound: tx.ChainBound}
+		dec.hex(ev.Txs[i].Hash[:], tx.Hash)
+		dec.hex(ev.Txs[i].From[:], tx.From)
+	}
+	if dec.err != nil {
+		return nil, fmt.Errorf("live: %s head %d: %w", h.Chain, h.Number, dec.err)
+	}
+	return ev, nil
+}
+
+// DayToSim is the checked inverse of DayFromSim.
+func DayToSim(d *DayEvent) (*sim.DayEvent, error) {
+	var dec decoder
+	ev := &sim.DayEvent{Day: dec.day(d.Day), Partitions: make([]sim.PartitionDay, len(d.Partitions))}
+	for i, pd := range d.Partitions {
+		ev.Partitions[i] = sim.PartitionDay{
+			Name:       pd.Chain,
+			USD:        pd.USD,
+			Hashrate:   pd.Hashrate,
+			Difficulty: dec.difficulty(pd.Difficulty),
+		}
+	}
+	if dec.err != nil {
+		return nil, fmt.Errorf("live: day %d: %w", d.Day, dec.err)
+	}
+	return ev, nil
+}
+
+// decoder parses an event's encoded fields and keeps the first failure.
+type decoder struct{ err error }
+
+func (d *decoder) day(n int) int {
+	if (n < 0 || n > MaxDay) && d.err == nil {
+		d.err = fmt.Errorf("day %d is outside [0, %d]", n, MaxDay)
+	}
+	return n
+}
+
+func (d *decoder) difficulty(s string) *big.Int {
 	v, ok := new(big.Int).SetString(s, 10)
-	if !ok {
-		return new(big.Int)
+	if !ok && d.err == nil {
+		d.err = fmt.Errorf("difficulty %q is not a decimal integer", s)
 	}
 	return v
+}
+
+// hex fills dst from s, which must be 0x plus exactly 2*len(dst) hex digits.
+func (d *decoder) hex(dst []byte, s string) {
+	ok := len(s) == 2+2*len(dst) && s[0] == '0' && (s[1] == 'x' || s[1] == 'X')
+	if ok {
+		_, err := hex.Decode(dst, []byte(s[2:]))
+		ok = err == nil
+	}
+	if !ok && d.err == nil {
+		d.err = fmt.Errorf("%q is not 0x plus %d hex digits", s, 2*len(dst))
+	}
 }
 
 // Match reports whether an event belongs to a stream. chainFilter

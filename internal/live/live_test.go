@@ -4,11 +4,18 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
+	"math/big"
+	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
+	"forkwatch/internal/analysis"
 	"forkwatch/internal/export"
 	"forkwatch/internal/live/feed"
 	"forkwatch/internal/sim"
+	"forkwatch/internal/types"
 )
 
 // threePartScenario is a small fast-mode three-partition run with
@@ -122,7 +129,7 @@ func TestWireRoundTripConvergence(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := &export.Recorder{}
-	plane := NewPlane(sc.Epoch, Options{}, nil)
+	plane := NewPlane(sc.Epoch, nil)
 	eng.AddObserver(rec)
 	eng.AddObserver(plane)
 
@@ -195,11 +202,11 @@ func TestWireRoundTripConvergence(t *testing.T) {
 // TestEchoSetEviction bounds the first-seen set: evictions advance and
 // the set never exceeds its cap.
 func TestEchoSetEviction(t *testing.T) {
-	an := NewAnalyzer(0, Options{EchoSetCap: 4})
+	an := newAnalyzer(0, 4, nil)
 	for n := uint64(0); n < 10; n++ {
-		an.ApplyHead(&feed.HeadEvent{
-			Chain: "ONE", Number: n, Time: 1000 + n, Difficulty: "1",
-			Txs: []feed.TxInfo{{Hash: fmt.Sprintf("0x%02x", n), From: "0xaa"}},
+		an.OnBlock(&sim.BlockEvent{
+			Chain: "ONE", Number: n, Time: 1000 + n, Difficulty: big.NewInt(1),
+			Txs: []sim.TxInfo{{Hash: types.Hash{byte(n)}, From: types.Address{0xaa}}},
 		})
 	}
 	snap := an.Snapshot()
@@ -208,5 +215,201 @@ func TestEchoSetEviction(t *testing.T) {
 	}
 	if snap.EchoSetEvictions != 6 {
 		t.Errorf("evictions = %d, want 6", snap.EchoSetEvictions)
+	}
+}
+
+// wireTrip sends an event through the JSON wire form and back.
+func wireTrip(t *testing.T, ev feed.Event) feed.Event {
+	t.Helper()
+	raw, err := json.Marshal(ev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out feed.Event
+	if err := json.Unmarshal(raw, &out); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// roundTripObserver checks, for every event of a run, that the wire form
+// decodes back to the engine's event field for field.
+type roundTripObserver struct {
+	t            *testing.T
+	blocks, days int
+}
+
+func (o *roundTripObserver) OnBlock(ev *sim.BlockEvent) {
+	o.blocks++
+	got, err := feed.HeadToSim(wireTrip(o.t, feed.Event{Kind: feed.KindHead, Head: feed.HeadFromSim(ev)}).Head)
+	if err != nil {
+		o.t.Fatalf("%s block %d: %v", ev.Chain, ev.Number, err)
+	}
+	if got.Chain != ev.Chain || got.Day != ev.Day || got.Number != ev.Number || got.Time != ev.Time ||
+		got.Delta != ev.Delta || got.Difficulty.Cmp(ev.Difficulty) != 0 || got.Coinbase != ev.Coinbase ||
+		!slices.Equal(got.Txs, ev.Txs) {
+		o.t.Fatalf("%s block %d: decoded %+v, sent %+v", ev.Chain, ev.Number, got, ev)
+	}
+}
+
+func (o *roundTripObserver) OnDay(ev *sim.DayEvent) {
+	o.days++
+	got, err := feed.DayToSim(wireTrip(o.t, feed.Event{Kind: feed.KindDay, Day: feed.DayFromSim(ev)}).Day)
+	if err != nil {
+		o.t.Fatalf("day %d: %v", ev.Day, err)
+	}
+	if got.Day != ev.Day || len(got.Partitions) != len(ev.Partitions) {
+		o.t.Fatalf("day %d: decoded %+v, sent %+v", ev.Day, got, ev)
+	}
+	for i, want := range ev.Partitions {
+		pd := got.Partitions[i]
+		if pd.Name != want.Name || pd.USD != want.USD || pd.Hashrate != want.Hashrate ||
+			pd.Difficulty.Cmp(want.Difficulty) != 0 {
+			o.t.Fatalf("day %d, %s: decoded %+v, sent %+v", ev.Day, want.Name, pd, want)
+		}
+	}
+}
+
+// TestWireDecodeInvertsEncode: HeadToSim/DayToSim undo HeadFromSim/
+// DayFromSim across a JSON round trip, over a whole three-partition run.
+func TestWireDecodeInvertsEncode(t *testing.T) {
+	eng, err := sim.New(threePartScenario(13, 3, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	obs := &roundTripObserver{t: t}
+	eng.AddObserver(obs)
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if obs.blocks == 0 || obs.days != 3 {
+		t.Fatalf("checked %d blocks and %d days", obs.blocks, obs.days)
+	}
+}
+
+// TestApplyRejectsMalformedEvents: a damaged head or day event is an
+// error at the decode boundary and leaves the analyzer untouched.
+func TestApplyRejectsMalformedEvents(t *testing.T) {
+	hash, addr := types.Hash{1}.Hex(), types.Address{2}.Hex()
+	head := func(diff, coinbase, txHash, txFrom string) feed.Event {
+		return feed.Event{Kind: feed.KindHead, Head: &feed.HeadEvent{
+			Chain: "ONE", Number: 1, Time: 10, Difficulty: diff, Coinbase: coinbase,
+			Txs: []feed.TxInfo{{Hash: txHash, From: txFrom}},
+		}}
+	}
+	day := func(diff string) feed.Event {
+		return feed.Event{Kind: feed.KindDay, Day: &feed.DayEvent{
+			Partitions: []feed.PartitionDay{{Chain: "ONE", USD: 1, Hashrate: 1, Difficulty: diff}},
+		}}
+	}
+	// A day or hour index the collector would index (or grow) its buckets
+	// with: negative panics, huge allocates a bucket per day or hour.
+	headOn := func(day int, time uint64) feed.Event {
+		ev := head("1", addr, hash, addr)
+		ev.Head.Day, ev.Head.Time = day, time
+		return ev
+	}
+	dayOn := func(n int) feed.Event {
+		ev := day("1")
+		ev.Day.Day = n
+		return ev
+	}
+	an := NewAnalyzer(0, Options{})
+	for name, ev := range map[string]feed.Event{
+		"negative head day":  headOn(-1, 10),
+		"huge head day":      headOn(feed.MaxDay+1, 10),
+		"huge head time":     headOn(0, 1<<62),
+		"negative day":       dayOn(-1),
+		"huge day":           dayOn(1 << 40),
+		"hex difficulty":     head("0x10", addr, hash, addr),
+		"empty difficulty":   head("", addr, hash, addr),
+		"short coinbase":     head("1", "0xaa", hash, addr),
+		"unprefixed hash":    head("1", addr, hash[2:]+"00", addr),
+		"long hash":          head("1", addr, hash+"00", addr),
+		"non-hex sender":     head("1", addr, hash, "0x"+strings.Repeat("zz", types.AddressLength)),
+		"day hex difficulty": day("1e9"),
+	} {
+		if err := an.Apply(ev); err == nil {
+			t.Errorf("%s: applied without error", name)
+		}
+	}
+	if got := an.Snapshot(); !reflect.DeepEqual(got, NewAnalyzer(0, Options{}).Snapshot()) {
+		t.Errorf("rejected events changed the analyzer: %+v", got)
+	}
+	if got, want := an.BlocksCSV(), NewAnalyzer(0, Options{}).BlocksCSV(); !bytes.Equal(got, want) {
+		t.Errorf("rejected events reached the block table:\n%s", got)
+	}
+	for _, ev := range []feed.Event{head("1", addr, hash, addr), day("1"), headOn(feed.MaxDay, 10), dayOn(feed.MaxDay)} {
+		if err := an.Apply(ev); err != nil {
+			t.Errorf("well-formed %s event rejected: %v", ev.Kind, err)
+		}
+	}
+}
+
+// TestSnapshotIsTheCollectorsView runs one engine with a plane, a plain
+// analysis.Collector and a second analyzer fed over the JSON wire, and
+// requires the two snapshots equal field for field and their derived
+// observables equal to the collector's.
+func TestSnapshotIsTheCollectorsView(t *testing.T) {
+	sc := threePartScenario(12, 3, 2)
+	eng, err := sim.New(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plane := NewPlane(sc.Epoch, nil)
+	col := analysis.NewCollector(sc.Epoch)
+	eng.AddObserver(plane)
+	eng.AddObserver(col)
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	plane.Complete()
+
+	remote := NewAnalyzer(sc.Epoch, Options{})
+	evs, _, gap := plane.Feed.ReadSince(feed.StreamEvents, "", 0, ringSize)
+	if gap {
+		t.Fatal("the run overflowed the replay ring")
+	}
+	for _, ev := range evs {
+		if err := remote.Apply(wireTrip(t, ev)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	local, wire := plane.Analyzer.Snapshot(), remote.Snapshot()
+	if !reflect.DeepEqual(local, wire) {
+		t.Errorf("snapshots diverge:\n in-process %+v\n over wire  %+v", local, wire)
+	}
+
+	last := sc.Days - 1
+	var echoes uint64
+	for _, c := range local.Chains {
+		echoes += c.Echoes
+		if want := uint64(col.TotalEchoes(c.Chain)); c.Echoes != want {
+			t.Errorf("%s echoes = %d, collector %d", c.Chain, c.Echoes, want)
+		}
+		if want := col.RecoveryHour(c.Chain, 14, 0.9, 6); c.RecoveryHour != want {
+			t.Errorf("%s recovery hour = %d, collector %d", c.Chain, c.RecoveryHour, want)
+		}
+		if want := col.TopNShare(c.Chain, 5)[last]; c.Top5Share != want {
+			t.Errorf("%s top-5 share = %v, collector %v", c.Chain, c.Top5Share, want)
+		}
+		if want := col.PoolGini(c.Chain)[last]; c.PoolGini != want {
+			t.Errorf("%s gini = %v, collector %v", c.Chain, c.PoolGini, want)
+		}
+	}
+	if echoes == 0 {
+		t.Error("no echoes: the comparison is vacuous")
+	}
+	if len(local.Correlations) != 3 {
+		t.Fatalf("pair correlations = %d, want 3", len(local.Correlations))
+	}
+	for _, p := range local.Correlations {
+		want := col.PayoffCorrelation(analysis.RewardEther, p.A, p.B)
+		if math.IsNaN(want) {
+			want = 0
+		}
+		if p.Correlation != want {
+			t.Errorf("%s/%s correlation = %v, collector %v", p.A, p.B, p.Correlation, want)
+		}
 	}
 }

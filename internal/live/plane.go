@@ -16,48 +16,37 @@ type Plane struct {
 }
 
 // NewPlane builds a plane metered through reg.
-func NewPlane(epoch uint64, opts Options, reg *metrics.Registry) *Plane {
-	opts = opts.withDefaults()
-	p := &Plane{
-		Feed:     feed.NewFeed(reg, opts.RingSize),
-		Analyzer: NewAnalyzer(epoch, opts),
-	}
+func NewPlane(epoch uint64, reg *metrics.Registry) *Plane {
+	p := &Plane{Feed: feed.NewFeed(reg, ringSize)}
 	// Derived echo candidates go back out on the feed so pendingEchoes
-	// subscribers see the join as it happens. The sink runs under the
+	// subscribers see the join as it happens. The callback runs under the
 	// analyzer lock; Feed.Publish takes only the feed lock (acyclic).
-	p.Analyzer.SetEchoSink(func(e feed.EchoEvent) {
-		ev := e
-		p.Feed.Publish(feed.Event{Kind: feed.KindEcho, Echo: &ev})
+	p.Analyzer = newAnalyzer(epoch, echoSetCap, func(ev *sim.BlockEvent, tx *sim.TxInfo, firstChain string, firstDay int) {
+		p.Feed.Publish(feed.Event{Kind: feed.KindEcho, Echo: &feed.EchoEvent{
+			Hash:       tx.Hash.Hex(),
+			From:       tx.From.Hex(),
+			FirstChain: firstChain,
+			FirstDay:   firstDay,
+			Chain:      ev.Chain,
+			Day:        ev.Day,
+			SameDay:    firstDay == ev.Day,
+		}})
 	})
 	return p
 }
 
-// OnBlock implements sim.Observer: publish the head, then fold it into
-// the analyzer (which may publish derived echoes).
+// OnBlock implements sim.Observer: publish the head's wire form, then
+// fold the engine's event into the analyzer as it is (which may publish
+// derived echoes).
 func (p *Plane) OnBlock(ev *sim.BlockEvent) {
-	h := feed.HeadFromSim(ev)
-	p.Feed.Publish(feed.Event{Kind: feed.KindHead, Head: h})
-	p.Analyzer.ApplyHead(h)
+	p.Feed.Publish(feed.Event{Kind: feed.KindHead, Head: feed.HeadFromSim(ev)})
+	p.Analyzer.OnBlock(ev)
 }
 
 // OnDay implements sim.Observer.
 func (p *Plane) OnDay(ev *sim.DayEvent) {
-	d := feed.DayFromSim(ev)
-	p.Feed.Publish(feed.Event{Kind: feed.KindDay, Day: d})
-	p.Analyzer.ApplyDay(d)
-}
-
-// PublishHead feeds a head that did not come from an engine observer —
-// the replica tier relays heads from its follow loop through this.
-func (p *Plane) PublishHead(h *feed.HeadEvent) {
-	p.Feed.Publish(feed.Event{Kind: feed.KindHead, Head: h})
-	p.Analyzer.ApplyHead(h)
-}
-
-// PublishDay is the day-event counterpart of PublishHead.
-func (p *Plane) PublishDay(d *feed.DayEvent) {
-	p.Feed.Publish(feed.Event{Kind: feed.KindDay, Day: d})
-	p.Analyzer.ApplyDay(d)
+	p.Feed.Publish(feed.Event{Kind: feed.KindDay, Day: feed.DayFromSim(ev)})
+	p.Analyzer.OnDay(ev)
 }
 
 // Complete marks the run finished and publishes the EOF marker.

@@ -14,7 +14,6 @@ package market
 
 import (
 	"math"
-	"math/big"
 	"math/rand"
 )
 
@@ -126,17 +125,6 @@ func LegacyChainParams(p Params) []ChainParams {
 func GeneratePrices(p Params, r *rand.Rand) Series {
 	s := GenerateSeries(p, LegacyChainParams(p), r)
 	return Series{ETHUSD: s[0], ETCUSD: s[1]}
-}
-
-// HashesPerUSD is the paper's Figure 3 statistic: the expected number of
-// hashes a miner computes to earn one USD — difficulty divided by the
-// block reward in ether, divided by the USD price of one ether.
-func HashesPerUSD(difficulty *big.Int, rewardEther, usdPrice float64) float64 {
-	if usdPrice <= 0 || rewardEther <= 0 {
-		return math.Inf(1)
-	}
-	d, _ := new(big.Float).SetInt(difficulty).Float64()
-	return d / rewardEther / usdPrice
 }
 
 // Allocator nudges the cross-chain hashrate split toward the arbitrage

@@ -2,7 +2,6 @@ package market
 
 import (
 	"math"
-	"math/big"
 	"math/rand"
 	"testing"
 )
@@ -76,18 +75,6 @@ func TestPricesCorrelated(t *testing.T) {
 	c := Correlation(rets(s.ETHUSD), rets(s.ETCUSD))
 	if c < 0.8 {
 		t.Errorf("return correlation = %.3f, want > 0.8", c)
-	}
-}
-
-func TestHashesPerUSD(t *testing.T) {
-	// difficulty 70e12, 5 ether reward, $14: 1e12 hashes per USD.
-	d := new(big.Int).Mul(big.NewInt(70), big.NewInt(1e12))
-	got := HashesPerUSD(d, 5, 14)
-	if math.Abs(got-1e12)/1e12 > 1e-9 {
-		t.Errorf("HashesPerUSD = %g, want 1e12", got)
-	}
-	if !math.IsInf(HashesPerUSD(d, 5, 0), 1) {
-		t.Error("zero price should be +Inf")
 	}
 }
 

@@ -14,7 +14,6 @@ import (
 	"forkwatch/internal/discover"
 	"forkwatch/internal/faultnet"
 	"forkwatch/internal/keccak"
-	"forkwatch/internal/live/feed"
 	"forkwatch/internal/p2p"
 	"forkwatch/internal/prng"
 	"forkwatch/internal/rpc"
@@ -447,7 +446,7 @@ func (r *Replica) follow(i int) {
 // the last relay onto the replica's live feed, rebuilding the head
 // events exactly as the engine's observer delivery would have built
 // them (Day from the fork epoch, Delta from the parent's timestamp,
-// the contract/chain-bound markers from the transaction shape).
+// the engine's own sim.TxInfoOf for the transactions).
 func (r *Replica) relayHeads(i int) {
 	relay := r.relays[i]
 	bc := r.Chains[i].Ledger.BC
@@ -463,27 +462,19 @@ func (r *Replica) relayHeads(i int) {
 		if t >= epoch && dayLen > 0 {
 			day = int((t - epoch) / dayLen)
 		}
-		h := &feed.HeadEvent{
+		ev := &sim.BlockEvent{
 			Chain:      name,
 			Day:        day,
 			Number:     b.Number(),
 			Time:       t,
 			Delta:      t - relay.lastTime,
-			Difficulty: b.Header.Difficulty.String(),
-			Coinbase:   b.Header.Coinbase.Hex(),
+			Difficulty: b.Header.Difficulty,
+			Coinbase:   b.Header.Coinbase,
 		}
-		if len(b.Txs) > 0 {
-			h.Txs = make([]feed.TxInfo, len(b.Txs))
-			for j, tx := range b.Txs {
-				h.Txs[j] = feed.TxInfo{
-					Hash:       tx.Hash().Hex(),
-					From:       tx.From.Hex(),
-					Contract:   tx.To == nil || len(tx.Data) > 0,
-					ChainBound: tx.ChainID != 0,
-				}
-			}
+		for _, tx := range b.Txs {
+			ev.Txs = append(ev.Txs, sim.TxInfoOf(tx))
 		}
-		r.Live.PublishHead(h)
+		r.Live.OnBlock(ev)
 		relay.lastPub = b.Number()
 		relay.lastTime = t
 	}

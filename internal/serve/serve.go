@@ -72,8 +72,8 @@ func (r *Result) Close() {
 	}
 }
 
-// closeKV walks a store's wrapper chain (retry, fault injection, cache)
-// to the first layer that can close, and closes it.
+// closeKV walks a store's wrapper chain (coalescer, retry, fault
+// injection, cache) to the first layer that can close, and closes it.
 func closeKV(kv db.KV) error {
 	for kv != nil {
 		if c, ok := kv.(io.Closer); ok {
@@ -116,7 +116,7 @@ func mount(cfg rpc.ServerConfig, chains []ServedChain) (*rpc.Server, []*rpc.Back
 // carries every partition's events (newHeads filters per route), and
 // the snapshot covers the whole partition set, like the batch analyzer.
 func newPlane(srv *rpc.Server, backends []*rpc.Backend, epoch uint64) *live.Plane {
-	plane := live.NewPlane(epoch, live.Options{}, srv.Registry())
+	plane := live.NewPlane(epoch, srv.Registry())
 	src := &rpc.LiveSource{
 		Feed:     plane.Feed,
 		Snapshot: func() any { return plane.Analyzer.Snapshot() },
@@ -151,9 +151,18 @@ func Build(sc *sim.Scenario, cfg rpc.ServerConfig) (*Result, error) {
 // and run() publishes the feed's EOF marker when the scenario ends.
 // (Concurrent serving is safe: the Blockchain's locks already carry the
 // replica tier's concurrent read-under-import load.)
+//
+// A disk data directory that already holds a chain is refused: building
+// into it would write the whole chain a second time. OpenOrBuild reopens
+// such a directory instead.
 func BuildLive(sc *sim.Scenario, cfg rpc.ServerConfig) (*Result, func() error, error) {
 	if sc.Mode != sim.ModeFull {
 		return nil, nil, fmt.Errorf("serve: scenario mode must be full (the archive serves real chains)")
+	}
+	if sc.Storage.Backend == db.BackendDisk {
+		if err := refusePersistedChains(sc); err != nil {
+			return nil, nil, err
+		}
 	}
 	eng, err := sim.New(sc)
 	if err != nil {
@@ -182,6 +191,40 @@ func BuildLive(sc *sim.Scenario, cfg rpc.ServerConfig) (*Result, func() error, e
 	return res, run, nil
 }
 
+// refusePersistedChains fails if any partition's disk store under
+// sc.Storage.DataDir holds a chain (the head marker chain.Open looks for).
+func refusePersistedChains(sc *sim.Scenario) error {
+	for _, sp := range sc.PartitionSpecs() {
+		kv, err := openChainStore(sc, sp.Name)
+		if err != nil {
+			return err
+		}
+		_, held, err := chain.NewStore(kv).Head()
+		if cerr := closeKV(kv); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			return fmt.Errorf("serve: probing %s store: %w", sp.Name, err)
+		}
+		if held {
+			return fmt.Errorf("serve: %s already holds the %s chain; building would write it a second time (OpenOrBuild reopens a persisted archive)", sim.ChainDataDir(sc.Storage.DataDir, sp.Name), sp.Name)
+		}
+	}
+	return nil
+}
+
+// openChainStore opens the named partition's store, which lives in its
+// own subdirectory of sc.Storage.DataDir.
+func openChainStore(sc *sim.Scenario, name string) (db.KV, error) {
+	scfg := sc.Storage
+	scfg.DataDir = sim.ChainDataDir(scfg.DataDir, name)
+	kv, err := db.Open(scfg)
+	if err != nil {
+		return nil, fmt.Errorf("serve: opening %s store: %w", name, err)
+	}
+	return kv, nil
+}
+
 // Open remounts an archive that an earlier Build persisted through the
 // disk backend: every chain is reopened from sc.Storage.DataDir (each
 // chain lives in its own subdirectory) via chain.Open — WAL redo, no
@@ -204,11 +247,9 @@ func Open(sc *sim.Scenario, cfg rpc.ServerConfig) (*Result, error) {
 	specs := sc.PartitionSpecs()
 	chains := make([]ServedChain, len(specs))
 	for i, sp := range specs {
-		scfg := sc.Storage
-		scfg.DataDir = sim.ChainDataDir(scfg.DataDir, sp.Name)
-		kv, err := db.Open(scfg)
+		kv, err := openChainStore(sc, sp.Name)
 		if err != nil {
-			return nil, fmt.Errorf("serve: opening %s store: %w", sp.Name, err)
+			return nil, err
 		}
 		led, err := sim.OpenFullLedger(cfgs[i], sc, sp.Name, kv)
 		if err != nil {

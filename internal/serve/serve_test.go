@@ -4,14 +4,19 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"io/fs"
+	"maps"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"forkwatch/internal/chain"
+	"forkwatch/internal/db"
 	"forkwatch/internal/rpc"
 	"forkwatch/internal/sim"
+	"forkwatch/internal/types"
 )
 
 // smallScenario is a fast full-fidelity scenario: one short simulated
@@ -153,6 +158,96 @@ func TestOpenOrBuildFreshDirectoryBuilds(t *testing.T) {
 	}
 	if res.Ledger("ETH").BC.Head().Number() == 0 {
 		t.Fatal("built archive has no blocks")
+	}
+}
+
+// TestBuildRefusesPersistedArchive: Build over a directory that already
+// holds the chains must fail, pointing at OpenOrBuild, and leave the
+// directory as it was instead of writing every chain a second time.
+func TestBuildRefusesPersistedArchive(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-fidelity build")
+	}
+	dataDir := t.TempDir()
+	built, err := Build(smallScenario(dataDir), rpc.ServerConfig{})
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	built.Close()
+	before := dirSizes(t, dataDir)
+
+	if res, err := Build(smallScenario(dataDir), rpc.ServerConfig{}); err == nil {
+		res.Close()
+		t.Fatal("second Build into the same directory succeeded")
+	} else if !strings.Contains(err.Error(), "OpenOrBuild") {
+		t.Errorf("refusal does not point at OpenOrBuild: %v", err)
+	}
+	if after := dirSizes(t, dataDir); !maps.Equal(before, after) {
+		t.Errorf("refused Build changed the directory:\n before %v\n after  %v", before, after)
+	}
+}
+
+// dirSizes maps every file under root to its size.
+func dirSizes(t *testing.T, root string) map[string]int64 {
+	t.Helper()
+	sizes := map[string]int64{}
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		info, err := d.Info()
+		if err != nil {
+			return err
+		}
+		sizes[path] = info.Size()
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sizes
+}
+
+// TestResultCloseClosesDiskStores: a fault-free Build stacks a
+// db.Coalescer over each disk store; Close must reach through it, so the
+// closed store refuses writes and the directory reopens in this process.
+func TestResultCloseClosesDiskStores(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-fidelity build")
+	}
+	dataDir := t.TempDir()
+	built, err := Build(smallScenario(dataDir), rpc.ServerConfig{})
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	heads := map[string]types.Hash{}
+	for _, c := range built.Chains {
+		heads[c.Name] = c.Ledger.BC.Head().Hash()
+	}
+	built.Close()
+	for _, c := range built.Chains {
+		// The coalescer only stages a Put; the flush is the store write.
+		coal, ok := c.Ledger.BC.DB().(*db.Coalescer)
+		if !ok {
+			t.Fatalf("%s store is %T, want the engine's *db.Coalescer", c.Name, c.Ledger.BC.DB())
+		}
+		if err := coal.Put([]byte("after-close"), []byte{1}); err != nil {
+			t.Fatal(err)
+		}
+		if err := coal.Flush(); err == nil {
+			t.Errorf("%s store accepted a write after Result.Close", c.Name)
+		}
+	}
+
+	reopened, err := Open(smallScenario(dataDir), rpc.ServerConfig{})
+	if err != nil {
+		t.Fatalf("Open after Close: %v", err)
+	}
+	defer reopened.Close()
+	for _, c := range reopened.Chains {
+		if got := c.Ledger.BC.Head().Hash(); got != heads[c.Name] {
+			t.Errorf("%s head after reopen = %s, built %s", c.Name, got, heads[c.Name])
+		}
 	}
 }
 

@@ -30,6 +30,18 @@ type TxInfo struct {
 	ChainBound bool
 }
 
+// TxInfoOf describes a mined transaction: a contract creation or a call
+// with data counts as a contract transaction, a non-zero chain id binds
+// it to its chain.
+func TxInfoOf(tx *chain.Transaction) TxInfo {
+	return TxInfo{
+		Hash:       tx.Hash(),
+		From:       tx.From,
+		Contract:   tx.To == nil || len(tx.Data) > 0,
+		ChainBound: tx.ChainID != 0,
+	}
+}
+
 // BlockEvent is emitted for every mined block.
 //
 // Events are pooled: the engine recycles each event (including its
@@ -932,12 +944,7 @@ func (e *Engine) mineDay(day int, p *partition) error {
 			ev.Coinbase = coinbase
 			ev.Txs = ev.Txs[:0]
 			for _, tx := range included {
-				ev.Txs = append(ev.Txs, TxInfo{
-					Hash:       tx.Hash(),
-					From:       tx.From,
-					Contract:   tx.To == nil || len(tx.Data) > 0,
-					ChainBound: tx.ChainID != 0,
-				})
+				ev.Txs = append(ev.Txs, TxInfoOf(tx))
 			}
 			p.events = append(p.events, ev)
 		}

@@ -17,18 +17,20 @@ DAYS="${LIVESMOKE_DAYS:-2}"
 OUT="${LIVESMOKE_OUT:-live-smoke-out}"
 GO="${GO:-go}"
 LOG="$(mktemp)"
+BIN="$(mktemp -d)"
+PID=
+trap '[ -z "$PID" ] || kill $PID 2>/dev/null || true; rm -rf "$LOG" "$BIN"' EXIT
 
 mkdir -p "$OUT"
 : > "$OUT/convergence.diff"
 
 echo "livesmoke: building forkserve, forkanalyze, forksim..."
-$GO build -o /tmp/forkserve ./cmd/forkserve
-$GO build -o /tmp/forkanalyze ./cmd/forkanalyze
-$GO build -o /tmp/forksim ./cmd/forksim
+$GO build -o "$BIN/forkserve" ./cmd/forkserve
+$GO build -o "$BIN/forkanalyze" ./cmd/forkanalyze
+$GO build -o "$BIN/forksim" ./cmd/forksim
 
-/tmp/forkserve -seed "$SEED" -days "$DAYS" -live -addr "$ADDR" >"$LOG" 2>&1 &
+"$BIN/forkserve" -seed "$SEED" -days "$DAYS" -live -addr "$ADDR" >"$LOG" 2>&1 &
 PID=$!
-trap 'kill $PID 2>/dev/null || true; rm -f "$LOG"' EXIT
 
 echo "livesmoke: waiting for $BASE/healthz..."
 i=0
@@ -50,7 +52,7 @@ done
 # Follow the live run to its EOF marker; the analyzer writes its
 # converged CSV tables when the feed completes.
 echo "livesmoke: following the live feed..."
-/tmp/forkanalyze -follow "$BASE" -out "$OUT/live"
+"$BIN/forkanalyze" -follow "$BASE" -out "$OUT/live"
 
 # The streamed head must equal the served head: replay the newHeads
 # stream for the first route and compare its last head number against
@@ -81,7 +83,7 @@ echo "livesmoke: ok   subscription metrics"
 
 # Ground truth: the identical scenario through the batch exporter.
 echo "livesmoke: running the batch export for comparison..."
-/tmp/forksim -seed "$SEED" -days "$DAYS" -mode full -out "$OUT/batch" >/dev/null
+"$BIN/forksim" -seed "$SEED" -days "$DAYS" -mode full -out "$OUT/batch" >/dev/null
 
 status=0
 for f in blocks.csv txs.csv days.csv; do

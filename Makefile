@@ -129,6 +129,8 @@ benchcmp:
 # forksim/cpu.pprof is one whole `forksim -days 90 -out` run — simulation,
 # figure rendering and the CSV export, the figures-90d op of bench/ — and
 # forksim/heap.pprof the rows it retains; the CSVs themselves are dropped.
+# archive/{cpu,heap}.pprof are dense-6h disk serve.Build runs, the
+# archive-build-disk op of bench/ (BenchmarkArchiveBuildDense).
 PROFILE_DIR ?= profiles
 
 profile:
@@ -140,7 +142,10 @@ profile:
 		-memprofile $(PROFILE_DIR)/heap.pprof .
 	$(GO) run ./cmd/forksim -days 90 -out $(PROFILE_DIR)/forksim/out -profile $(PROFILE_DIR)/forksim > /dev/null
 	rm -rf $(PROFILE_DIR)/forksim/out
-	@echo "profiles in $(PROFILE_DIR)/: cpu.pprof mem.pprof heap.pprof forksim/cpu.pprof forksim/heap.pprof"
+	mkdir -p $(PROFILE_DIR)/archive
+	$(GO) test -bench '^BenchmarkArchiveBuildDense$$' -benchtime=5x -run '^$$' \
+		-cpuprofile $(PROFILE_DIR)/archive/cpu.pprof -memprofile $(PROFILE_DIR)/archive/heap.pprof .
+	@echo "profiles in $(PROFILE_DIR)/: cpu.pprof mem.pprof heap.pprof forksim/cpu.pprof forksim/heap.pprof archive/cpu.pprof archive/heap.pprof"
 
 # RPC smoke: boot forkserve, curl every method on both chain endpoints
 # and check /debug/metrics (what CI's rpc-smoke job runs).

@@ -25,6 +25,8 @@ import (
 	"forkwatch/internal/keccak"
 	"forkwatch/internal/market"
 	"forkwatch/internal/p2p"
+	"forkwatch/internal/rpc"
+	"forkwatch/internal/serve"
 	"forkwatch/internal/sim"
 	"forkwatch/internal/types"
 )
@@ -458,5 +460,27 @@ func BenchmarkFullFidelityDayDisk(b *testing.B) {
 		if _, err := forkwatch.Run(sc); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkArchiveBuildDense is one dense-6h disk serve.Build — the
+// archive-build-disk op of bench/ (bench/scenario.go's rates: 2016-mainnet
+// 40 000 / 16 000 tx per 86 400 s, 2 000 users, DayLength 21 600) — so that
+// `make profile` can point pprof at the full-fidelity write path.
+func BenchmarkArchiveBuildDense(b *testing.B) {
+	const dayLength = 21600
+	for i := 0; i < b.N; i++ {
+		sc := forkwatch.NewScenario(1, 1)
+		sc.Mode = forkwatch.ModeFull
+		sc.Users = 2000
+		sc.DayLength = dayLength
+		sc.ETHTxPerDay = 40000 * dayLength / 86400
+		sc.ETCTxPerDay = 16000 * dayLength / 86400
+		sc.Storage = forkwatch.StorageConfig{Backend: forkwatch.StorageDisk, DataDir: b.TempDir()}
+		res, err := serve.Build(sc, rpc.ServerConfig{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		res.Close()
 	}
 }

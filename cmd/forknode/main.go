@@ -250,14 +250,10 @@ func mineLoop(bc *chain.Blockchain, srv *p2p.Server, r *rand.Rand, every time.Du
 		tx := chain.NewTransaction(st.GetNonce(sender), &to, big.NewInt(1), 21_000, big.NewInt(1), nil).
 			Sign(sender, 0)
 		uncles := bc.CollectUncles(head.Hash())
-		blk, err := bc.BuildBlockWithUncles(coinbase, head.Header.Time+bc.Config().TargetBlockTime, []*chain.Transaction{tx}, uncles)
+		blk, err := bc.MineBlock(coinbase, head.Header.Time+bc.Config().TargetBlockTime, []*chain.Transaction{tx}, uncles,
+			func(h *chain.Header) { pow.Seal(h, r) })
 		if err != nil {
 			log.Printf("mine: %v", err)
-			continue
-		}
-		pow.Seal(blk.Header, r)
-		if err := bc.InsertBlock(blk); err != nil {
-			log.Printf("mine: insert: %v", err)
 			continue
 		}
 		srv.BroadcastBlock(blk)

@@ -7,10 +7,9 @@ import (
 )
 
 // Pooled allocation arenas (DESIGN.md §15). The simulate path churns
-// through millions of transactions, receipts and scratch headers per
-// nine-month run; these sync.Pool arenas recycle them with strict
-// reset-on-recycle semantics so a recycled object is indistinguishable
-// from a zero-value one.
+// through millions of transactions and receipts per nine-month run; these
+// sync.Pool arenas recycle them with strict reset-on-recycle semantics so
+// a recycled object is indistinguishable from a zero-value one.
 //
 // Ownership rules — the pools are safe only because of them:
 //
@@ -22,8 +21,9 @@ import (
 //   - Receipts: released by the blockchain right after their root is
 //     computed and they are staged into the store batch (the store
 //     serializes them; nothing retains the structs).
-//   - Headers: only pre-execution scratch headers are pooled. Headers
-//     that enter a block are immortal chain state and are never released.
+//
+// Headers are not pooled: every header is built for a block and is then
+// immortal chain state.
 
 var txArena = sync.Pool{New: func() any { return new(Transaction) }}
 
@@ -74,33 +74,4 @@ func ReleaseReceipts(receipts []*Receipt) {
 	for _, r := range receipts {
 		ReleaseReceipt(r)
 	}
-}
-
-var headerArena = sync.Pool{New: func() any { return new(Header) }}
-
-// NewPooledHeader returns a reset scratch header from the arena. Use only
-// for pre-execution scratch (gas accounting context); never for headers
-// that become chain state.
-func NewPooledHeader() *Header {
-	return headerArena.Get().(*Header)
-}
-
-// ReleaseHeader resets h and returns it to the arena.
-func ReleaseHeader(h *Header) {
-	h.ParentHash = types.Hash{}
-	h.Number = 0
-	h.Time = 0
-	h.Difficulty = nil
-	h.GasLimit = 0
-	h.GasUsed = 0
-	h.Coinbase = types.Address{}
-	h.StateRoot = types.Hash{}
-	h.TxRoot = types.Hash{}
-	h.ReceiptRoot = types.Hash{}
-	h.Extra = nil
-	h.UncleHash = types.Hash{}
-	h.Nonce = 0
-	h.MixDigest = types.Hash{}
-	h.hash.Store(nil)
-	headerArena.Put(h)
 }

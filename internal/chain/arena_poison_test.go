@@ -107,40 +107,3 @@ func TestReceiptPoolPoisonGuard(t *testing.T) {
 		t.Fatalf("receipt fields leaked through the arena: %+v", got)
 	}
 }
-
-func TestHeaderPoolPoisonGuard(t *testing.T) {
-	if n := reflect.TypeOf(Header{}).NumField(); n != 15 {
-		t.Fatalf("Header has %d fields (expected 15): extend ReleaseHeader and this poison", n)
-	}
-	h := NewPooledHeader()
-	h.ParentHash = types.BytesToHash(bytes.Repeat([]byte{1}, 32))
-	h.Coinbase = types.HexToAddress("0x9001")
-	h.Number = 123
-	h.Time = 456
-	h.Difficulty = big.NewInt(789)
-	h.GasLimit = 1
-	h.GasUsed = 2
-	h.StateRoot = types.BytesToHash(bytes.Repeat([]byte{2}, 32))
-	h.TxRoot = types.BytesToHash(bytes.Repeat([]byte{3}, 32))
-	h.ReceiptRoot = types.BytesToHash(bytes.Repeat([]byte{4}, 32))
-	h.Extra = []byte("poison")
-	h.UncleHash = types.BytesToHash(bytes.Repeat([]byte{5}, 32))
-	h.Nonce = 6
-	h.MixDigest = types.BytesToHash(bytes.Repeat([]byte{7}, 32))
-	h.Hash() // prime the memo so the release must drop it
-	ReleaseHeader(h)
-
-	got := NewPooledHeader()
-	if got.ParentHash != (types.Hash{}) || got.Coinbase != (types.Address{}) ||
-		got.Number != 0 || got.Time != 0 || got.Difficulty != nil ||
-		got.GasLimit != 0 || got.GasUsed != 0 ||
-		got.StateRoot != (types.Hash{}) || got.TxRoot != (types.Hash{}) ||
-		got.ReceiptRoot != (types.Hash{}) || got.Extra != nil ||
-		got.UncleHash != (types.Hash{}) || got.Nonce != 0 || got.MixDigest != (types.Hash{}) {
-		t.Fatalf("header fields leaked through the arena: %+v", got)
-	}
-	if got.hash.Load() != nil {
-		t.Fatal("memoized header hash leaked through the arena")
-	}
-	ReleaseHeader(got)
-}

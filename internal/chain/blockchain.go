@@ -390,7 +390,16 @@ func (bc *Blockchain) InsertBlock(b *Block) error {
 		return fmt.Errorf("%w: receipt root %s, header %s", ErrInvalidBody, got, b.Header.ReceiptRoot)
 	}
 
-	td := new(big.Int).Add(bc.tds[parent.Hash()], b.Header.Difficulty)
+	return bc.writeBlock(b, receipts, root)
+}
+
+// writeBlock persists an executed block whose parent is known — records, tx
+// index, total-difficulty fork choice, head — and then advances the
+// in-memory view. It is the one write tail of InsertBlock and MineBlock;
+// callers hold bc.mu and have committed the block's state (root).
+func (bc *Blockchain) writeBlock(b *Block, receipts []*Receipt, root types.Hash) error {
+	hash := b.Hash()
+	td := new(big.Int).Add(bc.tds[b.Header.ParentHash], b.Header.Difficulty)
 
 	// Stage the block's whole persistence — records, fork choice, head —
 	// and commit it through the WAL as one unit, so a crash anywhere in
@@ -541,28 +550,8 @@ func (bc *Blockchain) BuildBlockWithUncles(coinbase types.Address, time uint64, 
 	bc.mu.Lock()
 	defer bc.mu.Unlock()
 
-	parent := bc.head
-	if time <= parent.Header.Time {
-		time = parent.Header.Time + 1
-	}
-	header := &Header{
-		ParentHash: parent.Hash(),
-		Number:     parent.Number() + 1,
-		Time:       time,
-		Difficulty: CalcDifficulty(bc.cfg, time, parent.Header),
-		GasLimit:   NextGasLimit(parent.Header.GasLimit, bc.cfg.GasLimit),
-		Coinbase:   coinbase,
-	}
-	if bc.cfg.DAOForkBlock != nil && bc.cfg.DAOForkSupport {
-		forkNum := bc.cfg.DAOForkBlock.Uint64()
-		if header.Number >= forkNum && header.Number < forkNum+DAOForkExtraRange {
-			header.Extra = append([]byte(nil), DAOForkExtra...)
-		}
-	}
-	header.UncleHash = CalcUncleHash(uncles)
-	block := &Block{Header: header, Txs: txs, Uncles: uncles}
-
-	st, err := state.New(bc.stateRoots[parent.Hash()], bc.db)
+	block := &Block{Header: bc.nextHeader(coinbase, time, uncles), Txs: txs, Uncles: uncles}
+	st, err := state.New(bc.stateRoots[bc.head.Hash()], bc.db)
 	if err != nil {
 		return nil, err
 	}
@@ -574,17 +563,97 @@ func (bc *Blockchain) BuildBlockWithUncles(coinbase types.Address, time uint64, 
 	if err != nil {
 		return nil, err
 	}
-	var gasUsed uint64
-	for _, r := range receipts {
-		gasUsed += r.GasUsed
+	fillRoots(block, receipts, root)
+	ReleaseReceipts(receipts) // consumed by the root; nothing retains them
+	return block, nil
+}
+
+// nextHeader assembles the header of a child of the current head: bumped
+// timestamp, difficulty, gas-limit vote, DAO marker and uncle commitment.
+// The execution results (fillRoots) and the seal are still to come.
+func (bc *Blockchain) nextHeader(coinbase types.Address, time uint64, uncles []*Header) *Header {
+	parent := bc.head
+	if time <= parent.Header.Time {
+		time = parent.Header.Time + 1
 	}
-	header.GasUsed = gasUsed
+	header := &Header{
+		ParentHash: parent.Hash(),
+		Number:     parent.Number() + 1,
+		Time:       time,
+		Difficulty: CalcDifficulty(bc.cfg, time, parent.Header),
+		GasLimit:   NextGasLimit(parent.Header.GasLimit, bc.cfg.GasLimit),
+		Coinbase:   coinbase,
+		UncleHash:  CalcUncleHash(uncles),
+	}
+	if bc.cfg.DAOForkBlock != nil && bc.cfg.DAOForkSupport {
+		forkNum := bc.cfg.DAOForkBlock.Uint64()
+		if header.Number >= forkNum && header.Number < forkNum+DAOForkExtraRange {
+			header.Extra = append([]byte(nil), DAOForkExtra...)
+		}
+	}
+	return header
+}
+
+// fillRoots completes an executed block's header from its receipts and
+// committed state root. Computing the tx root through the block memoizes
+// it, so a later body validation will not rebuild the trie.
+func fillRoots(block *Block, receipts []*Receipt, root types.Hash) {
+	header := block.Header
+	for _, r := range receipts {
+		header.GasUsed += r.GasUsed
+	}
 	header.StateRoot = root
-	// Computing the root through the block memoizes it, so InsertBlock's
-	// body validation will not rebuild the trie.
 	header.TxRoot = block.ComputedTxRoot()
 	header.ReceiptRoot = ReceiptRoot(receipts)
-	ReleaseReceipts(receipts) // consumed by the root; nothing retains them
+}
+
+// MineBlock is the local miner's door: it builds a child of the current
+// head from the candidates that still apply, and persists it, executing
+// every transaction exactly once and committing the state once. Candidates
+// run in order against the real header; one that no longer validates or
+// does not fit the gas pool is skipped (ApplyTransaction rejects before it
+// mutates). seal stamps the PoW seal on the otherwise finished header.
+// The block is the chain's own product, so apart from the caller's uncle
+// list nothing is re-validated, and nothing is re-executed, on the way to
+// the store; blocks from anywhere else go through InsertBlock.
+func (bc *Blockchain) MineBlock(coinbase types.Address, time uint64, candidates []*Transaction, uncles []*Header, seal func(*Header)) (*Block, error) {
+	bc.mu.Lock()
+	defer bc.mu.Unlock()
+
+	header := bc.nextHeader(coinbase, time, uncles)
+	st, err := state.New(bc.stateRoots[bc.head.Hash()], bc.db)
+	if err != nil {
+		return nil, err
+	}
+	bc.proc.applyIrregular(header.Number, st)
+	block := &Block{Header: header, Uncles: uncles}
+	var receipts []*Receipt
+	gasPool := header.GasLimit
+	for _, tx := range candidates {
+		rec, used, err := bc.proc.ApplyTransaction(tx, st, header, gasPool)
+		if err != nil {
+			continue
+		}
+		gasPool -= used
+		block.Txs = append(block.Txs, tx)
+		receipts = append(receipts, rec)
+	}
+	bc.proc.payRewards(header, uncles, st)
+	root, err := st.Commit()
+	if err != nil {
+		return nil, err
+	}
+	fillRoots(block, receipts, root)
+	seal(header)
+	if len(uncles) > 0 {
+		// The one input the execution above has not already checked.
+		if err := bc.validateUncles(block); err != nil {
+			return nil, err
+		}
+	}
+	if err := bc.writeBlock(block, receipts, root); err != nil {
+		return nil, err
+	}
 	return block, nil
 }
 

@@ -50,10 +50,7 @@ func (p *Processor) ApplyDAOFork(st *state.DB) {
 // the receipts. st is mutated; the caller commits and checks the root.
 func (p *Processor) Process(block *Block, st *state.DB) ([]*Receipt, error) {
 	header := block.Header
-	num := new(big.Int).SetUint64(header.Number)
-	if p.cfg.DAOForkSupport && p.cfg.IsDAOFork(num) {
-		p.ApplyDAOFork(st)
-	}
+	p.applyIrregular(header.Number, st)
 	var receipts []*Receipt
 	gasPool := header.GasLimit
 	for i, tx := range block.Txs {
@@ -64,15 +61,28 @@ func (p *Processor) Process(block *Block, st *state.DB) ([]*Receipt, error) {
 		gasPool -= used
 		receipts = append(receipts, rec)
 	}
-	// Coinbase reward plus the uncle schedule (uncle miners get the
-	// depth-scaled partial reward; the including miner 1/32 per uncle).
+	p.payRewards(header, block.Uncles, st)
+	return receipts, nil
+}
+
+// applyIrregular opens a block's execution: the DAO irregular state change
+// on the supporting chain at the fork block, nothing anywhere else.
+func (p *Processor) applyIrregular(number uint64, st *state.DB) {
+	if p.cfg.DAOForkSupport && p.cfg.IsDAOFork(new(big.Int).SetUint64(number)) {
+		p.ApplyDAOFork(st)
+	}
+}
+
+// payRewards closes a block's execution: the coinbase reward plus the
+// uncle schedule (uncle miners get the depth-scaled partial reward; the
+// including miner 1/32 per uncle).
+func (p *Processor) payRewards(header *Header, uncles []*Header, st *state.DB) {
 	reward := types.BigCopy(p.cfg.BlockReward)
-	bonus := p.uncleRewards(header.Number, block.Uncles, func(a types.Address, r *big.Int) {
+	bonus := p.uncleRewards(header.Number, uncles, func(a types.Address, r *big.Int) {
 		st.AddBalance(a, r)
 	})
 	reward.Add(reward, bonus)
 	st.AddBalance(header.Coinbase, reward)
-	return receipts, nil
 }
 
 // ValidateTx checks a transaction's signature, replay domain and funding

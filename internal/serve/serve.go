@@ -246,13 +246,25 @@ func Open(sc *sim.Scenario, cfg rpc.ServerConfig) (*Result, error) {
 	cfgs := sim.PartitionChainConfigs(sc)
 	specs := sc.PartitionSpecs()
 	chains := make([]ServedChain, len(specs))
+	// A failure leaves no archive to serve: release every store opened so
+	// far (nothing was written through them), so the caller — OpenOrBuild
+	// falling back to Build — can reuse the directory in this process.
+	var opened []db.KV
+	closeOpened := func() {
+		for _, kv := range opened {
+			closeKV(kv)
+		}
+	}
 	for i, sp := range specs {
 		kv, err := openChainStore(sc, sp.Name)
 		if err != nil {
+			closeOpened()
 			return nil, err
 		}
+		opened = append(opened, kv)
 		led, err := sim.OpenFullLedger(cfgs[i], sc, sp.Name, kv)
 		if err != nil {
+			closeOpened()
 			return nil, fmt.Errorf("serve: reopening %s chain: %w", sp.Name, err)
 		}
 		chains[i] = ServedChain{Name: sp.Name, Ledger: led}

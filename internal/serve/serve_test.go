@@ -2,12 +2,14 @@ package serve
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"io/fs"
 	"maps"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -248,6 +250,61 @@ func TestResultCloseClosesDiskStores(t *testing.T) {
 		if got := c.Ledger.BC.Head().Hash(); got != heads[c.Name] {
 			t.Errorf("%s head after reopen = %s, built %s", c.Name, got, heads[c.Name])
 		}
+	}
+}
+
+// openHandlesUnder lists this process's open files below root (Linux's
+// /proc/self/fd; the test skips where that does not exist).
+func openHandlesUnder(t *testing.T, root string) []string {
+	t.Helper()
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skipf("no /proc/self/fd to count open segment handles with: %v", err)
+	}
+	root, err = filepath.EvalSymlinks(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var open []string
+	for _, fd := range fds {
+		if target, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name())); err == nil && strings.HasPrefix(target, root+string(filepath.Separator)) {
+			open = append(open, target)
+		}
+	}
+	return open
+}
+
+// TestOpenFailureClosesOpenedStores: an Open that cannot serve — the
+// ErrNoChain path OpenOrBuild takes on a fresh directory, or a later
+// partition missing from a half-built one — must close every store it
+// opened, so a Build into the same directory works in this process.
+func TestOpenFailureClosesOpenedStores(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-fidelity build")
+	}
+	dataDir := t.TempDir()
+	if _, err := Open(smallScenario(dataDir), rpc.ServerConfig{}); !errors.Is(err, chain.ErrNoChain) {
+		t.Fatalf("Open of a fresh directory = %v, want ErrNoChain", err)
+	}
+	if open := openHandlesUnder(t, dataDir); len(open) > 0 {
+		t.Fatalf("failed Open left segment handles open: %v", open)
+	}
+	built, err := Build(smallScenario(dataDir), rpc.ServerConfig{})
+	if err != nil {
+		t.Fatalf("Build into the directory a failed Open touched: %v", err)
+	}
+	built.Close()
+
+	// Half-built: the first partition holds its chain, the last one lost it.
+	last := built.Chains[len(built.Chains)-1].Name
+	if err := os.RemoveAll(sim.ChainDataDir(dataDir, last)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(smallScenario(dataDir), rpc.ServerConfig{}); !errors.Is(err, chain.ErrNoChain) {
+		t.Fatalf("Open of a half-built directory = %v, want ErrNoChain", err)
+	}
+	if open := openHandlesUnder(t, dataDir); len(open) > 0 {
+		t.Fatalf("Open failing on %s left earlier stores open: %v", last, open)
 	}
 }
 

@@ -24,6 +24,7 @@ import (
 	"forkwatch/internal/chain"
 	"forkwatch/internal/db"
 	"forkwatch/internal/pow"
+	"forkwatch/internal/state"
 	"forkwatch/internal/types"
 )
 
@@ -297,6 +298,16 @@ type FullLedger struct {
 	r  *rand.Rand
 
 	numScratch big.Int // block-number scratch for rule checks
+
+	// view is the one read-only head state behind ValidateTx, NonceOf and
+	// BalanceOf, so a day's traffic planning resolves each trie node once
+	// instead of once per call. headView replaces it when the head moves
+	// (viewHead), when the chain is reopened (viewBC), or when a read on it
+	// faulted — a state.DB latches its first storage error, and a latched
+	// view must not answer again.
+	view     *state.DB
+	viewBC   *chain.Blockchain
+	viewHead types.Hash
 }
 
 // NewFullLedger creates a full-fidelity ledger from a genesis spec over a
@@ -338,9 +349,23 @@ func (l *FullLedger) HeadDifficultyFloat() float64 {
 // must copy (big.Int.Set) before the head moves.
 func (l *FullLedger) headDiffRef() *big.Int { return l.BC.Head().Header.Difficulty }
 
+// headView returns the cached head-state view, reopening it per the
+// invalidation rule on FullLedger.view.
+func (l *FullLedger) headView() (*state.DB, error) {
+	head := l.BC.Head().Hash()
+	if l.view == nil || l.viewBC != l.BC || l.viewHead != head || l.view.Error() != nil {
+		st, err := l.BC.StateAt(head)
+		if err != nil {
+			return nil, err
+		}
+		l.view, l.viewBC, l.viewHead = st, l.BC, head
+	}
+	return l.view, nil
+}
+
 // ValidateTx implements Ledger.
 func (l *FullLedger) ValidateTx(tx *chain.Transaction) error {
-	st, err := l.BC.HeadState()
+	st, err := l.headView()
 	if err != nil {
 		return err
 	}
@@ -349,7 +374,7 @@ func (l *FullLedger) ValidateTx(tx *chain.Transaction) error {
 
 // NonceOf implements Ledger.
 func (l *FullLedger) NonceOf(a types.Address) uint64 {
-	st, err := l.BC.HeadState()
+	st, err := l.headView()
 	if err != nil {
 		return 0
 	}
@@ -358,47 +383,19 @@ func (l *FullLedger) NonceOf(a types.Address) uint64 {
 
 // BalanceOf implements Ledger.
 func (l *FullLedger) BalanceOf(a types.Address) *big.Int {
-	st, err := l.BC.HeadState()
+	st, err := l.headView()
 	if err != nil {
 		return new(big.Int)
 	}
 	return st.GetBalance(a)
 }
 
-// MineBlock implements Ledger: filters the transactions against evolving
-// head state, builds, seals and inserts a real block.
+// MineBlock implements Ledger: one chain.MineBlock call executes the
+// candidates once against the real header, seals and persists the block.
 func (l *FullLedger) MineBlock(time uint64, coinbase types.Address, txs []*chain.Transaction) ([]*chain.Transaction, error) {
-	st, err := l.BC.HeadState()
+	block, err := l.BC.MineBlock(coinbase, time, txs, nil, func(h *chain.Header) { pow.Seal(h, l.r) })
 	if err != nil {
 		return nil, err
 	}
-	proc := l.BC.Processor()
-	header := chain.NewPooledHeader() // scratch header for pre-execution
-	header.Number = l.HeadNumber() + 1
-	header.Time = time
-	header.GasLimit = l.Config().GasLimit
-	header.Coinbase = coinbase
-	defer chain.ReleaseHeader(header)
-	// included is NOT arena-backed: BuildBlock retains the slice inside
-	// the block it assembles.
-	var included []*chain.Transaction
-	gasPool := l.Config().GasLimit
-	for _, tx := range txs {
-		rec, used, err := proc.ApplyTransaction(tx, st, header, gasPool)
-		if err != nil {
-			continue
-		}
-		chain.ReleaseReceipt(rec) // pre-execution receipt, never serialized
-		gasPool -= used
-		included = append(included, tx)
-	}
-	block, err := l.BC.BuildBlock(coinbase, time, included)
-	if err != nil {
-		return nil, err
-	}
-	pow.Seal(block.Header, l.r)
-	if err := l.BC.InsertBlock(block); err != nil {
-		return nil, err
-	}
-	return included, nil
+	return block.Txs, nil
 }

@@ -16,15 +16,17 @@ P2P="${RPCSMOKE_P2P:-127.0.0.1:18561,127.0.0.1:18562}"
 DAYS="${RPCSMOKE_DAYS:-1}"
 LOG="$(mktemp)"
 RLOG="$(mktemp)"
+BIN="$(mktemp -d)"
 GO="${GO:-go}"
+PID=""
+RPID=""
+trap '[ -z "$PID" ] || kill $PID 2>/dev/null || true; [ -z "$RPID" ] || kill $RPID 2>/dev/null || true; rm -rf "$LOG" "$RLOG" "$BIN"' EXIT
 
 echo "rpcsmoke: building forkserve..."
-$GO build -o /tmp/forkserve ./cmd/forkserve
+$GO build -o "$BIN/forkserve" ./cmd/forkserve
 
-/tmp/forkserve -days "$DAYS" -addr "$ADDR" -p2p "$P2P" >"$LOG" 2>&1 &
+"$BIN/forkserve" -days "$DAYS" -addr "$ADDR" -p2p "$P2P" >"$LOG" 2>&1 &
 PID=$!
-RPID=""
-trap 'kill $PID 2>/dev/null || true; [ -n "$RPID" ] && kill $RPID 2>/dev/null || true; rm -f "$LOG" "$RLOG"' EXIT
 
 echo "rpcsmoke: waiting for $BASE/healthz..."
 i=0
@@ -156,7 +158,7 @@ echo "rpcsmoke: ok   live metrics"
 # within the staleness bound), then require byte-identical answers and
 # the replica-tier gauges.
 echo "rpcsmoke: booting replica following $P2P..."
-/tmp/forkserve -days "$DAYS" -addr "$RADDR" -follow "$P2P" -replica-name smoke >"$RLOG" 2>&1 &
+"$BIN/forkserve" -days "$DAYS" -addr "$RADDR" -follow "$P2P" -replica-name smoke >"$RLOG" 2>&1 &
 RPID=$!
 
 echo "rpcsmoke: waiting for $RBASE/readyz..."

@@ -1,7 +1,8 @@
 # forkwatch build/check entry points.
 #
 # `make test` is the tier-1 gate (what CI and the roadmap require).
-# `make check` is the full pre-merge battery: vet + build + race tests.
+# `make check` is the full pre-merge battery: vet + build + race tests +
+# the benchmark module's own tests.
 
 GO ?= go
 
@@ -29,7 +30,10 @@ vet:
 partitionlint:
 	$(GO) run ./tools/partitionlint
 
-check: vet partitionlint build race
+# bench/ is its own Go module, so `go build ./... && go test ./...` at the
+# root never compiles it: bench-selftest is what catches a rename in
+# db/sim/serve that breaks the benchmark.
+check: vet partitionlint build race bench-selftest
 
 # Scenario-matrix smoke: sweep the aligned/conflict/extreme grid crossed
 # with the pool behaviour models under the race detector, writing

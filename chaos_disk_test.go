@@ -53,7 +53,6 @@ func TestChaosDiskFiguresByteIdentical(t *testing.T) {
 				CorruptRate:   0.01,
 				TornBatchRate: 0.002, // maps to both short and crashing torn appends on disk
 			}
-			chaos.StorageRetryAttempts = 24 // 0.2^24: transient faults never go fatal
 			chaos.Crashes = []forkwatch.CrashSpec{
 				{Chain: "ETH", Day: 0, Block: 4, Op: 3},
 				{Chain: "ETH", Day: 1, Block: 2, Op: 40},

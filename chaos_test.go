@@ -72,7 +72,6 @@ func TestChaosFiguresByteIdentical(t *testing.T) {
 		WriteErrRate:  0.20,
 		TornBatchRate: 0.002,
 	}
-	chaos.StorageRetryAttempts = 24 // 0.2^24: transient faults never go fatal
 	chaos.Crashes = []forkwatch.CrashSpec{
 		{Chain: "ETH", Day: 0, Block: 4, Op: 3},    // early in the state-trie batch
 		{Chain: "ETH", Day: 1, Block: 2, Op: 40},   // deep in the commit, or the next block's

@@ -77,7 +77,7 @@ func main() {
 		seed    = flag.Int64("seed", 1, "scenario seed (equal seeds reproduce the served chains exactly)")
 		days    = flag.Int("days", 2, "days to simulate before serving (full-fidelity; keep small)")
 		addr    = flag.String("addr", ":8545", "listen address")
-		storage = flag.String("storage", "mem", `storage backend: "mem", "cached" or "disk"`)
+		storage = flag.String("storage", "mem", `storage backend: "mem" or "disk"`)
 		datadir = flag.String("datadir", "", `directory for -storage disk segment files; reuse it across restarts to serve without re-simulating`)
 		faults  = flag.String("storage-faults", "", `storage fault injection kept on while serving, e.g. "seed=42,readerr=0.2"`)
 		workers = flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
@@ -130,7 +130,7 @@ func main() {
 	// or standalone archive. res serves; shutdown drains and flushes.
 	var (
 		res      *serve.Result
-		shutdown func()
+		shutdown func() error
 	)
 	if *follow != "" {
 		if *p2pAddrs != "" {
@@ -191,7 +191,7 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			shutdown = func() { psrv.Close(); built.Close() }
+			shutdown = func() error { psrv.Close(); return built.Close() }
 			log.Printf("primary sync plane on %s", *p2pAddrs)
 		}
 	}
@@ -231,6 +231,8 @@ func main() {
 	if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 		log.Fatal(err)
 	}
-	shutdown()
+	if err := shutdown(); err != nil {
+		log.Fatalf("drained, but closing the stores failed: %v", err)
+	}
 	log.Print("drained and closed cleanly")
 }

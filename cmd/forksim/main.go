@@ -36,9 +36,8 @@ func main() {
 		seed    = flag.Int64("seed", 1, "simulation seed (equal seeds reproduce runs exactly)")
 		days    = flag.Int("days", 270, "days to simulate from the fork moment")
 		mode    = flag.String("mode", "fast", `ledger fidelity: "fast" or "full"`)
-		storage = flag.String("storage", "mem", `full-mode storage backend: "mem", "cached" or "disk"`)
+		storage = flag.String("storage", "mem", `full-mode storage backend: "mem" or "disk"`)
 		datadir = flag.String("datadir", "", `directory for -storage disk segment files (each chain gets a subdirectory); use a fresh directory per run`)
-		cacheN  = flag.Int("cache-entries", 0, "LRU capacity for -storage cached (0 = default)")
 		faults  = flag.String("storage-faults", "", `full-mode storage fault injection, e.g. "seed=42,readerr=0.2,writeerr=0.2,torn=0.01" (empty = none)`)
 		crash   = flag.String("crash", "", `full-mode storage crash schedule: comma-separated chain:day:block:op, e.g. "ETH:1:3:40,ETC:2:0:5"`)
 		outDir  = flag.String("out", "", "directory for CSV output (figures + ledger export); empty = summary only")
@@ -73,7 +72,7 @@ func main() {
 	default:
 		log.Fatalf("unknown -mode %q", *mode)
 	}
-	sc.Storage = forkwatch.StorageConfig{Backend: *storage, CacheEntries: *cacheN, DataDir: *datadir}
+	sc.Storage = forkwatch.StorageConfig{Backend: *storage, DataDir: *datadir}
 	if *storage == forkwatch.StorageDisk && sc.Mode != forkwatch.ModeFull {
 		log.Fatal("-storage disk requires -mode full (fast mode keeps no chain storage)")
 	}
@@ -160,6 +159,9 @@ func main() {
 			if *faults != "" || *crash != "" {
 				log.Printf("storage chaos: %d fault events logged, %d/%d scheduled crashes fired",
 					eng.StorageFaultEvents(), eng.CrashesFired(), len(sc.Crashes))
+			}
+			if err := eng.Close(); err != nil {
+				log.Printf("closing storage: %v", err)
 			}
 		}()
 	}

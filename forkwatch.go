@@ -100,8 +100,6 @@ func MatrixCells(seed int64, days int) []MatrixCell {
 const (
 	// StorageMem is the sharded in-memory store (default).
 	StorageMem = db.BackendMem
-	// StorageCached adds a write-through LRU cache in front of the store.
-	StorageCached = db.BackendCached
 	// StorageDisk is the log-structured file store; set
 	// StorageConfig.DataDir to the directory holding its segments.
 	StorageDisk = db.BackendDisk

@@ -59,22 +59,3 @@ func BenchmarkKVGet(b *testing.B) {
 		kv.Get(keys[i%len(keys)])
 	}
 }
-
-// BenchmarkCacheGetHot measures reads served entirely from the LRU.
-func BenchmarkCacheGetHot(b *testing.B) {
-	c := NewCache(NewMemDB(), 2048)
-	keys := benchKeys(1024)
-	val := make([]byte, 100)
-	for _, k := range keys {
-		c.Put(k, val)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Get(keys[i%len(keys)])
-	}
-	b.StopTimer()
-	if s := c.Stats(); s.HitRate() < 0.99 {
-		b.Fatalf("expected hot cache, hit rate %.2f", s.HitRate())
-	}
-}

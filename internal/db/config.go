@@ -6,35 +6,20 @@ import "fmt"
 const (
 	// BackendMem is the sharded in-memory store.
 	BackendMem = "mem"
-	// BackendCached is the sharded in-memory store behind a write-through
-	// LRU cache (exercises the cache path and reports hit/miss stats).
-	BackendCached = "cached"
 	// BackendDisk is the log-structured file store (internal/db/diskdb).
 	// Requires DataDir; the diskdb package must be linked into the binary
 	// (it registers itself via RegisterDiskBackend in its init).
 	BackendDisk = "disk"
 )
 
-// Config selects and parameterises a storage backend. The zero value means
-// BackendMem with default sharding — every existing caller keeps its
-// behaviour without opting into anything.
+// Config selects a storage backend. The zero value means BackendMem.
 type Config struct {
 	// Backend is one of the Backend* constants; empty selects BackendMem.
 	Backend string
-	// Shards overrides the MemDB shard count (0 = DefaultShards). Only
-	// meaningful for the mem and cached backends.
-	Shards int
-	// CacheEntries sizes the LRU for BackendCached (0 = DefaultCacheEntries).
-	CacheEntries int
 	// DataDir is the directory holding BackendDisk's segment files. It is
-	// created if missing. Required for disk, rejected for the in-memory
-	// backends.
+	// created if missing. Required for disk, rejected for mem.
 	DataDir string
 }
-
-// DefaultCacheEntries is the LRU capacity when Config.CacheEntries is 0:
-// large enough to hold the working set of a full-fidelity simulated day.
-const DefaultCacheEntries = 1 << 16
 
 // openDisk is installed by the diskdb package's init (RegisterDiskBackend):
 // the indirection keeps db free of a dependency on its own sub-package.
@@ -44,61 +29,24 @@ var openDisk func(Config) (KV, error)
 // Called from diskdb's init; not for application code.
 func RegisterDiskBackend(open func(Config) (KV, error)) { openDisk = open }
 
-// Validate rejects Config field combinations that would otherwise be
-// silently ignored, naming the offending field and what it applies to.
-func (cfg Config) Validate() error {
+// Open constructs the configured store, rejecting a Config whose fields
+// would otherwise be silently ignored.
+func Open(cfg Config) (KV, error) {
 	switch cfg.Backend {
 	case "", BackendMem:
 		if cfg.DataDir != "" {
-			return fmt.Errorf("db: the mem backend is not persistent and takes no DataDir %q (use Backend: %q)", cfg.DataDir, BackendDisk)
+			return nil, fmt.Errorf("db: the mem backend is not persistent and takes no DataDir %q (use Backend: %q)", cfg.DataDir, BackendDisk)
 		}
-		if cfg.CacheEntries != 0 {
-			return fmt.Errorf("db: CacheEntries (%d) only applies to the %q backend, not mem", cfg.CacheEntries, BackendCached)
-		}
-	case BackendCached:
-		if cfg.DataDir != "" {
-			return fmt.Errorf("db: the cached backend is not persistent and takes no DataDir %q (use Backend: %q)", cfg.DataDir, BackendDisk)
-		}
+		return NewMemDB(), nil
 	case BackendDisk:
 		if cfg.DataDir == "" {
-			return fmt.Errorf("db: the disk backend requires a DataDir")
+			return nil, fmt.Errorf("db: the disk backend requires a DataDir")
 		}
-		if cfg.Shards != 0 {
-			return fmt.Errorf("db: Shards (%d) is a mem/cached knob; the disk backend does not shard", cfg.Shards)
-		}
-		if cfg.CacheEntries != 0 {
-			return fmt.Errorf("db: CacheEntries (%d) only applies to the %q backend; layering the cache over disk is not supported", cfg.CacheEntries, BackendCached)
-		}
-	default:
-		return fmt.Errorf("db: unknown backend %q (known: %q, %q, %q)", cfg.Backend, BackendMem, BackendCached, BackendDisk)
-	}
-	return nil
-}
-
-// Open constructs the configured store after validating the Config.
-func Open(cfg Config) (KV, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	shards := cfg.Shards
-	if shards <= 0 {
-		shards = DefaultShards
-	}
-	switch cfg.Backend {
-	case "", BackendMem:
-		return NewMemDBShards(shards), nil
-	case BackendCached:
-		entries := cfg.CacheEntries
-		if entries <= 0 {
-			entries = DefaultCacheEntries
-		}
-		return NewCache(NewMemDBShards(shards), entries), nil
-	case BackendDisk:
 		if openDisk == nil {
 			return nil, fmt.Errorf("db: disk backend not linked (import forkwatch/internal/db/diskdb)")
 		}
 		return openDisk(cfg)
-	default: // unreachable: Validate rejected it
-		return nil, fmt.Errorf("db: unknown backend %q", cfg.Backend)
+	default:
+		return nil, fmt.Errorf("db: unknown backend %q (known: %q, %q)", cfg.Backend, BackendMem, BackendDisk)
 	}
 }

@@ -6,9 +6,9 @@
 // database, then join and aggregate" (§3.1); measurement pipelines at that
 // scale live or die by their ingest store. forkwatch's equivalent hot path
 // — trie commits and ledger persistence over the ~3.3M-block nine-month
-// runs — flows through the KV interface defined here, so backends can be
-// swapped (sharded memory today; disk, compression or remote stores later)
-// without touching the trie, state or chain layers.
+// runs — flows through the KV interface defined here, so the backend
+// (sharded memory, or the log-structured files of the diskdb sub-package)
+// is chosen by Config without touching the trie, state or chain layers.
 //
 // Every operation can fail: the interface models a real storage device,
 // not a map. The in-memory backends never return errors on their own, but
@@ -22,9 +22,12 @@
 // Implementations shipping in this package:
 //
 //   - MemDB: a sharded, mutex-striped in-memory store (the default).
-//   - Cache: a write-through LRU wrapper that decorates any KV backend
-//     and tracks hit/miss statistics.
-//   - Retry: a policy wrapper that retries transient errors.
+//   - Coalescer: a write-coalescing overlay that turns many commits into
+//     one backend batch per Flush.
+//   - Retry: a wrapper that re-attempts transient errors.
+//
+// How they stack per chain is decided in one place, internal/sim's
+// OpenChainStore.
 //
 // All implementations are safe for concurrent use unless documented
 // otherwise (see NewEphemeral).
@@ -109,16 +112,15 @@ func IsTransient(err error) bool {
 
 // Stats is a snapshot of a store's activity counters. Reads and writes
 // count Get/Put/Delete calls (batch operations count individually); Hits
-// and Misses split reads by whether the key was found — for a caching
-// wrapper, by whether the cache answered without hitting the backend.
+// and Misses split reads by whether the key was found (a Coalescer counts
+// a read its overlay answered as a hit).
 type Stats struct {
 	Reads   uint64
 	Writes  uint64
 	Deletes uint64
 	Hits    uint64
 	Misses  uint64
-	// Entries is the number of keys currently stored (for a Cache, the
-	// number of cached entries, not the backend's).
+	// Entries is the number of keys currently stored.
 	Entries int
 	// Repairs counts recovery actions a durable backend performed while
 	// opening or reading: torn tails truncated, checksum-failed records

@@ -12,10 +12,8 @@ import (
 // contract (the ephemeral store is exercised single-goroutine only).
 func backends() map[string]func() KV {
 	return map[string]func() KV{
-		"mem":     func() KV { return NewMemDB() },
-		"mem1":    func() KV { return NewMemDBShards(1) },
-		"cached":  func() KV { return NewCache(NewMemDB(), 1024) },
-		"cachedS": func() KV { return NewCache(NewMemDB(), 4) }, // tiny: forces eviction
+		"mem":  func() KV { return NewMemDB() },
+		"mem1": func() KV { return NewMemDBShards(1) },
 	}
 }
 
@@ -104,71 +102,9 @@ func TestMemDBStatsCounters(t *testing.T) {
 	}
 }
 
-func TestCacheWriteThroughAndEviction(t *testing.T) {
-	back := NewMemDB()
-	c := NewCache(back, 2)
-	c.Put([]byte("a"), []byte("1"))
-	c.Put([]byte("b"), []byte("2"))
-	c.Put([]byte("c"), []byte("3")) // evicts a from the cache, not the backend
-
-	if s := c.Stats(); s.Entries != 2 {
-		t.Errorf("cache entries = %d, want 2", s.Entries)
-	}
-	if v, ok, _ := back.Get([]byte("a")); !ok || !bytes.Equal(v, []byte("1")) {
-		t.Fatal("write-through lost evicted key in backend")
-	}
-	// Reading the evicted key misses the cache, hits the backend, and
-	// re-populates.
-	pre := c.Stats()
-	if v, ok, _ := c.Get([]byte("a")); !ok || !bytes.Equal(v, []byte("1")) {
-		t.Fatal("Get through cache failed")
-	}
-	post := c.Stats()
-	if post.Misses != pre.Misses+1 {
-		t.Errorf("expected one miss, stats %+v -> %+v", pre, post)
-	}
-	if v, ok, _ := c.Get([]byte("a")); !ok || !bytes.Equal(v, []byte("1")) {
-		t.Fatal("re-read failed")
-	}
-	if s := c.Stats(); s.Hits != post.Hits+1 {
-		t.Errorf("expected repopulated hit, stats %+v", s)
-	}
-}
-
-func TestCacheBatchWarmsCache(t *testing.T) {
-	c := NewCache(NewMemDB(), 64)
-	b := c.NewBatch()
-	b.Put([]byte("n1"), []byte("x"))
-	b.Write()
-	pre := c.Stats()
-	if v, ok, _ := c.Get([]byte("n1")); !ok || !bytes.Equal(v, []byte("x")) {
-		t.Fatal("batched key unreadable")
-	}
-	if s := c.Stats(); s.Hits != pre.Hits+1 {
-		t.Errorf("batch did not warm cache: %+v", s)
-	}
-}
-
-func TestCacheDeleteEvicts(t *testing.T) {
-	c := NewCache(NewMemDB(), 8)
-	c.Put([]byte("k"), []byte("v"))
-	c.Delete([]byte("k"))
-	if ok, _ := c.Has([]byte("k")); ok {
-		t.Error("deleted key still visible")
-	}
-	if _, ok, _ := c.Get([]byte("k")); ok {
-		t.Error("deleted key readable")
-	}
-}
-
 func TestOpenBackends(t *testing.T) {
 	if kv, err := Open(Config{}); err != nil || kv == nil {
 		t.Fatalf("zero config: %v", err)
-	}
-	if kv, err := Open(Config{Backend: BackendCached, CacheEntries: 10}); err != nil {
-		t.Fatalf("cached: %v", err)
-	} else if _, ok := kv.(*Cache); !ok {
-		t.Fatalf("cached backend is %T", kv)
 	}
 	if _, err := Open(Config{Backend: "flux-capacitor"}); err == nil {
 		t.Fatal("unknown backend accepted")
@@ -187,37 +123,26 @@ func TestConfigValidation(t *testing.T) {
 	}{
 		{"mem with datadir", Config{DataDir: "/tmp/x"}, "DataDir"},
 		{"explicit mem with datadir", Config{Backend: BackendMem, DataDir: "/tmp/x"}, "DataDir"},
-		{"mem with cache entries", Config{CacheEntries: 64}, "CacheEntries"},
-		{"cached with datadir", Config{Backend: BackendCached, DataDir: "/tmp/x"}, "DataDir"},
 		{"disk without datadir", Config{Backend: BackendDisk}, "DataDir"},
-		{"disk with shards", Config{Backend: BackendDisk, DataDir: "/tmp/x", Shards: 4}, "Shards"},
-		{"disk with cache entries", Config{Backend: BackendDisk, DataDir: "/tmp/x", CacheEntries: 64}, "CacheEntries"},
 		{"unknown backend", Config{Backend: "flux-capacitor"}, "flux-capacitor"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := tc.cfg.Validate()
+			_, err := Open(tc.cfg)
 			if err == nil {
-				t.Fatalf("Validate(%+v) accepted an invalid config", tc.cfg)
+				t.Fatalf("Open(%+v) accepted an invalid config", tc.cfg)
 			}
 			if !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("Validate(%+v) = %q, want mention of %q", tc.cfg, err, tc.want)
-			}
-			if _, oerr := Open(tc.cfg); oerr == nil {
-				t.Fatalf("Open(%+v) accepted what Validate rejected", tc.cfg)
+				t.Fatalf("Open(%+v) = %q, want mention of %q", tc.cfg, err, tc.want)
 			}
 		})
 	}
 
-	// The valid shapes must stay valid.
-	for _, cfg := range []Config{
-		{},
-		{Backend: BackendMem, Shards: 8},
-		{Backend: BackendCached, Shards: 8, CacheEntries: 128},
-		{Backend: BackendDisk, DataDir: t.TempDir()},
-	} {
-		if err := cfg.Validate(); err != nil {
-			t.Fatalf("Validate(%+v) rejected a valid config: %v", cfg, err)
+	// The valid shapes must stay valid (disk with a DataDir opens in
+	// diskdb's TestOpenThroughDBConfig, where the backend is linked).
+	for _, cfg := range []Config{{}, {Backend: BackendMem}} {
+		if _, err := Open(cfg); err != nil {
+			t.Fatalf("Open(%+v) rejected a valid config: %v", cfg, err)
 		}
 	}
 }
@@ -229,8 +154,7 @@ func TestConfigValidation(t *testing.T) {
 // race detector.
 func TestConcurrentAccess(t *testing.T) {
 	for name, mk := range map[string]func() KV{
-		"mem":    func() KV { return NewMemDB() },
-		"cached": func() KV { return NewCache(NewMemDB(), 256) },
+		"mem": func() KV { return NewMemDB() },
 	} {
 		t.Run(name, func(t *testing.T) {
 			kv := mk()

@@ -140,6 +140,13 @@ func (s *FS) Journal() []Event {
 	return append([]Event(nil), s.journal...)
 }
 
+// JournalLen counts the recorded fault decisions.
+func (s *FS) JournalLen() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.journal)
+}
+
 // WriteOps returns the number of appends fully applied so far. Use with
 // CrashAtWriteOp to land a crash on an exact append.
 func (s *FS) WriteOps() uint64 {

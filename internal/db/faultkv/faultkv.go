@@ -143,6 +143,13 @@ func (k *KV) Journal() []Event {
 	return append([]Event(nil), k.journal...)
 }
 
+// JournalLen counts the recorded fault decisions.
+func (k *KV) JournalLen() int {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	return len(k.journal)
+}
+
 // WriteOps returns the number of write operations applied so far (batch
 // operations count individually). Use with CrashAtWriteOp to land a
 // crash mid-batch deterministically.

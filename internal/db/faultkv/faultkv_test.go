@@ -292,7 +292,7 @@ func TestRetryAbsorbsInjectedErrors(t *testing.T) {
 	inner := db.NewMemDB()
 	// 50% write faults: P(10 straight failures) ~ 1e-3 per op; the seed
 	// below is fixed, so the run either always passes or always fails.
-	kv := db.NewRetry(Wrap(inner, Faults{Seed: 11, WriteErrRate: 0.5, ReadErrRate: 0.5}), db.DefaultRetryAttempts)
+	kv := db.NewRetry(Wrap(inner, Faults{Seed: 11, WriteErrRate: 0.5, ReadErrRate: 0.5}), 10)
 	for i := 0; i < 50; i++ {
 		key := []byte{0x70, byte(i)}
 		if err := kv.Put(key, []byte{byte(i)}); err != nil {
@@ -320,7 +320,7 @@ func (c *countingKV) Put(key, value []byte) error {
 func TestRetryPassesCrashThrough(t *testing.T) {
 	fkv := Wrap(db.NewMemDB(), Faults{Seed: 13})
 	counter := &countingKV{KV: fkv}
-	kv := db.NewRetry(counter, db.DefaultRetryAttempts)
+	kv := db.NewRetry(counter, 10)
 	fkv.Crash()
 	if err := kv.Put([]byte("k"), []byte("v")); !errors.Is(err, ErrCrashed) {
 		t.Fatalf("Put on crashed store through retry returned %v, want ErrCrashed", err)

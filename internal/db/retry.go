@@ -1,19 +1,11 @@
 package db
 
-import (
-	"context"
-	"errors"
-	"math/rand"
-	"sync"
-	"time"
-)
-
-// Retry is a policy wrapper that absorbs transient storage faults: any
-// operation that fails with an error marked Transient (see IsTransient)
-// is retried up to a bounded number of attempts before the error is
-// surfaced. Non-transient errors — crashes, corruption, read-only
-// degradation — pass through immediately, so a torn store is recovered
-// rather than hammered.
+// Retry absorbs transient storage faults: an operation that fails with an
+// error marked Transient (see IsTransient) is re-attempted at once, up to
+// a bounded number of attempts, before the error is surfaced.
+// Non-transient errors — crashes, corruption, read-only degradation —
+// pass through immediately, so a torn store is recovered rather than
+// hammered.
 //
 // Retrying at this layer keeps the trie/state/chain code honest: those
 // layers treat every surviving error as a reason to abort the current
@@ -25,160 +17,28 @@ import (
 // for the log-structured disk backend a re-run append is superseded by
 // newest-wins replay), so re-running a partially-observed attempt is
 // always safe.
-//
-// Two budgets bound a retry storm. Attempts caps the count; the optional
-// RetryPolicy adds sleeps between attempts (exponential backoff with
-// deterministic jitter so two chains' retries don't synchronise) and a
-// MaxElapsed wall-clock cap, and WithContext stops retrying the moment a
-// request's context expires — a deadline-bounded RPC request can never be
-// stalled past its budget by a flaky disk underneath it.
 type Retry struct {
-	inner KV
-	p     RetryPolicy
-	rng   *lockedRand
-	ctx   context.Context // nil = retry without a context bound
-
-	// test hooks
-	now   func() time.Time
-	sleep func(time.Duration)
+	inner    KV
+	attempts int
 }
 
-// RetryPolicy parameterises a Retry. The zero value of everything but
-// Attempts reproduces the historical behaviour: immediate re-attempts
-// with no sleeping and no wall-clock cap.
-type RetryPolicy struct {
-	// Attempts bounds the total tries (minimum 1, i.e. no retry).
-	Attempts int
-	// BaseDelay is the sleep before the second attempt; each further
-	// attempt doubles it. 0 disables sleeping entirely.
-	BaseDelay time.Duration
-	// MaxDelay caps a single backoff sleep (0 = uncapped).
-	MaxDelay time.Duration
-	// MaxElapsed caps the wall-clock time spent inside one operation,
-	// sleeps included: no attempt starts, and no sleep is entered, that
-	// would cross the cap (0 = unlimited).
-	MaxElapsed time.Duration
-	// JitterSeed seeds the deterministic jitter stream. Jittered sleeps
-	// are drawn uniformly from [delay/2, delay).
-	JitterSeed int64
-}
-
-// DefaultRetryAttempts bounds how often a transient fault is retried. At
-// a 20% injected fault rate, 10 attempts leave a per-op failure
-// probability of ~1e-7 — small enough that chaos runs complete, large
-// enough that genuinely dead stores fail fast.
-const DefaultRetryAttempts = 10
-
-// lockedRand is the jitter stream, shared across WithContext copies so
-// the draw sequence stays deterministic for a given seed.
-type lockedRand struct {
-	mu  sync.Mutex
-	rng *rand.Rand
-}
-
-func (l *lockedRand) int63n(n int64) int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.rng.Int63n(n)
-}
-
-// NewRetry wraps inner, retrying transient errors up to attempts times
-// (minimum 1, i.e. no retry) with no sleeping between attempts.
+// NewRetry wraps inner, trying each operation up to attempts times
+// (minimum 1, i.e. no retry).
 func NewRetry(inner KV, attempts int) *Retry {
-	return NewRetryPolicy(inner, RetryPolicy{Attempts: attempts})
-}
-
-// NewRetryPolicy wraps inner under the given policy.
-func NewRetryPolicy(inner KV, p RetryPolicy) *Retry {
-	if p.Attempts < 1 {
-		p.Attempts = 1
-	}
-	return &Retry{
-		inner: inner,
-		p:     p,
-		rng:   &lockedRand{rng: rand.New(rand.NewSource(p.JitterSeed))},
-		now:   time.Now,
-		sleep: time.Sleep,
-	}
+	return &Retry{inner: inner, attempts: max(attempts, 1)}
 }
 
 // Inner returns the wrapped store.
 func (r *Retry) Inner() KV { return r.inner }
 
-// WithContext returns a view of the store whose retry loops additionally
-// stop when ctx is done: an in-progress backoff sleep is interrupted and
-// no further attempt starts. The returned view shares the inner store and
-// the jitter stream with r; batches must be created from the view to
-// inherit the bound.
-func (r *Retry) WithContext(ctx context.Context) *Retry {
-	cp := *r
-	cp.ctx = ctx
-	return &cp
-}
-
-// jittered draws the actual sleep for a nominal delay: uniform in
-// [d/2, d), from the shared seeded stream.
-func (r *Retry) jittered(d time.Duration) time.Duration {
-	if d <= time.Nanosecond {
-		return d
-	}
-	half := int64(d) / 2
-	return time.Duration(half + r.rng.int63n(int64(d)-half))
-}
-
-// pause sleeps for d, or returns false early if the context fires first.
-func (r *Retry) pause(d time.Duration) bool {
-	if r.ctx == nil {
-		r.sleep(d)
-		return true
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-r.ctx.Done():
-		return false
-	}
-}
-
 func (r *Retry) do(op func() error) error {
-	var start time.Time
-	if r.p.MaxElapsed > 0 {
-		start = r.now()
-	}
-	delay := r.p.BaseDelay
 	var err error
-	for attempt := 0; ; attempt++ {
-		if r.ctx != nil {
-			if cerr := r.ctx.Err(); cerr != nil {
-				if err != nil {
-					return errors.Join(err, cerr)
-				}
-				return cerr
-			}
-		}
+	for attempt := 0; attempt < r.attempts; attempt++ {
 		if err = op(); err == nil || !IsTransient(err) {
 			return err
 		}
-		if attempt+1 >= r.p.Attempts {
-			return err
-		}
-		var d time.Duration
-		if delay > 0 {
-			d = r.jittered(delay)
-			delay *= 2
-			if r.p.MaxDelay > 0 && delay > r.p.MaxDelay {
-				delay = r.p.MaxDelay
-			}
-		}
-		if r.p.MaxElapsed > 0 && r.now().Add(d).Sub(start) >= r.p.MaxElapsed {
-			return err // the budget is spent: surface the last fault now
-		}
-		if d > 0 && !r.pause(d) {
-			return errors.Join(err, r.ctx.Err())
-		}
 	}
+	return err
 }
 
 // Get implements KV.

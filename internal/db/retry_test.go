@@ -1,11 +1,6 @@
 package db
 
-import (
-	"context"
-	"errors"
-	"testing"
-	"time"
-)
+import "testing"
 
 // flakyKV fails every operation with a transient error until the budget
 // runs out, then delegates to an inner MemDB.
@@ -58,9 +53,8 @@ func (f *flakyKV) Delete(key []byte) error {
 func (f *flakyKV) NewBatch() Batch { return f.inner.NewBatch() }
 func (f *flakyKV) Stats() Stats    { return f.inner.Stats() }
 
-// TestRetryAbsorbsBoundedFaults: the historical contract — NewRetry with
-// no policy sleeps never, retries transient errors up to the budget, and
-// surfaces the fault when the budget is spent.
+// TestRetryAbsorbsBoundedFaults: Retry re-attempts transient errors up to
+// the budget and surfaces the fault when the budget is spent.
 func TestRetryAbsorbsBoundedFaults(t *testing.T) {
 	f := &flakyKV{inner: NewMemDB(), failures: 3}
 	r := NewRetry(f, 4)
@@ -79,171 +73,5 @@ func TestRetryAbsorbsBoundedFaults(t *testing.T) {
 	}
 	if f.calls != 4 {
 		t.Fatalf("attempts = %d, want 4 (budget)", f.calls)
-	}
-}
-
-// TestRetryRespectsContextDeadline: a deadline-bounded view must stop
-// retrying the moment the context expires — mid-backoff — and surface
-// both the storage fault and the context error (PR 6 satellite).
-func TestRetryRespectsContextDeadline(t *testing.T) {
-	f := &flakyKV{inner: NewMemDB(), failures: -1} // never stops failing
-	r := NewRetryPolicy(f, RetryPolicy{
-		Attempts:  1 << 20,
-		BaseDelay: 5 * time.Millisecond,
-	})
-
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	err := r.WithContext(ctx).Put([]byte("k"), []byte("v"))
-	elapsed := time.Since(start)
-
-	if err == nil {
-		t.Fatal("Put against an always-failing store succeeded")
-	}
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("error %v does not carry the context deadline", err)
-	}
-	var st stubTransient
-	if !errors.As(err, &st) {
-		t.Fatalf("error %v does not carry the storage fault", err)
-	}
-	// The deadline was 30ms; a run that ignored it would sleep through
-	// 2^20 backoffs. Allow generous scheduler slack.
-	if elapsed > time.Second {
-		t.Fatalf("retry loop ran %v past a 30ms deadline", elapsed)
-	}
-	if f.calls >= 1<<19 {
-		t.Fatalf("loop burned %d attempts; the deadline did not stop it", f.calls)
-	}
-
-	// An already-expired context refuses before the first attempt.
-	f.calls = 0
-	if err := r.WithContext(ctx).Put([]byte("k"), []byte("v")); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("expired context: %v", err)
-	}
-	if f.calls != 0 {
-		t.Fatalf("expired context still attempted %d operations", f.calls)
-	}
-}
-
-// TestRetryRespectsContextCancel: explicit cancellation — not a deadline
-// — must interrupt the retry loop mid-backoff while the store is
-// stalled. The policy's backoff is an hour long, modelling a stalled
-// device whose next attempt is far away: the caller hanging up must pull
-// the operation out of that sleep immediately, carrying both the context
-// error and the storage fault (PR 8 satellite; deadline expiry is
-// covered above).
-func TestRetryRespectsContextCancel(t *testing.T) {
-	f := &flakyKV{inner: NewMemDB(), failures: -1} // injected stall: never recovers
-	r := NewRetryPolicy(f, RetryPolicy{
-		Attempts:  1 << 20,
-		BaseDelay: time.Hour,
-	})
-
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() { done <- r.WithContext(ctx).Put([]byte("k"), []byte("v")) }()
-	time.Sleep(20 * time.Millisecond) // let the loop fail once and enter the backoff sleep
-	start := time.Now()
-	cancel()
-
-	var err error
-	select {
-	case err = <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("cancellation did not interrupt the hour-long backoff sleep")
-	}
-	if wait := time.Since(start); wait > time.Second {
-		t.Fatalf("Put returned %v after cancel; the backoff sleep was not interrupted", wait)
-	}
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("error %v does not carry the cancellation", err)
-	}
-	var st stubTransient
-	if !errors.As(err, &st) {
-		t.Fatalf("error %v does not carry the storage fault", err)
-	}
-	if f.calls > 1 {
-		t.Fatalf("loop burned %d attempts; cancellation should stop it inside the first backoff", f.calls)
-	}
-
-	// An already-cancelled context refuses before the first attempt.
-	f.calls = 0
-	if err := r.WithContext(ctx).Put([]byte("k"), []byte("v")); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled context: %v", err)
-	}
-	if f.calls != 0 {
-		t.Fatalf("cancelled context still attempted %d operations", f.calls)
-	}
-}
-
-// TestRetryMaxElapsed: the wall-clock cap ends the loop even when the
-// attempt budget has room, without entering a sleep that would cross it.
-func TestRetryMaxElapsed(t *testing.T) {
-	f := &flakyKV{inner: NewMemDB(), failures: -1}
-	r := NewRetryPolicy(f, RetryPolicy{
-		Attempts:   1 << 20,
-		BaseDelay:  time.Millisecond,
-		MaxDelay:   time.Millisecond,
-		MaxElapsed: 10 * time.Millisecond,
-	})
-	// Drive the clock by hand so the test is exact: every sleep advances
-	// fake time by the requested amount.
-	now := time.Unix(0, 0)
-	r.now = func() time.Time { return now }
-	r.sleep = func(d time.Duration) { now = now.Add(d) }
-
-	err := r.Put([]byte("k"), []byte("v"))
-	if !IsTransient(err) {
-		t.Fatalf("want the last transient fault, got %v", err)
-	}
-	// Jittered 1ms sleeps land in [0.5ms, 1ms), so the 10ms budget admits
-	// at most 21 attempts and the cap must have fired well before the
-	// 2^20 attempt budget.
-	if f.calls < 2 || f.calls > 30 {
-		t.Fatalf("attempts = %d, want a handful bounded by MaxElapsed", f.calls)
-	}
-	if since := now.Sub(time.Unix(0, 0)); since > 11*time.Millisecond {
-		t.Fatalf("slept %v, past the 10ms cap", since)
-	}
-}
-
-// TestRetryJitterDeterministic: equal seeds draw equal backoff sequences
-// (chaos runs must replay), different seeds decorrelate.
-func TestRetryJitterDeterministic(t *testing.T) {
-	sleeps := func(seed int64) []time.Duration {
-		f := &flakyKV{inner: NewMemDB(), failures: -1}
-		r := NewRetryPolicy(f, RetryPolicy{
-			Attempts:   8,
-			BaseDelay:  time.Millisecond,
-			JitterSeed: seed,
-		})
-		var got []time.Duration
-		r.sleep = func(d time.Duration) { got = append(got, d) }
-		r.Put([]byte("k"), []byte("v"))
-		return got
-	}
-	a, b, c := sleeps(1), sleeps(1), sleeps(2)
-	if len(a) != 7 {
-		t.Fatalf("8 attempts slept %d times, want 7", len(a))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("equal seeds diverge at sleep %d: %v vs %v", i, a[i], b[i])
-		}
-		if a[i] < time.Millisecond<<i/2 || a[i] >= time.Millisecond<<i {
-			t.Fatalf("sleep %d = %v outside jitter band [%v, %v)", i, a[i], time.Millisecond<<i/2, time.Millisecond<<i)
-		}
-	}
-	same := true
-	for i := range a {
-		if a[i] != c[i] {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Fatal("different jitter seeds produced identical backoff sequences")
 	}
 }

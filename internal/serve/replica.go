@@ -15,7 +15,6 @@ import (
 	"forkwatch/internal/faultnet"
 	"forkwatch/internal/keccak"
 	"forkwatch/internal/p2p"
-	"forkwatch/internal/prng"
 	"forkwatch/internal/rpc"
 	"forkwatch/internal/sim"
 	"forkwatch/internal/types"
@@ -294,32 +293,17 @@ func NewReplica(sc *sim.Scenario, cfg ReplicaConfig, rcfg rpc.ServerConfig) (*Re
 		cfg.Logf = func(string, ...any) {}
 	}
 
-	cfgs := sim.PartitionChainConfigs(sc)
-	gen := sim.NewWorkload(sc).Genesis()
-	chains := make([]ServedChain, len(specs))
-	for i, sp := range specs {
-		scfg := sc.Storage
-		if scfg.Backend == db.BackendDisk {
-			if cfg.DataDir == "" {
-				return nil, fmt.Errorf("serve: a disk-backed replica needs its own DataDir (it must not share the primary's)")
-			}
-			scfg.DataDir = sim.ChainDataDir(cfg.DataDir, sp.Name)
+	// The replica's stores live under its own DataDir, never the primary's.
+	own := *sc
+	if sc.Storage.Backend == db.BackendDisk {
+		if cfg.DataDir == "" {
+			return nil, fmt.Errorf("serve: a disk-backed replica needs its own DataDir (it must not share the primary's)")
 		}
-		kv, err := db.Open(scfg)
-		if err != nil {
-			return nil, fmt.Errorf("serve: opening %s replica store: %w", sp.Name, err)
-		}
-		if cfg.WrapKV != nil {
-			kv = cfg.WrapKV(sp.Name, kv)
-		}
-		led, err := sim.OpenFullLedger(cfgs[i], sc, sp.Name, kv)
-		if errors.Is(err, chain.ErrNoChain) {
-			led, err = sim.NewFullLedgerWithDB(cfgs[i], gen, prng.New(sc.Seed, "seal", sp.Name), kv)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("serve: building %s replica chain: %w", sp.Name, err)
-		}
-		chains[i] = ServedChain{Name: sp.Name, Ledger: led}
+		own.Storage.DataDir = cfg.DataDir
+	}
+	chains, stores, err := openLedgers(&own, sim.NewWorkload(sc).Genesis(), cfg.WrapKV)
+	if err != nil {
+		return nil, err
 	}
 
 	srv, backends := mount(rcfg, chains)
@@ -329,7 +313,7 @@ func NewReplica(sc *sim.Scenario, cfg ReplicaConfig, rcfg rpc.ServerConfig) (*Re
 	// the same source as plain responses when the replica is degraded).
 	plane := newPlane(srv, backends, sc.Epoch)
 	r := &Replica{
-		Result: Result{Server: srv, Chains: chains, Live: plane},
+		Result: Result{Server: srv, Chains: chains, Live: plane, stores: stores},
 		cfg:    cfg,
 		epoch:  sc.Epoch,
 		dayLen: sc.DayLength,
@@ -498,13 +482,14 @@ func (r *Replica) Staleness() []struct {
 
 // Close stops the follow loops, drains the RPC server and closes the
 // stores. Safe to call more than once.
-func (r *Replica) Close() {
+func (r *Replica) Close() (err error) {
 	r.closeOnce.Do(func() {
 		close(r.quit)
 		r.wg.Wait()
 		for _, srv := range r.servers {
 			srv.Close()
 		}
-		r.Result.Close()
+		err = r.Result.Close()
 	})
+	return err
 }

@@ -10,13 +10,12 @@ package serve
 import (
 	"errors"
 	"fmt"
-	"io"
 
 	"forkwatch/internal/chain"
 	"forkwatch/internal/db"
-	_ "forkwatch/internal/db/diskdb" // register the disk backend with db.Open
 	"forkwatch/internal/export"
 	"forkwatch/internal/live"
+	"forkwatch/internal/prng"
 	"forkwatch/internal/rpc"
 	"forkwatch/internal/sim"
 )
@@ -39,6 +38,9 @@ type Result struct {
 	// one; it feeds from the engine, an archive replay, or — on the
 	// replica tier — the follow loops).
 	Live *live.Plane
+	// stores are the stacks behind Chains when no engine owns them (Open,
+	// replicas).
+	stores []*sim.ChainStore
 }
 
 // Ledger returns the named chain's ledger, or nil.
@@ -53,9 +55,11 @@ func (r *Result) Ledger(name string) *sim.FullLedger {
 
 // Close shuts the archive down gracefully: drain the RPC server (stop
 // accepting, finish in-flight), stop the worker pool, then close every
-// chain's store so the disk backend flushes and fsyncs its segments —
-// the shutdown path never dies mid-commit.
-func (r *Result) Close() {
+// chain's store so the disk backend releases its segments — the shutdown
+// path never dies mid-commit. The error is the first store that failed to
+// close: the WAL already made it crash-consistent, so that costs recovery
+// time on reopen, not data.
+func (r *Result) Close() error {
 	r.Server.Drain()
 	if r.Live != nil {
 		// Wake long-poll waiters and close push channels so no follower
@@ -63,32 +67,14 @@ func (r *Result) Close() {
 		r.Live.Feed.Close()
 	}
 	r.Server.Close()
-	for _, c := range r.Chains {
-		if err := closeKV(c.Ledger.BC.DB()); err != nil {
-			// The WAL already made the store crash-consistent; a failed
-			// flush costs recovery time on reopen, not data.
-			fmt.Printf("serve: closing %s store: %v\n", c.Name, err)
-		}
+	var err error
+	if r.Engine != nil {
+		err = r.Engine.Close()
 	}
-}
-
-// closeKV walks a store's wrapper chain (coalescer, retry, fault
-// injection, cache) to the first layer that can close, and closes it.
-func closeKV(kv db.KV) error {
-	for kv != nil {
-		if c, ok := kv.(io.Closer); ok {
-			return c.Close()
-		}
-		switch w := kv.(type) {
-		case interface{ Inner() db.KV }:
-			kv = w.Inner()
-		case interface{ Backend() db.KV }:
-			kv = w.Backend()
-		default:
-			return nil
-		}
+	if cerr := sim.CloseStores(r.stores); err == nil {
+		err = cerr
 	}
-	return nil
+	return err
 }
 
 // mount registers every chain on a new server, cross-linking all ordered
@@ -194,13 +180,13 @@ func BuildLive(sc *sim.Scenario, cfg rpc.ServerConfig) (*Result, func() error, e
 // refusePersistedChains fails if any partition's disk store under
 // sc.Storage.DataDir holds a chain (the head marker chain.Open looks for).
 func refusePersistedChains(sc *sim.Scenario) error {
-	for _, sp := range sc.PartitionSpecs() {
-		kv, err := openChainStore(sc, sp.Name)
+	for i, sp := range sc.PartitionSpecs() {
+		st, err := sim.OpenChainStore(sc, i, sp.Name, false)
 		if err != nil {
 			return err
 		}
-		_, held, err := chain.NewStore(kv).Head()
-		if cerr := closeKV(kv); err == nil {
+		_, held, err := chain.NewStore(st.KV()).Head()
+		if cerr := st.Close(); err == nil {
 			err = cerr
 		}
 		if err != nil {
@@ -213,16 +199,39 @@ func refusePersistedChains(sc *sim.Scenario) error {
 	return nil
 }
 
-// openChainStore opens the named partition's store, which lives in its
-// own subdirectory of sc.Storage.DataDir.
-func openChainStore(sc *sim.Scenario, name string) (db.KV, error) {
-	scfg := sc.Storage
-	scfg.DataDir = sim.ChainDataDir(scfg.DataDir, name)
-	kv, err := db.Open(scfg)
-	if err != nil {
-		return nil, fmt.Errorf("serve: opening %s store: %w", name, err)
+// openLedgers opens every partition's bare store under sc.Storage and the
+// ledger over it: the chain the store holds (chain.Open — WAL redo, no
+// re-simulation) or, when genesis is given and the store holds none, a
+// fresh chain at that genesis. A failure closes every store opened so far
+// (nothing was written through them), so the caller can reuse the
+// directory in this process.
+func openLedgers(sc *sim.Scenario, genesis *chain.Genesis, wrap func(name string, kv db.KV) db.KV) ([]ServedChain, []*sim.ChainStore, error) {
+	cfgs := sim.PartitionChainConfigs(sc)
+	specs := sc.PartitionSpecs()
+	chains := make([]ServedChain, len(specs))
+	stores := make([]*sim.ChainStore, len(specs))
+	for i, sp := range specs {
+		st, err := sim.OpenChainStore(sc, i, sp.Name, false)
+		if err != nil {
+			sim.CloseStores(stores)
+			return nil, nil, err
+		}
+		stores[i] = st
+		kv := st.KV()
+		if wrap != nil {
+			kv = wrap(sp.Name, kv)
+		}
+		led, err := sim.OpenFullLedger(cfgs[i], sc, sp.Name, kv)
+		if genesis != nil && errors.Is(err, chain.ErrNoChain) {
+			led, err = sim.NewFullLedgerWithDB(cfgs[i], genesis, prng.New(sc.Seed, "seal", sp.Name), kv)
+		}
+		if err != nil {
+			sim.CloseStores(stores)
+			return nil, nil, fmt.Errorf("serve: opening %s chain: %w", sp.Name, err)
+		}
+		chains[i] = ServedChain{Name: sp.Name, Ledger: led}
 	}
-	return kv, nil
+	return chains, stores, nil
 }
 
 // Open remounts an archive that an earlier Build persisted through the
@@ -243,31 +252,9 @@ func Open(sc *sim.Scenario, cfg rpc.ServerConfig) (*Result, error) {
 	if sc.Storage.Backend != db.BackendDisk {
 		return nil, fmt.Errorf("serve: reopening an archive requires the %q storage backend, not %q", db.BackendDisk, sc.Storage.Backend)
 	}
-	cfgs := sim.PartitionChainConfigs(sc)
-	specs := sc.PartitionSpecs()
-	chains := make([]ServedChain, len(specs))
-	// A failure leaves no archive to serve: release every store opened so
-	// far (nothing was written through them), so the caller — OpenOrBuild
-	// falling back to Build — can reuse the directory in this process.
-	var opened []db.KV
-	closeOpened := func() {
-		for _, kv := range opened {
-			closeKV(kv)
-		}
-	}
-	for i, sp := range specs {
-		kv, err := openChainStore(sc, sp.Name)
-		if err != nil {
-			closeOpened()
-			return nil, err
-		}
-		opened = append(opened, kv)
-		led, err := sim.OpenFullLedger(cfgs[i], sc, sp.Name, kv)
-		if err != nil {
-			closeOpened()
-			return nil, fmt.Errorf("serve: reopening %s chain: %w", sp.Name, err)
-		}
-		chains[i] = ServedChain{Name: sp.Name, Ledger: led}
+	chains, stores, err := openLedgers(sc, nil, nil)
+	if err != nil {
+		return nil, err
 	}
 	srv, backends := mount(cfg, chains)
 	plane := newPlane(srv, backends, sc.Epoch)
@@ -291,7 +278,7 @@ func Open(sc *sim.Scenario, cfg rpc.ServerConfig) (*Result, error) {
 	}
 	export.Replay(blocks, txs, sc.Epoch, sc.DayLength, plane)
 	plane.Complete()
-	return &Result{Server: srv, Chains: chains, Live: plane}, nil
+	return &Result{Server: srv, Chains: chains, Live: plane, stores: stores}, nil
 }
 
 // OpenOrBuild reopens a persisted archive when the scenario's disk data

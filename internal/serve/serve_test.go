@@ -210,46 +210,81 @@ func dirSizes(t *testing.T, root string) map[string]int64 {
 	return sizes
 }
 
-// TestResultCloseClosesDiskStores: a fault-free Build stacks a
-// db.Coalescer over each disk store; Close must reach through it, so the
-// closed store refuses writes and the directory reopens in this process.
-func TestResultCloseClosesDiskStores(t *testing.T) {
+// TestCloseThenOpen: a fault-free full-mode disk run stacks a
+// db.Coalescer over each disk store; closing it — through Result.Close
+// after a Build, or through Engine.Close after a bare sim.New + Run, the
+// path forksim takes — must reach the store underneath, so a second close
+// is a no-op, a write through the closed stack fails instead of
+// panicking, and Open of the same directory in this process finds the
+// same heads and state roots with nothing to repair.
+func TestCloseThenOpen(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-fidelity build")
 	}
-	dataDir := t.TempDir()
-	built, err := Build(smallScenario(dataDir), rpc.ServerConfig{})
-	if err != nil {
-		t.Fatalf("Build: %v", err)
-	}
-	heads := map[string]types.Hash{}
-	for _, c := range built.Chains {
-		heads[c.Name] = c.Ledger.BC.Head().Hash()
-	}
-	built.Close()
-	for _, c := range built.Chains {
-		// The coalescer only stages a Put; the flush is the store write.
-		coal, ok := c.Ledger.BC.DB().(*db.Coalescer)
-		if !ok {
-			t.Fatalf("%s store is %T, want the engine's *db.Coalescer", c.Name, c.Ledger.BC.DB())
-		}
-		if err := coal.Put([]byte("after-close"), []byte{1}); err != nil {
-			t.Fatal(err)
-		}
-		if err := coal.Flush(); err == nil {
-			t.Errorf("%s store accepted a write after Result.Close", c.Name)
-		}
-	}
+	type closer func() error
+	for name, run := range map[string]func(*testing.T, *sim.Scenario) ([]sim.Ledger, closer){
+		"Result.Close": func(t *testing.T, sc *sim.Scenario) ([]sim.Ledger, closer) {
+			built, err := Build(sc, rpc.ServerConfig{})
+			if err != nil {
+				t.Fatalf("Build: %v", err)
+			}
+			return built.Engine.Ledgers(), built.Close
+		},
+		"Engine.Close": func(t *testing.T, sc *sim.Scenario) ([]sim.Ledger, closer) {
+			eng, err := sim.New(sc)
+			if err != nil {
+				t.Fatalf("sim.New: %v", err)
+			}
+			if err := eng.Run(); err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			return eng.Ledgers(), eng.Close
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dataDir := t.TempDir()
+			ledgers, closeAll := run(t, smallScenario(dataDir))
+			type head struct{ hash, root types.Hash }
+			var heads []head
+			for _, led := range ledgers {
+				h := led.(*sim.FullLedger).BC.Head()
+				heads = append(heads, head{h.Hash(), h.Header.StateRoot})
+			}
+			if err := closeAll(); err != nil {
+				t.Fatalf("close: %v", err)
+			}
+			if err := closeAll(); err != nil {
+				t.Fatalf("second close: %v", err)
+			}
+			for _, led := range ledgers {
+				// The coalescer only stages a Put; the flush is the store write.
+				coal, ok := led.(*sim.FullLedger).BC.DB().(*db.Coalescer)
+				if !ok {
+					t.Fatalf("store is %T, want the engine's *db.Coalescer", led.(*sim.FullLedger).BC.DB())
+				}
+				if err := coal.Put([]byte("after-close"), []byte{1}); err != nil {
+					t.Fatal(err)
+				}
+				if err := coal.Flush(); err == nil {
+					t.Error("a closed store accepted a write")
+				}
+			}
 
-	reopened, err := Open(smallScenario(dataDir), rpc.ServerConfig{})
-	if err != nil {
-		t.Fatalf("Open after Close: %v", err)
-	}
-	defer reopened.Close()
-	for _, c := range reopened.Chains {
-		if got := c.Ledger.BC.Head().Hash(); got != heads[c.Name] {
-			t.Errorf("%s head after reopen = %s, built %s", c.Name, got, heads[c.Name])
-		}
+			reopened, err := Open(smallScenario(dataDir), rpc.ServerConfig{})
+			if err != nil {
+				t.Fatalf("Open after close: %v", err)
+			}
+			defer reopened.Close()
+			for i, c := range reopened.Chains {
+				h := c.Ledger.BC.Head()
+				if got := (head{h.Hash(), h.Header.StateRoot}); got != heads[i] {
+					t.Errorf("%s head after reopen = %+v, was %+v", c.Name, got, heads[i])
+				}
+				if n := c.Ledger.BC.StorageStats().Repairs; n != 0 {
+					t.Errorf("%s store repaired %d records on reopen; a clean close leaves none", c.Name, n)
+				}
+			}
+		})
 	}
 }
 

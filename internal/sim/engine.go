@@ -11,10 +11,6 @@ import (
 
 	"forkwatch/internal/chain"
 	"forkwatch/internal/db"
-	"forkwatch/internal/db/dbfs"
-	"forkwatch/internal/db/diskdb"
-	"forkwatch/internal/db/diskdb/faultfile"
-	"forkwatch/internal/db/faultkv"
 	"forkwatch/internal/market"
 	"forkwatch/internal/pool"
 	"forkwatch/internal/pow"
@@ -150,9 +146,8 @@ type partition struct {
 	pending []txPlan
 	pendBuf []txPlan
 
-	// storage is the chain's storage stack for fault injection and crash
-	// recovery; nil in ModeFast.
-	storage *chainStorage
+	// storage is the chain's storage stack; nil in ModeFast.
+	storage *ChainStore
 
 	// crashFired marks scheduled crash specs this partition has armed
 	// (indexed like Scenario.Crashes; only specs naming this chain ever
@@ -185,125 +180,6 @@ type diffLender interface{ headDiffRef() *big.Int }
 // barrier once echoes and observers are done with the day's slices.
 type dayArena interface{ resetDayArena() }
 
-// chainStorage is one chain's storage stack: the KV the Blockchain uses
-// (retry-wrapped when faults are on), the fault injector inside it, and
-// whether the store has died beyond recovery.
-//
-// At most one injector is non-nil, matching the backend: faultkv tears
-// logical batches inside the in-memory stores, faultfile tears physical
-// appends on the medium under the disk store. Both expose the same
-// deterministic crash/arm/journal surface, which the methods below
-// unify for the engine.
-type chainStorage struct {
-	cfg    *chain.Config
-	kv     db.KV
-	faults *faultkv.KV   // logical injection (mem/cached backends)
-	ffs    *faultfile.FS // physical injection (disk backend)
-	// coal batches a whole day of block commits into one backend write
-	// (flushed at the end of stepDay). Only installed when the scenario
-	// injects no storage faults and schedules no crashes: recovery
-	// semantics need per-block durability, coalescing trades exactly
-	// that away.
-	coal *db.Coalescer
-	// reopenDisk rebuilds the disk store over the surviving medium after a
-	// crash: close the dead store, re-run diskdb.Open's recovery scan with
-	// injection paused, re-wrap in the retry policy. Nil unless ffs is set.
-	reopenDisk func() (db.KV, error)
-	// dead marks a store WAL recovery could not repair. The chain stops
-	// mining — the partition behaves as if its miners departed — while
-	// day events keep flowing.
-	dead bool
-}
-
-// injecting reports whether any fault injector is wired in.
-func (s *chainStorage) injecting() bool { return s.faults != nil || s.ffs != nil }
-
-// crashed reports whether the store's medium is dead and needs a restart.
-func (s *chainStorage) crashed() bool {
-	switch {
-	case s.faults != nil:
-		return s.faults.Crashed()
-	case s.ffs != nil:
-		return s.ffs.Crashed()
-	}
-	return false
-}
-
-// enable toggles random fault injection (armed crashes stay armed).
-func (s *chainStorage) enable(on bool) {
-	if s.faults != nil {
-		s.faults.SetEnabled(on)
-	}
-	if s.ffs != nil {
-		s.ffs.SetEnabled(on)
-	}
-}
-
-// armCrash arms the injector so the (op+1)-th write from now tears
-// mid-commit and kills the store.
-func (s *chainStorage) armCrash(op uint64) {
-	switch {
-	case s.faults != nil:
-		s.faults.CrashAtWriteOp(s.faults.WriteOps() + 1 + op)
-	case s.ffs != nil:
-		s.ffs.CrashAtWriteOp(s.ffs.WriteOps() + 1 + op)
-	}
-}
-
-// journalLen counts the fault events the injector has recorded.
-func (s *chainStorage) journalLen() int {
-	n := 0
-	if s.faults != nil {
-		n += len(s.faults.Journal())
-	}
-	if s.ffs != nil {
-		n += len(s.ffs.Journal())
-	}
-	return n
-}
-
-// restart models the node process coming back up over the surviving
-// medium: the injector's crash flag clears, and for the disk backend the
-// store is reopened — diskdb.Open truncates the torn tail and drops
-// uncommitted batch groups. The chain-level WAL redo on top (chain.Open)
-// is the caller's job.
-func (s *chainStorage) restart() error {
-	switch {
-	case s.faults != nil:
-		s.faults.Reopen()
-	case s.ffs != nil:
-		s.ffs.Reopen()
-		kv, err := s.reopenDisk()
-		if err != nil {
-			return err
-		}
-		s.kv = kv
-	}
-	return nil
-}
-
-// fileFaults translates the scenario's logical fault plan (faultkv rates
-// against a KV) into the physical plan the disk medium runs (faultfile
-// rates against the file API): read/write error and bit-rot rates carry
-// over, and the logical batch-tear rate becomes both a transient
-// short-write rate (truncate-repair + retry) and a crashing torn-append
-// rate (restart + recovery), so the disk chaos runs exercise strictly
-// more failure modes than the mem runs at the same knob settings. The
-// seed is offset per chain so the partitions' fault streams stay
-// decorrelated, mirroring the faultkv path.
-func fileFaults(f faultkv.Faults, chainIdx int64) faultfile.Faults {
-	return faultfile.Faults{
-		Seed:           f.Seed + chainIdx,
-		ReadErrRate:    f.ReadErrRate,
-		WriteErrRate:   f.WriteErrRate,
-		ShortWriteRate: f.TornBatchRate,
-		TornWriteRate:  f.TornBatchRate,
-		CorruptRate:    f.CorruptRate,
-		StallEvery:     f.StallEvery,
-		Stall:          f.Stall,
-	}
-}
-
 // New builds an engine (ledgers, workload, pools, prices) from a
 // scenario, after validating it.
 func New(sc *Scenario) (*Engine, error) {
@@ -326,7 +202,7 @@ func New(sc *Scenario) (*Engine, error) {
 	}
 
 	ledgers := make([]Ledger, k)
-	storage := make([]*chainStorage, k)
+	storage := make([]*ChainStore, k)
 	switch sc.Mode {
 	case ModeFast:
 		for i := range specs {
@@ -336,97 +212,22 @@ func New(sc *Scenario) (*Engine, error) {
 		// may recycle mined transactions with no surviving references.
 		w.recycleMined = true
 	case ModeFull:
-		// Each chain gets its own store opened from the same config:
-		// partitions never share storage, only gossip — the disk backend
-		// keeps each chain in its own DataDir subdirectory. When the
-		// scenario injects storage faults or crashes, the stack per chain
-		// is backend -> injector -> retry (transient absorption): faultkv
-		// tears logical batches inside the in-memory backends, faultfile
-		// tears physical appends under the disk backend. Injection is held
-		// off until after the genesis bootstrap.
-		attempts := sc.StorageRetryAttempts
-		if attempts <= 0 {
-			attempts = db.DefaultRetryAttempts
-			if sc.Storage.Backend == db.BackendDisk {
-				// One durable append draws the write-error rate twice
-				// (Append, then Sync), so per-attempt failure is
-				// 1-(1-p)^2 instead of p; double the budget to keep the
-				// exhaustion probability in the same regime as faultkv.
-				attempts *= 2
-			}
-		}
-		mkStack := func(idx int64, name string) (*chainStorage, error) {
-			cfg := sc.Storage
-			if cfg.Backend == db.BackendDisk {
-				cfg.DataDir = ChainDataDir(cfg.DataDir, name)
-			}
-			if !sc.StorageFaults.Enabled() && len(sc.Crashes) == 0 {
-				kv, err := db.Open(cfg)
-				if err != nil {
-					return nil, err
-				}
-				coal := db.NewCoalescer(kv)
-				return &chainStorage{kv: coal, coal: coal}, nil
-			}
-			if cfg.Backend == db.BackendDisk {
-				if err := cfg.Validate(); err != nil {
-					return nil, err
-				}
-				osfs, err := dbfs.NewOSFS(cfg.DataDir)
-				if err != nil {
-					return nil, err
-				}
-				ffs := faultfile.Wrap(osfs, fileFaults(sc.StorageFaults, idx))
-				ffs.SetEnabled(false)
-				var cur *diskdb.DB
-				openDisk := func() (db.KV, error) {
-					if cur != nil {
-						cur.Close()
-						cur = nil
-					}
-					d, err := diskdb.Open(ffs, diskdb.Options{})
-					if err != nil {
-						return nil, err
-					}
-					cur = d
-					return db.NewRetry(d, attempts), nil
-				}
-				kv, err := openDisk()
-				if err != nil {
-					return nil, err
-				}
-				return &chainStorage{kv: kv, ffs: ffs, reopenDisk: func() (db.KV, error) {
-					// The recovery scan must see the medium's true bytes:
-					// pause injection around it, resume at a deterministic
-					// point so fault timelines stay replayable.
-					ffs.SetEnabled(false)
-					defer ffs.SetEnabled(true)
-					return openDisk()
-				}}, nil
-			}
-			kv, err := db.Open(cfg)
-			if err != nil {
-				return nil, err
-			}
-			f := sc.StorageFaults
-			f.Seed += idx // decorrelate the chains' fault streams
-			fkv := faultkv.Wrap(kv, f)
-			fkv.SetEnabled(false)
-			return &chainStorage{kv: db.NewRetry(fkv, attempts), faults: fkv}, nil
-		}
+		// Each chain gets its own storage stack: partitions never share
+		// storage, only gossip. Injection stays off until genesis is down.
 		for i, sp := range specs {
-			stg, err := mkStack(int64(i), sp.Name)
+			stg, err := OpenChainStore(sc, i, sp.Name, true)
 			if err != nil {
+				CloseStores(storage)
 				return nil, err
 			}
-			stg.cfg = cfgs[i]
-			led, err := NewFullLedgerWithDB(cfgs[i], gen, prng.New(sc.Seed, "seal", sp.Name), stg.kv)
+			storage[i] = stg
+			led, err := NewFullLedgerWithDB(cfgs[i], gen, prng.New(sc.Seed, "seal", sp.Name), stg.KV())
 			if err != nil {
+				CloseStores(storage)
 				return nil, err
 			}
 			stg.enable(true)
 			ledgers[i] = led
-			storage[i] = stg
 		}
 	default:
 		return nil, fmt.Errorf("sim: unknown mode %d", sc.Mode)
@@ -479,6 +280,16 @@ func New(sc *Scenario) (*Engine, error) {
 		}
 	}
 	return e, nil
+}
+
+// Close closes every chain's storage stack; the first error wins. A
+// ModeFast engine keeps no storage. Idempotent.
+func (e *Engine) Close() error {
+	stores := make([]*ChainStore, len(e.parts))
+	for i, p := range e.parts {
+		stores[i] = p.storage
+	}
+	return CloseStores(stores)
 }
 
 // AddObserver registers an observer for block and day events.
@@ -710,10 +521,10 @@ func (e *Engine) stepDay(day int, p *partition) error {
 	if err := e.mineDay(day, p); err != nil {
 		return err
 	}
-	// One backend write for the whole day's block commits (fault-free
-	// full mode only; see chainStorage.coal).
-	if p.storage != nil && p.storage.coal != nil {
-		if err := p.storage.coal.Flush(); err != nil {
+	// One backend write for the whole day's block commits (a no-op on the
+	// stacks that write through).
+	if p.storage != nil {
+		if err := p.storage.flush(); err != nil {
 			return fmt.Errorf("sim: %s day %d storage flush: %w", p.name, day, err)
 		}
 	}
@@ -768,9 +579,9 @@ func (e *Engine) finishSigning(plans []txPlan) {
 //
 // Returns the included transactions, whether a block was produced, and
 // a fatal error. Errors that are not storage crashes surface unchanged.
-func (e *Engine) recoverMine(led Ledger, stg *chainStorage, mineErr error, t uint64, coinbase types.Address, txs []*chain.Transaction) ([]*chain.Transaction, bool, error) {
+func (e *Engine) recoverMine(led Ledger, stg *ChainStore, mineErr error, t uint64, coinbase types.Address, txs []*chain.Transaction) ([]*chain.Transaction, bool, error) {
 	fl, isFull := led.(*FullLedger)
-	if stg == nil || !stg.injecting() || !isFull || !stg.crashed() {
+	if stg == nil || !isFull || !stg.crashed() {
 		return nil, false, mineErr
 	}
 	preHead := fl.HeadNumber() // memory never advances past the last durable commit
@@ -780,7 +591,7 @@ func (e *Engine) recoverMine(led Ledger, stg *chainStorage, mineErr error, t uin
 			stg.dead = true
 			return nil, false, nil
 		}
-		bc, err := chain.Open(stg.cfg, stg.kv)
+		bc, err := chain.Open(fl.Config(), stg.KV())
 		if err != nil {
 			stg.dead = true
 			return nil, false, nil
@@ -883,7 +694,7 @@ func (e *Engine) mineDay(day int, p *partition) error {
 
 		// A scheduled crash for this block arms the injector so the store
 		// dies mid-commit; recovery below reopens and resumes.
-		if p.storage != nil && p.storage.injecting() {
+		if p.storage != nil {
 			for i, cs := range e.sc.Crashes {
 				if !p.crashFired[i] && cs.Chain == p.name && cs.Day == day && cs.Block == blockIdx {
 					p.crashFired[i] = true

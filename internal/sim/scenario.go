@@ -50,14 +50,10 @@ type Scenario struct {
 	// storage and ignores it.
 	Storage db.Config
 	// StorageFaults injects deterministic storage faults into every
-	// full-fidelity chain's store (ModeFast ignores it). The ETC chain's
-	// fault stream runs on Seed+1 so the two partitions fail
-	// independently. Injection is disabled around genesis bootstrap,
-	// which has no recovery path.
+	// full-fidelity chain's store (ModeFast ignores it). Partition i's
+	// fault stream runs on Seed+i so the partitions fail independently;
+	// the stack and its injection-pause rule are in storage.go.
 	StorageFaults faultkv.Faults
-	// StorageRetryAttempts bounds transient storage-fault retries
-	// (db.Retry); zero means db.DefaultRetryAttempts.
-	StorageRetryAttempts int
 	// Crashes schedules storage crashes (ModeFull only): each spec kills
 	// one chain's store mid-commit, after which the engine reopens it,
 	// runs WAL recovery and resumes mining. A store that recovery cannot

@@ -104,7 +104,6 @@ func TestParallelChaosFiguresByteIdentical(t *testing.T) {
 			WriteErrRate:  0.20,
 			TornBatchRate: 0.002,
 		}
-		sc.StorageRetryAttempts = 24 // 0.2^24: transient faults never go fatal
 		sc.Crashes = []forkwatch.CrashSpec{
 			{Chain: "ETH", Day: 0, Block: 4, Op: 3},
 			{Chain: "ETH", Day: 1, Block: 2, Op: 40},

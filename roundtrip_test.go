@@ -56,12 +56,13 @@ func TestFullModeKVRoundTrip(t *testing.T) {
 	sc.Users = 30
 	sc.ETHTxPerDay = 25
 	sc.ETCTxPerDay = 10
-	sc.Storage = StorageConfig{Backend: StorageCached}
+	sc.Storage = StorageConfig{Backend: StorageDisk, DataDir: t.TempDir()}
 
 	eng, err := sim.New(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer eng.Close()
 	col := analysis.NewCollector(sc.Epoch)
 	rec := &export.Recorder{}
 	eng.AddObserver(col)
@@ -76,7 +77,7 @@ func TestFullModeKVRoundTrip(t *testing.T) {
 		t.Fatalf("expected storage traffic, got %+v", stats)
 	}
 	if stats.Hits == 0 {
-		t.Fatalf("cached backend saw no hits: %+v", stats)
+		t.Fatalf("disk backend saw no hits: %+v", stats)
 	}
 
 	// Snapshot each partition, re-import into a brand-new store, and read

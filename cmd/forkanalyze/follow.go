@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/url"
 	"os"
@@ -12,9 +13,11 @@ import (
 	"strings"
 	"time"
 
+	"forkwatch/internal/export"
 	"forkwatch/internal/live"
 	"forkwatch/internal/live/feed"
 	"forkwatch/internal/rpc"
+	"forkwatch/internal/sim"
 )
 
 // followLive attaches the streaming analyzer to a forkserve archive and
@@ -32,6 +35,14 @@ func followLive(target, outDir string, epoch uint64) error {
 	fmt.Printf("following %s\n", routeURL)
 
 	an := live.NewAnalyzer(epoch, live.Options{})
+	// With -out the decoded events also feed the batch exporter's
+	// recorder: the tables are byte-identical to a batch export because
+	// the same code writes them.
+	rec := &export.Recorder{}
+	var tables []sim.Observer
+	if outDir != "" {
+		tables = []sim.Observer{rec}
+	}
 	client := rpc.NewClient(routeURL, &http.Client{Timeout: 10 * time.Second})
 	var (
 		cursor   uint64
@@ -65,7 +76,7 @@ func followLive(target, outDir string, epoch uint64) error {
 		}
 		done := false
 		for _, ev := range page.Events {
-			if err := an.Apply(ev); err != nil {
+			if err := an.Apply(ev, tables...); err != nil {
 				return fmt.Errorf("applying event %d: %w", ev.Seq, err)
 			}
 			if ev.Kind == feed.KindDay && ev.Day != nil && ev.Day.Day != lastDay {
@@ -87,7 +98,7 @@ func followLive(target, outDir string, epoch uint64) error {
 
 	printSummary(an)
 	if outDir != "" {
-		if err := writeTables(an, outDir); err != nil {
+		if err := writeTables(rec, outDir); err != nil {
 			return err
 		}
 		fmt.Printf("\nwrote blocks.csv txs.csv days.csv to %s (byte-identical to a batch export of the run)\n", outDir)
@@ -173,20 +184,29 @@ func printSummary(an *live.Analyzer) {
 	}
 }
 
-// writeTables writes the analyzer's converged CSV tables into dir.
-func writeTables(an *live.Analyzer, dir string) error {
+// writeTables writes the recorder's rows into dir with the batch
+// exporter's writers.
+func writeTables(rec *export.Recorder, dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	for _, f := range []struct {
-		name string
-		data []byte
+	for _, t := range []struct {
+		name  string
+		write func(io.Writer) error
 	}{
-		{"blocks.csv", an.BlocksCSV()},
-		{"txs.csv", an.TxsCSV()},
-		{"days.csv", an.DaysCSV()},
+		{"blocks.csv", func(w io.Writer) error { return export.WriteBlocks(w, rec.Blocks) }},
+		{"txs.csv", func(w io.Writer) error { return export.WriteTxs(w, rec.Txs) }},
+		{"days.csv", func(w io.Writer) error { return export.WriteDays(w, rec.Days) }},
 	} {
-		if err := os.WriteFile(filepath.Join(dir, f.name), f.data, 0o644); err != nil {
+		f, err := os.Create(filepath.Join(dir, t.name))
+		if err != nil {
+			return err
+		}
+		if err := t.write(f); err != nil {
+			f.Close()
+			return err
+		}
+		if err := f.Close(); err != nil {
 			return err
 		}
 	}

@@ -23,9 +23,9 @@
 //	forkload -selfserve -subscribers 16                 # subscription mix
 //
 // -subscribers adds a live-feed mix on top of the read load: each
-// subscriber loops fork_subscribe → fork_pollSubscription (replaying
-// the feed from cursor 0 to its EOF marker) → fork_unsubscribe until
-// the deadline, and the report gains sub_events/sub_gaps/sub_errors.
+// subscriber pages fork_liveEvents from cursor 0 to the feed's EOF
+// marker, over and over until the deadline, and the report gains
+// sub_events/sub_gaps/sub_errors.
 package main
 
 import (
@@ -93,7 +93,7 @@ func main() {
 		hedge     = flag.Duration("hedge", 0, "hedge a request to the next replica if the first has not answered within this delay (0 = off; needs >1 URL)")
 		out       = flag.String("out", "BENCH_pr4.json", "JSON report path (- for stdout)")
 		chainsCSV = flag.String("chains", "eth,etc", "comma-separated chain routes to load on an external target (selfserve discovers its own)")
-		subs      = flag.Int("subscribers", 0, "subscriber goroutines riding along: each loops fork_subscribe → fork_pollSubscription → fork_unsubscribe against the live feed for the whole run")
+		subs      = flag.Int("subscribers", 0, "subscriber goroutines riding along: each replays the live feed from cursor 0 to EOF with fork_liveEvents, over and over for the whole run")
 		substream = flag.String("substream", "events", "stream the subscriber mix follows (events, newHeads, newDays, pendingEchoes)")
 	)
 	flag.Parse()
@@ -173,11 +173,10 @@ func main() {
 	var wg sync.WaitGroup
 	start := time.Now()
 	deadline := start.Add(*duration)
-	// The subscriber mix: each goroutine pins to one base URL (poll
-	// subscriptions are server-side state) and replays the live feed from
-	// cursor 0 to EOF in a loop, re-subscribing each round — steady
-	// subscription churn plus sustained poll traffic alongside the read
-	// load.
+	// The subscriber mix: each goroutine reads one base URL (a cursor is
+	// a position in that server's feed) and replays the live feed from
+	// cursor 0 to EOF in a loop — sustained poll traffic alongside the
+	// read load.
 	for s := 0; s < *subs; s++ {
 		wg.Add(1)
 		go func(s int) {
@@ -268,48 +267,35 @@ type subStats struct {
 }
 
 // subscriberLoop replays the live feed from cursor 0 to the run's EOF
-// marker through a poll subscription, over and over until the deadline:
-// subscription registration, polling and teardown all stay hot for the
-// whole run.
+// marker through fork_liveEvents, over and over until the deadline. A
+// failed read is retried from the same cursor; an empty page (a feed
+// still being published) is followed by a short sleep.
 func subscriberLoop(hc *http.Client, routeURL, stream string, deadline time.Time, st *subStats) {
 	cl := rpc.NewClient(routeURL, hc)
+	var cursor uint64
 	for time.Now().Before(deadline) {
-		var sub struct {
-			Subscription string `json:"subscription"`
+		var page struct {
+			Events []struct {
+				Kind string `json:"kind"`
+			} `json:"events"`
+			Cursor uint64 `json:"cursor"`
+			Gap    bool   `json:"gap"`
 		}
-		if err := cl.Call(&sub, "fork_subscribe", stream, 0); err != nil {
+		if err := cl.Call(&page, "fork_liveEvents", stream, cursor, 4096); err != nil {
 			st.errors++
 			time.Sleep(100 * time.Millisecond)
 			continue
 		}
-		for time.Now().Before(deadline) {
-			var poll struct {
-				Events []struct {
-					Kind string `json:"kind"`
-				} `json:"events"`
-				Gap bool `json:"gap"`
-			}
-			if err := cl.Call(&poll, "fork_pollSubscription", sub.Subscription, 4096, 200); err != nil {
-				st.errors++
-				break
-			}
-			st.events += int64(len(poll.Events))
-			if poll.Gap {
-				st.gaps++
-			}
-			done := false
-			for _, ev := range poll.Events {
-				if ev.Kind == "eof" {
-					done = true
-				}
-			}
-			if done {
-				break
-			}
+		st.events += int64(len(page.Events))
+		if page.Gap {
+			st.gaps++
 		}
-		// A failed teardown leaves nothing to act on: the load run goes on
-		// with a new subscription either way.
-		_ = cl.Call(nil, "fork_unsubscribe", sub.Subscription)
+		cursor = page.Cursor
+		if n := len(page.Events); n == 0 {
+			time.Sleep(50 * time.Millisecond)
+		} else if page.Events[n-1].Kind == "eof" {
+			cursor = 0
+		}
 	}
 }
 

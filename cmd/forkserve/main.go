@@ -16,13 +16,13 @@
 //	forkserve -days 1 -partitions 'ONE:share=0;TWO:share=0.2;TRI:share=0.1'
 //	forkserve -days 3 -live -pace 2s          # serve while simulating
 //
-// Every boot shape attaches the live measurement plane: fork_subscribe /
-// fork_pollSubscription / fork_liveEvents / fork_liveSnapshot on each
-// route, plus the persistent NDJSON stream at GET /<route>/stream. With
-// -live the scenario simulates in the background while the archive
-// serves, so subscribers (forkanalyze -follow) watch the partition
-// unfold and receive the feed's EOF when the run completes; -pace slows
-// the run to human speed.
+// Every boot shape attaches the live measurement plane: fork_liveEvents
+// (a cursor read of the event feed) and fork_liveSnapshot on each route,
+// plus the persistent NDJSON stream at GET /<route>/stream. With -live
+// the scenario simulates in the background while the archive serves, so
+// followers (forkanalyze -follow) watch the partition unfold and receive
+// the feed's EOF when the run completes; -pace slows the run to human
+// speed.
 //
 // With -storage disk the simulated chains persist in -datadir; a later
 // run against the same directory reopens the archive (WAL redo, no
@@ -88,7 +88,7 @@ func main() {
 		par     = flag.Int("parallelism", 0, "simulation partition-stepping goroutines: 0 = GOMAXPROCS, 1 = serial; served chains are identical either way")
 		parts   = flag.String("partitions", "", `N-way partition spec "NAME:key=v,...;NAME:key=v,..." (empty = historical two-way split)`)
 
-		liveRun = flag.Bool("live", false, "serve WHILE the scenario simulates: subscribers on fork_subscribe//<route>/stream watch the partition unfold, and the feed publishes EOF when the run ends")
+		liveRun = flag.Bool("live", false, "serve WHILE the scenario simulates: followers on fork_liveEvents or /<route>/stream watch the partition unfold, and the feed publishes EOF when the run ends")
 		pace    = flag.Duration("pace", 0, "with -live, sleep this long after each simulated day so followers can watch in something like real time (0 = run flat out)")
 
 		p2pAddrs   = flag.String("p2p", "", "primary mode: comma-separated p2p listen addresses, one per partition in order, for replicas to sync from")

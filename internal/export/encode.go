@@ -10,10 +10,10 @@ import (
 )
 
 // The append encoders below are the only production CSV encoders of the
-// three ledger tables: WriteBlocks/WriteTxs/WriteDays and the streaming
-// analyzer's tables all go through them. Their output is byte-identical to
-// encoding/csv's Writer (comma delimiter, "\n" line ends) over the
-// []string forms kept in encode_test.go as the differential model.
+// three ledger tables, behind WriteBlocks/WriteTxs/WriteDays. Their output
+// is byte-identical to encoding/csv's Writer (comma delimiter, "\n" line
+// ends) over the []string forms kept in encode_test.go as the
+// differential model.
 
 // blockHeader, txHeader are the CSV headers of the block and transaction
 // tables.

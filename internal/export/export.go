@@ -237,41 +237,37 @@ func (rec *Recorder) copyDifficulty(v *big.Int) *big.Int {
 	return d
 }
 
-// BlockRowOf is the block row an event becomes: the one event-to-row
-// mapping behind the Recorder and the live analyzer's tables. Events carry
-// no block hash, so Hash stays zero. Difficulty is the event's own, which
-// the engine recycles at the day barrier: a caller that keeps the row
-// copies it.
-func BlockRowOf(ev *sim.BlockEvent) BlockRow {
-	return BlockRow{
+// OnBlock implements sim.Observer. Events carry no block hash, so Hash
+// stays zero; a tx row's ChainID is a 0/1 chain-bound marker (the exact id
+// is a per-chain constant).
+func (rec *Recorder) OnBlock(ev *sim.BlockEvent) {
+	rec.Blocks = append(rec.Blocks, BlockRow{
 		Chain:      ev.Chain,
 		Number:     ev.Number,
 		Time:       ev.Time,
-		Difficulty: ev.Difficulty,
+		Difficulty: rec.copyDifficulty(ev.Difficulty),
 		Coinbase:   ev.Coinbase,
 		TxCount:    len(ev.Txs),
+	})
+	for i := range ev.Txs {
+		tx := &ev.Txs[i]
+		row := TxRow{
+			Chain:       ev.Chain,
+			BlockNumber: ev.Number,
+			BlockTime:   ev.Time,
+			Hash:        tx.Hash,
+			From:        tx.From,
+			Contract:    tx.Contract,
+		}
+		if tx.ChainBound {
+			row.ChainID = 1
+		}
+		rec.Txs = append(rec.Txs, row)
 	}
 }
 
-// TxRowOf is the row for tx, one of ev's transactions. ChainID is a 0/1
-// chain-bound marker: the exact id is a per-chain constant.
-func TxRowOf(ev *sim.BlockEvent, tx *sim.TxInfo) TxRow {
-	row := TxRow{
-		Chain:       ev.Chain,
-		BlockNumber: ev.Number,
-		BlockTime:   ev.Time,
-		Hash:        tx.Hash,
-		From:        tx.From,
-		Contract:    tx.Contract,
-	}
-	if tx.ChainBound {
-		row.ChainID = 1
-	}
-	return row
-}
-
-// DayRowOf is the day row an event becomes.
-func DayRowOf(ev *sim.DayEvent) DayRow {
+// OnDay implements sim.Observer.
+func (rec *Recorder) OnDay(ev *sim.DayEvent) {
 	row := DayRow{
 		Day:      ev.Day,
 		Chains:   make([]string, len(ev.Partitions)),
@@ -283,22 +279,7 @@ func DayRowOf(ev *sim.DayEvent) DayRow {
 		row.USD[i] = pd.USD
 		row.Hashrate[i] = pd.Hashrate
 	}
-	return row
-}
-
-// OnBlock implements sim.Observer.
-func (rec *Recorder) OnBlock(ev *sim.BlockEvent) {
-	row := BlockRowOf(ev)
-	row.Difficulty = rec.copyDifficulty(ev.Difficulty)
-	rec.Blocks = append(rec.Blocks, row)
-	for i := range ev.Txs {
-		rec.Txs = append(rec.Txs, TxRowOf(ev, &ev.Txs[i]))
-	}
-}
-
-// OnDay implements sim.Observer.
-func (rec *Recorder) OnDay(ev *sim.DayEvent) {
-	rec.Days = append(rec.Days, DayRowOf(ev))
+	rec.Days = append(rec.Days, row)
 }
 
 // DayRow is one exported day record (prices and hashrates — the

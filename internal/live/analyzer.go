@@ -9,11 +9,11 @@
 // through internal/export). This package adds the Analyzer — consuming
 // events in-process as a sim.Observer or over the wire via Apply, which
 // decodes each one once — a view over an analysis.Collector, the one
-// accumulator of the O1–O6 observables, that also appends the
-// block/tx/day CSV tables with internal/export's own row builders and
-// encoders, so its end-of-run output is byte-identical to the batch
-// export — and the Plane bundling a Feed with an Analyzer behind one
-// observer.
+// accumulator of the O1–O6 observables — and the Plane bundling a Feed
+// with an Analyzer behind one observer. The analyzer keeps no ledger
+// tables: a follower that wants the block/tx/day CSVs hands Apply an
+// export.Recorder, which receives the same decoded events and is the
+// batch exporter.
 //
 // The convergence guarantee rests on ordering: the engine delivers
 // events at the day barrier in fixed partition order (the same property
@@ -30,7 +30,6 @@ import (
 	"sync"
 
 	"forkwatch/internal/analysis"
-	"forkwatch/internal/export"
 	"forkwatch/internal/live/feed"
 	"forkwatch/internal/sim"
 	"forkwatch/internal/types"
@@ -76,10 +75,9 @@ type chainState struct {
 // Analyzer is the streaming view of a run: an analysis.Collector — the
 // only place O1–O6 state is accumulated, the same one the batch pipeline
 // reads its figures from — plus what only a rolling view needs (heads,
-// totals, the O2 window) and the export CSV tables, appended with the
-// batch exporter's own row builders and encoders so they come out
-// byte-identical. Its core consumes the engine's events: attach it as a
-// sim.Observer, or hand wire events to Apply, which decodes each one once.
+// totals, the O2 window). Its core consumes the engine's events: attach
+// it as a sim.Observer, or hand wire events to Apply, which decodes each
+// one once.
 type Analyzer struct {
 	mu    sync.Mutex
 	epoch uint64
@@ -88,12 +86,8 @@ type Analyzer struct {
 	order  []string
 	chains map[string]*chainState
 
-	// The CSV tables, appended to by export's row encoders. daysCSV
-	// stays empty until the first day event names its columns, which
-	// dayChains keeps for pairing up the correlations.
-	blocksCSV []byte
-	txsCSV    []byte
-	daysCSV   []byte
+	// dayChains is the latest day event's chain list: the order the
+	// correlations pair up in.
 	dayChains []string
 
 	days     int // day events seen: the latest is day days-1
@@ -110,20 +104,20 @@ func NewAnalyzer(epoch uint64, _ Options) *Analyzer { return newAnalyzer(epoch, 
 // OnBlock, under the analyzer lock.
 func newAnalyzer(epoch uint64, seenBound int, onEcho analysis.EchoFunc) *Analyzer {
 	return &Analyzer{
-		epoch:     epoch,
-		col:       analysis.NewStreamCollector(epoch, seenBound, onEcho),
-		chains:    map[string]*chainState{},
-		blocksCSV: export.AppendBlockHeader(nil),
-		txsCSV:    export.AppendTxHeader(nil),
+		epoch:  epoch,
+		col:    analysis.NewStreamCollector(epoch, seenBound, onEcho),
+		chains: map[string]*chainState{},
 	}
 }
 
 // Apply consumes one wire event, decoding it to the engine's form; a
-// malformed event is an error and changes nothing. Echo events are
+// malformed event is an error and changes nothing. The observers in also
+// get the same decoded event after the analyzer, so a follower's
+// export.Recorder sees exactly what the analyzer saw. Echo events are
 // skipped — the analyzer derives its own join from heads, so a wire
 // consumer converges without trusting upstream derivations. EOF marks the
 // run complete.
-func (a *Analyzer) Apply(ev feed.Event) error {
+func (a *Analyzer) Apply(ev feed.Event, also ...sim.Observer) error {
 	if err := ev.Validate(); err != nil {
 		return err
 	}
@@ -139,12 +133,18 @@ func (a *Analyzer) Apply(ev feed.Event) error {
 			return fmt.Errorf("live: %s head %d: timestamp %d is more than %d days past the epoch", h.Chain, h.Number, h.Time, feed.MaxDay)
 		}
 		a.OnBlock(h)
+		for _, o := range also {
+			o.OnBlock(h)
+		}
 	case feed.KindDay:
 		d, err := feed.DayToSim(ev.Day)
 		if err != nil {
 			return err
 		}
 		a.OnDay(d)
+		for _, o := range also {
+			o.OnDay(d)
+		}
 	case feed.KindEOF:
 		a.MarkComplete()
 	}
@@ -168,18 +168,12 @@ func (a *Analyzer) chain(name string) *chainState {
 	return cs
 }
 
-// OnBlock implements sim.Observer: it appends the block's CSV rows,
-// advances the chain's head and window, and hands the event to the
-// collector. Nothing of ev is retained.
+// OnBlock implements sim.Observer: it advances the chain's head and
+// window and hands the event to the collector. Nothing of ev is retained.
 func (a *Analyzer) OnBlock(ev *sim.BlockEvent) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.events++
-	a.blocksCSV = export.AppendBlockRow(a.blocksCSV, export.BlockRowOf(ev))
-	for i := range ev.Txs {
-		a.txsCSV = export.AppendTxRow(a.txsCSV, export.TxRowOf(ev, &ev.Txs[i]))
-	}
-
 	cs := a.chain(ev.Chain)
 	cs.head = ev.Number
 	cs.headTime = ev.Time
@@ -196,50 +190,21 @@ func (a *Analyzer) OnBlock(ev *sim.BlockEvent) {
 	a.col.OnBlock(ev)
 }
 
-// OnDay implements sim.Observer: the day's CSV row, then the collector.
+// OnDay implements sim.Observer: the day's chains join the snapshot in
+// partition order, then the collector.
 func (a *Analyzer) OnDay(ev *sim.DayEvent) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.events++
-	row := export.DayRowOf(ev)
-	for _, name := range row.Chains {
-		a.chain(name)
+	a.dayChains = a.dayChains[:0]
+	for _, pd := range ev.Partitions {
+		a.chain(pd.Name)
+		a.dayChains = append(a.dayChains, pd.Name)
 	}
-	if len(a.daysCSV) == 0 {
-		a.daysCSV = export.AppendDayHeader(nil, row.Chains)
-		a.dayChains = row.Chains
-	}
-	a.daysCSV = export.AppendDayRow(a.daysCSV, row)
 	if ev.Day+1 > a.days {
 		a.days = ev.Day + 1
 	}
 	a.col.OnDay(ev)
-}
-
-// BlocksCSV returns the block table accumulated so far — at end of run,
-// byte-identical to export.WriteBlocks over a Recorder's rows.
-func (a *Analyzer) BlocksCSV() []byte {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return append([]byte(nil), a.blocksCSV...)
-}
-
-// TxsCSV returns the transaction table accumulated so far.
-func (a *Analyzer) TxsCSV() []byte {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return append([]byte(nil), a.txsCSV...)
-}
-
-// DaysCSV returns the day table accumulated so far. With no day events
-// observed it is the header-only table WriteDays emits for zero rows.
-func (a *Analyzer) DaysCSV() []byte {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if len(a.daysCSV) == 0 {
-		return export.AppendDayHeader(nil, nil)
-	}
-	return append([]byte(nil), a.daysCSV...)
 }
 
 // ChainLive is one chain's rolling O1–O6 view.

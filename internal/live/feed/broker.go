@@ -2,86 +2,30 @@ package feed
 
 import (
 	"sync"
-	"time"
 
 	"forkwatch/internal/metrics"
 )
 
-// Sub is a push subscription: matching events arrive on C in sequence
-// order. When the subscriber falls behind and C fills, the feed drops
-// the OLDEST buffered event to make room (and counts it in
-// live.events_dropped) — a slow reader sees a gap in Seq, never a stall
-// of the publisher.
-type Sub struct {
-	ID     uint64
-	Stream string
-	Chain  string
-	C      chan Event
-
-	feed    *Feed
-	dropped uint64
-}
-
-// Close detaches the subscription. C is closed; pending events are lost.
-func (s *Sub) Close() {
-	if s.feed != nil {
-		s.feed.closePush(s.ID)
-	}
-}
-
-// Dropped returns how many events this subscription lost to the
-// drop-oldest policy.
-func (s *Sub) Dropped() uint64 {
-	if s.feed == nil {
-		return 0
-	}
-	s.feed.mu.Lock()
-	defer s.feed.mu.Unlock()
-	return s.dropped
-}
-
-// pollSub is a stateful cursor held server-side for fork_subscribe
-// clients.
-type pollSub struct {
-	stream   string
-	chain    string
-	cursor   uint64
-	lastSeen time.Time
-}
-
-// pollIdleTimeout is how long a poll subscription may go unqueried
-// before the feed sweeps it (a crashed long-poll client must not pin a
-// cursor forever).
-const pollIdleTimeout = 5 * time.Minute
-
 // Feed is the broker between the event source (engine observer or
-// replica relay) and its consumers. It keeps a bounded contiguous
-// replay ring of recent events, so reads are cursor-resumable: a
-// consumer that missed deliveries — long-poll over a lossy transport,
-// a slow push subscriber — re-reads from its cursor. Only when the
-// cursor has fallen off the ring does the consumer see a gap.
+// replica relay) and its consumers. It keeps the most recent events in
+// a fixed circular replay ring and has one consumer path: a cursor read
+// (ReadSince) plus a wake-up channel (WaitChan). The consumer owns its
+// cursor, so a read that was lost — a dropped response, a reconnect —
+// is simply repeated from the same position. Only when the cursor has
+// fallen off the ring does the consumer see a gap.
 type Feed struct {
 	mu     sync.Mutex
-	reg    *metrics.Registry
-	ring   []Event // events [start, next), contiguous
-	cap    int
-	start  uint64
+	ring   []Event // circular: event seq lives at ring[seq%len(ring)]
+	start  uint64  // the ring holds events [start, next)
 	next   uint64
-	wake   chan struct{} // closed and replaced on every publish
+	wake   chan struct{} // what waiters block on; nil while nobody waits
 	closed bool
 
-	pushSubs map[uint64]*Sub
-	polls    map[uint64]*pollSub
-	nextID   uint64
-
-	subscribers *metrics.Gauge
-	published   *metrics.Counter
-	dropped     *metrics.Counter
-	lagStreams  map[string]bool
+	published *metrics.Counter
 }
 
-// NewFeed returns a feed with a replay ring of ringSize events, metered
-// through reg (nil means a private registry).
+// NewFeed returns a feed with a replay ring of ringSize events, counting
+// live.events in reg (nil means a private registry).
 func NewFeed(reg *metrics.Registry, ringSize int) *Feed {
 	if reg == nil {
 		reg = metrics.NewRegistry()
@@ -89,22 +33,11 @@ func NewFeed(reg *metrics.Registry, ringSize int) *Feed {
 	if ringSize <= 0 {
 		ringSize = 1 << 16
 	}
-	f := &Feed{
-		reg:        reg,
-		cap:        ringSize,
-		wake:       make(chan struct{}),
-		pushSubs:   map[uint64]*Sub{},
-		polls:      map[uint64]*pollSub{},
-		lagStreams: map[string]bool{},
+	return &Feed{
+		ring:      make([]Event, ringSize),
+		published: reg.Counter("live.events"),
 	}
-	f.subscribers = reg.Gauge("live.subscribers")
-	f.published = reg.Counter("live.events")
-	f.dropped = reg.Counter("live.events_dropped")
-	return f
 }
-
-// Registry returns the metrics registry the feed reports into.
-func (f *Feed) Registry() *metrics.Registry { return f.reg }
 
 // Seq returns the next sequence number to be assigned — the cursor a
 // new consumer starts from to see only future events.
@@ -114,62 +47,39 @@ func (f *Feed) Seq() uint64 {
 	return f.next
 }
 
-// Publish appends one event to the feed, assigns its sequence number,
-// and delivers it to matching push subscribers.
+// Publish assigns the event its sequence number, stores it in the ring
+// (overwriting the oldest once the ring is full) and wakes waiters.
 func (f *Feed) Publish(ev Event) uint64 {
 	f.mu.Lock()
+	defer f.mu.Unlock()
 	if f.closed {
-		f.mu.Unlock()
 		return f.next
 	}
 	ev.Seq = f.next
+	f.ring[ev.Seq%uint64(len(f.ring))] = ev
 	f.next++
-	f.ring = append(f.ring, ev)
-	if len(f.ring) > f.cap {
-		trim := len(f.ring) - f.cap
-		f.ring = append(f.ring[:0:0], f.ring[trim:]...)
-		f.start += uint64(trim)
+	if f.next-f.start > uint64(len(f.ring)) {
+		f.start++
 	}
 	f.published.Inc()
-
-	for _, s := range f.pushSubs {
-		if !Match(s.Stream, s.Chain, ev) {
-			continue
-		}
-		for {
-			select {
-			case s.C <- ev:
-			default:
-				// Buffer full: drop the oldest buffered event and retry,
-				// so the subscriber keeps up with the present at the cost
-				// of a gap it can detect (and replay via ReadSince).
-				select {
-				case <-s.C:
-					s.dropped++
-					f.dropped.Inc()
-				default:
-				}
-				continue
-			}
-			break
-		}
-	}
-
-	// Sweep poll cursors nobody has queried in a long time.
-	now := time.Now()
-	for id, p := range f.polls {
-		if now.Sub(p.lastSeen) > pollIdleTimeout {
-			delete(f.polls, id)
-			f.subscribers.Add(-1)
-		}
-	}
-
-	wake := f.wake
-	f.wake = make(chan struct{})
-	f.mu.Unlock()
-	close(wake)
+	f.wakeLocked()
 	return ev.Seq
 }
+
+// wakeLocked releases everyone blocked on the current wake channel.
+func (f *Feed) wakeLocked() {
+	if f.wake != nil {
+		close(f.wake)
+		f.wake = nil
+	}
+}
+
+// ready is what WaitChan returns when there is nothing to wait for.
+var ready = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
 
 // WaitChan returns a channel that is closed once an event at or past
 // cursor exists (immediately if one already does, or the feed closed).
@@ -177,9 +87,10 @@ func (f *Feed) WaitChan(cursor uint64) <-chan struct{} {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.next > cursor || f.closed {
-		done := make(chan struct{})
-		close(done)
-		return done
+		return ready
+	}
+	if f.wake == nil {
+		f.wake = make(chan struct{})
 	}
 	return f.wake
 }
@@ -199,7 +110,7 @@ func (f *Feed) ReadSince(stream, chain string, cursor uint64, max int) (events [
 	}
 	next = cursor
 	for next < f.next && len(events) < max {
-		ev := f.ring[next-f.start]
+		ev := f.ring[next%uint64(len(f.ring))]
 		next++
 		if Match(stream, chain, ev) {
 			events = append(events, ev)
@@ -208,141 +119,10 @@ func (f *Feed) ReadSince(stream, chain string, cursor uint64, max int) (events [
 	return events, next, gap
 }
 
-// SubscribePoll registers a server-side cursor for a long-poll client
-// and returns its id. from picks the starting cursor (nil means "now").
-func (f *Feed) SubscribePoll(stream, chain string, from *uint64) (id, cursor uint64) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.nextID++
-	id = f.nextID
-	cursor = f.next
-	if from != nil {
-		cursor = *from
-	}
-	f.polls[id] = &pollSub{stream: stream, chain: chain, cursor: cursor, lastSeen: time.Now()}
-	f.subscribers.Add(1)
-	f.ensureLagGauge(stream)
-	return id, cursor
-}
-
-// Poll advances a poll subscription: up to max matching events from its
-// cursor, the new cursor, whether a gap was skipped, and the lag still
-// buffered behind it. ok is false when the id is unknown (expired or
-// never subscribed).
-func (f *Feed) Poll(id uint64, max int) (events []Event, cursor uint64, gap bool, lag uint64, ok bool) {
-	f.mu.Lock()
-	p, ok := f.polls[id]
-	if !ok {
-		f.mu.Unlock()
-		return nil, 0, false, 0, false
-	}
-	stream, chain, cur := p.stream, p.chain, p.cursor
-	p.lastSeen = time.Now()
-	f.mu.Unlock()
-
-	events, cursor, gap = f.ReadSince(stream, chain, cur, max)
-
-	f.mu.Lock()
-	if p2, still := f.polls[id]; still {
-		p2.cursor = cursor
-		p2.lastSeen = time.Now()
-	}
-	if f.next > cursor {
-		lag = f.next - cursor
-	}
-	f.mu.Unlock()
-	return events, cursor, gap, lag, true
-}
-
-// Unsubscribe drops a poll subscription. It reports whether the id was
-// live.
-func (f *Feed) Unsubscribe(id uint64) bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if _, ok := f.polls[id]; !ok {
-		return false
-	}
-	delete(f.polls, id)
-	f.subscribers.Add(-1)
-	return true
-}
-
-// SubscribePush attaches a push subscription with the given buffer
-// size, delivering from "now".
-func (f *Feed) SubscribePush(stream, chain string, buffer int) *Sub {
-	if buffer <= 0 {
-		buffer = 64
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.nextID++
-	s := &Sub{ID: f.nextID, Stream: stream, Chain: chain, C: make(chan Event, buffer), feed: f}
-	f.pushSubs[s.ID] = s
-	f.subscribers.Add(1)
-	f.ensureLagGauge(stream)
-	return s
-}
-
-func (f *Feed) closePush(id uint64) {
-	f.mu.Lock()
-	s, ok := f.pushSubs[id]
-	if ok {
-		delete(f.pushSubs, id)
-		f.subscribers.Add(-1)
-	}
-	f.mu.Unlock()
-	if ok {
-		close(s.C)
-	}
-}
-
-// ensureLagGauge registers live.<stream>.lag on first subscription to a
-// stream: the worst backlog (events published but not yet consumed)
-// across that stream's subscribers. Caller holds f.mu.
-func (f *Feed) ensureLagGauge(stream string) {
-	if f.lagStreams[stream] {
-		return
-	}
-	f.lagStreams[stream] = true
-	f.reg.GaugeFunc("live."+stream+".lag", func() float64 {
-		f.mu.Lock()
-		defer f.mu.Unlock()
-		var worst uint64
-		for _, p := range f.polls {
-			if p.stream == stream && f.next > p.cursor && f.next-p.cursor > worst {
-				worst = f.next - p.cursor
-			}
-		}
-		for _, s := range f.pushSubs {
-			if s.Stream == stream && uint64(len(s.C)) > worst {
-				worst = uint64(len(s.C))
-			}
-		}
-		return float64(worst)
-	})
-}
-
-// Close ends the feed: future publishes are no-ops, waiters wake, and
-// push channels close.
+// Close ends the feed: future publishes are no-ops and waiters wake.
 func (f *Feed) Close() {
 	f.mu.Lock()
-	if f.closed {
-		f.mu.Unlock()
-		return
-	}
+	defer f.mu.Unlock()
 	f.closed = true
-	wake := f.wake
-	f.wake = make(chan struct{})
-	subs := make([]*Sub, 0, len(f.pushSubs))
-	for _, s := range f.pushSubs {
-		subs = append(subs, s)
-	}
-	f.pushSubs = map[uint64]*Sub{}
-	f.subscribers.Add(-int64(len(subs) + len(f.polls)))
-	f.polls = map[uint64]*pollSub{}
-	f.mu.Unlock()
-	close(wake)
-	for _, s := range subs {
-		close(s.C)
-	}
+	f.wakeLocked()
 }

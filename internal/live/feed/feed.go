@@ -2,14 +2,12 @@
 // wire-codable Event model carrying exactly what the engine's
 // day-barrier observer delivery carries (heads with their mined
 // transactions, per-day economics), in the same total order, plus the
-// Feed broker — a bounded replay ring with cursor-resumable reads
-// (long-poll) and push subscriptions with a drop-oldest policy for slow
-// subscribers, metered through internal/metrics.
+// Feed broker — a bounded circular replay ring read by cursor, metered
+// through internal/metrics.
 //
 // It is deliberately a leaf package (no internal/export dependency) so
 // the RPC serving layer can import it; the analyzer that turns events
-// into observables and byte-exact CSVs lives one level up in
-// internal/live.
+// into observables lives one level up in internal/live.
 package feed
 
 import (

@@ -67,10 +67,11 @@ func diffLine(a, b []byte) string {
 	return fmt.Sprintf("lengths %d vs %d lines", len(la), len(lb))
 }
 
-// TestInProcessConvergence attaches both the batch Recorder and the
-// live analyzer to the same engine and asserts the streamed CSV tables
-// are byte-identical to the batch export — at parallelism 1 and N.
+// TestInProcessConvergence attaches the live analyzer to the engine as
+// an observer and asserts its snapshot covers every partition and is the
+// same at parallelism 1 and N.
 func TestInProcessConvergence(t *testing.T) {
+	var serial *Snapshot
 	for _, par := range []int{1, 4} {
 		t.Run(fmt.Sprintf("parallelism=%d", par), func(t *testing.T) {
 			sc := threePartScenario(11, 3, par)
@@ -78,27 +79,17 @@ func TestInProcessConvergence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rec := &export.Recorder{}
 			an := NewAnalyzer(sc.Epoch, Options{})
-			eng.AddObserver(rec)
 			eng.AddObserver(an)
 			if err := eng.Run(); err != nil {
 				t.Fatal(err)
 			}
-			if len(rec.Blocks) == 0 || len(rec.Txs) == 0 || len(rec.Days) == 0 {
-				t.Fatal("recorder captured nothing")
-			}
-			wb, wx, wd := batchCSVs(t, rec)
-			if got := an.BlocksCSV(); !bytes.Equal(got, wb) {
-				t.Errorf("blocks diverge: %s", diffLine(got, wb))
-			}
-			if got := an.TxsCSV(); !bytes.Equal(got, wx) {
-				t.Errorf("txs diverge: %s", diffLine(got, wx))
-			}
-			if got := an.DaysCSV(); !bytes.Equal(got, wd) {
-				t.Errorf("days diverge: %s", diffLine(got, wd))
-			}
 			snap := an.Snapshot()
+			if serial == nil {
+				serial = &snap
+			} else if !reflect.DeepEqual(snap, *serial) {
+				t.Errorf("snapshot diverges from the serial run's:\n serial   %+v\n parallel %+v", *serial, snap)
+			}
 			if len(snap.Chains) != 3 {
 				t.Fatalf("snapshot chains = %d", len(snap.Chains))
 			}
@@ -120,8 +111,10 @@ func TestInProcessConvergence(t *testing.T) {
 }
 
 // TestWireRoundTripConvergence pushes every event through a JSON
-// marshal/unmarshal cycle — the wire — into a second analyzer, and
-// asserts it converges byte-identically with the in-process one.
+// marshal/unmarshal cycle — the wire — into a second analyzer with a
+// Recorder beside it, following the feed by cursor while the engine
+// runs, and asserts the follower's tables are byte-identical to the
+// in-process Recorder's.
 func TestWireRoundTripConvergence(t *testing.T) {
 	sc := threePartScenario(12, 2, 2)
 	eng, err := sim.New(sc)
@@ -133,31 +126,40 @@ func TestWireRoundTripConvergence(t *testing.T) {
 	eng.AddObserver(rec)
 	eng.AddObserver(plane)
 
-	sub := plane.Feed.SubscribePush(feed.StreamEvents, "", 1<<20)
 	remote := NewAnalyzer(sc.Epoch, Options{})
+	remoteRec := &export.Recorder{}
 	done := make(chan error, 1)
 	go func() {
-		for ev := range sub.C {
-			raw, err := json.Marshal(ev)
-			if err != nil {
-				done <- err
+		var cursor uint64
+		for {
+			<-plane.Feed.WaitChan(cursor)
+			evs, next, gap := plane.Feed.ReadSince(feed.StreamEvents, "", cursor, 0)
+			if gap {
+				done <- fmt.Errorf("cursor %d fell off the replay ring", cursor)
 				return
 			}
-			var wire feed.Event
-			if err := json.Unmarshal(raw, &wire); err != nil {
-				done <- err
-				return
+			for _, ev := range evs {
+				raw, err := json.Marshal(ev)
+				if err != nil {
+					done <- err
+					return
+				}
+				var wire feed.Event
+				if err := json.Unmarshal(raw, &wire); err != nil {
+					done <- err
+					return
+				}
+				if err := remote.Apply(wire, remoteRec); err != nil {
+					done <- err
+					return
+				}
+				if ev.Kind == feed.KindEOF {
+					done <- nil
+					return
+				}
 			}
-			if err := remote.Apply(wire); err != nil {
-				done <- err
-				return
-			}
-			if wire.Kind == feed.KindEOF {
-				done <- nil
-				return
-			}
+			cursor = next
 		}
-		done <- fmt.Errorf("feed closed before EOF")
 	}()
 
 	if err := eng.Run(); err != nil {
@@ -167,18 +169,16 @@ func TestWireRoundTripConvergence(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	if sub.Dropped() != 0 {
-		t.Fatalf("events dropped on an unbounded-enough buffer: %d", sub.Dropped())
-	}
 
 	wb, wx, wd := batchCSVs(t, rec)
+	gb, gx, gd := batchCSVs(t, remoteRec)
 	for _, cmp := range []struct {
 		name      string
 		got, want []byte
 	}{
-		{"blocks", remote.BlocksCSV(), wb},
-		{"txs", remote.TxsCSV(), wx},
-		{"days", remote.DaysCSV(), wd},
+		{"blocks", gb, wb},
+		{"txs", gx, wx},
+		{"days", gd, wd},
 	} {
 		if !bytes.Equal(cmp.got, cmp.want) {
 			t.Errorf("%s diverge over the wire: %s", cmp.name, diffLine(cmp.got, cmp.want))
@@ -315,6 +315,7 @@ func TestApplyRejectsMalformedEvents(t *testing.T) {
 		return ev
 	}
 	an := NewAnalyzer(0, Options{})
+	rec := &export.Recorder{}
 	for name, ev := range map[string]feed.Event{
 		"negative head day":  headOn(-1, 10),
 		"huge head day":      headOn(feed.MaxDay+1, 10),
@@ -329,20 +330,23 @@ func TestApplyRejectsMalformedEvents(t *testing.T) {
 		"non-hex sender":     head("1", addr, hash, "0x"+strings.Repeat("zz", types.AddressLength)),
 		"day hex difficulty": day("1e9"),
 	} {
-		if err := an.Apply(ev); err == nil {
+		if err := an.Apply(ev, rec); err == nil {
 			t.Errorf("%s: applied without error", name)
 		}
 	}
 	if got := an.Snapshot(); !reflect.DeepEqual(got, NewAnalyzer(0, Options{}).Snapshot()) {
 		t.Errorf("rejected events changed the analyzer: %+v", got)
 	}
-	if got, want := an.BlocksCSV(), NewAnalyzer(0, Options{}).BlocksCSV(); !bytes.Equal(got, want) {
-		t.Errorf("rejected events reached the block table:\n%s", got)
+	if len(rec.Blocks)+len(rec.Txs)+len(rec.Days) != 0 {
+		t.Errorf("rejected events reached the recorder: %d blocks, %d txs, %d days", len(rec.Blocks), len(rec.Txs), len(rec.Days))
 	}
 	for _, ev := range []feed.Event{head("1", addr, hash, addr), day("1"), headOn(feed.MaxDay, 10), dayOn(feed.MaxDay)} {
-		if err := an.Apply(ev); err != nil {
+		if err := an.Apply(ev, rec); err != nil {
 			t.Errorf("well-formed %s event rejected: %v", ev.Kind, err)
 		}
+	}
+	if len(rec.Blocks) != 2 || len(rec.Txs) != 2 || len(rec.Days) != 2 {
+		t.Errorf("well-formed events reached the recorder as %d blocks, %d txs, %d days", len(rec.Blocks), len(rec.Txs), len(rec.Days))
 	}
 }
 

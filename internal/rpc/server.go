@@ -154,6 +154,8 @@ func NewServer(cfg ServerConfig) *Server {
 	s.reg.Counter("rpc.hedged")
 	s.reg.Gauge("serve.degraded").Set(0)
 	s.reg.Gauge("sync.lag_blocks").Set(0)
+	// live.subscribers counts open /<route>/stream connections (subs.go).
+	s.reg.Gauge("live.subscribers").Set(0)
 	for i := 0; i < cfg.Workers; i++ {
 		s.wg.Add(1)
 		go s.worker()

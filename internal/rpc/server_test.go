@@ -655,6 +655,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"rpc.eth.eth_blockNumber.latency",
 		"storage.eth.reads",
 		"storage.etc.reads",
+		"live.subscribers",
 	} {
 		if _, ok := snap[key]; !ok {
 			t.Errorf("metrics snapshot missing %q", key)

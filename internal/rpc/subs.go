@@ -1,14 +1,13 @@
-// Subscription and live-measurement RPC: the fork_live* namespace and
-// the fork_subscribe family, backed by a feed.Feed attached to the
-// route's backend. Two transports share the feed's cursor-resumable
-// reads:
+// Live-measurement RPC: the fork_live* namespace, backed by a feed.Feed
+// attached to the route's backend. Both transports are loops over the
+// feed's one read path, the cursor read:
 //
-//   - long-poll: fork_subscribe registers a server-side cursor;
-//     fork_pollSubscription advances it, optionally waiting briefly for
-//     new events. Polls are plain POST calls, so they survive lossy
-//     transports — a dropped response is just re-polled, and the cursor
-//     guarantees no event is missed until it falls off the replay ring
-//     (which the client sees as an explicit gap flag).
+//   - stateless poll: fork_liveEvents(stream, cursor[, max]) returns a
+//     page and the cursor to resume from. The client owns the cursor, so
+//     every call is idempotent — a dropped response is just asked again,
+//     and no event is missed until the cursor falls off the replay ring
+//     (which the client sees as an explicit gap flag). A poller sleeps
+//     between empty pages.
 //   - persistent streams: GET /<route>/stream holds the connection open
 //     and pushes newline-delimited JSON notifications as events arrive
 //     (the WebSocket-style transport, without a WebSocket dependency).
@@ -24,13 +23,12 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"time"
 
 	"forkwatch/internal/live/feed"
 )
 
-// LiveSource is what a backend needs to answer live/subscription
-// methods: the event feed and a snapshot source for fork_liveSnapshot.
+// LiveSource is what a backend needs to answer the live methods: the
+// event feed and a snapshot source for fork_liveSnapshot.
 type LiveSource struct {
 	Feed     *feed.Feed
 	Snapshot func() any
@@ -45,27 +43,16 @@ func (b *Backend) Live() *LiveSource { return b.live }
 
 // uncacheable marks methods the server must not cache or breaker-gate.
 var uncacheable = map[string]bool{
-	"fork_subscribe":        true,
-	"fork_unsubscribe":      true,
-	"fork_pollSubscription": true,
-	"fork_liveEvents":       true,
-	"fork_liveSnapshot":     true,
+	"fork_liveEvents":   true,
+	"fork_liveSnapshot": true,
 }
 
 func init() {
-	methods["fork_subscribe"] = forkSubscribe
-	methods["fork_unsubscribe"] = forkUnsubscribe
-	methods["fork_pollSubscription"] = forkPollSubscription
 	methods["fork_liveEvents"] = forkLiveEvents
 	methods["fork_liveSnapshot"] = forkLiveSnapshot
 }
 
-// maxPollWait caps how long fork_pollSubscription may hold a worker
-// waiting for events. Long-poll clients loop; the cap keeps a crowd of
-// idle subscribers from starving the worker pool.
-const maxPollWait = 250 * time.Millisecond
-
-// maxPollBatch caps the events returned per poll/read.
+// maxPollBatch caps the events returned per read.
 const maxPollBatch = 4096
 
 func liveFor(b *Backend) (*LiveSource, *Error) {
@@ -85,124 +72,12 @@ func liveChainFilter(b *Backend, stream string) string {
 	return ""
 }
 
-// subscribeResult is the fork_subscribe payload.
-type subscribeResult struct {
-	Subscription string `json:"subscription"`
-	Stream       string `json:"stream"`
-	Cursor       uint64 `json:"cursor"`
-}
-
-// forkSubscribe registers a long-poll subscription:
-// params [stream, optional fromCursor]. The returned cursor is where
-// the subscription starts (now, unless fromCursor rewinds it).
-func forkSubscribe(_ context.Context, b *Backend, params []json.RawMessage) (any, *Error) {
-	src, rpcErr := liveFor(b)
-	if rpcErr != nil {
-		return nil, rpcErr
-	}
-	if len(params) < 1 || len(params) > 2 {
-		return nil, Errf(ErrCodeInvalidParams, "fork_subscribe takes (stream[, fromCursor])")
-	}
-	var stream string
-	if err := decodeParam(params[0], &stream, "stream"); err != nil {
-		return nil, err
-	}
-	if !feed.ValidStream(stream) {
-		return nil, Errf(ErrCodeInvalidParams, "unknown stream %q", stream)
-	}
-	var from *uint64
-	if len(params) == 2 {
-		var v uint64
-		if err := decodeParam(params[1], &v, "fromCursor"); err != nil {
-			return nil, err
-		}
-		from = &v
-	}
-	id, cursor := src.Feed.SubscribePoll(stream, liveChainFilter(b, stream), from)
-	return subscribeResult{Subscription: encUint(id), Stream: stream, Cursor: cursor}, nil
-}
-
-// forkUnsubscribe drops a subscription: params [subscriptionID].
-func forkUnsubscribe(_ context.Context, b *Backend, params []json.RawMessage) (any, *Error) {
-	src, rpcErr := liveFor(b)
-	if rpcErr != nil {
-		return nil, rpcErr
-	}
-	if err := needParams(params, 1, "fork_unsubscribe(subscription)"); err != nil {
-		return nil, err
-	}
-	id, err := parseQuantity(params[0], "subscription")
-	if err != nil {
-		return nil, err
-	}
-	return src.Feed.Unsubscribe(id), nil
-}
-
-// pollResult is the fork_pollSubscription / fork_liveEvents payload.
+// pollResult is the fork_liveEvents payload.
 type pollResult struct {
 	Events []feed.Event `json:"events"`
 	Cursor uint64       `json:"cursor"`
 	Gap    bool         `json:"gap"`
-	Lag    uint64       `json:"lag,omitempty"`
 	Seq    uint64       `json:"seq,omitempty"`
-}
-
-// forkPollSubscription advances a subscription's cursor:
-// params [subscriptionID, optional max, optional waitMs]. With waitMs
-// it long-polls — briefly (capped server-side) — when no event is
-// pending.
-func forkPollSubscription(ctx context.Context, b *Backend, params []json.RawMessage) (any, *Error) {
-	src, rpcErr := liveFor(b)
-	if rpcErr != nil {
-		return nil, rpcErr
-	}
-	if len(params) < 1 || len(params) > 3 {
-		return nil, Errf(ErrCodeInvalidParams, "fork_pollSubscription takes (subscription[, max[, waitMs]])")
-	}
-	id, err := parseQuantity(params[0], "subscription")
-	if err != nil {
-		return nil, err
-	}
-	max := 0
-	if len(params) >= 2 {
-		if err := decodeParam(params[1], &max, "max"); err != nil {
-			return nil, err
-		}
-	}
-	if max <= 0 || max > maxPollBatch {
-		max = maxPollBatch
-	}
-	waitMs := 0
-	if len(params) == 3 {
-		if err := decodeParam(params[2], &waitMs, "waitMs"); err != nil {
-			return nil, err
-		}
-	}
-	events, cursor, gap, lag, ok := src.Feed.Poll(id, max)
-	if !ok {
-		return nil, Errf(ErrCodeNotFound, "unknown subscription %s (expired?)", encUint(id))
-	}
-	if len(events) == 0 && waitMs > 0 {
-		wait := time.Duration(waitMs) * time.Millisecond
-		if wait > maxPollWait {
-			wait = maxPollWait
-		}
-		timer := time.NewTimer(wait)
-		select {
-		case <-src.Feed.WaitChan(cursor):
-		case <-timer.C:
-		case <-ctx.Done():
-		}
-		timer.Stop()
-		events, cursor, gap, lag, ok = src.Feed.Poll(id, max)
-		if !ok {
-			return nil, Errf(ErrCodeNotFound, "unknown subscription %s (expired?)", encUint(id))
-		}
-	}
-	if events == nil {
-		events = []feed.Event{}
-	}
-	return pollResult{Events: events, Cursor: cursor, Gap: gap, Lag: lag}, nil
 }
 
 // forkLiveEvents is the stateless read: params [stream, cursor,
@@ -320,7 +195,7 @@ func (s *Server) serveStream(w http.ResponseWriter, r *http.Request, route strin
 	}
 	chainFilter := liveChainFilter(be, stream)
 
-	subs := s.reg.Gauge("feed.subscribers")
+	subs := s.reg.Gauge("live.subscribers")
 	subs.Add(1)
 	defer subs.Add(-1)
 	s.reg.Counter("rpc." + route + ".streams").Inc()

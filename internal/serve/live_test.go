@@ -58,12 +58,30 @@ func batchTables(t *testing.T, rec *export.Recorder) (blocks, txs, days []byte) 
 	return b.Bytes(), x.Bytes(), d.Bytes()
 }
 
+// follower is the consuming end of a transport: the streaming analyzer
+// and, fed the same decoded events, the batch exporter's recorder. wire
+// keeps what arrived, for comparing transports.
+type follower struct {
+	an   *live.Analyzer
+	rec  export.Recorder
+	wire []feed.Event
+}
+
+func newFollower(epoch uint64) *follower {
+	return &follower{an: live.NewAnalyzer(epoch, live.Options{})}
+}
+
+func (f *follower) apply(ev feed.Event) error {
+	f.wire = append(f.wire, ev)
+	return f.an.Apply(ev, &f.rec)
+}
+
 // pollFollower replays the archive's event feed through the stateless
-// fork_liveEvents read into a local analyzer until the run's EOF
+// fork_liveEvents read into a local follower until the run's EOF
 // marker. Transport errors are retried from the same cursor — the call
 // is idempotent, which is the whole point of the stateless read — so it
 // converges even over a lossy wire.
-func pollFollower(client *http.Client, url string, an *live.Analyzer, deadline time.Time) error {
+func pollFollower(client *http.Client, url string, fo *follower, deadline time.Time) error {
 	cursor := uint64(0)
 	id := 0
 	for {
@@ -102,7 +120,7 @@ func pollFollower(client *http.Client, url string, an *live.Analyzer, deadline t
 			return fmt.Errorf("cursor %d fell off the replay ring", cursor)
 		}
 		for _, ev := range envelope.Result.Events {
-			if err := an.Apply(ev); err != nil {
+			if err := fo.apply(ev); err != nil {
 				return err
 			}
 			if ev.Kind == feed.KindEOF {
@@ -117,8 +135,8 @@ func pollFollower(client *http.Client, url string, an *live.Analyzer, deadline t
 }
 
 // streamFollower consumes the persistent NDJSON transport at
-// GET /<route>/stream into a local analyzer until EOF.
-func streamFollower(routeURL string, an *live.Analyzer) error {
+// GET /<route>/stream into a local follower until EOF.
+func streamFollower(routeURL string, fo *follower) error {
 	resp, err := http.Get(routeURL + "/stream?stream=events&cursor=0")
 	if err != nil {
 		return err
@@ -149,7 +167,7 @@ func streamFollower(routeURL string, an *live.Analyzer) error {
 		if note.Params.Event == nil {
 			continue
 		}
-		if err := an.Apply(*note.Params.Event); err != nil {
+		if err := fo.apply(*note.Params.Event); err != nil {
 			return err
 		}
 		if note.Params.Event.Kind == feed.KindEOF {
@@ -161,18 +179,19 @@ func streamFollower(routeURL string, an *live.Analyzer) error {
 
 // checkConverged asserts a follower's three CSV tables are
 // byte-identical to the batch export.
-func checkConverged(t *testing.T, name string, an *live.Analyzer, wb, wx, wd []byte) {
+func checkConverged(t *testing.T, name string, fo *follower, wb, wx, wd []byte) {
 	t.Helper()
-	if got := an.BlocksCSV(); !bytes.Equal(got, wb) {
-		t.Errorf("%s: blocks diverge (%d vs %d bytes)", name, len(got), len(wb))
+	gb, gx, gd := batchTables(t, &fo.rec)
+	if !bytes.Equal(gb, wb) {
+		t.Errorf("%s: blocks diverge (%d vs %d bytes)", name, len(gb), len(wb))
 	}
-	if got := an.TxsCSV(); !bytes.Equal(got, wx) {
-		t.Errorf("%s: txs diverge (%d vs %d bytes)", name, len(got), len(wx))
+	if !bytes.Equal(gx, wx) {
+		t.Errorf("%s: txs diverge (%d vs %d bytes)", name, len(gx), len(wx))
 	}
-	if got := an.DaysCSV(); !bytes.Equal(got, wd) {
-		t.Errorf("%s: days diverge (%d vs %d bytes)", name, len(got), len(wd))
+	if !bytes.Equal(gd, wd) {
+		t.Errorf("%s: days diverge (%d vs %d bytes)", name, len(gd), len(wd))
 	}
-	if !an.Snapshot().Complete {
+	if !fo.an.Snapshot().Complete {
 		t.Errorf("%s: analyzer missed EOF", name)
 	}
 }
@@ -199,8 +218,8 @@ func TestLiveConvergenceOverRPC(t *testing.T) {
 			rec := &export.Recorder{}
 			res.Engine.AddObserver(rec)
 
-			polled := live.NewAnalyzer(sc.Epoch, live.Options{})
-			streamed := live.NewAnalyzer(sc.Epoch, live.Options{})
+			polled := newFollower(sc.Epoch)
+			streamed := newFollower(sc.Epoch)
 			deadline := time.Now().Add(60 * time.Second)
 			client := &http.Client{Timeout: 5 * time.Second}
 			errs := make(chan error, 2)
@@ -243,6 +262,63 @@ func TestLiveConvergenceOverRPC(t *testing.T) {
 	}
 }
 
+// TestLiveTransportsAgree reads one finished BuildLive run from cursor 0
+// to EOF through both transports and requires the identical event
+// sequence — same sequence numbers, same payloads, and all of the feed.
+// The server-side subscription methods that used to be a third way in
+// answer method-not-found.
+func TestLiveTransportsAgree(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-fidelity live run")
+	}
+	sc := liveThreeWay(2)
+	res, run, err := BuildLive(sc, rpc.ServerConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(res.Server)
+	defer ts.Close()
+	defer res.Close()
+	if err := run(); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+
+	polled, streamed := newFollower(sc.Epoch), newFollower(sc.Epoch)
+	if err := pollFollower(http.DefaultClient, ts.URL+"/two", polled, time.Now().Add(60*time.Second)); err != nil {
+		t.Fatalf("poll: %v", err)
+	}
+	if err := streamFollower(ts.URL+"/two", streamed); err != nil {
+		t.Fatalf("stream: %v", err)
+	}
+	if n := res.Live.Feed.Seq(); uint64(len(polled.wire)) != n || polled.wire[n-1].Kind != feed.KindEOF {
+		t.Fatalf("polled %d events of a %d-event feed", len(polled.wire), n)
+	}
+	for i, ev := range polled.wire {
+		if ev.Seq != uint64(i) {
+			t.Fatalf("polled event %d has seq %d", i, ev.Seq)
+		}
+	}
+	got, _ := json.Marshal(streamed.wire)
+	want, _ := json.Marshal(polled.wire)
+	if !bytes.Equal(got, want) {
+		t.Errorf("stream delivered %d events (%d bytes), poll %d events (%d bytes)", len(streamed.wire), len(got), len(polled.wire), len(want))
+	}
+
+	for method, params := range map[string]string{
+		"fork_subscribe":        `["events",0]`,
+		"fork_unsubscribe":      `["0x1"]`,
+		"fork_pollSubscription": `["0x1",4096]`,
+	} {
+		raw := post(t, res.Server, "/two", fmt.Sprintf(`{"jsonrpc":"2.0","id":1,"method":%q,"params":%s}`, method, params))
+		var envelope struct {
+			Error *rpc.Error `json:"error"`
+		}
+		if err := json.Unmarshal(raw, &envelope); err != nil || envelope.Error == nil || envelope.Error.Code != rpc.ErrCodeMethodNotFound {
+			t.Errorf("%s: want error %d, got %s", method, rpc.ErrCodeMethodNotFound, raw)
+		}
+	}
+}
+
 // tcpDialer lets faultnet wrap real TCP connections.
 type tcpDialer struct{}
 
@@ -271,7 +347,7 @@ func TestChaosLiveSubscriptionLoss(t *testing.T) {
 	rec := &export.Recorder{}
 	res.Engine.AddObserver(rec)
 
-	remote := live.NewAnalyzer(sc.Epoch, live.Options{})
+	remote := newFollower(sc.Epoch)
 	deadline := time.Now().Add(90 * time.Second)
 	// Short timeout + no keep-alive: a dropped response costs one quick
 	// retry on a fresh connection instead of a wedged stream.

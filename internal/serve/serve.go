@@ -33,10 +33,10 @@ type Result struct {
 	Server *rpc.Server
 	Chains []ServedChain
 	Engine *sim.Engine
-	// Live is the measurement plane behind the fork_live*/subscription
-	// methods and /<route>/stream transports (every boot path attaches
-	// one; it feeds from the engine, an archive replay, or — on the
-	// replica tier — the follow loops).
+	// Live is the measurement plane behind the fork_live* methods and
+	// the /<route>/stream transport (every boot path attaches one; it
+	// feeds from the engine, an archive replay, or — on the replica
+	// tier — the follow loops).
 	Live *live.Plane
 	// stores are the stacks behind Chains when no engine owns them (Open,
 	// replicas).
@@ -62,8 +62,7 @@ func (r *Result) Ledger(name string) *sim.FullLedger {
 func (r *Result) Close() error {
 	r.Server.Drain()
 	if r.Live != nil {
-		// Wake long-poll waiters and close push channels so no follower
-		// blocks on a feed that will never publish again.
+		// Wake streams waiting on a feed that will never publish again.
 		r.Live.Feed.Close()
 	}
 	r.Server.Close()

@@ -181,13 +181,20 @@ func TestParsePartitionSpecs(t *testing.T) {
 }
 
 // TestStructHashratesMatchesLegacy pins the N-way structural schedule to
-// the legacy two-way Hashrates for the synthesised historical pair: the
+// the legacy two-way closed form (fork exit, rejoin, exogenous growth,
+// the Zcash event) for the synthesised historical pair: the
 // byte-identity of old seeds depends on it.
 func TestStructHashratesMatchesLegacy(t *testing.T) {
 	sc := NewScenario(42, 300)
 	specs := sc.PartitionSpecs()
 	for day := 0; day < 300; day++ {
-		eth, etc := sc.Hashrates(day)
+		d := float64(day)
+		etcShare := sc.ETCShareAtFork + sc.RejoinShare*(1-math.Exp(-d/sc.RejoinTauDays))
+		total := sc.TotalHashrate * math.Pow(1+sc.ETHGrowthPerDay, d)
+		if day >= sc.ZcashLaunchDay {
+			total *= 1 - sc.ZcashPull*math.Exp(-(d-float64(sc.ZcashLaunchDay))/sc.ZcashReturnTauDays)
+		}
+		eth, etc := total*(1-etcShare), total*etcShare
 		hr := sc.StructHashrates(day, specs)
 		if len(hr) != 2 {
 			t.Fatalf("day %d: %d partitions", day, len(hr))

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"math"
 	"math/big"
 	"runtime"
 	"strconv"
@@ -309,25 +308,6 @@ func (sc *Scenario) GenesisDifficulty() *big.Int {
 	d := sc.TotalHashrate * 14
 	bi, _ := big.NewFloat(d).Int(nil)
 	return bi
-}
-
-// Hashrates returns the (ETH, ETC) hashrate on the given day before
-// arbitrage adjustment: the structural schedule of fork exit, rejoin,
-// exogenous growth and the Zcash event.
-func (sc *Scenario) Hashrates(day int) (eth, etc float64) {
-	t := float64(day)
-	etcShare := sc.ETCShareAtFork
-	if sc.RejoinTauDays > 0 {
-		etcShare += sc.RejoinShare * (1 - math.Exp(-t/sc.RejoinTauDays))
-	}
-	growth := math.Pow(1+sc.ETHGrowthPerDay, t)
-	zcash := 1.0
-	if sc.ZcashLaunchDay > 0 && day >= sc.ZcashLaunchDay {
-		dt := t - float64(sc.ZcashLaunchDay)
-		zcash = 1 - sc.ZcashPull*math.Exp(-dt/sc.ZcashReturnTauDays)
-	}
-	total := sc.TotalHashrate * growth * zcash
-	return total * (1 - etcShare), total * etcShare
 }
 
 // DAOAddress returns the i-th DAO account address.

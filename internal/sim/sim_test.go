@@ -371,23 +371,28 @@ func TestEngineFullMode(t *testing.T) {
 
 func TestScenarioHashrates(t *testing.T) {
 	sc := NewScenario(1, 270)
-	eth0, etc0 := sc.Hashrates(0)
+	// hashrates is the historical pair's structural (ETH, ETC) schedule.
+	hashrates := func(day int) (eth, etc float64) {
+		hr := sc.StructHashrates(day, sc.PartitionSpecs())
+		return hr[0], hr[1]
+	}
+	eth0, etc0 := hashrates(0)
 	if etc0/(eth0+etc0) > 0.05 {
 		t.Errorf("day-0 ETC share too high: %v", etc0/(eth0+etc0))
 	}
 	// Rejoin raises the ETC share over two weeks.
-	_, etc14 := sc.Hashrates(14)
+	_, etc14 := hashrates(14)
 	if etc14 <= etc0 {
 		t.Error("ETC hashrate should rise as miners rejoin")
 	}
 	// Zcash launch dips the total.
-	ethBefore, etcBefore := sc.Hashrates(sc.ZcashLaunchDay - 1)
-	ethAfter, etcAfter := sc.Hashrates(sc.ZcashLaunchDay)
+	ethBefore, etcBefore := hashrates(sc.ZcashLaunchDay - 1)
+	ethAfter, etcAfter := hashrates(sc.ZcashLaunchDay)
 	if ethAfter+etcAfter >= ethBefore+etcBefore {
 		t.Error("Zcash launch should dip total hashrate")
 	}
 	// Long-run growth.
-	eth270, _ := sc.Hashrates(269)
+	eth270, _ := hashrates(269)
 	if eth270 < 5*eth0 {
 		t.Errorf("ETH hashrate should grow several-fold: %v -> %v", eth0, eth270)
 	}

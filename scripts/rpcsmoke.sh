@@ -111,31 +111,37 @@ for key in 'rpc.eth.eth_blockNumber.requests' 'rpc.etc.eth_blockNumber.requests'
 done
 echo "rpcsmoke: ok   /debug/metrics"
 
-# Subscription phase: the live measurement plane must answer on every
-# route — snapshot, subscribe/poll/unsubscribe round-trip (the archive
-# is complete, so a cursor-0 subscription replays the whole feed and
-# reaches the EOF marker), and the persistent NDJSON stream.
+# Live phase: the live measurement plane must answer on every route —
+# snapshot, a cursor read of the whole feed (the archive is complete, so
+# following fork_liveEvents' returned cursor from 0 reaches the EOF
+# marker), the persistent NDJSON stream — and the server-side
+# subscription methods are gone.
 for chain in eth etc; do
     call "$chain" fork_liveSnapshot '[]'
-    subresp="$(curl -sf -X POST -H 'Content-Type: application/json' \
-        -d '{"jsonrpc":"2.0","id":1,"method":"fork_subscribe","params":["events",0]}' "$BASE/$chain")"
-    subid="$(printf '%s' "$subresp" | sed -n 's/.*"subscription":"\(0x[0-9a-f]*\)".*/\1/p')"
-    [ -n "$subid" ] || { echo "rpcsmoke: FAIL $chain fork_subscribe: $subresp" >&2; exit 1; }
+    cursor=0
     seen_eof=""
     n=0
     while [ -z "$seen_eof" ] && [ "$n" -le 30 ]; do
-        pollresp="$(curl -sf -X POST -H 'Content-Type: application/json' \
-            -d "{\"jsonrpc\":\"2.0\",\"id\":1,\"method\":\"fork_pollSubscription\",\"params\":[\"$subid\",4096]}" \
+        page="$(curl -sf -X POST -H 'Content-Type: application/json' \
+            -d "{\"jsonrpc\":\"2.0\",\"id\":1,\"method\":\"fork_liveEvents\",\"params\":[\"events\",$cursor,4096]}" \
             "$BASE/$chain")"
-        case "$pollresp" in
-            *'"error"'*) echo "rpcsmoke: FAIL $chain fork_pollSubscription: $pollresp" >&2; exit 1 ;;
+        case "$page" in
+            *'"error"'*) echo "rpcsmoke: FAIL $chain fork_liveEvents: $page" >&2; exit 1 ;;
             *'"kind":"eof"'*) seen_eof=1 ;;
         esac
+        cursor="$(printf '%s' "$page" | sed -n 's/.*"cursor":\([0-9]*\).*/\1/p')"
+        [ -n "$cursor" ] || { echo "rpcsmoke: FAIL $chain fork_liveEvents returned no cursor: $page" >&2; exit 1; }
         n=$((n+1))
     done
-    [ -n "$seen_eof" ] || { echo "rpcsmoke: FAIL $chain subscription never reached EOF" >&2; exit 1; }
-    call "$chain" fork_unsubscribe "[\"$subid\"]"
-    echo "rpcsmoke: ok   $chain subscription replay to EOF"
+    [ -n "$seen_eof" ] || { echo "rpcsmoke: FAIL $chain feed replay never reached EOF" >&2; exit 1; }
+    echo "rpcsmoke: ok   $chain feed replay to EOF"
+
+    gone="$(curl -sf -X POST -H 'Content-Type: application/json' \
+        -d '{"jsonrpc":"2.0","id":1,"method":"fork_subscribe","params":["events",0]}' "$BASE/$chain")"
+    case "$gone" in
+        *'"code":-32601'*) echo "rpcsmoke: ok   $chain fork_subscribe is method-not-found" ;;
+        *) echo "rpcsmoke: FAIL $chain fork_subscribe still answers: $gone" >&2; exit 1 ;;
+    esac
 
     headline="$(curl -s --max-time 20 "$BASE/$chain/stream?stream=newHeads&cursor=0" | sed -n '2p')"
     case "$headline" in
@@ -145,7 +151,7 @@ for chain in eth etc; do
 done
 
 lmetrics="$(curl -sf "$BASE/debug/metrics")"
-for key in 'live.subscribers' 'live.events' 'live.events_dropped'; do
+for key in 'live.subscribers' 'live.events'; do
     case "$lmetrics" in
         *"$key"*) ;;
         *) echo "rpcsmoke: FAIL metrics snapshot missing $key" >&2; exit 1 ;;

@@ -1,12 +1,12 @@
 # forkwatch build/check entry points.
 #
 # `make test` is the tier-1 gate (what CI and the roadmap require).
-# `make check` is the full pre-merge battery: vet + build + race tests +
-# the benchmark module's own tests.
+# `make check` is the full pre-merge battery: gofmt + vet + build + race
+# tests + the benchmark module's own tests.
 
 GO ?= go
 
-.PHONY: all build test race vet partitionlint matrix check bench bench-selftest benchcmp profile fuzz chaos chaos-disk chaos-replica rpcsmoke live-smoke loadbench clean
+.PHONY: all build test race vet fmt partitionlint matrix check bench bench-selftest benchcmp profile fuzz chaos chaos-disk chaos-replica rpcsmoke live-smoke loadbench clean
 
 all: build
 
@@ -24,6 +24,11 @@ race:
 vet:
 	$(GO) vet ./...
 
+# Formatting gate: fails listing the files gofmt would rewrite (bench/ is
+# walked too; it is plain Go under the same tree).
+fmt:
+	@test -z "$$(gofmt -l .)" || { echo "gofmt needed:"; gofmt -l .; exit 1; }
+
 # Partition-registry guard: no non-test core code may hard-wire the
 # historical pair through "ETH"/"ETC" string literals (see
 # tools/partitionlint for the allowlist).
@@ -33,7 +38,7 @@ partitionlint:
 # bench/ is its own Go module, so `go build ./... && go test ./...` at the
 # root never compiles it: bench-selftest is what catches a rename in
 # db/sim/serve that breaks the benchmark.
-check: vet partitionlint build race bench-selftest
+check: fmt vet partitionlint build race bench-selftest
 
 # Scenario-matrix smoke: sweep the aligned/conflict/extreme grid crossed
 # with the pool behaviour models under the race detector, writing

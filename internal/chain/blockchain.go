@@ -67,6 +67,13 @@ type Blockchain struct {
 	canon      map[uint64]types.Hash
 	head       *Block
 	genesis    *Block
+
+	// headState is the state the block that last became head left behind,
+	// committed at headStateRoot: its account trie is still resident, so
+	// the head's child executes without re-reading the parent state from
+	// the store (takeState, keepState). Nil whenever there is none.
+	headState     *state.DB
+	headStateRoot types.Hash
 }
 
 // NewBlockchain creates a chain from genesis under the given rules, over a
@@ -345,6 +352,30 @@ func (bc *Blockchain) HeadState() (*state.DB, error) {
 	return bc.StateAt(bc.Head().Hash())
 }
 
+// takeState returns the state committed at root for a block to execute on:
+// the one the head left behind when that is it, otherwise (side-chain
+// parent, first block after a reorg, reopen or genesis) a cold open. A taken
+// state is gone from the chain, so a block that fails anywhere — bad body,
+// root mismatch, failed commit, crash — takes its half-executed state with
+// it; only keepState puts one back. Callers hold bc.mu.
+func (bc *Blockchain) takeState(root types.Hash) (*state.DB, error) {
+	if st := bc.headState; st != nil && bc.headStateRoot == root {
+		bc.headState = nil
+		if st.Error() == nil {
+			return st, nil
+		}
+	}
+	return state.New(root, bc.db)
+}
+
+// keepState hands the chain the state b's execution committed at root, once
+// writeBlock has returned: it is kept only if b became the head.
+func (bc *Blockchain) keepState(b *Block, st *state.DB, root types.Hash) {
+	if bc.head == b {
+		bc.headState, bc.headStateRoot = st, root
+	}
+}
+
 // InsertBlock validates and executes a block, extends the store, and
 // performs total-difficulty fork choice. It returns ErrKnownBlock for
 // duplicates and ErrUnknownParent when the parent has not arrived yet
@@ -370,8 +401,7 @@ func (bc *Blockchain) InsertBlock(b *Block) error {
 	}
 
 	// Execute on the parent's state.
-	parentRoot := bc.stateRoots[parent.Hash()]
-	st, err := state.New(parentRoot, bc.db)
+	st, err := bc.takeState(bc.stateRoots[parent.Hash()])
 	if err != nil {
 		return err
 	}
@@ -390,7 +420,11 @@ func (bc *Blockchain) InsertBlock(b *Block) error {
 		return fmt.Errorf("%w: receipt root %s, header %s", ErrInvalidBody, got, b.Header.ReceiptRoot)
 	}
 
-	return bc.writeBlock(b, receipts, root)
+	if err := bc.writeBlock(b, receipts, root); err != nil {
+		return err
+	}
+	bc.keepState(b, st, root)
+	return nil
 }
 
 // writeBlock persists an executed block whose parent is known — records, tx
@@ -414,19 +448,17 @@ func (bc *Blockchain) writeBlock(b *Block, receipts []*Receipt, root types.Hash)
 	bc.store.PutBlockTxIndices(wb, b)
 
 	newHead := td.Cmp(bc.tds[bc.head.Hash()]) > 0
-	var updates map[uint64]types.Hash
+	var updates []*Block
 	var stale []uint64
 	if newHead {
 		updates, stale = bc.canonDelta(b)
-		for n, h := range updates {
-			bc.store.PutCanon(wb, n, h)
+		for _, u := range updates {
+			bc.store.PutCanon(wb, u.Number(), u.Hash())
 			// A reorg adopts previously side-chain blocks: repoint their
 			// transactions' lookup entries at the now-canonical copies so
 			// the index always resolves along the canonical chain.
-			if h != hash {
-				if adopted, ok := bc.blocks[h]; ok {
-					bc.store.PutBlockTxIndices(wb, adopted)
-				}
+			if u != b {
+				bc.store.PutBlockTxIndices(wb, u)
 			}
 		}
 		for _, n := range stale {
@@ -446,8 +478,8 @@ func (bc *Blockchain) writeBlock(b *Block, receipts []*Receipt, root types.Hash)
 	bc.stateRoots[hash] = root
 	bc.tds[hash] = td
 	if newHead {
-		for n, h := range updates {
-			bc.canon[n] = h
+		for _, u := range updates {
+			bc.canon[u.Number()] = u.Hash()
 		}
 		for _, n := range stale {
 			delete(bc.canon, n)
@@ -461,20 +493,19 @@ func (bc *Blockchain) writeBlock(b *Block, receipts []*Receipt, root types.Hash)
 }
 
 // canonDelta computes the canonical-index rewrite that making b the head
-// requires: entries along b's path back to the existing canonical chain,
-// plus the stale heights to remove after a reorg to a shorter-but-heavier
-// chain. Pure with respect to chain state — the delta is staged into the
-// WAL batch first and applied to the in-memory index only after the
-// commit succeeds.
-func (bc *Blockchain) canonDelta(b *Block) (updates map[uint64]types.Hash, stale []uint64) {
-	updates = make(map[uint64]types.Hash)
+// requires: the blocks along b's path back to the existing canonical chain
+// (b first, so the staged writes come in one fixed order), plus the stale
+// heights to remove after a reorg to a shorter-but-heavier chain. Pure with
+// respect to chain state — the delta is staged into the WAL batch first and
+// applied to the in-memory index only after the commit succeeds.
+func (bc *Blockchain) canonDelta(b *Block) (updates []*Block, stale []uint64) {
 	cur := b
 	for {
 		n := cur.Number()
 		if bc.canon[n] == cur.Hash() {
 			break
 		}
-		updates[n] = cur.Hash()
+		updates = append(updates, cur)
 		if n == 0 {
 			break
 		}
@@ -621,7 +652,7 @@ func (bc *Blockchain) MineBlock(coinbase types.Address, time uint64, candidates 
 	defer bc.mu.Unlock()
 
 	header := bc.nextHeader(coinbase, time, uncles)
-	st, err := state.New(bc.stateRoots[bc.head.Hash()], bc.db)
+	st, err := bc.takeState(bc.stateRoots[bc.head.Hash()])
 	if err != nil {
 		return nil, err
 	}
@@ -654,6 +685,7 @@ func (bc *Blockchain) MineBlock(coinbase types.Address, time uint64, candidates 
 	if err := bc.writeBlock(block, receipts, root); err != nil {
 		return nil, err
 	}
+	bc.keepState(block, st, root)
 	return block, nil
 }
 

@@ -71,9 +71,9 @@ var errClosed = errors.New("diskdb: store is closed")
 // at-rest rot simply exhausts the retry budget and surfaces).
 type transientErr struct{ err error }
 
-func (e transientErr) Error() string   { return e.err.Error() }
-func (e transientErr) Unwrap() error   { return e.err }
-func (transientErr) Transient() bool   { return true }
+func (e transientErr) Error() string { return e.err.Error() }
+func (e transientErr) Unwrap() error { return e.err }
+func (transientErr) Transient() bool { return true }
 
 // entry locates a key's newest record.
 type entry struct {

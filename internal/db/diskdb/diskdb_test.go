@@ -380,8 +380,8 @@ func (b *brickFS) Open(name string) (File, error) {
 	}
 	return &brickFile{fs: b, inner: f}, nil
 }
-func (b *brickFS) Remove(name string) error  { return b.inner.Remove(name) }
-func (b *brickFS) List() ([]string, error)   { return b.inner.List() }
+func (b *brickFS) Remove(name string) error { return b.inner.Remove(name) }
+func (b *brickFS) List() ([]string, error)  { return b.inner.List() }
 
 type brickFile struct {
 	fs    *brickFS

@@ -32,9 +32,9 @@ const (
 )
 
 const (
-	frameHeader   = 8          // crc32 + payload length
-	payloadHeader = 5          // kind + key length
-	maxPayload    = 256 << 20  // sanity cap: a frame claiming more is treated as garbage
+	frameHeader   = 8         // crc32 + payload length
+	payloadHeader = 5         // kind + key length
+	maxPayload    = 256 << 20 // sanity cap: a frame claiming more is treated as garbage
 )
 
 var (

@@ -81,10 +81,12 @@ func (h *Histogram) Observe(seconds float64) {
 	if seconds < 0 || math.IsNaN(seconds) {
 		return
 	}
-	i := sort.SearchFloat64s(h.bounds, seconds)
-	h.counts[i].Add(1)
-	h.count.Add(1)
+	// Sum, then count, then bucket; Snapshot reads them in the opposite
+	// order, so each value it loads covers the observations behind the
+	// ones it loaded before (a non-zero count never meets a zero mean).
 	h.sumNS.Add(uint64(seconds * 1e9))
+	h.count.Add(1)
+	h.counts[sort.SearchFloat64s(h.bounds, seconds)].Add(1)
 }
 
 // ObserveSince records the elapsed time since start.
@@ -108,14 +110,30 @@ func (h *Histogram) Mean() float64 {
 // estimate interpolates linearly within the landing bucket; observations
 // past the last bound report that bound.
 func (h *Histogram) Quantile(q float64) float64 {
-	total := h.count.Load()
+	counts, total := h.buckets()
+	return h.quantile(counts, total, q)
+}
+
+// buckets copies the bucket counts once and totals the copy, so that
+// everything derived from it is consistent with itself while writers keep
+// observing.
+func (h *Histogram) buckets() (counts []uint64, total uint64) {
+	counts = make([]uint64, len(h.counts))
+	for i := range h.counts {
+		counts[i] = h.counts[i].Load()
+		total += counts[i]
+	}
+	return counts, total
+}
+
+func (h *Histogram) quantile(counts []uint64, total uint64, q float64) float64 {
 	if total == 0 {
 		return 0
 	}
 	rank := q * float64(total)
 	var cum float64
-	for i := range h.counts {
-		c := float64(h.counts[i].Load())
+	for i, n := range counts {
+		c := float64(n)
 		if cum+c >= rank {
 			lo := 0.0
 			if i > 0 {
@@ -144,14 +162,17 @@ type HistogramSnapshot struct {
 	P99   float64 `json:"p99_s"`
 }
 
-// Snapshot returns the histogram's exported view.
+// Snapshot returns the histogram's exported view. The count and the three
+// quantiles come from one copy of the buckets: taken from the live counters
+// one after another under writers, P90 could land above P99.
 func (h *Histogram) Snapshot() HistogramSnapshot {
+	counts, total := h.buckets()
 	return HistogramSnapshot{
-		Count: h.Count(),
+		Count: total,
 		Mean:  h.Mean(),
-		P50:   h.Quantile(0.50),
-		P90:   h.Quantile(0.90),
-		P99:   h.Quantile(0.99),
+		P50:   h.quantile(counts, total, 0.50),
+		P90:   h.quantile(counts, total, 0.90),
+		P99:   h.quantile(counts, total, 0.99),
 	}
 }
 

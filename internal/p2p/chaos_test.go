@@ -256,8 +256,8 @@ func TestChaosPartitionCensusE1(t *testing.T) {
 			// its peer limit refuses probes deterministically, which would
 			// undercount the census.
 			MaxPeers: 20,
-			Backend:   backend,
-			Dialer:    ep,
+			Backend:  backend,
+			Dialer:   ep,
 			// Resilience knobs sized for scaled-down chaos: short enough
 			// to retry fast under 20% loss, long enough to survive jitter.
 			HandshakeTimeout: 500 * time.Millisecond,

@@ -95,7 +95,10 @@ func decodeAccount(enc []byte) (*Account, error) {
 
 // stateObject is the in-memory working copy of one account.
 type stateObject struct {
-	addr    types.Address
+	addr types.Address
+	// key is the account's secure-trie key, keccak256(addr): hashed once
+	// when the object is loaded and used again by Commit.
+	key     types.Hash
 	account Account
 	code    []byte
 	// storage caches loaded slots; dirtyStorage the pending writes.
@@ -170,7 +173,8 @@ func (s *DB) getObject(addr types.Address) *stateObject {
 		}
 		return obj
 	}
-	enc, err := s.tr.Get(addrKey(addr))
+	key := addrKey(addr)
+	enc, err := s.tr.Get(key[:])
 	if err != nil {
 		// Record the fault and report the account absent; Commit will
 		// refuse to persist a transition built on this read.
@@ -178,7 +182,7 @@ func (s *DB) getObject(addr types.Address) *stateObject {
 		return nil
 	}
 	if len(enc) == 0 {
-		obj := newObject(addr)
+		obj := newObject(addr, key)
 		obj.exists = false
 		s.objects[addr] = obj
 		return nil
@@ -188,16 +192,17 @@ func (s *DB) getObject(addr types.Address) *stateObject {
 		s.setError(fmt.Errorf("%w: account %s: %v", db.ErrCorrupt, addr, err))
 		return nil
 	}
-	obj := newObject(addr)
+	obj := newObject(addr, key)
 	obj.account = *acct
 	obj.exists = true
 	s.objects[addr] = obj
 	return obj
 }
 
-func newObject(addr types.Address) *stateObject {
+func newObject(addr types.Address, key types.Hash) *stateObject {
 	return &stateObject{
 		addr:         addr,
+		key:          key,
 		account:      Account{Balance: new(big.Int), StorageRoot: trie.EmptyRoot, CodeHash: EmptyCodeHash},
 		storage:      make(map[types.Hash]types.Hash),
 		dirtyStorage: make(map[types.Hash]types.Hash),
@@ -212,7 +217,7 @@ func (s *DB) getOrCreate(addr types.Address) *stateObject {
 	}
 	obj, ok := s.objects[addr]
 	if !ok || obj.deleted {
-		obj = newObject(addr)
+		obj = newObject(addr, addrKey(addr))
 		s.objects[addr] = obj
 	}
 	wasDeleted, wasExists := obj.deleted, obj.exists
@@ -321,6 +326,7 @@ func (s *DB) GetCode(addr types.Address) []byte {
 	}
 	if ok {
 		obj.code = enc
+		s.codes[obj.account.CodeHash] = enc
 		return enc
 	}
 	return nil
@@ -421,11 +427,17 @@ func (s *DB) RevertToSnapshot(id int) {
 	s.journal = s.journal[:id]
 }
 
-// Commit flushes all dirty objects into the tries, stores code, clears the
-// journal and returns the new state root. All writes — every storage trie,
-// contract code blobs and the account trie itself — land in one db.Batch,
-// so the store sees a block's state transition atomically (nothing is
-// persisted if an intermediate step errors).
+// Commit flushes all dirty objects into the tries, stores code and returns
+// the new state root. All writes — every storage trie, contract code blobs
+// and the account trie itself — land in one db.Batch, so the store sees a
+// block's state transition atomically (nothing is persisted if an
+// intermediate step errors).
+//
+// A successful Commit leaves the DB ready for the next transition: the
+// working objects and the journal are dropped, the committed account trie
+// stays resident (see trie.CommitTo) and so does the code read or installed
+// so far. A DB whose Commit failed is in no defined state and must be
+// dropped.
 //
 // A storage fault observed by any getter since the last Commit (see
 // setError) also fails the commit: a transition computed over broken reads
@@ -447,7 +459,7 @@ func (s *DB) Commit() (types.Hash, error) {
 		obj := s.objects[addr]
 		if obj.deleted || !obj.exists {
 			if obj.deleted {
-				if err := s.tr.Delete(addrKey(addr)); err != nil {
+				if err := s.tr.Delete(obj.key[:]); err != nil {
 					return types.Hash{}, err
 				}
 			}
@@ -460,7 +472,7 @@ func (s *DB) Commit() (types.Hash, error) {
 			batch.Put(obj.account.CodeHash.Bytes(), obj.code)
 		}
 		s.encBuf = obj.account.appendTo(s.encBuf[:0])
-		if err := s.tr.Update(addrKey(addr), s.encBuf); err != nil {
+		if err := s.tr.Update(obj.key[:], s.encBuf); err != nil {
 			return types.Hash{}, err
 		}
 	}
@@ -468,11 +480,12 @@ func (s *DB) Commit() (types.Hash, error) {
 		// A getter tripped during the flush (storage-trie reads above).
 		return types.Hash{}, s.dbErr
 	}
-	s.journal = nil
 	root := s.tr.CommitTo(batch)
 	if err := batch.Write(); err != nil {
 		return types.Hash{}, fmt.Errorf("state: committing: %w", err)
 	}
+	s.journal = nil
+	clear(s.objects)
 	return root, nil
 }
 
@@ -531,9 +544,8 @@ func (s *DB) Copy() (*DB, error) {
 }
 
 // addrKey is the secure-trie key for an address: keccak256(addr).
-func addrKey(addr types.Address) []byte {
-	h := keccak.Sum256(addr.Bytes())
-	return h[:]
+func addrKey(addr types.Address) types.Hash {
+	return keccak.Sum256(addr.Bytes())
 }
 
 // slotKey is the secure-trie key for a storage slot: keccak256(slot).

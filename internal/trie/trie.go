@@ -39,11 +39,40 @@ type node interface{}
 
 type fullNode struct {
 	children [17]node
+	nodeFlags
 }
 
 type shortNode struct {
 	key []byte // nibbles, with terminator for leaves
 	val node
+	nodeFlags
+}
+
+// nodeFlags is what lets a committed trie stay resident and be committed
+// again cheaply. A clean node stands for the hash reference a reopened trie
+// would hold in its place: commit returns its cached hash without
+// descending. Any other resident node is touched — one a reopened trie
+// would hold resolved, because resolve read it, get walked through it, or
+// insert/delete created it — and commit encodes and Puts exactly those, so
+// the store sees the same writes whether the trie was carried over from the
+// last commit or reopened from its root. Every ancestor of a touched node
+// is touched. The zero value is a created node: touched, not yet hashed.
+type nodeFlags struct {
+	// hash is the node's store key, set by resolve and by commit; nil for
+	// a node created since the last commit and for one that embeds inline
+	// in its parent. Nodes are never modified in place (get only swaps a
+	// child reference for the node it refers to; insert and delete copy),
+	// so a cached hash stays valid for the node's lifetime.
+	hash hashNode
+	// clean is set by commit and cleared by the first touch after it.
+	clean bool
+}
+
+// touch marks a resident node as due for the next commit.
+func touch(n node) {
+	if f := flagsOf(n); f != nil {
+		f.clean = false
+	}
 }
 
 type (
@@ -103,6 +132,7 @@ func (t *Trie) get(n node, key []byte, pos int) ([]byte, node, error) {
 	case valueNode:
 		return n, n, nil
 	case *shortNode:
+		n.clean = false
 		if len(key)-pos < len(n.key) || !bytes.Equal(n.key, key[pos:pos+len(n.key)]) {
 			return nil, n, nil
 		}
@@ -113,6 +143,7 @@ func (t *Trie) get(n node, key []byte, pos int) ([]byte, node, error) {
 		n.val = newChild
 		return v, n, nil
 	case *fullNode:
+		n.clean = false
 		v, newChild, err := t.get(n.children[key[pos]], key, pos+1)
 		if err != nil {
 			return nil, n, err
@@ -138,6 +169,10 @@ func (t *Trie) Update(key, value []byte) error {
 		if err != nil {
 			return err
 		}
+		// A delete leaves the root resolved even when the key was absent,
+		// so the next commit writes it: the resident root is marked the
+		// same.
+		touch(newRoot)
 		t.root = newRoot
 		return nil
 	}
@@ -193,6 +228,7 @@ func (t *Trie) insert(n node, key []byte, value node) (node, error) {
 			return nil, err
 		}
 		cp := *n
+		cp.nodeFlags = nodeFlags{}
 		cp.children[key[0]] = child
 		return &cp, nil
 
@@ -241,6 +277,7 @@ func (t *Trie) delete(n node, key []byte) (node, bool, error) {
 			return n, changed, err
 		}
 		cp := *n
+		cp.nodeFlags = nodeFlags{}
 		cp.children[key[0]] = child
 
 		// Count remaining children; collapse when only one remains.
@@ -273,6 +310,8 @@ func (t *Trie) delete(n node, key []byte) (node, bool, error) {
 		if sn, ok := only.(*shortNode); ok {
 			return &shortNode{key: concat([]byte{byte(pos)}, sn.key), val: sn.val}, true, nil
 		}
+		// A surviving branch stays in the trie as it was resolved.
+		touch(only)
 		return &shortNode{key: []byte{byte(pos)}, val: only}, true, nil
 
 	case valueNode:
@@ -320,13 +359,19 @@ func (t *Trie) resolve(h hashNode) (node, error) {
 	if err != nil {
 		return nil, fmt.Errorf("trie: corrupt node %x: %w", []byte(h), err)
 	}
-	return decodeNode(v)
+	n, err := decodeNode(v)
+	if err != nil {
+		return nil, err
+	}
+	*flagsOf(n) = nodeFlags{hash: h}
+	return n, nil
 }
 
-// Hash computes the root hash of the trie, committing every node of 32+
-// encoded bytes into the store through one atomic batch. The trie remains
+// Hash computes the root hash of the trie, committing its touched nodes (see
+// CommitTo) into the store through one atomic batch. The trie remains
 // usable afterwards. A storage error leaves the store unchanged (the batch
-// is atomic) and the computed root uncommitted.
+// is atomic), the computed root uncommitted and the trie fit only to be
+// dropped.
 func (t *Trie) Hash() (types.Hash, error) {
 	batch := t.db.NewBatch()
 	root := t.CommitTo(batch)
@@ -336,64 +381,94 @@ func (t *Trie) Hash() (types.Hash, error) {
 	return root, nil
 }
 
-// CommitTo computes the root hash, queuing every node of 32+ encoded bytes
-// into the given batch instead of writing the store directly. The caller
-// owns the batch: nothing is persisted until batch.Write, which lets one
-// batch carry several tries (state.DB commits every storage trie, the
-// account trie and contract code in a single write).
+// CommitTo computes the root hash, queuing every touched node of 32+
+// encoded bytes (see nodeFlags) into the given batch instead of writing the
+// store directly, and leaves the trie resident and clean: committing again
+// with nothing read or written in between queues nothing. The caller owns
+// the batch: nothing is persisted until batch.Write, which lets one batch
+// carry several tries (state.DB commits every storage trie, the account
+// trie and contract code in a single write). A trie whose batch failed to
+// write believes in nodes the store does not hold and must be dropped.
 func (t *Trie) CommitTo(batch db.Batch) types.Hash {
 	if t.root == nil {
 		return EmptyRoot
 	}
 	ref := t.commit(t.root, batch)
-	switch ref := ref.(type) {
-	case hashNode:
-		return types.BytesToHash(ref)
-	default:
-		// Whole trie encodes under 32 bytes: hash the encoding itself.
-		enc := appendNode(make([]byte, 0, nodeSize(t.root)), t.root)
-		h := keccak.Sum256Pooled(enc)
-		batch.Put(h[:], enc)
-		return types.BytesToHash(h[:])
+	if h, ok := ref.(hashNode); ok {
+		return types.BytesToHash(h)
 	}
+	// Whole trie encodes under 32 bytes: hash the encoding itself. The
+	// root keeps that hash like any stored node; it has no parent to embed
+	// in.
+	enc := appendNode(make([]byte, 0, nodeSize(ref)), ref)
+	return types.BytesToHash(flagsOf(t.root).put(enc, batch))
 }
 
 // commit returns the reference form of n (hashNode when the encoding is
-// >= 32 bytes, otherwise the node itself) and queues hashed encodings.
+// >= 32 bytes, otherwise the node itself) and queues the encodings of
+// touched nodes.
 func (t *Trie) commit(n node, batch db.Batch) node {
+	f := flagsOf(n)
+	if f == nil {
+		return n // hashNode, valueNode, nil
+	}
+	if f.clean {
+		// Nothing below a clean node is touched.
+		if f.hash != nil {
+			return f.hash
+		}
+		// Embeds inline, and so does everything below it: the node is
+		// its own collapsed form.
+		return n
+	}
+	var collapsed node
 	switch n := n.(type) {
 	case *shortNode:
-		childRef := t.commit(n.val, batch)
-		collapsed := &shortNode{key: n.key, val: childRef}
-		return t.store(collapsed, batch)
+		collapsed = &shortNode{key: n.key, val: t.commit(n.val, batch)}
 	case *fullNode:
-		collapsed := &fullNode{}
+		cn := &fullNode{}
 		for i, c := range n.children {
-			if c == nil {
-				continue
+			if c != nil {
+				cn.children[i] = t.commit(c, batch)
 			}
-			collapsed.children[i] = t.commit(c, batch)
 		}
-		return t.store(collapsed, batch)
-	case hashNode, valueNode, nil:
-		return n
-	default:
-		panic(fmt.Sprintf("trie: unknown node type %T", n))
+		collapsed = cn
 	}
-}
-
-func (t *Trie) store(n node, batch db.Batch) node {
-	size := nodeSize(n)
+	size := nodeSize(collapsed)
 	if size < 32 {
-		return n
+		f.clean = true
+		return collapsed
 	}
 	// Encoded directly into an exact-size buffer: the batch aliases the
 	// value until Write (and the db cache can retain it past that), so
 	// this allocation is owned by the store, never pooled.
-	enc := appendNode(make([]byte, 0, size), n)
-	h := keccak.Sum256Pooled(enc)
-	batch.Put(h[:], enc)
-	return hashNode(h[:])
+	enc := appendNode(make([]byte, 0, size), collapsed)
+	return f.put(enc, batch)
+}
+
+// put queues enc under the node's hash and marks the node clean. A node
+// that was only read still carries the hash it was resolved by; only a
+// created one is hashed.
+func (f *nodeFlags) put(enc []byte, batch db.Batch) hashNode {
+	if f.hash == nil {
+		h := keccak.Sum256Pooled(enc)
+		f.hash = h[:]
+	}
+	f.clean = true
+	batch.Put(f.hash, enc)
+	return f.hash
+}
+
+// flagsOf returns the flags of a resident node, nil for the kinds that
+// carry none (hashNode, valueNode, nil).
+func flagsOf(n node) *nodeFlags {
+	switch n := n.(type) {
+	case *shortNode:
+		return &n.nodeFlags
+	case *fullNode:
+		return &n.nodeFlags
+	}
+	return nil
 }
 
 // nodeSize returns the exact RLP-encoded length of n — the byte count

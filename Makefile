@@ -80,9 +80,11 @@ chaos-disk:
 
 # Replica-tier chaos under the race detector: primary + two replicas
 # over a 20%-loss faultnet wire with injected storage faults, a replica
-# crash/restart mid-run, and a failover client checking every answer
-# byte-for-byte against the primary. Failover stats land in
-# CHAOS_REPLICA_OUT (the artifact CI uploads).
+# crash/restart mid-run, a failover client checking every answer
+# byte-for-byte against the primary, and a fork_liveEvents follower
+# paging the replicas' feed across the crash. Failover stats and the
+# follower's event/gap/duplicate/missed counts land in CHAOS_REPLICA_OUT
+# (the artifact CI uploads).
 CHAOS_REPLICA_OUT ?= chaos-replica.json
 
 chaos-replica:
@@ -162,7 +164,8 @@ rpcsmoke:
 	GO="$(GO)" sh scripts/rpcsmoke.sh
 
 # Live measurement plane smoke: boot forkserve -live, follow the event
-# feed over RPC with forkanalyze -follow, and require the streamed CSV
+# feed over RPC with forkanalyze -follow (given a dead first endpoint, so
+# the follower's failover path runs), and require the streamed CSV
 # tables byte-identical to a batch forksim export of the same scenario.
 # The convergence diff (empty on success) lands in LIVESMOKE_OUT; CI
 # uploads it as an artifact.

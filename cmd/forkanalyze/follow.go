@@ -2,7 +2,6 @@ package main
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -22,17 +21,25 @@ import (
 
 // followLive attaches the streaming analyzer to a forkserve archive and
 // replays its measurement feed through the stateless fork_liveEvents
-// read until the run's EOF marker. The client owns the cursor, so every
-// transport error is retried from the same position — the follower
-// converges even over a lossy path — and a reported gap (the cursor
+// read until the run's EOF marker. targets is a comma-separated list of
+// servers publishing the same feed; the client fails over between them
+// per read. The follower owns the cursor, so a read no server answered
+// is retried from the same position — the follower converges over a
+// lossy path and across a server dying — and a reported gap (the cursor
 // fell off the server's replay ring) is surfaced as a warning, since
 // observables derived after a gap are no longer exact.
-func followLive(target, outDir string, epoch uint64) error {
-	routeURL, err := resolveRoute(target)
+func followLive(targets, outDir string, epoch uint64) error {
+	hc := &http.Client{Timeout: 10 * time.Second}
+	endpoints, err := resolveRoutes(targets, hc)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("following %s\n", routeURL)
+	fmt.Printf("following %s\n", strings.Join(endpoints, ","))
+	client, err := rpc.NewFailoverClient(rpc.FailoverConfig{Endpoints: endpoints, HTTPClient: hc})
+	if err != nil {
+		return err
+	}
+	defer client.Close()
 
 	an := live.NewAnalyzer(epoch, live.Options{})
 	// With -out the decoded events also feed the batch exporter's
@@ -43,24 +50,19 @@ func followLive(target, outDir string, epoch uint64) error {
 	if outDir != "" {
 		tables = []sim.Observer{rec}
 	}
-	client := rpc.NewClient(routeURL, &http.Client{Timeout: 10 * time.Second})
 	var (
 		cursor   uint64
 		failures int
 		lastDay  = -1
 	)
 	for {
-		var page struct {
-			Events []feed.Event `json:"events"`
-			Cursor uint64       `json:"cursor"`
-			Gap    bool         `json:"gap"`
-		}
-		if err := client.Call(&page, "fork_liveEvents", "events", cursor, 4096); err != nil {
-			// The server's answer is final, except a shed request (HTTP
-			// 429: rate limit or a full queue); that and anything the
-			// transport did are retried from the same cursor.
-			var rpcErr *rpc.Error
-			if errors.As(err, &rpcErr) && rpcErr.Code != rpc.ErrCodeOverloaded {
+		var page rpc.LivePage
+		if outc, err := client.Call(&page, "fork_liveEvents", "events", cursor, 4096); err != nil {
+			// A JSON-RPC error about the request itself is final. Every
+			// infrastructure class (shed, draining, timeout, transport)
+			// has already been tried on each endpoint; wait and read the
+			// same cursor again.
+			if outc.Class == rpc.ClassRPCError {
 				return fmt.Errorf("fork_liveEvents: %w", err)
 			}
 			failures++
@@ -106,26 +108,51 @@ func followLive(target, outDir string, epoch uint64) error {
 	return nil
 }
 
-// resolveRoute turns the -follow target into a concrete JSON-RPC route
-// URL: a URL that already names a route is used as-is; a bare base URL
-// asks /readyz which routes exist and picks the first in sorted order
-// (the events stream is global, so any route serves the whole feed).
-func resolveRoute(target string) (string, error) {
-	u, err := url.Parse(target)
-	if err != nil {
-		return "", fmt.Errorf("bad -follow URL: %w", err)
-	}
-	if u.Scheme == "" {
-		u, err = url.Parse("http://" + target)
+// resolveRoutes turns the -follow list into one JSON-RPC route URL per
+// server. A URL that already names a route is used as-is; the bare base
+// URLs all get the same route, discovered from the first of them whose
+// /readyz answers (so a dead server in the list does not stop the
+// follower before its first read).
+func resolveRoutes(targets string, hc *http.Client) ([]string, error) {
+	var endpoints []string
+	var bare []int // endpoints still lacking a route
+	for _, target := range strings.Split(targets, ",") {
+		if !strings.Contains(target, "://") {
+			target = "http://" + target
+		}
+		u, err := url.Parse(target)
 		if err != nil {
-			return "", fmt.Errorf("bad -follow URL: %w", err)
+			return nil, fmt.Errorf("bad -follow URL: %w", err)
+		}
+		if strings.Trim(u.Path, "/") == "" {
+			bare = append(bare, len(endpoints))
+		}
+		endpoints = append(endpoints, strings.TrimSuffix(u.String(), "/"))
+	}
+	if len(bare) == 0 {
+		return endpoints, nil
+	}
+	var route string
+	var err error
+	for _, i := range bare {
+		if route, err = discoverRoute(endpoints[i], hc); err == nil {
+			break
 		}
 	}
-	base := strings.TrimSuffix(u.String(), "/")
-	if p := strings.Trim(u.Path, "/"); p != "" {
-		return base, nil
+	if err != nil {
+		return nil, err
 	}
-	resp, err := http.Get(base + "/readyz")
+	for _, i := range bare {
+		endpoints[i] += "/" + route
+	}
+	return endpoints, nil
+}
+
+// discoverRoute asks base's /readyz which routes exist and picks the
+// first in sorted order (the events stream is global, so any route
+// serves the whole feed).
+func discoverRoute(base string, hc *http.Client) (string, error) {
+	resp, err := hc.Get(base + "/readyz")
 	if err != nil {
 		return "", fmt.Errorf("discovering routes: %w", err)
 	}
@@ -136,7 +163,7 @@ func resolveRoute(target string) (string, error) {
 		Routes map[string]json.RawMessage `json:"routes"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&rd); err != nil {
-		return "", fmt.Errorf("decoding /readyz: %w", err)
+		return "", fmt.Errorf("decoding %s/readyz: %w", base, err)
 	}
 	if len(rd.Routes) == 0 {
 		return "", fmt.Errorf("%s/readyz reports no routes", base)
@@ -146,7 +173,7 @@ func resolveRoute(target string) (string, error) {
 		routes = append(routes, r)
 	}
 	sort.Strings(routes)
-	return base + "/" + routes[0], nil
+	return routes[0], nil
 }
 
 // printDayLine prints one rolling line per simulated day barrier.

@@ -9,7 +9,9 @@
 // feeds the same collector -dir uses, prints a rolling per-chain line at
 // each day barrier, and — when the run publishes its EOF marker — prints
 // the same figure summary and (with -out) writes CSV tables byte-identical
-// to what a batch export of the same run would produce.
+// to what a batch export of the same run would produce. -follow takes a
+// comma-separated list of servers publishing the same feed; every read
+// fails over between them, so the follower survives one of them dying.
 //
 // Usage:
 //
@@ -17,6 +19,7 @@
 //	forkanalyze -dir results/
 //	forkserve -days 3 -live &
 //	forkanalyze -follow http://localhost:8545 -out results/
+//	forkanalyze -follow http://hostA:8545,http://hostB:8545 -out results/
 package main
 
 import (
@@ -39,7 +42,7 @@ func main() {
 		dir       = flag.String("dir", ".", "directory holding blocks.csv and txs.csv")
 		epoch     = flag.Uint64("epoch", 1469020840, "fork unix time (day-0 anchor)")
 		dayLength = flag.Uint64("daylen", 86_400, "seconds per simulated day in the export")
-		follow    = flag.String("follow", "", "forkserve URL to follow live instead of reading an export (base URL discovers a route via /readyz; include a /route to pin one)")
+		follow    = flag.String("follow", "", "forkserve URL, or comma-separated URLs of servers publishing the same feed, to follow live instead of reading an export; reads fail over between them (base URL discovers a route via /readyz; include a /route to pin one)")
 		out       = flag.String("out", "", "with -follow: directory to write the converged blocks.csv/txs.csv/days.csv into at EOF")
 	)
 	flag.Parse()

@@ -42,6 +42,7 @@ import (
 	"time"
 
 	"forkwatch"
+	"forkwatch/internal/live/feed"
 	"forkwatch/internal/rpc"
 	"forkwatch/internal/serve"
 	"forkwatch/internal/sim"
@@ -173,17 +174,16 @@ func main() {
 	var wg sync.WaitGroup
 	start := time.Now()
 	deadline := start.Add(*duration)
-	// The subscriber mix: each goroutine reads one base URL (a cursor is
-	// a position in that server's feed) and replays the live feed from
-	// cursor 0 to EOF in a loop — sustained poll traffic alongside the
-	// read load.
+	// The subscriber mix: each goroutine replays the live feed from
+	// cursor 0 to EOF in a loop through its route's failover client —
+	// sustained poll traffic alongside the read load. A cursor is a
+	// position in a feed, so -urls must name servers publishing the same
+	// one (the same scenario and seed).
 	for s := 0; s < *subs; s++ {
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			base := bases[s%len(bases)]
-			route := routes[s%len(routes)]
-			subscriberLoop(hc, base+"/"+strings.TrimPrefix(route, "/"), *substream, deadline, &substats[s])
+			subscriberLoop(fcs[routes[s%len(routes)]], *substream, deadline, &substats[s])
 		}(s)
 	}
 	for c := 0; c < *clients; c++ {
@@ -270,18 +270,11 @@ type subStats struct {
 // marker through fork_liveEvents, over and over until the deadline. A
 // failed read is retried from the same cursor; an empty page (a feed
 // still being published) is followed by a short sleep.
-func subscriberLoop(hc *http.Client, routeURL, stream string, deadline time.Time, st *subStats) {
-	cl := rpc.NewClient(routeURL, hc)
+func subscriberLoop(fc *rpc.FailoverClient, stream string, deadline time.Time, st *subStats) {
 	var cursor uint64
 	for time.Now().Before(deadline) {
-		var page struct {
-			Events []struct {
-				Kind string `json:"kind"`
-			} `json:"events"`
-			Cursor uint64 `json:"cursor"`
-			Gap    bool   `json:"gap"`
-		}
-		if err := cl.Call(&page, "fork_liveEvents", stream, cursor, 4096); err != nil {
+		var page rpc.LivePage
+		if _, err := fc.Call(&page, "fork_liveEvents", stream, cursor, 4096); err != nil {
 			st.errors++
 			time.Sleep(100 * time.Millisecond)
 			continue
@@ -293,7 +286,7 @@ func subscriberLoop(hc *http.Client, routeURL, stream string, deadline time.Time
 		cursor = page.Cursor
 		if n := len(page.Events); n == 0 {
 			time.Sleep(50 * time.Millisecond)
-		} else if page.Events[n-1].Kind == "eof" {
+		} else if page.Events[n-1].Kind == feed.KindEOF {
 			cursor = 0
 		}
 	}

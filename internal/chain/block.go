@@ -48,28 +48,11 @@ type Header struct {
 	hash atomic.Pointer[types.Hash]
 }
 
-// sealFields returns the RLP field list the PoW seal commits to: every
-// header field except the seal itself (Nonce, MixDigest). SealHash and
-// Encode share this single source of field order.
-func (h *Header) sealFields() []rlp.Value {
-	return []rlp.Value{
-		rlp.Bytes(h.ParentHash.Bytes()),
-		rlp.Uint(h.Number),
-		rlp.Uint(h.Time),
-		rlp.BigInt(h.Difficulty),
-		rlp.Uint(h.GasLimit),
-		rlp.Uint(h.GasUsed),
-		rlp.Bytes(h.Coinbase.Bytes()),
-		rlp.Bytes(h.StateRoot.Bytes()),
-		rlp.Bytes(h.TxRoot.Bytes()),
-		rlp.Bytes(h.ReceiptRoot.Bytes()),
-		rlp.Bytes(h.Extra),
-		rlp.Bytes(h.UncleHash.Bytes()),
-	}
-}
-
-// sealPayloadSize and appendSealFields are the append-style twins of
-// sealFields; they must stay field-for-field identical to it.
+// sealPayloadSize and appendSealFields encode what the PoW seal commits
+// to: every header field except the seal itself (Nonce, MixDigest).
+// SealHash and appendRLP share this single source of field order, which
+// must stay field-for-field identical to sealFields, the tree model in
+// rlp_model_test.go.
 func (h *Header) sealPayloadSize() int {
 	return (1 + types.HashLength) + // ParentHash
 		rlp.UintSize(h.Number) +
@@ -129,12 +112,6 @@ func (h *Header) Hash() types.Hash {
 	return hh
 }
 
-// RLP returns the header as a composable RLP value, so containers (block
-// encodings, uncle lists) can embed it without re-decoding its encoding.
-func (h *Header) RLP() rlp.Value {
-	return rlp.List(append(h.sealFields(), rlp.Uint(h.Nonce), rlp.Bytes(h.MixDigest.Bytes()))...)
-}
-
 // EncodedSize returns the exact length of Encode's output.
 func (h *Header) EncodedSize() int {
 	return rlp.ListSize(h.payloadSize())
@@ -145,7 +122,7 @@ func (h *Header) payloadSize() int {
 }
 
 // appendRLP appends the canonical encoding onto dst; identical bytes to
-// rlp.Encode(h.RLP()).
+// the rlp.Value tree model in rlp_model_test.go.
 func (h *Header) appendRLP(dst []byte) []byte {
 	dst = rlp.AppendListHeader(dst, h.payloadSize())
 	dst = h.appendSealFields(dst)

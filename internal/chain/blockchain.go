@@ -708,6 +708,3 @@ func (bc *Blockchain) CanonicalBlocks(from, to uint64) []*Block {
 	}
 	return out
 }
-
-// Length returns the canonical height (head number).
-func (bc *Blockchain) Length() uint64 { return bc.Head().Number() }

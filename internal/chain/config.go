@@ -118,11 +118,6 @@ func (c *Config) IsDAOFork(num *big.Int) bool {
 	return c.DAOForkBlock != nil && c.DAOForkBlock.Cmp(num) == 0
 }
 
-// PastDAOFork reports whether num is at or beyond the DAO fork block.
-func (c *Config) PastDAOFork(num *big.Int) bool {
-	return c.DAOForkBlock != nil && c.DAOForkBlock.Cmp(num) <= 0
-}
-
 // IsEIP155 reports whether replay protection is active at num.
 func (c *Config) IsEIP155(num *big.Int) bool {
 	return c.EIP155Block != nil && c.EIP155Block.Cmp(num) <= 0

@@ -321,13 +321,3 @@ func receiptFromValue(v rlp.Value) (*Receipt, error) {
 	r.ContractCall = call == 1
 	return r, nil
 }
-
-// DecodeReceipt parses a receipt from its RLP encoding (inverse of
-// Receipt.Encode).
-func DecodeReceipt(enc []byte) (*Receipt, error) {
-	v, err := rlp.Decode(enc)
-	if err != nil {
-		return nil, fmt.Errorf("chain: bad receipt encoding: %w", err)
-	}
-	return receiptFromValue(v)
-}

@@ -185,22 +185,6 @@ func (tx *Transaction) Hash() types.Hash {
 	return hh
 }
 
-// RLP returns the transaction as a composable RLP value, so containers
-// (blocks, receipt lists) can embed it without re-decoding its encoding.
-func (tx *Transaction) RLP() rlp.Value {
-	return rlp.List(
-		rlp.Uint(tx.Nonce),
-		rlp.BigInt(tx.GasPrice),
-		rlp.Uint(tx.GasLimit),
-		toValue(tx.To),
-		rlp.BigInt(tx.Value),
-		rlp.Bytes(tx.Data),
-		rlp.Uint(tx.ChainID),
-		rlp.Bytes(tx.From.Bytes()),
-		rlp.Bytes(tx.SigTag.Bytes()),
-	)
-}
-
 // EncodedSize returns the exact length of Encode's output.
 func (tx *Transaction) EncodedSize() int {
 	return rlp.ListSize(tx.payloadSize())
@@ -219,7 +203,7 @@ func (tx *Transaction) payloadSize() int {
 }
 
 // appendRLP appends the canonical encoding onto dst; identical bytes to
-// rlp.Encode(tx.RLP()) with no intermediate Value tree.
+// the rlp.Value tree model in rlp_model_test.go, with no intermediate tree.
 func (tx *Transaction) appendRLP(dst []byte) []byte {
 	dst = rlp.AppendListHeader(dst, tx.payloadSize())
 	dst = rlp.AppendUint(dst, tx.Nonce)
@@ -334,14 +318,8 @@ func (tx *Transaction) IntrinsicGas() uint64 {
 	return gas
 }
 
-func toValue(to *types.Address) rlp.Value {
-	if to == nil {
-		return rlp.Bytes(nil)
-	}
-	return rlp.Bytes(to.Bytes())
-}
-
-// toSize and appendTo mirror toValue for the append-style encoders.
+// toSize and appendTo encode the recipient: the empty string for a
+// contract creation, the 20 address bytes otherwise.
 func toSize(to *types.Address) int {
 	if to == nil {
 		return 1
@@ -367,25 +345,6 @@ type Receipt struct {
 	ContractCall bool
 }
 
-// RLP returns the receipt as a composable RLP value (see Transaction.RLP).
-func (r *Receipt) RLP() rlp.Value {
-	status := uint64(0)
-	if r.Status {
-		status = 1
-	}
-	contract := uint64(0)
-	if r.ContractCall {
-		contract = 1
-	}
-	return rlp.List(
-		rlp.Bytes(r.TxHash.Bytes()),
-		rlp.Uint(status),
-		rlp.Uint(r.GasUsed),
-		rlp.Bytes(r.ContractAddress.Bytes()),
-		rlp.Uint(contract),
-	)
-}
-
 func (r *Receipt) payloadSize() int {
 	return (1 + types.HashLength) +
 		1 + // status: 0 or 1, single byte
@@ -398,7 +357,7 @@ func (r *Receipt) payloadSize() int {
 func (r *Receipt) EncodedSize() int { return rlp.ListSize(r.payloadSize()) }
 
 // appendRLP appends the canonical encoding onto dst; identical bytes to
-// rlp.Encode(r.RLP()).
+// the rlp.Value tree model in rlp_model_test.go.
 func (r *Receipt) appendRLP(dst []byte) []byte {
 	status := uint64(0)
 	if r.Status {

@@ -34,11 +34,15 @@ func CalcUncleHash(uncles []*Header) types.Hash {
 	if len(uncles) == 0 {
 		return EmptyUncleHash
 	}
-	items := make([]rlp.Value, len(uncles))
-	for i, u := range uncles {
-		items[i] = u.RLP()
+	payload := 0
+	for _, u := range uncles {
+		payload += u.EncodedSize()
 	}
-	h := keccak.Sum256(rlp.Encode(rlp.List(items...)))
+	buf := rlp.AppendListHeader(make([]byte, 0, rlp.ListSize(payload)), payload)
+	for _, u := range uncles {
+		buf = u.appendRLP(buf)
+	}
+	h := keccak.Sum256(buf)
 	return types.BytesToHash(h[:])
 }
 

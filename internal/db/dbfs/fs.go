@@ -21,8 +21,6 @@ import (
 type FS interface {
 	// Open returns the named file, creating it empty if absent.
 	Open(name string) (File, error)
-	// Remove deletes the named file (compaction drops stale segments).
-	Remove(name string) error
 	// List returns the names of all files present, in any order.
 	List() ([]string, error)
 }
@@ -62,9 +60,6 @@ func NewOSFS(dir string) (*OSFS, error) {
 	return &OSFS{dir: dir}, nil
 }
 
-// Dir returns the root directory.
-func (fs *OSFS) Dir() string { return fs.dir }
-
 // Open implements FS.
 func (fs *OSFS) Open(name string) (File, error) {
 	f, err := os.OpenFile(filepath.Join(fs.dir, name), os.O_RDWR|os.O_CREATE, 0o644)
@@ -77,11 +72,6 @@ func (fs *OSFS) Open(name string) (File, error) {
 		return nil, err
 	}
 	return &osFile{f: f, size: st.Size()}, nil
-}
-
-// Remove implements FS.
-func (fs *OSFS) Remove(name string) error {
-	return os.Remove(filepath.Join(fs.dir, name))
 }
 
 // List implements FS.

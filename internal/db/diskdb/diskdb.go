@@ -1,8 +1,8 @@
 // Package diskdb is the log-structured persistent backend behind db.KV:
 // append-only segment files of CRC-framed records, an in-memory key →
 // file-location index rebuilt by scanning the segments on open, segment
-// rotation at a size threshold, and a tombstone + compaction pass that
-// rewrites the live set into a fresh segment.
+// rotation at a size threshold, and tombstone records for deletes. There
+// is no compaction pass: segments are never rewritten or removed.
 //
 // The paper's measurement archive must survive node restarts (§3.1 —
 // export everything, then join); this backend is what lets forkserve
@@ -102,7 +102,6 @@ type DB struct {
 	active *segment
 	index  map[string]entry
 	live   int   // non-tombstone keys
-	dead   int64 // bytes held by superseded or skipped records
 	ro     error // non-nil: degraded to read-only; holds the cause
 	closed bool
 
@@ -201,8 +200,7 @@ func (d *DB) scanSegment(seg *segment) error {
 	var pending []scanOp // staged group awaiting its commit record
 	pendingStart := int64(-1)
 	dropPending := func() {
-		// An interrupted or commit-less group never happened; callers
-		// account its byte span into d.dead before dropping.
+		// An interrupted or commit-less group never happened.
 		d.repairs.Add(1)
 		pending, pendingStart = nil, -1
 	}
@@ -240,10 +238,8 @@ scan:
 			// rotted record interrupts is dropped (its commit can no
 			// longer be trusted to match).
 			if pendingStart >= 0 {
-				d.dead += off - pendingStart
 				dropPending()
 			}
-			d.dead += int64(n)
 			d.repairs.Add(1)
 			off += int64(n)
 			continue
@@ -252,7 +248,6 @@ scan:
 		switch rec.kind {
 		case recPut, recDel:
 			if pendingStart >= 0 { // group interrupted by a plain record
-				d.dead += off - pendingStart
 				dropPending()
 			}
 			d.apply(string(rec.key), entry{seg: seg.id, off: off, flen: int32(n), del: rec.kind == recDel})
@@ -266,10 +261,6 @@ scan:
 				binary.BigEndian.Uint32(rec.value) != uint32(len(pending)) {
 				// Stray commit, or a count that does not match the staged
 				// records in front of it: the group cannot be trusted.
-				if pendingStart >= 0 {
-					d.dead += off - pendingStart
-				}
-				d.dead += int64(n)
 				dropPending()
 			} else {
 				for _, op := range pending {
@@ -300,14 +291,10 @@ scan:
 }
 
 // apply installs a replayed or freshly written entry, keeping the live
-// and dead-byte accounting. Caller holds d.mu (or is still single-owner
-// inside Open).
+// count. Caller holds d.mu (or is still single-owner inside Open).
 func (d *DB) apply(key string, e entry) {
-	if old, ok := d.index[key]; ok {
-		d.dead += int64(old.flen)
-		if !old.del {
-			d.live--
-		}
+	if old, ok := d.index[key]; ok && !old.del {
+		d.live--
 	}
 	if !e.del {
 		d.live++
@@ -517,19 +504,11 @@ func (d *DB) ReadOnly() (bool, error) {
 	return d.ro != nil, d.ro
 }
 
-// Segments reports the current segment count (rotation/compaction tests).
+// Segments reports the current segment count (rotation tests).
 func (d *DB) Segments() int {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	return len(d.ids)
-}
-
-// DeadBytes reports bytes held by superseded or skipped records — the
-// space Compact reclaims.
-func (d *DB) DeadBytes() int64 {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.dead
 }
 
 // Close releases every segment handle. The store refuses further use.
@@ -547,106 +526,6 @@ func (d *DB) Close() error {
 		}
 	}
 	return first
-}
-
-// Compact rewrites the live set (plus still-needed tombstones, so a crash
-// mid-compaction can never resurrect deleted keys) into one fresh segment
-// and removes the old ones. Replay order makes the pass crash-safe at
-// every point: the new segment has the highest id, so its records win on
-// reopen, and the old segments stay on disk until the new one is durable.
-func (d *DB) Compact() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if err := d.writable(); err != nil {
-		return err
-	}
-	newID := d.active.id + 1
-	f, err := d.fs.Open(segName(newID))
-	if err != nil {
-		return fmt.Errorf("diskdb: compaction segment: %w", err)
-	}
-	abort := func(cause error) error {
-		f.Close()
-		d.fs.Remove(segName(newID)) // best effort; a leftover partial segment replays harmlessly
-		return cause
-	}
-
-	keys := make([]string, 0, len(d.index))
-	for k := range d.index {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-
-	staged := make(map[string]entry, len(d.index))
-	var (
-		buf      []byte
-		written  int64
-		dead     int64
-		liveLost int
-	)
-	flush := func() error {
-		if len(buf) == 0 {
-			return nil
-		}
-		if _, err := f.Append(buf); err != nil {
-			return fmt.Errorf("diskdb: compaction append: %w", err)
-		}
-		written += int64(len(buf))
-		buf = buf[:0]
-		return nil
-	}
-	for _, k := range keys {
-		e := d.index[k]
-		var frame []byte
-		if e.del {
-			frame = appendRecord(nil, recDel, []byte(k), nil)
-			dead += int64(len(frame)) // tombstones are kept but carry no live data
-		} else {
-			seg := d.segs[e.seg]
-			rbuf := make([]byte, e.flen)
-			if _, err := seg.f.ReadAt(rbuf, e.off); err != nil {
-				return abort(fmt.Errorf("diskdb: compaction read %s@%d: %w", segName(e.seg), e.off, err))
-			}
-			rec, _, derr := decodeRecord(rbuf)
-			if derr != nil || string(rec.key) != k {
-				// At-rest rot found while compacting: the value is gone
-				// either way; drop the key and count the repair.
-				d.repairs.Add(1)
-				liveLost++
-				continue
-			}
-			frame = appendRecord(nil, recPut, []byte(k), rec.value)
-		}
-		staged[k] = entry{seg: newID, off: written + int64(len(buf)), flen: int32(len(frame)), del: e.del}
-		buf = append(buf, frame...)
-		if len(buf) >= 1<<20 {
-			if err := flush(); err != nil {
-				return abort(err)
-			}
-		}
-	}
-	if err := flush(); err != nil {
-		return abort(err)
-	}
-	if err := f.Sync(); err != nil {
-		return abort(fmt.Errorf("diskdb: compaction sync: %w", err))
-	}
-
-	// The new segment is durable: retire the old ones.
-	var removeErr error
-	for _, id := range d.ids {
-		d.segs[id].f.Close()
-		if err := d.fs.Remove(segName(id)); err != nil && removeErr == nil {
-			removeErr = err // stale lower-id segments replay harmlessly; still report
-		}
-	}
-	d.segs = map[uint64]*segment{newID: {id: newID, f: f, size: written}}
-	d.ids = []uint64{newID}
-	d.active = d.segs[newID]
-	d.index = staged
-	d.live -= liveLost
-	d.dead = dead
-	return removeErr
 }
 
 // NewBatch implements db.KV.

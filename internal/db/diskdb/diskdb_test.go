@@ -240,7 +240,11 @@ func TestChecksumSkipMidFile(t *testing.T) {
 	}
 }
 
-func TestCompaction(t *testing.T) {
+// TestSupersededRecordsAcrossSegments: with no compaction pass, older
+// versions and deleted keys stay in their segments for good, so replay
+// order alone must decide — the newest record of a key wins on reopen and
+// a tombstone in a later segment hides every earlier put.
+func TestSupersededRecordsAcrossSegments(t *testing.T) {
 	d, dir := openTmp(t, Options{SegmentBytes: 128})
 	for round := 0; round < 5; round++ {
 		for i := 0; i < 10; i++ {
@@ -250,32 +254,27 @@ func TestCompaction(t *testing.T) {
 	if err := d.Delete([]byte("k3")); err != nil {
 		t.Fatal(err)
 	}
-	pre := d.Segments()
-	if pre < 2 {
-		t.Fatalf("want multiple segments before compaction, have %d", pre)
+	segs := d.Segments()
+	if segs < 2 {
+		t.Fatalf("want the versions spread over several segments, have %d", segs)
 	}
-	if err := d.Compact(); err != nil {
-		t.Fatalf("Compact: %v", err)
-	}
-	if d.Segments() != 1 {
-		t.Fatalf("Segments after compaction = %d, want 1", d.Segments())
-	}
-	for i := 0; i < 10; i++ {
-		if i == 3 {
-			mustAbsent(t, d, "k3")
-			continue
-		}
-		mustGet(t, d, fmt.Sprintf("k%d", i), fmt.Sprintf("r4-%d", i))
-	}
-	// Still writable and durable after the pass.
-	mustPut(t, d, "post", "compaction")
 	d.Close()
 
 	re := reopenDir(t, dir, Options{SegmentBytes: 128})
 	defer re.Close()
-	mustAbsent(t, re, "k3") // the kept tombstone must not resurrect
-	mustGet(t, re, "k5", "r4-5")
-	mustGet(t, re, "post", "compaction")
+	if re.Segments() != segs {
+		t.Fatalf("Segments after reopen = %d, want %d (nothing removes one)", re.Segments(), segs)
+	}
+	for i := 0; i < 10; i++ {
+		if i == 3 {
+			mustAbsent(t, re, "k3")
+			continue
+		}
+		mustGet(t, re, fmt.Sprintf("k%d", i), fmt.Sprintf("r4-%d", i))
+	}
+	if st := re.Stats(); st.Entries != 9 || st.Repairs != 0 {
+		t.Fatalf("Entries = %d Repairs = %d, want 9 live keys and a clean replay", st.Entries, st.Repairs)
+	}
 }
 
 func TestCrashTornAppendRecovers(t *testing.T) {
@@ -380,8 +379,7 @@ func (b *brickFS) Open(name string) (File, error) {
 	}
 	return &brickFile{fs: b, inner: f}, nil
 }
-func (b *brickFS) Remove(name string) error { return b.inner.Remove(name) }
-func (b *brickFS) List() ([]string, error)  { return b.inner.List() }
+func (b *brickFS) List() ([]string, error) { return b.inner.List() }
 
 type brickFile struct {
 	fs    *brickFS
@@ -437,9 +435,6 @@ func TestDegradeToReadOnly(t *testing.T) {
 	b.Put([]byte("e"), []byte("5"))
 	if err := b.Write(); !errors.Is(err, db.ErrReadOnly) {
 		t.Fatalf("batch Write after degrade = %v", err)
-	}
-	if err := d.Compact(); !errors.Is(err, db.ErrReadOnly) {
-		t.Fatalf("Compact after degrade = %v", err)
 	}
 	if ro, cause := d.ReadOnly(); !ro || cause == nil {
 		t.Fatalf("ReadOnly() = %v %v", ro, cause)

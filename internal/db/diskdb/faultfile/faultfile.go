@@ -242,17 +242,6 @@ func (s *FS) Open(name string) (dbfs.File, error) {
 	return &file{fs: s, name: name, inner: f}, nil
 }
 
-// Remove implements dbfs.FS.
-func (s *FS) Remove(name string) error {
-	s.mu.Lock()
-	err := s.step("remove", name)
-	s.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	return s.inner.Remove(name)
-}
-
 // List implements dbfs.FS.
 func (s *FS) List() ([]string, error) {
 	s.mu.Lock()

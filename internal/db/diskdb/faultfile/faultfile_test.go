@@ -19,7 +19,6 @@ func (m memFS) Open(name string) (dbfs.File, error) {
 	}
 	return &memFile{m: m, name: name}, nil
 }
-func (m memFS) Remove(name string) error { delete(m, name); return nil }
 func (m memFS) List() ([]string, error) {
 	var names []string
 	for name := range m {

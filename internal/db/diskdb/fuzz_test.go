@@ -76,7 +76,6 @@ func (m memFS) Open(name string) (File, error) {
 	}
 	return &memFile{m: m, name: name}, nil
 }
-func (m memFS) Remove(name string) error { delete(m, name); return nil }
 func (m memFS) List() ([]string, error) {
 	names := make([]string, 0, len(m))
 	for name := range m {

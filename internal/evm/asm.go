@@ -77,9 +77,6 @@ func (a *Asm) PushBytes(b []byte) *Asm {
 // PushAddr pushes a 20-byte address.
 func (a *Asm) PushAddr(addr types.Address) *Asm { return a.PushBytes(addr.Bytes()) }
 
-// PushHash pushes a 32-byte hash.
-func (a *Asm) PushHash(h types.Hash) *Asm { return a.PushBytes(h.Bytes()) }
-
 // Label binds name to the current position and emits a JUMPDEST.
 func (a *Asm) Label(name string) *Asm {
 	if _, dup := a.labels[name]; dup {

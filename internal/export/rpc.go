@@ -56,9 +56,11 @@ func wireBig(s, what string) (*big.Int, error) {
 // byte-identical to FromStore over the same chain: blocks 1..head in
 // order, receipts joined per transaction for the contract-call flag.
 // Receipts are fetched as one batch per block to amortise round trips.
-func FromRPC(name string, cl *rpc.Client) ([]BlockRow, []TxRow, error) {
+// The client fails over between its endpoints per call, so a dump
+// survives one of several same-chain servers going away.
+func FromRPC(name string, cl *rpc.FailoverClient) ([]BlockRow, []TxRow, error) {
 	var headHex string
-	if err := cl.Call(&headHex, "eth_blockNumber"); err != nil {
+	if _, err := cl.Call(&headHex, "eth_blockNumber"); err != nil {
 		return nil, nil, fmt.Errorf("export: eth_blockNumber: %w", err)
 	}
 	head, err := wireUint(headHex, "head")
@@ -69,7 +71,7 @@ func FromRPC(name string, cl *rpc.Client) ([]BlockRow, []TxRow, error) {
 	var txs []TxRow
 	for n := uint64(1); n <= head; n++ {
 		var blk *wireBlock
-		if err := cl.Call(&blk, "eth_getBlockByNumber", fmt.Sprintf("0x%x", n), true); err != nil {
+		if _, err := cl.Call(&blk, "eth_getBlockByNumber", fmt.Sprintf("0x%x", n), true); err != nil {
 			return nil, nil, fmt.Errorf("export: eth_getBlockByNumber(%d): %w", n, err)
 		}
 		if blk == nil {

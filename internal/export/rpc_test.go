@@ -62,7 +62,12 @@ func TestFromRPCMatchesFromStore(t *testing.T) {
 	if err != nil {
 		t.Fatalf("FromStore: %v", err)
 	}
-	fromRPCBlocks, fromRPCTxs, err := FromRPC("ETH", rpc.NewClient(ts.URL+"/eth", nil))
+	cl, err := rpc.NewFailoverClient(rpc.FailoverConfig{Endpoints: []string{ts.URL + "/eth"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	fromRPCBlocks, fromRPCTxs, err := FromRPC("ETH", cl)
 	if err != nil {
 		t.Fatalf("FromRPC: %v", err)
 	}

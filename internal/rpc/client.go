@@ -4,57 +4,27 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
-	"net/http"
-	"sync/atomic"
-	"time"
 )
 
-// Client is a minimal JSON-RPC 2.0 HTTP client for one endpoint (one
-// chain). It is safe for concurrent use; ids are allocated atomically.
-type Client struct {
-	endpoint string
-	hc       *http.Client
-	nextID   atomic.Int64
-}
-
-// NewClient builds a client for endpoint (e.g. "http://127.0.0.1:8545/eth").
-// A nil httpClient uses a dedicated client with a 30s timeout.
-func NewClient(endpoint string, httpClient *http.Client) *Client {
-	if httpClient == nil {
-		httpClient = &http.Client{Timeout: 30 * time.Second}
-	}
-	return &Client{endpoint: endpoint, hc: httpClient}
-}
-
-// Endpoint returns the target URL.
-func (c *Client) Endpoint() string { return c.endpoint }
-
-// Call invokes method with params and decodes the result into out (out
-// may be nil to discard). A JSON-RPC error comes back as *Error; a
-// transport failure as a plain error.
-func (c *Client) Call(out any, method string, params ...any) error {
-	id := c.nextID.Add(1)
-	req, err := buildRequest(id, method, params)
+// Call is the typed convenience on top of Do: it builds the request,
+// fails over, and decodes the result into out (nil discards). The
+// returned Outcome reports which endpoint answered and how degraded the
+// answer is; the error is *Error for JSON-RPC failures (and for a bare
+// HTTP 429, as ErrCodeOverloaded), a plain error otherwise.
+func (c *FailoverClient) Call(out any, method string, params ...any) (Outcome, error) {
+	req, err := buildRequest(c.nextID.Add(1), method, params)
 	if err != nil {
-		return err
+		return Outcome{}, err
 	}
 	body, err := json.Marshal(req)
 	if err != nil {
-		return err
+		return Outcome{}, err
 	}
-	raw, status, err := c.post(body)
-	if err != nil {
-		return err
+	res, outc := c.do(body)
+	if outc.Class != ClassOK && outc.Class != ClassDegraded {
+		return outc, failure(res.raw, outc.Class)
 	}
-	if status == http.StatusTooManyRequests {
-		return &Error{Code: ErrCodeOverloaded, Message: "server overloaded (HTTP 429)"}
-	}
-	var resp clientResponse
-	if err := json.Unmarshal(raw, &resp); err != nil {
-		return fmt.Errorf("decoding response (HTTP %d): %w", status, err)
-	}
-	return resp.unpack(out)
+	return outc, res.resp.unpack(out)
 }
 
 // BatchElem is one call in a batch: method, params and a destination for
@@ -67,16 +37,20 @@ type BatchElem struct {
 }
 
 // Batch sends all elems as a single JSON-RPC batch and fills each elem's
-// Result/Err. The returned error covers transport-level failures only.
-func (c *Client) Batch(elems []BatchElem) error {
+// Result/Err. The batch fails over as a whole: an endpoint that fails at
+// the transport or HTTP level (or answers garbage) hands the same body to
+// the next one, while a batch that was answered is final — per-element
+// errors, typed or not, stay with their element. The returned error
+// means no endpoint answered the batch: the last failure, or the server's
+// own *Error when it refused the batch itself (too large, say).
+func (c *FailoverClient) Batch(elems []BatchElem) error {
 	if len(elems) == 0 {
 		return nil
 	}
 	reqs := make([]*Request, len(elems))
 	byID := make(map[string]int, len(elems))
 	for i := range elems {
-		id := c.nextID.Add(1)
-		req, err := buildRequest(id, elems[i].Method, elems[i].Params)
+		req, err := buildRequest(c.nextID.Add(1), elems[i].Method, elems[i].Params)
 		if err != nil {
 			return err
 		}
@@ -87,29 +61,21 @@ func (c *Client) Batch(elems []BatchElem) error {
 	if err != nil {
 		return err
 	}
-	raw, status, err := c.post(body)
-	if err != nil {
-		return err
+	res, outc := c.do(body)
+	if outc.Class != ClassOK {
+		return failure(res.raw, outc.Class)
 	}
-	if status == http.StatusTooManyRequests {
-		overload := &Error{Code: ErrCodeOverloaded, Message: "server overloaded (HTTP 429)"}
-		for i := range elems {
-			elems[i].Err = overload
-		}
-		return nil
+	if res.batch == nil {
+		return fmt.Errorf("rpc: batch answered with a single response")
 	}
-	var resps []clientResponse
-	if err := json.Unmarshal(raw, &resps); err != nil {
-		return fmt.Errorf("decoding batch response (HTTP %d): %w", status, err)
-	}
-	seen := make(map[int]bool, len(resps))
-	for i := range resps {
-		idx, ok := byID[string(bytes.TrimSpace(resps[i].ID))]
+	seen := make([]bool, len(elems))
+	for i := range res.batch {
+		idx, ok := byID[string(bytes.TrimSpace(res.batch[i].ID))]
 		if !ok {
 			continue
 		}
 		seen[idx] = true
-		elems[idx].Err = resps[i].unpack(elems[idx].Result)
+		elems[idx].Err = res.batch[i].unpack(elems[idx].Result)
 	}
 	for i := range elems {
 		if !seen[i] && elems[i].Err == nil {
@@ -117,6 +83,23 @@ func (c *Client) Batch(elems []BatchElem) error {
 		}
 	}
 	return nil
+}
+
+// failure is the error for a request no endpoint answered usably: the
+// server's own *Error when the last body carries one, ErrCodeOverloaded
+// for a bare HTTP 429, a plain error naming the class otherwise.
+func failure(raw []byte, class string) error {
+	var cr clientResponse
+	if json.Unmarshal(raw, &cr) == nil && cr.Error != nil {
+		return cr.Error
+	}
+	switch {
+	case class == ClassOverloaded:
+		return &Error{Code: ErrCodeOverloaded, Message: "server overloaded (HTTP 429)"}
+	case raw == nil:
+		return fmt.Errorf("rpc: every endpoint failed (last class %q)", class)
+	}
+	return fmt.Errorf("rpc: request failed with class %q", class)
 }
 
 // clientResponse keeps Result raw so callers decode into their own type.
@@ -156,17 +139,4 @@ func buildRequest(id int64, method string, params []any) (*Request, error) {
 		req.Params = append(req.Params, json.RawMessage(enc))
 	}
 	return req, nil
-}
-
-func (c *Client) post(body []byte) (raw []byte, status int, err error) {
-	resp, err := c.hc.Post(c.endpoint, "application/json", bytes.NewReader(body))
-	if err != nil {
-		return nil, 0, err
-	}
-	defer resp.Body.Close()
-	raw, err = io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-	if err != nil {
-		return nil, resp.StatusCode, err
-	}
-	return raw, resp.StatusCode, nil
 }

@@ -1,6 +1,7 @@
 package rpc
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -101,12 +102,16 @@ type fepState struct {
 	state    atomic.Int32
 }
 
-// FailoverClient is a health-checking, hedging, failing-over JSON-RPC
-// client for a set of replicas serving the same chain: requests go to
-// the healthiest endpoint first, infrastructure failures (transport
-// errors, 429/503, typed storage/timeout/breaker errors) move on to the
-// next, and slow answers are optionally hedged. Responses tagged with a
-// staleness field are surfaced as ClassDegraded, never hidden.
+// FailoverClient is the package's JSON-RPC client: a health-checking,
+// hedging, failing-over client for a set of replicas serving the same
+// chain. Requests go to the healthiest endpoint first, infrastructure
+// failures (transport errors, 429/503, typed storage/timeout/breaker
+// errors) move on to the next, and slow answers are optionally hedged.
+// Responses tagged with a staleness field are surfaced as
+// ClassDegraded, never hidden. One endpoint is the degenerate case — no
+// health loop, no hedge, nowhere to fail over to — with the same
+// classification and the same Call/Batch decoding. Safe for concurrent
+// use; ids are allocated atomically.
 type FailoverClient struct {
 	cfg    FailoverConfig
 	hc     *http.Client
@@ -225,20 +230,30 @@ func (c *FailoverClient) count(name string) {
 	}
 }
 
-// attemptResult carries one endpoint's answer back to Do.
+// attemptResult carries one endpoint's answer back to do: the raw body,
+// its class, and the body as attempt decoded it to classify it — the
+// envelope of a single response, or the array of an answered batch — so
+// Call and Batch do not parse it a second time.
 type attemptResult struct {
-	ep        *fepState
-	raw       []byte
-	class     string
-	staleness *uint64
+	ep    *fepState
+	raw   []byte
+	class string
+	resp  clientResponse
+	batch []clientResponse
 }
 
-// Do posts one single-request JSON-RPC body, failing over and hedging
-// across the endpoint set. It returns the winning endpoint's raw
-// response body (nil when every endpoint failed at the transport level)
-// and the outcome. Batch bodies are the caller's affair — Do does not
-// split them across endpoints.
+// Do posts one JSON-RPC body, failing over and hedging across the
+// endpoint set. It returns the winning endpoint's raw response body (nil
+// when every endpoint failed at the transport level) and the outcome. A
+// batch body travels as a whole: it is never split across endpoints, and
+// an array answer is final whatever its elements say.
 func (c *FailoverClient) Do(body []byte) ([]byte, Outcome) {
+	res, out := c.do(body)
+	return res.raw, out
+}
+
+// do is Do returning the winning attempt whole, decoded body included.
+func (c *FailoverClient) do(body []byte) (attemptResult, Outcome) {
 	eps := c.order()
 	out := Outcome{}
 	results := make(chan attemptResult, len(eps))
@@ -248,8 +263,7 @@ func (c *FailoverClient) Do(body []byte) ([]byte, Outcome) {
 		next++
 		inflight++
 		go func() {
-			raw, class, st := c.attempt(ep, body)
-			results <- attemptResult{ep: ep, raw: raw, class: class, staleness: st}
+			results <- c.attempt(ep, body)
 		}()
 	}
 	launch()
@@ -274,7 +288,7 @@ func (c *FailoverClient) Do(body []byte) ([]byte, Outcome) {
 			c.noteEndpoint(res)
 			if !retryableClass(res.class) {
 				c.finish(&out, res)
-				return res.raw, out
+				return res, out
 			}
 			last = res
 			if inflight == 0 && next < len(eps) {
@@ -286,7 +300,7 @@ func (c *FailoverClient) Do(body []byte) ([]byte, Outcome) {
 	}
 	// Every endpoint failed; report the last failure honestly.
 	c.finish(&out, last)
-	return last.raw, out
+	return last, out
 }
 
 // finish folds the winning attempt into the outcome and the tallies.
@@ -295,9 +309,9 @@ func (c *FailoverClient) finish(out *Outcome, res attemptResult) {
 		out.Endpoint = res.ep.url
 	}
 	out.Class = res.class
-	if res.staleness != nil {
+	if st := res.resp.Staleness; st != nil {
 		out.Tagged = true
-		out.Staleness = *res.staleness
+		out.Staleness = *st
 	}
 	c.mu.Lock()
 	c.stats.Requests++
@@ -322,42 +336,56 @@ func (c *FailoverClient) noteEndpoint(res attemptResult) {
 }
 
 // attempt posts body to one endpoint and classifies the response.
-func (c *FailoverClient) attempt(ep *fepState, body []byte) (raw []byte, class string, staleness *uint64) {
-	resp, err := c.hc.Post(ep.url, "application/json", strings.NewReader(string(body)))
+func (c *FailoverClient) attempt(ep *fepState, body []byte) (res attemptResult) {
+	res.ep = ep
+	resp, err := c.hc.Post(ep.url, "application/json", bytes.NewReader(body))
 	if err != nil {
+		res.class = ClassTransport
 		if isTimeout(err) {
-			return nil, ClassTimeout, nil
+			res.class = ClassTimeout
 		}
-		return nil, ClassTransport, nil
+		return res
 	}
 	defer resp.Body.Close()
-	raw, err = io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+	res.raw, err = io.ReadAll(io.LimitReader(resp.Body, 64<<20))
 	if err != nil {
-		return nil, ClassTransport, nil
+		res.raw, res.class = nil, ClassTransport
+		return res
 	}
 	switch resp.StatusCode {
 	case http.StatusOK:
 	case http.StatusTooManyRequests:
-		return raw, ClassOverloaded, nil
+		res.class = ClassOverloaded
+		return res
 	case http.StatusServiceUnavailable:
-		return raw, ClassDraining, nil
+		res.class = ClassDraining
+		return res
 	default:
-		return raw, ClassProtocol, nil
+		res.class = ClassProtocol
+		return res
 	}
-	var cr clientResponse
-	if err := json.Unmarshal(raw, &cr); err != nil || cr.JSONRPC != Version {
-		return raw, ClassProtocol, nil
+	if b := bytes.TrimLeft(body, " \t\r\n"); len(b) > 0 && b[0] == '[' && json.Unmarshal(res.raw, &res.batch) == nil {
+		// An answered batch: what each element says is its caller's
+		// affair, not a reason to ask another endpoint. Anything else in
+		// reply to a batch is one envelope (the server refusing the
+		// batch itself) or garbage, classified below.
+		res.class = ClassOK
+		return res
 	}
-	if cr.Error != nil {
-		return raw, classifyError(cr.Error), cr.Staleness
+	cr := &res.resp
+	switch err := json.Unmarshal(res.raw, cr); {
+	case err != nil || cr.JSONRPC != Version:
+		res.class = ClassProtocol
+	case cr.Error != nil:
+		res.class = classifyError(cr.Error)
+	case len(cr.Result) == 0:
+		res.class = ClassProtocol
+	case cr.Staleness != nil:
+		res.class = ClassDegraded
+	default:
+		res.class = ClassOK
 	}
-	if len(cr.Result) == 0 {
-		return raw, ClassProtocol, nil
-	}
-	if cr.Staleness != nil {
-		return raw, ClassDegraded, cr.Staleness
-	}
-	return raw, ClassOK, nil
+	return res
 }
 
 // classifyError maps a typed JSON-RPC error to its failure class.
@@ -393,39 +421,4 @@ func isTimeout(err error) bool {
 		e = u.Unwrap()
 	}
 	return strings.Contains(err.Error(), "Client.Timeout")
-}
-
-// Call is the typed convenience on top of Do: it builds the request,
-// fails over, and decodes the result into out (nil discards). The
-// returned Outcome reports which endpoint answered and how degraded the
-// answer is; the error is *Error for JSON-RPC failures, a plain error
-// for transport-level exhaustion.
-func (c *FailoverClient) Call(out any, method string, params ...any) (Outcome, error) {
-	id := c.nextID.Add(1)
-	req, err := buildRequest(id, method, params)
-	if err != nil {
-		return Outcome{}, err
-	}
-	body, err := json.Marshal(req)
-	if err != nil {
-		return Outcome{}, err
-	}
-	raw, outc := c.Do(body)
-	if raw == nil {
-		return outc, fmt.Errorf("rpc: every endpoint failed (last class %q)", outc.Class)
-	}
-	switch outc.Class {
-	case ClassOK, ClassDegraded:
-		var cr clientResponse
-		if err := json.Unmarshal(raw, &cr); err != nil {
-			return outc, fmt.Errorf("rpc: decoding response: %w", err)
-		}
-		return outc, cr.unpack(out)
-	default:
-		var cr clientResponse
-		if err := json.Unmarshal(raw, &cr); err == nil && cr.Error != nil {
-			return outc, cr.Error
-		}
-		return outc, fmt.Errorf("rpc: request failed with class %q", outc.Class)
-	}
 }

@@ -111,10 +111,10 @@ func TestEndToEndMethods(t *testing.T) {
 	eth, _, srv := newTestPair(t)
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
-	cl := NewClient(ts.URL+"/eth", nil)
+	cl := newFC(t, FailoverConfig{Endpoints: []string{ts.URL + "/eth"}})
 
 	var headHex string
-	if err := cl.Call(&headHex, "eth_blockNumber"); err != nil {
+	if _, err := cl.Call(&headHex, "eth_blockNumber"); err != nil {
 		t.Fatalf("eth_blockNumber: %v", err)
 	}
 	if got := hexToUint(t, headHex); got != 3 {
@@ -122,7 +122,7 @@ func TestEndToEndMethods(t *testing.T) {
 	}
 
 	var blk map[string]any
-	if err := cl.Call(&blk, "eth_getBlockByNumber", "0x1", true); err != nil {
+	if _, err := cl.Call(&blk, "eth_getBlockByNumber", "0x1", true); err != nil {
 		t.Fatalf("eth_getBlockByNumber: %v", err)
 	}
 	if blk["number"] != "0x1" {
@@ -136,7 +136,7 @@ func TestEndToEndMethods(t *testing.T) {
 	txHash := txObj["hash"].(string)
 
 	var byHash map[string]any
-	if err := cl.Call(&byHash, "eth_getBlockByHash", blk["hash"], false); err != nil {
+	if _, err := cl.Call(&byHash, "eth_getBlockByHash", blk["hash"], false); err != nil {
 		t.Fatalf("eth_getBlockByHash: %v", err)
 	}
 	if byHash["hash"] != blk["hash"] {
@@ -147,7 +147,7 @@ func TestEndToEndMethods(t *testing.T) {
 	}
 
 	var tx map[string]any
-	if err := cl.Call(&tx, "eth_getTransactionByHash", txHash); err != nil {
+	if _, err := cl.Call(&tx, "eth_getTransactionByHash", txHash); err != nil {
 		t.Fatalf("eth_getTransactionByHash: %v", err)
 	}
 	if tx["blockNumber"] != "0x1" || tx["hash"] != txHash {
@@ -155,7 +155,7 @@ func TestEndToEndMethods(t *testing.T) {
 	}
 
 	var rec map[string]any
-	if err := cl.Call(&rec, "eth_getTransactionReceipt", txHash); err != nil {
+	if _, err := cl.Call(&rec, "eth_getTransactionReceipt", txHash); err != nil {
 		t.Fatalf("eth_getTransactionReceipt: %v", err)
 	}
 	if rec["transactionHash"] != txHash || rec["status"] != "0x1" {
@@ -163,7 +163,7 @@ func TestEndToEndMethods(t *testing.T) {
 	}
 
 	var missing *map[string]any
-	if err := cl.Call(&missing, "eth_getTransactionByHash", types.Hash{0xde, 0xad}.Hex()); err != nil {
+	if _, err := cl.Call(&missing, "eth_getTransactionByHash", types.Hash{0xde, 0xad}.Hex()); err != nil {
 		t.Fatalf("absent tx should be null result, got %v", err)
 	}
 	if missing != nil {
@@ -171,14 +171,14 @@ func TestEndToEndMethods(t *testing.T) {
 	}
 
 	var bal string
-	if err := cl.Call(&bal, "eth_getBalance", bob.Hex(), "latest"); err != nil {
+	if _, err := cl.Call(&bal, "eth_getBalance", bob.Hex(), "latest"); err != nil {
 		t.Fatalf("eth_getBalance: %v", err)
 	}
 	if hexToUint(t, bal) != 8_000 {
 		t.Fatalf("bob balance = %s, want 0x1f40", bal)
 	}
 	// At block 1 only the first transfer has landed.
-	if err := cl.Call(&bal, "eth_getBalance", bob.Hex(), "0x1"); err != nil {
+	if _, err := cl.Call(&bal, "eth_getBalance", bob.Hex(), "0x1"); err != nil {
 		t.Fatalf("eth_getBalance at block: %v", err)
 	}
 	if hexToUint(t, bal) != 7_000 {
@@ -186,7 +186,7 @@ func TestEndToEndMethods(t *testing.T) {
 	}
 
 	var nonce string
-	if err := cl.Call(&nonce, "eth_getTransactionCount", alice.Hex(), "latest"); err != nil {
+	if _, err := cl.Call(&nonce, "eth_getTransactionCount", alice.Hex(), "latest"); err != nil {
 		t.Fatalf("eth_getTransactionCount: %v", err)
 	}
 	if hexToUint(t, nonce) != 2 {
@@ -196,7 +196,7 @@ func TestEndToEndMethods(t *testing.T) {
 	var window struct {
 		Points []struct{ Number, Difficulty string } `json:"points"`
 	}
-	if err := cl.Call(&window, "fork_difficultyWindow", "0x0", "0x3"); err != nil {
+	if _, err := cl.Call(&window, "fork_difficultyWindow", "0x0", "0x3"); err != nil {
 		t.Fatalf("fork_difficultyWindow: %v", err)
 	}
 	if len(window.Points) != 4 {
@@ -206,7 +206,7 @@ func TestEndToEndMethods(t *testing.T) {
 	var echoes struct {
 		Echoes []struct{ Hash, BlockNumber, PeerBlockNumber string } `json:"echoes"`
 	}
-	if err := cl.Call(&echoes, "fork_echoCandidates", "0x1", "0x3"); err != nil {
+	if _, err := cl.Call(&echoes, "fork_echoCandidates", "0x1", "0x3"); err != nil {
 		t.Fatalf("fork_echoCandidates: %v", err)
 	}
 	if len(echoes.Echoes) != 1 || echoes.Echoes[0].Hash != txHash {
@@ -221,7 +221,7 @@ func TestEndToEndMethods(t *testing.T) {
 			Share  float64 `json:"share"`
 		} `json:"pools"`
 	}
-	if err := cl.Call(&pools, "fork_poolShares", "0x1", "0x3"); err != nil {
+	if _, err := cl.Call(&pools, "fork_poolShares", "0x1", "0x3"); err != nil {
 		t.Fatalf("fork_poolShares: %v", err)
 	}
 	if pools.TotalBlocks != 3 || len(pools.Pools) != 2 {
@@ -232,8 +232,8 @@ func TestEndToEndMethods(t *testing.T) {
 	}
 
 	// The second chain serves independently.
-	cl2 := NewClient(ts.URL+"/etc", nil)
-	if err := cl2.Call(&headHex, "eth_blockNumber"); err != nil {
+	cl2 := newFC(t, FailoverConfig{Endpoints: []string{ts.URL + "/etc"}})
+	if _, err := cl2.Call(&headHex, "eth_blockNumber"); err != nil {
 		t.Fatalf("etc eth_blockNumber: %v", err)
 	}
 	if hexToUint(t, headHex) != 1 {
@@ -340,13 +340,13 @@ func TestCacheInvalidationOnHeadAdvance(t *testing.T) {
 	eth, _, srv := newTestPair(t)
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
-	cl := NewClient(ts.URL+"/eth", nil)
+	cl := newFC(t, FailoverConfig{Endpoints: []string{ts.URL + "/eth"}})
 
 	var first, second, third string
-	if err := cl.Call(&first, "eth_blockNumber"); err != nil {
+	if _, err := cl.Call(&first, "eth_blockNumber"); err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.Call(&second, "eth_blockNumber"); err != nil {
+	if _, err := cl.Call(&second, "eth_blockNumber"); err != nil {
 		t.Fatal(err)
 	}
 	if first != second {
@@ -358,7 +358,7 @@ func TestCacheInvalidationOnHeadAdvance(t *testing.T) {
 	}
 
 	mine(t, eth, pool1)
-	if err := cl.Call(&third, "eth_blockNumber"); err != nil {
+	if _, err := cl.Call(&third, "eth_blockNumber"); err != nil {
 		t.Fatal(err)
 	}
 	if hexToUint(t, third) != hexToUint(t, first)+1 {
@@ -482,18 +482,18 @@ func TestNoStaleHeadUnderConcurrentMining(t *testing.T) {
 		close(stop)
 	}()
 
+	cl := newFC(t, FailoverConfig{Endpoints: []string{ts.URL + "/eth"}})
 	var wg sync.WaitGroup
 	for c := 0; c < clients; c++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			cl := NewClient(ts.URL+"/eth", &http.Client{Timeout: 10 * time.Second})
 			for i := 0; i < rounds; i++ {
 				// Head number observed BEFORE issuing the request: the
 				// response may never be older than this.
 				before := eth.Head().Number()
 				var hex string
-				if err := cl.Call(&hex, "eth_blockNumber"); err != nil {
+				if _, err := cl.Call(&hex, "eth_blockNumber"); err != nil {
 					t.Errorf("eth_blockNumber: %v", err)
 					return
 				}
@@ -509,7 +509,7 @@ func TestNoStaleHeadUnderConcurrentMining(t *testing.T) {
 				// Mix in a cached-window method to churn the caches.
 				if i%5 == 0 {
 					var out map[string]any
-					if err := cl.Call(&out, "fork_poolShares", "0x0", fmt.Sprintf("0x%x", before)); err != nil {
+					if _, err := cl.Call(&out, "fork_poolShares", "0x0", fmt.Sprintf("0x%x", before)); err != nil {
 						t.Errorf("fork_poolShares: %v", err)
 						return
 					}
@@ -667,7 +667,7 @@ func TestClientBatch(t *testing.T) {
 	_, _, srv := newTestPair(t)
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
-	cl := NewClient(ts.URL+"/eth", nil)
+	cl := newFC(t, FailoverConfig{Endpoints: []string{ts.URL + "/eth"}})
 
 	var head string
 	var blk map[string]any

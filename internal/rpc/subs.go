@@ -72,8 +72,11 @@ func liveChainFilter(b *Backend, stream string) string {
 	return ""
 }
 
-// pollResult is the fork_liveEvents payload.
-type pollResult struct {
+// LivePage is the fork_liveEvents payload, the one declaration servers
+// encode and followers decode: the matching events, the cursor to read
+// from next, whether the read skipped events that had already left the
+// replay ring, and the feed's next sequence number.
+type LivePage struct {
 	Events []feed.Event `json:"events"`
 	Cursor uint64       `json:"cursor"`
 	Gap    bool         `json:"gap"`
@@ -116,7 +119,7 @@ func forkLiveEvents(_ context.Context, b *Backend, params []json.RawMessage) (an
 	if events == nil {
 		events = []feed.Event{}
 	}
-	return pollResult{Events: events, Cursor: next, Gap: gap, Seq: src.Feed.Seq()}, nil
+	return LivePage{Events: events, Cursor: next, Gap: gap, Seq: src.Feed.Seq()}, nil
 }
 
 // forkLiveSnapshot returns the rolling O1–O6 view: params [].

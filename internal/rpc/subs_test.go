@@ -15,12 +15,8 @@ import (
 
 // liveResult is the fork_liveEvents envelope the tests decode.
 type liveResult struct {
-	Result struct {
-		Events []feed.Event `json:"events"`
-		Cursor uint64       `json:"cursor"`
-		Gap    bool         `json:"gap"`
-	} `json:"result"`
-	Error *Error `json:"error"`
+	Result LivePage `json:"result"`
+	Error  *Error   `json:"error"`
 }
 
 // TestLiveTransportsOverASmallRing attaches an 8-event feed that has

@@ -102,12 +102,8 @@ func pollFollower(client *http.Client, url string, fo *follower, deadline time.T
 			continue
 		}
 		var envelope struct {
-			Result struct {
-				Events []feed.Event `json:"events"`
-				Cursor uint64       `json:"cursor"`
-				Gap    bool         `json:"gap"`
-			} `json:"result"`
-			Error *rpc.Error `json:"error"`
+			Result rpc.LivePage `json:"result"`
+			Error  *rpc.Error   `json:"error"`
 		}
 		if err := json.Unmarshal(raw, &envelope); err != nil {
 			// Truncated by injected loss; the cursor did not move.

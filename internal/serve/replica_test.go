@@ -132,6 +132,47 @@ type chaosReplicaStats struct {
 	Failovers    uint64            `json:"failovers"`
 	Hedged       uint64            `json:"hedged"`
 	ByClass      map[string]uint64 `json:"by_class"`
+	// The fork_liveEvents follower riding along (see feedFollower).
+	FollowerEvents     uint64 `json:"follower_events"`
+	FollowerGaps       int    `json:"follower_gaps"`
+	FollowerDuplicates int    `json:"follower_duplicates"`
+	FollowerMissed     int    `json:"follower_missed"`
+}
+
+// feedFollower reads the "events" stream with fork_liveEvents through a
+// failover client, owning the cursor the way forkanalyze -follow does. On
+// that stream every event matches, so the seqs it is handed must be
+// exactly 0, 1, 2, ... whichever endpoint answered each read.
+type feedFollower struct {
+	client     *rpc.FailoverClient
+	cursor     uint64 // also the next seq expected
+	gaps       int    // pages flagged gap
+	duplicates int    // events with a seq already seen
+	missed     int    // seqs skipped over
+}
+
+// read fetches one page of at most max events and reports how many came.
+// A failed read is simply repeated from the same cursor by the next call.
+func (f *feedFollower) read(max int) int {
+	var page rpc.LivePage
+	if _, err := f.client.Call(&page, "fork_liveEvents", "events", f.cursor, max); err != nil {
+		return 0
+	}
+	if page.Gap {
+		f.gaps++
+	}
+	next := f.cursor
+	for _, ev := range page.Events {
+		switch {
+		case ev.Seq < next:
+			f.duplicates++
+		case ev.Seq > next:
+			f.missed += int(ev.Seq - next)
+		}
+		next = ev.Seq + 1
+	}
+	f.cursor = page.Cursor
+	return len(page.Events)
 }
 
 // TestChaosReplicaServingPlane is the replica-tier acceptance test: a
@@ -141,7 +182,9 @@ type chaosReplicaStats struct {
 // throughout. Every successful response must be byte-identical to the
 // primary's answer for the same request — degraded or not, the tier
 // never returns a wrong result — and the success rate must clear the
-// floor.
+// floor. A follower pages the replicas' live feed through a second
+// two-endpoint client across the same crash and restart and must be
+// handed every seq exactly once, in order, with no gap.
 func TestChaosReplicaServingPlane(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-fidelity build plus chaos convergence")
@@ -234,6 +277,20 @@ func TestChaosReplicaServingPlane(t *testing.T) {
 	}
 	defer fc.Close()
 
+	// The follower's own client over the same pair, no hedge: a cursor
+	// read is idempotent, so failing over is all it needs. One small page
+	// per request of the main loop spreads its reads over the whole run.
+	followerClient, err := rpc.NewFailoverClient(rpc.FailoverConfig{
+		Endpoints:  []string{ts1.URL + "/eth", ts2.URL + "/eth"},
+		HTTPClient: &http.Client{Timeout: 3 * time.Second},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer followerClient.Close()
+	follower := &feedFollower{client: followerClient}
+	var atCrash, atRestart uint64 // the follower's cursor at those moments
+
 	// The request mix: read-path methods with concrete params at explicit
 	// heights, so the primary's answer for the identical body is the
 	// ground truth a correct replica must reproduce byte for byte.
@@ -265,13 +322,16 @@ func TestChaosReplicaServingPlane(t *testing.T) {
 			// drains, its stores close; the endpoint answers 503 until the
 			// restart below, so the client must fail over to replica2.
 			r1.Close()
+			atCrash = follower.cursor
 		case total / 2:
 			// Restart it under the same name: fresh mem stores, full resync
 			// from the primary over the same faulty wire, same registry.
 			r1, f1 = mkReplica("replica1", 101, shared)
 			enable(f1)
 			h1.set(r1.Server)
+			atRestart = follower.cursor
 		}
+		follower.read(1)
 		body := nextBody(i)
 		raw, out := fc.Do([]byte(body))
 		if out.Class != rpc.ClassOK && out.Class != rpc.ClassDegraded {
@@ -316,6 +376,32 @@ func TestChaosReplicaServingPlane(t *testing.T) {
 	// The restarted replica reconverges to the primary's exact heads.
 	waitReplicaCaughtUp(t, "resync after restart", r1, primary)
 
+	// With both replicas converged the follower drains what is left: the
+	// feed never publishes an EOF on the replica tier, so an empty page
+	// from a caught-up replica is the end.
+	for follower.read(4096) > 0 {
+	}
+	fstats := followerClient.Stats()
+	t.Logf("follower: %d events (%d at the crash, %d at the restart), %d gaps, %d duplicates, %d missed, failovers=%d",
+		follower.cursor, atCrash, atRestart, follower.gaps, follower.duplicates, follower.missed, fstats.Failovers)
+	if follower.gaps != 0 || follower.duplicates != 0 || follower.missed != 0 {
+		t.Errorf("follower across the crash/restart: %d gaps, %d duplicate seqs, %d missed seqs; want every seq exactly once, in order",
+			follower.gaps, follower.duplicates, follower.missed)
+	}
+	var blocks uint64
+	for _, c := range primary.Chains {
+		blocks += c.Ledger.BC.Head().Number()
+	}
+	if follower.cursor < blocks {
+		t.Errorf("follower read %d events, want at least one head per block (%d)", follower.cursor, blocks)
+	}
+	if atCrash == 0 || atCrash >= atRestart || atRestart >= follower.cursor {
+		t.Errorf("follower cursor %d at the crash, %d at the restart, %d at the end; its reads did not span both", atCrash, atRestart, follower.cursor)
+	}
+	if fstats.Failovers == 0 {
+		t.Error("the follower never failed over; the crash window did not reach it")
+	}
+
 	// Satellite: the replica metrics surface. The per-replica gauges and
 	// the failover counters must all be present in the /debug/metrics
 	// snapshot, and the crash window must have moved rpc.failovers.
@@ -338,6 +424,11 @@ func TestChaosReplicaServingPlane(t *testing.T) {
 			Failovers:    stats.Failovers,
 			Hedged:       stats.Hedged,
 			ByClass:      stats.ByClass,
+
+			FollowerEvents:     follower.cursor,
+			FollowerGaps:       follower.gaps,
+			FollowerDuplicates: follower.duplicates,
+			FollowerMissed:     follower.missed,
 		}, "", "  ")
 		if err := os.WriteFile(out, append(artifact, '\n'), 0o644); err != nil {
 			t.Errorf("writing %s: %v", out, err)

@@ -149,9 +149,6 @@ func (l *FastLedger) headDiffRef() *big.Int { return l.diff }
 // engine calls it at the day barrier once every borrower is done.
 func (l *FastLedger) resetDayArena() { l.incArena = l.incArena[:0] }
 
-// IsContract reports whether the address carries code.
-func (l *FastLedger) IsContract(a types.Address) bool { return l.contracts[a] }
-
 func (l *FastLedger) account(a types.Address) *fastAccount {
 	acct, ok := l.accounts[a]
 	if !ok {

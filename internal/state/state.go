@@ -37,17 +37,9 @@ type Account struct {
 	CodeHash    types.Hash
 }
 
-func (a *Account) encode() []byte {
-	return rlp.EncodeList(
-		rlp.Uint(a.Nonce),
-		rlp.BigInt(a.Balance),
-		rlp.Bytes(a.StorageRoot.Bytes()),
-		rlp.Bytes(a.CodeHash.Bytes()),
-	)
-}
-
 // appendTo appends the account's RLP encoding to dst — byte-identical to
-// encode (the conformance test pins this), minus its allocations.
+// the rlp.Value tree model in state_test.go (the conformance test pins
+// this), minus its allocations.
 // Trie.Update copies values, so Commit encodes every account into one
 // reusable scratch buffer.
 func (a *Account) appendTo(dst []byte) []byte {
@@ -162,9 +154,6 @@ func NewEmpty() *DB {
 	}
 	return s
 }
-
-// Database returns the backing node store (shared with copies).
-func (s *DB) Database() db.KV { return s.db }
 
 func (s *DB) getObject(addr types.Address) *stateObject {
 	if obj, ok := s.objects[addr]; ok {

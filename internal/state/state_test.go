@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"forkwatch/internal/db"
+	"forkwatch/internal/rlp"
 	"forkwatch/internal/types"
 )
 
@@ -329,4 +330,15 @@ func TestAccountAppendToMatchesEncode(t *testing.T) {
 			t.Fatalf("case %d: round-trip mismatch: %+v vs %+v", i, dec, a)
 		}
 	}
+}
+
+// encode is the account's rlp.Value tree model: the reference appendTo
+// is held equal to by the conformance test above.
+func (a *Account) encode() []byte {
+	return rlp.EncodeList(
+		rlp.Uint(a.Nonce),
+		rlp.BigInt(a.Balance),
+		rlp.Bytes(a.StorageRoot.Bytes()),
+		rlp.Bytes(a.CodeHash.Bytes()),
+	)
 }

@@ -497,8 +497,9 @@ func nodeSize(n node) int {
 	}
 }
 
-// appendNode appends the RLP encoding of n to dst — the allocation-free
-// replacement for rlp.Encode(encodeNode(n)) on the commit path. Child
+// appendNode appends the RLP encoding of n to dst with no intermediate
+// tree — byte-identical to the rlp.Value model (encodeNode in
+// trie_test.go, which TestAppendNodeMatchesModel holds it to). Child
 // references must already be collapsed (hashNode for >= 32-byte children),
 // which commit guarantees.
 func appendNode(dst []byte, n node) []byte {
@@ -545,8 +546,10 @@ func compactSize(hex []byte) int {
 	return rlp.StringSize(kl)
 }
 
-// appendCompact appends the RLP string encoding of hexToCompact(hex)
-// without materializing the intermediate compact buffer.
+// appendCompact appends the RLP string encoding of the hex-prefix form of
+// the nibble key — a flag nibble carrying oddness and leaf/extension
+// kind, then the packed nibbles — without materializing the compact
+// buffer (hexToCompact in trie_test.go is the model that does).
 func appendCompact(dst, hex []byte) []byte {
 	first := byte(0)
 	if hasTerm(hex) {
@@ -566,29 +569,6 @@ func appendCompact(dst, hex []byte) []byte {
 		dst = append(dst, hex[i]<<4|hex[i+1])
 	}
 	return dst
-}
-
-// encodeNode maps a node to its RLP Value. Child references become either
-// the 32-byte hash string or the embedded sub-encoding.
-func encodeNode(n node) rlp.Value {
-	switch n := n.(type) {
-	case nil:
-		return rlp.Bytes(nil)
-	case valueNode:
-		return rlp.Bytes(n)
-	case hashNode:
-		return rlp.Bytes(n)
-	case *shortNode:
-		return rlp.List(rlp.Bytes(hexToCompact(n.key)), encodeNode(n.val))
-	case *fullNode:
-		items := make([]rlp.Value, 17)
-		for i, c := range n.children {
-			items[i] = encodeNode(c)
-		}
-		return rlp.List(items...)
-	default:
-		panic(fmt.Sprintf("trie: unknown node type %T", n))
-	}
 }
 
 // decodeNode rebuilds a node from its decoded RLP Value.
@@ -668,28 +648,7 @@ func keybytesToHex(key []byte) []byte {
 	return out
 }
 
-// hexToCompact applies hex-prefix encoding: flag nibble carrying oddness
-// and leaf/extension kind, then packed nibbles.
-func hexToCompact(hex []byte) []byte {
-	terminator := byte(0)
-	if hasTerm(hex) {
-		terminator = 1
-		hex = hex[:len(hex)-1]
-	}
-	buf := make([]byte, len(hex)/2+1)
-	buf[0] = terminator << 5
-	if len(hex)%2 == 1 {
-		buf[0] |= 1 << 4
-		buf[0] |= hex[0]
-		hex = hex[1:]
-	}
-	for i := 0; i < len(hex); i += 2 {
-		buf[i/2+1] = hex[i]<<4 | hex[i+1]
-	}
-	return buf
-}
-
-// compactToHex inverts hexToCompact.
+// compactToHex expands a hex-prefix (compact) key back into nibbles.
 func compactToHex(compact []byte) []byte {
 	if len(compact) == 0 {
 		return nil

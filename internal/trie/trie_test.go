@@ -353,3 +353,50 @@ func TestAppendNodeMatchesModel(t *testing.T) {
 		t.Fatalf("walk only reached %d nodes; trie too shallow to be a meaningful check", checked)
 	}
 }
+
+// The tree model of node encoding: the reference appendNode/nodeSize and
+// appendCompact are held equal to by TestAppendNodeMatchesModel.
+
+// encodeNode maps a node to its RLP Value. Child references become either
+// the 32-byte hash string or the embedded sub-encoding.
+func encodeNode(n node) rlp.Value {
+	switch n := n.(type) {
+	case nil:
+		return rlp.Bytes(nil)
+	case valueNode:
+		return rlp.Bytes(n)
+	case hashNode:
+		return rlp.Bytes(n)
+	case *shortNode:
+		return rlp.List(rlp.Bytes(hexToCompact(n.key)), encodeNode(n.val))
+	case *fullNode:
+		items := make([]rlp.Value, 17)
+		for i, c := range n.children {
+			items[i] = encodeNode(c)
+		}
+		return rlp.List(items...)
+	default:
+		panic(fmt.Sprintf("trie: unknown node type %T", n))
+	}
+}
+
+// hexToCompact applies hex-prefix encoding: flag nibble carrying oddness
+// and leaf/extension kind, then packed nibbles.
+func hexToCompact(hex []byte) []byte {
+	terminator := byte(0)
+	if hasTerm(hex) {
+		terminator = 1
+		hex = hex[:len(hex)-1]
+	}
+	buf := make([]byte, len(hex)/2+1)
+	buf[0] = terminator << 5
+	if len(hex)%2 == 1 {
+		buf[0] |= 1 << 4
+		buf[0] |= hex[0]
+		hex = hex[1:]
+	}
+	for i := 0; i < len(hex); i += 2 {
+		buf[i/2+1] = hex[i]<<4 | hex[i+1]
+	}
+	return buf
+}

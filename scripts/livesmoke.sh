@@ -5,9 +5,11 @@
 # tables, run the identical scenario through the batch exporter
 # (forksim -mode full), and require the two CSV sets byte-identical —
 # the streaming analyzer's convergence guarantee, exercised over a real
-# HTTP wire. It also checks the streamed head against the polled
-# eth_blockNumber and the live metrics. The convergence diff
-# lands in $OUT/convergence.diff (empty on success; CI uploads it).
+# HTTP wire. The follower is given a dead first endpoint, so every read
+# proves the RPC client's failover path as well. It also checks the
+# streamed head against the polled eth_blockNumber and the live metrics.
+# The convergence diff lands in $OUT/convergence.diff (empty on success;
+# CI uploads it).
 set -eu
 
 ADDR="${LIVESMOKE_ADDR:-127.0.0.1:18555}"
@@ -50,9 +52,16 @@ until curl -sf "$BASE/healthz" >/dev/null 2>&1; do
 done
 
 # Follow the live run to its EOF marker; the analyzer writes its
-# converged CSV tables when the feed completes.
-echo "livesmoke: following the live feed..."
-"$BIN/forkanalyze" -follow "$BASE" -out "$OUT/live"
+# converged CSV tables when the feed completes. The first endpoint of the
+# list refuses connections (port 1): route discovery and the first read
+# must both move on to the live server.
+DEAD="${LIVESMOKE_DEAD:-http://127.0.0.1:1}"
+echo "livesmoke: following the live feed through $DEAD,$BASE..."
+"$BIN/forkanalyze" -follow "$DEAD,$BASE" -out "$OUT/live" >"$OUT/follow.log" || {
+    cat "$OUT/follow.log"; echo "livesmoke: FAIL forkanalyze -follow exited non-zero" >&2; exit 1; }
+cat "$OUT/follow.log"
+grep -q "^following $DEAD/[a-z0-9]*,$BASE/" "$OUT/follow.log" || {
+    echo "livesmoke: FAIL the dead endpoint is missing from the follower's endpoint list" >&2; exit 1; }
 
 # The streamed head must equal the served head: replay the newHeads
 # stream for the first route and compare its last head number against

@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt partitionlint matrix check bench bench-selftest benchcmp profile fuzz chaos chaos-disk chaos-replica rpcsmoke live-smoke loadbench clean
+.PHONY: all build test race vet fmt partitionlint matrix check bench-selftest profile fuzz chaos chaos-disk chaos-replica rpcsmoke live-smoke clean
 
 all: build
 
@@ -101,38 +101,6 @@ chaos-replica:
 bench-selftest:
 	cd bench && $(GO) test ./...
 
-# HISTORY — `make bench`, `make benchcmp`, `make loadbench` and the
-# committed BENCH_pr*.json snapshots predate bench/. They measure
-# 400-tx/day archives and a response cache at 99.98 % hits, in five
-# incompatible file shapes; they remain for the allocs/op gate CI still
-# runs and for reading old PR records, and are not evidence for new
-# claims. Use bench/run.sh -compare for those.
-#
-# Benchmarks: three iterations per benchmark (benchtime=1x was too noisy
-# to diff between snapshots; iteration counts land in the JSON), raw text
-# kept, converted into a machine-readable JSON snapshot. The default output
-# is a scratch file: the committed BENCH_pr*.json snapshots are records and
-# are only ever read (BENCH_BASELINE).
-BENCH_JSON ?= bench-run.json
-
-bench:
-	$(GO) test -bench=. -benchtime=3x -benchmem -run '^$$' ./... | tee bench.out
-	$(GO) run ./tools/benchjson bench.out > $(BENCH_JSON)
-
-# Bench diff against a committed baseline snapshot: prints ns/op and
-# allocs/op deltas. ns/op gating is opt-in (BENCH_THRESHOLD, wall time is
-# noisy on shared runners); allocs/op gating is ON by default — alloc
-# counts are deterministic per build, so a regression past
-# BENCH_ALLOC_THRESHOLD is a real leak in the pooled-allocation engine,
-# and CI fails on it. Set BENCH_ALLOC_THRESHOLD=0 to report only.
-BENCH_BASELINE ?= BENCH_pr10.json
-BENCH_THRESHOLD ?= 0
-BENCH_ALLOC_THRESHOLD ?= 10
-
-benchcmp:
-	$(GO) run ./tools/benchcmp -threshold $(BENCH_THRESHOLD) \
-		-alloc-threshold $(BENCH_ALLOC_THRESHOLD) $(BENCH_BASELINE) $(BENCH_JSON)
-
 # CPU/alloc profile of the long-horizon engine benchmark; inspect with
 # `go tool pprof cpu.pprof` / `go tool pprof -alloc_objects mem.pprof`.
 # heap.pprof is an end-of-run live-heap snapshot (inuse_space), the view
@@ -173,19 +141,6 @@ LIVESMOKE_OUT ?= live-smoke-out
 
 live-smoke:
 	GO="$(GO)" LIVESMOKE_OUT="$(LIVESMOKE_OUT)" sh scripts/livesmoke.sh
-
-# Serving-layer load benchmark (HISTORY, see above: bench/'s rpc-cold-uniform
-# and rpc-hot-zipf workloads replace it): closed-loop generator against an
-# in-process archive; throughput and latency percentiles land in
-# LOAD_JSON (a scratch file, not the committed BENCH_pr4.json record).
-LOAD_JSON ?= load-run.json
-LOAD_DURATION ?= 5s
-LOAD_CLIENTS ?= 64
-LOAD_SUBS ?= 8
-
-loadbench:
-	$(GO) run ./cmd/forkload -selfserve -days 1 -duration $(LOAD_DURATION) \
-		-clients $(LOAD_CLIENTS) -subscribers $(LOAD_SUBS) -out $(LOAD_JSON)
 
 clean:
 	$(GO) clean ./...

@@ -3,11 +3,8 @@ package main
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
-	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 	"time"
@@ -100,7 +97,7 @@ func followLive(targets, outDir string, epoch uint64) error {
 
 	printSummary(an)
 	if outDir != "" {
-		if err := writeTables(rec, outDir); err != nil {
+		if err := export.WriteTables(outDir, rec.Blocks, rec.Txs, rec.Days); err != nil {
 			return err
 		}
 		fmt.Printf("\nwrote blocks.csv txs.csv days.csv to %s (byte-identical to a batch export of the run)\n", outDir)
@@ -209,33 +206,4 @@ func printSummary(an *live.Analyzer) {
 		fmt.Printf("Fig 5  %s pools %d; top-1 share %.2f; top-5 share %.2f; gini %.2f\n",
 			c.Chain, c.Pools, c.Top1Share, c.Top5Share, c.PoolGini)
 	}
-}
-
-// writeTables writes the recorder's rows into dir with the batch
-// exporter's writers.
-func writeTables(rec *export.Recorder, dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	for _, t := range []struct {
-		name  string
-		write func(io.Writer) error
-	}{
-		{"blocks.csv", func(w io.Writer) error { return export.WriteBlocks(w, rec.Blocks) }},
-		{"txs.csv", func(w io.Writer) error { return export.WriteTxs(w, rec.Txs) }},
-		{"days.csv", func(w io.Writer) error { return export.WriteDays(w, rec.Days) }},
-	} {
-		f, err := os.Create(filepath.Join(dir, t.name))
-		if err != nil {
-			return err
-		}
-		if err := t.write(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-	}
-	return nil
 }

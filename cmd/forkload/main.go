@@ -2,7 +2,7 @@
 // JSON-RPC archive: N client goroutines issue a mixed read workload
 // against both chain endpoints as fast as the server allows, then the
 // run's throughput, latency percentiles, per-class failure counts and
-// cache hit rate are written as JSON (BENCH_pr4.json by default).
+// cache hit rate are written as JSON (to stdout, or to -out).
 //
 // Every request travels through the failover-aware rpc client, so -urls
 // can name several replicas of the same serving plane: the generator
@@ -92,7 +92,7 @@ func main() {
 		clients   = flag.Int("clients", 64, "concurrent closed-loop clients")
 		duration  = flag.Duration("duration", 5*time.Second, "load duration")
 		hedge     = flag.Duration("hedge", 0, "hedge a request to the next replica if the first has not answered within this delay (0 = off; needs >1 URL)")
-		out       = flag.String("out", "BENCH_pr4.json", "JSON report path (- for stdout)")
+		out       = flag.String("out", "-", "JSON report path (- for stdout)")
 		chainsCSV = flag.String("chains", "eth,etc", "comma-separated chain routes to load on an external target (selfserve discovers its own)")
 		subs      = flag.Int("subscribers", 0, "subscriber goroutines riding along: each replays the live feed from cursor 0 to EOF with fork_liveEvents, over and over for the whole run")
 		substream = flag.String("substream", "events", "stream the subscriber mix follows (events, newHeads, newDays, pendingEchoes)")

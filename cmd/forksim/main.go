@@ -199,28 +199,7 @@ func main() {
 		writeCSV(fmt.Sprintf("fig5_top%d.csv", n), s)
 	}
 
-	blocksF, err := os.Create(filepath.Join(*outDir, "blocks.csv"))
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer blocksF.Close()
-	if err := export.WriteBlocks(blocksF, rec.Blocks); err != nil {
-		log.Fatal(err)
-	}
-	txsF, err := os.Create(filepath.Join(*outDir, "txs.csv"))
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer txsF.Close()
-	if err := export.WriteTxs(txsF, rec.Txs); err != nil {
-		log.Fatal(err)
-	}
-	daysF, err := os.Create(filepath.Join(*outDir, "days.csv"))
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer daysF.Close()
-	if err := export.WriteDays(daysF, rec.Days); err != nil {
+	if err := export.WriteTables(*outDir, rec.Blocks, rec.Txs, rec.Days); err != nil {
 		log.Fatal(err)
 	}
 	log.Printf("wrote figures and ledger export to %s (fig3 correlation %.4f)", *outDir, corr)

@@ -486,9 +486,6 @@ func (bc *Blockchain) writeBlock(b *Block, receipts []*Receipt, root types.Hash)
 		}
 		bc.head = b
 	}
-	// The receipts are fully serialized into the committed batch; nothing
-	// retains the structs.
-	ReleaseReceipts(receipts)
 	return nil
 }
 
@@ -595,7 +592,6 @@ func (bc *Blockchain) BuildBlockWithUncles(coinbase types.Address, time uint64, 
 		return nil, err
 	}
 	fillRoots(block, receipts, root)
-	ReleaseReceipts(receipts) // consumed by the root; nothing retains them
 	return block, nil
 }
 

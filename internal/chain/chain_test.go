@@ -178,6 +178,18 @@ func TestTamperedTxRejected(t *testing.T) {
 	if err := tx2.VerifySig(); err == nil {
 		t.Error("sender swap should fail signature check")
 	}
+	// The workload's signer proves the tag as it derives it; a re-Sign
+	// must clear that latch, or tampering afterwards would go unseen.
+	tx3 := transfer(0, alice, bob, 10, 0)
+	tx3.SignLazy(alice, 0).FinishSign()
+	if err := tx3.VerifySig(); err != nil {
+		t.Fatalf("freshly minted tx: %v", err)
+	}
+	tx3.Sign(alice, 0)
+	tx3.Value = big.NewInt(1_000_000)
+	if err := tx3.VerifySig(); err == nil {
+		t.Error("tx re-signed and then tampered should fail signature check")
+	}
 }
 
 func TestBlockEncodingRoundTrip(t *testing.T) {

@@ -38,11 +38,10 @@ func modelMine(bc *Blockchain, coinbase types.Address, time uint64, candidates [
 	var included []*Transaction
 	gasPool := header.GasLimit
 	for _, tx := range candidates {
-		rec, used, err := bc.Processor().ApplyTransaction(tx, st, header, gasPool)
+		_, used, err := bc.Processor().ApplyTransaction(tx, st, header, gasPool)
 		if err != nil {
 			continue
 		}
-		ReleaseReceipt(rec)
 		gasPool -= used
 		included = append(included, tx)
 	}

@@ -127,8 +127,6 @@ func (p *Processor) ValidateTx(tx *Transaction, st *state.DB, blockNum *big.Int)
 
 // ApplyTransaction executes one transaction, returning its receipt and the
 // gas it consumed from the block gas pool.
-// The returned receipt comes from the receipt arena; callers that fully
-// consume it (serialize, drop) should hand it back via ReleaseReceipt.
 // Every big.Int used for gas accounting is pooled scratch: the state
 // mutators and the EVM copy their arguments, so nothing leaks out.
 func (p *Processor) ApplyTransaction(tx *Transaction, st *state.DB, header *Header, gasPool uint64) (*Receipt, uint64, error) {
@@ -161,8 +159,7 @@ func (p *Processor) ApplyTransaction(tx *Transaction, st *state.DB, header *Head
 	})
 	gas := tx.GasLimit - tx.IntrinsicGas()
 
-	rec := NewPooledReceipt()
-	rec.TxHash = tx.Hash()
+	rec := &Receipt{TxHash: tx.Hash()}
 	var gasLeft uint64
 	var execErr error
 	if tx.IsContractCreation() {

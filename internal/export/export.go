@@ -9,6 +9,8 @@ import (
 	"fmt"
 	"io"
 	"math/big"
+	"os"
+	"path/filepath"
 	"slices"
 	"sort"
 
@@ -322,6 +324,36 @@ func WriteDays(w io.Writer, rows []DayRow) error {
 	}
 	_, err = spill(w, buf, 1)
 	return err
+}
+
+// WriteTables writes the three ledger tables — blocks.csv, txs.csv and
+// days.csv — into dir, creating it if needed. A table counts as written
+// only once its file has closed without error.
+func WriteTables(dir string, blocks []BlockRow, txs []TxRow, days []DayRow) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	for _, t := range []struct {
+		name  string
+		write func(io.Writer) error
+	}{
+		{"blocks.csv", func(w io.Writer) error { return WriteBlocks(w, blocks) }},
+		{"txs.csv", func(w io.Writer) error { return WriteTxs(w, txs) }},
+		{"days.csv", func(w io.Writer) error { return WriteDays(w, days) }},
+	} {
+		f, err := os.Create(filepath.Join(dir, t.name))
+		if err != nil {
+			return err
+		}
+		if err := t.write(f); err != nil {
+			f.Close()
+			return err
+		}
+		if err := f.Close(); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Replay feeds exported rows back through a sim.Observer (typically the

@@ -3,6 +3,8 @@ package export
 import (
 	"bytes"
 	"math/big"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -303,5 +305,39 @@ func TestReplayAllSynthesisesDayEvents(t *testing.T) {
 	d1eth, d1etc := col.days[1].Partition("ETH"), col.days[1].Partition("ETC")
 	if d1eth.Difficulty.Int64() != 120 || d1etc.Difficulty.Int64() != 9 || d1etc.USD != 1.3 {
 		t.Errorf("day 1 = %+v", col.days[1])
+	}
+}
+
+// TestWriteTables: a good directory holds three tables the readers take
+// back unchanged, and a directory that cannot be created is an error, not
+// a log line after the fact.
+func TestWriteTables(t *testing.T) {
+	chains := []string{"ETH", "ETC"}
+	days := []DayRow{{Day: 0, Chains: chains, USD: []float64{12, 1.2}, Hashrate: []float64{4.9e12, 1e11}}}
+	dir := filepath.Join(t.TempDir(), "out")
+	if err := WriteTables(dir, sampleBlocks(), sampleTxs(), days); err != nil {
+		t.Fatal(err)
+	}
+	open := func(name string) *os.File {
+		f, err := os.Open(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { f.Close() })
+		return f
+	}
+	if got, err := ReadBlocks(open("blocks.csv")); err != nil || !reflect.DeepEqual(got, sampleBlocks()) {
+		t.Errorf("blocks.csv read back as %+v, %v", got, err)
+	}
+	if got, err := ReadTxs(open("txs.csv")); err != nil || !reflect.DeepEqual(got, sampleTxs()) {
+		t.Errorf("txs.csv read back as %+v, %v", got, err)
+	}
+	if got, err := ReadDays(open("days.csv")); err != nil || !reflect.DeepEqual(got, days) {
+		t.Errorf("days.csv read back as %+v, %v", got, err)
+	}
+
+	// A regular file where the directory should go: MkdirAll must fail.
+	if err := WriteTables(filepath.Join(dir, "blocks.csv", "sub"), sampleBlocks(), sampleTxs(), days); err == nil {
+		t.Error("WriteTables into a path under a regular file returned no error")
 	}
 }

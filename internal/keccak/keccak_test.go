@@ -146,6 +146,21 @@ func TestQuickAvalanche(t *testing.T) {
 	}
 }
 
+// TestSum256AllocFree: Sum256 keeps its sponge on the stack, so the plain
+// entry point costs no allocation either (the EVM, the state DB and the
+// sealer call it; Sum256Pooled serves trie commits and tx/header
+// hashing). An escape here is one allocation on every call.
+func TestSum256AllocFree(t *testing.T) {
+	for _, n := range []int{32, 100, 600} {
+		data := bytes.Repeat([]byte{0xa5}, n)
+		var sink [Size256]byte
+		if allocs := testing.AllocsPerRun(200, func() { sink = Sum256(data) }); allocs != 0 {
+			t.Errorf("Sum256 of %d bytes allocates %.1f/op, want 0", n, allocs)
+		}
+		_ = sink
+	}
+}
+
 func BenchmarkSum256_1KiB(b *testing.B) {
 	data := make([]byte, 1024)
 	b.SetBytes(int64(len(data)))

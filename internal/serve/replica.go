@@ -267,6 +267,11 @@ func NewReplica(sc *sim.Scenario, cfg ReplicaConfig, rcfg rpc.ServerConfig) (*Re
 	if sc.Mode != sim.ModeFull {
 		return nil, fmt.Errorf("serve: scenario mode must be full (replicas serve real chains)")
 	}
+	if sc.StorageFaults.Enabled() || len(sc.Crashes) > 0 {
+		// The replica opens bare stores (sim.OpenChainStore, engine=false):
+		// the scenario's injectors would be dropped without a word.
+		return nil, fmt.Errorf("serve: a replica does not apply the scenario's storage faults or crashes; inject through ReplicaConfig.WrapKV")
+	}
 	if cfg.Transport.Dialer == nil {
 		return nil, fmt.Errorf("serve: replica transport has no dialer")
 	}

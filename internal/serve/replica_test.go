@@ -436,6 +436,34 @@ func TestChaosReplicaServingPlane(t *testing.T) {
 	}
 }
 
+// TestNewReplicaRejectsScenarioFaults: a replica opens bare stores, so
+// scenario-level fault injection would be silently dropped (`forkserve
+// -follow ... -storage-faults` injected nothing); NewReplica refuses it
+// and points at ReplicaConfig.WrapKV.
+func TestNewReplicaRejectsScenarioFaults(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		set  func(*sim.Scenario)
+	}{
+		{"storage faults", func(sc *sim.Scenario) { sc.StorageFaults = faultkv.Faults{Seed: 1, ReadErrRate: 0.2} }},
+		{"scheduled crash", func(sc *sim.Scenario) { sc.Crashes = []sim.CrashSpec{{Chain: "ETH", Day: 0, Block: 1, Op: 1}} }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sc := replicaScenario()
+			tc.set(sc)
+			mem := p2p.NewMemNet()
+			r, err := NewReplica(sc, ReplicaConfig{
+				PrimaryAddrs: []string{"nowhere-ETH", "nowhere-ETC"},
+				Transport:    Transport{Listen: mem.Listen, Dialer: mem},
+			}, rpc.ServerConfig{})
+			if err == nil {
+				r.Close()
+				t.Fatal("NewReplica accepted fault injection it never applies")
+			}
+		})
+	}
+}
+
 // TestChaosReplicaDegradedSelfReport: a replica whose primary is
 // unreachable must say so — /readyz 503, every response tagged with a
 // staleness field, the serve.degraded gauge raised — instead of lying

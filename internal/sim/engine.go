@@ -162,11 +162,9 @@ type partition struct {
 	// evFree holds delivered events for reuse; the day barrier refills it
 	// after the observers have seen the day's blocks (DESIGN.md §15).
 	evFree []*BlockEvent
-	// txScratch and freshScratch carry one block's candidate transactions
-	// (and their arena-freshness) from the pending queue into MineBlock;
-	// reused every block.
-	txScratch    []*chain.Transaction
-	freshScratch []bool
+	// txScratch carries one block's candidate transactions from the
+	// pending queue into MineBlock; reused every block.
+	txScratch []*chain.Transaction
 }
 
 // diffLender is the sim-internal side door both ledgers implement: it
@@ -208,9 +206,6 @@ func New(sc *Scenario) (*Engine, error) {
 		for i := range specs {
 			ledgers[i] = NewFastLedger(cfgs[i], gen)
 		}
-		// Fast-mode blocks are not retained anywhere, so the echo flush
-		// may recycle mined transactions with no surviving references.
-		w.recycleMined = true
 	case ModeFull:
 		// Each chain gets its own storage stack: partitions never share
 		// storage, only gossip. Injection stays off until genesis is down.
@@ -675,15 +670,12 @@ func (e *Engine) mineDay(day int, p *partition) error {
 			cut++
 		}
 		var txs []*chain.Transaction
-		var fresh []bool
 		if cut > 0 {
 			txs = p.txScratch[:0]
-			fresh = p.freshScratch[:0]
 			for i := 0; i < cut; i++ {
 				txs = append(txs, queue[i].tx)
-				fresh = append(fresh, queue[i].fresh)
 			}
-			p.txScratch, p.freshScratch = txs, fresh
+			p.txScratch = txs
 			p.pending = queue[cut:]
 		}
 
@@ -717,23 +709,6 @@ func (e *Engine) mineDay(day int, p *partition) error {
 		}
 		blockIdx++
 		e.Workload.ObserveMined(p.name, included)
-
-		// Fresh transactions that were dropped (invalid nonce, out of
-		// funds, out of gas) were never mined anywhere and never echoed,
-		// so nothing else can reference them: recycle them into the
-		// transaction arena. included is an in-order subsequence of txs.
-		if len(txs) > 0 {
-			j := 0
-			for i, tx := range txs {
-				if j < len(included) && included[j] == tx {
-					j++
-					continue
-				}
-				if fresh[i] {
-					chain.ReleaseTransaction(tx)
-				}
-			}
-		}
 
 		if len(e.observers) > 0 {
 			var ev *BlockEvent

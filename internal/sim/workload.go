@@ -25,8 +25,7 @@ var zeroValue = new(big.Int)
 //
 // These three are shared by pointer across every workload transaction
 // (DESIGN.md §15): nothing downstream mutates a transaction's operands —
-// state and the EVM copy amounts before arithmetic — and the arena reset
-// drops the references without touching the shared values.
+// state and the EVM copy amounts before arithmetic.
 var contractCallData = []byte{0xab, 0x01, 0x02, 0x03}
 
 // Workload generates the daily transaction traffic of every partition:
@@ -65,13 +64,6 @@ type Workload struct {
 	// months, as Fig 4 shows. Both maps are only touched at the barrier.
 	replayed map[types.Hash]bool
 	mirrored map[types.Address]bool
-
-	// recycleMined lets FlushEchoes return mined transactions that
-	// provably have no remaining references — chain-bound ones, and legacy
-	// ones whose sender the attacker declined to mirror — to the arena.
-	// Only the fast ledger qualifies: full-mode blocks retain their
-	// transactions for serving and re-validation.
-	recycleMined bool
 }
 
 // chainTraffic is one chain's slice of workload state, owned by that
@@ -255,10 +247,9 @@ func (w *Workload) DAODrainList() []types.Address {
 }
 
 // txPlan is a transaction with its submission second within the day.
-// fresh marks transactions minted by this DayTraffic call (arena-backed,
-// lazily signed) as opposed to echoes replayed from another chain; the
-// engine finishes fresh signatures before mining and may recycle fresh
-// transactions that are dropped without ever being mined.
+// fresh marks transactions minted by this DayTraffic call (lazily signed)
+// as opposed to echoes replayed from another chain; the engine finishes
+// fresh signatures before mining (Engine.finishSigning).
 type txPlan struct {
 	tx     *chain.Transaction
 	second uint64
@@ -308,7 +299,7 @@ func (w *Workload) DayTraffic(day int, chainName string, led Ledger, eipDay int)
 			u.splitDone[ct.idx] = true
 			continue
 		}
-		tx := chain.NewPooledTransaction()
+		tx := new(chain.Transaction)
 		tx.Nonce = ct.claimNonce(led, u.common)
 		tx.To = &u.splitAddr[ct.idx]
 		tx.Value = value
@@ -339,7 +330,7 @@ func (w *Workload) DayTraffic(day int, chainName string, led Ledger, eipDay int)
 	for i := 0; i < n; i++ {
 		u := population[ct.r.Intn(len(population))]
 		from := senderFor(u, ct.idx)
-		tx := chain.NewPooledTransaction()
+		tx := new(chain.Transaction)
 		if ct.r.Float64() < w.sc.ContractFraction {
 			tx.Nonce = ct.claimNonce(led, from)
 			tx.To = &w.contracts[ct.r.Intn(len(w.contracts))]
@@ -435,18 +426,11 @@ func (w *Workload) FlushEchoes() {
 		for _, txs := range ct.mined {
 			for _, tx := range txs {
 				if tx.ChainID != 0 {
-					// Replay-protected: can never surface on another
-					// chain, so once mined nothing references it again.
-					if w.recycleMined {
-						chain.ReleaseTransaction(tx)
-					}
-					continue
+					continue // replay-protected: can never surface on another chain
 				}
 				h := tx.Hash()
 				if w.replayed[h] {
-					// An echo completing its tour; copies may still sit
-					// in other chains' replay queues, so never recycle.
-					continue
+					continue // an echo completing its tour
 				}
 				on, decided := w.mirrored[tx.From]
 				if !decided {
@@ -460,10 +444,6 @@ func (w *Workload) FlushEchoes() {
 							other.replayQueue = append(other.replayQueue, tx)
 						}
 					}
-				} else if w.recycleMined {
-					// The attacker never mirrors this sender: the tx was
-					// mined here and will exist nowhere else.
-					chain.ReleaseTransaction(tx)
 				}
 			}
 		}

@@ -70,7 +70,7 @@ fuzz:
 # Storage chaos battery under the race detector: fault-injection unit
 # tests, WAL crash/recovery sweep and the figure byte-identity test.
 chaos:
-	$(GO) test -race -run 'Chaos|Crash|WAL|Fault|Torn|Recover|Guard' ./...
+	$(GO) test -race -run 'Chaos|Crash|WAL|Fault|Torn|Recover' ./...
 
 # Disk-backend chaos: the exhaustive crash-offset sweep on real segment
 # files, the disk figure byte-identity run and the archive restart test,

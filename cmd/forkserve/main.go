@@ -142,6 +142,7 @@ func main() {
 			Transport:      serve.TCPTransport(5 * time.Second),
 			StalenessBound: *staleBound,
 			DataDir:        *datadir,
+			Logf:           log.Printf,
 		}, srvCfg)
 		if err != nil {
 			log.Fatal(err)
@@ -187,6 +188,7 @@ func main() {
 			psrv, err := serve.ServePrimary(built, serve.PrimaryConfig{
 				Addrs:     strings.Split(*p2pAddrs, ","),
 				Transport: serve.TCPTransport(5 * time.Second),
+				Logf:      log.Printf,
 			})
 			if err != nil {
 				log.Fatal(err)

@@ -22,6 +22,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"sort"
 
 	"forkwatch"
 	"forkwatch/internal/analysis"
@@ -172,32 +173,21 @@ func main() {
 	if err := os.MkdirAll(*outDir, 0o755); err != nil {
 		log.Fatal(err)
 	}
-	writeCSV := func(name string, s forkwatch.Series) {
-		f, err := os.Create(filepath.Join(*outDir, name))
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer f.Close()
-		if err := forkwatch.WriteFigureCSV(f, s); err != nil {
+	figs, err := forkwatch.RenderFigures(rep)
+	if err != nil {
+		log.Fatal(err)
+	}
+	names := make([]string, 0, len(figs))
+	for name := range figs {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		if err := os.WriteFile(filepath.Join(*outDir, name), figs[name], 0o666); err != nil {
 			log.Fatal(err)
 		}
 	}
-	bph, diffH, deltaH := rep.Figure1()
-	writeCSV("fig1_blocks_per_hour.csv", bph)
-	writeCSV("fig1_difficulty.csv", diffH)
-	writeCSV("fig1_delta.csv", deltaH)
-	diffD, txD, pctC := rep.Figure2()
-	writeCSV("fig2_difficulty.csv", diffD)
-	writeCSV("fig2_tx_per_day.csv", txD)
-	writeCSV("fig2_pct_contract.csv", pctC)
-	hpu, corr := rep.Figure3()
-	writeCSV("fig3_hashes_per_usd.csv", hpu)
-	echoPct, echoes := rep.Figure4()
-	writeCSV("fig4_echo_pct.csv", echoPct)
-	writeCSV("fig4_echoes_per_day.csv", echoes)
-	for n, s := range rep.Figure5() {
-		writeCSV(fmt.Sprintf("fig5_top%d.csv", n), s)
-	}
+	_, corr := rep.Figure3()
 
 	if err := export.WriteTables(*outDir, rec.Blocks, rec.Txs, rec.Days); err != nil {
 		log.Fatal(err)

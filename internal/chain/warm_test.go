@@ -44,9 +44,66 @@ type warmScript struct {
 	t     *testing.T
 	carry bool
 	bc    *Blockchain
-	log   []string
+	log   putLog
 	users []types.Address
 	nonce map[types.Address]uint64
+}
+
+// putLog records every write that reaches a store, in order.
+type putLog []string
+
+func (l *putLog) add(key, value []byte, del bool) {
+	*l = append(*l, fmt.Sprintf("%x=%x del=%v", key, value, del))
+}
+
+// loggedKV is a store that records its writes in log: single Puts and
+// Deletes as they happen, a batch's operations in queue order once it is
+// written.
+type loggedKV struct {
+	db.KV
+	log *putLog
+}
+
+func (l loggedKV) Put(key, value []byte) error {
+	l.log.add(key, value, false)
+	return l.KV.Put(key, value)
+}
+
+func (l loggedKV) Delete(key []byte) error {
+	l.log.add(key, nil, true)
+	return l.KV.Delete(key)
+}
+
+func (l loggedKV) NewBatch() db.Batch { return &loggedBatch{Batch: l.KV.NewBatch(), log: l.log} }
+
+type loggedBatch struct {
+	db.Batch
+	log     *putLog
+	pending putLog
+}
+
+func (b *loggedBatch) Put(key, value []byte) {
+	b.pending.add(key, value, false)
+	b.Batch.Put(key, value)
+}
+
+func (b *loggedBatch) Delete(key []byte) {
+	b.pending.add(key, nil, true)
+	b.Batch.Delete(key)
+}
+
+func (b *loggedBatch) Reset() {
+	b.pending = b.pending[:0]
+	b.Batch.Reset()
+}
+
+func (b *loggedBatch) Write() error {
+	if err := b.Batch.Write(); err != nil {
+		return err
+	}
+	*b.log = append(*b.log, b.pending...)
+	b.pending = b.pending[:0]
+	return nil
 }
 
 // settle runs between blocks: the cold twin loses its carried state here.
@@ -119,14 +176,9 @@ func runWarmScript(t *testing.T, carry bool) (log []string, head *Block) {
 	gen.Code = map[types.Address][]byte{slotStore: slotStoreCode}
 	s := &warmScript{t: t, carry: carry, users: users, nonce: map[types.Address]uint64{}}
 
-	mem := db.NewMemDB()
-	mem.SetWriteGuard(func(key, value []byte, del bool) error {
-		s.log = append(s.log, fmt.Sprintf("%x=%x del=%v", key, value, del))
-		return nil
-	})
 	// Seed 7: the first write drawn passes (the state commit), the second
 	// fails (the WAL record).
-	fk := faultkv.Wrap(mem, faultkv.Faults{Seed: 7, WriteErrRate: 0.5})
+	fk := faultkv.Wrap(loggedKV{KV: db.NewMemDB(), log: &s.log}, faultkv.Faults{Seed: 7, WriteErrRate: 0.5})
 	fk.SetEnabled(false)
 	var err error
 	if s.bc, err = NewBlockchainWithDB(MainnetLikeConfig(), gen, fk); err != nil {

@@ -39,10 +39,6 @@ func NewCoalescer(inner KV) *Coalescer {
 	return &Coalescer{inner: inner, idx: make(map[string]int)}
 }
 
-// Inner returns the wrapped store, so an owner shutting the stack down can
-// reach the layer that holds resources (a Coalescer itself holds none).
-func (c *Coalescer) Inner() KV { return c.inner }
-
 // Get implements KV, consulting the overlay before the inner store.
 func (c *Coalescer) Get(key []byte) ([]byte, bool, error) {
 	c.mu.RLock()
@@ -104,13 +100,6 @@ func (c *Coalescer) stage(op batchOp) {
 // overlay atomically; nothing reaches the inner store until Flush.
 func (c *Coalescer) NewBatch() Batch {
 	return &coalesceBatch{c: c}
-}
-
-// Pending reports how many distinct keys are staged for the next Flush.
-func (c *Coalescer) Pending() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.ops)
 }
 
 // Flush applies every staged operation to the inner store as one atomic

@@ -2,6 +2,7 @@ package db
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"strings"
 	"sync"
@@ -9,11 +10,11 @@ import (
 )
 
 // backends under test: every KV implementation must satisfy the same
-// contract (the ephemeral store is exercised single-goroutine only).
+// contract.
 func backends() map[string]func() KV {
 	return map[string]func() KV{
-		"mem":  func() KV { return NewMemDB() },
-		"mem1": func() KV { return NewMemDBShards(1) },
+		"mem":       func() KV { return NewMemDB() },
+		"ephemeral": NewEphemeral,
 	}
 }
 
@@ -204,5 +205,77 @@ func TestConcurrentAccess(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestBatchAtomicUnderConcurrentReaders is the -race witness that a
+// multi-shard batch commits as one unit even while readers are hammering
+// the store (PR 6 satellite). The writer commits every generation with
+// one batch that puts keyFirst as its first operation and keyLast as its
+// last, with filler keys between to spread the batch across shards. Each
+// reader loads keyFirst and then keyLast: because keyLast only ever
+// advances inside the same atomic batch as keyFirst, the later read must
+// never observe an older generation than the earlier one — a torn,
+// shard-by-shard application would expose exactly that window.
+func TestBatchAtomicUnderConcurrentReaders(t *testing.T) {
+	m := NewMemDB()
+	keyFirst := []byte("atomic-first")
+	keyLast := []byte("atomic-last")
+
+	stop := make(chan struct{})
+	torn := make(chan string, 1)
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				va, okA, err := m.Get(keyFirst)
+				if err != nil || !okA {
+					continue // no batch committed yet
+				}
+				genFirst := binary.BigEndian.Uint64(va)
+				vb, okB, err := m.Get(keyLast)
+				if err != nil || !okB {
+					select {
+					case torn <- fmt.Sprintf("keyFirst at gen %d but keyLast missing", genFirst):
+					default:
+					}
+					return
+				}
+				if genLast := binary.BigEndian.Uint64(vb); genLast < genFirst {
+					select {
+					case torn <- fmt.Sprintf("torn batch observed: keyFirst gen %d, keyLast gen %d", genFirst, genLast):
+					default:
+					}
+					return
+				}
+			}
+		}()
+	}
+
+	for gen := uint64(1); gen <= 2000; gen++ {
+		v := binary.BigEndian.AppendUint64(nil, gen)
+		b := m.NewBatch()
+		b.Put(keyFirst, v)
+		for i := 0; i < 6; i++ { // spread the batch across shards
+			b.Put([]byte{'f', 'i', 'l', 'l', byte(i)}, v)
+		}
+		b.Put(keyLast, v)
+		if err := b.Write(); err != nil {
+			t.Fatalf("gen %d: %v", gen, err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	select {
+	case msg := <-torn:
+		t.Fatal(msg)
+	default:
 	}
 }

@@ -118,9 +118,6 @@ func Wrap(inner dbfs.FS, f Faults) *FS {
 	return &FS{inner: inner, f: f, rng: rand.New(rand.NewSource(f.Seed))}
 }
 
-// Inner returns the wrapped filesystem.
-func (s *FS) Inner() dbfs.FS { return s.inner }
-
 // SetEnabled toggles the random fault plan. While disabled, no stalls,
 // errors, tears or bit-rot are injected and the seeded RNG is not drawn,
 // but explicit crashes (Crash, CrashAtWriteOp) and an already-crashed

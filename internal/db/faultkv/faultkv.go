@@ -121,9 +121,6 @@ func Wrap(inner db.KV, f Faults) *KV {
 	return &KV{inner: inner, f: f, rng: rand.New(rand.NewSource(f.Seed))}
 }
 
-// Inner returns the wrapped store.
-func (k *KV) Inner() db.KV { return k.inner }
-
 // SetEnabled toggles the random fault plan. While disabled, no stalls,
 // errors, tears or bit-rot are injected and the seeded RNG is not drawn,
 // but explicit crashes (Crash, CrashAtWriteOp) and an already-crashed

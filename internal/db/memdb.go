@@ -6,29 +6,18 @@ import (
 	"sync/atomic"
 )
 
-// DefaultShards is the shard count of NewMemDB. Trie nodes, code and
+// memShards is MemDB's shard count, a power of two. Trie nodes, code and
 // block bodies are all keyed by (or prefixed with) uniformly distributed
 // hashes, so a modest power of two spreads lock contention well.
-const DefaultShards = 16
+const memShards = 16
 
 // MemDB is a sharded, mutex-striped in-memory key-value store: the default
 // backend. Keys are striped over shards by a byte-mix of the key, so
 // concurrent committers and readers (one chain writing state while p2p
-// peers serve historical nodes) contend only per shard.
-//
-// MemDB itself never fails, but it honours an optional write guard (see
-// SetWriteGuard) so fault-injection harnesses can make individual writes
-// fail. Batch writes are all-or-nothing even then: every queued operation
-// is checked against the guard while the involved shards are locked, and
-// the store is mutated only after the whole batch has passed.
+// peers serve historical nodes) contend only per shard. MemDB never fails;
+// fault-injection harnesses wrap it (faultkv).
 type MemDB struct {
-	shards []memShard
-	mask   uint32
-
-	// guard, when set, can veto individual writes (fault-injection seam;
-	// see SetWriteGuard). Accessed under guardMu.
-	guardMu sync.RWMutex
-	guard   WriteGuard
+	shards [memShards]memShard
 
 	reads   atomic.Uint64
 	writes  atomic.Uint64
@@ -37,53 +26,18 @@ type MemDB struct {
 	misses  atomic.Uint64
 }
 
-// WriteGuard inspects one pending write (del reports a deletion). A
-// non-nil return vetoes the write: single Puts/Deletes fail without
-// mutating the store, and a batch containing any vetoed operation fails
-// without applying anything.
-type WriteGuard func(key []byte, value []byte, del bool) error
-
 type memShard struct {
 	mu sync.RWMutex
 	m  map[string][]byte
 }
 
-// NewMemDB returns an empty sharded in-memory store with DefaultShards
-// shards.
-func NewMemDB() *MemDB { return NewMemDBShards(DefaultShards) }
-
-// NewMemDBShards returns an empty store striped over n shards (rounded up
-// to a power of two, minimum 1).
-func NewMemDBShards(n int) *MemDB {
-	size := 1
-	for size < n {
-		size <<= 1
-	}
-	db := &MemDB{shards: make([]memShard, size), mask: uint32(size - 1)}
+// NewMemDB returns an empty sharded in-memory store.
+func NewMemDB() *MemDB {
+	db := &MemDB{}
 	for i := range db.shards {
 		db.shards[i].m = make(map[string][]byte)
 	}
 	return db
-}
-
-// SetWriteGuard installs (or, with nil, removes) a write veto hook. This
-// is the fault-injection seam tests and chaos harnesses use to make an
-// in-memory store behave like a failing device; production callers never
-// set it.
-func (db *MemDB) SetWriteGuard(g WriteGuard) {
-	db.guardMu.Lock()
-	db.guard = g
-	db.guardMu.Unlock()
-}
-
-func (db *MemDB) checkGuard(key string, value []byte, del bool) error {
-	db.guardMu.RLock()
-	g := db.guard
-	db.guardMu.RUnlock()
-	if g == nil {
-		return nil
-	}
-	return g([]byte(key), value, del)
 }
 
 // shardIndex mixes the key into a shard index. Keys here are nearly always
@@ -94,7 +48,7 @@ func (db *MemDB) shardIndex(key []byte) uint32 {
 	for i := 0; i < len(key) && i < 8; i++ {
 		h = (h ^ uint32(key[i])) * 16777619
 	}
-	return h & db.mask
+	return h & (memShards - 1)
 }
 
 func (db *MemDB) shardFor(key []byte) *memShard {
@@ -127,9 +81,6 @@ func (db *MemDB) Has(key []byte) (bool, error) {
 
 // Put implements KV.
 func (db *MemDB) Put(key, value []byte) error {
-	if err := db.checkGuard(string(key), value, false); err != nil {
-		return err
-	}
 	db.writes.Add(1)
 	s := db.shardFor(key)
 	s.mu.Lock()
@@ -140,9 +91,6 @@ func (db *MemDB) Put(key, value []byte) error {
 
 // Delete implements KV.
 func (db *MemDB) Delete(key []byte) error {
-	if err := db.checkGuard(string(key), nil, true); err != nil {
-		return err
-	}
 	db.deletes.Add(1)
 	s := db.shardFor(key)
 	s.mu.Lock()
@@ -202,12 +150,10 @@ type batchOp struct {
 	del   bool
 }
 
-// memBatch queues writes against a MemDB. Write is all-or-nothing: it
-// locks every involved shard (in index order, so concurrent batches never
-// deadlock), validates the whole batch against the write guard, and only
-// then mutates — a veto anywhere leaves the store byte-identical.
-// Holding all involved shard locks for the apply also means concurrent
-// readers never observe a partially applied batch, even across shards.
+// memBatch queues writes against a MemDB. Write locks every involved
+// shard (in index order, so concurrent batches never deadlock) for the
+// whole apply, so concurrent readers never observe a partially applied
+// batch, even across shards.
 type memBatch struct {
 	db   *MemDB
 	ops  []batchOp
@@ -231,7 +177,7 @@ func (b *memBatch) Len() int { return len(b.ops) }
 // ValueSize implements Batch.
 func (b *memBatch) ValueSize() int { return b.size }
 
-// Write implements Batch: stage, validate, then swap.
+// Write implements Batch: lock the touched shards, then apply.
 func (b *memBatch) Write() error {
 	db := b.db
 
@@ -251,22 +197,7 @@ func (b *memBatch) Write() error {
 	for _, idx := range indices {
 		db.shards[idx].mu.Lock()
 	}
-	unlock := func() {
-		for _, idx := range indices {
-			db.shards[idx].mu.Unlock()
-		}
-	}
-
-	// Validate the whole batch before touching anything: a veto on the
-	// last operation must leave the first unwritten.
-	for _, op := range b.ops {
-		if err := db.checkGuard(op.key, op.value, op.del); err != nil {
-			unlock()
-			return err
-		}
-	}
-
-	// Swap: apply in queue order (a later Put of the same key wins).
+	// Apply in queue order (a later Put of the same key wins).
 	for _, op := range b.ops {
 		s := db.shardFor([]byte(op.key))
 		if op.del {
@@ -277,7 +208,9 @@ func (b *memBatch) Write() error {
 			s.m[op.key] = op.value
 		}
 	}
-	unlock()
+	for _, idx := range indices {
+		db.shards[idx].mu.Unlock()
+	}
 	b.Reset()
 	return nil
 }

@@ -28,9 +28,6 @@ func NewRetry(inner KV, attempts int) *Retry {
 	return &Retry{inner: inner, attempts: max(attempts, 1)}
 }
 
-// Inner returns the wrapped store.
-func (r *Retry) Inner() KV { return r.inner }
-
 func (r *Retry) do(op func() error) error {
 	var err error
 	for attempt := 0; attempt < r.attempts; attempt++ {

@@ -74,55 +74,3 @@ func Crawl(seeds []Node, find FindNodeFunc, maxQueries int) CrawlResult {
 	})
 	return res
 }
-
-// Lookup performs an iterative Kademlia lookup for the target from the
-// seed nodes, returning the k closest reachable nodes found.
-func Lookup(target NodeID, seeds []Node, find FindNodeFunc, k int) []Node {
-	seen := make(map[NodeID]Node)
-	queried := make(map[NodeID]bool)
-	var pool []Node
-	for _, s := range seeds {
-		seen[s.ID] = s
-		pool = append(pool, s)
-	}
-	sortByDist := func() {
-		sort.Slice(pool, func(i, j int) bool {
-			return DistCmp(target, pool[i].ID, pool[j].ID) < 0
-		})
-	}
-	for {
-		sortByDist()
-		// Query the closest unqueried node; stop when the k closest have
-		// all been queried.
-		var next *Node
-		limit := k
-		if limit > len(pool) {
-			limit = len(pool)
-		}
-		for i := 0; i < limit; i++ {
-			if !queried[pool[i].ID] {
-				next = &pool[i]
-				break
-			}
-		}
-		if next == nil {
-			break
-		}
-		queried[next.ID] = true
-		neighbors, err := find(*next, target)
-		if err != nil {
-			continue
-		}
-		for _, nb := range neighbors {
-			if _, ok := seen[nb.ID]; !ok {
-				seen[nb.ID] = nb
-				pool = append(pool, nb)
-			}
-		}
-	}
-	sortByDist()
-	if len(pool) > k {
-		pool = pool[:k]
-	}
-	return pool
-}

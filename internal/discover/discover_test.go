@@ -211,21 +211,6 @@ func TestCrawlQueryBudget(t *testing.T) {
 	}
 }
 
-func TestLookupFindsClosest(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	net, nodes := newStaticNet(r, 80)
-	target := RandomID(r)
-	got := Lookup(target, nodes[:2], net.find, 5)
-	if len(got) != 5 {
-		t.Fatalf("lookup returned %d nodes", len(got))
-	}
-	// The lookup's best answer should be at least as close as the best
-	// seed (it must make progress through the network).
-	if DistCmp(target, got[0].ID, nodes[0].ID) > 0 && DistCmp(target, got[0].ID, nodes[1].ID) > 0 {
-		t.Error("lookup did not improve on the seeds")
-	}
-}
-
 // TestDialBackoff pins the redial schedule: exponential growth in the
 // failure count, clamped to max, jittered deterministically per node.
 func TestDialBackoff(t *testing.T) {

@@ -137,51 +137,6 @@ func FromBlockchain(name string, bc *chain.Blockchain) ([]BlockRow, []TxRow) {
 	return blocks, txs
 }
 
-// FromStore extracts rows directly from a chain's KV persistence schema,
-// walking the stored canonical index from block 1 to the stored head: the
-// offline counterpart of FromBlockchain, needing no live Blockchain (or
-// its in-memory caches), only the store.
-func FromStore(name string, st *chain.Store) ([]BlockRow, []TxRow, error) {
-	headHash, ok, err := st.Head()
-	if err != nil {
-		return nil, nil, fmt.Errorf("export: reading head marker: %w", err)
-	}
-	if !ok {
-		return nil, nil, fmt.Errorf("export: store has no head marker")
-	}
-	head, ok, err := st.Block(headHash)
-	if err != nil {
-		return nil, nil, fmt.Errorf("export: reading head block: %w", err)
-	}
-	if !ok {
-		return nil, nil, fmt.Errorf("export: head block %s missing from store", headHash)
-	}
-	var blocks []BlockRow
-	var txs []TxRow
-	for n := uint64(1); n <= head.Number(); n++ {
-		h, ok, err := st.CanonHash(n)
-		if err != nil {
-			return nil, nil, fmt.Errorf("export: reading canon index %d: %w", n, err)
-		}
-		if !ok {
-			continue
-		}
-		b, ok, err := st.Block(h)
-		if err != nil {
-			return nil, nil, fmt.Errorf("export: reading canonical block %d: %w", n, err)
-		}
-		if !ok {
-			return nil, nil, fmt.Errorf("export: canonical block %d (%s) missing from store", n, h)
-		}
-		receipts, _, err := st.Receipts(h)
-		if err != nil {
-			return nil, nil, fmt.Errorf("export: reading receipts of block %d: %w", n, err)
-		}
-		blocks, txs = appendBlockRows(blocks, txs, name, b, receipts)
-	}
-	return blocks, txs, nil
-}
-
 // Recorder is a sim.Observer that captures rows during a simulation run,
 // in either ledger mode. The zero value is ready to use; Reserve spares a
 // long run the regrowth of its row slices.

@@ -515,6 +515,67 @@ func TestMaintainPeersEvictsDeadNodes(t *testing.T) {
 	})
 }
 
+// TestConnectBacksOffDeadNode pins the redial schedule Connect enforces,
+// on the score ledger's clock: a failed dial closes a backoff window in
+// which Connect refuses with ErrDialBackoff without dialling, the window
+// grows with each consecutive failure, and a successful handshake resets
+// the history.
+func TestConnectBacksOffDeadNode(t *testing.T) {
+	mem := NewMemNet()
+	var dials atomic.Int64
+	a := newTestNodeCfg(t, mem, "backoff-a", newChain(t, chain.MainnetLikeConfig()), func(c *Config) {
+		c.Dialer = DialerFunc(func(addr string) (net.Conn, error) {
+			dials.Add(1)
+			return mem.Dial(addr)
+		})
+	})
+	var clock atomic.Int64 // ledger time, ns since the epoch
+	a.server.scores.now = func() time.Time { return time.Unix(0, clock.Load()) }
+	advance := func(d time.Duration) { clock.Add(int64(d)) }
+	base := defaultDialBackoff // the first window is base, jittered by ±25%
+	b := discover.Node{ID: nodeID("backoff-b"), Addr: "backoff-b"}
+
+	// connect calls Connect and checks whether it dialled and whether it
+	// was refused by the backoff window.
+	connect := func(step string, wantDial, wantBackoff bool) error {
+		t.Helper()
+		before := dials.Load()
+		err := a.server.Connect(b)
+		if dialled := dials.Load() > before; dialled != wantDial {
+			t.Fatalf("%s: dialled = %v, want %v (err %v)", step, dialled, wantDial, err)
+		}
+		if backoff := errors.Is(err, ErrDialBackoff); backoff != wantBackoff {
+			t.Fatalf("%s: err = %v, want ErrDialBackoff = %v", step, err, wantBackoff)
+		}
+		return err
+	}
+
+	connect("first dial of a dead node", true, false)
+	connect("redial at once", false, true)
+	advance(base * 5 / 4)
+	connect("redial after the first window", true, false)
+	// Second failure: the window doubled, so the first one's length is
+	// not enough — even with the node back up.
+	bn := newTestNode(t, mem, "backoff-b", newChain(t, chain.MainnetLikeConfig()))
+	advance(base * 5 / 4)
+	connect("redial inside the doubled window", false, true)
+	advance(base * 5 / 4)
+	if err := connect("redial after the doubled window", true, false); err != nil {
+		t.Fatalf("connect to the live node: %v", err)
+	}
+
+	// The handshake cleared the history: after a disconnect and one more
+	// failure, the window is the first one again, not the third.
+	for _, p := range a.server.Peers() {
+		p.Close()
+	}
+	waitFor(t, "disconnect", func() bool { return a.server.PeerCount() == 0 })
+	bn.server.Close()
+	connect("dial after the reset", true, false)
+	advance(base * 5 / 4)
+	connect("redial after a first-size window", true, false)
+}
+
 // TestKeepalivePingPong: two live servers stay peered under an aggressive
 // keepalive because pings are answered.
 func TestKeepalivePingPong(t *testing.T) {

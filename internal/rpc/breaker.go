@@ -5,18 +5,17 @@ import (
 	"time"
 )
 
-// Breaker is a consecutive-failure circuit breaker guarding a flaky
-// dependency (a failing store, an unreachable sync peer). Closed, it
-// passes every attempt through and counts consecutive failures; once
-// Threshold failures accumulate it opens and sheds every attempt for
-// Cooldown without touching the dependency; after the cooldown one probe
-// attempt is let through half-open — its outcome decides between closing
-// again and another full cooldown.
+// breaker is a consecutive-failure circuit breaker guarding one route's
+// store. Closed, it passes every attempt through and counts consecutive
+// failures; once threshold failures accumulate it opens and sheds every
+// attempt for cooldown without touching the store; after the cooldown one
+// probe attempt is let through half-open — its outcome decides between
+// closing again and another full cooldown.
 //
-// The breaker only counts what callers report: feed it dependency
-// failures (storage errors, dial errors), not caller mistakes (invalid
-// params), or it will open against healthy infrastructure.
-type Breaker struct {
+// The breaker only counts what callers report: feed it storage failures,
+// not caller mistakes (invalid params), or it will open against healthy
+// infrastructure.
+type breaker struct {
 	threshold int
 	cooldown  time.Duration
 	now       func() time.Time // test hook; nil = time.Now
@@ -27,17 +26,13 @@ type Breaker struct {
 	probing  bool      // half-open probe in flight
 }
 
-// NewBreaker builds a breaker tripping after threshold consecutive
-// failures and shedding for cooldown before probing. A threshold <= 0
-// returns a disabled breaker that always allows and never opens.
-func NewBreaker(threshold int, cooldown time.Duration) *Breaker {
-	if cooldown <= 0 {
-		cooldown = 2 * time.Second
-	}
-	return &Breaker{threshold: threshold, cooldown: cooldown}
+// newBreaker builds a breaker tripping after threshold consecutive
+// failures and shedding for cooldown before probing.
+func newBreaker(threshold int, cooldown time.Duration) *breaker {
+	return &breaker{threshold: threshold, cooldown: cooldown}
 }
 
-func (b *Breaker) clock() time.Time {
+func (b *breaker) clock() time.Time {
 	if b.now != nil {
 		return b.now()
 	}
@@ -47,10 +42,7 @@ func (b *Breaker) clock() time.Time {
 // Allow reports whether an attempt may proceed. While open it returns
 // false until the cooldown elapses, then admits exactly one half-open
 // probe; the probe's Success/Fail settles the state.
-func (b *Breaker) Allow() bool {
-	if b == nil || b.threshold <= 0 {
-		return true
-	}
+func (b *breaker) Allow() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.openedAt.IsZero() {
@@ -68,10 +60,7 @@ func (b *Breaker) Allow() bool {
 
 // Success reports a completed attempt: resets the failure streak and
 // closes the breaker if the attempt was the half-open probe.
-func (b *Breaker) Success() {
-	if b == nil || b.threshold <= 0 {
-		return
-	}
+func (b *breaker) Success() {
 	b.mu.Lock()
 	b.fails = 0
 	b.openedAt = time.Time{}
@@ -79,12 +68,9 @@ func (b *Breaker) Success() {
 	b.mu.Unlock()
 }
 
-// Fail reports a dependency failure. Reaching the threshold — or failing
-// the half-open probe — (re)opens the breaker for a fresh cooldown.
-func (b *Breaker) Fail() {
-	if b == nil || b.threshold <= 0 {
-		return
-	}
+// Fail reports a storage failure. Reaching the threshold — or failing the
+// half-open probe — (re)opens the breaker for a fresh cooldown.
+func (b *breaker) Fail() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if !b.openedAt.IsZero() {
@@ -102,10 +88,7 @@ func (b *Breaker) Fail() {
 }
 
 // Open reports whether the breaker is currently shedding.
-func (b *Breaker) Open() bool {
-	if b == nil || b.threshold <= 0 {
-		return false
-	}
+func (b *breaker) Open() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return !b.openedAt.IsZero() && b.clock().Sub(b.openedAt) < b.cooldown

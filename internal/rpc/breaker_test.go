@@ -10,7 +10,7 @@ import (
 // half-open probe, and both probe outcomes.
 func TestBreakerTripAndRecover(t *testing.T) {
 	now := time.Unix(0, 0)
-	b := NewBreaker(3, time.Second)
+	b := newBreaker(3, time.Second)
 	b.now = func() time.Time { return now }
 
 	// Closed: failures below the threshold keep allowing.
@@ -58,24 +58,5 @@ func TestBreakerTripAndRecover(t *testing.T) {
 	b.Success()
 	if b.Open() || !b.Allow() {
 		t.Fatal("successful probe did not close the breaker")
-	}
-}
-
-// TestBreakerDisabled: a non-positive threshold disables the breaker
-// entirely (and a nil breaker behaves the same, so unregistered routes
-// need no special-casing).
-func TestBreakerDisabled(t *testing.T) {
-	b := NewBreaker(0, time.Second)
-	for i := 0; i < 100; i++ {
-		b.Fail()
-	}
-	if !b.Allow() || b.Open() {
-		t.Fatal("disabled breaker opened")
-	}
-	var nilB *Breaker
-	nilB.Fail()
-	nilB.Success()
-	if !nilB.Allow() || nilB.Open() {
-		t.Fatal("nil breaker did not pass through")
 	}
 }

@@ -6,8 +6,8 @@ import (
 )
 
 // rateLimiter is a per-client token-bucket limiter: each client key (the
-// remote host) owns a bucket refilled at rate tokens/second up to burst.
-// A request that finds the bucket empty is shed at the transport with
+// remote host) owns a bucket refilled at rate tokens/second up to a burst
+// of two seconds' worth (at least one token). A request that finds the bucket empty is shed at the transport with
 // 429 + Retry-After. Buckets idle past the reap horizon are dropped so an
 // address churn (load generators, NAT pools) cannot grow the table
 // without bound.
@@ -29,13 +29,10 @@ type bucket struct {
 // reapAfter is how long an untouched bucket survives.
 const reapAfter = 5 * time.Minute
 
-func newRateLimiter(rate float64, burst int) *rateLimiter {
-	if burst <= 0 {
-		burst = 1
-	}
+func newRateLimiter(rate float64) *rateLimiter {
 	return &rateLimiter{
 		rate:    rate,
-		burst:   float64(burst),
+		burst:   float64(max(int(2*rate), 1)),
 		buckets: make(map[string]*bucket),
 		now:     time.Now,
 	}

@@ -27,31 +27,27 @@ type ServerConfig struct {
 	// execution. A request that cannot finish (stalled storage) gets a
 	// typed timeout error instead of hanging (default 5s).
 	RequestTimeout time.Duration
-	// MaxBodyBytes bounds the request body (default 1 MiB).
-	MaxBodyBytes int64
-	// MaxBatch bounds the calls per batch request (default 64).
-	MaxBatch int
 	// CacheEntries is the per-method response-cache capacity (default
 	// 4096; negative disables caching).
 	CacheEntries int
-	// RatePerSec is the per-client token refill rate (0 = unlimited).
+	// RatePerSec is the per-client token refill rate (0 = unlimited); the
+	// bucket holds two seconds' worth.
 	RatePerSec float64
-	// RateBurst is the per-client bucket size (default 2×RatePerSec).
-	RateBurst int
-	// BreakerThreshold is how many consecutive storage failures on one
-	// route trip its circuit breaker; while open the route sheds with a
-	// typed ErrCodeUnavailable instead of grinding against a failing
-	// store (default 8; negative disables the breakers).
-	BreakerThreshold int
-	// BreakerCooldown is how long an open breaker sheds before letting a
-	// single half-open probe through (default 2s).
-	BreakerCooldown time.Duration
-	// DrainTimeout bounds how long Drain waits for in-flight requests
-	// before giving up on them (default 5s).
-	DrainTimeout time.Duration
 	// Registry receives the server's metrics (default: a fresh registry).
 	Registry *metrics.Registry
 }
+
+// Fixed serving limits.
+const (
+	maxBodyBytes = 1 << 20         // request body bound
+	maxBatch     = 64              // calls per batch request
+	drainTimeout = 5 * time.Second // how long Drain waits for in-flight requests
+	// A route's storage circuit breaker opens after breakerThreshold
+	// consecutive storage failures; while open the route sheds with a typed
+	// ErrCodeUnavailable for breakerCooldown before a half-open probe.
+	breakerThreshold = 8
+	breakerCooldown  = 2 * time.Second
+)
 
 func (c ServerConfig) withDefaults() ServerConfig {
 	if c.Workers <= 0 {
@@ -63,26 +59,8 @@ func (c ServerConfig) withDefaults() ServerConfig {
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 5 * time.Second
 	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 1 << 20
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 64
-	}
 	if c.CacheEntries == 0 {
 		c.CacheEntries = 4096
-	}
-	if c.RateBurst <= 0 {
-		c.RateBurst = int(2 * c.RatePerSec)
-	}
-	if c.BreakerThreshold == 0 {
-		c.BreakerThreshold = 8
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 2 * time.Second
-	}
-	if c.DrainTimeout <= 0 {
-		c.DrainTimeout = 5 * time.Second
 	}
 	if c.Registry == nil {
 		c.Registry = metrics.NewRegistry()
@@ -111,7 +89,7 @@ type Server struct {
 	mu       sync.RWMutex
 	chains   map[string]*Backend // route ("eth") -> backend
 	caches   map[string]*respCache
-	breakers map[string]*Breaker      // route -> storage circuit breaker
+	breakers map[string]*breaker      // route -> storage circuit breaker
 	stale    map[string]StalenessFunc // route -> degraded-mode staleness source
 
 	draining atomic.Bool
@@ -138,10 +116,10 @@ func NewServer(cfg ServerConfig) *Server {
 	s := &Server{
 		cfg:      cfg,
 		reg:      cfg.Registry,
-		limiter:  newRateLimiter(cfg.RatePerSec, cfg.RateBurst),
+		limiter:  newRateLimiter(cfg.RatePerSec),
 		chains:   map[string]*Backend{},
 		caches:   map[string]*respCache{},
-		breakers: map[string]*Breaker{},
+		breakers: map[string]*breaker{},
 		stale:    map[string]StalenessFunc{},
 		jobs:     make(chan *job, cfg.QueueDepth),
 		stopped:  make(chan struct{}),
@@ -179,7 +157,7 @@ func (s *Server) RegisterChain(be *Backend) {
 	s.chains[route] = be
 	br, hasBreaker := s.breakers[route]
 	if !hasBreaker {
-		br = NewBreaker(s.cfg.BreakerThreshold, s.cfg.BreakerCooldown)
+		br = newBreaker(breakerThreshold, breakerCooldown)
 		s.breakers[route] = br
 	}
 	s.mu.Unlock()
@@ -233,23 +211,22 @@ func (s *Server) stalenessFor(route string) StalenessFunc {
 	return s.stale[route]
 }
 
-// breakerFor returns the route's circuit breaker (nil for unregistered
-// routes; a nil Breaker always allows).
-func (s *Server) breakerFor(route string) *Breaker {
+// breakerFor returns the registered route's circuit breaker.
+func (s *Server) breakerFor(route string) *breaker {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.breakers[route]
 }
 
 // Drain stops accepting chain requests (503 + Retry-After) and waits up
-// to DrainTimeout for the in-flight ones to finish, so a shutdown never
+// to drainTimeout for the in-flight ones to finish, so a shutdown never
 // tears a response mid-write. /healthz, /readyz and /debug/metrics keep
 // answering — orchestration needs them during the drain. Idempotent.
 func (s *Server) Drain() {
 	s.draining.Store(true)
 	s.drainOnce.Do(func() { close(s.drainCh) })
 	s.reg.Gauge("serve.draining").Set(1)
-	deadline := time.Now().Add(s.cfg.DrainTimeout)
+	deadline := time.Now().Add(drainTimeout)
 	for s.inflight.Load() > 0 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -391,7 +368,7 @@ func (s *Server) serveChain(w http.ResponseWriter, r *http.Request, route string
 	}
 
 	body := make([]byte, 0, 512)
-	limited := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	limited := http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	buf := make([]byte, 4096)
 	for {
 		n, err := limited.Read(buf)
@@ -406,7 +383,7 @@ func (s *Server) serveChain(w http.ResponseWriter, r *http.Request, route string
 		}
 	}
 
-	reqs, errs, isBatch, topErr := DecodeRequests(body, s.cfg.MaxBatch)
+	reqs, errs, isBatch, topErr := DecodeRequests(body, maxBatch)
 	if topErr != nil {
 		s.reg.Counter("rpc." + route + ".malformed").Inc()
 		writeJSON(w, http.StatusOK, replyErr(nil, topErr))

@@ -371,7 +371,9 @@ func TestRateLimiting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(ServerConfig{Workers: 2, RatePerSec: 0.001, RateBurst: 2})
+	// One token a second: the bucket holds two, and the three requests
+	// below arrive well inside a second.
+	srv := NewServer(ServerConfig{Workers: 2, RatePerSec: 1})
 	defer srv.Close()
 	srv.RegisterChain(NewBackend("ETH", eth))
 	ts := httptest.NewServer(srv)

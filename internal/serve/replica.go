@@ -32,9 +32,10 @@ import (
 //     head it has seen (or that has never reached its primary) reports
 //     degraded on /readyz and tags every RPC response with a `staleness`
 //     field instead of silently answering from an old head;
-//   - repeated dial/sync failures open a circuit breaker that paces the
-//     reconnect loop, and repeated storage failures open the rpc layer's
-//     per-route breaker, shedding with typed -32013 errors;
+//   - a lost primary is redialled on p2p's per-node dial backoff (250ms
+//     doubling to 30s, reset by a successful handshake), and repeated
+//     storage failures open the rpc layer's per-route breaker, shedding
+//     with typed -32013 errors;
 //   - Close drains in-flight RPC work, stops the follow loops and closes
 //     the stores (flushing disk segments) — never dying mid-commit.
 
@@ -73,6 +74,12 @@ func FaultyTransport(tr Transport, n *faultnet.Net, self string) Transport {
 	}
 }
 
+// networkIDBase separates the per-chain meshes: chain i handshakes with
+// network id networkIDBase+i on primary and replica alike. All partitions
+// share a genesis, so the network id — not the genesis check — is what
+// keeps a replica of one chain from syncing another.
+const networkIDBase = 1
+
 // p2pNodeID derives a stable node identity from a transport address, so
 // both ends of the tier agree on the primary's identity without an
 // out-of-band exchange.
@@ -89,19 +96,15 @@ type PrimaryConfig struct {
 	Addrs []string
 	// Transport provides the listeners and is required.
 	Transport Transport
-	// NetworkIDBase separates the per-chain meshes: chain i handshakes
-	// with network id NetworkIDBase+i (default 1). All partitions share a
-	// genesis, so the network id — not the genesis check — is what keeps
-	// a replica of one chain from syncing another.
-	NetworkIDBase uint64
-	// MaxPeers bounds replicas per chain (default 16).
-	MaxPeers int
 	// TuneP2P, when set, adjusts each chain's p2p.Config before the
 	// server starts (tests shrink the timeouts).
 	TuneP2P func(*p2p.Config)
 	// Logf receives debug lines.
 	Logf func(format string, args ...any)
 }
+
+// maxReplicasPerChain bounds the replicas one chain's sync plane accepts.
+const maxReplicasPerChain = 16
 
 // Primary is the serving side of the replica tier: one p2p server per
 // chain, accepting replica connections and serving their block-range
@@ -121,19 +124,13 @@ func ServePrimary(res *Result, cfg PrimaryConfig) (*Primary, error) {
 	if cfg.Transport.Listen == nil {
 		return nil, fmt.Errorf("serve: primary transport has no listener")
 	}
-	if cfg.NetworkIDBase == 0 {
-		cfg.NetworkIDBase = 1
-	}
-	if cfg.MaxPeers <= 0 {
-		cfg.MaxPeers = 16
-	}
 	p := &Primary{}
 	for i, c := range res.Chains {
 		addr := cfg.Addrs[i]
 		pcfg := p2p.Config{
 			Self:      discover.Node{ID: p2pNodeID(addr), Addr: addr},
-			NetworkID: cfg.NetworkIDBase + uint64(i),
-			MaxPeers:  cfg.MaxPeers,
+			NetworkID: networkIDBase + uint64(i),
+			MaxPeers:  maxReplicasPerChain,
 			Backend:   p2p.NewChainBackend(c.Ledger.BC),
 			Dialer:    cfg.Transport.Dialer,
 			Logf:      cfg.Logf,
@@ -173,8 +170,6 @@ type ReplicaConfig struct {
 	PrimaryAddrs []string
 	// Transport provides the dialer and is required.
 	Transport Transport
-	// NetworkIDBase must match the primary's (default 1).
-	NetworkIDBase uint64
 	// StalenessBound is K: lagging more than K blocks behind the best
 	// primary head seen flips the route to degraded (default 8).
 	StalenessBound uint64
@@ -187,11 +182,6 @@ type ReplicaConfig struct {
 	// WrapKV, when set, wraps each chain's store before use (chaos tests
 	// inject storage faults here).
 	WrapKV func(chainName string, kv db.KV) db.KV
-	// BreakerThreshold/BreakerCooldown tune the sync-dial circuit
-	// breaker (defaults 8 / 2s): repeated failed reconnects stop being
-	// attempted for a cooldown instead of hammering a dead primary.
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
 	// TuneP2P adjusts each chain's p2p.Config before the server starts.
 	TuneP2P func(*p2p.Config)
 	// Logf receives debug lines.
@@ -279,20 +269,11 @@ func NewReplica(sc *sim.Scenario, cfg ReplicaConfig, rcfg rpc.ServerConfig) (*Re
 	if len(cfg.PrimaryAddrs) != len(specs) {
 		return nil, fmt.Errorf("serve: %d primary addrs for %d chains", len(cfg.PrimaryAddrs), len(specs))
 	}
-	if cfg.NetworkIDBase == 0 {
-		cfg.NetworkIDBase = 1
-	}
 	if cfg.StalenessBound == 0 {
 		cfg.StalenessBound = 8
 	}
 	if cfg.PollInterval <= 0 {
 		cfg.PollInterval = 500 * time.Millisecond
-	}
-	if cfg.BreakerThreshold == 0 {
-		cfg.BreakerThreshold = 8
-	}
-	if cfg.BreakerCooldown <= 0 {
-		cfg.BreakerCooldown = 2 * time.Second
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
@@ -344,7 +325,7 @@ func NewReplica(sc *sim.Scenario, cfg ReplicaConfig, rcfg rpc.ServerConfig) (*Re
 
 		pcfg := p2p.Config{
 			Self:      discover.Node{ID: p2pNodeID(cfg.Name + "/" + route), Addr: cfg.Name},
-			NetworkID: cfg.NetworkIDBase + uint64(i),
+			NetworkID: networkIDBase + uint64(i),
 			MaxPeers:  4,
 			Backend:   p2p.NewChainBackend(c.Ledger.BC),
 			Dialer:    cfg.Transport.Dialer,
@@ -382,17 +363,17 @@ func NewReplica(sc *sim.Scenario, cfg ReplicaConfig, rcfg rpc.ServerConfig) (*Re
 	return r, nil
 }
 
-// follow is one chain's sync loop: keep a connection to the primary
-// (paced by a circuit breaker when it keeps failing), record the
-// advertised head for staleness accounting, and nudge the pull so a
-// dropped frame never strands the sync.
+// follow is one chain's sync loop: keep a connection to the primary,
+// record the advertised head for staleness accounting, and nudge the pull
+// so a dropped frame never strands the sync. Redials of a lost primary
+// are paced by p2p's dial backoff alone: Connect refuses with
+// ErrDialBackoff inside the window, and a successful handshake resets it.
 func (r *Replica) follow(i int) {
 	defer r.wg.Done()
 	srv, tracker := r.servers[i], r.trackers[i]
 	route := strings.ToLower(r.Chains[i].Name)
 	addr := r.cfg.PrimaryAddrs[i]
 	primary := discover.Node{ID: p2pNodeID(addr), Addr: addr}
-	breaker := rpc.NewBreaker(r.cfg.BreakerThreshold, r.cfg.BreakerCooldown)
 	reg := r.Server.Registry()
 	ticker := time.NewTicker(r.cfg.PollInterval)
 	defer ticker.Stop()
@@ -403,22 +384,15 @@ func (r *Replica) follow(i int) {
 		case <-ticker.C:
 		}
 		if srv.PeerCount() == 0 {
-			if !breaker.Allow() {
-				continue // sync breaker open: stop hammering a dead primary
-			}
 			err := srv.Connect(primary)
 			if errors.Is(err, p2p.ErrDialBackoff) {
-				continue // p2p's own dial backoff is pacing; no verdict
+				continue // inside the backoff window: nothing dialled
 			}
 			reg.Counter("sync." + route + ".dials").Inc()
 			switch {
 			case err == nil:
-				breaker.Success()
 				reg.Counter("sync." + route + ".reconnects").Inc()
-			case errors.Is(err, p2p.ErrAlreadyConnected):
-				breaker.Success()
-			default:
-				breaker.Fail()
+			case !errors.Is(err, p2p.ErrAlreadyConnected):
 				r.cfg.Logf("replica[%s/%s]: dial primary: %v", r.cfg.Name, route, err)
 				continue
 			}

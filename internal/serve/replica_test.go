@@ -95,10 +95,10 @@ func faultyReplicaKV(seed int64) (func(string, db.KV) db.KV, *[]*faultkv.KV) {
 }
 
 // waitReplicaCaughtUp polls until every chain of r matches the primary's
-// heads exactly.
-func waitReplicaCaughtUp(t *testing.T, what string, r *Replica, primary *Result) {
+// heads exactly, failing the test after within.
+func waitReplicaCaughtUp(t *testing.T, what string, r *Replica, primary *Result, within time.Duration) {
 	t.Helper()
-	deadline := time.Now().Add(90 * time.Second)
+	deadline := time.Now().Add(within)
 	for time.Now().Before(deadline) {
 		caught := true
 		for _, pc := range primary.Chains {
@@ -119,7 +119,7 @@ func waitReplicaCaughtUp(t *testing.T, what string, r *Replica, primary *Result)
 				rl.BC.Head().Number(), pc.Ledger.BC.Head().Number())
 		}
 	}
-	t.Fatalf("%s: replica never caught up with the primary", what)
+	t.Fatalf("%s: replica did not catch up with the primary within %v", what, within)
 }
 
 // chaosReplicaStats is the artifact the chaos run writes for CI
@@ -254,8 +254,8 @@ func TestChaosReplicaServingPlane(t *testing.T) {
 	// Initial convergence happens with storage faults off (the interesting
 	// fault window is the serving run, and sync-time injection only
 	// changes how long this wait takes); the wire faults are always on.
-	waitReplicaCaughtUp(t, "initial sync r1", r1, primary)
-	waitReplicaCaughtUp(t, "initial sync r2", r2, primary)
+	waitReplicaCaughtUp(t, "initial sync r1", r1, primary, 90*time.Second)
+	waitReplicaCaughtUp(t, "initial sync r2", r2, primary, 90*time.Second)
 	enable(f1)
 	enable(f2)
 
@@ -374,7 +374,7 @@ func TestChaosReplicaServingPlane(t *testing.T) {
 	}
 
 	// The restarted replica reconverges to the primary's exact heads.
-	waitReplicaCaughtUp(t, "resync after restart", r1, primary)
+	waitReplicaCaughtUp(t, "resync after restart", r1, primary, 90*time.Second)
 
 	// With both replicas converged the follower drains what is left: the
 	// feed never publishes an EOF on the replica tier, so an empty page
@@ -472,13 +472,12 @@ func TestChaosReplicaDegradedSelfReport(t *testing.T) {
 	sc := replicaScenario()
 	mem := p2p.NewMemNet()
 	r, err := NewReplica(sc, ReplicaConfig{
-		Name:            "orphan",
-		PrimaryAddrs:    []string{"nowhere-ETH", "nowhere-ETC"},
-		Transport:       Transport{Listen: mem.Listen, Dialer: mem},
-		StalenessBound:  4,
-		PollInterval:    10 * time.Millisecond,
-		BreakerCooldown: 50 * time.Millisecond,
-		TuneP2P:         chaosTuneP2P,
+		Name:           "orphan",
+		PrimaryAddrs:   []string{"nowhere-ETH", "nowhere-ETC"},
+		Transport:      Transport{Listen: mem.Listen, Dialer: mem},
+		StalenessBound: 4,
+		PollInterval:   10 * time.Millisecond,
+		TuneP2P:        chaosTuneP2P,
 	}, rpc.ServerConfig{})
 	if err != nil {
 		t.Fatalf("NewReplica: %v", err)
@@ -523,11 +522,64 @@ func TestChaosReplicaDegradedSelfReport(t *testing.T) {
 		t.Errorf("serve.degraded gauge = %v, want 1", v)
 	}
 
-	// The reconnect loop is paced — p2p's dial backoff plus the sync
-	// breaker — instead of hammering the dead address on every tick.
+	// The reconnect loop is paced by p2p's dial backoff alone instead of
+	// hammering the dead address on every tick.
 	time.Sleep(400 * time.Millisecond)
 	dials, _ := r.Server.Registry().Snapshot()["sync.eth.dials"].(uint64)
 	if ticks := uint64(400 / 10); dials == 0 || dials >= ticks {
 		t.Errorf("%d dial attempts in 400ms of 10ms ticks; the reconnect loop is not paced", dials)
 	}
+}
+
+// TestReplicaReconnectsAfterPrimaryOutage: a replica whose primary is
+// down keeps redialling on p2p's backoff schedule, however long the
+// outage, and catches up soon after the primary comes back. The schedule
+// is chaosTuneP2P's with room to grow, so that by the eighth failure the
+// backoff window (3.2s nominal) outlasts a 2s cooldown, as production
+// timings do from the fifth — the regime in which a second pacer stacked
+// on the backoff, its half-open probe refused inside the window, never
+// dials again.
+func TestReplicaReconnectsAfterPrimaryOutage(t *testing.T) {
+	tune := func(c *p2p.Config) {
+		chaosTuneP2P(c)
+		c.MaxDialBackoff = 4 * time.Second
+	}
+	sc := replicaScenario()
+	primary, err := Build(sc, rpc.ServerConfig{})
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	defer primary.Close()
+
+	mem := p2p.NewMemNet()
+	tr := Transport{Listen: mem.Listen, Dialer: mem}
+	addrs := []string{"outage-ETH", "outage-ETC"}
+	r, err := NewReplica(sc, ReplicaConfig{
+		Name:         "patient",
+		PrimaryAddrs: addrs,
+		Transport:    tr,
+		PollInterval: 10 * time.Millisecond,
+		TuneP2P:      tune,
+	}, rpc.ServerConfig{})
+	if err != nil {
+		t.Fatalf("NewReplica: %v", err)
+	}
+	defer r.Close()
+
+	dials := func() uint64 {
+		n, _ := r.Server.Registry().Snapshot()["sync.eth.dials"].(uint64)
+		return n
+	}
+	for deadline := time.Now().Add(30 * time.Second); dials() < 8; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d dials of the absent primary in 30s", dials())
+		}
+	}
+
+	psrv, err := ServePrimary(primary, PrimaryConfig{Addrs: addrs, Transport: tr, TuneP2P: chaosTuneP2P})
+	if err != nil {
+		t.Fatalf("ServePrimary: %v", err)
+	}
+	defer psrv.Close()
+	waitReplicaCaughtUp(t, "after the outage", r, primary, 10*time.Second)
 }

@@ -21,7 +21,7 @@ type stackRow struct {
 	disk   bool
 	faults faultkv.Faults
 	crash  bool
-	layers []string // outermost -> innermost
+	layers []string // outermost -> innermost, see layersOf
 }
 
 // stackRows is everything the constructor builds for an engine: {mem,
@@ -35,8 +35,8 @@ func stackRows() []stackRow {
 		{name: "mem/faults", faults: always, layers: []string{"retry", "faultkv", "memdb"}},
 		{name: "mem/crash", crash: true, layers: []string{"retry", "faultkv", "memdb"}},
 		{name: "disk/fault-free", disk: true, layers: []string{"coalescer", "diskdb"}},
-		{name: "disk/faults", disk: true, faults: always, layers: []string{"retry", "diskdb", "faultfile", "osfs"}},
-		{name: "disk/crash", disk: true, crash: true, layers: []string{"retry", "diskdb", "faultfile", "osfs"}},
+		{name: "disk/faults", disk: true, faults: always, layers: []string{"retry", "diskdb", "faultfile"}},
+		{name: "disk/crash", disk: true, crash: true, layers: []string{"retry", "diskdb", "faultfile"}},
 	}
 }
 
@@ -55,37 +55,35 @@ func (r stackRow) scenario(t *testing.T) *Scenario {
 	return sc
 }
 
-// layersOf names a stack's layers outermost -> innermost by walking the
-// wrappers' own Inner accessors; the files under a fault-injected diskdb
-// come from the stack's medium.
+// layersOf names a stack's layers from the ChainStore's own fields: the
+// outermost layer, the logical injector, the backend and the medium under
+// a fault-injected diskdb. TestChainStoreStacks checks by behaviour that
+// they are stacked in that order.
 func layersOf(t *testing.T, st *ChainStore) []string {
 	t.Helper()
 	var out []string
-	for kv := st.KV(); kv != nil; {
-		switch l := kv.(type) {
-		case *db.Coalescer:
-			out, kv = append(out, "coalescer"), l.Inner()
-		case *db.Retry:
-			out, kv = append(out, "retry"), l.Inner()
-		case *faultkv.KV:
-			out, kv = append(out, "faultkv"), l.Inner()
-		case *db.MemDB:
-			out, kv = append(out, "memdb"), nil
-		case *diskdb.DB:
-			out, kv = append(out, "diskdb"), nil
-		default:
-			t.Fatalf("unknown layer %T under %v", kv, out)
-		}
+	switch st.KV().(type) {
+	case *db.Coalescer:
+		out = append(out, "coalescer")
+	case *db.Retry:
+		out = append(out, "retry")
+	}
+	if _, ok := st.inj.(*faultkv.KV); ok {
+		out = append(out, "faultkv")
+	}
+	switch st.backend.(type) {
+	case *db.MemDB:
+		out = append(out, "memdb")
+	case *diskdb.DB:
+		out = append(out, "diskdb")
+	default:
+		t.Fatalf("unknown backend %T", st.backend)
 	}
 	if st.medium != nil {
-		ffs, ok := st.medium.(*faultfile.FS)
-		if !ok {
+		if _, ok := st.medium.(*faultfile.FS); !ok {
 			t.Fatalf("medium is %T, want *faultfile.FS", st.medium)
 		}
-		if _, ok := ffs.Inner().(*dbfs.OSFS); !ok {
-			t.Fatalf("faultfile wraps %T, want *dbfs.OSFS", ffs.Inner())
-		}
-		out = append(out, "faultfile", "osfs")
+		out = append(out, "faultfile")
 	}
 	return out
 }
@@ -108,8 +106,31 @@ func mustHold(t *testing.T, kv db.KV, k, want string) {
 	}
 }
 
+// retryAbsorbs checks that row's stack puts its Retry over the injector:
+// at the chaos suites' rates every operation succeeds within the derived
+// budget while the injector's journal records the faults it absorbed.
+func retryAbsorbs(t *testing.T, row stackRow) {
+	t.Helper()
+	row.faults = faultkv.Faults{Seed: 3, ReadErrRate: 0.2, WriteErrRate: 0.2}
+	st, err := OpenChainStore(row.scenario(t), 0, "ETH", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	st.enable(true)
+	for i := 0; i < 200; i++ {
+		k := fmt.Sprintf("k%03d", i)
+		mustPut(t, st, k, "v")
+		mustHold(t, st.KV(), k, "v")
+	}
+	if st.journalLen() == 0 {
+		t.Fatal("200 writes and reads at 20% fault rates left no journal entries")
+	}
+}
+
 // TestChainStoreStacks is the table over everything the constructor
-// builds: layer order, the injection-pause rule, restart and Close.
+// builds: its layers and their order, the injection-pause rule, restart
+// and Close.
 func TestChainStoreStacks(t *testing.T) {
 	for _, row := range stackRows() {
 		t.Run(row.name, func(t *testing.T) {
@@ -126,6 +147,21 @@ func TestChainStoreStacks(t *testing.T) {
 				t.Fatalf("injector present = %v", st.inj != nil)
 			}
 
+			// A Coalescer sits over the backend: a write reaches the backend
+			// at the flush, not before.
+			if st.coal != nil {
+				if err := st.KV().Put([]byte("staged"), []byte("s")); err != nil {
+					t.Fatal(err)
+				}
+				if ok, err := st.backend.Has([]byte("staged")); ok || err != nil {
+					t.Fatalf("coalesced write in the backend before the flush: %v %v", ok, err)
+				}
+				if err := st.flush(); err != nil {
+					t.Fatal(err)
+				}
+				mustHold(t, st.backend, "staged", "s")
+			}
+
 			// Bootstrap window: the stack comes back with injection off.
 			mustPut(t, st, "genesis", "g")
 			mustHold(t, st.KV(), "genesis", "g")
@@ -135,6 +171,7 @@ func TestChainStoreStacks(t *testing.T) {
 
 			st.enable(true)
 			if row.faults.Enabled() {
+				retryAbsorbs(t, row)
 				if err := st.KV().Put([]byte("k"), []byte("v")); !db.IsTransient(err) {
 					t.Fatalf("Put with injection on = %v, want the injected transient error", err)
 				}

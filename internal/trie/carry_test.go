@@ -16,17 +16,63 @@ import (
 // and the same Puts — keys, values and order. These tests pin the write
 // set, not just the root; bench/expected.json pins archive bytes on it.
 
-// putLog records every write that reaches a MemDB, in order, through the
-// store's write guard.
+// putLog records every write that reaches a store, in order.
 type putLog []string
 
-func loggedMemDB(log *putLog) *db.MemDB {
-	kv := db.NewMemDB()
-	kv.SetWriteGuard(func(key, value []byte, del bool) error {
-		*log = append(*log, fmt.Sprintf("%x=%x del=%v", key, value, del))
-		return nil
-	})
-	return kv
+func (l *putLog) add(key, value []byte, del bool) {
+	*l = append(*l, fmt.Sprintf("%x=%x del=%v", key, value, del))
+}
+
+// loggedKV is a store that records its writes in log: single Puts and
+// Deletes as they happen, a batch's operations in queue order once it is
+// written.
+type loggedKV struct {
+	db.KV
+	log *putLog
+}
+
+func loggedMemDB(log *putLog) loggedKV { return loggedKV{KV: db.NewMemDB(), log: log} }
+
+func (l loggedKV) Put(key, value []byte) error {
+	l.log.add(key, value, false)
+	return l.KV.Put(key, value)
+}
+
+func (l loggedKV) Delete(key []byte) error {
+	l.log.add(key, nil, true)
+	return l.KV.Delete(key)
+}
+
+func (l loggedKV) NewBatch() db.Batch { return &loggedBatch{Batch: l.KV.NewBatch(), log: l.log} }
+
+type loggedBatch struct {
+	db.Batch
+	log     *putLog
+	pending putLog
+}
+
+func (b *loggedBatch) Put(key, value []byte) {
+	b.pending.add(key, value, false)
+	b.Batch.Put(key, value)
+}
+
+func (b *loggedBatch) Delete(key []byte) {
+	b.pending.add(key, nil, true)
+	b.Batch.Delete(key)
+}
+
+func (b *loggedBatch) Reset() {
+	b.pending = b.pending[:0]
+	b.Batch.Reset()
+}
+
+func (b *loggedBatch) Write() error {
+	if err := b.Batch.Write(); err != nil {
+		return err
+	}
+	*b.log = append(*b.log, b.pending...)
+	b.pending = b.pending[:0]
+	return nil
 }
 
 func commit(t *testing.T, tr *Trie, kv db.KV) types.Hash {

@@ -45,8 +45,9 @@ func figureCSVs(t *testing.T, rep *Report) map[string][]byte {
 
 // TestFullModeKVRoundTrip is the persistence acceptance test: a ModeFull
 // run whose ledgers live in the KV store is exported with WriteChain,
-// re-imported into fresh stores with ImportChain, read back through
-// chain.Store via export.FromStore, and replayed into a second collector.
+// re-imported into fresh stores with ImportChain, reopened from those
+// stores with chain.Open, read back via export.FromBlockchain, and
+// replayed into a second collector.
 // Every figure of the reconstructed report must equal the live run's
 // byte-for-byte.
 func TestFullModeKVRoundTrip(t *testing.T) {
@@ -81,7 +82,8 @@ func TestFullModeKVRoundTrip(t *testing.T) {
 	}
 
 	// Snapshot each partition, re-import into a brand-new store, and read
-	// the rows back through the store schema rather than the live chain.
+	// the rows back from a chain reopened over that store rather than the
+	// one that imported them.
 	reload := func(name string, led sim.Ledger) ([]export.BlockRow, []export.TxRow) {
 		fl, ok := led.(*sim.FullLedger)
 		if !ok {
@@ -91,7 +93,8 @@ func TestFullModeKVRoundTrip(t *testing.T) {
 		if err := fl.BC.WriteChain(&buf); err != nil {
 			t.Fatalf("%s: WriteChain: %v", name, err)
 		}
-		fresh, err := chain.NewBlockchainWithDB(fl.BC.Config(), eng.Workload.Genesis(), db.NewMemDB())
+		kv := db.NewMemDB()
+		fresh, err := chain.NewBlockchainWithDB(fl.BC.Config(), eng.Workload.Genesis(), kv)
 		if err != nil {
 			t.Fatalf("%s: fresh chain: %v", name, err)
 		}
@@ -102,14 +105,15 @@ func TestFullModeKVRoundTrip(t *testing.T) {
 		if got, want := fresh.Head().Number(), fl.BC.Head().Number(); got != want {
 			t.Fatalf("%s: reimported head %d, want %d", name, got, want)
 		}
-		blocks, txs, err := export.FromStore(name, fresh.Store())
+		reopened, err := chain.Open(fl.BC.Config(), kv)
 		if err != nil {
-			t.Fatalf("%s: FromStore: %v", name, err)
+			t.Fatalf("%s: reopening the imported store: %v", name, err)
 		}
-		// The store view and the live-chain view must agree.
-		liveBlocks, liveTxs := export.FromBlockchain(name, fresh)
+		blocks, txs := export.FromBlockchain(name, reopened)
+		// The reopened view and the live run's view must agree.
+		liveBlocks, liveTxs := export.FromBlockchain(name, fl.BC)
 		if len(blocks) != len(liveBlocks) || len(txs) != len(liveTxs) {
-			t.Fatalf("%s: store view %d blocks/%d txs, chain view %d/%d",
+			t.Fatalf("%s: reopened view %d blocks/%d txs, live view %d/%d",
 				name, len(blocks), len(txs), len(liveBlocks), len(liveTxs))
 		}
 		for i := range blocks {
@@ -118,12 +122,12 @@ func TestFullModeKVRoundTrip(t *testing.T) {
 				a.Time == b.Time && a.Coinbase == b.Coinbase && a.TxCount == b.TxCount &&
 				a.Difficulty.Cmp(b.Difficulty) == 0
 			if !same {
-				t.Fatalf("%s: block row %d differs: store %+v, chain %+v", name, i, a, b)
+				t.Fatalf("%s: block row %d differs: reopened %+v, live %+v", name, i, a, b)
 			}
 		}
 		for i := range txs {
 			if txs[i] != liveTxs[i] {
-				t.Fatalf("%s: tx row %d differs: store %+v, chain %+v", name, i, txs[i], liveTxs[i])
+				t.Fatalf("%s: tx row %d differs: reopened %+v, live %+v", name, i, txs[i], liveTxs[i])
 			}
 		}
 		return blocks, txs

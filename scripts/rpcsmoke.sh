@@ -4,7 +4,9 @@
 # malformed response. It then boots a replica following the primary's
 # sync plane, waits for it to catch up, checks that the replica serves
 # the same answers plus the replica-tier metrics, and drains it with
-# SIGTERM. CI's RPC smoke job runs this; `make rpcsmoke` locally does
+# SIGTERM. Last, an orphan replica following addresses where nothing
+# listens must report itself degraded, log its failed dials and drain
+# cleanly. CI's RPC smoke job runs this; `make rpcsmoke` locally does
 # the same.
 set -eu
 
@@ -12,15 +14,18 @@ ADDR="${RPCSMOKE_ADDR:-127.0.0.1:18545}"
 BASE="http://$ADDR"
 RADDR="${RPCSMOKE_REPLICA_ADDR:-127.0.0.1:18546}"
 RBASE="http://$RADDR"
+OADDR="${RPCSMOKE_ORPHAN_ADDR:-127.0.0.1:18547}"
 P2P="${RPCSMOKE_P2P:-127.0.0.1:18561,127.0.0.1:18562}"
 DAYS="${RPCSMOKE_DAYS:-1}"
 LOG="$(mktemp)"
 RLOG="$(mktemp)"
+OLOG="$(mktemp)"
 BIN="$(mktemp -d)"
 GO="${GO:-go}"
 PID=""
 RPID=""
-trap '[ -z "$PID" ] || kill $PID 2>/dev/null || true; [ -z "$RPID" ] || kill $RPID 2>/dev/null || true; rm -rf "$LOG" "$RLOG" "$BIN"' EXIT
+OPID=""
+trap '[ -z "$PID" ] || kill $PID 2>/dev/null || true; [ -z "$RPID" ] || kill $RPID 2>/dev/null || true; [ -z "$OPID" ] || kill $OPID 2>/dev/null || true; rm -rf "$LOG" "$RLOG" "$OLOG" "$BIN"' EXIT
 
 echo "rpcsmoke: building forkserve..."
 $GO build -o "$BIN/forkserve" ./cmd/forkserve
@@ -212,30 +217,62 @@ for key in 'sync.lag_blocks' 'sync.eth.lag_blocks' 'serve.degraded' 'rpc.failove
 done
 echo "rpcsmoke: ok   replica /debug/metrics"
 
-# Graceful drain: SIGTERM must finish in-flight work, flush the stores
-# and exit 0 with the clean-shutdown log line.
-kill -TERM $RPID
-i=0
-while kill -0 $RPID 2>/dev/null; do
-    i=$((i+1))
-    if [ "$i" -gt 30 ]; then
-        echo "rpcsmoke: replica did not drain within 30s; log:" >&2
-        cat "$RLOG" >&2
+# drain NAME PID LOG — SIGTERM must finish in-flight work, flush the
+# stores and exit 0 with the clean-shutdown log line.
+drain() {
+    name="$1"; pid="$2"; log="$3"
+    kill -TERM "$pid"
+    i=0
+    while kill -0 "$pid" 2>/dev/null; do
+        i=$((i+1))
+        if [ "$i" -gt 30 ]; then
+            echo "rpcsmoke: $name did not drain within 30s; log:" >&2
+            cat "$log" >&2
+            exit 1
+        fi
+        sleep 1
+    done
+    wait "$pid" 2>/dev/null || {
+        echo "rpcsmoke: $name exited nonzero on SIGTERM; log:" >&2
+        cat "$log" >&2
         exit 1
-    fi
-    sleep 1
-done
-wait $RPID 2>/dev/null || {
-    echo "rpcsmoke: replica exited nonzero on SIGTERM; log:" >&2
-    cat "$RLOG" >&2
-    exit 1
+    }
+    case "$(cat "$log")" in
+        *'drained and closed cleanly'*) echo "rpcsmoke: ok   $name graceful drain" ;;
+        *) echo "rpcsmoke: FAIL $name drain log missing clean-shutdown line:" >&2
+           cat "$log" >&2
+           exit 1 ;;
+    esac
 }
+
+drain replica "$RPID" "$RLOG"
 RPID=""
-case "$(cat "$RLOG")" in
-    *'drained and closed cleanly'*) echo "rpcsmoke: ok   replica graceful drain" ;;
-    *) echo "rpcsmoke: FAIL replica drain log missing clean-shutdown line:" >&2
-       cat "$RLOG" >&2
+
+# Orphan replica: its primary addresses have nothing listening. It must
+# say so — /readyz 503 — and log why ("dial primary: ..."), not fail
+# silently, while it keeps redialling on p2p's backoff.
+echo "rpcsmoke: booting an orphan replica following 127.0.0.1:1..."
+"$BIN/forkserve" -days "$DAYS" -addr "$OADDR" -follow 127.0.0.1:1,127.0.0.1:1 -replica-name orphan >"$OLOG" 2>&1 &
+OPID=$!
+sleep 3
+if ! kill -0 $OPID 2>/dev/null; then
+    echo "rpcsmoke: orphan replica exited early; log:" >&2
+    cat "$OLOG" >&2
+    exit 1
+fi
+status="$(curl -s -o /dev/null -w '%{http_code}' "http://$OADDR/readyz")"
+if [ "$status" != 503 ]; then
+    echo "rpcsmoke: FAIL orphan replica /readyz = $status, want 503" >&2
+    exit 1
+fi
+echo "rpcsmoke: ok   orphan replica /readyz 503"
+case "$(cat "$OLOG")" in
+    *'dial primary'*) echo "rpcsmoke: ok   orphan replica logs its failed dials" ;;
+    *) echo "rpcsmoke: FAIL orphan replica log has no 'dial primary' line:" >&2
+       cat "$OLOG" >&2
        exit 1 ;;
 esac
+drain "orphan replica" "$OPID" "$OLOG"
+OPID=""
 
 echo "rpcsmoke: PASS"

@@ -109,7 +109,9 @@ bench-selftest:
 # figure rendering and the CSV export, the figures-90d op of bench/ — and
 # forksim/heap.pprof the rows it retains; the CSVs themselves are dropped.
 # archive/{cpu,heap}.pprof are dense-6h disk serve.Build runs, the
-# archive-build-disk op of bench/ (BenchmarkArchiveBuildDense).
+# archive-build-disk op of bench/ (BenchmarkArchiveBuildDense), and
+# import/{cpu,heap}.pprof replica syncs and restarts on disk, the shape of
+# replica-import-disk (internal/chain BenchmarkImportChainDisk).
 PROFILE_DIR ?= profiles
 
 profile:
@@ -124,7 +126,10 @@ profile:
 	mkdir -p $(PROFILE_DIR)/archive
 	$(GO) test -bench '^BenchmarkArchiveBuildDense$$' -benchtime=5x -run '^$$' \
 		-cpuprofile $(PROFILE_DIR)/archive/cpu.pprof -memprofile $(PROFILE_DIR)/archive/heap.pprof .
-	@echo "profiles in $(PROFILE_DIR)/: cpu.pprof mem.pprof heap.pprof forksim/cpu.pprof forksim/heap.pprof archive/cpu.pprof archive/heap.pprof"
+	mkdir -p $(PROFILE_DIR)/import
+	$(GO) test -bench '^BenchmarkImportChainDisk$$' -benchtime=5x -run '^$$' \
+		-cpuprofile $(PROFILE_DIR)/import/cpu.pprof -memprofile $(PROFILE_DIR)/import/heap.pprof ./internal/chain/
+	@echo "profiles in $(PROFILE_DIR)/: cpu.pprof mem.pprof heap.pprof forksim/cpu.pprof forksim/heap.pprof archive/cpu.pprof archive/heap.pprof import/cpu.pprof import/heap.pprof"
 
 # RPC smoke: boot forkserve, curl every method on both chain endpoints
 # and check /debug/metrics (what CI's rpc-smoke job runs).

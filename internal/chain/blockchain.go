@@ -59,6 +59,8 @@ type Blockchain struct {
 	proc  *Processor
 	db    db.KV
 	store *Store
+	// states is what the chain's own states read through (see stateKV).
+	states *stateKV
 
 	mu         sync.RWMutex
 	blocks     map[types.Hash]*Block
@@ -95,7 +97,10 @@ func NewBlockchainWithDB(cfg *Config, gen *Genesis, kv db.KV) (*Blockchain, erro
 	for addr, code := range gen.Code {
 		st.SetCode(addr, code)
 	}
-	root, err := st.Commit()
+	// Genesis is one commit like any block: its state and its records land
+	// as one batch.
+	batch := kv.NewBatch()
+	root, err := st.CommitTo(batch)
 	if err != nil {
 		return nil, err
 	}
@@ -120,6 +125,7 @@ func NewBlockchainWithDB(cfg *Config, gen *Genesis, kv db.KV) (*Blockchain, erro
 		proc:       NewProcessor(cfg),
 		db:         kv,
 		store:      store,
+		states:     &stateKV{KV: kv},
 		blocks:     map[types.Hash]*Block{genesis.Hash(): genesis},
 		tds:        map[types.Hash]*big.Int{genesis.Hash(): types.BigCopy(diff)},
 		stateRoots: map[types.Hash]types.Hash{genesis.Hash(): root},
@@ -134,7 +140,7 @@ func NewBlockchainWithDB(cfg *Config, gen *Genesis, kv db.KV) (*Blockchain, erro
 	store.PutStateRoot(wb, genesis.Hash(), root)
 	store.PutCanon(wb, 0, genesis.Hash())
 	store.PutHead(wb, genesis.Hash())
-	if err := store.CommitWAL(wb); err != nil {
+	if err := store.CommitWAL(batch, wb); err != nil {
 		return nil, err
 	}
 	return bc, nil
@@ -169,6 +175,7 @@ func Open(cfg *Config, kv db.KV) (*Blockchain, error) {
 		proc:       NewProcessor(cfg),
 		db:         kv,
 		store:      store,
+		states:     &stateKV{KV: kv},
 		blocks:     make(map[types.Hash]*Block),
 		tds:        make(map[types.Hash]*big.Int),
 		stateRoots: make(map[types.Hash]types.Hash),
@@ -365,28 +372,170 @@ func (bc *Blockchain) takeState(root types.Hash) (*state.DB, error) {
 			return st, nil
 		}
 	}
-	return state.New(root, bc.db)
+	return state.New(root, bc.states)
 }
 
 // keepState hands the chain the state b's execution committed at root, once
-// writeBlock has returned: it is kept only if b became the head.
+// b is staged: it is kept only if b became the head, and a commit that
+// fails to land drops it again (rollback).
 func (bc *Blockchain) keepState(b *Block, st *state.DB, root types.Hash) {
 	if bc.head == b {
 		bc.headState, bc.headStateRoot = st, root
 	}
 }
 
+// MaxRun is the most blocks one commit carries: ImportChain hands
+// InsertChain runs of at most this many blocks, and a p2p peer serves block
+// ranges of at most this many, so a received range lands as one commit.
+const MaxRun = 128
+
 // InsertBlock validates and executes a block, extends the store, and
 // performs total-difficulty fork choice. It returns ErrKnownBlock for
 // duplicates and ErrUnknownParent when the parent has not arrived yet
-// (callers queue and retry, as gossip is unordered).
+// (callers queue and retry, as gossip is unordered). The block is one
+// commit, and nothing of it reaches the store unless every check passes.
 func (bc *Blockchain) InsertBlock(b *Block) error {
-	hash := b.Hash()
-
 	bc.mu.Lock()
 	defer bc.mu.Unlock()
 
-	if _, known := bc.blocks[hash]; known {
+	if err := bc.check(b); err != nil {
+		return err
+	}
+	c := bc.newCommit()
+	st, receipts, root, err := bc.execute(b, c.batch)
+	if err != nil {
+		return err
+	}
+	c.stage(b, receipts, root)
+	if err := c.write(); err != nil {
+		return err
+	}
+	bc.keepState(b, st, root)
+	return nil
+}
+
+// InsertChain inserts blocks in order, each validated and executed as
+// InsertBlock would, and lands them as ONE commit: their states read and
+// commit through a run-scoped overlay of the store, their records collect
+// into one WAL record, and the run reaches the store as one batch —
+// [state nodes…, WAL record, chain records…, watermark]. Known blocks are
+// skipped. It returns how many blocks it inserted; callers hand it runs of
+// at most MaxRun blocks.
+//
+// At the first block that fails, the blocks before it are committed and
+// the block's error is returned, naming it. If the commit itself fails,
+// none of the run is inserted: the chain stays at its last committed head,
+// which is what reopening the store would rebuild.
+func (bc *Blockchain) InsertChain(blocks []*Block) (int, error) {
+	bc.mu.Lock()
+	defer bc.mu.Unlock()
+
+	c := bc.newCommit()
+	overlay := db.NewCoalescer(runKV{KV: bc.db, batch: c.batch})
+	bc.states.run = overlay
+	defer func() { bc.states.run = nil }()
+	n := 0
+	var failed error
+	for _, b := range blocks {
+		err := bc.check(b)
+		if errors.Is(err, ErrKnownBlock) {
+			continue // resuming over an overlap
+		}
+		if err == nil {
+			err = bc.insertInRun(c, overlay, b)
+		}
+		if err != nil {
+			failed = fmt.Errorf("block %d: %w", b.Number(), err)
+			break
+		}
+		n++
+	}
+	if n == 0 {
+		return 0, failed
+	}
+	// Queue the run's state nodes ahead of its WAL record (see runKV).
+	if err := overlay.Flush(); err != nil {
+		c.rollback()
+		return 0, err
+	}
+	if err := c.write(); err != nil {
+		return 0, err
+	}
+	return n, failed
+}
+
+// insertInRun executes a checked block of a run and stages it into c. The
+// state it commits enters the run's overlay only once every check has
+// passed, so the next block of the run can read it and a rejected block
+// leaves nothing behind; the state is carried to the next block as
+// InsertBlock carries it, and dropped again if the commit fails.
+func (bc *Blockchain) insertInRun(c *commit, overlay *db.Coalescer, b *Block) error {
+	nodes := overlay.NewBatch()
+	st, receipts, root, err := bc.execute(b, nodes)
+	if err != nil {
+		return err
+	}
+	if err := nodes.Write(); err != nil {
+		return err
+	}
+	c.stage(b, receipts, root)
+	bc.keepState(b, st, root)
+	return nil
+}
+
+// stateKV is the store the chain's own states — the ones blocks execute on,
+// carried from block to block — read and commit through: the chain's
+// store, or, while InsertChain runs, the run's overlay of it, which holds
+// the state the run's earlier blocks committed. Only touched under bc.mu.
+type stateKV struct {
+	db.KV
+	run *db.Coalescer // the overlay of the run in progress, nil between runs
+}
+
+func (k *stateKV) store() db.KV {
+	if k.run != nil {
+		return k.run
+	}
+	return k.KV
+}
+
+// Get implements db.KV.
+func (k *stateKV) Get(key []byte) ([]byte, bool, error) { return k.store().Get(key) }
+
+// Has implements db.KV.
+func (k *stateKV) Has(key []byte) (bool, error) { return k.store().Has(key) }
+
+// Put implements db.KV.
+func (k *stateKV) Put(key, value []byte) error { return k.store().Put(key, value) }
+
+// Delete implements db.KV.
+func (k *stateKV) Delete(key []byte) error { return k.store().Delete(key) }
+
+// NewBatch implements db.KV.
+func (k *stateKV) NewBatch() db.Batch { return k.store().NewBatch() }
+
+// runKV is the store under a run's overlay: reads reach the chain's store,
+// and the overlay's Flush, instead of writing, queues everything the run's
+// states committed into the run's one batch.
+type runKV struct {
+	db.KV
+	batch db.Batch
+}
+
+// NewBatch implements db.KV.
+func (k runKV) NewBatch() db.Batch { return queued{k.batch} }
+
+// queued is a batch whose Write leaves its operations queued, for the
+// commit to write.
+type queued struct{ db.Batch }
+
+func (queued) Write() error { return nil }
+
+// check runs the validation that needs no execution: b is not known yet,
+// its parent is, and its header and body are valid against that parent.
+// Callers hold bc.mu.
+func (bc *Blockchain) check(b *Block) error {
+	if _, known := bc.blocks[b.Hash()]; known {
 		return ErrKnownBlock
 	}
 	parent, ok := bc.blocks[b.Header.ParentHash]
@@ -396,105 +545,147 @@ func (bc *Blockchain) InsertBlock(b *Block) error {
 	if err := bc.validateHeader(b.Header, parent.Header); err != nil {
 		return err
 	}
-	if err := bc.validateBody(b); err != nil {
-		return err
-	}
+	return bc.validateBody(b)
+}
 
-	// Execute on the parent's state.
-	st, err := bc.takeState(bc.stateRoots[parent.Hash()])
+// execute runs a checked block on the state its parent left (takeState),
+// queues the state it commits into batch and checks that state and the
+// receipts against the header's roots. Nothing is written: a block that
+// fails here leaves no trace in the store, only a state to drop.
+func (bc *Blockchain) execute(b *Block, batch db.Batch) (*state.DB, []*Receipt, types.Hash, error) {
+	st, err := bc.takeState(bc.stateRoots[b.Header.ParentHash])
 	if err != nil {
-		return err
+		return nil, nil, types.Hash{}, err
 	}
 	receipts, err := bc.proc.Process(b, st)
 	if err != nil {
-		return fmt.Errorf("%w: %v", ErrInvalidBody, err)
+		return nil, nil, types.Hash{}, fmt.Errorf("%w: %v", ErrInvalidBody, err)
 	}
-	root, err := st.Commit()
+	root, err := st.CommitTo(batch)
 	if err != nil {
-		return err
+		return nil, nil, types.Hash{}, err
 	}
 	if root != b.Header.StateRoot {
-		return fmt.Errorf("%w: computed %s, header %s", ErrStateMismatch, root, b.Header.StateRoot)
+		return nil, nil, types.Hash{}, fmt.Errorf("%w: computed %s, header %s", ErrStateMismatch, root, b.Header.StateRoot)
 	}
 	if got := ReceiptRoot(receipts); got != b.Header.ReceiptRoot {
-		return fmt.Errorf("%w: receipt root %s, header %s", ErrInvalidBody, got, b.Header.ReceiptRoot)
+		return nil, nil, types.Hash{}, fmt.Errorf("%w: receipt root %s, header %s", ErrInvalidBody, got, b.Header.ReceiptRoot)
 	}
+	return st, receipts, root, nil
+}
 
-	if err := bc.writeBlock(b, receipts, root); err != nil {
+// commit is one commit in the making — a block, or a run of blocks — and
+// the only way a block reaches the store: the batch it lands as (holding
+// the state nodes queued so far), its chain records staged for the WAL
+// record, and what undoes its in-memory side. stage applies each block to
+// the chain's maps at once, so the next block of a run validates against
+// it; the caller holds bc.mu from the first stage to the write, so no
+// reader sees a block before its records are in the store, and a failed
+// write puts the maps back (rollback).
+type commit struct {
+	bc    *Blockchain
+	batch db.Batch
+	wal   *WALBatch
+	head  *Block                // the head before the commit
+	added []types.Hash          // blocks added to the maps
+	canon map[uint64]types.Hash // canonical heights rewritten, with their old hash (zero: none)
+}
+
+// newCommit starts a commit on top of the current head. Callers hold bc.mu.
+func (bc *Blockchain) newCommit() *commit {
+	return &commit{bc: bc, batch: bc.db.NewBatch(), wal: bc.store.NewWALBatch(), head: bc.head}
+}
+
+// stage queues the records of b, executed to root, into c — body,
+// receipts, TD, state root, tx index and, when b wins total-difficulty fork
+// choice, the canonical-index rewrite and the head marker — and applies the
+// same change to the in-memory view.
+func (c *commit) stage(b *Block, receipts []*Receipt, root types.Hash) {
+	bc, s, wb := c.bc, c.bc.store, c.wal
+	hash := b.Hash()
+	td := new(big.Int).Add(bc.tds[b.Header.ParentHash], b.Header.Difficulty)
+	s.PutBlock(wb, b)
+	s.PutReceipts(wb, hash, receipts)
+	s.PutTD(wb, hash, td)
+	s.PutStateRoot(wb, hash, root)
+	s.PutBlockTxIndices(wb, b)
+	bc.blocks[hash], bc.tds[hash], bc.stateRoots[hash] = b, td, root
+	c.added = append(c.added, hash)
+
+	if td.Cmp(bc.tds[bc.head.Hash()]) <= 0 {
+		return
+	}
+	updates, stale := bc.canonDelta(b)
+	for _, u := range updates {
+		s.PutCanon(wb, u.Number(), u.Hash())
+		// A reorg adopts previously side-chain blocks: repoint their
+		// transactions' lookup entries at the now-canonical copies so the
+		// index always resolves along the canonical chain.
+		if u != b {
+			s.PutBlockTxIndices(wb, u)
+		}
+		c.setCanon(u.Number(), u.Hash())
+	}
+	for _, n := range stale {
+		s.DeleteCanon(wb, n)
+		c.setCanon(n, types.Hash{})
+	}
+	s.PutHead(wb, hash)
+	bc.head = b
+}
+
+// setCanon points the in-memory canonical index at h for height n (zero:
+// no entry), remembering the value the commit found there.
+func (c *commit) setCanon(n uint64, h types.Hash) {
+	if c.canon == nil {
+		c.canon = make(map[uint64]types.Hash)
+	}
+	if _, saved := c.canon[n]; !saved {
+		c.canon[n] = c.bc.canon[n]
+	}
+	if h.IsZero() {
+		delete(c.bc.canon, n)
+	} else {
+		c.bc.canon[n] = h
+	}
+}
+
+// write lands the commit as one batch through the WAL (Store.CommitWAL).
+// If the write fails — nothing committed, or the store crashed mid-write
+// and the commit is for recovery to settle — the in-memory view goes back
+// to the last committed head.
+func (c *commit) write() error {
+	if err := c.bc.store.CommitWAL(c.batch, c.wal); err != nil {
+		c.rollback()
 		return err
 	}
-	bc.keepState(b, st, root)
 	return nil
 }
 
-// writeBlock persists an executed block whose parent is known — records, tx
-// index, total-difficulty fork choice, head — and then advances the
-// in-memory view. It is the one write tail of InsertBlock and MineBlock;
-// callers hold bc.mu and have committed the block's state (root).
-func (bc *Blockchain) writeBlock(b *Block, receipts []*Receipt, root types.Hash) error {
-	hash := b.Hash()
-	td := new(big.Int).Add(bc.tds[b.Header.ParentHash], b.Header.Difficulty)
-
-	// Stage the block's whole persistence — records, fork choice, head —
-	// and commit it through the WAL as one unit, so a crash anywhere in
-	// the write either loses the block entirely or leaves a WAL record
-	// that reopening redoes (see wal.go).
-	wb := bc.store.NewWALBatch()
-	bc.store.PutBlock(wb, b)
-	bc.store.PutReceipts(wb, hash, receipts)
-	bc.store.PutTD(wb, hash, td)
-	bc.store.PutStateRoot(wb, hash, root)
-
-	bc.store.PutBlockTxIndices(wb, b)
-
-	newHead := td.Cmp(bc.tds[bc.head.Hash()]) > 0
-	var updates []*Block
-	var stale []uint64
-	if newHead {
-		updates, stale = bc.canonDelta(b)
-		for _, u := range updates {
-			bc.store.PutCanon(wb, u.Number(), u.Hash())
-			// A reorg adopts previously side-chain blocks: repoint their
-			// transactions' lookup entries at the now-canonical copies so
-			// the index always resolves along the canonical chain.
-			if u != b {
-				bc.store.PutBlockTxIndices(wb, u)
-			}
-		}
-		for _, n := range stale {
-			bc.store.DeleteCanon(wb, n)
-		}
-		bc.store.PutHead(wb, hash)
+// rollback undoes the commit's in-memory side and drops the carried state,
+// as a chain reopened over the store would have none.
+func (c *commit) rollback() {
+	bc := c.bc
+	for _, h := range c.added {
+		delete(bc.blocks, h)
+		delete(bc.tds, h)
+		delete(bc.stateRoots, h)
 	}
-
-	if err := bc.store.CommitWAL(wb); err != nil {
-		// Either nothing committed (WAL record never landed) or the store
-		// crashed mid-apply; in both cases the in-memory view must not
-		// advance — Open rebuilds it from the durable state on reopen.
-		return err
-	}
-
-	bc.blocks[hash] = b
-	bc.stateRoots[hash] = root
-	bc.tds[hash] = td
-	if newHead {
-		for _, u := range updates {
-			bc.canon[u.Number()] = u.Hash()
-		}
-		for _, n := range stale {
+	for n, h := range c.canon {
+		if h.IsZero() {
 			delete(bc.canon, n)
+		} else {
+			bc.canon[n] = h
 		}
-		bc.head = b
 	}
-	return nil
+	bc.head, bc.headState = c.head, nil
 }
 
 // canonDelta computes the canonical-index rewrite that making b the head
 // requires: the blocks along b's path back to the existing canonical chain
 // (b first, so the staged writes come in one fixed order), plus the stale
 // heights to remove after a reorg to a shorter-but-heavier chain. Pure with
-// respect to chain state — the delta is staged into the WAL batch first and
-// applied to the in-memory index only after the commit succeeds.
+// respect to chain state — stage applies the delta once it is computed.
 func (bc *Blockchain) canonDelta(b *Block) (updates []*Block, stale []uint64) {
 	cur := b
 	for {
@@ -553,7 +744,7 @@ func (bc *Blockchain) validateBody(b *Block) error {
 	if got := b.ComputedTxRoot(); got != b.Header.TxRoot {
 		return fmt.Errorf("%w: tx root %s, header %s", ErrInvalidBody, got, b.Header.TxRoot)
 	}
-	if err := bc.validateUncles(b); err != nil {
+	if err := bc.validateUncles(b.Header, b.Uncles, b.Hash()); err != nil {
 		return err
 	}
 	for i, tx := range b.Txs {
@@ -635,19 +826,26 @@ func fillRoots(block *Block, receipts []*Receipt, root types.Hash) {
 }
 
 // MineBlock is the local miner's door: it builds a child of the current
-// head from the candidates that still apply, and persists it, executing
-// every transaction exactly once and committing the state once. Candidates
-// run in order against the real header; one that no longer validates or
-// does not fit the gas pool is skipped (ApplyTransaction rejects before it
-// mutates). seal stamps the PoW seal on the otherwise finished header.
-// The block is the chain's own product, so apart from the caller's uncle
-// list nothing is re-validated, and nothing is re-executed, on the way to
-// the store; blocks from anywhere else go through InsertBlock.
+// head from the candidates that still apply, and persists it as one commit,
+// executing every transaction exactly once and committing the state once.
+// Candidates run in order against the real header; one that no longer
+// validates or does not fit the gas pool is skipped (ApplyTransaction
+// rejects before it mutates). seal stamps the PoW seal on the otherwise
+// finished header. The block is the chain's own product, so apart from the
+// caller's uncle list — checked before anything executes — nothing is
+// re-validated, and nothing is re-executed, on the way to the store; blocks
+// from anywhere else go through InsertBlock.
 func (bc *Blockchain) MineBlock(coinbase types.Address, time uint64, candidates []*Transaction, uncles []*Header, seal func(*Header)) (*Block, error) {
 	bc.mu.Lock()
 	defer bc.mu.Unlock()
 
 	header := bc.nextHeader(coinbase, time, uncles)
+	if len(uncles) > 0 {
+		// The one input execution does not check, checked before it runs.
+		if err := bc.validateUncles(header, uncles, types.Hash{}); err != nil {
+			return nil, err
+		}
+	}
 	st, err := bc.takeState(bc.stateRoots[bc.head.Hash()])
 	if err != nil {
 		return nil, err
@@ -666,19 +864,15 @@ func (bc *Blockchain) MineBlock(coinbase types.Address, time uint64, candidates 
 		receipts = append(receipts, rec)
 	}
 	bc.proc.payRewards(header, uncles, st)
-	root, err := st.Commit()
+	c := bc.newCommit()
+	root, err := st.CommitTo(c.batch)
 	if err != nil {
 		return nil, err
 	}
 	fillRoots(block, receipts, root)
 	seal(header)
-	if len(uncles) > 0 {
-		// The one input the execution above has not already checked.
-		if err := bc.validateUncles(block); err != nil {
-			return nil, err
-		}
-	}
-	if err := bc.writeBlock(block, receipts, root); err != nil {
+	c.stage(block, receipts, root)
+	if err := c.write(); err != nil {
 		return nil, err
 	}
 	bc.keepState(block, st, root)

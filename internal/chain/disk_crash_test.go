@@ -28,14 +28,16 @@ func diskStack(t *testing.T, dir string) (*faultfile.FS, *diskdb.DB) {
 
 // TestDiskCrashSweepMidImport is the disk-backend counterpart of
 // TestCrashMidImportRecovers, and it is exhaustive: the medium is killed
-// at EVERY physical append position inside an ImportChain. Each kill
-// tears a random strict prefix of that append onto the real files; the
-// restart path (diskdb.Open segment replay + torn-tail truncation, then
-// the chain-level WAL redo) must land exactly on the last durably
-// committed head — never a partial block — and resuming the import must
-// converge on the donor chain.
+// at EVERY physical append of an import that lands the donor's blocks as
+// runs — one append per run. Each kill tears a random strict prefix of that
+// append onto the real files; the restart path (diskdb.Open segment replay
+// + torn-tail truncation, then the chain-level WAL redo) must land on a run
+// boundary — the acknowledged head or the end of the run in flight, never a
+// block inside a run — and resuming the import must converge on the donor
+// chain.
 func TestDiskCrashSweepMidImport(t *testing.T) {
-	donor, stream := donorChain(t)
+	donor, _ := donorChain(t)
+	blocks := donor.CanonicalBlocks(1, donor.Head().Number())
 
 	// Calibrate the import's append footprint on a clean disk run.
 	calibFS, calibDB := diskStack(t, t.TempDir())
@@ -44,13 +46,13 @@ func TestDiskCrashSweepMidImport(t *testing.T) {
 		t.Fatal(err)
 	}
 	importStart := calibFS.WriteOps()
-	if _, err := calib.ImportChain(bytes.NewReader(stream)); err != nil {
+	if _, err := insertRuns(calib, blocks, crashRun); err != nil {
 		t.Fatal(err)
 	}
 	totalOps := calibFS.WriteOps() - importStart
 	calibDB.Close()
-	if totalOps < 10 {
-		t.Fatalf("import footprint suspiciously small: %d appends", totalOps)
+	if runs := uint64(len(blocks)+crashRun-1) / crashRun; totalOps != runs || runs < 3 {
+		t.Fatalf("import of %d runs made %d appends, want one per run and at least 3 runs", runs, totalOps)
 	}
 
 	for off := uint64(1); off <= totalOps; off++ {
@@ -60,7 +62,7 @@ func TestDiskCrashSweepMidImport(t *testing.T) {
 			t.Fatal(err)
 		}
 		ffs.CrashAtWriteOp(ffs.WriteOps() + off)
-		imported, err := victim.ImportChain(bytes.NewReader(stream))
+		imported, err := insertRuns(victim, blocks, crashRun)
 		if err == nil {
 			t.Fatalf("off %d: import survived an armed crash", off)
 		}
@@ -81,36 +83,63 @@ func TestDiskCrashSweepMidImport(t *testing.T) {
 		if err != nil {
 			t.Fatalf("off %d: chain.Open after crash: %v", off, err)
 		}
-		// The WAL sequence counts commits: genesis is seq 1, every block
-		// commit adds one. Recovery must land exactly there.
-		if want := re.Store().walSeq - 1; re.Head().Number() != want {
-			t.Fatalf("off %d: recovered head %d, WAL says %d commits",
-				off, re.Head().Number(), want)
-		}
-		// The acknowledged imports are a lower bound; the in-flight block
-		// may have reached its commit point before the tear.
-		if got := re.Head().Number(); got < uint64(imported) || got > uint64(imported)+1 {
-			t.Fatalf("off %d: recovered head %d outside [%d, %d]",
-				off, got, imported, imported+1)
-		}
-		// No divergent partial state: every recovered canonical block is
-		// the donor's block at that height.
-		for n := uint64(0); n <= re.Head().Number(); n++ {
-			want, _ := donor.BlockByNumber(n)
-			got, ok := re.BlockByNumber(n)
-			if !ok || got.Hash() != want.Hash() {
-				t.Fatalf("off %d: recovered canon %d diverged from donor", off, n)
-			}
-		}
+		checkRecovered(t, off, donor, re, imported)
 
 		// Resuming the import must converge on the donor head.
-		if _, err := re.ImportChain(bytes.NewReader(stream)); err != nil {
+		if _, err := insertRuns(re, blocks, crashRun); err != nil {
 			t.Fatalf("off %d: resumed import: %v", off, err)
 		}
 		if re.Head().Hash() != donor.Head().Hash() {
 			t.Fatalf("off %d: resumed head %s, want %s", off, re.Head().Hash(), donor.Head().Hash())
 		}
 		d2.Close()
+	}
+}
+
+// TestOneAppendPerCommit pins the write count a commit costs on disk: a
+// mined or inserted block is one append (one fsync), and an import of N
+// blocks is one append per run of MaxRun.
+func TestOneAppendPerCommit(t *testing.T) {
+	srcFS, srcDB := diskStack(t, t.TempDir())
+	defer srcDB.Close()
+	src := mineDense(t, srcDB, MaxRun+3, 2)
+	before := srcFS.WriteOps()
+	blk, err := src.MineBlock(pool1, src.Head().Header.Time+14, nil, nil, testSeal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := srcFS.WriteOps() - before; got != 1 {
+		t.Fatalf("MineBlock made %d appends, want 1", got)
+	}
+	var buf bytes.Buffer
+	if err := src.WriteChain(&buf); err != nil {
+		t.Fatal(err)
+	}
+	last := src.Head().Number()
+
+	_, gen := mineUsers(64)
+	dstFS, dstDB := diskStack(t, t.TempDir())
+	defer dstDB.Close()
+	dst, err := NewBlockchainWithDB(MainnetLikeConfig(), gen, dstDB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Import all but the last block, then insert that one alone.
+	stream := buf.Bytes()[:buf.Len()-4-len(blk.Encode())]
+	before = dstFS.WriteOps()
+	n, err := dst.ImportChain(bytes.NewReader(stream))
+	if err != nil || uint64(n) != last-1 {
+		t.Fatalf("imported %d of %d blocks: %v", n, last-1, err)
+	}
+	if got, want := dstFS.WriteOps()-before, uint64(n+MaxRun-1)/MaxRun; got != want {
+		t.Fatalf("importing %d blocks made %d appends, want %d", n, got, want)
+	}
+	before = dstFS.WriteOps()
+	if err := dst.InsertBlock(blk); err != nil {
+		t.Fatal(err)
+	}
+	if got := dstFS.WriteOps() - before; got != 1 {
+		t.Fatalf("InsertBlock made %d appends, want 1", got)
 	}
 }
 

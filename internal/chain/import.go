@@ -2,7 +2,6 @@ package chain
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"runtime"
@@ -14,9 +13,11 @@ import (
 // validation reads — the header hash, each transaction's keccak hash and
 // signature check, the transaction trie root — is pure CPU work on
 // immutable data, so it fans out across a bounded worker pool while the
-// canonical write path (InsertBlock: state execution, WAL commit, canon
-// index) stays strictly ordered on the caller's goroutine. The worker
-// count follows GOMAXPROCS; one worker degenerates to the serial loop.
+// canonical write path stays strictly ordered on the caller's goroutine:
+// decoded blocks collect into runs of at most MaxRun, and each run goes to
+// InsertChain, which executes it in order and lands it as one commit (one
+// batch, one fsync on disk). The worker count follows GOMAXPROCS; one
+// worker degenerates to the serial loop, which commits the same runs.
 
 // precacheShard is how many transactions one precache task warms; small
 // enough to spread a single large block across workers, large enough
@@ -112,10 +113,50 @@ type importJob struct {
 	ioErr     error // truncated stream: returned unwrapped, like the serial path
 }
 
-// ImportChain reads blocks from r and inserts them in order, returning
-// the number of newly imported blocks. Already-known blocks are skipped;
-// the first otherwise-invalid block aborts with ErrImportStopped
-// (wrapping the cause).
+// importRuns collects a stream's blocks into runs of at most MaxRun and
+// hands each to InsertChain, counting what it inserted.
+type importRuns struct {
+	bc       *Blockchain
+	run      []*Block
+	imported int
+}
+
+// add appends b to the current run, committing the run once it is full.
+func (r *importRuns) add(b *Block) error {
+	r.run = append(r.run, b)
+	if len(r.run) < MaxRun {
+		return nil
+	}
+	return r.flush()
+}
+
+// flush commits the current run, if any.
+func (r *importRuns) flush() error {
+	n, err := r.bc.InsertChain(r.run)
+	r.imported += n
+	r.run = r.run[:0]
+	if err != nil {
+		return fmt.Errorf("%w: %v", ErrImportStopped, err)
+	}
+	return nil
+}
+
+// stop ends the import at a stream error: the blocks before it are
+// committed first, as a block-by-block import would have, and an error
+// of theirs comes first in stream order.
+func (r *importRuns) stop(err error) (int, error) {
+	if ferr := r.flush(); ferr != nil {
+		return r.imported, ferr
+	}
+	return r.imported, err
+}
+
+// ImportChain reads blocks from r and inserts them in order, in runs of at
+// most MaxRun blocks that each land as one commit, returning the number of
+// newly imported blocks. Already-known blocks are skipped; the first
+// otherwise-invalid block aborts with ErrImportStopped (wrapping the
+// cause), after the blocks before it are committed. A crash loses at most
+// the run in flight.
 //
 // Frames are decoded and precached by a worker pool running ahead of the
 // insert loop; insertion order, error positions and error identities are
@@ -187,58 +228,48 @@ func (bc *Blockchain) ImportChainWorkers(r io.Reader, workers int) (int, error) 
 		}
 	}()
 
-	imported := 0
+	runs := &importRuns{bc: bc}
 	for job := range jobs {
 		<-job.ready
 		switch {
 		case job.ioErr != nil:
-			return imported, job.ioErr
+			return runs.stop(job.ioErr)
 		case job.decodeErr != nil:
-			return imported, fmt.Errorf("%w: %v", ErrImportStopped, job.decodeErr)
+			return runs.stop(fmt.Errorf("%w: %v", ErrImportStopped, job.decodeErr))
 		}
-		switch err := bc.InsertBlock(job.blk); {
-		case err == nil:
-			imported++
-		case errors.Is(err, ErrKnownBlock):
-			// resuming over an overlap: fine
-		default:
-			return imported, fmt.Errorf("%w: block %d: %v", ErrImportStopped, job.blk.Number(), err)
+		if err := runs.add(job.blk); err != nil {
+			return runs.imported, err
 		}
 	}
-	return imported, nil
+	return runs.stop(nil)
 }
 
 // importSerial is the single-threaded import loop: the reference
 // semantics the pipeline reproduces, and the path taken on one CPU.
 func (bc *Blockchain) importSerial(r io.Reader) (int, error) {
-	imported := 0
+	runs := &importRuns{bc: bc}
 	for {
 		var lenBuf [4]byte
 		if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
 			if err == io.EOF {
-				return imported, nil
+				return runs.stop(nil)
 			}
-			return imported, err
+			return runs.stop(err)
 		}
 		size := binary.BigEndian.Uint32(lenBuf[:])
 		if size > maxPersistFrame {
-			return imported, fmt.Errorf("%w: block frame of %d bytes", ErrImportStopped, size)
+			return runs.stop(fmt.Errorf("%w: block frame of %d bytes", ErrImportStopped, size))
 		}
 		enc := make([]byte, size)
 		if _, err := io.ReadFull(r, enc); err != nil {
-			return imported, err
+			return runs.stop(err)
 		}
 		blk, err := DecodeBlock(enc)
 		if err != nil {
-			return imported, fmt.Errorf("%w: %v", ErrImportStopped, err)
+			return runs.stop(fmt.Errorf("%w: %v", ErrImportStopped, err))
 		}
-		switch err := bc.InsertBlock(blk); {
-		case err == nil:
-			imported++
-		case errors.Is(err, ErrKnownBlock):
-			// resuming over an overlap: fine
-		default:
-			return imported, fmt.Errorf("%w: block %d: %v", ErrImportStopped, blk.Number(), err)
+		if err := runs.add(blk); err != nil {
+			return runs.imported, err
 		}
 	}
 }

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
+
+	"forkwatch/internal/db"
+	"forkwatch/internal/db/diskdb"
 )
 
 // buildBenchExport mines a chain with transfer traffic and returns its
@@ -60,5 +63,59 @@ func BenchmarkImportChainWorkers(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkImportChainDisk is a replica's sync and restart on disk, the
+// shape of bench/'s replica-import-disk op: import a mined dense chain into
+// a fresh diskdb directory, close it, and reopen the chain from that
+// directory alone. `make profile` writes its CPU and heap profiles to
+// profiles/import/.
+func BenchmarkImportChainDisk(b *testing.B) {
+	const blocks, perBlock = 600, 8
+	src := mineDense(b, db.NewMemDB(), blocks, perBlock)
+	var buf bytes.Buffer
+	if err := src.WriteChain(&buf); err != nil {
+		b.Fatal(err)
+	}
+	enc := buf.Bytes()
+	_, gen := mineUsers(64)
+	open := func(dir string) *diskdb.DB {
+		fs, err := diskdb.NewOSFS(dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		d, err := diskdb.Open(fs, diskdb.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return d
+	}
+	b.SetBytes(int64(len(enc)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dir := b.TempDir()
+		d := open(dir)
+		dst, err := NewBlockchainWithDB(MainnetLikeConfig(), gen, d)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if n, err := dst.ImportChain(bytes.NewReader(enc)); err != nil || n != blocks {
+			b.Fatalf("imported %d of %d blocks: %v", n, blocks, err)
+		}
+		if err := d.Close(); err != nil {
+			b.Fatal(err)
+		}
+		d = open(dir)
+		re, err := Open(MainnetLikeConfig(), d)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if re.Head().Hash() != src.Head().Hash() {
+			b.Fatalf("reopened at %d, source head %d", re.Head().Number(), src.Head().Number())
+		}
+		if err := d.Close(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

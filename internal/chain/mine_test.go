@@ -280,7 +280,7 @@ func TestMineBlockValidatesUncles(t *testing.T) {
 }
 
 // mineDense mines blocks×perBlock transfers through MineBlock over kv.
-func mineDense(t *testing.T, kv db.KV, blocks, perBlock int) *Blockchain {
+func mineDense(t testing.TB, kv db.KV, blocks, perBlock int) *Blockchain {
 	t.Helper()
 	users, gen := mineUsers(64)
 	bc, err := NewBlockchainWithDB(MainnetLikeConfig(), gen, kv)

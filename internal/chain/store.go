@@ -24,9 +24,10 @@ import (
 // Every getter returns (value, ok, error): ok distinguishes absence, the
 // error reports a failed read or a record that failed an integrity check
 // (wrapping db.ErrCorrupt). All mutations queue into a caller-owned
-// db.Batch — including the canonical index and head marker — so one
-// block's whole persistence lands atomically and a torn write is
-// repairable from the WAL (see wal.go).
+// db.Batch — including the canonical index and head marker — so a whole
+// commit, one block's persistence or a run's, reaches the store as one
+// batch behind its WAL record, and a torn write is repairable from the WAL
+// (see wal.go).
 type Store struct {
 	kv db.KV
 	// walSeq is the sequence number of the newest committed WAL record
@@ -213,8 +214,9 @@ func (s *Store) Head() (types.Hash, bool, error) {
 
 // TxLookup locates a transaction by hash: the hash of the block that
 // included it and the transaction's position in that block. Entries are
-// written through the same WAL/batch path as the block itself, so a
-// lookup can never race ahead of the block it points at. Lookups replace
+// written in the same commit as the block itself, so a lookup can never
+// race ahead of the block it points at, and the chain shows a block as
+// canonical only once its commit has landed. Lookups replace
 // the O(n) canonical-chain scan a serving layer would otherwise need for
 // eth_getTransactionByHash / eth_getTransactionReceipt.
 type TxLookup struct {

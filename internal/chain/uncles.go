@@ -46,16 +46,18 @@ func CalcUncleHash(uncles []*Header) types.Hash {
 	return types.BytesToHash(h[:])
 }
 
-// validateUncles enforces the inclusion rules for b's uncles against the
-// chain as known at insertion time.
-func (bc *Blockchain) validateUncles(b *Block) error {
-	if len(b.Uncles) > MaxUncles {
-		return fmt.Errorf("%w: %d uncles (max %d)", ErrInvalidBody, len(b.Uncles), MaxUncles)
+// validateUncles enforces the inclusion rules for the uncles of a block
+// with header h against the chain as known at insertion time. self is the
+// block's own hash, which no uncle may be; a block still being mined has
+// none yet (zero), and no uncle can be it.
+func (bc *Blockchain) validateUncles(h *Header, uncles []*Header, self types.Hash) error {
+	if len(uncles) > MaxUncles {
+		return fmt.Errorf("%w: %d uncles (max %d)", ErrInvalidBody, len(uncles), MaxUncles)
 	}
-	if got := CalcUncleHash(b.Uncles); got != b.Header.UncleHash {
-		return fmt.Errorf("%w: uncle hash %s, header %s", ErrInvalidBody, got, b.Header.UncleHash)
+	if got := CalcUncleHash(uncles); got != h.UncleHash {
+		return fmt.Errorf("%w: uncle hash %s, header %s", ErrInvalidBody, got, h.UncleHash)
 	}
-	if len(b.Uncles) == 0 {
+	if len(uncles) == 0 {
 		return nil
 	}
 
@@ -63,7 +65,7 @@ func (bc *Blockchain) validateUncles(b *Block) error {
 	// every uncle they already included.
 	ancestors := map[types.Hash]bool{}
 	included := map[types.Hash]bool{}
-	cur := b.Header.ParentHash
+	cur := h.ParentHash
 	for i := 0; i < MaxUncleDepth; i++ {
 		blk, ok := bc.blocks[cur]
 		if !ok {
@@ -80,12 +82,12 @@ func (bc *Blockchain) validateUncles(b *Block) error {
 	}
 
 	seen := map[types.Hash]bool{}
-	for i, u := range b.Uncles {
+	for i, u := range uncles {
 		uh := u.Hash()
 		switch {
 		case seen[uh]:
 			return fmt.Errorf("%w: uncle %d duplicated in block", ErrInvalidBody, i)
-		case uh == b.Hash():
+		case uh == self:
 			return fmt.Errorf("%w: block includes itself as uncle", ErrInvalidBody)
 		case ancestors[uh]:
 			return fmt.Errorf("%w: uncle %d is an ancestor", ErrInvalidBody, i)

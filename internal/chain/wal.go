@@ -14,40 +14,49 @@ import (
 
 // Write-ahead log: the crash-consistency protocol of the chain store.
 //
-// Problem: one block's persistence spans many keys (block body, receipts,
-// total difficulty, state root, canonical index entries, the head marker).
-// A batch write of those keys is atomic on a healthy device, but a crash
-// mid-write (a torn batch, see db/faultkv) can leave any subset applied —
-// a head marker pointing at a missing block, a canonical index entry for
-// a body that never landed.
+// A commit is what the chain hands the store in one piece: one block
+// (InsertBlock, MineBlock, genesis) or a run of blocks (InsertChain). Its
+// persistence spans many keys — state trie nodes and contract code, then
+// per block the body, receipts, total difficulty, state root and tx index
+// entries, the canonical index and the head marker — and it reaches the
+// store as ONE batch, in this order:
 //
-// Protocol, per committed block:
+//	[state nodes…, WAL record, chain records…, watermark]
 //
-//  1. The state trie batch commits first (state.DB.Commit). Trie nodes
-//     are content-addressed, so a tear here leaves only invisible garbage
-//     — no chain record references the new root yet.
-//  2. The block's chain records are staged in a WALBatch, then the whole
-//     operation list is written as ONE checksummed record under a WAL
-//     slot key with a single Put. Puts are atomic even on a torn device,
-//     so this write is THE commit point: the block is committed iff its
-//     WAL record is durable.
-//  3. The staged operations are applied through a normal (best-effort
-//     atomic) batch. A tear here is repaired on reopen by redoing the WAL
-//     record — every operation is a blind write, so redo is idempotent.
-//  4. After the batch applies, a single Put advances the applied
-//     watermark ('w'+'a' -> seq). Recovery redoes the newest valid record
-//     only when the watermark lags it; a record wholly applied before its
-//     at-rest copy bit-rotted is thereby never "repaired" backwards by
-//     replaying its predecessor.
+// The WAL record is the commit's chain records as one checksummed value
+// under a WAL slot key; the watermark ('w'+'a' -> seq) names the newest
+// record whose records have fully applied. A batch is atomic on a healthy
+// device, but a crash mid-write (a torn batch, see db/faultkv) can leave
+// any prefix of it applied, and every prefix is one recovery resolves:
+//
+//  1. A prefix short of the WAL record holds only state nodes. They are
+//     content-addressed and no chain record references their roots yet,
+//     so they are invisible garbage: the store reopens at the previous
+//     commit.
+//  2. A prefix holding the WAL record holds every state node before it, so
+//     the commit is durable iff its WAL record is. Recovery redoes the
+//     record — every operation is a blind write, so redo is idempotent —
+//     and the commit lands whole, whether the tear fell inside the chain
+//     records or just short of the watermark.
+//  3. The watermark guards the converse hazard: recovery redoes the
+//     newest valid record only when the watermark lags it, so a record
+//     wholly applied whose at-rest copy then bit-rotted is never
+//     "repaired" backwards by replaying its predecessor.
+//
+// A crash therefore loses whole commits — on the import path a whole run —
+// and never half of one. (diskdb batches go further: one append behind a
+// commit marker, so a torn one is dropped whole on open and case 1 is the
+// only one a disk crash produces.)
 //
 // The log is a two-slot ring ('w'+0, 'w'+1): record seq lands in slot
-// seq%2, naturally pruning the record before last by overwrite. Recovery
-// (RecoverWAL) reads both slots, redoes the newest valid record (older
-// records are necessarily fully applied already), truncates (deletes)
-// records that fail their checksum, and then verifies the head invariant. A store that is still inconsistent after
-// redo — only possible under double faults like bit-rot of the newest WAL
-// record on top of a torn batch — surfaces ErrCorruptStore, and the
-// caller falls back to re-import/resync.
+// seq%2, naturally pruning the record before last by overwrite, and seq
+// counts commits, not blocks. Recovery (RecoverWAL) reads both slots,
+// redoes the newest valid record (older records are necessarily fully
+// applied already), truncates (deletes) records that fail their checksum,
+// and then verifies the head invariant. A store that is still
+// inconsistent after redo — only possible under double faults like
+// bit-rot of the newest WAL record on top of a torn batch — surfaces
+// ErrCorruptStore, and the caller falls back to re-import/resync.
 //
 // Record layout: 4-byte big-endian CRC-32 (IEEE) over the payload,
 // followed by the payload: RLP [seq, [[key, value, del], ...]].
@@ -75,9 +84,10 @@ type walOp struct {
 	Del   bool
 }
 
-// WALBatch stages one block's chain records for a WAL-protected commit.
-// It implements db.Batch so the Store.Put* helpers queue into it, but the
-// staged operations only reach the device through Store.CommitWAL.
+// WALBatch stages one commit's chain records — a block's, or a whole
+// run's — for a WAL-protected commit. It implements db.Batch so the
+// Store.Put* helpers queue into it, but the staged operations only reach
+// the device through Store.CommitWAL.
 type WALBatch struct {
 	ops  []walOp
 	size int
@@ -115,45 +125,39 @@ func (b *WALBatch) Write() error {
 	return errors.New("chain: WALBatch must be committed via Store.CommitWAL")
 }
 
-// CommitWAL runs the commit protocol for the staged operations: write the
-// checksummed WAL record (the atomic commit point), then apply the
-// operations.
+// CommitWAL lands one commit as one write: batch — a batch of the store's
+// KV holding whatever must precede the commit point, the commit's state
+// nodes — gains the checksummed WAL record of b's operations, the
+// operations themselves and the applied watermark, in that order, and is
+// written.
 //
-// A nil return means the block is durably committed AND fully applied. An
-// error before the record landed means nothing committed. An error after
-// — reported as committed-but-torn via the underlying crash error — means
-// the commit is durable and RecoverWAL will finish applying it on reopen.
-func (s *Store) CommitWAL(b *WALBatch) error {
+// A nil return means the commit is durable and fully applied. An error
+// from a write that applied nothing means nothing committed. An error
+// from a torn write (the store crashed) leaves a prefix that RecoverWAL
+// resolves on reopen: to the previous commit, or — when the WAL record
+// landed — to this one.
+func (s *Store) CommitWAL(batch db.Batch, b *WALBatch) error {
 	seq := s.walSeq + 1
-	rec := encodeWALRecord(seq, b.ops)
-	if err := s.kv.Put(walSlotKey(seq%walSlots), rec); err != nil {
-		return fmt.Errorf("chain: writing WAL record %d: %w", seq, err)
+	batch.Put(walSlotKey(seq%walSlots), encodeWALRecord(seq, b.ops))
+	queueApply(batch, seq, b.ops)
+	if err := batch.Write(); err != nil {
+		return fmt.Errorf("chain: committing WAL record %d: %w", seq, err)
 	}
 	s.walSeq = seq
+	return nil
+}
 
-	batch := s.kv.NewBatch()
-	for _, op := range b.ops {
+// queueApply queues record seq's operations and then the watermark that
+// marks it applied.
+func queueApply(batch db.Batch, seq uint64, ops []walOp) {
+	for _, op := range ops {
 		if op.Del {
 			batch.Delete(op.Key)
 		} else {
 			batch.Put(op.Key, op.Value)
 		}
 	}
-	if err := batch.Write(); err != nil {
-		return fmt.Errorf("chain: applying WAL record %d (committed, recoverable): %w", seq, err)
-	}
-	if err := s.putApplied(seq); err != nil {
-		// The record is durable and applied; only the watermark lagged. A
-		// reopen redoes the record, which is idempotent.
-		return fmt.Errorf("chain: advancing WAL watermark to %d (committed, recoverable): %w", seq, err)
-	}
-	return nil
-}
-
-func (s *Store) putApplied(seq uint64) error {
-	var enc [8]byte
-	binary.BigEndian.PutUint64(enc[:], seq)
-	return s.kv.Put(keyWALApplied, enc[:])
+	batch.Put(keyWALApplied, binary.BigEndian.AppendUint64(nil, seq))
 }
 
 // RecoverWAL repairs the store after a crash: records failing their
@@ -208,18 +212,9 @@ func (s *Store) RecoverWAL() error {
 		newest := recs[len(recs)-1]
 		if newest.seq > applied {
 			batch := s.kv.NewBatch()
-			for _, op := range newest.ops {
-				if op.Del {
-					batch.Delete(op.Key)
-				} else {
-					batch.Put(op.Key, op.Value)
-				}
-			}
+			queueApply(batch, newest.seq, newest.ops)
 			if err := batch.Write(); err != nil {
 				return fmt.Errorf("chain: redoing WAL record %d: %w", newest.seq, err)
-			}
-			if err := s.putApplied(newest.seq); err != nil {
-				return fmt.Errorf("chain: advancing WAL watermark to %d: %w", newest.seq, err)
 			}
 		}
 		if newest.seq > s.walSeq {

@@ -75,13 +75,58 @@ func TestOpenEmptyStore(t *testing.T) {
 	}
 }
 
+// insertRuns hands blocks to bc.InsertChain in runs of size, stopping at
+// the first error, and returns how many blocks were inserted.
+func insertRuns(bc *Blockchain, blocks []*Block, size int) (int, error) {
+	inserted := 0
+	for i := 0; i < len(blocks); i += size {
+		n, err := bc.InsertChain(blocks[i:min(i+size, len(blocks))])
+		inserted += n
+		if err != nil {
+			return inserted, err
+		}
+	}
+	return inserted, nil
+}
+
+// crashRun is the run length the crash sweeps import in: small enough that
+// the donor's six blocks make three commits.
+const crashRun = 2
+
+// checkRecovered asserts what a restart after a crash mid-import must
+// find: the acknowledged head or the end of the run in flight — never a
+// block inside a run — a WAL sequence that counts commits (genesis, then
+// one per run), and the donor's blocks all the way up. It reports whether
+// the run in flight landed.
+func checkRecovered(t *testing.T, off uint64, donor, re *Blockchain, imported int) bool {
+	t.Helper()
+	got := re.Head().Number()
+	inFlight := min(uint64(imported+crashRun), donor.Head().Number())
+	if got != uint64(imported) && got != inFlight {
+		t.Fatalf("off %d: recovered head %d, want the acknowledged %d or the in-flight run's end %d",
+			off, got, imported, inFlight)
+	}
+	if commits := re.Store().walSeq - 1; commits != (got+crashRun-1)/crashRun {
+		t.Fatalf("off %d: recovered head %d after %d run commits", off, got, commits)
+	}
+	for n := uint64(0); n <= got; n++ {
+		want, _ := donor.BlockByNumber(n)
+		b, ok := re.BlockByNumber(n)
+		if !ok || b.Hash() != want.Hash() {
+			t.Fatalf("off %d: recovered canon %d diverged from donor", off, n)
+		}
+	}
+	return got != uint64(imported)
+}
+
 // TestCrashMidImportRecovers is the crash-restart round trip: kill the
-// store at many different write offsets inside an ImportChain, reopen,
-// and require that recovery lands exactly on the last durably committed
-// head — never a partial block — and that resuming the import converges
-// on the donor chain.
+// store at every write operation of an import that lands the donor's blocks
+// as runs, reopen, and require that recovery lands on a run boundary —
+// the last acknowledged run or the one in flight, never a block inside a
+// run — and that resuming the import converges on the donor chain.
 func TestCrashMidImportRecovers(t *testing.T) {
-	donor, stream := donorChain(t)
+	donor, _ := donorChain(t)
+	blocks := donor.CanonicalBlocks(1, donor.Head().Number())
 
 	// Measure the import's total write footprint on a clean run.
 	calibKV := faultkv.Wrap(db.NewMemDB(), faultkv.Faults{})
@@ -90,7 +135,7 @@ func TestCrashMidImportRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	importStart := calibKV.WriteOps()
-	if _, err := calib.ImportChain(bytes.NewReader(stream)); err != nil {
+	if _, err := insertRuns(calib, blocks, crashRun); err != nil {
 		t.Fatal(err)
 	}
 	totalOps := calibKV.WriteOps() - importStart
@@ -98,14 +143,15 @@ func TestCrashMidImportRecovers(t *testing.T) {
 		t.Fatalf("import footprint suspiciously small: %d write ops", totalOps)
 	}
 
-	for off := uint64(1); off <= totalOps; off += 5 {
+	var lost, landed int // crashes that lost the run in flight, and that did not
+	for off := uint64(1); off <= totalOps; off++ {
 		fkv := faultkv.Wrap(db.NewMemDB(), faultkv.Faults{})
 		victim, err := NewBlockchainWithDB(MainnetLikeConfig(), testGenesis(), fkv)
 		if err != nil {
 			t.Fatal(err)
 		}
 		fkv.CrashAtWriteOp(fkv.WriteOps() + off)
-		imported, err := victim.ImportChain(bytes.NewReader(stream))
+		imported, err := insertRuns(victim, blocks, crashRun)
 		if err == nil {
 			t.Fatalf("off %d: import survived an armed crash", off)
 		}
@@ -119,60 +165,54 @@ func TestCrashMidImportRecovers(t *testing.T) {
 		if err != nil {
 			t.Fatalf("off %d: Open after crash: %v", off, err)
 		}
-		// The WAL sequence counts commits: genesis is seq 1, every block
-		// commit adds one. Recovery must land exactly there.
-		if want := re.Store().walSeq - 1; re.Head().Number() != want {
-			t.Fatalf("off %d: recovered head %d, WAL says %d commits",
-				off, re.Head().Number(), want)
-		}
-		// The acknowledged imports are a lower bound; the in-flight block
-		// may have reached its commit point before the tear.
-		if got := re.Head().Number(); got < uint64(imported) || got > uint64(imported)+1 {
-			t.Fatalf("off %d: recovered head %d outside [%d, %d]",
-				off, got, imported, imported+1)
-		}
-		// No divergent partial state: every recovered canonical block is
-		// the donor's block at that height.
-		for n := uint64(0); n <= re.Head().Number(); n++ {
-			want, _ := donor.BlockByNumber(n)
-			got, ok := re.BlockByNumber(n)
-			if !ok || got.Hash() != want.Hash() {
-				t.Fatalf("off %d: recovered canon %d diverged from donor", off, n)
-			}
+		if checkRecovered(t, off, donor, re, imported) {
+			landed++
+		} else {
+			lost++
 		}
 
 		// Resuming the import must converge on the donor head.
-		if _, err := re.ImportChain(bytes.NewReader(stream)); err != nil {
+		if _, err := insertRuns(re, blocks, crashRun); err != nil {
 			t.Fatalf("off %d: resumed import: %v", off, err)
 		}
 		if re.Head().Hash() != donor.Head().Hash() {
 			t.Fatalf("off %d: resumed head %s, want %s", off, re.Head().Hash(), donor.Head().Hash())
 		}
 	}
+	t.Logf("%d write ops swept: %d crashes lost the run in flight, %d landed it by redo", totalOps, lost, landed)
+	if lost == 0 || landed == 0 {
+		t.Fatal("the sweep never tore a run on one side of its WAL record")
+	}
 }
 
-// TestWALRedoRepairsTornBatch exercises the store-level protocol: a data
-// batch torn after the WAL record landed is finished by RecoverWAL.
+// TestWALRedoRepairsTornBatch exercises the store-level protocol: a commit
+// batch torn after its WAL record landed is finished by RecoverWAL.
 func TestWALRedoRepairsTornBatch(t *testing.T) {
 	inner := db.NewMemDB()
 	fkv := faultkv.Wrap(inner, faultkv.Faults{})
 	store := NewStore(fkv)
 
+	batch := fkv.NewBatch()
+	batch.Put(types.HexToHash("0x5ade").Bytes(), []byte("a state node"))
 	wb := store.NewWALBatch()
 	h := types.HexToHash("0xabc123")
 	store.PutTD(wb, h, big.NewInt(77))
 	store.PutStateRoot(wb, h, types.HexToHash("0xdef"))
 	store.PutCanon(wb, 9, h)
 
-	// Write op 1 is the WAL record; arm the crash inside the data batch so
-	// the record is durable but the apply tears after one operation.
-	fkv.CrashAtWriteOp(fkv.WriteOps() + 3)
-	err := store.CommitWAL(wb)
+	// The batch is [state node, WAL record, TD, state root, canon,
+	// watermark]: tear it after the TD, so the record is durable but its
+	// operations only half applied.
+	fkv.CrashAtWriteOp(fkv.WriteOps() + 4)
+	err := store.CommitWAL(batch, wb)
 	if !errors.Is(err, faultkv.ErrCrashed) {
 		t.Fatalf("CommitWAL under tear = %v, want ErrCrashed", err)
 	}
 	if _, ok, _ := store.CanonHash(9); ok {
-		t.Fatal("torn batch applied its last operation")
+		t.Fatal("torn batch applied its canon entry")
+	}
+	if store.walSeq != 0 {
+		t.Fatalf("a torn commit advanced walSeq to %d", store.walSeq)
 	}
 
 	fkv.Reopen()
@@ -187,8 +227,8 @@ func TestWALRedoRepairsTornBatch(t *testing.T) {
 	if ch, ok, _ := re.CanonHash(9); !ok || ch != h {
 		t.Fatal("redo did not finish the torn batch")
 	}
-	if re.walSeq != store.walSeq {
-		t.Fatalf("recovered walSeq %d, committed %d", re.walSeq, store.walSeq)
+	if re.walSeq != 1 {
+		t.Fatalf("recovered walSeq %d, the torn commit was record 1", re.walSeq)
 	}
 }
 
@@ -243,8 +283,9 @@ func TestDoubleFaultFallsBackToPreviousHead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Find the WAL record write: crash right after it, tearing the whole
-	// data batch (offset past the state-trie batch, probed upward).
+	// Find the WAL record inside the block's one batch: crash right after
+	// it, tearing the chain records (offset past the state nodes, probed
+	// upward).
 	inserted := false
 	for off := uint64(1); off < 200; off++ {
 		snap := cloneMemDB(t, inner)
@@ -255,7 +296,7 @@ func TestDoubleFaultFallsBackToPreviousHead(t *testing.T) {
 			inserted = true
 			break
 		}
-		seq := bc.Store().walSeq
+		seq := bc.Store().walSeq + 1 // the torn commit's record
 		rec, ok, _ := inner.Get(walSlotKey(seq % walSlots))
 		if ok {
 			if gotSeq, _, derr := decodeWALRecord(rec); derr == nil && gotSeq == seq && seq >= 3 {

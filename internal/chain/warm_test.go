@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
-	"strings"
 	"sync"
 	"testing"
 
@@ -176,10 +175,7 @@ func runWarmScript(t *testing.T, carry bool) (log []string, head *Block) {
 	gen.Code = map[types.Address][]byte{slotStore: slotStoreCode}
 	s := &warmScript{t: t, carry: carry, users: users, nonce: map[types.Address]uint64{}}
 
-	// Seed 7: the first write drawn passes (the state commit), the second
-	// fails (the WAL record).
-	fk := faultkv.Wrap(loggedKV{KV: db.NewMemDB(), log: &s.log}, faultkv.Faults{Seed: 7, WriteErrRate: 0.5})
-	fk.SetEnabled(false)
+	fk := faultkv.Wrap(loggedKV{KV: db.NewMemDB(), log: &s.log}, faultkv.Faults{})
 	var err error
 	if s.bc, err = NewBlockchainWithDB(MainnetLikeConfig(), gen, fk); err != nil {
 		t.Fatal(err)
@@ -231,22 +227,23 @@ func runWarmScript(t *testing.T, carry bool) (log []string, head *Block) {
 	}
 	s.insert(as[2], true)
 
-	// A write error inside CommitWAL, after the state commit landed; then
-	// the same candidates again.
+	// The block's one batch tears two operations in — the store crashes
+	// with part of the block's state on it — and, the store reopened, the
+	// same candidates are mined again.
 	s.settle()
 	cands := []*Transaction{s.transfer(u[5], u[6], 13), s.transfer(u[0], u[7], 17)}
 	headBefore, writesBefore := s.bc.Head(), len(s.log)
-	fk.SetEnabled(true)
+	fk.CrashAtWriteOp(fk.WriteOps() + 3)
 	_, err = s.bc.MineBlock(pool1, headBefore.Header.Time+14, cands, nil, testSeal)
-	fk.SetEnabled(false)
-	if err == nil || !strings.Contains(err.Error(), "WAL record") || !errors.Is(err, faultkv.ErrInjected) {
-		t.Fatalf("faulted MineBlock: %v, want an injected error writing the WAL record", err)
+	fk.Reopen()
+	if !errors.Is(err, faultkv.ErrCrashed) {
+		t.Fatalf("faulted MineBlock: %v, want the crash tearing its batch", err)
 	}
-	if len(s.log) == writesBefore {
-		t.Fatal("the state commit of the faulted block never reached the store: the fault fired too early")
+	if len(s.log) != writesBefore+2 {
+		t.Fatalf("the torn batch applied %d operations, want 2", len(s.log)-writesBefore)
 	}
 	if s.bc.Head() != headBefore || s.bc.headState != nil {
-		t.Fatal("a block whose WAL commit failed moved the head or left its state on the chain")
+		t.Fatal("a block whose commit tore moved the head or left its state on the chain")
 	}
 	s.mine(cands...)
 

@@ -7,14 +7,17 @@
 // The paper's measurement archive must survive node restarts (§3.1 —
 // export everything, then join); this backend is what lets forkserve
 // reopen the two simulated chains from disk instead of re-simulating
-// them. Crash consistency is the design driver, mirrored from the chain
-// WAL's single-commit-point protocol one layer down:
+// them. Crash consistency shapes the design:
 //
 //   - A plain Put/Delete is one record, appended and fsynced as a unit.
 //   - A Batch commits as one append of staged records followed by a
 //     commit record carrying the group's op count. Replay applies a
 //     staged group only when its commit record survives intact, so a
-//     batch torn anywhere is a batch that never happened.
+//     batch torn anywhere is a batch that never happened. The chain
+//     hands the store one batch per commit — a mined or inserted block,
+//     or an imported run of blocks, state nodes and WAL record included
+//     — so a chain commit costs one append and one fsync, and a crash
+//     loses it whole.
 //   - On open, a torn tail (half-written frame, uncommitted group) is
 //     truncated away; a fully-framed record whose checksum fails is
 //     skipped; both count into db.Stats.Repairs.

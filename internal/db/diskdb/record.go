@@ -19,8 +19,8 @@ import (
 // Record kinds. Plain puts and tombstones commit individually (one
 // Append+Sync per record). A batch commits as one Append+Sync of staged
 // records followed by a commit record carrying the group's operation
-// count — the single durable commit point mirroring the chain WAL's
-// single-Put protocol: replay applies a staged group only when its commit
+// count — the single durable commit point of the group, and so of the
+// chain commit it carries: replay applies a staged group only when its commit
 // record survives with a matching count, so a torn batch write is
 // indistinguishable from a batch that never happened.
 const (

@@ -17,6 +17,10 @@ type Backend interface {
 	ForkID() chain.ForkID
 	// InsertBlock imports a gossiped block.
 	InsertBlock(b *chain.Block) error
+	// InsertChain imports a received block range in order as one commit,
+	// skipping known blocks, and reports how many it inserted; it stops at
+	// the first invalid block, keeping the ones before it.
+	InsertChain(blocks []*chain.Block) (int, error)
 	// BlockByNumber serves sync requests from the canonical chain.
 	BlockByNumber(n uint64) (*chain.Block, bool)
 	// HasBlock reports whether a block is already known.
@@ -61,6 +65,15 @@ func (c *ChainBackend) InsertBlock(b *chain.Block) error {
 		c.Pool.Reset()
 	}
 	return err
+}
+
+// InsertChain implements Backend.
+func (c *ChainBackend) InsertChain(blocks []*chain.Block) (int, error) {
+	n, err := c.BC.InsertChain(blocks)
+	if n > 0 {
+		c.Pool.Reset()
+	}
+	return n, err
 }
 
 // BlockByNumber implements Backend.

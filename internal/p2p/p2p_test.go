@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"forkwatch/internal/chain"
+	"forkwatch/internal/db"
 	"forkwatch/internal/discover"
 	"forkwatch/internal/keccak"
 	"forkwatch/internal/rlp"
@@ -330,6 +331,55 @@ func TestSyncFromScratch(t *testing.T) {
 	})
 	if b.bc.Head().Hash() != a.bc.Head().Hash() {
 		t.Error("synced head differs")
+	}
+}
+
+// commitCountKV counts the batches written to the store under it: one per
+// chain commit.
+type commitCountKV struct {
+	db.KV
+	commits *atomic.Int64
+}
+
+func (k commitCountKV) NewBatch() db.Batch { return commitCountBatch{k.KV.NewBatch(), k.commits} }
+
+type commitCountBatch struct {
+	db.Batch
+	commits *atomic.Int64
+}
+
+func (b commitCountBatch) Write() error {
+	b.commits.Add(1)
+	return b.Batch.Write()
+}
+
+// TestSyncCommitsOncePerRange: a node syncing more than one range of blocks
+// from a peer lands each MsgBlocks range as one store commit.
+func TestSyncCommitsOncePerRange(t *testing.T) {
+	const height = maxServedBlocks + 72
+	mem := NewMemNet()
+	a := newTestNode(t, mem, "a", newChain(t, chain.MainnetLikeConfig()))
+	for i := 0; i < height; i++ {
+		mineOn(t, a.bc)
+	}
+	var commits atomic.Int64
+	bc, err := chain.NewBlockchainWithDB(chain.MainnetLikeConfig(), testGenesis(), commitCountKV{KV: db.NewMemDB(), commits: &commits})
+	if err != nil {
+		t.Fatal(err)
+	}
+	commits.Store(0) // genesis
+	b := newTestNode(t, mem, "b", bc)
+	if err := b.server.Connect(a.server.Self()); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "sync past one range", func() bool {
+		return b.bc.Head().Number() == height
+	})
+	if b.bc.Head().Hash() != a.bc.Head().Hash() {
+		t.Fatal("synced head differs")
+	}
+	if got, ranges := commits.Load(), int64(height+maxServedBlocks-1)/maxServedBlocks; got != ranges {
+		t.Fatalf("%d blocks in %d ranges took %d store commits", height, ranges, got)
 	}
 }
 

@@ -41,8 +41,9 @@ const (
 	defaultBanWindow        = 5 * time.Minute
 )
 
-// maxServedBlocks caps one MsgGetBlocks response.
-const maxServedBlocks = 128
+// maxServedBlocks caps one MsgGetBlocks response: one chain run, so a
+// received range lands as one commit.
+const maxServedBlocks = chain.MaxRun
 
 // Dialer connects to a node address. net.Dialer-based transports and the
 // in-memory MemNet both satisfy it.
@@ -543,16 +544,9 @@ func (s *Server) handle(p *Peer, msg Message) error {
 		if err != nil {
 			return err
 		}
-		for _, blk := range blocks {
-			if s.cfg.Backend.HasBlock(blk.Hash()) {
-				continue
-			}
-			if err := s.cfg.Backend.InsertBlock(blk); err != nil {
-				if errors.Is(err, chain.ErrSideOfPartition) {
-					return err
-				}
-				break
-			}
+		// The range lands as one commit, up to its first invalid block.
+		if _, err := s.cfg.Backend.InsertChain(blocks); errors.Is(err, chain.ErrSideOfPartition) {
+			return err
 		}
 		// Keep pulling if the peer is still ahead.
 		s.maybeSync(p)

@@ -169,8 +169,9 @@ type Scenario struct {
 // CrashSpec schedules one storage crash: the store of the partition
 // named Chain is killed Op write operations into the persistence of the
 // Block-th block (0-based) it mines on Day. The tear lands somewhere in
-// that block's commit — the state-trie batch, the WAL record or the data
-// batch, depending on Op — exercising every recovery path.
+// that block's one commit batch — among its state nodes, on its WAL record
+// or among the chain records after it, depending on Op — exercising every
+// recovery path.
 type CrashSpec struct {
 	Chain string
 	Day   int

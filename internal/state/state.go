@@ -417,25 +417,41 @@ func (s *DB) RevertToSnapshot(id int) {
 }
 
 // Commit flushes all dirty objects into the tries, stores code and returns
-// the new state root. All writes — every storage trie, contract code blobs
-// and the account trie itself — land in one db.Batch, so the store sees a
-// block's state transition atomically (nothing is persisted if an
-// intermediate step errors).
+// the new state root: CommitTo into a batch of the DB's own store, written
+// at once, so the store sees a block's state transition atomically
+// (nothing is persisted if an intermediate step errors).
+func (s *DB) Commit() (types.Hash, error) {
+	batch := s.db.NewBatch()
+	root, err := s.CommitTo(batch)
+	if err != nil {
+		return types.Hash{}, err
+	}
+	if err := batch.Write(); err != nil {
+		return types.Hash{}, fmt.Errorf("state: committing: %w", err)
+	}
+	return root, nil
+}
+
+// CommitTo is Commit into the caller's batch, the state-level twin of
+// trie.CommitTo: every storage trie, contract code blob and the account
+// trie itself are queued into batch, in a fixed order, and the new root is
+// returned. Nothing is persisted until the caller writes batch, which lets
+// the chain land a block's state and its records as one write.
 //
-// A successful Commit leaves the DB ready for the next transition: the
+// A successful CommitTo leaves the DB ready for the next transition: the
 // working objects and the journal are dropped, the committed account trie
-// stays resident (see trie.CommitTo) and so does the code read or installed
-// so far. A DB whose Commit failed is in no defined state and must be
-// dropped.
+// stays resident and so does the code read or installed so far. The DB
+// then believes in nodes only batch holds: if the batch is never written,
+// or its write fails, the DB must be dropped — as must one whose CommitTo
+// failed, which is in no defined state.
 //
-// A storage fault observed by any getter since the last Commit (see
+// A storage fault observed by any getter since the last commit (see
 // setError) also fails the commit: a transition computed over broken reads
 // must never persist.
-func (s *DB) Commit() (types.Hash, error) {
+func (s *DB) CommitTo(batch db.Batch) (types.Hash, error) {
 	if s.dbErr != nil {
 		return types.Hash{}, s.dbErr
 	}
-	batch := s.db.NewBatch()
 	// Deterministic iteration keeps commits reproducible.
 	addrs := make([]types.Address, 0, len(s.objects))
 	for a := range s.objects {
@@ -470,9 +486,6 @@ func (s *DB) Commit() (types.Hash, error) {
 		return types.Hash{}, s.dbErr
 	}
 	root := s.tr.CommitTo(batch)
-	if err := batch.Write(); err != nil {
-		return types.Hash{}, fmt.Errorf("state: committing: %w", err)
-	}
 	s.journal = nil
 	clear(s.objects)
 	return root, nil

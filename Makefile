@@ -1,12 +1,17 @@
 # forkwatch build/check entry points.
 #
 # `make test` is the tier-1 gate (what CI and the roadmap require).
-# `make check` is the full pre-merge battery: gofmt + vet + build + race
-# tests + the benchmark module's own tests.
+# `make check` is the full pre-merge battery: gofmt + vet + the partition
+# and docs lints + build + race tests + the benchmark module's own tests.
+#
+# Every command has a check that runs it: forksim (make matrix, make
+# live-smoke), forkanalyze (make live-smoke), forkserve and forkload (make
+# rpcsmoke), forknode (make nodesmoke), forkrace (its main_test.go, tier-1)
+# and tools/partitionlint (make partitionlint).
 
 GO ?= go
 
-.PHONY: all build test race vet fmt partitionlint matrix check bench-selftest profile fuzz chaos chaos-disk chaos-replica rpcsmoke live-smoke clean
+.PHONY: all build test race vet fmt partitionlint docs-check matrix check bench-selftest profile fuzz chaos chaos-disk chaos-replica rpcsmoke live-smoke nodesmoke clean
 
 all: build
 
@@ -35,10 +40,15 @@ fmt:
 partitionlint:
 	$(GO) run ./tools/partitionlint
 
+# Docs guard: README.md and DESIGN.md may name only repository paths and
+# make targets that exist (scripts/docscheck.sh).
+docs-check:
+	sh scripts/docscheck.sh
+
 # bench/ is its own Go module, so `go build ./... && go test ./...` at the
 # root never compiles it: bench-selftest is what catches a rename in
 # db/sim/serve that breaks the benchmark.
-check: fmt vet partitionlint build race bench-selftest
+check: fmt vet partitionlint docs-check build race bench-selftest
 
 # Scenario-matrix smoke: sweep the aligned/conflict/extreme grid crossed
 # with the pool behaviour models under the race detector, writing
@@ -131,8 +141,9 @@ profile:
 		-cpuprofile $(PROFILE_DIR)/import/cpu.pprof -memprofile $(PROFILE_DIR)/import/heap.pprof ./internal/chain/
 	@echo "profiles in $(PROFILE_DIR)/: cpu.pprof mem.pprof heap.pprof forksim/cpu.pprof forksim/heap.pprof archive/cpu.pprof archive/heap.pprof import/cpu.pprof import/heap.pprof"
 
-# RPC smoke: boot forkserve, curl every method on both chain endpoints
-# and check /debug/metrics (what CI's rpc-smoke job runs).
+# RPC smoke: boot forkserve, curl every method on both chain endpoints,
+# check /debug/metrics and load it with forkload (what CI's rpc-smoke job
+# runs).
 rpcsmoke:
 	GO="$(GO)" sh scripts/rpcsmoke.sh
 
@@ -146,6 +157,14 @@ LIVESMOKE_OUT ?= live-smoke-out
 
 live-smoke:
 	GO="$(GO)" LIVESMOKE_OUT="$(LIVESMOKE_OUT)" sh scripts/livesmoke.sh
+
+# Node smoke: three forknode processes over loopback TCP (an ETH miner, an
+# ETH follower behind a latency/jitter fault layer, an ETC miner); a
+# census crawl presenting ETC's fork id must reach the ETC node and be
+# refused by the ETH ones, and the follower's saved chain must be a byte
+# prefix of the miner's (what CI's node-smoke job runs).
+nodesmoke:
+	GO="$(GO)" sh scripts/nodesmoke.sh
 
 clean:
 	$(GO) clean ./...

@@ -10,6 +10,9 @@
 //	forknode -listen 127.0.0.1:30301 -chain eth -mine
 //	forknode -listen 127.0.0.1:30302 -chain eth -connect 127.0.0.1:30301
 //	forknode -chain eth -crawl 127.0.0.1:30301
+//
+// scripts/nodesmoke.sh (make nodesmoke) runs three nodes over loopback TCP
+// and checks the sync and the census split.
 package main
 
 import (
@@ -22,6 +25,7 @@ import (
 	"os"
 	"os/signal"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
 
@@ -46,7 +50,6 @@ func main() {
 		blockMS  = flag.Int("blockms", 1000, "accelerated wall-clock milliseconds per mined block")
 		crawl    = flag.String("crawl", "", "census mode: crawl the network from this seed address and exit")
 		name     = flag.String("name", "", "node name (defaults to the listen address or a random tag)")
-		secure   = flag.Bool("secure", false, "encrypt connections (ECDH + AES-CTR + HMAC, RLPx-style)")
 		loadPath = flag.String("load", "", "import a chain snapshot before starting")
 		savePath = flag.String("save", "", "export the chain snapshot on shutdown")
 		seed     = flag.Int64("seed", time.Now().UnixNano(), "rng seed for mining")
@@ -89,9 +92,7 @@ func main() {
 	self := discover.Node{ID: discover.IDFromHash(types.BytesToHash(idHash[:])), Addr: *listen}
 
 	backend := p2p.NewChainBackend(bc)
-	// Transport stack, innermost first: TCP -> faultnet -> secure. The
-	// fault layer sits below encryption so injected corruption hits the
-	// ciphertext, exactly like a hostile network path would.
+	// Transport stack, innermost first: TCP, then the optional fault layer.
 	var dialer p2p.Dialer = p2p.TCPDialer(3 * time.Second)
 	var fnet *faultnet.Net
 	var fep *faultnet.Endpoint
@@ -104,9 +105,6 @@ func main() {
 		fep = fnet.Endpoint(nodeName)
 		dialer = fep
 		log.Printf("fault injection active: %s", faults.String())
-	}
-	if *secure {
-		dialer = p2p.SecureDialer(dialer)
 	}
 	srv := p2p.NewServer(p2p.Config{
 		Self:      self,
@@ -125,9 +123,6 @@ func main() {
 		}
 		if fep != nil {
 			ln = fep.WrapListener(ln)
-		}
-		if *secure {
-			ln = p2p.SecureListener(ln)
 		}
 		go func() {
 			if err := srv.Serve(ln); err != nil && err != p2p.ErrServerClosed {
@@ -155,8 +150,16 @@ func main() {
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 
+	// The signal channel has one reader, this loop: on a signal it closes
+	// done and waits for the miner, so the snapshot is cut at a fixed head.
+	done := make(chan struct{})
+	var miner sync.WaitGroup
 	if *mine {
-		go mineLoop(bc, srv, rand.New(rand.NewSource(*seed)), time.Duration(*blockMS)*time.Millisecond, stop)
+		miner.Add(1)
+		go func() {
+			defer miner.Done()
+			mineLoop(bc, srv, rand.New(rand.NewSource(*seed)), time.Duration(*blockMS)*time.Millisecond, done)
+		}()
 	}
 
 	ticker := time.NewTicker(5 * time.Second)
@@ -164,15 +167,13 @@ func main() {
 	for {
 		select {
 		case <-stop:
+			close(done)
+			miner.Wait()
 			if *savePath != "" {
-				if f, err := os.Create(*savePath); err == nil {
-					if err := bc.WriteChain(f); err != nil {
-						log.Printf("save: %v", err)
-					}
-					f.Close()
-					log.Printf("saved chain (head %d) to %s", bc.Head().Number(), *savePath)
-				} else {
+				if err := saveChain(bc, *savePath); err != nil {
 					log.Printf("save: %v", err)
+				} else {
+					log.Printf("saved chain (head %d) to %s", bc.Head().Number(), *savePath)
 				}
 			}
 			log.Printf("shutting down")
@@ -190,6 +191,20 @@ func main() {
 			}
 		}
 	}
+}
+
+// saveChain writes the chain snapshot to path. The file counts as written
+// only once Close has succeeded.
+func saveChain(bc *chain.Blockchain, path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := bc.WriteChain(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // buildChain creates a ledger with the shared demo genesis under the
@@ -229,13 +244,13 @@ func demoGenesis() *chain.Genesis {
 // ledger's internal clock by one target interval per block, and gossips
 // them. It also injects a demo transaction per block so peers see tx
 // gossip.
-func mineLoop(bc *chain.Blockchain, srv *p2p.Server, r *rand.Rand, every time.Duration, stop <-chan os.Signal) {
+func mineLoop(bc *chain.Blockchain, srv *p2p.Server, r *rand.Rand, every time.Duration, done <-chan struct{}) {
 	coinbase := sim.UserAddress(0)
 	ticker := time.NewTicker(every)
 	defer ticker.Stop()
 	for {
 		select {
-		case <-stop:
+		case <-done:
 			return
 		case <-ticker.C:
 		}

@@ -23,6 +23,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"sort"
+	"strings"
 
 	"forkwatch"
 	"forkwatch/internal/analysis"
@@ -239,28 +240,19 @@ func runMatrix(seed int64, days, par int, outDir string) {
 			col.RecoveryHour(min, 14, 0.9, 6), corr, col.TotalEchoes(min))
 		rows = append(rows, row)
 	}
-	fmt.Println(header)
-	for _, r := range rows {
-		fmt.Println(r)
-	}
+	table := header + "\n" + strings.Join(rows, "\n") + "\n"
+	fmt.Print(table)
 	if outDir == "" {
 		return
 	}
 	if err := os.MkdirAll(outDir, 0o755); err != nil {
 		log.Fatal(err)
 	}
-	f, err := os.Create(filepath.Join(outDir, "matrix.csv"))
-	if err != nil {
+	// os.WriteFile reports a failed Close, so the table counts as written
+	// only once it is on disk.
+	path := filepath.Join(outDir, "matrix.csv")
+	if err := os.WriteFile(path, []byte(table), 0o666); err != nil {
 		log.Fatal(err)
 	}
-	defer f.Close()
-	if _, err := fmt.Fprintln(f, header); err != nil {
-		log.Fatal(err)
-	}
-	for _, r := range rows {
-		if _, err := fmt.Fprintln(f, r); err != nil {
-			log.Fatal(err)
-		}
-	}
-	log.Printf("wrote %d matrix cells to %s", len(rows), filepath.Join(outDir, "matrix.csv"))
+	log.Printf("wrote %d matrix cells to %s", len(rows), path)
 }

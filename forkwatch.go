@@ -8,7 +8,8 @@
 //
 // The package is the public façade: configure a Scenario, Run it, and read
 // the Report, whose accessors correspond one-to-one to the paper's
-// figures. The cmd/ binaries and examples/ are thin clients of this API.
+// figures. The cmd/ binaries are thin clients of this API; ExampleRun is
+// the quickstart.
 //
 //	sc := forkwatch.NewScenario(1, 270)        // seed, days
 //	rep, err := forkwatch.Run(sc)
@@ -17,8 +18,10 @@
 package forkwatch
 
 import (
+	"bytes"
 	"fmt"
 	"io"
+	"sort"
 	"strings"
 
 	"forkwatch/internal/analysis"
@@ -383,4 +386,52 @@ func WriteFigureCSV(w io.Writer, s Series) error {
 		}
 	}
 	return nil
+}
+
+// RenderFigures renders every figure CSV cmd/forksim emits, keyed by file
+// name — the byte-identity currency of the golden and parallelism tests.
+func RenderFigures(rep *Report) (map[string][]byte, error) {
+	out := make(map[string][]byte)
+	put := func(name string, s Series) error {
+		var buf bytes.Buffer
+		if err := WriteFigureCSV(&buf, s); err != nil {
+			return fmt.Errorf("render %s: %w", name, err)
+		}
+		out[name] = buf.Bytes()
+		return nil
+	}
+	bph, diffH, deltaH := rep.Figure1()
+	diffD, txD, pctC := rep.Figure2()
+	hpu, _ := rep.Figure3()
+	echoPct, echoes := rep.Figure4()
+	for _, f := range []struct {
+		name string
+		s    Series
+	}{
+		{"fig1_blocks_per_hour.csv", bph},
+		{"fig1_difficulty.csv", diffH},
+		{"fig1_delta.csv", deltaH},
+		{"fig2_difficulty.csv", diffD},
+		{"fig2_tx_per_day.csv", txD},
+		{"fig2_pct_contract.csv", pctC},
+		{"fig3_hashes_per_usd.csv", hpu},
+		{"fig4_echo_pct.csv", echoPct},
+		{"fig4_echoes_per_day.csv", echoes},
+	} {
+		if err := put(f.name, f.s); err != nil {
+			return nil, err
+		}
+	}
+	top := rep.Figure5()
+	ns := make([]int, 0, len(top))
+	for n := range top {
+		ns = append(ns, n)
+	}
+	sort.Ints(ns)
+	for _, n := range ns {
+		if err := put(fmt.Sprintf("fig5_top%d.csv", n), top[n]); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }

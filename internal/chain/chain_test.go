@@ -346,6 +346,31 @@ func TestReplaySemantics(t *testing.T) {
 	if err := mineOn(etc, ethOnly); !errors.Is(err, ErrInvalidBody) && !errors.Is(err, ErrWrongChainID) {
 		t.Fatalf("chain-bound tx on other chain: err = %v, want wrong-chain failure", err)
 	}
+
+	// The other defence, splitting funds: alice moves each chain's funds
+	// to an address of her own that exists on that chain only. A legacy
+	// payment from the new address still has the replayable format, but
+	// echoed into the other chain it finds no funds there.
+	ethSide := types.HexToAddress("0xa11ce0e4")
+	etcSide := types.HexToAddress("0xa11ce0e7c")
+	split := new(big.Int).Mul(big.NewInt(900), Ether)
+	if err := mineOn(eth, NewTransaction(2, &ethSide, split, 21_000, big.NewInt(1), nil).Sign(alice, 0)); err != nil {
+		t.Fatalf("split on ETH: %v", err)
+	}
+	if err := mineOn(etc, NewTransaction(1, &etcSide, split, 21_000, big.NewInt(1), nil).Sign(alice, 0)); err != nil {
+		t.Fatalf("split on ETC: %v", err)
+	}
+	pay := transfer(0, ethSide, bob, 7, 0)
+	if err := mineOn(eth, pay); err != nil {
+		t.Fatalf("payment from the split address on ETH: %v", err)
+	}
+	echo, err := DecodeTx(pay.Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mineOn(etc, echo); !errors.Is(err, ErrInsufficientFunds) {
+		t.Fatalf("post-split payment echoed into ETC: err = %v, want ErrInsufficientFunds", err)
+	}
 }
 
 func TestDAOForkPartition(t *testing.T) {

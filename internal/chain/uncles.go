@@ -1,8 +1,10 @@
 package chain
 
 import (
+	"bytes"
 	"fmt"
 	"math/big"
+	"sort"
 
 	"forkwatch/internal/keccak"
 	"forkwatch/internal/rlp"
@@ -134,7 +136,7 @@ func (p *Processor) uncleRewards(blockNum uint64, uncles []*Header, credit func(
 
 // CollectUncles returns up to MaxUncles known side-chain headers eligible
 // for inclusion in a child of `parent` — what a miner's uncle pool would
-// offer.
+// offer. The choice is deterministic: the lowest (number, hash) first.
 func (bc *Blockchain) CollectUncles(parentHash types.Hash) []*Header {
 	bc.mu.RLock()
 	defer bc.mu.RUnlock()
@@ -163,9 +165,6 @@ func (bc *Blockchain) CollectUncles(parentHash types.Hash) []*Header {
 	}
 	var out []*Header
 	for h, blk := range bc.blocks {
-		if len(out) >= MaxUncles {
-			break
-		}
 		if ancestors[h] || included[h] || blk.Number() > parent.Number() || !heights[blk.Number()] {
 			continue
 		}
@@ -173,6 +172,16 @@ func (bc *Blockchain) CollectUncles(parentHash types.Hash) []*Header {
 			continue
 		}
 		out = append(out, blk.Header)
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Number != out[j].Number {
+			return out[i].Number < out[j].Number
+		}
+		hi, hj := out[i].Hash(), out[j].Hash()
+		return bytes.Compare(hi[:], hj[:]) < 0
+	})
+	if len(out) > MaxUncles {
+		out = out[:MaxUncles]
 	}
 	return out
 }

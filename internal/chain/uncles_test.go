@@ -1,8 +1,11 @@
 package chain
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"math/big"
+	"sort"
 	"testing"
 
 	"forkwatch/internal/types"
@@ -37,37 +40,70 @@ func buildUncleScenario(t *testing.T) (*Blockchain, *Block) {
 	}
 
 	// Competing sibling at height 1 by another miner: the uncle.
-	uncleMiner := types.HexToAddress("0x07c1e")
-	st, err := bc.StateAt(genesis.Hash())
-	if err != nil {
-		t.Fatal(err)
-	}
-	st.AddBalance(uncleMiner, bc.Config().BlockReward)
-	root, err := st.Commit()
-	if err != nil {
-		t.Fatal(err)
-	}
-	uncleHeader := &Header{
-		ParentHash:  genesis.Hash(),
-		Number:      1,
-		Time:        genesis.Header.Time + 20, // slower sibling
-		Difficulty:  CalcDifficulty(bc.Config(), genesis.Header.Time+20, genesis.Header),
-		GasLimit:    bc.Config().GasLimit,
-		Coinbase:    uncleMiner,
-		StateRoot:   root,
-		TxRoot:      TxRoot(nil),
-		ReceiptRoot: ReceiptRoot(nil),
-		UncleHash:   EmptyUncleHash,
-	}
-	uncleBlock := &Block{Header: uncleHeader}
-	if err := bc.InsertBlock(uncleBlock); err != nil {
-		t.Fatal(err)
-	}
+	uncleBlock := insertSibling(t, bc, types.HexToAddress("0x07c1e"), 20)
 	// Fork choice keeps main1 (heavier).
 	if bc.Head().Hash() != main1.Hash() {
 		t.Fatal("sibling should not win fork choice")
 	}
 	return bc, uncleBlock
+}
+
+// insertSibling inserts an empty block on genesis mined by miner dt
+// seconds after it: a slower side block at height 1, an uncle candidate.
+func insertSibling(t *testing.T, bc *Blockchain, miner types.Address, dt uint64) *Block {
+	t.Helper()
+	genesis := bc.Genesis()
+	st, err := bc.StateAt(genesis.Hash())
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.AddBalance(miner, bc.Config().BlockReward)
+	root, err := st.Commit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := &Block{Header: &Header{
+		ParentHash:  genesis.Hash(),
+		Number:      1,
+		Time:        genesis.Header.Time + dt,
+		Difficulty:  CalcDifficulty(bc.Config(), genesis.Header.Time+dt, genesis.Header),
+		GasLimit:    bc.Config().GasLimit,
+		Coinbase:    miner,
+		StateRoot:   root,
+		TxRoot:      TxRoot(nil),
+		ReceiptRoot: ReceiptRoot(nil),
+		UncleHash:   EmptyUncleHash,
+	}}
+	if err := bc.InsertBlock(b); err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestCollectUnclesDeterministic: with more eligible side blocks than
+// MaxUncles, the miner's pick must not depend on map iteration order —
+// every call offers the same lowest-(number, hash) pair.
+func TestCollectUnclesDeterministic(t *testing.T) {
+	bc, first := buildUncleScenario(t)
+	siblings := []*Block{first}
+	for i := 0; i < 3; i++ {
+		siblings = append(siblings, insertSibling(t, bc, types.HexToAddress(fmt.Sprintf("0x07c1e%d", i)), uint64(21+i)))
+	}
+	sort.Slice(siblings, func(i, j int) bool {
+		hi, hj := siblings[i].Hash(), siblings[j].Hash()
+		return bytes.Compare(hi[:], hj[:]) < 0
+	})
+	for call := 0; call < 64; call++ {
+		got := bc.CollectUncles(bc.Head().Hash())
+		var hashes []types.Hash
+		for _, h := range got {
+			hashes = append(hashes, h.Hash())
+		}
+		if len(hashes) != MaxUncles || hashes[0] != siblings[0].Hash() || hashes[1] != siblings[1].Hash() {
+			t.Fatalf("call %d: CollectUncles offered %v, want the two lowest hashes %s, %s",
+				call, hashes, siblings[0].Hash(), siblings[1].Hash())
+		}
+	}
 }
 
 func TestUncleInclusionAndRewards(t *testing.T) {

@@ -7,10 +7,11 @@ import (
 	"forkwatch/internal/types"
 )
 
-// Asm is a tiny programmatic EVM assembler with label fixups. The example
-// contracts (a DAO-like vault with a reentrancy bug, token ledgers) are
-// written with it, which keeps their bytecode readable and auditable in
-// tests.
+// Asm is a tiny programmatic EVM assembler with label fixups. The test
+// contracts (among them TestDAOReentrancyDrain's vault with a reentrancy
+// bug) are written with it, which keeps their bytecode readable and
+// auditable. It is test-only: declared in package evm, it is visible to
+// the external evm_test package as well.
 //
 // Labels are resolved to absolute PUSH2 destinations in a second pass, so
 // forward references work:
@@ -132,7 +133,7 @@ func (a *Asm) Assemble() ([]byte, error) {
 	return out, nil
 }
 
-// MustAssemble is Assemble panicking on error; for tests and examples.
+// MustAssemble is Assemble panicking on error.
 func (a *Asm) MustAssemble() []byte {
 	code, err := a.Assemble()
 	if err != nil {

@@ -51,7 +51,7 @@ func (m *MemNet) Listen(addr string) (net.Listener, error) {
 // SetDeadline/SetReadDeadline/SetWriteDeadline — the read/write deadlines
 // the hardened peer loops rely on behave identically over MemNet and TCP
 // (TestMemNetConnDeadlines pins this). Wrappers layered above MemNet
-// (faultnet, the secure transport) must forward those methods.
+// (faultnet) must forward those methods.
 func (m *MemNet) Dial(addr string) (net.Conn, error) {
 	m.mu.Lock()
 	ln, ok := m.listeners[addr]

@@ -36,6 +36,12 @@ func testGenesis() *chain.Genesis {
 	}
 }
 
+// Self returns the local node identity.
+func (s *Server) Self() discover.Node { return s.cfg.Self }
+
+// Table exposes the discovery table, which tests seed and inspect.
+func (s *Server) Table() *discover.Table { return s.table }
+
 func nodeID(name string) discover.NodeID {
 	h := keccak.Sum256([]byte(name))
 	return discover.IDFromHash(types.BytesToHash(h[:]))

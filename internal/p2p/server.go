@@ -192,12 +192,6 @@ func (s *Server) PeerScore(id discover.NodeID) int { return s.scores.scoreOf(id)
 // Banned reports whether the node is inside an active ban window.
 func (s *Server) Banned(id discover.NodeID) bool { return s.scores.banned(id) }
 
-// Self returns the local node identity.
-func (s *Server) Self() discover.Node { return s.cfg.Self }
-
-// Table exposes the discovery table (the crawler and tests read it).
-func (s *Server) Table() *discover.Table { return s.table }
-
 // Serve accepts inbound connections until the listener or server closes.
 // It blocks; run it in a goroutine.
 func (s *Server) Serve(ln net.Listener) error {

@@ -135,29 +135,6 @@ func (p *Population) Consolidate(churn, alpha, cap float64, r *rand.Rand) {
 	p.Normalize()
 }
 
-// TopNShare returns the combined weight of the n heaviest pools.
-func (p *Population) TopNShare(n int) float64 {
-	w := p.Weights()
-	sort.Sort(sort.Reverse(sort.Float64Slice(w)))
-	if n > len(w) {
-		n = len(w)
-	}
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += w[i]
-	}
-	return sum
-}
-
-// Gini returns the Gini coefficient of the pool weights: 0 is perfect
-// equality, values toward 1 mean concentration. The paper's future-work
-// question — whether the converged distribution reflects "fundamental
-// market trends" — is a question about this statistic's stationary value.
-func (p *Population) Gini() float64 {
-	w := p.Weights()
-	return GiniOf(w)
-}
-
 // GiniOf computes the Gini coefficient of any non-negative vector.
 func GiniOf(w []float64) float64 {
 	n := len(w)

@@ -3,10 +3,31 @@ package pool
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"forkwatch/internal/types"
 )
+
+// TopNShare returns the combined weight of the n heaviest pools: the
+// population-side view of Fig 5 the tests check the model against (the
+// figure itself counts blocks, TopNFromCounts).
+func (p *Population) TopNShare(n int) float64 {
+	w := p.Weights()
+	sort.Sort(sort.Reverse(sort.Float64Slice(w)))
+	if n > len(w) {
+		n = len(w)
+	}
+	sum := 0.0
+	for i := 0; i < n; i++ {
+		sum += w[i]
+	}
+	return sum
+}
+
+// Gini returns the Gini coefficient of the pool weights: 0 is perfect
+// equality, values toward 1 mean concentration.
+func (p *Population) Gini() float64 { return GiniOf(p.Weights()) }
 
 func TestZipfPopulationShape(t *testing.T) {
 	p := NewZipfPopulation("eth", 20, 1.0)

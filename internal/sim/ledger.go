@@ -7,7 +7,7 @@
 // chain.CalcDifficulty) and the same transaction objects:
 //
 //   - Full: real chain.Blockchain blocks — EVM execution, state roots,
-//     PoW seals. Used by short-horizon runs, the examples, and E1/E3.
+//     PoW seals. Used by short-horizon runs, the archive and E1/E3.
 //   - Fast: header-and-account simulation for nine-month horizons
 //     (~3.3M blocks), where trie commits per block would dominate.
 //     Difficulty, timestamps, nonce/balance/replay semantics are

@@ -1,10 +1,11 @@
 #!/bin/sh
 # rpcsmoke boots forkserve on a throwaway port, curls every served method
 # on both chain endpoints, checks /debug/metrics, and fails on any
-# malformed response. It then boots a replica following the primary's
-# sync plane, waits for it to catch up, checks that the replica serves
-# the same answers plus the replica-tier metrics, and drains it with
-# SIGTERM. Last, an orphan replica following addresses where nothing
+# malformed response. forkload then loads it for a second and must finish
+# without a protocol or transport error. Next it boots a replica following
+# the primary's sync plane, waits for it to catch up, checks that the
+# replica serves the same answers plus the replica-tier metrics, and
+# drains it with SIGTERM. Last, an orphan replica following addresses where nothing
 # listens must report itself degraded, log its failed dials and drain
 # cleanly. CI's RPC smoke job runs this; `make rpcsmoke` locally does
 # the same.
@@ -27,8 +28,9 @@ RPID=""
 OPID=""
 trap '[ -z "$PID" ] || kill $PID 2>/dev/null || true; [ -z "$RPID" ] || kill $RPID 2>/dev/null || true; [ -z "$OPID" ] || kill $OPID 2>/dev/null || true; rm -rf "$LOG" "$RLOG" "$OLOG" "$BIN"' EXIT
 
-echo "rpcsmoke: building forkserve..."
+echo "rpcsmoke: building forkserve, forkload..."
 $GO build -o "$BIN/forkserve" ./cmd/forkserve
+$GO build -o "$BIN/forkload" ./cmd/forkload
 
 "$BIN/forkserve" -days "$DAYS" -addr "$ADDR" -p2p "$P2P" >"$LOG" 2>&1 &
 PID=$!
@@ -163,6 +165,20 @@ for key in 'live.subscribers' 'live.events'; do
     esac
 done
 echo "rpcsmoke: ok   live metrics"
+
+# Load phase: forkload's read mix plus two feed subscribers against the
+# primary for one second. forkload itself exits non-zero on any protocol
+# violation or transport error; its report must show answered reads and
+# streamed events.
+"$BIN/forkload" -url "$BASE" -duration 1s -clients 4 -subscribers 2 -out "$BIN/load.json" 2>"$BIN/load.log" || {
+    echo "rpcsmoke: FAIL forkload exited non-zero:" >&2; cat "$BIN/load.log" >&2; exit 1; }
+for key in requests sub_events; do
+    n="$(sed -n "s/^  \"$key\": \([0-9]*\),\{0,1\}\$/\1/p" "$BIN/load.json")"
+    if [ -z "$n" ] || [ "$n" -eq 0 ]; then
+        echo "rpcsmoke: FAIL forkload report has no $key:" >&2; cat "$BIN/load.json" >&2; exit 1
+    fi
+    echo "rpcsmoke: ok   forkload $key=$n"
+done
 
 # Replica tier: boot a replica following the primary's sync plane, wait
 # for /readyz to flip to 200 (readiness implies the head sync caught up

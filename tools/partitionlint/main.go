@@ -18,7 +18,6 @@
 //   - internal/sim/legacy.go      (the legacy two-way synthesis itself)
 //   - internal/chain/config.go    (the historical ETH/ETC chain configs)
 //   - cmd/forknode/main.go        (a single historical node by name)
-//   - golden.go                   (the locked-down two-way golden configs)
 //
 // Usage:
 //
@@ -52,7 +51,6 @@ var allowed = map[string]bool{
 	"internal/sim/legacy.go":   true,
 	"internal/chain/config.go": true,
 	"cmd/forknode/main.go":     true,
-	"golden.go":                true,
 }
 
 func main() {
@@ -110,8 +108,8 @@ func main() {
 }
 
 // defaultTargets scans the root package's own files plus internal/ and
-// cmd/ (WalkDir on the individual root files keeps vendor-ish dirs like
-// examples/ and tools/ out of scope).
+// cmd/ (WalkDir on the individual root files keeps tools/ and bench/ out
+// of scope).
 func defaultTargets(root string) []string {
 	targets, err := filepath.Glob(filepath.Join(root, "*.go"))
 	if err != nil {

@@ -72,6 +72,8 @@ fuzz:
 	$(GO) test -fuzz '^FuzzDecodeTx$$' -fuzztime $(FUZZTIME) ./internal/chain/
 	$(GO) test -fuzz '^FuzzDecodeHeader$$' -fuzztime $(FUZZTIME) ./internal/chain/
 	$(GO) test -fuzz '^FuzzDecodeBlock$$' -fuzztime $(FUZZTIME) ./internal/chain/
+	$(GO) test -fuzz '^FuzzImportChain$$' -fuzztime $(FUZZTIME) ./internal/chain/
+	$(GO) test -fuzz '^FuzzReadMsg$$' -fuzztime $(FUZZTIME) ./internal/p2p/
 	$(GO) test -fuzz '^FuzzDecodeRequest$$' -fuzztime $(FUZZTIME) ./internal/rpc/
 	$(GO) test -fuzz '^FuzzDecodeRecord$$' -fuzztime $(FUZZTIME) ./internal/db/diskdb/
 	$(GO) test -fuzz '^FuzzScanSegment$$' -fuzztime $(FUZZTIME) ./internal/db/diskdb/

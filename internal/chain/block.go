@@ -152,7 +152,7 @@ func headerFromValue(v rlp.Value) (*Header, error) {
 		return nil, fmt.Errorf("chain: bad header structure: %w", err)
 	}
 	h := &Header{}
-	get := func(i int) ([]byte, error) { return items[i].AsBytes() }
+	get := func(i int) ([]byte, error) { return fixedBytes(items[i], types.HashLength) }
 	b, err := get(0)
 	if err != nil {
 		return nil, err
@@ -173,7 +173,7 @@ func headerFromValue(v rlp.Value) (*Header, error) {
 	if h.GasUsed, err = items[5].AsUint(); err != nil {
 		return nil, err
 	}
-	if b, err = get(6); err != nil {
+	if b, err = fixedBytes(items[6], types.AddressLength); err != nil {
 		return nil, err
 	}
 	h.Coinbase = types.BytesToAddress(b)
@@ -189,7 +189,7 @@ func headerFromValue(v rlp.Value) (*Header, error) {
 		return nil, err
 	}
 	h.ReceiptRoot = types.BytesToHash(b)
-	if h.Extra, err = get(10); err != nil {
+	if h.Extra, err = items[10].AsBytes(); err != nil {
 		return nil, err
 	}
 	if b, err = get(11); err != nil {
@@ -204,6 +204,16 @@ func headerFromValue(v rlp.Value) (*Header, error) {
 	}
 	h.MixDigest = types.BytesToHash(b)
 	return h, nil
+}
+
+// fixedBytes decodes a fixed-width field, a hash or an address: any other
+// length would not re-encode to the bytes it came from.
+func fixedBytes(v rlp.Value, n int) ([]byte, error) {
+	b, err := v.AsBytes()
+	if err == nil && len(b) != n {
+		err = fmt.Errorf("%w: %d-byte field, want %d", rlp.ErrCanonical, len(b), n)
+	}
+	return b, err
 }
 
 // Copy returns a deep copy of the header. The copy is built field by
@@ -239,7 +249,8 @@ type Block struct {
 	// once the block is built, and the root is a Merkle-Patricia trie
 	// build — by far the most expensive part of body validation — so it is
 	// computed at most once: the miner warms it in BuildBlock, the import
-	// pipeline warms it in a worker, and validateBody reads the memo.
+	// decoder warms it ahead of the insert loop, and validateBody reads the
+	// memo.
 	txRoot atomic.Pointer[types.Hash]
 }
 

@@ -27,7 +27,7 @@ func testGenesis() *Genesis {
 	}
 }
 
-func newTestChain(t *testing.T, cfg *Config) *Blockchain {
+func newTestChain(t testing.TB, cfg *Config) *Blockchain {
 	t.Helper()
 	bc, err := NewBlockchain(cfg, testGenesis())
 	if err != nil {
@@ -37,7 +37,7 @@ func newTestChain(t *testing.T, cfg *Config) *Blockchain {
 }
 
 // mine builds, and inserts, one block at head.Time+interval with txs.
-func mine(t *testing.T, bc *Blockchain, interval uint64, txs ...*Transaction) *Block {
+func mine(t testing.TB, bc *Blockchain, interval uint64, txs ...*Transaction) *Block {
 	t.Helper()
 	b, err := bc.BuildBlock(pool1, bc.Head().Header.Time+interval, txs)
 	if err != nil {

@@ -7,8 +7,8 @@ import (
 	"io"
 )
 
-// Import lives in import.go: ImportChain pipelines frame decoding and
-// memo precaching across a worker pool while insertion stays ordered.
+// Import lives in import.go: ImportChain decodes and warms frames on one
+// goroutine up to a run ahead of the ordered insert loop.
 
 // Chain persistence: the canonical chain streams as consecutive
 // length-prefixed RLP blocks, the same format go-ethereum's export/import

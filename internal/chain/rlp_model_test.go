@@ -2,6 +2,8 @@ package chain
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -12,8 +14,8 @@ import (
 )
 
 // The rlp.Value tree encoders below are the reference the append-style
-// production encoders (appendRLP, appendSealFields, CalcUncleHash) are
-// held equal to: one rlp constructor per field, in wire order, easy to
+// production encoders (appendRLP, appendSealFields, CalcUncleHash,
+// encodeWALRecord) are held equal to: one rlp constructor per field, in wire order, easy to
 // audit against the yellow paper. They build a tree per call, which is
 // why production does not use them.
 
@@ -80,6 +82,59 @@ func toValue(to *types.Address) rlp.Value {
 		return rlp.Bytes(nil)
 	}
 	return rlp.Bytes(to.Bytes())
+}
+
+// walRecordModel is the WAL record's tree model: crc32(payload) || payload
+// with payload = rlp([seq, [[key, value, del], ...]]).
+func walRecordModel(seq uint64, ops []walOp) []byte {
+	items := make([]rlp.Value, len(ops))
+	for i, op := range ops {
+		items[i] = rlp.List(rlp.Bytes(op.Key), rlp.Bytes(op.Value), rlp.Bool(op.Del))
+	}
+	payload := rlp.EncodeList(rlp.Uint(seq), rlp.List(items...))
+	return append(binary.BigEndian.AppendUint32(nil, crc32.ChecksumIEEE(payload)), payload...)
+}
+
+// TestOnDiskEncodersMatchTreeModel: the encoders whose bytes reach the
+// store — the WAL record, a storage slot (state's own test) and the empty
+// uncle hash every header carries — equal the tree model; one byte of
+// difference would change every archive byte count bench/ pins.
+func TestOnDiskEncodersMatchTreeModel(t *testing.T) {
+	r := rand.New(rand.NewSource(27))
+	randBytes := func(max int) []byte {
+		b := make([]byte, r.Intn(max+1))
+		r.Read(b)
+		return b
+	}
+	// Op counts: none, one, a block's worth, and a whole run's records
+	// (past the 3-byte list length).
+	for i, n := range []int{0, 1, 2, 17, 40, MaxRun * 12} {
+		ops := make([]walOp, n)
+		for j := range ops {
+			ops[j] = walOp{Key: randBytes(70), Value: randBytes(90), Del: r.Intn(3) == 0}
+			switch r.Intn(4) {
+			case 0:
+				ops[j].Value = nil
+			case 1:
+				ops[j].Value = []byte{byte(r.Intn(0x100))}
+			}
+		}
+		seq := r.Uint64() >> uint(r.Intn(64))
+		got, want := encodeWALRecord(seq, ops), walRecordModel(seq, ops)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("record %d (%d ops): append form differs from the tree model", i, n)
+		}
+		gotSeq, gotOps, err := decodeWALRecord(got)
+		if err != nil || gotSeq != seq || len(gotOps) != n {
+			t.Fatalf("record %d: decoded seq %d, %d ops, %v", i, gotSeq, len(gotOps), err)
+		}
+	}
+	if want := keccak.Sum256([]byte{0xc0}); EmptyUncleHash != types.BytesToHash(want[:]) {
+		t.Fatalf("EmptyUncleHash = %s, want keccak(0xc0) %x", EmptyUncleHash, want)
+	}
+	if want := keccak.Sum256(rlp.Encode(rlp.List())); EmptyUncleHash != types.BytesToHash(want[:]) {
+		t.Fatal("EmptyUncleHash differs from the tree model's empty list")
+	}
 }
 
 // TestAppendEncodersMatchTreeModel: for values spanning every RLP length

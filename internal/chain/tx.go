@@ -277,7 +277,7 @@ func txFromValue(v rlp.Value) (*Transaction, error) {
 		return nil, fmt.Errorf("chain: bad sender length %d", len(fromB))
 	}
 	tx.From = types.BytesToAddress(fromB)
-	tagB, err := items[8].AsBytes()
+	tagB, err := fixedBytes(items[8], types.HashLength)
 	if err != nil {
 		return nil, err
 	}

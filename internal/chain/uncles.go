@@ -27,7 +27,7 @@ const MaxUncleDepth = 7
 
 // EmptyUncleHash is the hash of an empty uncle list: keccak256(rlp([])).
 var EmptyUncleHash = func() types.Hash {
-	h := keccak.Sum256(rlp.Encode(rlp.List()))
+	h := keccak.Sum256(rlp.AppendListHeader(nil, 0))
 	return types.BytesToHash(h[:])
 }()
 

@@ -261,21 +261,31 @@ func (s *Store) verifyHead() error {
 	return nil
 }
 
-// encodeWALRecord serialises one record: crc32(payload) || payload with
-// payload = RLP [seq, [[key, value, del], ...]].
+// encodeWALRecord serialises one record, in one exact-size buffer:
+// crc32(payload) || payload with payload = RLP [seq, [[key, value, del], ...]].
 func encodeWALRecord(seq uint64, ops []walOp) []byte {
-	items := make([]rlp.Value, len(ops))
-	for i, op := range ops {
+	// An op's payload: its key, its value and the one-byte del flag.
+	opSize := func(op walOp) int { return rlp.BytesSize(op.Key) + rlp.BytesSize(op.Value) + 1 }
+	opsPayload := 0
+	for _, op := range ops {
+		opsPayload += rlp.ListSize(opSize(op))
+	}
+	payload := rlp.UintSize(seq) + rlp.ListSize(opsPayload)
+	rec := make([]byte, 4, 4+rlp.ListSize(payload))
+	rec = rlp.AppendListHeader(rec, payload)
+	rec = rlp.AppendUint(rec, seq)
+	rec = rlp.AppendListHeader(rec, opsPayload)
+	for _, op := range ops {
+		rec = rlp.AppendListHeader(rec, opSize(op))
+		rec = rlp.AppendBytes(rec, op.Key)
+		rec = rlp.AppendBytes(rec, op.Value)
 		del := uint64(0)
 		if op.Del {
 			del = 1
 		}
-		items[i] = rlp.List(rlp.Bytes(op.Key), rlp.Bytes(op.Value), rlp.Uint(del))
+		rec = rlp.AppendUint(rec, del)
 	}
-	payload := rlp.EncodeList(rlp.Uint(seq), rlp.List(items...))
-	rec := make([]byte, 4+len(payload))
-	binary.BigEndian.PutUint32(rec, crc32.ChecksumIEEE(payload))
-	copy(rec[4:], payload)
+	binary.BigEndian.PutUint32(rec, crc32.ChecksumIEEE(rec[4:]))
 	return rec
 }
 

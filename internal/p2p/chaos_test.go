@@ -37,13 +37,8 @@ func handshakeAs(t *testing.T, conn net.Conn, bc *chain.Blockchain, name string,
 		HeadNumber:      headNumber,
 		Node:            discover.Node{ID: nodeID(name), Addr: name},
 	}
-	errCh := make(chan error, 1)
-	go func() { errCh <- WriteMsg(conn, MsgStatus, status.encode()) }()
-	if _, err := ReadMsg(conn); err != nil {
-		t.Fatalf("%s: reading server status: %v", name, err)
-	}
-	if err := <-errCh; err != nil {
-		t.Fatalf("%s: writing status: %v", name, err)
+	if _, err := exchangeStatus(conn, status); err != nil {
+		t.Fatalf("%s: status exchange: %v", name, err)
 	}
 }
 

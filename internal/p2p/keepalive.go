@@ -3,8 +3,6 @@ package p2p
 import (
 	"sync/atomic"
 	"time"
-
-	"forkwatch/internal/rlp"
 )
 
 // Keepalive message codes (continuing the table in messages.go).
@@ -12,6 +10,9 @@ const (
 	MsgPing uint64 = iota + 16
 	MsgPong
 )
+
+// The keepalive frames have empty bodies, so one of each serves every peer.
+var pingFrame, pongFrame = endFrame(beginFrame(MsgPing)), endFrame(beginFrame(MsgPong))
 
 // lastSeenNanos is maintained on every inbound message (see readLoop) and
 // consulted by the keepalive loop.
@@ -48,7 +49,7 @@ func (s *Server) KeepaliveLoop(interval, timeout time.Duration) {
 				s.dropPeer(p)
 				continue
 			}
-			p.send(MsgPing, rlp.List())
+			p.send(pingFrame)
 		}
 	}
 }
@@ -58,7 +59,7 @@ func (s *Server) KeepaliveLoop(interval, timeout time.Duration) {
 func (s *Server) handleKeepalive(p *Peer, msg Message) bool {
 	switch msg.Code {
 	case MsgPing:
-		p.send(MsgPong, rlp.List())
+		p.send(pongFrame)
 		return true
 	case MsgPong:
 		return true // touch() already updated liveness

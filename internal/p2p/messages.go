@@ -3,6 +3,12 @@
 // status handshake carrying genesis + fork id, block and transaction
 // gossip, a block-range sync, and FindNode/Neighbors discovery messages.
 //
+// Every message goes out as a frame built once by its encoder with the
+// rlp append encoders — the length, then rlp([code, body]) — and a
+// broadcast queues that one frame to every peer. Reading decodes a frame
+// into an rlp.Value tree, and each code's decoder accepts only what its
+// encoder would write.
+//
 // The handshake is where the paper's network partition physically
 // happens: two nodes whose fork ids are incompatible (one accepted the
 // DAO fork, the other did not) disconnect immediately, so each fork's
@@ -17,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/big"
 
 	"forkwatch/internal/chain"
@@ -52,32 +59,42 @@ var (
 	ErrBadMessage    = errors.New("p2p: malformed message")
 )
 
-// Message is one framed protocol message.
+// Message is one framed protocol message as read.
 type Message struct {
 	Code uint64
 	// Body is the RLP value of the message payload.
 	Body rlp.Value
 }
 
-// encodeFrame builds one wire frame: 4-byte big-endian length, then
-// rlp([code, body]).
-func encodeFrame(code uint64, body rlp.Value) []byte {
-	payload := rlp.EncodeList(rlp.Uint(code), body)
-	frame := make([]byte, 4+len(payload))
-	binary.BigEndian.PutUint32(frame[:4], uint32(len(payload)))
-	copy(frame[4:], payload)
-	return frame
+// A frame is one encoded message as it goes on the wire: a 4-byte
+// big-endian length, then rlp([code, body]). Each message's encoder
+// (Status.encode, encodeNewBlock, ...) builds its frame once, in one
+// buffer; a broadcast queues that same frame to every peer, and nothing
+// writes to a frame once it is built. beginFrame starts one, the encoder
+// appends the body list's items, and endFrame closes it.
+func beginFrame(code uint64) []byte {
+	return rlp.AppendUint(make([]byte, 4, 128), code)
 }
 
-// WriteMsg frames and writes a message as a SINGLE Write call, so each
-// protocol message is one transport frame — the unit fault-injecting
-// transports drop or corrupt, and one syscall instead of two on TCP.
-func WriteMsg(w io.Writer, code uint64, body rlp.Value) error {
-	frame := encodeFrame(code, body)
-	if len(frame)-4 > MaxFrameSize {
+// frameBody is where a frame's body list begins: after the length and the
+// code, which is one byte for every code below 0x80.
+const frameBody = 5
+
+func endFrame(f []byte) []byte {
+	f = rlp.CloseList(f, frameBody)
+	f = rlp.CloseList(f, 4)
+	binary.BigEndian.PutUint32(f, uint32(len(f)-4))
+	return f
+}
+
+// writeFrame writes a frame as a SINGLE Write call, so each protocol
+// message is one transport frame — the unit fault-injecting transports
+// drop or corrupt, and one syscall instead of two on TCP.
+func writeFrame(w io.Writer, f []byte) error {
+	if len(f)-4 > MaxFrameSize {
 		return ErrFrameTooLarge
 	}
-	_, err := w.Write(frame)
+	_, err := w.Write(f)
 	return err
 }
 
@@ -123,23 +140,24 @@ type Status struct {
 	Node            discover.Node
 }
 
-func (s *Status) encode() rlp.Value {
+// encode returns the status message's frame.
+func (s *Status) encode() []byte {
 	support := uint64(0)
 	if s.ForkID.DAOForkSupport {
 		support = 1
 	}
-	return rlp.List(
-		rlp.Uint(s.ProtocolVersion),
-		rlp.Uint(s.NetworkID),
-		rlp.BigInt(s.TD),
-		rlp.Bytes(s.Head.Bytes()),
-		rlp.Uint(s.HeadNumber),
-		rlp.Bytes(s.Genesis.Bytes()),
-		rlp.Uint(s.ForkID.DAOForkBlock),
-		rlp.Uint(support),
-		rlp.Bytes(s.Node.ID[:]),
-		rlp.String(s.Node.Addr),
-	)
+	f := beginFrame(MsgStatus)
+	f = rlp.AppendUint(f, s.ProtocolVersion)
+	f = rlp.AppendUint(f, s.NetworkID)
+	f = rlp.AppendBigInt(f, s.TD)
+	f = rlp.AppendBytes(f, s.Head[:])
+	f = rlp.AppendUint(f, s.HeadNumber)
+	f = rlp.AppendBytes(f, s.Genesis[:])
+	f = rlp.AppendUint(f, s.ForkID.DAOForkBlock)
+	f = rlp.AppendUint(f, support)
+	f = rlp.AppendBytes(f, s.Node.ID[:])
+	f = rlp.AppendBytes(f, []byte(s.Node.Addr))
+	return endFrame(f)
 }
 
 func decodeStatus(v rlp.Value) (*Status, error) {
@@ -157,34 +175,24 @@ func decodeStatus(v rlp.Value) (*Status, error) {
 	if s.TD, err = items[2].AsBigInt(); err != nil {
 		return nil, err
 	}
-	b, err := items[3].AsBytes()
-	if err != nil {
+	if err = decodeFixed(items[3], s.Head[:]); err != nil {
 		return nil, err
 	}
-	s.Head = types.BytesToHash(b)
 	if s.HeadNumber, err = items[4].AsUint(); err != nil {
 		return nil, err
 	}
-	if b, err = items[5].AsBytes(); err != nil {
+	if err = decodeFixed(items[5], s.Genesis[:]); err != nil {
 		return nil, err
 	}
-	s.Genesis = types.BytesToHash(b)
 	if s.ForkID.DAOForkBlock, err = items[6].AsUint(); err != nil {
 		return nil, err
 	}
-	support, err := items[7].AsUint()
-	if err != nil {
+	if s.ForkID.DAOForkSupport, err = items[7].AsBool(); err != nil {
 		return nil, err
 	}
-	s.ForkID.DAOForkSupport = support == 1
-	idB, err := items[8].AsBytes()
-	if err != nil {
+	if err = decodeFixed(items[8], s.Node.ID[:]); err != nil {
 		return nil, err
 	}
-	if len(idB) != discover.IDLength {
-		return nil, fmt.Errorf("%w: node id of %d bytes", ErrBadMessage, len(idB))
-	}
-	copy(s.Node.ID[:], idB)
 	addrB, err := items[9].AsBytes()
 	if err != nil {
 		return nil, err
@@ -193,9 +201,21 @@ func decodeStatus(v rlp.Value) (*Status, error) {
 	return s, nil
 }
 
-// encodeNewBlock packs a block announcement with its total difficulty.
-func encodeNewBlock(b *chain.Block, td *big.Int) rlp.Value {
-	return rlp.List(rlp.Bytes(b.Encode()), rlp.BigInt(td))
+// decodeFixed decodes a fixed-width byte string, a hash or a node id, into
+// dst; any other length is malformed.
+func decodeFixed(v rlp.Value, dst []byte) error {
+	b, err := v.AsBytes()
+	if err == nil && len(b) != len(dst) {
+		err = fmt.Errorf("%w: %d-byte field, want %d", ErrBadMessage, len(b), len(dst))
+	}
+	copy(dst, b)
+	return err
+}
+
+// encodeNewBlock returns the frame announcing a block with its total difficulty.
+func encodeNewBlock(b *chain.Block, td *big.Int) []byte {
+	f := rlp.AppendBytes(beginFrame(MsgNewBlock), b.Encode())
+	return endFrame(rlp.AppendBigInt(f, td))
 }
 
 func decodeNewBlock(v rlp.Value) (*chain.Block, *big.Int, error) {
@@ -218,38 +238,46 @@ func decodeNewBlock(v rlp.Value) (*chain.Block, *big.Int, error) {
 	return blk, td, nil
 }
 
-// encodeTxs packs a transaction announcement.
-func encodeTxs(txs []*chain.Transaction) rlp.Value {
-	items := make([]rlp.Value, len(txs))
-	for i, tx := range txs {
-		items[i] = rlp.Bytes(tx.Encode())
+// encodeTxs returns the frame of a transaction announcement.
+func encodeTxs(txs []*chain.Transaction) []byte {
+	f := beginFrame(MsgTransactions)
+	for _, tx := range txs {
+		f = rlp.AppendBytes(f, tx.Encode())
 	}
-	return rlp.List(items...)
+	return endFrame(f)
 }
 
 func decodeTxs(v rlp.Value) ([]*chain.Transaction, error) {
+	return decodeEach(v, "txs", math.MaxInt, chain.DecodeTx)
+}
+
+// decodeEach decodes a list of at most max byte strings with dec.
+func decodeEach[T any](v rlp.Value, what string, max int, dec func([]byte) (T, error)) ([]T, error) {
 	items, err := v.AsList()
 	if err != nil {
-		return nil, fmt.Errorf("%w: txs: %v", ErrBadMessage, err)
+		return nil, fmt.Errorf("%w: %s: %v", ErrBadMessage, what, err)
 	}
-	txs := make([]*chain.Transaction, 0, len(items))
+	if len(items) > max {
+		return nil, fmt.Errorf("%w: %d %s, at most %d", ErrBadMessage, len(items), what, max)
+	}
+	out := make([]T, 0, len(items))
 	for _, it := range items {
 		enc, err := it.AsBytes()
 		if err != nil {
 			return nil, err
 		}
-		tx, err := chain.DecodeTx(enc)
+		x, err := dec(enc)
 		if err != nil {
 			return nil, err
 		}
-		txs = append(txs, tx)
+		out = append(out, x)
 	}
-	return txs, nil
+	return out, nil
 }
 
-// encodeGetBlocks requests count canonical blocks starting at from.
-func encodeGetBlocks(from, count uint64) rlp.Value {
-	return rlp.List(rlp.Uint(from), rlp.Uint(count))
+// encodeGetBlocks returns the frame requesting blocks from..from+count-1.
+func encodeGetBlocks(from, count uint64) []byte {
+	return endFrame(rlp.AppendUint(rlp.AppendUint(beginFrame(MsgGetBlocks), from), count))
 }
 
 func decodeGetBlocks(v rlp.Value) (from, count uint64, err error) {
@@ -266,36 +294,23 @@ func decodeGetBlocks(v rlp.Value) (from, count uint64, err error) {
 	return from, count, nil
 }
 
-func encodeBlocks(blocks []*chain.Block) rlp.Value {
-	items := make([]rlp.Value, len(blocks))
-	for i, b := range blocks {
-		items[i] = rlp.Bytes(b.Encode())
+// encodeBlocks returns the frame of a block range.
+func encodeBlocks(blocks []*chain.Block) []byte {
+	f := beginFrame(MsgBlocks)
+	for _, b := range blocks {
+		f = rlp.AppendBytes(f, b.Encode())
 	}
-	return rlp.List(items...)
+	return endFrame(f)
 }
 
 func decodeBlocks(v rlp.Value) ([]*chain.Block, error) {
-	items, err := v.AsList()
-	if err != nil {
-		return nil, fmt.Errorf("%w: blocks: %v", ErrBadMessage, err)
-	}
-	blocks := make([]*chain.Block, 0, len(items))
-	for _, it := range items {
-		enc, err := it.AsBytes()
-		if err != nil {
-			return nil, err
-		}
-		b, err := chain.DecodeBlock(enc)
-		if err != nil {
-			return nil, err
-		}
-		blocks = append(blocks, b)
-	}
-	return blocks, nil
+	// Honest peers serve at most one run, which lands as one commit.
+	return decodeEach(v, "blocks", maxServedBlocks, chain.DecodeBlock)
 }
 
-func encodeFindNode(target discover.NodeID) rlp.Value {
-	return rlp.List(rlp.Bytes(target[:]))
+// encodeFindNode returns the frame asking for the nodes closest to target.
+func encodeFindNode(target discover.NodeID) []byte {
+	return endFrame(rlp.AppendBytes(beginFrame(MsgFindNode), target[:]))
 }
 
 func decodeFindNode(v rlp.Value) (discover.NodeID, error) {
@@ -303,24 +318,21 @@ func decodeFindNode(v rlp.Value) (discover.NodeID, error) {
 	if err != nil {
 		return discover.NodeID{}, fmt.Errorf("%w: find node: %v", ErrBadMessage, err)
 	}
-	b, err := items[0].AsBytes()
-	if err != nil {
-		return discover.NodeID{}, err
-	}
-	if len(b) != discover.IDLength {
-		return discover.NodeID{}, fmt.Errorf("%w: node id of %d bytes", ErrBadMessage, len(b))
-	}
 	var id discover.NodeID
-	copy(id[:], b)
-	return id, nil
+	err = decodeFixed(items[0], id[:])
+	return id, err
 }
 
-func encodeNeighbors(nodes []discover.Node) rlp.Value {
-	items := make([]rlp.Value, len(nodes))
-	for i, n := range nodes {
-		items[i] = rlp.List(rlp.Bytes(n.ID[:]), rlp.String(n.Addr))
+// encodeNeighbors returns the frame answering FindNode with nodes.
+func encodeNeighbors(nodes []discover.Node) []byte {
+	f := beginFrame(MsgNeighbors)
+	for _, n := range nodes {
+		pair := len(f)
+		f = rlp.AppendBytes(f, n.ID[:])
+		f = rlp.AppendBytes(f, []byte(n.Addr))
+		f = rlp.CloseList(f, pair)
 	}
-	return rlp.List(items...)
+	return endFrame(f)
 }
 
 func decodeNeighbors(v rlp.Value) ([]discover.Node, error) {
@@ -334,19 +346,14 @@ func decodeNeighbors(v rlp.Value) ([]discover.Node, error) {
 		if err != nil {
 			return nil, err
 		}
-		idB, err := pair[0].AsBytes()
-		if err != nil {
+		var n discover.Node
+		if err := decodeFixed(pair[0], n.ID[:]); err != nil {
 			return nil, err
-		}
-		if len(idB) != discover.IDLength {
-			return nil, fmt.Errorf("%w: node id of %d bytes", ErrBadMessage, len(idB))
 		}
 		addrB, err := pair[1].AsBytes()
 		if err != nil {
 			return nil, err
 		}
-		var n discover.Node
-		copy(n.ID[:], idB)
 		n.Addr = string(addrB)
 		nodes = append(nodes, n)
 	}

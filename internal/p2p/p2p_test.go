@@ -16,7 +16,6 @@ import (
 	"forkwatch/internal/db"
 	"forkwatch/internal/discover"
 	"forkwatch/internal/keccak"
-	"forkwatch/internal/rlp"
 	"forkwatch/internal/types"
 )
 
@@ -84,7 +83,7 @@ func newTestNodeCfg(t *testing.T, mem *MemNet, name string, bc *chain.Blockchain
 	return &testNode{name: name, server: srv, backend: backend, bc: bc}
 }
 
-func newChain(t *testing.T, cfg *chain.Config) *chain.Blockchain {
+func newChain(t testing.TB, cfg *chain.Config) *chain.Blockchain {
 	t.Helper()
 	bc, err := chain.NewBlockchain(cfg, testGenesis())
 	if err != nil {
@@ -93,7 +92,7 @@ func newChain(t *testing.T, cfg *chain.Config) *chain.Blockchain {
 	return bc
 }
 
-func mineOn(t *testing.T, bc *chain.Blockchain, txs ...*chain.Transaction) *chain.Block {
+func mineOn(t testing.TB, bc *chain.Blockchain, txs ...*chain.Transaction) *chain.Block {
 	t.Helper()
 	b, err := bc.BuildBlock(miner, bc.Head().Header.Time+14, txs)
 	if err != nil {
@@ -119,23 +118,21 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 
 func TestMsgFraming(t *testing.T) {
 	var buf bytes.Buffer
-	body := rlp.List(rlp.Uint(42), rlp.String("payload"))
-	if err := WriteMsg(&buf, MsgNewBlock, body); err != nil {
+	if err := writeFrame(&buf, encodeGetBlocks(42, 7)); err != nil {
 		t.Fatal(err)
 	}
 	msg, err := ReadMsg(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if msg.Code != MsgNewBlock {
+	if msg.Code != MsgGetBlocks {
 		t.Errorf("code = %d", msg.Code)
 	}
-	items, err := msg.Body.ListOf(2)
-	if err != nil {
-		t.Fatal(err)
+	if from, count, err := decodeGetBlocks(msg.Body); err != nil || from != 42 || count != 7 {
+		t.Errorf("payload corrupted: from %d, count %d, err %v", from, count, err)
 	}
-	if u, _ := items[0].AsUint(); u != 42 {
-		t.Errorf("payload corrupted: %d", u)
+	if err := writeFrame(&buf, make([]byte, 4+MaxFrameSize+1)); !errors.Is(err, ErrFrameTooLarge) {
+		t.Errorf("oversized frame written: err = %v", err)
 	}
 }
 
@@ -165,7 +162,11 @@ func TestStatusRoundTrip(t *testing.T) {
 		ForkID:          chain.ForkID{DAOForkBlock: 1920000, DAOForkSupport: true},
 		Node:            discover.Node{ID: nodeID("n"), Addr: "n"},
 	}
-	dec, err := decodeStatus(s.encode())
+	msg, err := ReadMsg(bytes.NewReader(s.encode()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := decodeStatus(msg.Body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -676,12 +677,7 @@ func TestKeepaliveDropsSilentPeer(t *testing.T) {
 		Genesis:         genesis,
 		Node:            discover.Node{ID: nodeID("mute"), Addr: "mute"},
 	}
-	errCh := make(chan error, 1)
-	go func() { errCh <- WriteMsg(conn, MsgStatus, status.encode()) }()
-	if _, err := ReadMsg(conn); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-errCh; err != nil {
+	if _, err := exchangeStatus(conn, status); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "mute peer registered", func() bool { return a.server.PeerCount() == 1 })
@@ -869,14 +865,14 @@ func TestNoSendAfterClose(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for atomic.LoadInt32(&stop) == 0 {
-				p.send(MsgPing, rlp.List())
+				p.send(pingFrame)
 			}
 		}()
 	}
 	time.Sleep(20 * time.Millisecond)
 	p.Close()
 	waitFor(t, "send refused after close", func() bool {
-		return !p.send(MsgPing, rlp.List())
+		return !p.send(pingFrame)
 	})
 	// Let any in-flight write loop iteration settle, then verify the write
 	// count no longer moves while sends keep hammering.
@@ -884,7 +880,7 @@ func TestNoSendAfterClose(t *testing.T) {
 	before := atomic.LoadInt64(&cc.writes)
 	deadline := time.Now().Add(30 * time.Millisecond)
 	for time.Now().Before(deadline) {
-		if p.send(MsgPing, rlp.List()) {
+		if p.send(pingFrame) {
 			t.Fatal("send succeeded on closed peer")
 		}
 	}
@@ -917,7 +913,7 @@ func TestSendQueueShedsOldest(t *testing.T) {
 		// Overfill the queue well past capacity; every call must return
 		// promptly (shedding), never block.
 		for i := 0; i < sendQueueLen*3; i++ {
-			p.send(MsgPing, rlp.List())
+			p.send(pingFrame)
 		}
 	}()
 	select {
@@ -996,7 +992,7 @@ func TestConcurrentDropRelayServe(t *testing.T) {
 }
 
 // blkTx returns a small funded transfer for block bodies.
-func blkTx(t *testing.T, bc *chain.Blockchain, nonce int) *chain.Transaction {
+func blkTx(t testing.TB, bc *chain.Blockchain, nonce int) *chain.Transaction {
 	t.Helper()
 	to := bob
 	return chain.NewTransaction(uint64(nonce), &to, big.NewInt(1), 21_000, big.NewInt(1), nil).Sign(alice, 0)

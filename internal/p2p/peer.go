@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"forkwatch/internal/discover"
-	"forkwatch/internal/rlp"
 	"forkwatch/internal/types"
 )
 
@@ -90,12 +89,12 @@ func (p *Peer) setHead(hash types.Hash, number uint64, td *big.Int) {
 // peer's send queue was full.
 func (p *Peer) QueueDrops() uint64 { return atomic.LoadUint64(&p.queueDrops) }
 
-// send enqueues a framed message. A full queue sheds the OLDEST queued
-// frame to make room — stale gossip is the cheapest thing to lose, and a
-// slow peer degrades gracefully instead of head-of-line blocking every
-// broadcast. Reports whether the new message was queued.
-func (p *Peer) send(code uint64, body rlp.Value) bool {
-	frame := encodeFrame(code, body)
+// send enqueues a frame; the queue and the write loop only read it, so
+// one frame serves every peer it is sent to. A full queue sheds the OLDEST
+// queued frame to make room — stale gossip is the cheapest thing to lose,
+// and a slow peer degrades gracefully instead of head-of-line blocking
+// every broadcast. Reports whether the new message was queued.
+func (p *Peer) send(frame []byte) bool {
 	select {
 	case p.sendCh <- frame:
 		return true

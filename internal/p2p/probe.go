@@ -51,35 +51,22 @@ func (p *Probe) Run(target discover.Node) (*ProbeResult, error) {
 	status := p.Status
 	status.ProtocolVersion = ProtocolVersion
 	status.Node = p.Self
-	errCh := make(chan error, 1)
-	go func() { errCh <- WriteMsg(conn, MsgStatus, status.encode()) }()
-	msg, err := ReadMsg(conn)
+	remote, err := exchangeStatus(conn, &status)
 	if err != nil {
-		<-errCh
 		return nil, fmt.Errorf("probe: handshake with %s: %w", target.Addr, err)
-	}
-	if err := <-errCh; err != nil {
-		return nil, err
-	}
-	if msg.Code != MsgStatus {
-		return nil, fmt.Errorf("%w: first message code %d", ErrBadMessage, msg.Code)
-	}
-	remote, err := decodeStatus(msg.Body)
-	if err != nil {
-		return nil, err
 	}
 	if !remote.ForkID.Compatible(status.ForkID) {
 		return nil, ErrForkMismatch
 	}
 
-	if err := WriteMsg(conn, MsgFindNode, encodeFindNode(target.ID)); err != nil {
+	if err := writeFrame(conn, encodeFindNode(target.ID)); err != nil {
 		return nil, err
 	}
 	// The target may send us unsolicited gossip; scan for the Neighbors
 	// answer (generously — a busy node floods block and tx announces,
 	// and under fault injection the answer may arrive late in the mix).
 	for i := 0; i < 64; i++ {
-		msg, err = ReadMsg(conn)
+		msg, err := ReadMsg(conn)
 		if err != nil {
 			return nil, fmt.Errorf("probe: awaiting neighbors from %s: %w", target.Addr, err)
 		}

@@ -287,19 +287,15 @@ func (s *Server) localStatus() *Status {
 	}
 }
 
-// setupConn performs the status exchange and, on success, registers the
-// peer and starts its read loop.
-func (s *Server) setupConn(conn net.Conn) (*Peer, error) {
-	if s.cfg.HandshakeTimeout > 0 {
-		conn.SetDeadline(time.Now().Add(s.cfg.HandshakeTimeout))
-	}
-	// Write our status and read theirs concurrently; net.Pipe has no
-	// buffering, so sequential write-then-read deadlocks when both sides
-	// write first.
+// exchangeStatus is the handshake's status exchange on conn, for servers
+// and probes alike: it writes local's status frame and reads the remote's
+// concurrently — net.Pipe has no buffering, so write-then-read deadlocks
+// when both sides write first — and decodes the remote's. A failed read
+// closes conn, which releases the write; any other failure leaves conn to
+// the caller.
+func exchangeStatus(conn net.Conn, local *Status) (*Status, error) {
 	errCh := make(chan error, 1)
-	go func() {
-		errCh <- WriteMsg(conn, MsgStatus, s.localStatus().encode())
-	}()
+	go func() { errCh <- writeFrame(conn, local.encode()) }()
 	msg, err := ReadMsg(conn)
 	if err != nil {
 		conn.Close()
@@ -307,25 +303,30 @@ func (s *Server) setupConn(conn net.Conn) (*Peer, error) {
 		return nil, fmt.Errorf("p2p: reading status: %w", err)
 	}
 	if err := <-errCh; err != nil {
-		conn.Close()
 		return nil, fmt.Errorf("p2p: writing status: %w", err)
 	}
 	if msg.Code != MsgStatus {
-		conn.Close()
 		return nil, fmt.Errorf("%w: first message code %d", ErrBadMessage, msg.Code)
 	}
-	remote, err := decodeStatus(msg.Body)
+	return decodeStatus(msg.Body)
+}
+
+// setupConn performs the status exchange and, on success, registers the
+// peer and starts its read loop.
+func (s *Server) setupConn(conn net.Conn) (*Peer, error) {
+	if s.cfg.HandshakeTimeout > 0 {
+		conn.SetDeadline(time.Now().Add(s.cfg.HandshakeTimeout))
+	}
+	remote, err := exchangeStatus(conn, s.localStatus())
+	if err == nil {
+		err = s.checkStatus(remote)
+	}
+	if err == nil && s.scores.banned(remote.Node.ID) {
+		err = fmt.Errorf("%w: %x", ErrPeerBanned, remote.Node.ID[:4])
+	}
 	if err != nil {
 		conn.Close()
 		return nil, err
-	}
-	if err := s.checkStatus(remote); err != nil {
-		conn.Close()
-		return nil, err
-	}
-	if s.scores.banned(remote.Node.ID) {
-		conn.Close()
-		return nil, fmt.Errorf("%w: %x", ErrPeerBanned, remote.Node.ID[:4])
 	}
 	conn.SetDeadline(time.Time{})
 
@@ -480,7 +481,7 @@ func (s *Server) handle(p *Peer, msg Message) error {
 		}
 		switch err := s.cfg.Backend.InsertBlock(blk); {
 		case err == nil:
-			s.relayBlock(blk, td, p.node.ID)
+			s.broadcast(encodeNewBlock(blk, td), p.node.ID)
 		case errors.Is(err, chain.ErrKnownBlock):
 			// raced another relay; fine
 		case errors.Is(err, chain.ErrUnknownParent):
@@ -510,7 +511,7 @@ func (s *Server) handle(p *Peer, msg Message) error {
 			}
 		}
 		if len(fresh) > 0 {
-			s.relayTxs(fresh, p.node.ID)
+			s.broadcast(encodeTxs(fresh), p.node.ID)
 		}
 		return nil
 
@@ -530,7 +531,7 @@ func (s *Server) handle(p *Peer, msg Message) error {
 			}
 			blocks = append(blocks, b)
 		}
-		p.send(MsgBlocks, encodeBlocks(blocks))
+		p.send(encodeBlocks(blocks))
 		return nil
 
 	case MsgBlocks:
@@ -552,7 +553,7 @@ func (s *Server) handle(p *Peer, msg Message) error {
 			return err
 		}
 		nodes := s.table.Closest(target, discover.BucketSize)
-		p.send(MsgNeighbors, encodeNeighbors(nodes))
+		p.send(encodeNeighbors(nodes))
 		return nil
 
 	case MsgNeighbors:
@@ -596,7 +597,7 @@ func (s *Server) maybeSync(p *Peer) {
 		from = remoteNum
 		count = 1
 	}
-	if !p.send(MsgGetBlocks, encodeGetBlocks(from, count)) {
+	if !p.send(encodeGetBlocks(from, count)) {
 		return // peer closing or queue saturated; a later trigger retries
 	}
 	if s.cfg.SyncTimeout > 0 {
@@ -648,51 +649,34 @@ func (s *Server) syncExpired(gen uint64, p *Peer, localNum uint64) {
 // BroadcastBlock announces a locally produced block to every peer.
 func (s *Server) BroadcastBlock(b *chain.Block) {
 	_, _, td := s.cfg.Backend.Head()
-	s.relayBlock(b, td, discover.NodeID{})
+	s.broadcast(encodeNewBlock(b, td), discover.NodeID{})
 }
 
-func (s *Server) relayBlock(b *chain.Block, td *big.Int, except discover.NodeID) {
-	body := encodeNewBlock(b, td)
+// broadcast queues one frame, encoded once, to every peer but except.
+func (s *Server) broadcast(frame []byte, except discover.NodeID) {
 	for _, p := range s.Peers() {
-		if p.node.ID == except {
-			continue
+		if p.node.ID != except {
+			p.send(frame)
 		}
-		p.send(MsgNewBlock, body)
 	}
 }
 
 // BroadcastTxs announces transactions to every peer.
 func (s *Server) BroadcastTxs(txs []*chain.Transaction) {
-	s.relayTxs(txs, discover.NodeID{})
-}
-
-func (s *Server) relayTxs(txs []*chain.Transaction, except discover.NodeID) {
-	body := encodeTxs(txs)
-	for _, p := range s.Peers() {
-		if p.node.ID == except {
-			continue
-		}
-		p.send(MsgTransactions, body)
-	}
+	s.broadcast(encodeTxs(txs), discover.NodeID{})
 }
 
 // AnnounceHead sends a status refresh to all peers (e.g. after importing
 // blocks out of band). Peers that became incompatible — the fork just
 // activated — will drop us, partitioning the network.
 func (s *Server) AnnounceHead() {
-	status := s.localStatus().encode()
-	for _, p := range s.Peers() {
-		p.send(MsgStatus, status)
-	}
+	s.broadcast(s.localStatus().encode(), discover.NodeID{})
 }
 
 // RequestNeighbors asks every peer for nodes near target, growing the
 // local table.
 func (s *Server) RequestNeighbors(target discover.NodeID) {
-	body := encodeFindNode(target)
-	for _, p := range s.Peers() {
-		p.send(MsgFindNode, body)
-	}
+	s.broadcast(encodeFindNode(target), discover.NodeID{})
 }
 
 // BestPeerHead returns the heaviest head any live peer has advertised:

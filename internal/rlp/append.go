@@ -1,10 +1,12 @@
-// Append-style encoding primitives. The Value tree in rlp.go is the
-// auditable, composable model; these helpers are the allocation-free fast
-// path used by hot encoders (transaction signature payloads and hashes,
-// headers, receipts, trie nodes). Each Append* writes the complete RLP
-// item — prefix included — onto dst, and each *Size reports exactly the
-// bytes the matching Append* will write, so callers can precompute list
-// payload lengths and serialize a whole structure into one buffer.
+// Append-style encoding primitives: the only production encoder. Every
+// byte the node writes — transactions, headers, receipts, trie nodes, WAL
+// records, wire frames — is built with them; the Value tree in rlp.go is
+// the decoder's type and, for encoding, the tests' model. Each Append*
+// writes the complete RLP item — prefix included — onto dst, and each
+// *Size reports exactly the bytes the matching Append* will write, so
+// callers can precompute list payload lengths and serialize a whole
+// structure into one buffer; CloseList serves those that would rather
+// append a list's items first.
 package rlp
 
 import (
@@ -111,6 +113,17 @@ func ListSize(payload int) int { return headSize(payload) + payload }
 // length; the caller then appends exactly payload bytes of encoded items.
 func AppendListHeader(dst []byte, payload int) []byte {
 	return appendLength(dst, 0xc0, payload)
+}
+
+// CloseList turns dst[start:], a run of items already appended, into one
+// list item: it inserts the list prefix at start, shifting the items up.
+func CloseList(dst []byte, start int) []byte {
+	payload := len(dst) - start
+	head := headSize(payload)
+	dst = append(dst, make([]byte, head)...)
+	copy(dst[start+head:], dst[start:start+payload])
+	appendLength(dst[start:start], 0xc0, payload) // writes in place: cap covers head
+	return dst
 }
 
 // StringSize returns the total encoded length (prefix + payload) of a byte

@@ -3,9 +3,11 @@
 //
 // RLP has exactly two kinds of items: byte strings and lists of items. The
 // package models this directly with the Value type rather than reflection:
-// every forkwatch structure encodes itself explicitly, which keeps the
+// decoding yields a Value tree, and every forkwatch structure encodes
+// itself explicitly with the append encoders (append.go), which keeps the
 // encoding auditable against the Ethereum yellow-paper rules (appendix B)
-// and keeps decode errors local and typed.
+// and keeps decode errors local and typed. Encoding a Value tree (Encode,
+// List, Uint, ...) is the model those encoders are tested against.
 //
 // Hash identity of transactions — which the paper's echo analysis joins
 // on — is the Keccak-256 of this encoding, so the rules here must match
@@ -34,8 +36,8 @@ var (
 	ErrTrailing = errors.New("rlp: trailing bytes after value")
 )
 
-// Value is a decoded or to-be-encoded RLP item: a byte string when IsList
-// is false, a list of sub-items when true.
+// Value is a decoded RLP item (or a model one, in tests): a byte string
+// when IsList is false, a list of sub-items when true.
 type Value struct {
 	// IsList distinguishes lists from byte strings.
 	IsList bool
@@ -167,45 +169,21 @@ func (v Value) ListOf(n int) ([]Value, error) {
 	return items, nil
 }
 
-// Encode serializes v per the RLP rules. The output is built in a single
-// exact-size buffer: sizes are precomputed recursively, so nested lists do
-// not allocate intermediate payload slices.
+// Encode serializes v per the RLP rules: the plain reference encoding the
+// append encoders are tested against.
 func Encode(v Value) []byte {
-	return appendValue(make([]byte, 0, Size(v)), v)
+	if !v.IsList {
+		return AppendBytes(nil, v.Str)
+	}
+	var payload []byte
+	for _, item := range v.Items {
+		payload = append(payload, Encode(item)...)
+	}
+	return append(AppendListHeader(nil, len(payload)), payload...)
 }
 
 // EncodeList is shorthand for Encode(List(items...)).
-func EncodeList(items ...Value) []byte {
-	v := Value{IsList: true, Items: items}
-	return appendValue(make([]byte, 0, Size(v)), v)
-}
-
-// Size returns the exact encoded length of v in bytes.
-func Size(v Value) int {
-	if !v.IsList {
-		return BytesSize(v.Str)
-	}
-	payload := 0
-	for _, item := range v.Items {
-		payload += Size(item)
-	}
-	return headSize(payload) + payload
-}
-
-func appendValue(dst []byte, v Value) []byte {
-	if !v.IsList {
-		return appendString(dst, v.Str)
-	}
-	payload := 0
-	for _, item := range v.Items {
-		payload += Size(item)
-	}
-	dst = appendLength(dst, 0xc0, payload)
-	for _, item := range v.Items {
-		dst = appendValue(dst, item)
-	}
-	return dst
-}
+func EncodeList(items ...Value) []byte { return Encode(List(items...)) }
 
 func appendString(dst, s []byte) []byte {
 	if len(s) == 1 && s[0] < 0x80 {

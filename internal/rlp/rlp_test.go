@@ -228,6 +228,39 @@ func TestQuickRoundTrip(t *testing.T) {
 	}
 }
 
+// appendClosing encodes v the way items-first encoders do: each list's
+// items are appended, then CloseList wraps them.
+func appendClosing(dst []byte, v Value) []byte {
+	if !v.IsList {
+		return AppendBytes(dst, v.Str)
+	}
+	start := len(dst)
+	for _, item := range v.Items {
+		dst = appendClosing(dst, item)
+	}
+	return CloseList(dst, start)
+}
+
+// Property: CloseList agrees with the tree model on nested values whose
+// strings and lists straddle the 55-byte short/long boundary, whatever
+// already precedes them in the buffer.
+func TestCloseListMatchesModel(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	for i := 0; i < 500; i++ {
+		v := randomValue(r, 4)
+		prefix := make([]byte, r.Intn(8))
+		r.Read(prefix)
+		got := appendClosing(append([]byte(nil), prefix...), v)
+		if want := append(prefix, Encode(v)...); !bytes.Equal(got, want) {
+			t.Fatalf("value %d: items-first %x, model %x", i, got, want)
+		}
+	}
+	long := List(Bytes(make([]byte, 300)), Bytes(make([]byte, 70000)))
+	if got := appendClosing(nil, long); !bytes.Equal(got, Encode(long)) {
+		t.Fatal("multi-byte list length: items-first differs from the model")
+	}
+}
+
 // Property: encoding is injective on byte strings (different strings,
 // different encodings).
 func TestQuickInjective(t *testing.T) {

@@ -14,6 +14,7 @@
 package state
 
 import (
+	"bytes"
 	"fmt"
 	"math/big"
 	"sort"
@@ -50,6 +51,12 @@ func (a *Account) appendTo(dst []byte) []byte {
 	dst = rlp.AppendBigInt(dst, a.Balance)
 	dst = rlp.AppendBytes(dst, a.StorageRoot[:])
 	return rlp.AppendBytes(dst, a.CodeHash[:])
+}
+
+// appendSlot appends a non-zero storage value's trie encoding: the RLP
+// string of its bytes with leading zeroes trimmed, as Ethereum stores it.
+func appendSlot(dst []byte, v types.Hash) []byte {
+	return rlp.AppendBytes(dst, bytes.TrimLeft(v[:], "\x00"))
 }
 
 func decodeAccount(enc []byte) (*Account, error) {
@@ -515,10 +522,8 @@ func (s *DB) commitStorage(obj *stateObject, batch db.Batch) error {
 			}
 			continue
 		}
-		// Values are stored RLP-encoded with leading zeroes trimmed,
-		// as Ethereum does.
-		trimmed := new(big.Int).SetBytes(v.Bytes()).Bytes()
-		if err := st.Update(slotKey(k), rlp.Encode(rlp.Bytes(trimmed))); err != nil {
+		var enc [1 + types.HashLength]byte
+		if err := st.Update(slotKey(k), appendSlot(enc[:0], v)); err != nil {
 			return err
 		}
 	}

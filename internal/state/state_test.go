@@ -332,6 +332,30 @@ func TestAccountAppendToMatchesEncode(t *testing.T) {
 	}
 }
 
+// TestSlotEncodingMatchesModel pins the storage value encoder to the tree
+// model it replaced (the value's minimal big-endian bytes as one RLP
+// string): single bytes below and above 0x80, leading zeroes, full words.
+func TestSlotEncodingMatchesModel(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	cases := []types.Hash{
+		types.BytesToHash([]byte{1}), types.BytesToHash([]byte{0x7f}),
+		types.BytesToHash([]byte{0x80}), types.BytesToHash([]byte{1, 0}),
+	}
+	for i := 0; i < 300; i++ {
+		var v types.Hash
+		r.Read(v[r.Intn(types.HashLength):])
+		if !v.IsZero() {
+			cases = append(cases, v)
+		}
+	}
+	for i, v := range cases {
+		want := rlp.Encode(rlp.Bytes(new(big.Int).SetBytes(v.Bytes()).Bytes()))
+		if got := appendSlot(nil, v); !bytes.Equal(got, want) {
+			t.Fatalf("case %d (%s): appendSlot = %x, model %x", i, v, got, want)
+		}
+	}
+}
+
 // encode is the account's rlp.Value tree model: the reference appendTo
 // is held equal to by the conformance test above.
 func (a *Account) encode() []byte {

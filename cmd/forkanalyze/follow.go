@@ -97,6 +97,9 @@ func followLive(targets, outDir string, epoch uint64) error {
 
 	printSummary(an)
 	if outDir != "" {
+		if err := rec.Err(); err != nil {
+			return err
+		}
 		if err := export.WriteTables(outDir, rec.Blocks, rec.Txs, rec.Days); err != nil {
 			return err
 		}

@@ -25,6 +25,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"path/filepath"
@@ -54,49 +55,58 @@ func main() {
 		return
 	}
 
-	blocksF, err := os.Open(filepath.Join(*dir, "blocks.csv"))
-	if err != nil {
+	if err := analyzeDir(os.Stdout, *dir, *epoch, *dayLength); err != nil {
 		log.Fatal(err)
+	}
+}
+
+// analyzeDir loads the export in dir, replays it through a collector and
+// prints the figure summary to w.
+func analyzeDir(w io.Writer, dir string, epoch, dayLength uint64) error {
+	blocksF, err := os.Open(filepath.Join(dir, "blocks.csv"))
+	if err != nil {
+		return err
 	}
 	defer blocksF.Close()
 	blocks, err := export.ReadBlocks(blocksF)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	txsF, err := os.Open(filepath.Join(*dir, "txs.csv"))
+	txsF, err := os.Open(filepath.Join(dir, "txs.csv"))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer txsF.Close()
 	txs, err := export.ReadTxs(txsF)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// The day table (prices) is optional; with it, Fig 3 reconstructs too.
 	var dayRows []export.DayRow
-	if daysF, err := os.Open(filepath.Join(*dir, "days.csv")); err == nil {
+	if daysF, err := os.Open(filepath.Join(dir, "days.csv")); err == nil {
 		dayRows, err = export.ReadDays(daysF)
 		daysF.Close()
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 
-	col := analysis.NewCollector(*epoch)
-	export.ReplayAll(blocks, txs, dayRows, *epoch, *dayLength, col)
-
-	chains := chainOrder(blocks, dayRows)
+	// ReplayAll sorts the blocks by time: take what reads the table's own
+	// order first.
+	chains := export.ChainOrder(blocks, dayRows)
 	if len(chains) == 0 {
-		log.Fatal("export holds no blocks for any chain")
+		return fmt.Errorf("export holds no blocks for any chain")
 	}
-	fmt.Printf("loaded %d blocks, %d transactions across %s\n\n",
-		len(blocks), len(txs), strings.Join(chains, "/"))
+	days := lastDay(blocks, epoch, dayLength) + 1
+	col := analysis.NewCollector(epoch)
+	export.ReplayAll(blocks, txs, dayRows, epoch, dayLength, col)
 
-	days := lastDay(blocks, *epoch, *dayLength) + 1
+	fmt.Fprintf(w, "loaded %d blocks, %d transactions across %s\n\n",
+		len(blocks), len(txs), strings.Join(chains, "/"))
 	anchor := chains[0]
 	for _, minority := range chains[1:] {
-		fmt.Printf("Fig 1  %s blocks/hr first 6h: %.1f;  max mean delta: %.0fs;  recovery hour: %d\n",
+		fmt.Fprintf(w, "Fig 1  %s blocks/hr first 6h: %.1f;  max mean delta: %.0fs;  recovery hour: %d\n",
 			minority,
 			analysis.MeanOver(col.BlocksPerHour(minority), 0, 6),
 			analysis.MaxOver(col.HourlyMeanDelta(minority), 0, 96),
@@ -105,7 +115,7 @@ func main() {
 	anchorTx := analysis.MeanOver(col.TxPerDay(anchor), 0, days)
 	for _, minority := range chains[1:] {
 		minTx := analysis.MeanOver(col.TxPerDay(minority), 0, days)
-		fmt.Printf("Fig 2  tx/day %s %.0f, %s %.0f (ratio %.1f:1);  contract%% %s %.0f, %s %.0f\n",
+		fmt.Fprintf(w, "Fig 2  tx/day %s %.0f, %s %.0f (ratio %.1f:1);  contract%% %s %.0f, %s %.0f\n",
 			anchor, anchorTx, minority, minTx, safeRatio(anchorTx, minTx),
 			anchor, analysis.MeanOver(col.PctContract(anchor), 0, days),
 			minority, analysis.MeanOver(col.PctContract(minority), 0, days))
@@ -115,43 +125,26 @@ func main() {
 	for i, c := range chains {
 		echoes[i] = fmt.Sprintf("into %s: %d", c, col.TotalEchoes(c))
 	}
-	fmt.Printf("Fig 4  echoes %s; peak %s echo share %.0f%%\n",
+	fmt.Fprintf(w, "Fig 4  echoes %s; peak %s echo share %.0f%%\n",
 		strings.Join(echoes, "; "), peak,
 		analysis.MaxOver(col.EchoPct(peak), 0, days))
 	for _, c := range chains {
 		t5 := col.TopNShare(c, 5)
-		fmt.Printf("Fig 5  top-5 pool share %s: mean %.2f; start %.2f -> end %.2f\n",
+		fmt.Fprintf(w, "Fig 5  top-5 pool share %s: mean %.2f; start %.2f -> end %.2f\n",
 			c, analysis.MeanOver(t5, 0, days),
 			analysis.MeanOver(t5, 0, 10), analysis.MeanOver(t5, days-10, days))
 	}
 	if len(dayRows) > 0 {
 		for i := 0; i < len(chains); i++ {
 			for j := i + 1; j < len(chains); j++ {
-				fmt.Printf("Fig 3  hashes/USD correlation %s vs %s: %.4f\n",
+				fmt.Fprintf(w, "Fig 3  hashes/USD correlation %s vs %s: %.4f\n",
 					chains[i], chains[j], col.PayoffCorrelation(analysis.RewardEther, chains[i], chains[j]))
 			}
 		}
 	} else {
-		fmt.Println("Fig 3  skipped: no days.csv in the export directory")
+		fmt.Fprintln(w, "Fig 3  skipped: no days.csv in the export directory")
 	}
-}
-
-// chainOrder recovers the export's chain names: the day table's column
-// order when present (that is the engine's partition order), otherwise
-// first-seen order in the block table.
-func chainOrder(blocks []export.BlockRow, dayRows []export.DayRow) []string {
-	if len(dayRows) > 0 {
-		return dayRows[0].Chains
-	}
-	var out []string
-	seen := map[string]bool{}
-	for _, b := range blocks {
-		if !seen[b.Chain] {
-			seen[b.Chain] = true
-			out = append(out, b.Chain)
-		}
-	}
-	return out
+	return nil
 }
 
 func lastDay(blocks []export.BlockRow, epoch, dayLength uint64) int {

@@ -140,6 +140,9 @@ func main() {
 	if err := eng.Run(); err != nil {
 		log.Fatal(err)
 	}
+	if err := rec.Err(); err != nil {
+		log.Fatal(err)
+	}
 	if *profDir != "" {
 		heapF, err := os.Create(filepath.Join(*profDir, "heap.pprof"))
 		if err != nil {

@@ -144,7 +144,8 @@ func Run(sc *Scenario) (*Report, error) {
 }
 
 // RunRecorded executes the scenario collecting both the report and the raw
-// export rows (for cmd/forksim's CSV output).
+// export rows (for cmd/forksim's CSV output). A block the recorder refused
+// (Recorder.Err) fails the run.
 func RunRecorded(sc *Scenario) (*Report, *Recorder, error) {
 	eng, err := sim.New(sc)
 	if err != nil {
@@ -156,6 +157,9 @@ func RunRecorded(sc *Scenario) (*Report, *Recorder, error) {
 	eng.AddObserver(col)
 	eng.AddObserver(rec)
 	if err := eng.Run(); err != nil {
+		return nil, nil, err
+	}
+	if err := rec.Err(); err != nil {
 		return nil, nil, err
 	}
 	return &Report{Scenario: sc, Collector: col}, rec, nil

@@ -2,7 +2,6 @@ package export
 
 import (
 	"encoding/hex"
-	"math/big"
 	"strconv"
 	"strings"
 	"unicode"
@@ -49,23 +48,25 @@ func AppendDayHeader(dst []byte, chains []string) []byte {
 	return appendRecord(dst, dayHeader(chains))
 }
 
-// AppendBlockRow appends one block row as a CSV line to dst. A nil
-// Difficulty encodes as "<nil>", which ReadBlocks rejects; WriteBlocks
-// refuses such rows.
+// zeroHashHex is the block table's hash column: the zero hash, since no
+// block row carries a hash (see BlockRow).
+const zeroHashHex = "0x0000000000000000000000000000000000000000000000000000000000000000"
+
+// AppendBlockRow appends one block row as a CSV line to dst.
 func AppendBlockRow(dst []byte, r BlockRow) []byte {
 	dst = appendField(dst, r.Chain)
 	dst = append(dst, ',')
 	dst = strconv.AppendUint(dst, r.Number, 10)
 	dst = append(dst, ',')
-	dst = appendHex(dst, r.Hash[:])
+	dst = append(dst, zeroHashHex...)
 	dst = append(dst, ',')
 	dst = strconv.AppendUint(dst, r.Time, 10)
 	dst = append(dst, ',')
-	dst = appendBig(dst, r.Difficulty)
+	dst = strconv.AppendUint(dst, r.Difficulty, 10)
 	dst = append(dst, ',')
 	dst = appendHex(dst, r.Coinbase[:])
 	dst = append(dst, ',')
-	dst = strconv.AppendInt(dst, int64(r.TxCount), 10)
+	dst = strconv.AppendUint(dst, uint64(r.TxCount), 10)
 	return append(dst, '\n')
 }
 
@@ -160,14 +161,4 @@ func fieldNeedsQuotes(f string) bool {
 func appendHex(dst, b []byte) []byte {
 	dst = append(dst, '0', 'x')
 	return hex.AppendEncode(dst, b)
-}
-
-// appendBig appends v in decimal. big.Int.Append allocates a scratch
-// digit slice per call; every difficulty the simulator produces fits one
-// machine word, which strconv formats in place.
-func appendBig(dst []byte, v *big.Int) []byte {
-	if v != nil && v.IsUint64() {
-		return strconv.AppendUint(dst, v.Uint64(), 10)
-	}
-	return v.Append(dst, 10)
 }

@@ -8,7 +8,9 @@ import (
 	"math/big"
 	"math/rand"
 	"strconv"
+	"strings"
 	"testing"
+	"unsafe"
 
 	"forkwatch/internal/sim"
 	"forkwatch/internal/types"
@@ -24,11 +26,11 @@ func EncodeBlockRow(r BlockRow) []string {
 	return []string{
 		r.Chain,
 		strconv.FormatUint(r.Number, 10),
-		r.Hash.Hex(),
+		types.Hash{}.Hex(),
 		strconv.FormatUint(r.Time, 10),
-		r.Difficulty.String(),
+		strconv.FormatUint(r.Difficulty, 10),
 		r.Coinbase.Hex(),
-		strconv.Itoa(r.TxCount),
+		strconv.FormatUint(uint64(r.TxCount), 10),
 	}
 }
 
@@ -101,25 +103,18 @@ func randUint(r *rand.Rand) uint64 {
 	return r.Uint64()
 }
 
-// randDifficulty covers nil, zero, one-word, the word boundary, multi-word
-// and negative values.
-func randDifficulty(r *rand.Rand) *big.Int {
-	switch r.Intn(8) {
+// randDifficulty covers zero, the top bit alone, the largest value and
+// every magnitude in between.
+func randDifficulty(r *rand.Rand) uint64 {
+	switch r.Intn(6) {
 	case 0:
-		return nil
+		return 0
 	case 1:
-		return new(big.Int)
+		return 1 << 63
 	case 2:
-		return new(big.Int).SetUint64(math.MaxUint64)
-	case 3:
-		return new(big.Int).Add(new(big.Int).SetUint64(math.MaxUint64), big.NewInt(1))
-	case 4:
-		v := new(big.Int).SetUint64(r.Uint64())
-		return v.Lsh(v, uint(r.Intn(200)))
-	case 5:
-		return new(big.Int).Neg(new(big.Int).SetUint64(r.Uint64()))
+		return math.MaxUint64
 	}
-	return new(big.Int).SetUint64(r.Uint64() >> uint(r.Intn(64)))
+	return r.Uint64() >> uint(r.Intn(64))
 }
 
 func randFloat(r *rand.Rand) float64 {
@@ -150,9 +145,8 @@ func randBlockRow(r *rand.Rand) BlockRow {
 		Number:     randUint(r),
 		Time:       randUint(r),
 		Difficulty: randDifficulty(r),
-		TxCount:    int(int64(randUint(r))),
+		TxCount:    uint32(randUint(r)),
 	}
-	r.Read(row.Hash[:])
 	r.Read(row.Coinbase[:])
 	return row
 }
@@ -211,9 +205,6 @@ func TestWriteTablesMatchEncodingCSV(t *testing.T) {
 	var blocks []BlockRow
 	for i := 0; i < 8_000; i++ {
 		b := randBlockRow(r)
-		if b.Difficulty == nil {
-			b.Difficulty = big.NewInt(int64(i))
-		}
 		blocks = append(blocks, b)
 		blockRecs = append(blockRecs, EncodeBlockRow(b))
 	}
@@ -282,22 +273,18 @@ func TestWriteTablesMatchEncodingCSV(t *testing.T) {
 // FuzzAppendBlockRow holds AppendBlockRow to the encoding/csv model on
 // arbitrary field values.
 func FuzzAppendBlockRow(f *testing.F) {
-	f.Add("ETH", uint64(1), []byte{1}, uint64(1469020840), []byte{0x38, 0xc3}, false, []byte{0xaa}, int64(3))
-	f.Add(`a,"b"`, uint64(math.MaxUint64), []byte{}, uint64(0), []byte{}, false, []byte{}, int64(-1))
-	f.Add(" x\n", uint64(0), bytes.Repeat([]byte{0xff}, 40), uint64(9), bytes.Repeat([]byte{0xff}, 9), true, []byte{0}, int64(math.MinInt64))
-	f.Add(`\.`, uint64(7), []byte{7}, uint64(7), []byte{0}, true, []byte{7}, int64(7))
-	f.Fuzz(func(t *testing.T, chain string, number uint64, hash []byte, tm uint64, diff []byte, neg bool, coinbase []byte, txCount int64) {
+	f.Add("ETH", uint64(1), uint64(1469020840), uint64(14_531), []byte{0xaa}, uint32(3))
+	f.Add(`a,"b"`, uint64(math.MaxUint64), uint64(0), uint64(0), []byte{}, uint32(math.MaxUint32))
+	f.Add(" x\n", uint64(0), uint64(9), uint64(1<<63), bytes.Repeat([]byte{0xff}, 30), uint32(0))
+	f.Add(`\.`, uint64(7), uint64(7), uint64(math.MaxUint64), []byte{7}, uint32(7))
+	f.Fuzz(func(t *testing.T, chain string, number, tm, diff uint64, coinbase []byte, txCount uint32) {
 		row := BlockRow{
 			Chain:      chain,
 			Number:     number,
-			Hash:       types.BytesToHash(hash),
 			Time:       tm,
-			Difficulty: new(big.Int).SetBytes(diff),
+			Difficulty: diff,
 			Coinbase:   types.BytesToAddress(coinbase),
-			TxCount:    int(txCount),
-		}
-		if neg {
-			row.Difficulty.Neg(row.Difficulty)
+			TxCount:    txCount,
 		}
 		if got, want := AppendBlockRow(nil, row), modelCSV(t, EncodeBlockRow(row)); !bytes.Equal(got, want) {
 			t.Fatalf("row %+v:\n got %q\nwant %q", row, got, want)
@@ -321,7 +308,7 @@ func TestWriteBlocksAllocsConstant(t *testing.T) {
 	rows := make([]BlockRow, 10_000)
 	for i := range rows {
 		rows[i] = BlockRow{Chain: "ETH", Number: uint64(i), Time: 1_469_020_840 + 14*uint64(i),
-			Difficulty: big.NewInt(62_413_376_722_602 + int64(i)), TxCount: i % 7}
+			Difficulty: 62_413_376_722_602 + uint64(i), TxCount: uint32(i % 7)}
 	}
 	write := func(rows []BlockRow) float64 {
 		return testing.AllocsPerRun(10, func() {
@@ -336,22 +323,25 @@ func TestWriteBlocksAllocsConstant(t *testing.T) {
 	}
 }
 
-// TestRecorderAllocsAmortised: recording a block costs no allocation of
-// its own — only a slab chunk every few thousand blocks and the growth of
-// the row slice, under 0.01 per block on the zero-value Recorder.
-func TestRecorderAllocsAmortised(t *testing.T) {
+// TestRecorderReservedOnBlockAllocsZero: a row copies what it keeps out
+// of the pooled event, so recording a block into reserved rows allocates
+// nothing.
+func TestRecorderReservedOnBlockAllocsZero(t *testing.T) {
 	skipUnderRace(t)
-	const blocks = 50_000
-	ev := &sim.BlockEvent{Chain: "ETH", Difficulty: big.NewInt(62_413_376_722_602)}
-	per := testing.AllocsPerRun(1, func() {
-		rec := &Recorder{}
-		for i := 0; i < blocks; i++ {
-			ev.Number = uint64(i)
-			rec.OnBlock(ev)
-		}
-	}) / blocks
-	if per >= 0.01 {
-		t.Errorf("zero-value Recorder allocates %.4f times per block, want < 0.01", per)
+	const runs = 1000
+	ev := &sim.BlockEvent{Chain: "ETH", Difficulty: big.NewInt(62_413_376_722_602), Txs: make([]sim.TxInfo, 3)}
+	rec := &Recorder{}
+	rec.Reserve(runs+1, 3*(runs+1)) // AllocsPerRun adds one warm-up call
+	if n := testing.AllocsPerRun(runs, func() { rec.OnBlock(ev) }); n != 0 {
+		t.Errorf("a reserved Recorder allocates %.2f times per block, want 0", n)
+	}
+}
+
+// TestBlockRowSize pins the row at 64 bytes: a nine-month export retains
+// millions of them.
+func TestBlockRowSize(t *testing.T) {
+	if n := unsafe.Sizeof(BlockRow{}); n != 64 {
+		t.Errorf("BlockRow is %d bytes, want 64", n)
 	}
 }
 
@@ -381,40 +371,49 @@ func TestRecorderReserve(t *testing.T) {
 
 // TestRecorderDifficultyOutlivesEvent: the engine recycles a delivered
 // event and overwrites its difficulty in place; the recorded row keeps the
-// value it saw, and rows do not share words.
+// value it saw.
 func TestRecorderDifficultyOutlivesEvent(t *testing.T) {
-	huge := new(big.Int).Lsh(big.NewInt(0xabcdef), 150) // three words
-	values := []*big.Int{
-		big.NewInt(62_413_376_722_602), new(big.Int), huge, big.NewInt(-5), nil, big.NewInt(131072),
-	}
+	values := []uint64{62_413_376_722_602, 0, 1 << 63, math.MaxUint64, 131072}
 	rec := &Recorder{}
 	ev := &sim.BlockEvent{Chain: "ETH", Difficulty: new(big.Int)}
 	for i, v := range values {
 		ev.Number = uint64(i)
-		if v == nil {
-			rec.OnBlock(&sim.BlockEvent{Chain: "ETH", Number: ev.Number})
-			continue
-		}
-		ev.Difficulty.Set(v)
+		ev.Difficulty.SetUint64(v)
 		rec.OnBlock(ev)
 		// What the engine does with the event once the observers return.
 		ev.Difficulty.SetUint64(0xdead).Lsh(ev.Difficulty, 190)
 	}
-	check := func(when string) {
-		t.Helper()
-		for i, v := range values {
-			got := rec.Blocks[i].Difficulty
-			if (v == nil) != (got == nil) || (v != nil && got.Cmp(v) != 0) {
-				t.Errorf("%s: row %d difficulty = %v, want %v", when, i, got, v)
-			}
+	if err := rec.Err(); err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range values {
+		if got := rec.Blocks[i].Difficulty; got != v {
+			t.Errorf("row %d difficulty = %d, want %d", i, got, v)
 		}
 	}
-	check("after the source was overwritten")
+}
 
-	// A row's difficulty is its own: growing one in place must not spill
-	// into its slab neighbours.
-	d := rec.Blocks[0].Difficulty
-	d.Lsh(d, 300)
-	values[0] = new(big.Int).Lsh(values[0], 300)
-	check("after a row grew in place")
+// TestRecorderErrWideDifficulty: a difficulty with no 64-bit unsigned form
+// is refused, not truncated: the block leaves no row, Err names the first
+// such block, and later blocks still record.
+func TestRecorderErrWideDifficulty(t *testing.T) {
+	rec := &Recorder{}
+	rec.OnBlock(&sim.BlockEvent{Chain: "ETH", Number: 1, Difficulty: big.NewInt(7)})
+	wide := new(big.Int).Lsh(big.NewInt(1), 64) // 65 bits
+	rec.OnBlock(&sim.BlockEvent{Chain: "ETC", Number: 2, Difficulty: wide, Txs: make([]sim.TxInfo, 2)})
+	rec.OnBlock(&sim.BlockEvent{Chain: "ETH", Number: 3, Difficulty: big.NewInt(-1)})
+	rec.OnBlock(&sim.BlockEvent{Chain: "ETH", Number: 4})
+	rec.OnBlock(&sim.BlockEvent{Chain: "ETH", Number: 5, Difficulty: new(big.Int).SetUint64(math.MaxUint64)})
+	err := rec.Err()
+	if err == nil {
+		t.Fatal("Err = nil after a 65-bit difficulty")
+	}
+	for _, want := range []string{"ETC", "block 2", "18446744073709551616"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("Err %q does not mention %q", err, want)
+		}
+	}
+	if len(rec.Blocks) != 2 || rec.Blocks[0].Number != 1 || rec.Blocks[1].Number != 5 || len(rec.Txs) != 0 {
+		t.Errorf("recorded %+v and %d txs, want blocks 1 and 5 only", rec.Blocks, len(rec.Txs))
+	}
 }

@@ -19,15 +19,18 @@ import (
 	"forkwatch/internal/types"
 )
 
-// BlockRow is one exported block record.
+// BlockRow is one exported block record, 64 bytes: a nine-month export
+// retains millions. Its difficulty is a 64-bit value; a wider one is
+// refused where it enters (Recorder.Err, FromBlockchain, ReadBlocks),
+// never truncated. It has no hash: simulation events carry none, so the
+// table's hash column is always the zero hash.
 type BlockRow struct {
 	Chain      string
 	Number     uint64
-	Hash       types.Hash
 	Time       uint64
-	Difficulty *big.Int
+	Difficulty uint64
 	Coinbase   types.Address
-	TxCount    int
+	TxCount    uint32
 }
 
 // TxRow is one exported transaction record.
@@ -62,15 +65,11 @@ func spill(w io.Writer, buf []byte, threshold int) ([]byte, error) {
 	return buf[:0], err
 }
 
-// WriteBlocks writes block rows as CSV. A row without a difficulty has no
-// CSV form ReadBlocks would accept and is an error.
+// WriteBlocks writes block rows as CSV.
 func WriteBlocks(w io.Writer, rows []BlockRow) error {
 	buf := AppendBlockHeader(newWriteBuf())
 	var err error
 	for i := range rows {
-		if rows[i].Difficulty == nil {
-			return fmt.Errorf("export: block row %d (%s block %d) has no difficulty", i, rows[i].Chain, rows[i].Number)
-		}
 		buf = AppendBlockRow(buf, rows[i])
 		if buf, err = spill(w, buf, writeBufSize); err != nil {
 			return err
@@ -94,18 +93,30 @@ func WriteTxs(w io.Writer, rows []TxRow) error {
 	return err
 }
 
+// difficulty64 returns a block's difficulty as a row holds it, or an error
+// naming the block when it has no 64-bit unsigned form.
+func difficulty64(chain string, number uint64, d *big.Int) (uint64, error) {
+	if d == nil || !d.IsUint64() {
+		return 0, fmt.Errorf("export: %s block %d: difficulty %v does not fit 64 bits", chain, number, d)
+	}
+	return d.Uint64(), nil
+}
+
 // appendBlockRows appends b's block row to blocks and one row per
 // transaction to txs; a transaction's Contract flag comes from the receipt
 // at its index, when receipts has one.
-func appendBlockRows(blocks []BlockRow, txs []TxRow, name string, b *chain.Block, receipts []*chain.Receipt) ([]BlockRow, []TxRow) {
+func appendBlockRows(blocks []BlockRow, txs []TxRow, name string, b *chain.Block, receipts []*chain.Receipt) ([]BlockRow, []TxRow, error) {
+	diff, err := difficulty64(name, b.Number(), b.Header.Difficulty)
+	if err != nil {
+		return blocks, txs, err
+	}
 	blocks = append(blocks, BlockRow{
 		Chain:      name,
 		Number:     b.Number(),
-		Hash:       b.Hash(),
 		Time:       b.Header.Time,
-		Difficulty: b.Header.Difficulty,
+		Difficulty: diff,
 		Coinbase:   b.Header.Coinbase,
-		TxCount:    len(b.Txs),
+		TxCount:    uint32(len(b.Txs)),
 	})
 	for i, tx := range b.Txs {
 		row := TxRow{
@@ -122,44 +133,40 @@ func appendBlockRows(blocks []BlockRow, txs []TxRow, name string, b *chain.Block
 		}
 		txs = append(txs, row)
 	}
-	return blocks, txs
+	return blocks, txs, nil
 }
 
 // FromBlockchain extracts rows from a full ledger's canonical chain
-// (blocks 1..head; genesis carries no transactions).
-func FromBlockchain(name string, bc *chain.Blockchain) ([]BlockRow, []TxRow) {
+// (blocks 1..head; genesis carries no transactions). A block whose
+// difficulty does not fit 64 bits is an error.
+func FromBlockchain(name string, bc *chain.Blockchain) ([]BlockRow, []TxRow, error) {
 	var blocks []BlockRow
 	var txs []TxRow
 	for _, b := range bc.CanonicalBlocks(1, bc.Head().Number()) {
 		receipts, _, _ := bc.Receipts(b.Hash())
-		blocks, txs = appendBlockRows(blocks, txs, name, b, receipts)
+		var err error
+		if blocks, txs, err = appendBlockRows(blocks, txs, name, b, receipts); err != nil {
+			return nil, nil, err
+		}
 	}
-	return blocks, txs
+	return blocks, txs, nil
 }
 
 // Recorder is a sim.Observer that captures rows during a simulation run,
 // in either ledger mode. The zero value is ready to use; Reserve spares a
-// long run the regrowth of its row slices.
+// long run the regrowth of its row slices. A row copies everything it
+// keeps out of the pooled event, so recording a block allocates nothing
+// once the rows have room.
 //
-// Each captured row's Difficulty points into a slab the recorder owns:
-// big.Int headers and their words are carved from chunks allocated a few
-// thousand blocks at a time, so recording costs no allocation per block.
-// A chunk lives as long as any row pointing into it; rows are free to be
-// copied, sorted and retained past the recorder, but a Difficulty is the
-// row's own value, not scratch — mutating one in place may reallocate it
-// (its words have no spare capacity) and never touches a neighbour.
+// A block whose difficulty does not fit 64 bits is not recorded: the first
+// such block is reported by Err, which a caller checks after the run.
 type Recorder struct {
 	Blocks []BlockRow
 	Txs    []TxRow
 	Days   []DayRow
 
-	ints  []big.Int  // unused headers of the current chunk
-	words []big.Word // unused words of the current chunk
+	err error
 }
-
-// slabChunk is how many difficulty headers (and words) one slab chunk
-// holds: 2 allocations per 4096 blocks.
-const slabChunk = 4096
 
 // Reserve makes room for the given number of further block and
 // transaction rows. It is a capacity hint: recording more than reserved
@@ -169,42 +176,27 @@ func (rec *Recorder) Reserve(blocks, txs int) {
 	rec.Txs = slices.Grow(rec.Txs, txs)
 }
 
-// copyDifficulty copies v into the slab and returns the copy (nil for
-// nil). The event that carried v is pooled and its difficulty buffer is
-// recycled at the day barrier, so a retaining observer must copy it.
-func (rec *Recorder) copyDifficulty(v *big.Int) *big.Int {
-	if v == nil {
-		return nil
-	}
-	src := v.Bits()
-	if len(rec.ints) == 0 {
-		rec.ints = make([]big.Int, slabChunk)
-	}
-	if len(rec.words) < len(src) {
-		rec.words = make([]big.Word, max(slabChunk, len(src)))
-	}
-	n := copy(rec.words, src)
-	d := &rec.ints[0]
-	// The three-index slice caps the copy at its own words.
-	d.SetBits(rec.words[:n:n])
-	if v.Sign() < 0 {
-		d.Neg(d)
-	}
-	rec.ints, rec.words = rec.ints[1:], rec.words[n:]
-	return d
-}
+// Err returns the first block the recorder refused, or nil.
+func (rec *Recorder) Err() error { return rec.err }
 
-// OnBlock implements sim.Observer. Events carry no block hash, so Hash
-// stays zero; a tx row's ChainID is a 0/1 chain-bound marker (the exact id
-// is a per-chain constant).
+// OnBlock implements sim.Observer. Events carry no block hash, so the
+// table's hash column stays zero; a tx row's ChainID is a 0/1 chain-bound
+// marker (the exact id is a per-chain constant).
 func (rec *Recorder) OnBlock(ev *sim.BlockEvent) {
+	diff, err := difficulty64(ev.Chain, ev.Number, ev.Difficulty)
+	if err != nil {
+		if rec.err == nil {
+			rec.err = err
+		}
+		return
+	}
 	rec.Blocks = append(rec.Blocks, BlockRow{
 		Chain:      ev.Chain,
 		Number:     ev.Number,
 		Time:       ev.Time,
-		Difficulty: rec.copyDifficulty(ev.Difficulty),
+		Difficulty: diff,
 		Coinbase:   ev.Coinbase,
-		TxCount:    len(ev.Txs),
+		TxCount:    uint32(len(ev.Txs)),
 	})
 	for i := range ev.Txs {
 		tx := &ev.Txs[i]
@@ -311,10 +303,36 @@ func WriteTables(dir string, blocks []BlockRow, txs []TxRow, days []DayRow) erro
 	return nil
 }
 
+// ChainOrder returns the chains of an export in partition order: the day
+// table's column order when there is one (that is the engine's partition
+// order), then any chain only the block table names, in the order the
+// table first names it. Replay sorts blocks by time, so take the order
+// before replaying.
+func ChainOrder(blocks []BlockRow, days []DayRow) []string {
+	var chains []string
+	seen := map[string]bool{}
+	if len(days) > 0 {
+		for _, c := range days[0].Chains {
+			chains = append(chains, c)
+			seen[c] = true
+		}
+	}
+	for _, b := range blocks {
+		if !seen[b.Chain] {
+			seen[b.Chain] = true
+			chains = append(chains, b.Chain)
+		}
+	}
+	return chains
+}
+
 // Replay feeds exported rows back through a sim.Observer (typically the
-// analysis collector), reconstructing block events in time order. Day
-// indices derive from epoch and dayLength. Per-chain deltas are recomputed
-// from consecutive block times.
+// analysis collector), reconstructing block events in time order: it sorts
+// blocks in place by time, then chain, then number. Day indices derive
+// from epoch and dayLength. Per-chain deltas are recomputed from
+// consecutive block times. Like the engine, Replay pools its event: one
+// BlockEvent, with its Difficulty and Txs backing, carries every block, so
+// an observer must copy what it keeps past OnBlock.
 func Replay(blocks []BlockRow, txs []TxRow, epoch uint64, dayLength uint64, obs sim.Observer) {
 	// Interleave by mining time: echo detection is first-seen ordering
 	// across chains, so replay must present blocks globally in time
@@ -338,21 +356,22 @@ func Replay(blocks []BlockRow, txs []TxRow, epoch uint64, dayLength uint64, obs 
 		txByBlock[key] = append(txByBlock[key], t)
 	}
 	lastTime := map[string]uint64{}
+	var diff big.Int
+	ev := &sim.BlockEvent{Difficulty: &diff}
 	for _, b := range blocks {
 		prev, ok := lastTime[b.Chain]
 		if !ok {
 			prev = epoch
 		}
 		lastTime[b.Chain] = b.Time
-		ev := &sim.BlockEvent{
-			Chain:      b.Chain,
-			Day:        int((b.Time - epoch) / dayLength),
-			Number:     b.Number,
-			Time:       b.Time,
-			Delta:      b.Time - prev,
-			Difficulty: b.Difficulty,
-			Coinbase:   b.Coinbase,
-		}
+		ev.Chain = b.Chain
+		ev.Day = int((b.Time - epoch) / dayLength)
+		ev.Number = b.Number
+		ev.Time = b.Time
+		ev.Delta = b.Time - prev
+		diff.SetUint64(b.Difficulty)
+		ev.Coinbase = b.Coinbase
+		ev.Txs = ev.Txs[:0]
 		for _, t := range txByBlock[blockKey{b.Chain, b.Number}] {
 			ev.Txs = append(ev.Txs, sim.TxInfo{
 				Hash:       t.Hash,
@@ -368,33 +387,16 @@ func Replay(blocks []BlockRow, txs []TxRow, epoch uint64, dayLength uint64, obs 
 // ReplayAll replays block/tx rows and then synthesises the per-day events
 // (prices from the day table; difficulty from each chain's last block of
 // the day), so an analysis collector reconstructs every figure — Fig 3
-// included — from a pure export.
+// included — from a pure export. The day events list the partitions in
+// ChainOrder; like Replay, ReplayAll sorts blocks in place.
 func ReplayAll(blocks []BlockRow, txs []TxRow, days []DayRow, epoch, dayLength uint64, obs sim.Observer) {
+	chains := ChainOrder(blocks, days)
 	Replay(blocks, txs, epoch, dayLength, obs)
 
-	// Chain order: the day table's partition order when present, with any
-	// chains appearing only in the block table appended first-seen.
-	var chains []string
-	seen := map[string]bool{}
-	if len(days) > 0 {
-		for _, c := range days[0].Chains {
-			chains = append(chains, c)
-			seen[c] = true
-		}
-	}
-	for _, b := range blocks {
-		if !seen[b.Chain] {
-			seen[b.Chain] = true
-			chains = append(chains, b.Chain)
-		}
-	}
-
-	// Last difficulty per (chain, day), carried forward over empty days.
-	lastDiff := map[string]map[int]*big.Int{}
-	carry := map[string]*big.Int{}
+	// Last difficulty per (chain, day); blocks are in time order now.
+	lastDiff := make(map[string]map[int]uint64, len(chains))
 	for _, c := range chains {
-		lastDiff[c] = map[int]*big.Int{}
-		carry[c] = new(big.Int)
+		lastDiff[c] = map[int]uint64{}
 	}
 	maxDay := 0
 	for _, b := range blocks {
@@ -403,33 +405,28 @@ func ReplayAll(blocks []BlockRow, txs []TxRow, days []DayRow, epoch, dayLength u
 		}
 		d := int((b.Time - epoch) / dayLength)
 		lastDiff[b.Chain][d] = b.Difficulty
-		if d > maxDay {
-			maxDay = d
-		}
-	}
-	diffAt := func(chain string, d int) *big.Int {
-		if v, ok := lastDiff[chain][d]; ok {
-			carry[chain] = v
-		}
-		return carry[chain]
+		maxDay = max(maxDay, d)
 	}
 	dayRow := make(map[int]DayRow, len(days))
 	for _, r := range days {
 		dayRow[r.Day] = r
-		if r.Day > maxDay {
-			maxDay = r.Day
-		}
+		maxDay = max(maxDay, r.Day)
 	}
+	// A chain's difficulty carries forward over the days it mined nothing.
+	carry := make(map[string]uint64, len(chains))
 	for d := 0; d <= maxDay; d++ {
 		r := dayRow[d]
 		ev := &sim.DayEvent{Day: d, Partitions: make([]sim.PartitionDay, len(chains))}
 		for i, c := range chains {
+			if v, ok := lastDiff[c][d]; ok {
+				carry[c] = v
+			}
 			usd, hashrate := r.Value(c)
 			ev.Partitions[i] = sim.PartitionDay{
 				Name:       c,
 				USD:        usd,
 				Hashrate:   hashrate,
-				Difficulty: diffAt(c, d),
+				Difficulty: new(big.Int).SetUint64(carry[c]),
 			}
 		}
 		obs.OnDay(ev)

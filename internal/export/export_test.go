@@ -2,6 +2,8 @@ package export
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"math/big"
 	"os"
 	"path/filepath"
@@ -16,10 +18,10 @@ import (
 
 func sampleBlocks() []BlockRow {
 	return []BlockRow{
-		{Chain: "ETH", Number: 1, Hash: types.HexToHash("0x01"), Time: 1000,
-			Difficulty: big.NewInt(131072), Coinbase: types.HexToAddress("0xaa"), TxCount: 2},
-		{Chain: "ETH", Number: 2, Hash: types.HexToHash("0x02"), Time: 1014,
-			Difficulty: big.NewInt(131136), Coinbase: types.HexToAddress("0xbb"), TxCount: 0},
+		{Chain: "ETH", Number: 1, Time: 1000,
+			Difficulty: 131072, Coinbase: types.HexToAddress("0xaa"), TxCount: 2},
+		{Chain: "ETH", Number: 2, Time: 1014,
+			Difficulty: 131136, Coinbase: types.HexToAddress("0xbb"), TxCount: 0},
 	}
 }
 
@@ -46,33 +48,9 @@ func TestBlocksRoundTrip(t *testing.T) {
 		t.Fatalf("rows = %d", len(rows))
 	}
 	for i := range rows {
-		if rows[i].Chain != want[i].Chain || rows[i].Number != want[i].Number ||
-			rows[i].Hash != want[i].Hash || rows[i].Time != want[i].Time ||
-			rows[i].Difficulty.Cmp(want[i].Difficulty) != 0 ||
-			rows[i].Coinbase != want[i].Coinbase || rows[i].TxCount != want[i].TxCount {
+		if rows[i] != want[i] {
 			t.Errorf("row %d mismatch: %+v vs %+v", i, rows[i], want[i])
 		}
-	}
-}
-
-// TestWriteBlocksRejectsNilDifficulty: a row without a difficulty used to
-// be written as the literal "<nil>", a table ReadBlocks then refused; the
-// writer now names the row instead.
-func TestWriteBlocksRejectsNilDifficulty(t *testing.T) {
-	rows := sampleBlocks()
-	rows[1].Difficulty = nil
-	var buf bytes.Buffer
-	err := WriteBlocks(&buf, rows)
-	if err == nil {
-		t.Fatalf("WriteBlocks accepted a nil difficulty and wrote %q", buf.String())
-	}
-	for _, want := range []string{"row 1", "ETH", "block 2", "difficulty"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("error %q does not mention %q", err, want)
-		}
-	}
-	if strings.Contains(buf.String(), "<nil>") {
-		t.Errorf("WriteBlocks wrote a <nil> difficulty: %q", buf.String())
 	}
 }
 
@@ -104,6 +82,24 @@ func TestReadRejectsBadInput(t *testing.T) {
 	if _, err := ReadBlocks(strings.NewReader(bad)); err == nil {
 		t.Error("bad number should fail")
 	}
+	// A row holds a 64-bit difficulty and a 32-bit txcount: wider or
+	// negative values are refused, naming the row, never truncated.
+	const header = "chain,number,hash,time,difficulty,coinbase,txcount\n"
+	const good = "ETH,1,0x,0,18446744073709551615,0x,4294967295\n"
+	for _, tc := range []struct{ row, field string }{
+		{"ETH,2,0x,0,18446744073709551616,0x,0\n", "difficulty"},
+		{"ETH,2,0x,0,-1,0x,0\n", "difficulty"},
+		{"ETH,2,0x,0,1,0x,-1\n", "txcount"},
+		{"ETH,2,0x,0,1,0x,4294967296\n", "txcount"},
+	} {
+		_, err := ReadBlocks(strings.NewReader(header + good + tc.row))
+		if err == nil || !strings.Contains(err.Error(), "row 2") || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("ReadBlocks(%q) = %v, want an error naming row 2's %s", tc.row, err, tc.field)
+		}
+	}
+	if rows, err := ReadBlocks(strings.NewReader(header + good)); err != nil || rows[0].Difficulty != math.MaxUint64 || rows[0].TxCount != math.MaxUint32 {
+		t.Errorf("ReadBlocks of the largest values = %+v, %v", rows, err)
+	}
 	if _, err := ReadTxs(strings.NewReader("x\n")); err == nil {
 		t.Error("bad tx header should fail")
 	}
@@ -131,12 +127,38 @@ func TestFromBlockchain(t *testing.T) {
 	if err := bc.InsertBlock(blk); err != nil {
 		t.Fatal(err)
 	}
-	blocks, txs := FromBlockchain("ETH", bc)
+	blocks, txs, err := FromBlockchain("ETH", bc)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(blocks) != 1 || len(txs) != 1 {
 		t.Fatalf("rows = %d blocks, %d txs", len(blocks), len(txs))
 	}
-	if blocks[0].Hash != blk.Hash() || txs[0].Hash != tx.Hash() {
-		t.Error("exported hashes do not match the chain")
+	want := BlockRow{Chain: "ETH", Number: 1, Time: blk.Header.Time, Difficulty: blk.Header.Difficulty.Uint64(),
+		Coinbase: blk.Header.Coinbase, TxCount: 1}
+	if blocks[0] != want || txs[0].Hash != tx.Hash() {
+		t.Errorf("exported %+v / tx %s, want %+v / tx %s", blocks[0], txs[0].Hash.Hex(), want, tx.Hash().Hex())
+	}
+	if got := bc.CanonicalBlocks(1, 1)[0].Hash(); got != blk.Hash() {
+		t.Errorf("canonical block 1 is %s, inserted %s", got.Hex(), blk.Hash().Hex())
+	}
+
+	// A chain whose difficulty outgrew 64 bits has no rows: an error, not
+	// truncated difficulties.
+	wide := &chain.Genesis{Difficulty: new(big.Int).Lsh(big.NewInt(1), 70), Time: gen.Time}
+	wbc, err := chain.NewBlockchain(chain.MainnetLikeConfig(), wide)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wblk, err := wbc.BuildBlock(types.HexToAddress("0x9001"), wide.Time+14, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := wbc.InsertBlock(wblk); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := FromBlockchain("ETH", wbc); err == nil || !strings.Contains(err.Error(), "block 1") {
+		t.Errorf("FromBlockchain over a %d-bit difficulty = %v, want an error naming block 1", wblk.Header.Difficulty.BitLen(), err)
 	}
 }
 
@@ -165,9 +187,9 @@ func (c *collectorStub) OnDay(*sim.DayEvent) {}
 
 func TestReplayReconstructsEvents(t *testing.T) {
 	blocks := []BlockRow{
-		{Chain: "ETH", Number: 2, Time: 1028, Difficulty: big.NewInt(2)},
-		{Chain: "ETH", Number: 1, Time: 1014, Difficulty: big.NewInt(1)},
-		{Chain: "ETC", Number: 1, Time: 90_000, Difficulty: big.NewInt(3)},
+		{Chain: "ETH", Number: 2, Time: 1028, Difficulty: 2},
+		{Chain: "ETH", Number: 1, Time: 1014, Difficulty: 1},
+		{Chain: "ETC", Number: 1, Time: 90_000, Difficulty: 3},
 	}
 	txs := []TxRow{
 		{Chain: "ETH", BlockNumber: 1, Hash: types.HexToHash("0xt1")},
@@ -279,10 +301,10 @@ func (d *dayCollector) OnDay(ev *sim.DayEvent) { d.days = append(d.days, ev) }
 
 func TestReplayAllSynthesisesDayEvents(t *testing.T) {
 	blocks := []BlockRow{
-		{Chain: "ETH", Number: 1, Time: 1014, Difficulty: big.NewInt(100)},
-		{Chain: "ETH", Number: 2, Time: 1028, Difficulty: big.NewInt(110)},
-		{Chain: "ETC", Number: 1, Time: 1050, Difficulty: big.NewInt(9)},
-		{Chain: "ETH", Number: 3, Time: 90_000, Difficulty: big.NewInt(120)},
+		{Chain: "ETH", Number: 1, Time: 1014, Difficulty: 100},
+		{Chain: "ETH", Number: 2, Time: 1028, Difficulty: 110},
+		{Chain: "ETC", Number: 1, Time: 1050, Difficulty: 9},
+		{Chain: "ETH", Number: 3, Time: 90_000, Difficulty: 120},
 	}
 	chains := []string{"ETH", "ETC"}
 	days := []DayRow{
@@ -305,6 +327,68 @@ func TestReplayAllSynthesisesDayEvents(t *testing.T) {
 	d1eth, d1etc := col.days[1].Partition("ETH"), col.days[1].Partition("ETC")
 	if d1eth.Difficulty.Int64() != 120 || d1etc.Difficulty.Int64() != 9 || d1etc.USD != 1.3 {
 		t.Errorf("day 1 = %+v", col.days[1])
+	}
+}
+
+// eventLog keeps each replayed event's pointer and what it carried at
+// delivery.
+type eventLog struct {
+	events []*sim.BlockEvent
+	seen   []string
+	days   []*sim.DayEvent
+}
+
+func (l *eventLog) OnBlock(ev *sim.BlockEvent) {
+	l.events = append(l.events, ev)
+	l.seen = append(l.seen, fmt.Sprintf("%s/%d d=%v txs=%d", ev.Chain, ev.Number, ev.Difficulty, len(ev.Txs)))
+}
+func (l *eventLog) OnDay(ev *sim.DayEvent) { l.days = append(l.days, ev) }
+
+// TestReplayPoolsItsEvent: Replay hands every block over in one reused
+// event, as the engine does, carrying each block's own values.
+func TestReplayPoolsItsEvent(t *testing.T) {
+	blocks := []BlockRow{
+		{Chain: "ETH", Number: 1, Time: 1014, Difficulty: math.MaxUint64},
+		{Chain: "ETH", Number: 2, Time: 1028, Difficulty: 1 << 63},
+		{Chain: "ETC", Number: 1, Time: 1030, Difficulty: 0},
+	}
+	txs := []TxRow{
+		{Chain: "ETH", BlockNumber: 1, Hash: types.HexToHash("0x1")},
+		{Chain: "ETH", BlockNumber: 1, Hash: types.HexToHash("0x2")},
+		{Chain: "ETC", BlockNumber: 1, Hash: types.HexToHash("0x3")},
+	}
+	l := &eventLog{}
+	Replay(blocks, txs, 1000, 86_400, l)
+	want := []string{"ETH/1 d=18446744073709551615 txs=2", "ETH/2 d=9223372036854775808 txs=0", "ETC/1 d=0 txs=1"}
+	if !reflect.DeepEqual(l.seen, want) {
+		t.Errorf("replayed %q, want %q", l.seen, want)
+	}
+	for i, ev := range l.events {
+		if ev != l.events[0] {
+			t.Errorf("event %d is a fresh BlockEvent; Replay must reuse one", i)
+		}
+	}
+}
+
+// TestReplayAllKeepsTableChainOrder: without a day table, the day events
+// list chains in the order the block table first names them, although
+// the replay sorts the rows by time.
+func TestReplayAllKeepsTableChainOrder(t *testing.T) {
+	blocks := []BlockRow{
+		{Chain: "MAJ", Number: 1, Time: 1020, Difficulty: 5},
+		{Chain: "MIN", Number: 1, Time: 1010, Difficulty: 3},
+	}
+	if got := ChainOrder(blocks, nil); !reflect.DeepEqual(got, []string{"MAJ", "MIN"}) {
+		t.Errorf("ChainOrder = %q, want [MAJ MIN]", got)
+	}
+	l := &eventLog{}
+	ReplayAll(blocks, nil, nil, 1000, 86_400, l)
+	if len(l.days) != 1 || len(l.days[0].Partitions) != 2 ||
+		l.days[0].Partitions[0].Name != "MAJ" || l.days[0].Partitions[1].Name != "MIN" {
+		t.Fatalf("day events %+v, want one day listing MAJ then MIN", l.days)
+	}
+	if blocks[0].Chain != "MIN" {
+		t.Errorf("ReplayAll left the rows unsorted: %+v", blocks)
 	}
 }
 

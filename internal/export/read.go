@@ -4,7 +4,6 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"math/big"
 	"strconv"
 	"strings"
 
@@ -56,7 +55,9 @@ func (m chainNames) intern(s string) string {
 	return s
 }
 
-// ReadBlocks parses a block CSV.
+// ReadBlocks parses a block CSV. The hash column is not read (a BlockRow
+// has no hash); a difficulty wider than 64 bits or a txcount outside
+// uint32 is an error naming the row.
 func ReadBlocks(r io.Reader) ([]BlockRow, error) {
 	var rows []BlockRow
 	names := chainNames{}
@@ -74,22 +75,21 @@ func ReadBlocks(r io.Reader) ([]BlockRow, error) {
 			if err != nil {
 				return fmt.Errorf("export: block row %d time: %w", n, err)
 			}
-			diff, ok := new(big.Int).SetString(rec[4], 10)
-			if !ok {
-				return fmt.Errorf("export: block row %d difficulty %q", n, rec[4])
+			diff, err := strconv.ParseUint(rec[4], 10, 64)
+			if err != nil {
+				return fmt.Errorf("export: block row %d difficulty: %w", n, err)
 			}
-			txc, err := strconv.Atoi(rec[6])
+			txc, err := strconv.ParseUint(rec[6], 10, 32)
 			if err != nil {
 				return fmt.Errorf("export: block row %d txcount: %w", n, err)
 			}
 			rows = append(rows, BlockRow{
 				Chain:      names.intern(rec[0]),
 				Number:     num,
-				Hash:       types.HexToHash(rec[2]),
 				Time:       tm,
 				Difficulty: diff,
 				Coinbase:   types.HexToAddress(rec[5]),
-				TxCount:    txc,
+				TxCount:    uint32(txc),
 			})
 			return nil
 		})

@@ -243,7 +243,8 @@ func openLedgers(sc *sim.Scenario, genesis *chain.Genesis, wrap func(name string
 // simulation ran.
 //
 // A directory holding no chain fails with chain.ErrNoChain (wrapped);
-// OpenOrBuild uses that to fall back to a fresh Build.
+// OpenOrBuild uses that to fall back to a fresh Build. A chain the replay
+// cannot export (export.FromBlockchain) fails the open too.
 func Open(sc *sim.Scenario, cfg rpc.ServerConfig) (*Result, error) {
 	if sc.Mode != sim.ModeFull {
 		return nil, fmt.Errorf("serve: scenario mode must be full (the archive serves real chains)")
@@ -254,6 +255,17 @@ func Open(sc *sim.Scenario, cfg rpc.ServerConfig) (*Result, error) {
 	chains, stores, err := openLedgers(sc, nil, nil)
 	if err != nil {
 		return nil, err
+	}
+	var blocks []export.BlockRow
+	var txs []export.TxRow
+	for _, c := range chains {
+		b, t, err := export.FromBlockchain(c.Name, c.Ledger.BC)
+		if err != nil {
+			sim.CloseStores(stores)
+			return nil, err
+		}
+		blocks = append(blocks, b...)
+		txs = append(txs, t...)
 	}
 	srv, backends := mount(cfg, chains)
 	plane := newPlane(srv, backends, sc.Epoch)
@@ -268,13 +280,6 @@ func Open(sc *sim.Scenario, cfg rpc.ServerConfig) (*Result, error) {
 	// "saw the tx first" may flip for same-day pairs. The run ended
 	// before the restart, so the feed completes immediately: followers
 	// replay the ring and see EOF.
-	var blocks []export.BlockRow
-	var txs []export.TxRow
-	for _, c := range chains {
-		b, t := export.FromBlockchain(c.Name, c.Ledger.BC)
-		blocks = append(blocks, b...)
-		txs = append(txs, t...)
-	}
 	export.Replay(blocks, txs, sc.Epoch, sc.DayLength, plane)
 	plane.Complete()
 	return &Result{Server: srv, Chains: chains, Live: plane, stores: stores}, nil

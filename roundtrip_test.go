@@ -109,20 +109,33 @@ func TestFullModeKVRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: reopening the imported store: %v", name, err)
 		}
-		blocks, txs := export.FromBlockchain(name, reopened)
-		// The reopened view and the live run's view must agree.
-		liveBlocks, liveTxs := export.FromBlockchain(name, fl.BC)
+		blocks, txs, err := export.FromBlockchain(name, reopened)
+		if err != nil {
+			t.Fatalf("%s: exporting the reopened chain: %v", name, err)
+		}
+		// The reopened view and the live run's view must agree: the same
+		// canonical block hashes, and the same rows.
+		liveBlocks, liveTxs, err := export.FromBlockchain(name, fl.BC)
+		if err != nil {
+			t.Fatalf("%s: exporting the live chain: %v", name, err)
+		}
+		head := fl.BC.Head().Number()
+		reopenedCanon, liveCanon := reopened.CanonicalBlocks(1, head), fl.BC.CanonicalBlocks(1, head)
+		if len(reopenedCanon) != len(liveCanon) {
+			t.Fatalf("%s: reopened chain has %d canonical blocks, live %d", name, len(reopenedCanon), len(liveCanon))
+		}
+		for i := range liveCanon {
+			if reopenedCanon[i].Hash() != liveCanon[i].Hash() {
+				t.Fatalf("%s: canonical block %d is %s reopened, %s live", name, i+1, reopenedCanon[i].Hash().Hex(), liveCanon[i].Hash().Hex())
+			}
+		}
 		if len(blocks) != len(liveBlocks) || len(txs) != len(liveTxs) {
 			t.Fatalf("%s: reopened view %d blocks/%d txs, live view %d/%d",
 				name, len(blocks), len(txs), len(liveBlocks), len(liveTxs))
 		}
 		for i := range blocks {
-			a, b := blocks[i], liveBlocks[i]
-			same := a.Chain == b.Chain && a.Number == b.Number && a.Hash == b.Hash &&
-				a.Time == b.Time && a.Coinbase == b.Coinbase && a.TxCount == b.TxCount &&
-				a.Difficulty.Cmp(b.Difficulty) == 0
-			if !same {
-				t.Fatalf("%s: block row %d differs: reopened %+v, live %+v", name, i, a, b)
+			if blocks[i] != liveBlocks[i] {
+				t.Fatalf("%s: block row %d differs: reopened %+v, live %+v", name, i, blocks[i], liveBlocks[i])
 			}
 		}
 		for i := range txs {

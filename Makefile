@@ -11,7 +11,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt partitionlint docs-check matrix check bench-selftest profile fuzz chaos chaos-disk chaos-replica rpcsmoke live-smoke nodesmoke clean
+.PHONY: all build test race vet fmt partitionlint docs-check matrix check bench-selftest profile fuzz chaos chaos-disk chaos-replica chaos-wire rpcsmoke live-smoke nodesmoke clean
 
 all: build
 
@@ -101,6 +101,16 @@ CHAOS_REPLICA_OUT ?= chaos-replica.json
 
 chaos-replica:
 	CHAOS_REPLICA_OUT=$(abspath $(CHAOS_REPLICA_OUT)) $(GO) test -race -v -run 'TestChaosReplica' ./internal/serve/
+
+# Wire chaos, repeated: the E1 census under loss, partition and heal, and
+# the replica serving plane, each WIRE_RUNS times under the race detector.
+# Both run every timeout at its production value on a fake clock the test
+# steps, so a loaded host makes a run slower, never red.
+WIRE_RUNS ?= 20
+
+chaos-wire:
+	$(GO) test -race -count=$(WIRE_RUNS) -timeout 60m -run '^TestChaosPartitionCensusE1$$' ./internal/p2p/
+	$(GO) test -race -count=$(WIRE_RUNS) -timeout 60m -run '^TestChaosReplicaServingPlane$$' ./internal/serve/
 
 # The benchmark that backs performance and simplicity claims is bench/
 # (contract: BENCHMARK.json, workloads and metrics: bench/README.md).

@@ -16,7 +16,6 @@ import (
 	"math/big"
 	"math/rand"
 	"testing"
-	"time"
 
 	"forkwatch"
 	"forkwatch/internal/analysis"
@@ -244,8 +243,7 @@ func runPartitionCensus(b *testing.B, total, keepClassic int) float64 {
 			NetworkID: 1, TD: td, Head: head.Hash(), HeadNumber: head.Number(),
 			Genesis: etc.Genesis().Hash(), ForkID: etc.ForkID(),
 		},
-		Dialer:  mem,
-		Timeout: 2 * time.Second,
+		Dialer: mem,
 	}
 	res := discover.Crawl(nodes, probe.FindNodeFunc(), 0)
 	return float64(len(res.Unreachable)) / float64(len(res.Reachable)+len(res.Unreachable))

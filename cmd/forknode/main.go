@@ -144,8 +144,8 @@ func main() {
 
 	// Background network hygiene: discovery/dial maintenance and
 	// liveness keepalive, as real nodes run.
-	go srv.MaintainPeers(25, 5*time.Second)
-	go srv.KeepaliveLoop(10*time.Second, time.Minute)
+	go srv.MaintainPeers(25)
+	go srv.KeepaliveLoop()
 
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
@@ -303,8 +303,7 @@ func runCrawl(bc *chain.Blockchain, seedAddr, faultStr string) {
 			Genesis:    bc.Genesis().Hash(),
 			ForkID:     bc.ForkID(),
 		},
-		Dialer:  dialer,
-		Timeout: 3 * time.Second,
+		Dialer: dialer,
 	}
 	seedHash := keccak.Sum256([]byte(seedAddr))
 	seeds := []discover.Node{{ID: discover.IDFromHash(types.BytesToHash(seedHash[:])), Addr: seedAddr}}

@@ -8,9 +8,8 @@
 // Every random decision is drawn from a *rand.Rand derived from a master
 // seed plus the connection's endpoint labels and per-pair dial sequence,
 // so the same seed over the same dial sequence produces the same fault
-// schedule. Delays go through an injectable Sleep function, keeping the
-// package virtual-clock friendly: tests can scale or zero the sleeps
-// without changing which frames are dropped or corrupted.
+// schedule. Delays are timed on a clock.Clock: tests pass a clock.Fake and
+// step it, without changing which frames are dropped or corrupted.
 //
 // A "frame" here is one Write call. The p2p layer writes each framed wire
 // message with a single Write, so frame-level loss and corruption at this
@@ -23,9 +22,10 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"net"
-	"os"
 	"sync"
 	"time"
+
+	"forkwatch/internal/clock"
 )
 
 // Dialer is the minimal dialing interface faultnet wraps. It is
@@ -67,29 +67,12 @@ type Faults struct {
 	BandwidthBps int
 	// StallWrites, when > 0, turns the connection into a slow loris after
 	// that many frames: writes stop making progress and block until the
-	// write deadline (or forever without one).
+	// connection is closed.
 	StallWrites int
-	// Sleep implements delays; nil means time.Sleep. Tests inject a
-	// scaled or no-op sleeper — the fault schedule (which frames are
-	// delayed, dropped or corrupted, and by how much) is unaffected.
-	Sleep func(time.Duration)
-	// Record, when true, appends every fault decision to the Net's
-	// journal for determinism checks.
-	Record bool
-}
-
-// Event is one journaled fault decision.
-type Event struct {
-	// Conn labels the connection ("self->remote#n" or "addr<-accept#n").
-	Conn string
-	// Seq is the frame index within the connection.
-	Seq int
-	// Op is the decision: "pass", "drop", "corrupt", "reset" or "stall".
-	Op string
-	// Delay is the injected latency (latency + jitter + serialization).
-	Delay time.Duration
-	// Size is the frame length in bytes.
-	Size int
+	// Clock times the delays; nil means the real clock. The fault
+	// schedule (which frames are delayed, dropped or corrupted, and by
+	// how much) does not depend on it.
+	Clock clock.Clock
 }
 
 // Stats counts injected faults across a Net.
@@ -114,15 +97,12 @@ type Net struct {
 	sides   map[string]int // addr -> partition side; empty map = healed
 	conns   map[*Conn]struct{}
 	dialSeq map[string]int
-	journal []Event
 	stats   Stats
 }
 
 // New wraps dialer with the given fault plan.
 func New(dialer Dialer, faults Faults) *Net {
-	if faults.Sleep == nil {
-		faults.Sleep = time.Sleep
-	}
+	faults.Clock = clock.Or(faults.Clock)
 	return &Net{
 		inner:   dialer,
 		faults:  faults,
@@ -139,22 +119,18 @@ func (n *Net) Stats() Stats {
 	return n.stats
 }
 
-// Journal returns a copy of the recorded fault decisions (Faults.Record
-// must be set).
-func (n *Net) Journal() []Event {
+// PartitionSets installs a scripted bisection: addresses in a are on one
+// side, addresses in b on the other. Dials between the sides are refused
+// and live connections that cross them are reset; addresses in neither
+// set are unaffected.
+func (n *Net) PartitionSets(a, b []string) {
 	n.mu.Lock()
-	defer n.mu.Unlock()
-	return append([]Event(nil), n.journal...)
-}
-
-// Partition installs a scripted partition: each address maps to a side,
-// dials between different sides are refused, and live connections that
-// cross sides are reset. Addresses absent from the map are unaffected.
-func (n *Net) Partition(sides map[string]int) {
-	n.mu.Lock()
-	n.sides = make(map[string]int, len(sides))
-	for addr, side := range sides {
-		n.sides[addr] = side
+	n.sides = make(map[string]int, len(a)+len(b))
+	for _, addr := range a {
+		n.sides[addr] = 0
+	}
+	for _, addr := range b {
+		n.sides[addr] = 1
 	}
 	var kill []*Conn
 	for c := range n.conns {
@@ -170,32 +146,11 @@ func (n *Net) Partition(sides map[string]int) {
 	}
 }
 
-// PartitionSets is a convenience for a bisection: addresses in a are on
-// one side, addresses in b on the other.
-func (n *Net) PartitionSets(a, b []string) {
-	sides := make(map[string]int, len(a)+len(b))
-	for _, addr := range a {
-		sides[addr] = 0
-	}
-	for _, addr := range b {
-		sides[addr] = 1
-	}
-	n.Partition(sides)
-}
-
 // Heal removes the partition; subsequent dials succeed again.
 func (n *Net) Heal() {
 	n.mu.Lock()
 	n.sides = make(map[string]int)
 	n.mu.Unlock()
-}
-
-// Partitioned reports whether addresses a and b are currently on
-// different sides of a scripted partition.
-func (n *Net) Partitioned(a, b string) bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.crossesLocked(a, b)
 }
 
 func (n *Net) crossesLocked(a, b string) bool {
@@ -224,14 +179,12 @@ type Endpoint struct {
 // Dial connects through the underlying transport, refusing dials across
 // an active partition, and returns a fault-injecting conn.
 func (e *Endpoint) Dial(addr string) (net.Conn, error) {
-	n := e.net
-	n.mu.Lock()
-	if n.crossesLocked(e.self, addr) {
-		n.stats.Refusals++
-		n.mu.Unlock()
-		return nil, fmt.Errorf("%w: %s -> %s", ErrPartitioned, e.self, addr)
+	if err := e.refuse(addr); err != nil {
+		return nil, err
 	}
+	n := e.net
 	pair := e.self + "->" + addr
+	n.mu.Lock()
 	seq := n.dialSeq[pair]
 	n.dialSeq[pair] = seq + 1
 	n.mu.Unlock()
@@ -240,7 +193,26 @@ func (e *Endpoint) Dial(addr string) (net.Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return n.wrap(inner, e.self, addr, fmt.Sprintf("%s#%d", pair, seq)), nil
+	c := n.wrap(inner, e.self, addr, fmt.Sprintf("%s#%d", pair, seq))
+	// A partition installed while the dial was in flight missed c in its
+	// sweep.
+	if err := e.refuse(addr); err != nil {
+		c.Close()
+		return nil, err
+	}
+	return c, nil
+}
+
+// refuse counts and reports a dial to addr across an active partition.
+func (e *Endpoint) refuse(addr string) error {
+	n := e.net
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if !n.crossesLocked(e.self, addr) {
+		return nil
+	}
+	n.stats.Refusals++
+	return fmt.Errorf("%w: %s -> %s", ErrPartitioned, e.self, addr)
 }
 
 // WrapListener wraps ln so accepted connections inject faults on their
@@ -291,7 +263,6 @@ func (n *Net) wrap(inner net.Conn, local, remote, label string) *Conn {
 		net:    n,
 		local:  local,
 		remote: remote,
-		label:  label,
 		rng:    rand.New(rand.NewSource(n.connSeed(label))),
 		closed: make(chan struct{}),
 	}
@@ -309,16 +280,12 @@ type Conn struct {
 	net    *Net
 	local  string
 	remote string
-	label  string
 
 	mu     sync.Mutex // serializes writers and guards rng/seq
 	rng    *rand.Rand
 	seq    int
 	closed chan struct{}
 	once   sync.Once
-
-	deadlineMu    sync.Mutex
-	writeDeadline time.Time
 }
 
 // Close implements net.Conn. Idempotent.
@@ -332,29 +299,6 @@ func (c *Conn) Close() error {
 		c.net.mu.Unlock()
 	})
 	return err
-}
-
-// SetDeadline implements net.Conn, tracking the write half for the stall
-// emulation and forwarding to the wrapped conn.
-func (c *Conn) SetDeadline(t time.Time) error {
-	c.deadlineMu.Lock()
-	c.writeDeadline = t
-	c.deadlineMu.Unlock()
-	return c.Conn.SetDeadline(t)
-}
-
-// SetWriteDeadline implements net.Conn.
-func (c *Conn) SetWriteDeadline(t time.Time) error {
-	c.deadlineMu.Lock()
-	c.writeDeadline = t
-	c.deadlineMu.Unlock()
-	return c.Conn.SetWriteDeadline(t)
-}
-
-// SetReadDeadline implements net.Conn (pass-through; declared so the
-// deadline contract of the wrapper is explicit).
-func (c *Conn) SetReadDeadline(t time.Time) error {
-	return c.Conn.SetReadDeadline(t)
 }
 
 // Write injects the configured faults, then forwards to the wrapped conn.
@@ -372,7 +316,7 @@ func (c *Conn) Write(p []byte) (int, error) {
 	seq := c.seq
 	c.seq++
 	// Draw all randomness in a fixed order under the lock so the
-	// schedule depends only on the seed, not on sleep timing.
+	// schedule depends only on the seed, not on delay timing.
 	var delay time.Duration
 	if f.Latency > 0 {
 		delay += f.Latency
@@ -391,30 +335,22 @@ func (c *Conn) Write(p []byte) (int, error) {
 		corrupt = c.rng.Intn(len(p))
 	}
 
-	op := "pass"
-	switch {
-	case stall:
-		op = "stall"
-	case reset:
-		op = "reset"
-	case drop:
-		op = "drop"
-	case corrupt >= 0:
-		op = "corrupt"
-	}
-	c.net.note(Event{Conn: c.label, Seq: seq, Op: op, Delay: delay, Size: len(p)}, op, delay)
+	c.net.note(delay, stall, reset, drop, corrupt >= 0)
 
 	if stall {
+		// A slow loris: the write never makes progress.
 		c.mu.Unlock()
-		return c.stallWrite()
+		<-c.closed
+		return 0, ErrConnClosed
 	}
 	if reset {
 		c.mu.Unlock()
 		c.Close()
 		return 0, ErrInjectedReset
 	}
-	if delay > 0 {
-		f.Sleep(delay)
+	if delay > 0 && !clock.Wait(f.Clock, delay, c.closed) {
+		c.mu.Unlock()
+		return 0, ErrConnClosed
 	}
 	if drop {
 		c.mu.Unlock()
@@ -436,44 +372,19 @@ func (c *Conn) Write(p []byte) (int, error) {
 	return c.Conn.Write(p)
 }
 
-// stallWrite emulates a slow-loris connection: the write never makes
-// progress. With a write deadline set it returns os.ErrDeadlineExceeded
-// once the deadline passes (the same contract net.Pipe and TCP honor);
-// without one it blocks until the conn is closed.
-func (c *Conn) stallWrite() (int, error) {
-	c.deadlineMu.Lock()
-	deadline := c.writeDeadline
-	c.deadlineMu.Unlock()
-	if deadline.IsZero() {
-		<-c.closed
-		return 0, ErrConnClosed
-	}
-	timer := time.NewTimer(time.Until(deadline))
-	defer timer.Stop()
-	select {
-	case <-timer.C:
-		return 0, os.ErrDeadlineExceeded
-	case <-c.closed:
-		return 0, ErrConnClosed
-	}
-}
-
-func (n *Net) note(ev Event, op string, delay time.Duration) {
+func (n *Net) note(delay time.Duration, stall, reset, drop, corrupt bool) {
 	n.mu.Lock()
+	defer n.mu.Unlock()
 	n.stats.Frames++
 	n.stats.TotalDelay += delay
-	switch op {
-	case "drop":
-		n.stats.Dropped++
-	case "corrupt":
-		n.stats.Corrupted++
-	case "reset":
-		n.stats.Resets++
-	case "stall":
+	switch {
+	case stall:
 		n.stats.Stalls++
+	case reset:
+		n.stats.Resets++
+	case drop:
+		n.stats.Dropped++
+	case corrupt:
+		n.stats.Corrupted++
 	}
-	if n.faults.Record {
-		n.journal = append(n.journal, ev)
-	}
-	n.mu.Unlock()
 }

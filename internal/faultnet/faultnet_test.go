@@ -3,12 +3,15 @@ package faultnet
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"io"
 	"net"
-	"os"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
+	"forkwatch/internal/clock"
 	"forkwatch/internal/p2p"
 )
 
@@ -59,73 +62,91 @@ func (b *lockedBuffer) Len() int {
 }
 
 // runSchedule dials through a fresh fault net with the given seed and
-// pushes a fixed frame sequence, returning the recorded journal.
-func runSchedule(t *testing.T, seed int64) []Event {
+// pushes a fixed frame sequence, returning the fault counters and every
+// byte that arrived.
+func runSchedule(t *testing.T, seed int64) (Stats, []byte) {
 	t.Helper()
 	mem := p2p.NewMemNet()
 	ln, err := mem.Listen("sink")
 	if err != nil {
 		t.Fatal(err)
 	}
-	accept(t, ln)
+	arrived := make(chan []byte, 1)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		b, _ := io.ReadAll(conn)
+		arrived <- b
+	}()
+	clk := clock.NewFake()
 	fnet := New(mem, Faults{
 		Seed:        seed,
 		Latency:     time.Millisecond,
 		Jitter:      10 * time.Millisecond,
 		DropRate:    0.2,
 		CorruptRate: 0.05,
-		Record:      true,
-		Sleep:       func(time.Duration) {}, // schedule only, no wall time
+		Clock:       clk,
 	})
 	conn, err := fnet.Endpoint("src").Dial("sink")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
-	for i := 0; i < 300; i++ {
-		frame := make([]byte, 16+i%64)
-		for j := range frame {
-			frame[j] = byte(i + j)
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; i < 300; i++ {
+			frame := make([]byte, 16+i%64)
+			for j := range frame {
+				frame[j] = byte(i + j)
+			}
+			if _, err := conn.Write(frame); err != nil {
+				done <- fmt.Errorf("write %d: %v", i, err)
+				return
+			}
 		}
-		if _, err := conn.Write(frame); err != nil {
-			t.Fatalf("write %d: %v", i, err)
+		done <- conn.Close()
+	}()
+	// Each frame's delay is a timer on the fake clock: step past the
+	// longest one (latency + jitter) whenever the writer waits.
+	for {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			return fnet.Stats(), <-arrived
+		default:
+		}
+		if clk.Pending() > 0 {
+			clk.Advance(11 * time.Millisecond)
+		} else {
+			runtime.Gosched()
 		}
 	}
-	return fnet.Journal()
 }
 
 // TestFaultScheduleDeterministic: the same seed over the same dial and
-// write sequence yields the identical fault schedule — drop/corrupt
-// decisions and delay values included — while a different seed does not.
+// write sequence yields the identical fault schedule — the same frames
+// dropped and corrupted, the same total delay, the same bytes delivered —
+// while a different seed does not.
 func TestFaultScheduleDeterministic(t *testing.T) {
-	a := runSchedule(t, 42)
-	b := runSchedule(t, 42)
-	if len(a) != 300 || len(b) != 300 {
-		t.Fatalf("journal lengths: %d, %d (want 300)", len(a), len(b))
+	statsA, bytesA := runSchedule(t, 42)
+	statsB, bytesB := runSchedule(t, 42)
+	if statsA != statsB || !bytes.Equal(bytesA, bytesB) {
+		t.Fatalf("same seed, different schedules: %+v vs %+v (%d vs %d bytes)", statsA, statsB, len(bytesA), len(bytesB))
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("schedules diverge at frame %d: %+v vs %+v", i, a[i], b[i])
-		}
+	if statsA.Frames != 300 {
+		t.Fatalf("%d frames counted, want 300", statsA.Frames)
 	}
-	var drops int
-	for _, ev := range a {
-		if ev.Op == "drop" {
-			drops++
-		}
+	if statsA.Dropped < 30 || statsA.Dropped > 90 {
+		t.Errorf("20%% drop rate produced %d/300 drops", statsA.Dropped)
 	}
-	if drops < 30 || drops > 90 {
-		t.Errorf("20%% drop rate produced %d/300 drops", drops)
+	if statsA.Corrupted == 0 {
+		t.Error("5% corruption rate corrupted nothing in 300 frames")
 	}
-	c := runSchedule(t, 43)
-	same := true
-	for i := range a {
-		if a[i] != c[i] {
-			same = false
-			break
-		}
-	}
-	if same {
+	statsC, bytesC := runSchedule(t, 43)
+	if statsA == statsC && bytes.Equal(bytesA, bytesC) {
 		t.Error("different seeds produced identical fault schedules")
 	}
 }
@@ -154,9 +175,6 @@ func TestPartitionAndHeal(t *testing.T) {
 	if _, err := epA.Dial("b"); !errors.Is(err, ErrPartitioned) {
 		t.Errorf("dial across partition: err = %v, want ErrPartitioned", err)
 	}
-	if !fnet.Partitioned("a", "b") {
-		t.Error("Partitioned(a,b) = false during partition")
-	}
 	// The live crossing connection was reset.
 	if _, err := conn.Write([]byte("x")); err == nil {
 		t.Error("write on partitioned conn should fail")
@@ -173,9 +191,36 @@ func TestPartitionAndHeal(t *testing.T) {
 	}
 }
 
-// TestDeadlineForwarding: the wrapper honors SetDeadline semantics — a
-// regression guard for the p2p read/write deadlines, which must work
-// through faultnet over MemNet (net.Pipe) exactly as over TCP.
+// TestPartitionDuringDial: a partition installed while a dial is in
+// flight (after its partition check, before its conn exists) still
+// refuses that dial; it must not yield a live conn across the cut.
+func TestPartitionDuringDial(t *testing.T) {
+	mem := p2p.NewMemNet()
+	ln, err := mem.Listen("b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	accept(t, ln)
+	var fnet *Net
+	fnet = New(p2p.DialerFunc(func(addr string) (net.Conn, error) {
+		fnet.PartitionSets([]string{"a"}, []string{"b"})
+		return mem.Dial(addr)
+	}), Faults{})
+	if conn, err := fnet.Endpoint("a").Dial("b"); !errors.Is(err, ErrPartitioned) {
+		if conn != nil {
+			conn.Close()
+		}
+		t.Fatalf("dial across a partition installed mid-dial: err = %v, want ErrPartitioned", err)
+	}
+	if got := fnet.Stats().Refusals; got != 1 {
+		t.Errorf("refusals = %d, want 1", got)
+	}
+}
+
+// TestDeadlineForwarding: a fault conn keeps net.Conn's deadline
+// contract by forwarding deadlines to the wrapped conn, MemNet's pipe
+// halves here. The wire itself sets none (its stall timers close the
+// conn on the clock), but a caller of the wrapper may.
 func TestDeadlineForwarding(t *testing.T) {
 	mem := p2p.NewMemNet()
 	ln, err := mem.Listen("srv")
@@ -207,9 +252,10 @@ func TestDeadlineForwarding(t *testing.T) {
 	}
 }
 
-// TestStallRespectsWriteDeadline: a slow-loris conn blocks writes but
-// still honors the write deadline, so hardened peers can escape it.
-func TestStallRespectsWriteDeadline(t *testing.T) {
+// TestStallBlocksUntilClose: a slow-loris conn never completes a write
+// after its first StallWrites frames; only closing the conn (what a p2p
+// peer's write-stall timer does) releases the writer.
+func TestStallBlocksUntilClose(t *testing.T) {
 	mem := p2p.NewMemNet()
 	ln, err := mem.Listen("srv")
 	if err != nil {
@@ -221,18 +267,22 @@ func TestStallRespectsWriteDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
 	if _, err := conn.Write([]byte("first frame passes")); err != nil {
 		t.Fatalf("pre-stall write: %v", err)
 	}
-	conn.SetWriteDeadline(time.Now().Add(40 * time.Millisecond))
-	start := time.Now()
-	_, err = conn.Write([]byte("stalled"))
-	if !errors.Is(err, os.ErrDeadlineExceeded) {
-		t.Errorf("stalled write: err = %v, want deadline exceeded", err)
+	res := make(chan error, 1)
+	go func() {
+		_, err := conn.Write([]byte("stalled"))
+		res <- err
+	}()
+	select {
+	case err := <-res:
+		t.Fatalf("stalled write returned %v before the conn closed", err)
+	case <-time.After(20 * time.Millisecond):
 	}
-	if elapsed := time.Since(start); elapsed < 30*time.Millisecond {
-		t.Errorf("stall returned after %v, before the deadline", elapsed)
+	conn.Close()
+	if err := <-res; !errors.Is(err, ErrConnClosed) {
+		t.Errorf("stalled write after close: err = %v, want ErrConnClosed", err)
 	}
 	if fnet.Stats().Stalls != 1 {
 		t.Errorf("stalls = %d, want 1", fnet.Stats().Stalls)
@@ -278,8 +328,9 @@ func TestDropAndReset(t *testing.T) {
 	}
 }
 
-// TestBandwidthCap: serialization delay scales with frame size through
-// the injected sleeper.
+// TestBandwidthCap: serialization delay scales with frame size, timed
+// on the net's clock: a 500-byte frame at 1000 B/s is held exactly
+// 500 ms, and a close releases a held write without leaving its timer.
 func TestBandwidthCap(t *testing.T) {
 	mem := p2p.NewMemNet()
 	ln, err := mem.Listen("srv")
@@ -287,21 +338,44 @@ func TestBandwidthCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	accept(t, ln)
-	var slept time.Duration
-	fnet := New(mem, Faults{
-		BandwidthBps: 1000,
-		Sleep:        func(d time.Duration) { slept += d },
-	})
+	clk := clock.NewFake()
+	fnet := New(mem, Faults{BandwidthBps: 1000, Clock: clk})
 	conn, err := fnet.Endpoint("cli").Dial("srv")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if _, err := conn.Write(make([]byte, 500)); err != nil {
+	write := func() chan error {
+		res := make(chan error, 1)
+		go func() {
+			_, err := conn.Write(make([]byte, 500))
+			res <- err
+		}()
+		for clk.Pending() == 0 {
+			runtime.Gosched()
+		}
+		return res
+	}
+
+	res := write()
+	clk.Advance(499 * time.Millisecond)
+	select {
+	case err := <-res:
+		t.Fatalf("500B at 1000B/s returned (%v) after 499ms", err)
+	case <-time.After(10 * time.Millisecond):
+	}
+	clk.Advance(time.Millisecond)
+	if err := <-res; err != nil {
 		t.Fatal(err)
 	}
-	if slept != 500*time.Millisecond {
-		t.Errorf("500B at 1000B/s slept %v, want 500ms", slept)
+
+	res = write()
+	conn.Close()
+	if err := <-res; !errors.Is(err, ErrConnClosed) {
+		t.Errorf("held write after close: err = %v, want ErrConnClosed", err)
+	}
+	if clk.Pending() != 0 {
+		t.Errorf("%d timers pending after the close", clk.Pending())
 	}
 }
 

@@ -9,16 +9,25 @@ import (
 	"forkwatch/internal/discover"
 )
 
+// maintainInterval paces MaintainPeers; every rotateTicks-th tick a node
+// at its target drops one random peer, for the next tick to replace.
+const (
+	maintainInterval = 5 * time.Second
+	rotateTicks      = 12
+)
+
 // MaintainPeers runs the discovery/dial loop real nodes run: while the
 // server is below target live peers it asks existing peers for neighbors
 // (growing the Kademlia table) and dials table entries it is not yet
-// connected to. Dead entries are evicted by Connect. Runs until the
-// server closes; call in a goroutine.
+// connected to, every maintainInterval. Dead entries are evicted by
+// Connect. Runs until the server closes; call in a goroutine.
 //
 // This is the mechanism by which the post-fork networks re-knit
 // themselves: a node that lost 90% of its peers at the partition keeps
-// asking the survivors for more survivors.
-func (s *Server) MaintainPeers(target int, interval time.Duration) {
+// asking the survivors for more survivors. The rotation is what re-knits
+// a healed partition whose halves each fill every node's target: without
+// it, no node is ever below target, and nobody dials across again.
+func (s *Server) MaintainPeers(target int) {
 	if target <= 0 || target > s.cfg.MaxPeers {
 		target = s.cfg.MaxPeers
 	}
@@ -27,23 +36,22 @@ func (s *Server) MaintainPeers(target int, interval time.Duration) {
 	// distinct seeds — frequent collisions in any few-hundred-node run
 	// meant identical shuffle sequences and correlated dial storms).
 	r := rand.New(rand.NewSource(int64(binary.BigEndian.Uint64(s.cfg.Self.ID[:8]))))
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-s.quit:
+	tick := 0
+	s.every(maintainInterval, func() {
+		tick++
+		peers := s.Peers()
+		if len(peers) >= target {
+			if tick%rotateTicks == 0 {
+				s.dropPeer(peers[r.Intn(len(peers))])
+			}
 			return
-		case <-ticker.C:
-		}
-		if s.PeerCount() >= target {
-			continue
 		}
 		// Learn more nodes around a random point in the id space.
 		s.RequestNeighbors(discover.RandomID(r))
 
 		// Dial unconnected table entries until the target is met.
 		connected := make(map[discover.NodeID]bool)
-		for _, p := range s.Peers() {
+		for _, p := range peers {
 			connected[p.Node().ID] = true
 		}
 		candidates := s.table.All()
@@ -72,5 +80,5 @@ func (s *Server) MaintainPeers(target int, interval time.Duration) {
 			// repeatedly dead ones from the table.
 			_ = s.Connect(n)
 		}
-	}
+	})
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"forkwatch/internal/chain"
+	"forkwatch/internal/clock"
 	"forkwatch/internal/discover"
 	"forkwatch/internal/rlp"
 	"forkwatch/internal/types"
@@ -212,7 +213,7 @@ func TestBroadcastQueuesOneFrame(t *testing.T) {
 		defer remote.Close()
 		conns[i] = &frameConn{Conn: local, frames: make(chan []byte, 1)}
 		status := &Status{Node: discover.Node{ID: nodeID(fmt.Sprint("bcast", i))}, TD: big.NewInt(1)}
-		srv.peers[status.Node.ID] = newPeer(conns[i], status, 0, nil)
+		srv.peers[status.Node.ID] = newPeer(conns[i], status, clock.Real, nil)
 	}
 	srv.BroadcastTxs([]*chain.Transaction{blkTx(t, bc, 0)})
 	var first []byte

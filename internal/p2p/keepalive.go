@@ -3,6 +3,8 @@ package p2p
 import (
 	"sync/atomic"
 	"time"
+
+	"forkwatch/internal/clock"
 )
 
 // Keepalive message codes (continuing the table in messages.go).
@@ -11,13 +13,19 @@ const (
 	MsgPong
 )
 
+// KeepaliveLoop's pacing and silence limit.
+const (
+	keepaliveInterval = 10 * time.Second
+	keepaliveTimeout  = time.Minute
+)
+
 // The keepalive frames have empty bodies, so one of each serves every peer.
 var pingFrame, pongFrame = endFrame(beginFrame(MsgPing)), endFrame(beginFrame(MsgPong))
 
 // lastSeenNanos is maintained on every inbound message (see readLoop) and
 // consulted by the keepalive loop.
 func (p *Peer) touch() {
-	atomic.StoreInt64(&p.lastSeen, time.Now().UnixNano())
+	atomic.StoreInt64(&p.lastSeen, p.clk.Now().UnixNano())
 }
 
 // LastSeen returns the time of the peer's most recent inbound message.
@@ -25,22 +33,15 @@ func (p *Peer) LastSeen() time.Time {
 	return time.Unix(0, atomic.LoadInt64(&p.lastSeen))
 }
 
-// KeepaliveLoop pings every peer each interval and drops peers that have
-// been silent for longer than timeout — the liveness half of the peer
-// churn the paper's node counts reflect. Runs until the server closes;
-// call in a goroutine.
-func (s *Server) KeepaliveLoop(interval, timeout time.Duration) {
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-s.quit:
-			return
-		case <-ticker.C:
-		}
-		now := time.Now()
+// KeepaliveLoop pings every peer each keepaliveInterval and drops peers
+// that have been silent for longer than keepaliveTimeout — the liveness
+// half of the peer churn the paper's node counts reflect. Runs until the
+// server closes; call in a goroutine.
+func (s *Server) KeepaliveLoop() {
+	s.every(keepaliveInterval, func() {
+		now := s.cfg.Clock.Now()
 		for _, p := range s.Peers() {
-			if now.Sub(p.LastSeen()) > timeout {
+			if now.Sub(p.LastSeen()) > keepaliveTimeout {
 				s.cfg.Logf("p2p[%s]: dropping silent peer %x", s.cfg.Self.Addr, p.node.ID[:4])
 				// Unanswered pings feed the score ledger: chronic
 				// silence eventually demotes and bans the node instead
@@ -51,6 +52,18 @@ func (s *Server) KeepaliveLoop(interval, timeout time.Duration) {
 			}
 			p.send(pingFrame)
 		}
+	})
+}
+
+// every runs tick each interval on the server's clock until the server
+// closes. Close waits for it, so a closed server leaves no timer behind.
+func (s *Server) every(interval time.Duration, tick func()) {
+	if !s.join() {
+		return
+	}
+	defer s.wg.Done()
+	for clock.Wait(s.cfg.Clock, interval, s.quit) {
+		tick()
 	}
 }
 

@@ -45,13 +45,11 @@ func (m *MemNet) Listen(addr string) (net.Listener, error) {
 	return ln, nil
 }
 
-// Dial connects to a registered listener.
-//
-// The returned conns are net.Pipe halves, which fully honor
-// SetDeadline/SetReadDeadline/SetWriteDeadline — the read/write deadlines
-// the hardened peer loops rely on behave identically over MemNet and TCP
-// (TestMemNetConnDeadlines pins this). Wrappers layered above MemNet
-// (faultnet) must forward those methods.
+// Dial connects to a registered listener. The returned conns are
+// net.Pipe halves: unbuffered, so a write blocks until the other side
+// reads it. The peer loops bound stalls with clock timers that close the
+// conn, never with conn deadlines, so the same code runs over MemNet,
+// faultnet and TCP on a real or a fake clock.
 func (m *MemNet) Dial(addr string) (net.Conn, error) {
 	m.mu.Lock()
 	ln, ok := m.listeners[addr]

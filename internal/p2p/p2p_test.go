@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"forkwatch/internal/chain"
+	"forkwatch/internal/clock"
 	"forkwatch/internal/db"
 	"forkwatch/internal/discover"
 	"forkwatch/internal/keccak"
@@ -58,7 +59,7 @@ func newTestNode(t *testing.T, mem *MemNet, name string, bc *chain.Blockchain) *
 	return newTestNodeCfg(t, mem, name, bc, nil)
 }
 
-// newTestNodeCfg is newTestNode with a config hook for resilience knobs.
+// newTestNodeCfg is newTestNode with a config hook (its clock, its dialer).
 func newTestNodeCfg(t *testing.T, mem *MemNet, name string, bc *chain.Blockchain, mut func(*Config)) *testNode {
 	t.Helper()
 	backend := NewChainBackend(bc)
@@ -102,6 +103,26 @@ func mineOn(t testing.TB, bc *chain.Blockchain, txs ...*chain.Transaction) *chai
 		t.Fatal(err)
 	}
 	return b
+}
+
+// stepUntil advances clk by step, pausing a millisecond of wall time
+// per step for the goroutines it woke, until cond holds; it fails the
+// test after 20 s of wall time. A loaded host takes more steps, never a
+// timeout sooner: every timer is on clk.
+func stepUntil(t *testing.T, clk *clock.Fake, step time.Duration, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(20 * time.Second); !cond(); {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s (clock stepped by %v)", what, step)
+		}
+		clk.Advance(step)
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// onClock is a newTestNodeCfg hook that runs the node on clk.
+func onClock(clk clock.Clock) func(*Config) {
+	return func(c *Config) { c.Clock = clk }
 }
 
 func waitFor(t *testing.T, what string, cond func() bool) {
@@ -534,10 +555,11 @@ func newChainBackendPair(t *testing.T) *ChainBackend {
 // maintenance loop.
 func TestMaintainPeersKnitsNetwork(t *testing.T) {
 	mem := NewMemNet()
+	clk := clock.NewFake()
 	const n = 6
 	nodes := make([]*testNode, n)
 	for i := 0; i < n; i++ {
-		nodes[i] = newTestNode(t, mem, fmt.Sprintf("knit%d", i), newChain(t, chain.MainnetLikeConfig()))
+		nodes[i] = newTestNodeCfg(t, mem, fmt.Sprintf("knit%d", i), newChain(t, chain.MainnetLikeConfig()), onClock(clk))
 	}
 	// Line topology: i connects to i-1 only.
 	for i := 1; i < n; i++ {
@@ -546,9 +568,9 @@ func TestMaintainPeersKnitsNetwork(t *testing.T) {
 		}
 	}
 	for _, tn := range nodes {
-		go tn.server.MaintainPeers(n-1, 5*time.Millisecond)
+		go tn.server.MaintainPeers(n - 1)
 	}
-	waitFor(t, "network knitting", func() bool {
+	stepUntil(t, clk, maintainInterval, "network knitting", func() bool {
 		for _, tn := range nodes {
 			if tn.server.PeerCount() < 3 {
 				return false
@@ -559,17 +581,40 @@ func TestMaintainPeersKnitsNetwork(t *testing.T) {
 }
 
 // TestMaintainPeersEvictsDeadNodes: a table polluted with unreachable
-// entries is cleaned by failed dials.
+// entries is cleaned by failed dials. Every dial loop tick redials each
+// dead node (its backoff, under 1.25 s for three failures, is shorter
+// than the tick), and the third consecutive failure evicts it.
 func TestMaintainPeersEvictsDeadNodes(t *testing.T) {
 	mem := NewMemNet()
-	a := newTestNode(t, mem, "evict-a", newChain(t, chain.MainnetLikeConfig()))
-	for i := 0; i < 5; i++ {
+	clk := clock.NewFake()
+	var dials atomic.Int64
+	a := newTestNodeCfg(t, mem, "evict-a", newChain(t, chain.MainnetLikeConfig()), func(c *Config) {
+		c.Clock = clk
+		c.Dialer = DialerFunc(func(addr string) (net.Conn, error) {
+			dials.Add(1)
+			return mem.Dial(addr)
+		})
+	})
+	const ghosts = 5
+	for i := 0; i < ghosts; i++ {
 		a.server.Table().Add(discover.Node{ID: nodeID(fmt.Sprintf("ghost%d", i)), Addr: fmt.Sprintf("ghost%d", i)})
 	}
-	go a.server.MaintainPeers(4, 5*time.Millisecond)
-	waitFor(t, "dead node eviction", func() bool {
-		return a.server.Table().Len() == 0
-	})
+	go a.server.MaintainPeers(4)
+	for tick := 1; tick <= dialMaxFails; tick++ {
+		if tick == 1 {
+			waitFor(t, "dial loop armed", func() bool { return clk.Pending() == 1 })
+		}
+		clk.Advance(maintainInterval)
+		waitFor(t, fmt.Sprintf("tick %d dials", tick), func() bool { return dials.Load() == int64(tick*ghosts) })
+		waitFor(t, "dial loop re-armed", func() bool { return clk.Pending() == 1 })
+		want := ghosts
+		if tick == dialMaxFails {
+			want = 0
+		}
+		if got := a.server.Table().Len(); got != want {
+			t.Fatalf("after %d failed dials each, the table holds %d nodes, want %d", tick, got, want)
+		}
+	}
 }
 
 // TestConnectBacksOffDeadNode pins the redial schedule Connect enforces,
@@ -579,17 +624,17 @@ func TestMaintainPeersEvictsDeadNodes(t *testing.T) {
 // the history.
 func TestConnectBacksOffDeadNode(t *testing.T) {
 	mem := NewMemNet()
+	clk := clock.NewFake()
 	var dials atomic.Int64
 	a := newTestNodeCfg(t, mem, "backoff-a", newChain(t, chain.MainnetLikeConfig()), func(c *Config) {
+		c.Clock = clk
 		c.Dialer = DialerFunc(func(addr string) (net.Conn, error) {
 			dials.Add(1)
 			return mem.Dial(addr)
 		})
 	})
-	var clock atomic.Int64 // ledger time, ns since the epoch
-	a.server.scores.now = func() time.Time { return time.Unix(0, clock.Load()) }
-	advance := func(d time.Duration) { clock.Add(int64(d)) }
-	base := defaultDialBackoff // the first window is base, jittered by ±25%
+	advance := clk.Advance
+	base := dialBackoff // the first window is base, jittered by ±25%
 	b := discover.Node{ID: nodeID("backoff-b"), Addr: "backoff-b"}
 
 	// connect calls Connect and checks whether it dialled and whether it
@@ -631,61 +676,129 @@ func TestConnectBacksOffDeadNode(t *testing.T) {
 	connect("dial after the reset", true, false)
 	advance(base * 5 / 4)
 	connect("redial after a first-size window", true, false)
+
+	// The doubling stops at maxDialBackoff: a node that keeps failing is
+	// still redialled once per cap, however long the outage.
+	for i := 0; i < 12; i++ {
+		connect("redial inside the capped window", false, true)
+		advance(maxDialBackoff)
+		connect("redial after the capped window", true, false)
+	}
 }
 
-// TestKeepalivePingPong: two live servers stay peered under an aggressive
-// keepalive because pings are answered.
+// TestKeepalivePingPong: two live servers stay peered through minutes of
+// keepalive ticks because pings are answered, and liveness stays fresh.
 func TestKeepalivePingPong(t *testing.T) {
 	mem := NewMemNet()
-	a := newTestNode(t, mem, "ka-a", newChain(t, chain.MainnetLikeConfig()))
-	b := newTestNode(t, mem, "ka-b", newChain(t, chain.MainnetLikeConfig()))
+	clk := clock.NewFake()
+	a := newTestNodeCfg(t, mem, "ka-a", newChain(t, chain.MainnetLikeConfig()), onClock(clk))
+	b := newTestNodeCfg(t, mem, "ka-b", newChain(t, chain.MainnetLikeConfig()), onClock(clk))
 	if err := a.server.Connect(b.server.Self()); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "peering", func() bool {
 		return a.server.PeerCount() == 1 && b.server.PeerCount() == 1
 	})
-	go a.server.KeepaliveLoop(5*time.Millisecond, 100*time.Millisecond)
-	go b.server.KeepaliveLoop(5*time.Millisecond, 100*time.Millisecond)
-	time.Sleep(150 * time.Millisecond)
-	if a.server.PeerCount() != 1 || b.server.PeerCount() != 1 {
-		t.Fatalf("live peers dropped by keepalive: a=%d b=%d",
-			a.server.PeerCount(), b.server.PeerCount())
+	go a.server.KeepaliveLoop()
+	go b.server.KeepaliveLoop()
+	// Each tick, both sides ping and answer the other's ping, so each
+	// hears from the other at the tick's own instant.
+	fresh := func() bool {
+		if clk.Pending() != 4 { // two loops and two idle timers
+			return false
+		}
+		now := clk.Now()
+		for _, n := range []*testNode{a, b} {
+			if peers := n.server.Peers(); len(peers) != 1 || !peers[0].LastSeen().Equal(now) {
+				return false
+			}
+		}
+		return true
 	}
-	last := a.server.Peers()[0].LastSeen()
-	if time.Since(last) > 50*time.Millisecond {
-		t.Errorf("liveness timestamp stale: %v", time.Since(last))
+	waitFor(t, "keepalive armed", func() bool { return clk.Pending() == 4 })
+	for i := 0; i < 4*int(keepaliveTimeout/keepaliveInterval); i++ {
+		clk.Advance(keepaliveInterval)
+		waitFor(t, fmt.Sprintf("ping-pong of tick %d", i+1), fresh)
 	}
 }
 
 // TestKeepaliveDropsSilentPeer: a raw connection that completes the
-// handshake but never answers anything is evicted.
+// handshake and reads everything but never sends anything is dropped
+// once it has been silent past keepaliveTimeout, and scored for it.
 func TestKeepaliveDropsSilentPeer(t *testing.T) {
 	mem := NewMemNet()
-	a := newTestNode(t, mem, "kd-a", newChain(t, chain.MainnetLikeConfig()))
+	clk := clock.NewFake()
+	a := newTestNodeCfg(t, mem, "kd-a", newChain(t, chain.MainnetLikeConfig()), onClock(clk))
 
-	// Hand-rolled mute peer: handshake, then read nothing, send nothing.
+	// Hand-rolled mute peer: handshake, then drain and never answer.
 	conn, err := mem.Dial("kd-a")
 	if err != nil {
 		t.Fatal(err)
 	}
-	genesis := a.bc.Genesis().Hash()
-	status := &Status{
-		ProtocolVersion: ProtocolVersion,
-		NetworkID:       1,
-		TD:              big.NewInt(1),
-		Genesis:         genesis,
-		Node:            discover.Node{ID: nodeID("mute"), Addr: "mute"},
-	}
-	if _, err := exchangeStatus(conn, status); err != nil {
-		t.Fatal(err)
-	}
+	defer conn.Close()
+	handshakeAs(t, conn, a.bc, "mute", big.NewInt(1), 0)
+	go io.Copy(io.Discard, conn)
 	waitFor(t, "mute peer registered", func() bool { return a.server.PeerCount() == 1 })
 
-	// The mute peer ignores pings; its queue fills and LastSeen ages.
-	go a.server.KeepaliveLoop(5*time.Millisecond, 60*time.Millisecond)
+	go a.server.KeepaliveLoop()
+	// Each step waits for the loop to finish its tick and park again
+	// (beside the peer's idle timer) before the next.
+	parked := func() bool { return clk.Pending() == 2 }
+	waitFor(t, "keepalive armed", parked)
+	for silent := keepaliveInterval; silent <= keepaliveTimeout; silent += keepaliveInterval {
+		clk.Advance(keepaliveInterval)
+		waitFor(t, "keepalive tick", parked)
+		if a.server.PeerCount() != 1 {
+			t.Fatalf("peer dropped after %v of silence, before the %v keepalive timeout", silent, keepaliveTimeout)
+		}
+	}
+	clk.Advance(keepaliveInterval)
 	waitFor(t, "silent peer eviction", func() bool { return a.server.PeerCount() == 0 })
-	conn.Close()
+	if got := a.server.PeerScore(nodeID("mute")); got != penaltyUnansweredPing {
+		t.Errorf("mute peer score = %d, want %d", got, penaltyUnansweredPing)
+	}
+}
+
+// TestHandshakeTimeout: an inbound connection that never sends its
+// status is cut when handshakeTimeout passes on the server's clock, and
+// the server keeps no timer for it afterwards.
+func TestHandshakeTimeout(t *testing.T) {
+	mem := NewMemNet()
+	clk := clock.NewFake()
+	newTestNodeCfg(t, mem, "hs-a", newChain(t, chain.MainnetLikeConfig()), onClock(clk))
+
+	conn, err := mem.Dial("hs-a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := ReadMsg(conn); err != nil { // the server's status
+		t.Fatal(err)
+	}
+	cut := make(chan error, 1)
+	go func() {
+		_, err := ReadMsg(conn)
+		cut <- err
+	}()
+	waitFor(t, "handshake timer armed", func() bool { return clk.Pending() == 1 })
+	clk.Advance(handshakeTimeout - time.Millisecond)
+	select {
+	case err := <-cut:
+		t.Fatalf("silent handshake cut (%v) before the %v timeout", err, handshakeTimeout)
+	case <-time.After(20 * time.Millisecond):
+	}
+	clk.Advance(time.Millisecond)
+	select {
+	case err := <-cut:
+		if err == nil {
+			t.Fatal("the server sent a message to a peer that never handshook")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("silent handshake never cut")
+	}
+	if clk.Pending() != 0 {
+		t.Errorf("%d timers pending after the cut handshake", clk.Pending())
+	}
 }
 
 // TestLivePartition is the paper's event end to end at the network layer:
@@ -779,60 +892,6 @@ func TestLivePartition(t *testing.T) {
 	}
 }
 
-// TestMemNetConnDeadlines pins the deadline contract of MemNet conns: the
-// pipe halves returned by Dial honor read and write deadlines exactly like
-// TCP sockets, which the hardened read/write loops depend on.
-func TestMemNetConnDeadlines(t *testing.T) {
-	mem := NewMemNet()
-	ln, err := mem.Listen("deadline")
-	if err != nil {
-		t.Fatal(err)
-	}
-	accepted := make(chan net.Conn, 1)
-	go func() {
-		c, err := ln.Accept()
-		if err == nil {
-			accepted <- c
-		}
-	}()
-	cli, err := mem.Dial("deadline")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := <-accepted
-	defer cli.Close()
-	defer srv.Close()
-
-	isTimeout := func(err error) bool {
-		var ne net.Error
-		return errors.As(err, &ne) && ne.Timeout()
-	}
-
-	// Read with nobody writing: must time out, not block.
-	cli.SetReadDeadline(time.Now().Add(30 * time.Millisecond))
-	start := time.Now()
-	if _, err := cli.Read(make([]byte, 1)); !isTimeout(err) {
-		t.Fatalf("read past deadline: err = %v", err)
-	}
-	if time.Since(start) > time.Second {
-		t.Errorf("read deadline took %v to fire", time.Since(start))
-	}
-
-	// Write with nobody reading: pipes are unbuffered, must time out too.
-	cli.SetWriteDeadline(time.Now().Add(30 * time.Millisecond))
-	if _, err := cli.Write([]byte("stuck")); !isTimeout(err) {
-		t.Fatalf("write past deadline: err = %v", err)
-	}
-
-	// Clearing the deadline restores normal blocking transfers.
-	cli.SetReadDeadline(time.Time{})
-	go srv.Write([]byte("ok"))
-	buf := make([]byte, 2)
-	if _, err := io.ReadFull(cli, buf); err != nil || string(buf) != "ok" {
-		t.Fatalf("transfer after deadline reset: %q %v", buf, err)
-	}
-}
-
 // countingConn counts Write calls reaching the wrapped conn.
 type countingConn struct {
 	net.Conn
@@ -856,7 +915,7 @@ func TestNoSendAfterClose(t *testing.T) {
 		Node: discover.Node{ID: nodeID("count"), Addr: "count"},
 		TD:   big.NewInt(1),
 	}
-	p := newPeer(cc, status, 0, nil)
+	p := newPeer(cc, status, clock.NewFake(), nil)
 
 	var stop int32
 	var wg sync.WaitGroup
@@ -902,9 +961,10 @@ func TestSendQueueShedsOldest(t *testing.T) {
 		Node: discover.Node{ID: nodeID("shed"), Addr: "shed"},
 		TD:   big.NewInt(1),
 	}
-	// No write timeout and nobody reading remote: the write loop blocks on
-	// its first frame forever, so everything else piles into the queue.
-	p := newPeer(local, status, 0, nil)
+	// A clock that never moves and nobody reading remote: the write loop
+	// blocks on its first frame forever, so everything else piles into
+	// the queue.
+	p := newPeer(local, status, clock.NewFake(), nil)
 	defer p.Close()
 
 	done := make(chan struct{})
@@ -932,14 +992,12 @@ func TestSendQueueShedsOldest(t *testing.T) {
 // for the peer-map and write-loop interleavings.
 func TestConcurrentDropRelayServe(t *testing.T) {
 	mem := NewMemNet()
-	fast := func(c *Config) {
-		c.DialBackoff = time.Millisecond
-		c.MaxDialBackoff = 2 * time.Millisecond
-		c.DialMaxFails = -1
-	}
-	a := newTestNodeCfg(t, mem, "ccr-a", newChain(t, chain.MainnetLikeConfig()), fast)
-	b := newTestNodeCfg(t, mem, "ccr-b", newChain(t, chain.MainnetLikeConfig()), fast)
-	c := newTestNodeCfg(t, mem, "ccr-c", newChain(t, chain.MainnetLikeConfig()), fast)
+	// The redialer steps the clock past any backoff window before each
+	// round, so failed handshakes never pause the churn.
+	clk := clock.NewFake()
+	a := newTestNodeCfg(t, mem, "ccr-a", newChain(t, chain.MainnetLikeConfig()), onClock(clk))
+	b := newTestNodeCfg(t, mem, "ccr-b", newChain(t, chain.MainnetLikeConfig()), onClock(clk))
+	c := newTestNodeCfg(t, mem, "ccr-c", newChain(t, chain.MainnetLikeConfig()), onClock(clk))
 	if err := a.server.Connect(b.server.Self()); err != nil {
 		t.Fatal(err)
 	}
@@ -977,6 +1035,7 @@ func TestConcurrentDropRelayServe(t *testing.T) {
 		}
 	})
 	loop(func() { // redialer
+		clk.Advance(maxDialBackoff)
 		_ = a.server.Connect(b.server.Self())
 		_ = a.server.Connect(c.server.Self())
 	})
@@ -986,6 +1045,7 @@ func TestConcurrentDropRelayServe(t *testing.T) {
 
 	// The server must still be functional after the churn.
 	waitFor(t, "re-peering after churn", func() bool {
+		clk.Advance(maxDialBackoff)
 		_ = a.server.Connect(b.server.Self())
 		return a.server.PeerCount() >= 1
 	})

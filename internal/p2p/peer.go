@@ -5,8 +5,8 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
-	"time"
 
+	"forkwatch/internal/clock"
 	"forkwatch/internal/discover"
 	"forkwatch/internal/types"
 )
@@ -18,16 +18,13 @@ const sendQueueLen = 256
 
 // Peer is one live connection after a successful handshake.
 type Peer struct {
-	node   discover.Node
-	conn   net.Conn
-	status Status
+	node discover.Node
+	conn net.Conn
 
-	// writeTimeout bounds each frame write; a stalled (slow-loris)
-	// connection fails the deadline instead of wedging the write loop.
-	writeTimeout time.Duration
-	// onWriteError, when set, observes the write-loop error that killed
-	// the connection (the server scores write timeouts with it).
-	onWriteError func(error)
+	// clk times the write-stall timer; onWriteTimeout, when set, hears
+	// that a stalled write closed the conn (to score it).
+	clk            clock.Clock
+	onWriteTimeout func()
 
 	sendCh chan []byte
 	closed chan struct{}
@@ -38,26 +35,25 @@ type Peer struct {
 	headNumber uint64
 	td         *big.Int
 
-	// lastSeen is the unix-nano time of the latest inbound message
-	// (atomic; see keepalive.go).
+	// lastSeen is the clock's unix-nano time of the latest inbound
+	// message (atomic; see keepalive.go).
 	lastSeen int64
 	// queueDrops counts frames dropped because the send queue was full
 	// (atomic).
 	queueDrops uint64
 }
 
-func newPeer(conn net.Conn, status *Status, writeTimeout time.Duration, onWriteError func(error)) *Peer {
+func newPeer(conn net.Conn, status *Status, clk clock.Clock, onWriteTimeout func()) *Peer {
 	p := &Peer{
-		node:         status.Node,
-		conn:         conn,
-		status:       *status,
-		writeTimeout: writeTimeout,
-		onWriteError: onWriteError,
-		sendCh:       make(chan []byte, sendQueueLen),
-		closed:       make(chan struct{}),
-		headHash:     status.Head,
-		headNumber:   status.HeadNumber,
-		td:           types.BigCopy(status.TD),
+		node:           status.Node,
+		conn:           conn,
+		clk:            clk,
+		onWriteTimeout: onWriteTimeout,
+		sendCh:         make(chan []byte, sendQueueLen),
+		closed:         make(chan struct{}),
+		headHash:       status.Head,
+		headNumber:     status.HeadNumber,
+		td:             types.BigCopy(status.TD),
 	}
 	p.touch()
 	go p.writeLoop()
@@ -66,9 +62,6 @@ func newPeer(conn net.Conn, status *Status, writeTimeout time.Duration, onWriteE
 
 // Node returns the peer's identity.
 func (p *Peer) Node() discover.Node { return p.node }
-
-// Status returns the handshake status the peer presented.
-func (p *Peer) Status() Status { return p.status }
 
 // Head returns the peer's last announced head and total difficulty.
 func (p *Peer) Head() (types.Hash, uint64, *big.Int) {
@@ -130,13 +123,12 @@ func (p *Peer) writeLoop() {
 				return
 			default:
 			}
-			if p.writeTimeout > 0 {
-				p.conn.SetWriteDeadline(time.Now().Add(p.writeTimeout))
+			stall := p.clk.AfterFunc(writeTimeout, func() { p.conn.Close() })
+			_, err := p.conn.Write(frame)
+			if !stall.Stop() && p.onWriteTimeout != nil {
+				p.onWriteTimeout() // the timer closed the conn
 			}
-			if _, err := p.conn.Write(frame); err != nil {
-				if p.onWriteError != nil {
-					p.onWriteError(err)
-				}
+			if err != nil {
 				p.Close()
 				return
 			}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"forkwatch/internal/clock"
 	"forkwatch/internal/discover"
 )
 
@@ -23,9 +24,12 @@ type Probe struct {
 	Status Status
 	// Dialer reaches the network.
 	Dialer Dialer
-	// Timeout bounds each probe exchange.
-	Timeout time.Duration
+	// Clock times the exchange; nil means the real clock.
+	Clock clock.Clock
 }
+
+// probeTimeout bounds one probe exchange.
+const probeTimeout = 3 * time.Second
 
 // ProbeResult is one successful probe exchange.
 type ProbeResult struct {
@@ -37,16 +41,12 @@ type ProbeResult struct {
 
 // Run probes one node: handshake, FindNode, disconnect.
 func (p *Probe) Run(target discover.Node) (*ProbeResult, error) {
-	timeout := p.Timeout
-	if timeout == 0 {
-		timeout = 5 * time.Second
-	}
 	conn, err := p.Dialer.Dial(target.Addr)
 	if err != nil {
 		return nil, fmt.Errorf("probe: dial %s: %w", target.Addr, err)
 	}
 	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(timeout))
+	defer clock.Or(p.Clock).AfterFunc(probeTimeout, func() { conn.Close() }).Stop()
 
 	status := p.Status
 	status.ProtocolVersion = ProtocolVersion

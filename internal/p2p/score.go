@@ -4,19 +4,19 @@ import (
 	"sync"
 	"time"
 
+	"forkwatch/internal/clock"
 	"forkwatch/internal/discover"
 )
 
 // Score penalties. A peer accumulates points for misbehavior; crossing
-// DemoteScore deprioritizes it in the dial loop, crossing BanScore bans
-// it for the configured window. Scores halve once per ban window, so old
-// sins expire.
+// demoteScore deprioritizes it in the dial loop, crossing banScore bans
+// it for banWindow. Scores halve once per ban window, so old sins expire.
 const (
 	penaltyCorruptFrame   = 25 // undecodable or oversized frame
 	penaltyBadMessage     = 25 // well-framed but malformed payload
 	penaltyInvalidBlock   = 40 // block that fails validation
 	penaltyUnansweredPing = 15 // dropped by the keepalive silence check
-	penaltyWriteTimeout   = 10 // write deadline hit (stalled peer)
+	penaltyWriteTimeout   = 10 // write stalled past writeTimeout
 	penaltyUnansweredSync = 10 // block-range request that timed out
 )
 
@@ -24,10 +24,7 @@ const (
 // backoff across connections. Keyed by node ID, it survives reconnects:
 // a banned peer stays banned even if it redials from a fresh socket.
 type scoreLedger struct {
-	demote, ban int
-	window      time.Duration
-	base, max   time.Duration // dial backoff schedule
-	now         func() time.Time
+	clk clock.Clock
 
 	mu      sync.Mutex
 	entries map[discover.NodeID]*scoreEntry
@@ -41,22 +38,14 @@ type scoreEntry struct {
 	nextDial    time.Time
 }
 
-func newScoreLedger(demote, ban int, window, base, max time.Duration) *scoreLedger {
-	return &scoreLedger{
-		demote:  demote,
-		ban:     ban,
-		window:  window,
-		base:    base,
-		max:     max,
-		now:     time.Now,
-		entries: make(map[discover.NodeID]*scoreEntry),
-	}
+func newScoreLedger(clk clock.Clock) *scoreLedger {
+	return &scoreLedger{clk: clk, entries: make(map[discover.NodeID]*scoreEntry)}
 }
 
 func (l *scoreLedger) entry(id discover.NodeID) *scoreEntry {
 	e, ok := l.entries[id]
 	if !ok {
-		e = &scoreEntry{lastDecay: l.now()}
+		e = &scoreEntry{lastDecay: l.clk.Now()}
 		l.entries[id] = e
 	}
 	return e
@@ -64,13 +53,13 @@ func (l *scoreLedger) entry(id discover.NodeID) *scoreEntry {
 
 // decayLocked halves the score once per elapsed ban window.
 func (l *scoreLedger) decayLocked(e *scoreEntry, now time.Time) {
-	if l.window <= 0 || e.score == 0 {
+	if e.score == 0 {
 		e.lastDecay = now
 		return
 	}
-	for now.Sub(e.lastDecay) >= l.window && e.score > 0 {
+	for now.Sub(e.lastDecay) >= banWindow && e.score > 0 {
 		e.score /= 2
-		e.lastDecay = e.lastDecay.Add(l.window)
+		e.lastDecay = e.lastDecay.Add(banWindow)
 	}
 	if e.score == 0 {
 		e.lastDecay = now
@@ -82,15 +71,15 @@ func (l *scoreLedger) decayLocked(e *scoreEntry, now time.Time) {
 func (l *scoreLedger) penalize(id discover.NodeID, pts int) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	now := l.now()
+	now := l.clk.Now()
 	e := l.entry(id)
 	if now.Before(e.bannedUntil) {
 		return true
 	}
 	l.decayLocked(e, now)
 	e.score += pts
-	if e.score >= l.ban {
-		e.bannedUntil = now.Add(l.window)
+	if e.score >= banScore {
+		e.bannedUntil = now.Add(banWindow)
 		e.score = 0
 		return true
 	}
@@ -105,7 +94,7 @@ func (l *scoreLedger) scoreOf(id discover.NodeID) int {
 	if !ok {
 		return 0
 	}
-	l.decayLocked(e, l.now())
+	l.decayLocked(e, l.clk.Now())
 	return e.score
 }
 
@@ -114,7 +103,7 @@ func (l *scoreLedger) banned(id discover.NodeID) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	e, ok := l.entries[id]
-	return ok && l.now().Before(e.bannedUntil)
+	return ok && l.clk.Now().Before(e.bannedUntil)
 }
 
 // demoted reports whether the node's score crossed the demotion line;
@@ -126,8 +115,8 @@ func (l *scoreLedger) demoted(id discover.NodeID) bool {
 	if !ok {
 		return false
 	}
-	l.decayLocked(e, l.now())
-	return e.score >= l.demote
+	l.decayLocked(e, l.clk.Now())
+	return e.score >= demoteScore
 }
 
 // canDial reports whether the node is dialable now: not banned and past
@@ -139,7 +128,7 @@ func (l *scoreLedger) canDial(id discover.NodeID) bool {
 	if !ok {
 		return true
 	}
-	now := l.now()
+	now := l.clk.Now()
 	return !now.Before(e.bannedUntil) && !now.Before(e.nextDial)
 }
 
@@ -151,7 +140,7 @@ func (l *scoreLedger) dialFailed(id discover.NodeID) int {
 	defer l.mu.Unlock()
 	e := l.entry(id)
 	e.dialFails++
-	e.nextDial = l.now().Add(discover.DialBackoff(id, e.dialFails, l.base, l.max))
+	e.nextDial = l.clk.Now().Add(discover.DialBackoff(id, e.dialFails, dialBackoff, maxDialBackoff))
 	return e.dialFails
 }
 

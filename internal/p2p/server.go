@@ -6,10 +6,10 @@ import (
 	"math/big"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"forkwatch/internal/chain"
+	"forkwatch/internal/clock"
 	"forkwatch/internal/discover"
 )
 
@@ -27,18 +27,18 @@ var (
 	ErrDialBackoff      = errors.New("p2p: dial suppressed by backoff window")
 )
 
-// Resilience defaults (all overridable via Config; negative disables).
+// Resilience constants; tests step a fake clock by them.
 const (
-	defaultHandshakeTimeout = 5 * time.Second
-	defaultReadTimeout      = 2 * time.Minute
-	defaultWriteTimeout     = 10 * time.Second
-	defaultSyncTimeout      = 10 * time.Second
-	defaultDialBackoff      = 250 * time.Millisecond
-	defaultMaxDialBackoff   = 30 * time.Second
-	defaultDialMaxFails     = 3
-	defaultDemoteScore      = 50
-	defaultBanScore         = 100
-	defaultBanWindow        = 5 * time.Minute
+	handshakeTimeout = 5 * time.Second        // the status exchange
+	readTimeout      = 2 * time.Minute        // a silent peer (above the keepalive interval)
+	writeTimeout     = 10 * time.Second       // one frame write: a slow loris is dropped
+	syncTimeout      = 10 * time.Second       // one block-range request, then an alternate peer
+	dialBackoff      = 250 * time.Millisecond // first redial window, doubling per failure...
+	maxDialBackoff   = 30 * time.Second       // ...up to this, with per-node jitter
+	dialMaxFails     = 3                      // consecutive dial errors evict a node from the table
+	demoteScore      = 50                     // misbehavior score dialed last...
+	banScore         = 100                    // ...and banned for banWindow
+	banWindow        = 5 * time.Minute        // a ban, and the score half-life
 )
 
 // maxServedBlocks caps one MsgGetBlocks response: one chain run, so a
@@ -80,51 +80,10 @@ type Config struct {
 	// Logf, when set, receives debug lines.
 	Logf func(format string, args ...any)
 
-	// Resilience knobs. Zero selects the documented default; a negative
-	// duration (or count) disables the mechanism.
-
-	// HandshakeTimeout bounds the status exchange (default 5s).
-	HandshakeTimeout time.Duration
-	// ReadTimeout is the per-message read deadline in the read loop; a
-	// peer silent for longer is disconnected (default 2m — above the
-	// keepalive ping interval, so live peers always have traffic).
-	ReadTimeout time.Duration
-	// WriteTimeout is the per-frame write deadline; a stalled
-	// (slow-loris) connection is dropped instead of wedging the write
-	// loop (default 10s).
-	WriteTimeout time.Duration
-	// SyncTimeout bounds one block-range request; on expiry without
-	// progress the range is re-requested from an alternate peer
-	// (default 10s).
-	SyncTimeout time.Duration
-	// DialBackoff is the base redial backoff after a failed dial,
-	// doubling per consecutive failure up to MaxDialBackoff with
-	// deterministic per-node jitter (defaults 250ms / 30s).
-	DialBackoff    time.Duration
-	MaxDialBackoff time.Duration
-	// DialMaxFails is how many consecutive dial errors evict a node from
-	// the discovery table (default 3).
-	DialMaxFails int
-	// DemoteScore and BanScore are the misbehavior-score thresholds at
-	// which a peer is demoted (dialed last) and banned (defaults 50/100).
-	DemoteScore int
-	BanScore    int
-	// BanWindow is how long a ban lasts, and the score half-life
-	// (default 5m).
-	BanWindow time.Duration
-}
-
-// effective returns v, or def when v is zero, or 0 when v is negative
-// (negative = disabled).
-func effective(v, def time.Duration) time.Duration {
-	switch {
-	case v < 0:
-		return 0
-	case v == 0:
-		return def
-	default:
-		return v
-	}
+	// Clock times handshakes, idle and stalled connections, the sync
+	// watchdog, the score ledger and the background loops; nil means
+	// the real clock.
+	Clock clock.Clock
 }
 
 // Server runs the wire protocol for one node: it accepts and dials peers,
@@ -141,9 +100,10 @@ type Server struct {
 	closed   bool
 	wg       sync.WaitGroup
 
-	// syncGen numbers block-range requests; the sync watchdog only acts
-	// when its generation is still the latest (atomic).
-	syncGen uint64
+	// syncTimer watches the latest block-range request, number syncGen;
+	// a newer request stops it, and a fired one acts only if current.
+	syncTimer clock.Timer
+	syncGen   uint64
 
 	quit chan struct{}
 }
@@ -157,29 +117,11 @@ func NewServer(cfg Config) *Server {
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
-	cfg.HandshakeTimeout = effective(cfg.HandshakeTimeout, defaultHandshakeTimeout)
-	cfg.ReadTimeout = effective(cfg.ReadTimeout, defaultReadTimeout)
-	cfg.WriteTimeout = effective(cfg.WriteTimeout, defaultWriteTimeout)
-	cfg.SyncTimeout = effective(cfg.SyncTimeout, defaultSyncTimeout)
-	cfg.DialBackoff = effective(cfg.DialBackoff, defaultDialBackoff)
-	cfg.MaxDialBackoff = effective(cfg.MaxDialBackoff, defaultMaxDialBackoff)
-	cfg.BanWindow = effective(cfg.BanWindow, defaultBanWindow)
-	switch {
-	case cfg.DialMaxFails < 0:
-		cfg.DialMaxFails = 0
-	case cfg.DialMaxFails == 0:
-		cfg.DialMaxFails = defaultDialMaxFails
-	}
-	if cfg.DemoteScore == 0 {
-		cfg.DemoteScore = defaultDemoteScore
-	}
-	if cfg.BanScore == 0 {
-		cfg.BanScore = defaultBanScore
-	}
+	cfg.Clock = clock.Or(cfg.Clock)
 	return &Server{
 		cfg:    cfg,
 		table:  discover.NewTable(cfg.Self),
-		scores: newScoreLedger(cfg.DemoteScore, cfg.BanScore, cfg.BanWindow, cfg.DialBackoff, cfg.MaxDialBackoff),
+		scores: newScoreLedger(cfg.Clock),
 		peers:  make(map[discover.NodeID]*Peer),
 		quit:   make(chan struct{}),
 	}
@@ -214,7 +156,10 @@ func (s *Server) Serve(ln net.Listener) error {
 				return err
 			}
 		}
-		s.wg.Add(1)
+		if !s.join() {
+			conn.Close()
+			return ErrServerClosed
+		}
 		go func() {
 			defer s.wg.Done()
 			if _, err := s.setupConn(conn); err != nil {
@@ -222,6 +167,17 @@ func (s *Server) Serve(ln net.Listener) error {
 			}
 		}()
 	}
+}
+
+// join registers one more goroutine for Close to wait for, unless the
+// server is already closed (no Add may race Close's Wait).
+func (s *Server) join() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.closed {
+		s.wg.Add(1)
+	}
+	return !s.closed
 }
 
 // Connect dials a node and runs the handshake. On success the peer is
@@ -254,7 +210,7 @@ func (s *Server) Connect(n discover.Node) error {
 		// Dead endpoint: back off, and evict from the table once the
 		// consecutive-failure budget is spent (it can be re-learned
 		// through Neighbors gossip later).
-		if fails := s.scores.dialFailed(n.ID); s.cfg.DialMaxFails > 0 && fails >= s.cfg.DialMaxFails {
+		if s.scores.dialFailed(n.ID) >= dialMaxFails {
 			s.table.Remove(n.ID)
 		}
 		return fmt.Errorf("p2p: dial %s: %w", n.Addr, err)
@@ -314,10 +270,20 @@ func exchangeStatus(conn net.Conn, local *Status) (*Status, error) {
 // setupConn performs the status exchange and, on success, registers the
 // peer and starts its read loop.
 func (s *Server) setupConn(conn net.Conn) (*Peer, error) {
-	if s.cfg.HandshakeTimeout > 0 {
-		conn.SetDeadline(time.Now().Add(s.cfg.HandshakeTimeout))
-	}
+	// The exchange ends at handshakeTimeout, or at Close, which must not
+	// wait on a silent peer.
+	done := make(chan struct{})
+	go func() {
+		select {
+		case <-s.quit:
+			conn.Close()
+		case <-done:
+		}
+	}()
+	timer := s.cfg.Clock.AfterFunc(handshakeTimeout, func() { conn.Close() })
 	remote, err := exchangeStatus(conn, s.localStatus())
+	timer.Stop()
+	close(done)
 	if err == nil {
 		err = s.checkStatus(remote)
 	}
@@ -328,15 +294,11 @@ func (s *Server) setupConn(conn net.Conn) (*Peer, error) {
 		conn.Close()
 		return nil, err
 	}
-	conn.SetDeadline(time.Time{})
 
 	remoteID := remote.Node.ID
-	peer := newPeer(conn, remote, s.cfg.WriteTimeout, func(err error) {
-		var ne net.Error
-		if errors.As(err, &ne) && ne.Timeout() {
-			s.cfg.Logf("p2p[%s]: write timeout to %x (stalled peer)", s.cfg.Self.Addr, remoteID[:4])
-			s.scores.penalize(remoteID, penaltyWriteTimeout)
-		}
+	peer := newPeer(conn, remote, s.cfg.Clock, func() {
+		s.cfg.Logf("p2p[%s]: write timeout to %x (stalled peer)", s.cfg.Self.Addr, remoteID[:4])
+		s.scores.penalize(remoteID, penaltyWriteTimeout)
 	})
 	s.mu.Lock()
 	switch {
@@ -392,10 +354,9 @@ func (s *Server) checkStatus(remote *Status) error {
 func (s *Server) readLoop(p *Peer) {
 	defer s.dropPeer(p)
 	for {
-		if s.cfg.ReadTimeout > 0 {
-			p.conn.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout))
-		}
+		idle := s.cfg.Clock.AfterFunc(readTimeout, func() { p.conn.Close() })
 		msg, err := ReadMsg(p.conn)
+		idle.Stop()
 		if err != nil {
 			switch {
 			case errors.Is(err, ErrBadMessage):
@@ -412,7 +373,7 @@ func (s *Server) readLoop(p *Peer) {
 				s.penalizePeer(p, penaltyCorruptFrame, "corrupt frame header")
 				return
 			default:
-				// I/O error, deadline or closed conn.
+				// I/O error or closed conn (idle, stalled or dropped).
 				return
 			}
 		}
@@ -437,7 +398,7 @@ func (s *Server) readLoop(p *Peer) {
 // reports whether the peer is now banned (callers should disconnect).
 func (s *Server) penalizePeer(p *Peer, pts int, why string) bool {
 	if s.scores.penalize(p.node.ID, pts) {
-		s.cfg.Logf("p2p[%s]: banning %x for %v: %s", s.cfg.Self.Addr, p.node.ID[:4], s.cfg.BanWindow, why)
+		s.cfg.Logf("p2p[%s]: banning %x for %v: %s", s.cfg.Self.Addr, p.node.ID[:4], banWindow, why)
 		return true
 	}
 	s.cfg.Logf("p2p[%s]: penalizing %x (+%d): %s", s.cfg.Self.Addr, p.node.ID[:4], pts, why)
@@ -574,9 +535,10 @@ func (s *Server) handle(p *Peer, msg Message) error {
 }
 
 // maybeSync requests the next block range when the peer advertises a
-// heavier chain. Each request arms a watchdog: if the range makes no
-// progress within SyncTimeout (the response was lost, or the peer is
-// stalling), the range is re-requested from an alternate peer.
+// heavier chain. Each request arms a watchdog, replacing the previous
+// request's: if the range makes no progress within syncTimeout (the
+// response was lost, or the peer is stalling), the range is re-requested
+// from an alternate peer.
 func (s *Server) maybeSync(p *Peer) {
 	_, localNum, localTD := s.cfg.Backend.Head()
 	_, remoteNum, remoteTD := p.Head()
@@ -600,46 +562,41 @@ func (s *Server) maybeSync(p *Peer) {
 	if !p.send(encodeGetBlocks(from, count)) {
 		return // peer closing or queue saturated; a later trigger retries
 	}
-	if s.cfg.SyncTimeout > 0 {
-		gen := atomic.AddUint64(&s.syncGen, 1)
-		time.AfterFunc(s.cfg.SyncTimeout, func() { s.syncExpired(gen, p, localNum) })
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.syncTimer != nil {
+		s.syncTimer.Stop()
 	}
+	if s.closed {
+		s.syncTimer = nil
+		return
+	}
+	s.syncGen++
+	gen := s.syncGen
+	s.syncTimer = s.cfg.Clock.AfterFunc(syncTimeout, func() { s.syncExpired(gen, p, localNum) })
 }
 
 // syncExpired is the block-range watchdog: when the request generation is
 // still current and the head has not advanced, the requested peer never
 // delivered — charge it and re-request from the best alternate peer.
 func (s *Server) syncExpired(gen uint64, p *Peer, localNum uint64) {
-	select {
-	case <-s.quit:
-		return
-	default:
-	}
-	if atomic.LoadUint64(&s.syncGen) != gen {
-		return // a newer request superseded this watchdog
+	s.mu.Lock()
+	current := !s.closed && s.syncGen == gen
+	s.mu.Unlock()
+	if !current {
+		return // closed, or a newer request superseded this watchdog
 	}
 	_, num, _ := s.cfg.Backend.Head()
 	if num > localNum {
 		return // made progress through this or any other peer
 	}
 	s.penalizePeer(p, penaltyUnansweredSync, "unanswered block-range request")
-	var alt *Peer
-	var altTD *big.Int
-	for _, cand := range s.Peers() {
-		if cand.node.ID == p.node.ID || cand.Closed() {
-			continue
-		}
-		_, _, td := cand.Head()
-		if td != nil && (altTD == nil || td.Cmp(altTD) > 0) {
-			alt, altTD = cand, td
-		}
-	}
+	alt, _, _ := s.heaviestPeer(p.node.ID)
 	if alt == nil {
-		if !p.Closed() {
-			alt = p // nobody else: retry the same peer
-		} else {
+		if p.Closed() {
 			return
 		}
+		alt = p // nobody else: retry the same peer
 	}
 	s.cfg.Logf("p2p[%s]: sync request to %x timed out, re-requesting via %x",
 		s.cfg.Self.Addr, p.node.ID[:4], alt.node.ID[:4])
@@ -683,13 +640,8 @@ func (s *Server) RequestNeighbors(target discover.NodeID) {
 // its height and total difficulty, and whether any peer has advertised a
 // head at all. Replicas read it to measure their own sync lag.
 func (s *Server) BestPeerHead() (number uint64, td *big.Int, ok bool) {
-	for _, p := range s.Peers() {
-		_, num, ptd := p.Head()
-		if ptd != nil && (td == nil || ptd.Cmp(td) > 0) {
-			number, td, ok = num, ptd, true
-		}
-	}
-	return number, td, ok
+	p, number, td := s.heaviestPeer(discover.NodeID{})
+	return number, td, p != nil
 }
 
 // SyncNow nudges the sync pull: if the best peer advertises a heavier
@@ -698,20 +650,23 @@ func (s *Server) BestPeerHead() (number uint64, td *big.Int, ok bool) {
 // (or a head announcement dropped by a faulty network) never strands the
 // sync until the peer happens to announce again.
 func (s *Server) SyncNow() {
-	var best *Peer
-	var bestTD *big.Int
-	for _, p := range s.Peers() {
-		if p.Closed() {
-			continue
-		}
-		_, _, td := p.Head()
-		if td != nil && (bestTD == nil || td.Cmp(bestTD) > 0) {
-			best, bestTD = p, td
-		}
-	}
-	if best != nil {
+	if best, _, _ := s.heaviestPeer(discover.NodeID{}); best != nil {
 		s.maybeSync(best)
 	}
+}
+
+// heaviestPeer returns the live peer but except with the heaviest
+// advertised head, and that head's height and total difficulty.
+func (s *Server) heaviestPeer(except discover.NodeID) (best *Peer, number uint64, td *big.Int) {
+	for _, p := range s.Peers() {
+		if p.node.ID == except || p.Closed() {
+			continue
+		}
+		if _, num, ptd := p.Head(); ptd != nil && (td == nil || ptd.Cmp(td) > 0) {
+			best, number, td = p, num, ptd
+		}
+	}
+	return best, number, td
 }
 
 // Peers returns a snapshot of live peers.
@@ -742,6 +697,9 @@ func (s *Server) Close() {
 	}
 	s.closed = true
 	close(s.quit)
+	if s.syncTimer != nil {
+		s.syncTimer.Stop()
+	}
 	ln := s.listener
 	peers := make([]*Peer, 0, len(s.peers))
 	for _, p := range s.peers {

@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"forkwatch/internal/clock"
 	"forkwatch/internal/metrics"
 )
 
@@ -65,6 +66,9 @@ type FailoverConfig struct {
 	// HealthInterval, when > 0, polls every endpoint's /readyz in the
 	// background so failover decisions do not wait for a request to fail.
 	HealthInterval time.Duration
+	// Clock times the hedge and the health poll; nil means the real
+	// clock.
+	Clock clock.Clock
 	// Registry, when set, receives rpc.failovers / rpc.hedged counters
 	// (point it at a served registry to surface them at /debug/metrics).
 	Registry *metrics.Registry
@@ -118,12 +122,9 @@ type FailoverClient struct {
 	eps    []*fepState
 	nextID atomic.Int64
 
-	mu    sync.Mutex
-	stats FailoverStats
-
-	quit      chan struct{}
-	wg        sync.WaitGroup
-	closeOnce sync.Once
+	mu     sync.Mutex
+	stats  FailoverStats
+	health clock.Timer // the next health poll; nil once closed
 }
 
 // NewFailoverClient builds a client over cfg.Endpoints (at least one).
@@ -138,18 +139,17 @@ func NewFailoverClient(cfg FailoverConfig) (*FailoverClient, error) {
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
+	cfg.Clock = clock.Or(cfg.Clock)
 	c := &FailoverClient{
-		cfg:  cfg,
-		hc:   cfg.HTTPClient,
-		quit: make(chan struct{}),
+		cfg: cfg,
+		hc:  cfg.HTTPClient,
 	}
 	c.stats.ByClass = map[string]uint64{}
 	for _, ep := range cfg.Endpoints {
 		c.eps = append(c.eps, &fepState{url: ep, readyURL: readyURL(ep)})
 	}
 	if cfg.HealthInterval > 0 {
-		c.wg.Add(1)
-		go c.healthLoop()
+		c.health = c.cfg.Clock.AfterFunc(cfg.HealthInterval, c.pollHealth)
 	}
 	return c, nil
 }
@@ -165,10 +165,15 @@ func readyURL(endpoint string) string {
 	return u.String()
 }
 
-// Close stops the health loop.
+// Close stops the health poll. A poll already running finishes, but
+// arms no next one.
 func (c *FailoverClient) Close() {
-	c.closeOnce.Do(func() { close(c.quit) })
-	c.wg.Wait()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.health != nil {
+		c.health.Stop()
+		c.health = nil
+	}
 }
 
 // Stats returns a copy of the outcome tallies.
@@ -183,34 +188,29 @@ func (c *FailoverClient) Stats() FailoverStats {
 	return out
 }
 
-// healthLoop polls every endpoint's /readyz: unreachable marks it down,
-// not-ready marks it degraded, ready marks it healthy. Request outcomes
-// update the same states in between polls.
-func (c *FailoverClient) healthLoop() {
-	defer c.wg.Done()
-	ticker := time.NewTicker(c.cfg.HealthInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-c.quit:
-			return
-		case <-ticker.C:
+// pollHealth polls every endpoint's /readyz each HealthInterval:
+// unreachable marks it down, not-ready marks it degraded, ready marks it
+// healthy. Request outcomes update the same states in between polls.
+func (c *FailoverClient) pollHealth() {
+	for _, ep := range c.eps {
+		resp, err := c.hc.Get(ep.readyURL)
+		if err != nil {
+			ep.state.Store(epDown)
+			continue
 		}
-		for _, ep := range c.eps {
-			resp, err := c.hc.Get(ep.readyURL)
-			if err != nil {
-				ep.state.Store(epDown)
-				continue
-			}
-			io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16)) //nolint:errcheck
-			resp.Body.Close()
-			switch {
-			case resp.StatusCode == http.StatusOK:
-				ep.state.Store(epHealthy)
-			default:
-				ep.state.Store(epDegraded)
-			}
+		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16)) //nolint:errcheck
+		resp.Body.Close()
+		switch {
+		case resp.StatusCode == http.StatusOK:
+			ep.state.Store(epHealthy)
+		default:
+			ep.state.Store(epDegraded)
 		}
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.health != nil {
+		c.health = c.cfg.Clock.AfterFunc(c.cfg.HealthInterval, c.pollHealth)
 	}
 }
 
@@ -267,11 +267,12 @@ func (c *FailoverClient) do(body []byte) (attemptResult, Outcome) {
 		}()
 	}
 	launch()
-	var hedgeC <-chan time.Time
+	var hedgeC chan struct{}
 	if c.cfg.HedgeDelay > 0 && len(eps) > 1 {
-		timer := time.NewTimer(c.cfg.HedgeDelay)
+		hedge := make(chan struct{})
+		timer := c.cfg.Clock.AfterFunc(c.cfg.HedgeDelay, func() { close(hedge) })
 		defer timer.Stop()
-		hedgeC = timer.C
+		hedgeC = hedge
 	}
 	var last attemptResult
 	for inflight > 0 {

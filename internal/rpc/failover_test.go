@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"forkwatch/internal/clock"
 )
 
 // rpcStub serves a canned JSON-RPC response (or HTTP failure) and counts
@@ -15,15 +17,15 @@ import (
 type rpcStub struct {
 	status int
 	body   string
-	delay  time.Duration
+	hold   chan struct{} // when set, answers wait until it closes
 	hits   atomic.Int64
 }
 
 func (s *rpcStub) handler() http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		s.hits.Add(1)
-		if s.delay > 0 {
-			time.Sleep(s.delay)
+		if s.hold != nil {
+			<-s.hold
 		}
 		if s.status != http.StatusOK {
 			w.WriteHeader(s.status)
@@ -196,30 +198,48 @@ func TestFailoverProtocolViolation(t *testing.T) {
 }
 
 // TestFailoverHedging: when the preferred endpoint stalls past the hedge
-// delay, the request is hedged to the next endpoint and its answer wins.
+// delay on the client's clock, the request is hedged to the next endpoint
+// and its answer wins while the first is still stalled.
 func TestFailoverHedging(t *testing.T) {
-	slow := &rpcStub{status: http.StatusOK, body: okBody, delay: 400 * time.Millisecond}
+	slow := &rpcStub{status: http.StatusOK, body: okBody, hold: make(chan struct{})}
 	fast := &rpcStub{status: http.StatusOK, body: okBody}
 	s1 := httptest.NewServer(slow.handler())
 	defer s1.Close()
+	defer close(slow.hold)
 	s2 := httptest.NewServer(fast.handler())
 	defer s2.Close()
+	clk := clock.NewFake()
+	const hedge = 20 * time.Millisecond
 	fc := newFC(t, FailoverConfig{
 		Endpoints:  []string{s1.URL + "/eth", s2.URL + "/eth"},
-		HedgeDelay: 20 * time.Millisecond,
+		HedgeDelay: hedge,
+		Clock:      clk,
 	})
 
-	var hex string
-	start := time.Now()
-	out, err := fc.Call(&hex, "eth_blockNumber")
-	if err != nil {
-		t.Fatalf("Call: %v", err)
+	type result struct {
+		out Outcome
+		err error
 	}
-	if !out.Hedged || out.Endpoint != s2.URL+"/eth" {
-		t.Fatalf("outcome %+v, want the hedged fast endpoint to win", out)
+	res := make(chan result, 1)
+	go func() {
+		var hex string
+		out, err := fc.Call(&hex, "eth_blockNumber")
+		res <- result{out, err}
+	}()
+	for slow.hits.Load() == 0 {
+		time.Sleep(time.Millisecond)
 	}
-	if elapsed := time.Since(start); elapsed > 300*time.Millisecond {
-		t.Fatalf("hedged call took %v; it waited for the slow endpoint", elapsed)
+	clk.Advance(hedge - time.Millisecond)
+	if fast.hits.Load() != 0 {
+		t.Fatal("hedged before the hedge delay")
+	}
+	clk.Advance(time.Millisecond)
+	r := <-res
+	if r.err != nil {
+		t.Fatalf("Call: %v", r.err)
+	}
+	if !r.out.Hedged || r.out.Endpoint != s2.URL+"/eth" {
+		t.Fatalf("outcome %+v, want the hedged fast endpoint to win", r.out)
 	}
 	if st := fc.Stats(); st.Hedged != 1 {
 		t.Fatalf("stats %+v", st)
@@ -248,16 +268,28 @@ func TestFailoverHealthLoop(t *testing.T) {
 	s2 := httptest.NewServer(mux2)
 	defer s2.Close()
 
+	clk := clock.NewFake()
+	const interval = 10 * time.Millisecond
 	fc := newFC(t, FailoverConfig{
 		Endpoints:      []string{s1.URL + "/eth", s2.URL + "/eth"},
-		HealthInterval: 10 * time.Millisecond,
+		HealthInterval: interval,
+		Clock:          clk,
 	})
-	deadline := time.Now().Add(2 * time.Second)
-	for fc.eps[0].state.Load() != epDegraded && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
+	// The poll runs inside Advance, one interval after the client starts.
+	clk.Advance(interval - time.Millisecond)
+	if fc.eps[0].state.Load() != epHealthy {
+		t.Fatal("health poll ran before its interval")
 	}
+	clk.Advance(time.Millisecond)
 	if fc.eps[0].state.Load() != epDegraded {
-		t.Fatal("health loop never demoted the not-ready endpoint")
+		t.Fatal("health poll never demoted the not-ready endpoint")
+	}
+	if clk.Pending() != 1 {
+		t.Fatalf("%d timers pending, want the next poll", clk.Pending())
+	}
+	fc.Close()
+	if clk.Pending() != 0 {
+		t.Fatal("Close left the next health poll armed")
 	}
 
 	var hex string

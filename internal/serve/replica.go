@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"forkwatch/internal/chain"
+	"forkwatch/internal/clock"
 	"forkwatch/internal/db"
 	"forkwatch/internal/discover"
 	"forkwatch/internal/faultnet"
@@ -40,12 +41,16 @@ import (
 //     the stores (flushing disk segments) — never dying mid-commit.
 
 // Transport is the listen/dial seam the replica tier runs over: real TCP
-// in production, MemNet (optionally behind faultnet) in tests.
+// on the real clock in production, MemNet (optionally behind faultnet) on
+// a fake clock in tests.
 type Transport struct {
 	// Listen opens the accept side of addr.
 	Listen func(addr string) (net.Listener, error)
 	// Dialer reaches other nodes' listen addresses.
 	Dialer p2p.Dialer
+	// Clock times the p2p servers and the follow loop; nil means the
+	// real clock.
+	Clock clock.Clock
 }
 
 // TCPTransport is the production transport.
@@ -71,6 +76,7 @@ func FaultyTransport(tr Transport, n *faultnet.Net, self string) Transport {
 			return n.Endpoint(addr).WrapListener(ln), nil
 		},
 		Dialer: n.Endpoint(self),
+		Clock:  tr.Clock,
 	}
 }
 
@@ -96,9 +102,6 @@ type PrimaryConfig struct {
 	Addrs []string
 	// Transport provides the listeners and is required.
 	Transport Transport
-	// TuneP2P, when set, adjusts each chain's p2p.Config before the
-	// server starts (tests shrink the timeouts).
-	TuneP2P func(*p2p.Config)
 	// Logf receives debug lines.
 	Logf func(format string, args ...any)
 }
@@ -134,9 +137,7 @@ func ServePrimary(res *Result, cfg PrimaryConfig) (*Primary, error) {
 			Backend:   p2p.NewChainBackend(c.Ledger.BC),
 			Dialer:    cfg.Transport.Dialer,
 			Logf:      cfg.Logf,
-		}
-		if cfg.TuneP2P != nil {
-			cfg.TuneP2P(&pcfg)
+			Clock:     cfg.Transport.Clock,
 		}
 		srv := p2p.NewServer(pcfg)
 		ln, err := cfg.Transport.Listen(addr)
@@ -173,17 +174,12 @@ type ReplicaConfig struct {
 	// StalenessBound is K: lagging more than K blocks behind the best
 	// primary head seen flips the route to degraded (default 8).
 	StalenessBound uint64
-	// PollInterval paces the follow loop: reconnect checks, lag
-	// accounting and sync nudges (default 500ms).
-	PollInterval time.Duration
 	// DataDir overrides the scenario's disk directory — a replica must
 	// never share the primary's store. Required for the disk backend.
 	DataDir string
 	// WrapKV, when set, wraps each chain's store before use (chaos tests
 	// inject storage faults here).
 	WrapKV func(chainName string, kv db.KV) db.KV
-	// TuneP2P adjusts each chain's p2p.Config before the server starts.
-	TuneP2P func(*p2p.Config)
 	// Logf receives debug lines.
 	Logf func(format string, args ...any)
 }
@@ -272,9 +268,6 @@ func NewReplica(sc *sim.Scenario, cfg ReplicaConfig, rcfg rpc.ServerConfig) (*Re
 	if cfg.StalenessBound == 0 {
 		cfg.StalenessBound = 8
 	}
-	if cfg.PollInterval <= 0 {
-		cfg.PollInterval = 500 * time.Millisecond
-	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
@@ -330,9 +323,7 @@ func NewReplica(sc *sim.Scenario, cfg ReplicaConfig, rcfg rpc.ServerConfig) (*Re
 			Backend:   p2p.NewChainBackend(c.Ledger.BC),
 			Dialer:    cfg.Transport.Dialer,
 			Logf:      cfg.Logf,
-		}
-		if cfg.TuneP2P != nil {
-			cfg.TuneP2P(&pcfg)
+			Clock:     cfg.Transport.Clock,
 		}
 		r.servers = append(r.servers, p2p.NewServer(pcfg))
 	}
@@ -363,6 +354,10 @@ func NewReplica(sc *sim.Scenario, cfg ReplicaConfig, rcfg rpc.ServerConfig) (*Re
 	return r, nil
 }
 
+// pollInterval paces the follow loop: reconnect checks, lag accounting
+// and sync nudges.
+const pollInterval = 500 * time.Millisecond
+
 // follow is one chain's sync loop: keep a connection to the primary,
 // record the advertised head for staleness accounting, and nudge the pull
 // so a dropped frame never strands the sync. Redials of a lost primary
@@ -375,14 +370,7 @@ func (r *Replica) follow(i int) {
 	addr := r.cfg.PrimaryAddrs[i]
 	primary := discover.Node{ID: p2pNodeID(addr), Addr: addr}
 	reg := r.Server.Registry()
-	ticker := time.NewTicker(r.cfg.PollInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-r.quit:
-			return
-		case <-ticker.C:
-		}
+	for clock.Wait(clock.Or(r.cfg.Transport.Clock), pollInterval, r.quit) {
 		if srv.PeerCount() == 0 {
 			err := srv.Connect(primary)
 			if errors.Is(err, p2p.ErrDialBackoff) {
@@ -441,22 +429,6 @@ func (r *Replica) relayHeads(i int) {
 		relay.lastPub = b.Number()
 		relay.lastTime = t
 	}
-}
-
-// Staleness exposes per-chain (lag, degraded) snapshots in partition
-// order (tests and operators read them; serving uses the same source).
-func (r *Replica) Staleness() []struct {
-	Lag      uint64
-	Degraded bool
-} {
-	out := make([]struct {
-		Lag      uint64
-		Degraded bool
-	}, len(r.trackers))
-	for i, t := range r.trackers {
-		out[i].Lag, out[i].Degraded = t.staleness()
-	}
-	return out
 }
 
 // Close stops the follow loops, drains the RPC server and closes the

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"forkwatch/internal/clock"
 	"forkwatch/internal/db"
 	"forkwatch/internal/db/faultkv"
 	"forkwatch/internal/faultnet"
@@ -31,22 +32,6 @@ func replicaScenario() *sim.Scenario {
 	sc.ETHTxPerDay = 30
 	sc.ETCTxPerDay = 12
 	return sc
-}
-
-// chaosTuneP2P shrinks the p2p resilience knobs for scaled-down chaos:
-// short enough to retry fast under 20% loss, lenient enough that the
-// injected faults never demote or ban the only primary.
-func chaosTuneP2P(c *p2p.Config) {
-	c.HandshakeTimeout = 500 * time.Millisecond
-	c.ReadTimeout = 2 * time.Second
-	c.WriteTimeout = 400 * time.Millisecond
-	c.SyncTimeout = 200 * time.Millisecond
-	c.DialBackoff = 25 * time.Millisecond
-	c.MaxDialBackoff = 250 * time.Millisecond
-	c.DialMaxFails = -1
-	c.DemoteScore = 5000
-	c.BanScore = 10000
-	c.BanWindow = time.Second
 }
 
 // swappableHandler lets a "process" restart behind a stable URL: the
@@ -94,12 +79,14 @@ func faultyReplicaKV(seed int64) (func(string, db.KV) db.KV, *[]*faultkv.KV) {
 	return wrap, handles
 }
 
-// waitReplicaCaughtUp polls until every chain of r matches the primary's
-// heads exactly, failing the test after within.
-func waitReplicaCaughtUp(t *testing.T, what string, r *Replica, primary *Result, within time.Duration) {
+// waitReplicaCaughtUp steps clk by step, pausing a millisecond of wall
+// time per step, until every chain of r matches the primary's heads
+// exactly; it fails the test once the clock has moved by within. A step
+// small against the wire's timeouts makes a host slowed by -race spend
+// more wall time per step, not fire spurious timeouts.
+func waitReplicaCaughtUp(t *testing.T, what string, r *Replica, primary *Result, clk *clock.Fake, step, within time.Duration) {
 	t.Helper()
-	deadline := time.Now().Add(within)
-	for time.Now().Before(deadline) {
+	for moved := time.Duration(0); moved < within; moved += step {
 		caught := true
 		for _, pc := range primary.Chains {
 			rl := r.Ledger(pc.Name)
@@ -111,7 +98,8 @@ func waitReplicaCaughtUp(t *testing.T, what string, r *Replica, primary *Result,
 		if caught {
 			return
 		}
-		time.Sleep(25 * time.Millisecond)
+		clk.Advance(step)
+		time.Sleep(time.Millisecond)
 	}
 	for _, pc := range primary.Chains {
 		if rl := r.Ledger(pc.Name); rl != nil {
@@ -119,7 +107,7 @@ func waitReplicaCaughtUp(t *testing.T, what string, r *Replica, primary *Result,
 				rl.BC.Head().Number(), pc.Ledger.BC.Head().Number())
 		}
 	}
-	t.Fatalf("%s: replica did not catch up with the primary within %v", what, within)
+	t.Fatalf("%s: replica did not catch up with the primary within %v on the fake clock", what, within)
 }
 
 // chaosReplicaStats is the artifact the chaos run writes for CI
@@ -177,12 +165,15 @@ func (f *feedFollower) read(max int) int {
 
 // TestChaosReplicaServingPlane is the replica-tier acceptance test: a
 // primary and two replicas syncing over a 20%-loss faultnet transport
-// with injected storage faults, the client's preferred replica crashed
-// and restarted mid-run, a failover client hammering the pair
-// throughout. Every successful response must be byte-identical to the
-// primary's answer for the same request — degraded or not, the tier
-// never returns a wrong result — and the success rate must clear the
-// floor. A follower pages the replicas' live feed through a second
+// with injected storage faults and every production timeout, the
+// client's preferred replica crashed and restarted mid-run, a failover
+// client hammering the pair throughout. The wire, the follow loops and
+// the client's health poll share one fake clock that the test steps
+// between requests, so the crash always reaches a request before any
+// health poll can see it. Every successful response must be
+// byte-identical to the primary's answer for the same request —
+// degraded or not, the tier never returns a wrong result — and the
+// success rate must clear the floor. A follower pages the replicas' live feed through a second
 // two-endpoint client across the same crash and restart and must be
 // handed every seq exactly once, in order, with no gap.
 func TestChaosReplicaServingPlane(t *testing.T) {
@@ -199,13 +190,15 @@ func TestChaosReplicaServingPlane(t *testing.T) {
 	// The wire: MemNet under faultnet — 20% frame loss plus jitter on
 	// every p2p connection in both directions.
 	mem := p2p.NewMemNet()
+	clk := clock.NewFake()
 	fnet := faultnet.New(mem, faultnet.Faults{
 		Seed:     42,
 		Latency:  time.Millisecond,
 		Jitter:   5 * time.Millisecond,
 		DropRate: 0.20,
+		Clock:    clk,
 	})
-	base := Transport{Listen: mem.Listen, Dialer: mem}
+	base := Transport{Listen: mem.Listen, Dialer: mem, Clock: clk}
 	primaryAddrs := make([]string, len(primary.Chains))
 	for i, c := range primary.Chains {
 		primaryAddrs[i] = "primary-" + c.Name
@@ -213,7 +206,6 @@ func TestChaosReplicaServingPlane(t *testing.T) {
 	psrv, err := ServePrimary(primary, PrimaryConfig{
 		Addrs:     primaryAddrs,
 		Transport: FaultyTransport(base, fnet, "primary"),
-		TuneP2P:   chaosTuneP2P,
 	})
 	if err != nil {
 		t.Fatalf("ServePrimary: %v", err)
@@ -231,9 +223,7 @@ func TestChaosReplicaServingPlane(t *testing.T) {
 			PrimaryAddrs:   primaryAddrs,
 			Transport:      FaultyTransport(base, fnet, name),
 			StalenessBound: 4,
-			PollInterval:   20 * time.Millisecond,
 			WrapKV:         wrap,
-			TuneP2P:        chaosTuneP2P,
 		}, rpc.ServerConfig{Registry: reg})
 		if err != nil {
 			t.Fatalf("NewReplica(%s): %v", name, err)
@@ -254,8 +244,8 @@ func TestChaosReplicaServingPlane(t *testing.T) {
 	// Initial convergence happens with storage faults off (the interesting
 	// fault window is the serving run, and sync-time injection only
 	// changes how long this wait takes); the wire faults are always on.
-	waitReplicaCaughtUp(t, "initial sync r1", r1, primary, 90*time.Second)
-	waitReplicaCaughtUp(t, "initial sync r2", r2, primary, 90*time.Second)
+	waitReplicaCaughtUp(t, "initial sync r1", r1, primary, clk, 10*time.Millisecond, 10*time.Minute)
+	waitReplicaCaughtUp(t, "initial sync r2", r2, primary, clk, 10*time.Millisecond, 10*time.Minute)
 	enable(f1)
 	enable(f2)
 
@@ -268,9 +258,9 @@ func TestChaosReplicaServingPlane(t *testing.T) {
 	fc, err := rpc.NewFailoverClient(rpc.FailoverConfig{
 		Endpoints:      []string{ts1.URL + "/eth", ts2.URL + "/eth"},
 		HTTPClient:     &http.Client{Timeout: 3 * time.Second},
-		HedgeDelay:     150 * time.Millisecond,
 		HealthInterval: 25 * time.Millisecond,
 		Registry:       shared,
+		Clock:          clk,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -316,6 +306,9 @@ func TestChaosReplicaServingPlane(t *testing.T) {
 	const total = 400
 	successes, wrong := 0, 0
 	for i := 0; i < total; i++ {
+		// Time passes between requests only: the health poll runs here,
+		// inside Advance, and the restarted replica resyncs.
+		clk.Advance(10 * time.Millisecond)
 		switch i {
 		case total / 4:
 			// Crash the client's preferred replica mid-run: its server
@@ -374,7 +367,7 @@ func TestChaosReplicaServingPlane(t *testing.T) {
 	}
 
 	// The restarted replica reconverges to the primary's exact heads.
-	waitReplicaCaughtUp(t, "resync after restart", r1, primary, 90*time.Second)
+	waitReplicaCaughtUp(t, "resync after restart", r1, primary, clk, 10*time.Millisecond, 10*time.Minute)
 
 	// With both replicas converged the follower drains what is left: the
 	// feed never publishes an EOF on the replica tier, so an empty page
@@ -471,13 +464,12 @@ func TestNewReplicaRejectsScenarioFaults(t *testing.T) {
 func TestChaosReplicaDegradedSelfReport(t *testing.T) {
 	sc := replicaScenario()
 	mem := p2p.NewMemNet()
+	clk := clock.NewFake()
 	r, err := NewReplica(sc, ReplicaConfig{
 		Name:           "orphan",
 		PrimaryAddrs:   []string{"nowhere-ETH", "nowhere-ETC"},
-		Transport:      Transport{Listen: mem.Listen, Dialer: mem},
+		Transport:      Transport{Listen: mem.Listen, Dialer: mem, Clock: clk},
 		StalenessBound: 4,
-		PollInterval:   10 * time.Millisecond,
-		TuneP2P:        chaosTuneP2P,
 	}, rpc.ServerConfig{})
 	if err != nil {
 		t.Fatalf("NewReplica: %v", err)
@@ -523,27 +515,39 @@ func TestChaosReplicaDegradedSelfReport(t *testing.T) {
 	}
 
 	// The reconnect loop is paced by p2p's dial backoff alone instead of
-	// hammering the dead address on every tick.
-	time.Sleep(400 * time.Millisecond)
+	// hammering the dead address on every tick. Each step waits for both
+	// follow loops to finish their tick and park on the clock again.
+	const ticks = 40
+	for i := 0; i < ticks; i++ {
+		waitParked(t, clk, 2)
+		clk.Advance(pollInterval)
+	}
+	waitParked(t, clk, 2)
 	dials, _ := r.Server.Registry().Snapshot()["sync.eth.dials"].(uint64)
-	if ticks := uint64(400 / 10); dials == 0 || dials >= ticks {
-		t.Errorf("%d dial attempts in 400ms of 10ms ticks; the reconnect loop is not paced", dials)
+	if dials == 0 || dials >= ticks/2 {
+		t.Errorf("%d dial attempts in %d follow-loop ticks; the reconnect loop is not paced", dials, ticks)
+	}
+}
+
+// waitParked waits until clk holds exactly n timers: the follow loops
+// of an idle replica, each parked until its next tick.
+func waitParked(t *testing.T, clk *clock.Fake, n int) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); clk.Pending() != n; time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d timers pending, want %d parked follow loops", clk.Pending(), n)
+		}
 	}
 }
 
 // TestReplicaReconnectsAfterPrimaryOutage: a replica whose primary is
 // down keeps redialling on p2p's backoff schedule, however long the
-// outage, and catches up soon after the primary comes back. The schedule
-// is chaosTuneP2P's with room to grow, so that by the eighth failure the
-// backoff window (3.2s nominal) outlasts a 2s cooldown, as production
-// timings do from the fifth — the regime in which a second pacer stacked
-// on the backoff, its half-open probe refused inside the window, never
-// dials again.
+// outage, and catches up soon after the primary comes back. From the
+// fifth failure the backoff window (4 s nominal) outlasts a 2 s cooldown,
+// and by the eighth it sits at the 30 s cap — the regime in which a
+// second pacer stacked on the backoff, its half-open probe refused
+// inside the window, never dials again.
 func TestReplicaReconnectsAfterPrimaryOutage(t *testing.T) {
-	tune := func(c *p2p.Config) {
-		chaosTuneP2P(c)
-		c.MaxDialBackoff = 4 * time.Second
-	}
 	sc := replicaScenario()
 	primary, err := Build(sc, rpc.ServerConfig{})
 	if err != nil {
@@ -552,14 +556,13 @@ func TestReplicaReconnectsAfterPrimaryOutage(t *testing.T) {
 	defer primary.Close()
 
 	mem := p2p.NewMemNet()
-	tr := Transport{Listen: mem.Listen, Dialer: mem}
+	clk := clock.NewFake()
+	tr := Transport{Listen: mem.Listen, Dialer: mem, Clock: clk}
 	addrs := []string{"outage-ETH", "outage-ETC"}
 	r, err := NewReplica(sc, ReplicaConfig{
 		Name:         "patient",
 		PrimaryAddrs: addrs,
 		Transport:    tr,
-		PollInterval: 10 * time.Millisecond,
-		TuneP2P:      tune,
 	}, rpc.ServerConfig{})
 	if err != nil {
 		t.Fatalf("NewReplica: %v", err)
@@ -570,16 +573,19 @@ func TestReplicaReconnectsAfterPrimaryOutage(t *testing.T) {
 		n, _ := r.Server.Registry().Snapshot()["sync.eth.dials"].(uint64)
 		return n
 	}
-	for deadline := time.Now().Add(30 * time.Second); dials() < 8; time.Sleep(10 * time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d dials of the absent primary in 30s", dials())
+	for outage := time.Duration(0); dials() < 8; outage += pollInterval {
+		if outage > 5*time.Minute {
+			t.Fatalf("only %d dials of the absent primary in %v", dials(), outage)
 		}
+		waitParked(t, clk, 2)
+		clk.Advance(pollInterval)
 	}
 
-	psrv, err := ServePrimary(primary, PrimaryConfig{Addrs: addrs, Transport: tr, TuneP2P: chaosTuneP2P})
+	psrv, err := ServePrimary(primary, PrimaryConfig{Addrs: addrs, Transport: tr})
 	if err != nil {
 		t.Fatalf("ServePrimary: %v", err)
 	}
 	defer psrv.Close()
-	waitReplicaCaughtUp(t, "after the outage", r, primary, 10*time.Second)
+	// The next dial comes within one capped backoff window.
+	waitReplicaCaughtUp(t, "after the outage", r, primary, clk, 50*time.Millisecond, 2*time.Minute)
 }

@@ -69,10 +69,12 @@ fuzz:
 	$(GO) test -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/rlp/
 	$(GO) test -fuzz '^FuzzDecodePrefix$$' -fuzztime $(FUZZTIME) ./internal/rlp/
 	$(GO) test -fuzz '^FuzzEncodeRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/rlp/
+	$(GO) test -fuzz '^FuzzSplit$$' -fuzztime $(FUZZTIME) ./internal/rlp/
 	$(GO) test -fuzz '^FuzzDecodeTx$$' -fuzztime $(FUZZTIME) ./internal/chain/
 	$(GO) test -fuzz '^FuzzDecodeHeader$$' -fuzztime $(FUZZTIME) ./internal/chain/
 	$(GO) test -fuzz '^FuzzDecodeBlock$$' -fuzztime $(FUZZTIME) ./internal/chain/
 	$(GO) test -fuzz '^FuzzImportChain$$' -fuzztime $(FUZZTIME) ./internal/chain/
+	$(GO) test -fuzz '^FuzzPointRead$$' -fuzztime $(FUZZTIME) ./internal/chain/
 	$(GO) test -fuzz '^FuzzReadMsg$$' -fuzztime $(FUZZTIME) ./internal/p2p/
 	$(GO) test -fuzz '^FuzzDecodeRequest$$' -fuzztime $(FUZZTIME) ./internal/rpc/
 	$(GO) test -fuzz '^FuzzDecodeRecord$$' -fuzztime $(FUZZTIME) ./internal/db/diskdb/

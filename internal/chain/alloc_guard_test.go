@@ -109,3 +109,42 @@ func TestApplyTransactionAllocBudget(t *testing.T) {
 		t.Errorf("ApplyTransaction allocates %.1f/op, budget %d", allocs, budget)
 	}
 }
+
+// TestPointReadAllocsIndependentOfBlockSize: Store.Transaction and
+// Store.Receipt decode only the indexed element of a record, so reading
+// the one transaction of a 1-tx block allocates exactly as often as
+// reading the last of a 200-tx block. Decoding the whole record would
+// allocate per transaction.
+func TestPointReadAllocsIndependentOfBlockSize(t *testing.T) {
+	skipUnderRace(t)
+	bc := newTestChain(t, MainnetLikeConfig())
+	alone := transfer(0, alice, bob, 10, 0)
+	mine(t, bc, 14, alone)
+	many := make([]*Transaction, 200)
+	for i := range many {
+		many[i] = transfer(uint64(i+1), alice, bob, 10, 0)
+	}
+	mine(t, bc, 14, many...)
+	last := many[len(many)-1].Hash()
+
+	s := bc.Store()
+	reads := map[string]func(types.Hash){
+		"Transaction": func(h types.Hash) {
+			if _, _, _, ok, err := s.Transaction(h); !ok || err != nil {
+				t.Fatalf("Transaction(%s): ok=%v err=%v", h, ok, err)
+			}
+		},
+		"Receipt": func(h types.Hash) {
+			if _, _, _, ok, err := s.Receipt(h); !ok || err != nil {
+				t.Fatalf("Receipt(%s): ok=%v err=%v", h, ok, err)
+			}
+		},
+	}
+	for name, read := range reads {
+		small := testing.AllocsPerRun(100, func() { read(alone.Hash()) })
+		large := testing.AllocsPerRun(100, func() { read(last) })
+		if small != large {
+			t.Errorf("%s allocates %.1f/op in a 1-tx block, %.1f/op in a 200-tx block", name, small, large)
+		}
+	}
+}

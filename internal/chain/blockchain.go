@@ -324,9 +324,9 @@ func (bc *Blockchain) TransactionByHash(h types.Hash) (tx *Transaction, blockHas
 }
 
 // ReceiptByTxHash resolves a transaction's execution receipt through the
-// store's tx index.
+// store's tx index. Store.Receipt also returns the block's number.
 func (bc *Blockchain) ReceiptByTxHash(h types.Hash) (r *Receipt, blockHash types.Hash, index uint32, ok bool, err error) {
-	rec, lk, ok, err := bc.store.Receipt(h)
+	rec, lk, _, ok, err := bc.store.Receipt(h)
 	if err != nil || !ok {
 		return nil, types.Hash{}, 0, false, err
 	}

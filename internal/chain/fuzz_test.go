@@ -1,9 +1,12 @@
 package chain
 
 import (
+	"bytes"
+	"errors"
 	"math/big"
 	"testing"
 
+	"forkwatch/internal/db"
 	"forkwatch/internal/types"
 )
 
@@ -76,6 +79,65 @@ func FuzzDecodeBlock(f *testing.F) {
 		}
 		if re.Hash() != b.Hash() {
 			t.Fatal("block hash not a fixed point of encode/decode")
+		}
+	})
+}
+
+// FuzzPointRead stores arbitrary bytes as a block record and a receipts
+// record and reads them at an arbitrary index: the point reads must
+// never panic, every failure must be db.ErrCorrupt, and whenever the
+// whole-record decoder accepts a record the point read agrees with it —
+// element i, or db.ErrCorrupt when i is out of range.
+func FuzzPointRead(f *testing.F) {
+	bc := newTestChain(f, MainnetLikeConfig())
+	b := mine(f, bc, 14, transfer(0, alice, bob, 10, 0), transfer(1, alice, bob, 20, 0))
+	receipts, _, err := bc.DB().Get(hashKey(prefixReceipts, b.Hash()))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(b.Encode(), receipts, uint32(1))
+	f.Add(b.Encode(), receipts, uint32(2))
+	f.Add([]byte{0xc3, 0xc0, 0xc0, 0xc0}, []byte{0xc0}, uint32(0))
+
+	kv := db.NewMemDB()
+	s := NewStore(kv)
+	txHash, blockHash := types.HexToHash("0x7a"), types.HexToHash("0xb1")
+	f.Fuzz(func(t *testing.T, blockRec, receiptsRec []byte, index uint32) {
+		batch := kv.NewBatch()
+		s.PutTxIndex(batch, txHash, blockHash, index)
+		batch.Put(hashKey(prefixBlock, blockHash), blockRec)
+		batch.Put(hashKey(prefixReceipts, blockHash), receiptsRec)
+		if err := batch.Write(); err != nil {
+			t.Fatal(err)
+		}
+		tx, _, num, _, terr := s.Transaction(txHash)
+		rec, _, rnum, _, rerr := s.Receipt(txHash)
+		for _, err := range []error{terr, rerr} {
+			if err != nil && !errors.Is(err, db.ErrCorrupt) {
+				t.Fatalf("point read failed with %v, want db.ErrCorrupt", err)
+			}
+		}
+		whole, err := DecodeBlock(blockRec)
+		if err != nil {
+			return
+		}
+		inRange := int(index) < len(whole.Txs)
+		switch {
+		case inRange != (terr == nil):
+			t.Fatalf("Transaction at %d of %d txs: err = %v", index, len(whole.Txs), terr)
+		case inRange && (num != whole.Number() || !bytes.Equal(tx.Encode(), whole.Txs[index].Encode())):
+			t.Fatalf("Transaction at %d differs from the whole decode", index)
+		}
+		all, _, err := s.Receipts(blockHash)
+		if err != nil {
+			return
+		}
+		inRange = int(index) < len(all)
+		switch {
+		case inRange != (rerr == nil):
+			t.Fatalf("Receipt at %d of %d receipts: err = %v", index, len(all), rerr)
+		case inRange && (rnum != whole.Number() || *rec != *all[index]):
+			t.Fatalf("Receipt at %d differs from the whole decode", index)
 		}
 	})
 }

@@ -2,6 +2,7 @@ package chain
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/big"
 
@@ -74,14 +75,21 @@ func (s *Store) PutBlock(batch db.Batch, b *Block) {
 	batch.Put(hashKey(prefixBlock, b.Hash()), b.Encode())
 }
 
+// record reads the record of block h under prefix; what names the
+// record in a read error.
+func (s *Store) record(prefix byte, h types.Hash, what string) ([]byte, bool, error) {
+	enc, ok, err := s.kv.Get(hashKey(prefix, h))
+	if err != nil {
+		return nil, false, fmt.Errorf("chain: reading %s %s: %w", what, h, err)
+	}
+	return enc, ok, nil
+}
+
 // Block reads and decodes a block by hash.
 func (s *Store) Block(h types.Hash) (*Block, bool, error) {
-	enc, ok, err := s.kv.Get(hashKey(prefixBlock, h))
-	if err != nil {
-		return nil, false, fmt.Errorf("chain: reading block %s: %w", h, err)
-	}
-	if !ok {
-		return nil, false, nil
+	enc, ok, err := s.record(prefixBlock, h, "block")
+	if err != nil || !ok {
+		return nil, false, err
 	}
 	b, err := DecodeBlock(enc)
 	if err != nil {
@@ -110,12 +118,9 @@ func (s *Store) PutReceipts(batch db.Batch, h types.Hash, receipts []*Receipt) {
 
 // Receipts reads and decodes the receipt list of block h.
 func (s *Store) Receipts(h types.Hash) ([]*Receipt, bool, error) {
-	enc, ok, err := s.kv.Get(hashKey(prefixReceipts, h))
-	if err != nil {
-		return nil, false, fmt.Errorf("chain: reading receipts %s: %w", h, err)
-	}
-	if !ok {
-		return nil, false, nil
+	enc, ok, err := s.record(prefixReceipts, h, "receipts")
+	if err != nil || !ok {
+		return nil, false, err
 	}
 	v, err := rlp.Decode(enc)
 	if err != nil {
@@ -260,36 +265,148 @@ func (s *Store) TxIndex(txHash types.Hash) (TxLookup, bool, error) {
 
 // Transaction resolves a transaction by hash through the index: the
 // transaction itself, its lookup entry, and the containing block's
-// number.
+// number. It is a point read: only the indexed element of the block's
+// transaction list is decoded.
 func (s *Store) Transaction(txHash types.Hash) (*Transaction, TxLookup, uint64, bool, error) {
-	lk, ok, err := s.TxIndex(txHash)
+	lk, number, txs, ok, err := s.locate(txHash)
 	if err != nil || !ok {
 		return nil, TxLookup{}, 0, false, err
 	}
-	b, ok, err := s.Block(lk.BlockHash)
+	elem, err := rlp.Element(txs, int(lk.Index))
 	if err != nil {
-		return nil, TxLookup{}, 0, false, err
+		return nil, TxLookup{}, 0, false, lk.corrupt(txHash, "block", err)
 	}
-	if !ok || int(lk.Index) >= len(b.Txs) {
-		return nil, TxLookup{}, 0, false, fmt.Errorf("%w: tx index %s points at %s[%d]", db.ErrCorrupt, txHash, lk.BlockHash, lk.Index)
+	tx, err := DecodeTx(elem)
+	if err != nil {
+		return nil, TxLookup{}, 0, false, lk.corrupt(txHash, "block", err)
 	}
-	return b.Txs[lk.Index], lk, b.Number(), true, nil
+	return tx, lk, number, true, nil
 }
 
-// Receipt resolves a transaction's receipt by hash through the index.
-func (s *Store) Receipt(txHash types.Hash) (*Receipt, TxLookup, bool, error) {
-	lk, ok, err := s.TxIndex(txHash)
+// Receipt resolves a transaction's receipt by hash through the index: the
+// receipt, its lookup entry, and the containing block's number. Like
+// Transaction it decodes only the indexed element of the receipt list.
+func (s *Store) Receipt(txHash types.Hash) (*Receipt, TxLookup, uint64, bool, error) {
+	lk, number, _, ok, err := s.locate(txHash)
 	if err != nil || !ok {
-		return nil, TxLookup{}, false, err
+		return nil, TxLookup{}, 0, false, err
 	}
-	receipts, ok, err := s.Receipts(lk.BlockHash)
+	enc, ok, err := s.record(prefixReceipts, lk.BlockHash, "receipts")
 	if err != nil {
-		return nil, TxLookup{}, false, err
+		return nil, TxLookup{}, 0, false, err
 	}
-	if !ok || int(lk.Index) >= len(receipts) {
-		return nil, TxLookup{}, false, fmt.Errorf("%w: tx index %s points at receipts %s[%d]", db.ErrCorrupt, txHash, lk.BlockHash, lk.Index)
+	if !ok {
+		return nil, TxLookup{}, 0, false, lk.corrupt(txHash, "receipts", errMissing)
 	}
-	return receipts[lk.Index], lk, true, nil
+	r, err := receiptAt(enc, int(lk.Index))
+	if err != nil {
+		return nil, TxLookup{}, 0, false, lk.corrupt(txHash, "receipts", err)
+	}
+	return r, lk, number, true, nil
+}
+
+var errMissing = errors.New("record missing")
+
+// corrupt reports an index entry that does not resolve: what names the
+// record it points into.
+func (lk TxLookup) corrupt(txHash types.Hash, what string, err error) error {
+	return fmt.Errorf("%w: tx index %s points at %s %s[%d]: %v", db.ErrCorrupt, txHash, what, lk.BlockHash, lk.Index, err)
+}
+
+// locate reads the index entry of txHash and the block record it points
+// at, and splits that record into the block's number and the content of
+// its transaction list.
+func (s *Store) locate(txHash types.Hash) (lk TxLookup, number uint64, txs []byte, ok bool, err error) {
+	lk, ok, err = s.TxIndex(txHash)
+	if err != nil || !ok {
+		return TxLookup{}, 0, nil, false, err
+	}
+	enc, ok, err := s.record(prefixBlock, lk.BlockHash, "block")
+	if err != nil {
+		return TxLookup{}, 0, nil, false, err
+	}
+	if !ok {
+		return TxLookup{}, 0, nil, false, lk.corrupt(txHash, "block", errMissing)
+	}
+	if number, txs, err = splitBlock(enc); err != nil {
+		return TxLookup{}, 0, nil, false, lk.corrupt(txHash, "block", err)
+	}
+	return lk, number, txs, true, nil
+}
+
+// splitBlock reads a block record by item headers alone: the record is
+// one list of three lists (header, transactions, uncles) with nothing
+// after it, and the header's second field is its canonical number. It
+// returns that number and the content of the transaction list.
+func splitBlock(enc []byte) (number uint64, txs []byte, err error) {
+	body, err := onlyList(enc)
+	if err != nil {
+		return 0, nil, err
+	}
+	header, rest, err := splitList(body)
+	if err != nil {
+		return 0, nil, err
+	}
+	_, _, fields, err := rlp.Split(header) // ParentHash
+	if err != nil {
+		return 0, nil, err
+	}
+	isList, num, _, err := rlp.Split(fields)
+	if err != nil {
+		return 0, nil, err
+	}
+	if isList {
+		return 0, nil, fmt.Errorf("%w: block number is a list", rlp.ErrType)
+	}
+	if number, err = rlp.Bytes(num).AsUint(); err != nil {
+		return 0, nil, err
+	}
+	if txs, rest, err = splitList(rest); err != nil {
+		return 0, nil, err
+	}
+	if _, rest, err = splitList(rest); err != nil { // uncles
+		return 0, nil, err
+	}
+	if len(rest) != 0 {
+		return 0, nil, fmt.Errorf("%w: block of more than three items", rlp.ErrType)
+	}
+	return number, txs, nil
+}
+
+// receiptAt decodes element i of a receipts record.
+func receiptAt(enc []byte, i int) (*Receipt, error) {
+	list, err := onlyList(enc)
+	if err != nil {
+		return nil, err
+	}
+	elem, err := rlp.Element(list, i)
+	if err != nil {
+		return nil, err
+	}
+	v, err := rlp.Decode(elem)
+	if err != nil {
+		return nil, err
+	}
+	return receiptFromValue(v)
+}
+
+// splitList reads the list at the front of b: its content and the bytes
+// after it.
+func splitList(b []byte) (content, rest []byte, err error) {
+	isList, content, rest, err := rlp.Split(b)
+	if err == nil && !isList {
+		err = fmt.Errorf("%w: expected list, have bytes", rlp.ErrType)
+	}
+	return content, rest, err
+}
+
+// onlyList is splitList on a whole record: nothing may follow the list.
+func onlyList(enc []byte) ([]byte, error) {
+	content, rest, err := splitList(enc)
+	if err == nil && len(rest) != 0 {
+		err = fmt.Errorf("%w: %d bytes", rlp.ErrTrailing, len(rest))
+	}
+	return content, err
 }
 
 // receiptFromValue rebuilds a Receipt from its decoded RLP value.

@@ -2,6 +2,7 @@ package rlp
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 )
 
@@ -80,4 +81,68 @@ func FuzzEncodeRoundTrip(f *testing.F) {
 			t.Fatalf("round trip not stable: %x -> %x", enc, re)
 		}
 	})
+}
+
+// FuzzSplit checks the header reader against the tree decoder. On any
+// input they agree on list-ness, content, rest and failure: Split fails
+// exactly where DecodePrefix fails on the item's own header, and, since
+// Split does not look inside a list, DecodePrefix fails on a list Split
+// accepts exactly when an element nested in its content is malformed.
+// Element must return each decoded element's encoding, then ErrIndex.
+func FuzzSplit(f *testing.F) {
+	f.Add([]byte{0x05})
+	f.Add([]byte{0x81, 0x05})
+	f.Add([]byte{0x83, 'd', 'o', 'g', 0xc0})
+	f.Add([]byte{0xc8, 0x83, 'c', 'a', 't', 0x83, 'd', 'o', 'g'})
+	f.Add([]byte{0xc2, 0xc1, 0x81})
+	f.Add([]byte{0xf8, 0x01, 0x00})
+	f.Add([]byte{0xb9, 0x00, 0x38})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		isList, content, rest, err := Split(data)
+		v, vrest, verr := DecodePrefix(data)
+		if err != nil {
+			if verr == nil || verr.Error() != err.Error() {
+				t.Fatalf("Split: %v, DecodePrefix: %v", err, verr)
+			}
+			return
+		}
+		if !isList || wellFormed(content) {
+			if verr != nil {
+				t.Fatalf("Split accepts %x, DecodePrefix: %v", data, verr)
+			}
+		} else if verr == nil {
+			t.Fatalf("DecodePrefix accepts %x with a malformed element", data)
+		}
+		if verr != nil {
+			return
+		}
+		if v.IsList != isList || !bytes.Equal(vrest, rest) || (!isList && !bytes.Equal(v.Str, content)) {
+			t.Fatalf("Split (%v, %x, %x) disagrees with DecodePrefix (%v, %x)", isList, content, rest, v.IsList, vrest)
+		}
+		if !isList {
+			return
+		}
+		for i, item := range v.Items {
+			elem, err := Element(content, i)
+			if err != nil || !bytes.Equal(elem, Encode(item)) {
+				t.Fatalf("Element(%d) = %x, %v; want %x", i, elem, err, Encode(item))
+			}
+		}
+		if _, err := Element(content, len(v.Items)); !errors.Is(err, ErrIndex) {
+			t.Fatalf("Element past the end: %v, want ErrIndex", err)
+		}
+	})
+}
+
+// wellFormed reports whether every item in b, recursively, has a valid
+// header: the condition DecodePrefix adds to Split for a list.
+func wellFormed(b []byte) bool {
+	for len(b) > 0 {
+		isList, content, rest, err := Split(b)
+		if err != nil || (isList && !wellFormed(content)) {
+			return false
+		}
+		b = rest
+	}
+	return true
 }

@@ -7,7 +7,9 @@
 // itself explicitly with the append encoders (append.go), which keeps the
 // encoding auditable against the Ethereum yellow-paper rules (appendix B)
 // and keeps decode errors local and typed. Encoding a Value tree (Encode,
-// List, Uint, ...) is the model those encoders are tested against.
+// List, Uint, ...) is the model those encoders are tested against. Split
+// and Element reach one item of an encoding without decoding the items
+// around it.
 //
 // Hash identity of transactions — which the paper's echo analysis joins
 // on — is the Keccak-256 of this encoding, so the rules here must match
@@ -34,6 +36,8 @@ var (
 	ErrUintRange = errors.New("rlp: integer out of uint64 range")
 	// ErrTrailing reports trailing bytes after a complete top-level item.
 	ErrTrailing = errors.New("rlp: trailing bytes after value")
+	// ErrIndex reports an element index past the end of a list.
+	ErrIndex = errors.New("rlp: list index out of range")
 )
 
 // Value is a decoded RLP item (or a model one, in tests): a byte string
@@ -227,60 +231,91 @@ func Decode(data []byte) (Value, error) {
 // DecodePrefix parses one item from the front of data and returns the
 // remainder. Decoded byte strings alias the input buffer.
 func DecodePrefix(data []byte) (Value, []byte, error) {
+	isList, content, rest, err := Split(data)
+	if err != nil {
+		return Value{}, nil, err
+	}
+	if !isList {
+		return Value{Str: content}, rest, nil
+	}
+	items, err := decodeListPayload(content)
+	if err != nil {
+		return Value{}, nil, err
+	}
+	return Value{IsList: true, Items: items}, rest, nil
+}
+
+// Split reads the header of the item at the front of data, the package's
+// one header parser: whether the item is a list, its content (the string
+// payload, or the concatenated encodings of the list's elements) and the
+// bytes after it. It enforces canonical form on the header but does not
+// look inside a list's content, and it allocates nothing unless it fails.
+// content and rest alias data.
+func Split(data []byte) (isList bool, content, rest []byte, err error) {
 	if len(data) == 0 {
-		return Value{}, nil, fmt.Errorf("%w: empty input", ErrTruncated)
+		return false, nil, nil, fmt.Errorf("%w: empty input", ErrTruncated)
 	}
 	tag := data[0]
 	switch {
 	case tag < 0x80: // single byte, its own encoding
-		return Value{Str: data[:1]}, data[1:], nil
+		return false, data[:1], data[1:], nil
 
 	case tag <= 0xb7: // short string
 		length := int(tag - 0x80)
 		if len(data)-1 < length {
-			return Value{}, nil, fmt.Errorf("%w: string of %d bytes", ErrTruncated, length)
+			return false, nil, nil, fmt.Errorf("%w: string of %d bytes", ErrTruncated, length)
 		}
 		s := data[1 : 1+length]
 		if length == 1 && s[0] < 0x80 {
-			return Value{}, nil, fmt.Errorf("%w: single byte below 0x80 must encode itself", ErrCanonical)
+			return false, nil, nil, fmt.Errorf("%w: single byte below 0x80 must encode itself", ErrCanonical)
 		}
-		return Value{Str: s}, data[1+length:], nil
+		return false, s, data[1+length:], nil
 
 	case tag <= 0xbf: // long string
 		length, rest, err := decodeLongLength(data, tag-0xb7)
 		if err != nil {
-			return Value{}, nil, err
+			return false, nil, nil, err
 		}
 		if len(rest) < length {
-			return Value{}, nil, fmt.Errorf("%w: string of %d bytes", ErrTruncated, length)
+			return false, nil, nil, fmt.Errorf("%w: string of %d bytes", ErrTruncated, length)
 		}
-		return Value{Str: rest[:length]}, rest[length:], nil
+		return false, rest[:length], rest[length:], nil
 
 	case tag <= 0xf7: // short list
 		length := int(tag - 0xc0)
 		if len(data)-1 < length {
-			return Value{}, nil, fmt.Errorf("%w: list of %d bytes", ErrTruncated, length)
+			return false, nil, nil, fmt.Errorf("%w: list of %d bytes", ErrTruncated, length)
 		}
-		items, err := decodeListPayload(data[1 : 1+length])
-		if err != nil {
-			return Value{}, nil, err
-		}
-		return Value{IsList: true, Items: items}, data[1+length:], nil
+		return true, data[1 : 1+length], data[1+length:], nil
 
 	default: // long list
 		length, rest, err := decodeLongLength(data, tag-0xf7)
 		if err != nil {
-			return Value{}, nil, err
+			return false, nil, nil, err
 		}
 		if len(rest) < length {
-			return Value{}, nil, fmt.Errorf("%w: list of %d bytes", ErrTruncated, length)
+			return false, nil, nil, fmt.Errorf("%w: list of %d bytes", ErrTruncated, length)
 		}
-		items, err := decodeListPayload(rest[:length])
-		if err != nil {
-			return Value{}, nil, err
-		}
-		return Value{IsList: true, Items: items}, rest[length:], nil
+		return true, rest[:length], rest[length:], nil
 	}
+}
+
+// Element returns the encoding of element i of a list's content (the
+// content Split returns for a list), stepping over the i elements before
+// it by their headers alone.
+func Element(content []byte, i int) ([]byte, error) {
+	n := 0
+	for ; len(content) > 0; n++ {
+		_, _, rest, err := Split(content)
+		if err != nil {
+			return nil, err
+		}
+		if n == i {
+			return content[:len(content)-len(rest)], nil
+		}
+		content = rest
+	}
+	return nil, fmt.Errorf("%w: element %d of a %d-element list", ErrIndex, i, n)
 }
 
 // decodeLongLength reads an n-byte big-endian length following the tag and

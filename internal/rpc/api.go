@@ -404,17 +404,12 @@ func ethGetTransactionReceipt(_ context.Context, b *Backend, params []json.RawMe
 	if perr != nil {
 		return nil, perr
 	}
-	rec, blockHash, index, ok, err := b.bc.ReceiptByTxHash(h)
+	rec, lk, blockNumber, ok, err := b.bc.Store().Receipt(h)
 	if err != nil {
 		return nil, storageErr(err)
 	}
 	if !ok {
 		return nil, nil
-	}
-	blk, ok := b.bc.GetBlock(blockHash)
-	var blockNumber uint64
-	if ok {
-		blockNumber = blk.Number()
 	}
 	status := "0x0"
 	if rec.Status {
@@ -422,8 +417,8 @@ func ethGetTransactionReceipt(_ context.Context, b *Backend, params []json.RawMe
 	}
 	out := &rpcReceipt{
 		TxHash:       rec.TxHash.Hex(),
-		TxIndex:      encUint(uint64(index)),
-		BlockHash:    blockHash.Hex(),
+		TxIndex:      encUint(uint64(lk.Index)),
+		BlockHash:    lk.BlockHash.Hex(),
 		BlockNumber:  encUint(blockNumber),
 		Status:       status,
 		GasUsed:      encUint(rec.GasUsed),

@@ -701,3 +701,70 @@ func errorsAs(err error, target *(*Error)) bool {
 	}
 	return ok
 }
+
+// TestReceiptBlockNumberFromStore: a receipt names the block number its
+// tx index entry resolves to, the same as eth_getTransactionByHash does,
+// even when that block is not in the chain's memory. A chain reopened
+// from its store walks only the canonical branch, so a transaction left
+// behind on an abandoned branch is such a case.
+func TestReceiptBlockNumberFromStore(t *testing.T) {
+	cfg := chain.MainnetLikeConfig()
+	kv := db.NewMemDB()
+	bc, err := chain.NewBlockchainWithDB(cfg, testGenesis(), kv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	genesis := bc.Genesis()
+	tx := transfer(0, alice, bob, 10, 0)
+	slow, err := bc.BuildBlock(pool1, genesis.Header.Time+60, []*chain.Transaction{tx})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := bc.InsertBlock(slow); err != nil {
+		t.Fatal(err)
+	}
+	// A heavier branch without tx, built on a twin sharing genesis.
+	twin, err := chain.NewBlockchain(cfg, testGenesis())
+	if err != nil {
+		t.Fatal(err)
+	}
+	parent := genesis
+	for i := 0; i < 2; i++ {
+		b, err := twin.BuildBlock(pool2, parent.Header.Time+10, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []*chain.Blockchain{twin, bc} {
+			if err := c.InsertBlock(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		parent = b
+	}
+
+	re, err := chain.Open(cfg, kv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := re.GetBlock(slow.Hash()); ok {
+		t.Fatal("reopened chain holds the abandoned block; the test needs one it does not")
+	}
+	srv := NewServer(ServerConfig{Workers: 2})
+	t.Cleanup(srv.Close)
+	srv.RegisterChain(NewBackend("ETH", re))
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	cl := newFC(t, FailoverConfig{Endpoints: []string{ts.URL + "/eth"}})
+
+	var byHash, rec map[string]any
+	if _, err := cl.Call(&byHash, "eth_getTransactionByHash", tx.Hash().Hex()); err != nil {
+		t.Fatalf("eth_getTransactionByHash: %v", err)
+	}
+	if _, err := cl.Call(&rec, "eth_getTransactionReceipt", tx.Hash().Hex()); err != nil {
+		t.Fatalf("eth_getTransactionReceipt: %v", err)
+	}
+	if byHash["blockNumber"] != "0x1" || rec["blockNumber"] != "0x1" || rec["blockHash"] != slow.Hash().Hex() {
+		t.Fatalf("tx says block %v, receipt says block %v (%v); want 0x1 (%s)",
+			byHash["blockNumber"], rec["blockNumber"], rec["blockHash"], slow.Hash().Hex())
+	}
+}

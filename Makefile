@@ -62,7 +62,7 @@ matrix:
 	$(GO) run -race ./cmd/forksim -matrix -days $(MATRIX_DAYS) -out $(MATRIX_DIR)
 
 # Fuzz smoke: `go test -fuzz` takes exactly one target per invocation,
-# so each decoder target runs on its own.
+# so each decoder and parser target runs on its own.
 FUZZTIME ?= 30s
 
 fuzz:
@@ -79,16 +79,20 @@ fuzz:
 	$(GO) test -fuzz '^FuzzDecodeRequest$$' -fuzztime $(FUZZTIME) ./internal/rpc/
 	$(GO) test -fuzz '^FuzzDecodeRecord$$' -fuzztime $(FUZZTIME) ./internal/db/diskdb/
 	$(GO) test -fuzz '^FuzzScanSegment$$' -fuzztime $(FUZZTIME) ./internal/db/diskdb/
+	$(GO) test -fuzz '^FuzzParseSpec$$' -fuzztime $(FUZZTIME) ./internal/db/diskdb/faultfile/
 	$(GO) test -fuzz '^FuzzAppendBlockRow$$' -fuzztime $(FUZZTIME) ./internal/export/
 
-# Storage chaos battery under the race detector: fault-injection unit
-# tests, WAL crash/recovery sweep and the figure byte-identity test.
+# Storage chaos battery under the race detector: the fault-injection unit
+# tests, the WAL crash/recovery sweeps over a batch-tearing test store, and
+# the figure byte-identity tests, whose faulted mem runs are diskdb over an
+# in-memory medium under faultfile.
 chaos:
 	$(GO) test -race -run 'Chaos|Crash|WAL|Fault|Torn|Recover' ./...
 
-# Disk-backend chaos: the exhaustive crash-offset sweep on real segment
-# files, the disk figure byte-identity run and the archive restart test,
-# all under the race detector (uses the test tempdir for storage).
+# Disk-backend chaos: the exhaustive crash-offset sweep (on an in-memory
+# medium), the disk figure byte-identity run on real segment files, the
+# real-file reopen check and the archive restart tests, all under the race
+# detector (real files go in the test tempdir).
 chaos-disk:
 	$(GO) test -race -run 'TestDisk|TestChaosDiskFiguresByteIdentical|TestOpenServes|TestOpenOrBuild' ./internal/chain/ ./internal/serve/ .
 

@@ -16,7 +16,7 @@ import (
 // scheduled mid-commit crash/restart cycles must produce figure CSVs
 // byte-identical to the fault-free in-memory run — at serial and
 // parallel partition stepping alike. Faults are absorbed by
-// truncate-repair, retries, segment replay, WAL redo and deterministic
+// truncate-repair, retries, segment replay and deterministic
 // re-mining — never by changing what the simulation observes.
 func TestChaosDiskFiguresByteIdentical(t *testing.T) {
 	if testing.Short() {
@@ -47,11 +47,12 @@ func TestChaosDiskFiguresByteIdentical(t *testing.T) {
 				DataDir: t.TempDir(),
 			}
 			chaos.StorageFaults = forkwatch.StorageFaults{
-				Seed:          99,
-				ReadErrRate:   0.20,
-				WriteErrRate:  0.20,
-				CorruptRate:   0.01,
-				TornBatchRate: 0.002, // maps to both short and crashing torn appends on disk
+				Seed:           99,
+				ReadErrRate:    0.20,
+				WriteErrRate:   0.20,
+				CorruptRate:    0.01,
+				ShortWriteRate: 0.002,
+				TornWriteRate:  0.002,
 			}
 			chaos.Crashes = []forkwatch.CrashSpec{
 				{Chain: "ETH", Day: 0, Block: 4, Op: 3},

@@ -41,11 +41,12 @@ func renderFigures(t *testing.T, rep *forkwatch.Report) map[string][]byte {
 }
 
 // TestChaosFiguresByteIdentical is the storage chaos acceptance test: a
-// full-fidelity run under 20% injected read/write faults, random torn
-// batches and scheduled mid-commit crash/restart cycles must produce
-// figure CSVs byte-identical to the fault-free run. Faults are absorbed
-// by retries, WAL recovery and deterministic re-mining — never by
-// changing what the simulation observes.
+// full-fidelity run on the mem backend — so its faulted stores sit on an
+// in-memory medium — under 20% injected read/write faults, random short
+// and torn appends and scheduled mid-commit crash/restart cycles must
+// produce figure CSVs byte-identical to the fault-free run. Faults are
+// absorbed by truncate-repair, retries, segment replay and deterministic
+// re-mining — never by changing what the simulation observes.
 func TestChaosFiguresByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-fidelity chaos run")
@@ -67,16 +68,17 @@ func TestChaosFiguresByteIdentical(t *testing.T) {
 
 	chaos := mk()
 	chaos.StorageFaults = forkwatch.StorageFaults{
-		Seed:          99,
-		ReadErrRate:   0.20,
-		WriteErrRate:  0.20,
-		TornBatchRate: 0.002,
+		Seed:           99,
+		ReadErrRate:    0.20,
+		WriteErrRate:   0.20,
+		ShortWriteRate: 0.002,
+		TornWriteRate:  0.002,
 	}
 	chaos.Crashes = []forkwatch.CrashSpec{
-		{Chain: "ETH", Day: 0, Block: 4, Op: 3},    // early in the state-trie batch
-		{Chain: "ETH", Day: 1, Block: 2, Op: 40},   // deep in the commit, or the next block's
-		{Chain: "ETC", Day: 1, Block: 0, Op: 1},    // first write of an ETC commit
-		{Chain: "ETH", Day: 1, Block: 7, Op: 1000}, // far beyond one block: lands blocks later
+		{Chain: "ETH", Day: 0, Block: 4, Op: 3},    // the commit three blocks later
+		{Chain: "ETH", Day: 1, Block: 2, Op: 40},   // forty blocks later
+		{Chain: "ETC", Day: 1, Block: 0, Op: 1},    // the next ETC commit
+		{Chain: "ETH", Day: 1, Block: 7, Op: 1000}, // past the end of the run: armed, never torn
 	}
 	eng, err := forkwatch.NewEngine(chaos)
 	if err != nil {

@@ -26,7 +26,7 @@ import (
 
 	"forkwatch/internal/analysis"
 	"forkwatch/internal/db"
-	"forkwatch/internal/db/faultkv"
+	"forkwatch/internal/db/diskdb/faultfile"
 	"forkwatch/internal/export"
 	"forkwatch/internal/sim"
 )
@@ -64,9 +64,9 @@ type (
 	// (Engine.StorageStats).
 	StorageStats = db.Stats
 	// StorageFaults configures deterministic storage-fault injection for
-	// full-fidelity runs (Scenario.StorageFaults): seeded I/O errors, torn
-	// batches, bit-rot and stalls.
-	StorageFaults = faultkv.Faults
+	// full-fidelity runs (Scenario.StorageFaults): seeded I/O errors,
+	// short and torn appends, bit-rot and stalls.
+	StorageFaults = faultfile.Faults
 	// CrashSpec schedules a storage crash mid-run (Scenario.Crashes): the
 	// named chain's store is killed mid-commit, reopened and WAL-recovered.
 	CrashSpec = sim.CrashSpec
@@ -76,7 +76,7 @@ type (
 // specification behind cmd/forksim's -storage-faults flag, e.g.
 // "seed=42,readerr=0.2,writeerr=0.2,torn=0.01".
 func ParseStorageFaults(spec string) (StorageFaults, error) {
-	return faultkv.ParseSpec(spec)
+	return faultfile.ParseSpec(spec)
 }
 
 // ParseCrashSpecs parses the comma-separated crash schedule behind

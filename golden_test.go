@@ -57,10 +57,11 @@ func goldenConfigs() []goldenConfig {
 			scenario: func() *forkwatch.Scenario {
 				sc := newGoldenFullScenario(5)
 				sc.StorageFaults = forkwatch.StorageFaults{
-					Seed:          99,
-					ReadErrRate:   0.20,
-					WriteErrRate:  0.20,
-					TornBatchRate: 0.002,
+					Seed:           99,
+					ReadErrRate:    0.20,
+					WriteErrRate:   0.20,
+					ShortWriteRate: 0.002,
+					TornWriteRate:  0.002,
 				}
 				sc.Crashes = []forkwatch.CrashSpec{
 					{Chain: "ETH", Day: 0, Block: 4, Op: 3},

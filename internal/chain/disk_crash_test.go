@@ -9,16 +9,13 @@ import (
 	"forkwatch/internal/db/diskdb/faultfile"
 )
 
-// diskStack opens a fresh disk store over a real directory, with the
+// diskStack opens a fresh disk store over an in-memory medium, with the
 // faultfile layer (no random plan) in between so tests can count appends
-// and arm crashes on the physical medium.
-func diskStack(t *testing.T, dir string) (*faultfile.FS, *diskdb.DB) {
+// and arm crashes on the files. TestDiskReopenAcrossProcessModel is the
+// check on real files.
+func diskStack(t *testing.T) (*faultfile.FS, *diskdb.DB) {
 	t.Helper()
-	osfs, err := dbfs.NewOSFS(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ffs := faultfile.Wrap(osfs, faultfile.Faults{})
+	ffs := faultfile.Wrap(dbfs.NewMemFS(), faultfile.Faults{})
 	d, err := diskdb.Open(ffs, diskdb.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -30,7 +27,7 @@ func diskStack(t *testing.T, dir string) (*faultfile.FS, *diskdb.DB) {
 // TestCrashMidImportRecovers, and it is exhaustive: the medium is killed
 // at EVERY physical append of an import that lands the donor's blocks as
 // runs — one append per run. Each kill tears a random strict prefix of that
-// append onto the real files; the restart path (diskdb.Open segment replay
+// append onto the files; the restart path (diskdb.Open segment replay
 // + torn-tail truncation, then the chain-level WAL redo) must land on a run
 // boundary — the acknowledged head or the end of the run in flight, never a
 // block inside a run — and resuming the import must converge on the donor
@@ -40,7 +37,7 @@ func TestDiskCrashSweepMidImport(t *testing.T) {
 	blocks := donor.CanonicalBlocks(1, donor.Head().Number())
 
 	// Calibrate the import's append footprint on a clean disk run.
-	calibFS, calibDB := diskStack(t, t.TempDir())
+	calibFS, calibDB := diskStack(t)
 	calib, err := NewBlockchainWithDB(MainnetLikeConfig(), testGenesis(), calibDB)
 	if err != nil {
 		t.Fatal(err)
@@ -56,7 +53,7 @@ func TestDiskCrashSweepMidImport(t *testing.T) {
 	}
 
 	for off := uint64(1); off <= totalOps; off++ {
-		ffs, d := diskStack(t, t.TempDir())
+		ffs, d := diskStack(t)
 		victim, err := NewBlockchainWithDB(MainnetLikeConfig(), testGenesis(), d)
 		if err != nil {
 			t.Fatal(err)
@@ -100,7 +97,7 @@ func TestDiskCrashSweepMidImport(t *testing.T) {
 // mined or inserted block is one append (one fsync), and an import of N
 // blocks is one append per run of MaxRun.
 func TestOneAppendPerCommit(t *testing.T) {
-	srcFS, srcDB := diskStack(t, t.TempDir())
+	srcFS, srcDB := diskStack(t)
 	defer srcDB.Close()
 	src := mineDense(t, srcDB, MaxRun+3, 2)
 	before := srcFS.WriteOps()
@@ -118,7 +115,7 @@ func TestOneAppendPerCommit(t *testing.T) {
 	last := src.Head().Number()
 
 	_, gen := mineUsers(64)
-	dstFS, dstDB := diskStack(t, t.TempDir())
+	dstFS, dstDB := diskStack(t)
 	defer dstDB.Close()
 	dst, err := NewBlockchainWithDB(MainnetLikeConfig(), gen, dstDB)
 	if err != nil {

@@ -9,7 +9,9 @@ import (
 	"testing"
 
 	"forkwatch/internal/db"
-	"forkwatch/internal/db/faultkv"
+	"forkwatch/internal/db/dbfs"
+	"forkwatch/internal/db/diskdb"
+	"forkwatch/internal/db/diskdb/faultfile"
 )
 
 // TestRejectedBlockWritesNothing: a block that fails a check — its
@@ -113,33 +115,36 @@ func sameView(t *testing.T, bc *Blockchain, kv db.KV) {
 }
 
 // TestInsertChainFailedCommitKeepsView: when a run's one batch fails — a
-// write error that applies nothing, or a crash that tears it inside its
-// state nodes — the chain stays exactly where a reopen would put it, and
+// write error that lands nothing, or a crash that tears its append — the
+// chain stays exactly where a restart over the medium would put it, and
 // resuming converges on the donor's head.
 func TestInsertChainFailedCommitKeepsView(t *testing.T) {
 	src := mineDense(t, db.NewMemDB(), 12, 3)
 	blocks := src.CanonicalBlocks(1, src.Head().Number())
 	_, gen := mineUsers(64)
 
-	faults := map[string]func(fkv *faultkv.KV){
-		"write error": func(fkv *faultkv.KV) { fkv.SetEnabled(true) },
-		"torn":        func(fkv *faultkv.KV) { fkv.CrashAtWriteOp(fkv.WriteOps() + 3) },
+	faults := map[string]func(ffs *faultfile.FS){
+		"write error": func(ffs *faultfile.FS) { ffs.SetEnabled(true) },
+		"torn":        func(ffs *faultfile.FS) { ffs.CrashAtWriteOp(ffs.WriteOps() + 1) },
 	}
 	for name, arm := range faults {
 		t.Run(name, func(t *testing.T) {
-			fkv := faultkv.Wrap(db.NewMemDB(), faultkv.Faults{WriteErrRate: 1})
-			fkv.SetEnabled(false)
-			bc, err := NewBlockchainWithDB(MainnetLikeConfig(), gen, fkv)
+			ffs := faultfile.Wrap(dbfs.NewMemFS(), faultfile.Faults{WriteErrRate: 1})
+			ffs.SetEnabled(false)
+			d, err := diskdb.Open(ffs, diskdb.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			kv := &struct{ db.KV }{d} // the chain's store, across the restart
+			bc, err := NewBlockchainWithDB(MainnetLikeConfig(), gen, kv)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if n, err := bc.InsertChain(blocks[:4]); n != 4 || err != nil {
 				t.Fatalf("first run: %d blocks, %v", n, err)
 			}
-			arm(fkv)
+			arm(ffs)
 			n, err := bc.InsertChain(blocks[4:9])
-			fkv.SetEnabled(false)
-			fkv.Reopen()
 			if n != 0 || err == nil {
 				t.Fatalf("faulted run inserted %d blocks, err %v", n, err)
 			}
@@ -149,7 +154,15 @@ func TestInsertChainFailedCommitKeepsView(t *testing.T) {
 			if bc.headState != nil {
 				t.Fatal("a failed run left a carried state a reopened chain would not have")
 			}
-			sameView(t, bc, fkv)
+			// The store restarts over the medium: the recovery scan drops a
+			// torn append's prefix.
+			ffs.SetEnabled(false)
+			ffs.Reopen()
+			d.Close()
+			if kv.KV, err = diskdb.Open(ffs, diskdb.Options{}); err != nil {
+				t.Fatal(err)
+			}
+			sameView(t, bc, kv)
 
 			if _, err := bc.InsertChain(blocks[4:]); err != nil {
 				t.Fatalf("resumed run: %v", err)
@@ -157,7 +170,7 @@ func TestInsertChainFailedCommitKeepsView(t *testing.T) {
 			if bc.Head().Hash() != src.Head().Hash() {
 				t.Fatalf("resumed to %d, donor head %d", bc.Head().Number(), src.Head().Number())
 			}
-			sameView(t, bc, fkv)
+			sameView(t, bc, kv)
 		})
 	}
 }

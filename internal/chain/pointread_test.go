@@ -89,7 +89,7 @@ func TestPointReadsMatchWholeDecode(t *testing.T) {
 		t.Run(backend, func(t *testing.T) {
 			kv := db.KV(db.NewMemDB())
 			if backend == "disk" {
-				_, d := diskStack(t, t.TempDir())
+				_, d := diskStack(t)
 				t.Cleanup(func() { d.Close() })
 				kv = d
 			}

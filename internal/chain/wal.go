@@ -25,9 +25,11 @@ import (
 //
 // The WAL record is the commit's chain records as one checksummed value
 // under a WAL slot key; the watermark ('w'+'a' -> seq) names the newest
-// record whose records have fully applied. A batch is atomic on a healthy
-// device, but a crash mid-write (a torn batch, see db/faultkv) can leave
-// any prefix of it applied, and every prefix is one recovery resolves:
+// record whose records have fully applied. Every store in this repository
+// writes a batch atomically — diskdb commits it as one append, and its
+// recovery scan drops a torn append whole — but a device that tore a
+// batch mid-write could leave any prefix of it applied, and every prefix
+// is one recovery resolves (the WAL tests drive such a device):
 //
 //  1. A prefix short of the WAL record holds only state nodes. They are
 //     content-addressed and no chain record references their roots yet,

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"forkwatch/internal/db"
-	"forkwatch/internal/db/faultkv"
 	"forkwatch/internal/types"
 )
 
@@ -129,7 +128,7 @@ func TestCrashMidImportRecovers(t *testing.T) {
 	blocks := donor.CanonicalBlocks(1, donor.Head().Number())
 
 	// Measure the import's total write footprint on a clean run.
-	calibKV := faultkv.Wrap(db.NewMemDB(), faultkv.Faults{})
+	calibKV := &tearKV{KV: db.NewMemDB()}
 	calib, err := NewBlockchainWithDB(MainnetLikeConfig(), testGenesis(), calibKV)
 	if err != nil {
 		t.Fatal(err)
@@ -145,7 +144,7 @@ func TestCrashMidImportRecovers(t *testing.T) {
 
 	var lost, landed int // crashes that lost the run in flight, and that did not
 	for off := uint64(1); off <= totalOps; off++ {
-		fkv := faultkv.Wrap(db.NewMemDB(), faultkv.Faults{})
+		fkv := &tearKV{KV: db.NewMemDB()}
 		victim, err := NewBlockchainWithDB(MainnetLikeConfig(), testGenesis(), fkv)
 		if err != nil {
 			t.Fatal(err)
@@ -189,7 +188,7 @@ func TestCrashMidImportRecovers(t *testing.T) {
 // batch torn after its WAL record landed is finished by RecoverWAL.
 func TestWALRedoRepairsTornBatch(t *testing.T) {
 	inner := db.NewMemDB()
-	fkv := faultkv.Wrap(inner, faultkv.Faults{})
+	fkv := &tearKV{KV: inner}
 	store := NewStore(fkv)
 
 	batch := fkv.NewBatch()
@@ -205,7 +204,7 @@ func TestWALRedoRepairsTornBatch(t *testing.T) {
 	// operations only half applied.
 	fkv.CrashAtWriteOp(fkv.WriteOps() + 4)
 	err := store.CommitWAL(batch, wb)
-	if !errors.Is(err, faultkv.ErrCrashed) {
+	if !errors.Is(err, errTorn) {
 		t.Fatalf("CommitWAL under tear = %v, want ErrCrashed", err)
 	}
 	if _, ok, _ := store.CanonHash(9); ok {
@@ -270,7 +269,7 @@ func TestWALTruncatesCorruptRecord(t *testing.T) {
 // data-loss-not-corruption semantics).
 func TestDoubleFaultFallsBackToPreviousHead(t *testing.T) {
 	inner := db.NewMemDB()
-	fkv := faultkv.Wrap(inner, faultkv.Faults{})
+	fkv := &tearKV{KV: inner}
 	bc, err := NewBlockchainWithDB(MainnetLikeConfig(), testGenesis(), fkv)
 	if err != nil {
 		t.Fatal(err)

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"forkwatch/internal/db"
-	"forkwatch/internal/db/faultkv"
 	"forkwatch/internal/types"
 )
 
@@ -175,7 +174,7 @@ func runWarmScript(t *testing.T, carry bool) (log []string, head *Block) {
 	gen.Code = map[types.Address][]byte{slotStore: slotStoreCode}
 	s := &warmScript{t: t, carry: carry, users: users, nonce: map[types.Address]uint64{}}
 
-	fk := faultkv.Wrap(loggedKV{KV: db.NewMemDB(), log: &s.log}, faultkv.Faults{})
+	fk := &tearKV{KV: loggedKV{KV: db.NewMemDB(), log: &s.log}}
 	var err error
 	if s.bc, err = NewBlockchainWithDB(MainnetLikeConfig(), gen, fk); err != nil {
 		t.Fatal(err)
@@ -236,7 +235,7 @@ func runWarmScript(t *testing.T, carry bool) (log []string, head *Block) {
 	fk.CrashAtWriteOp(fk.WriteOps() + 3)
 	_, err = s.bc.MineBlock(pool1, headBefore.Header.Time+14, cands, nil, testSeal)
 	fk.Reopen()
-	if !errors.Is(err, faultkv.ErrCrashed) {
+	if !errors.Is(err, errTorn) {
 		t.Fatalf("faulted MineBlock: %v, want the crash tearing its batch", err)
 	}
 	if len(s.log) != writesBefore+2 {

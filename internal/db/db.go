@@ -12,9 +12,10 @@
 //
 // Every operation can fail: the interface models a real storage device,
 // not a map. The in-memory backends never return errors on their own, but
-// the faultkv sub-package wraps any KV with deterministic injected I/O
-// errors, torn batches, bit-rot and stalls, and the trie/state/chain
-// layers above are built to survive whatever this interface surfaces.
+// a fault-injected store — diskdb over a medium that the diskdb/faultfile
+// package wraps with deterministic I/O errors, short and torn appends,
+// bit-rot and stalls — does, and the trie/state/chain layers above are
+// built to survive whatever this interface surfaces.
 // Transient failures (a retriable I/O hiccup) are distinguished from fatal
 // ones via IsTransient; the Retry wrapper turns bounded transience into
 // success so higher layers only ever see faults worth aborting over.
@@ -67,9 +68,9 @@ type KV interface {
 	// NewBatch returns an empty write batch whose Write applies every
 	// queued operation atomically: either all operations land or none do
 	// (a Write that returns a transient error must leave the store
-	// untouched). Only a crashed/torn device — see faultkv — may expose
-	// a partially applied batch, which is exactly what the chain WAL
-	// recovers from.
+	// untouched). No store here exposes a partially applied batch, even
+	// across a crash (diskdb's recovery drops a torn append whole); the
+	// chain WAL still recovers one if a device ever did.
 	NewBatch() Batch
 	// Stats returns a snapshot of the store's counters.
 	Stats() Stats
@@ -88,16 +89,15 @@ type Batch interface {
 	// heuristics in future disk backends).
 	ValueSize() int
 	// Write applies every queued operation to the backing store and
-	// resets the batch for reuse. On error nothing was applied, except
-	// when the error is a crash/tear (faultkv), after which the store
-	// must be reopened and recovered before further use.
+	// resets the batch for reuse. On error nothing was applied; after a
+	// crash the store must be reopened and recovered before further use.
 	Write() error
 	// Reset drops all queued operations.
 	Reset()
 }
 
 // transientError is implemented by errors that are worth retrying (the
-// storage equivalent of EINTR). faultkv's injected I/O errors implement
+// storage equivalent of EINTR). faultfile's injected I/O errors implement
 // it; crashes and corruption do not.
 type transientError interface {
 	Transient() bool

@@ -1,7 +1,8 @@
 // Package dbfs is the narrow filesystem seam the disk backend writes
-// through: an FS of append-only, random-read files plus the real OSFS
-// implementation. It lives apart from diskdb so the faultfile injection
-// layer can wrap the seam without importing the store it is testing.
+// through: an FS of append-only, random-read files, with two media behind
+// it — the real OSFS and the in-memory MemFS. It lives apart from diskdb
+// so the faultfile injection layer can wrap the seam without importing
+// the store it is testing.
 package dbfs
 
 import (
@@ -11,13 +12,14 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
-// FS is the narrow filesystem surface diskdb writes through. The real
-// implementation is OSFS; the faultfile package wraps any FS with
-// deterministic injected failures (short writes, torn appends, fsync
-// errors, read bit-rot, crash-at-op), which is how diskdb's recovery
-// paths are proven.
+// FS is the narrow filesystem surface diskdb writes through. OSFS is the
+// real filesystem and MemFS its in-memory twin; the faultfile package
+// wraps either with deterministic injected failures (short writes, torn
+// appends, fsync errors, read bit-rot, crash-at-op), which is how
+// diskdb's recovery paths are proven.
 type FS interface {
 	// Open returns the named file, creating it empty if absent.
 	Open(name string) (File, error)
@@ -128,3 +130,114 @@ func (o *osFile) Size() (int64, error) {
 }
 
 func (o *osFile) Close() error { return o.f.Close() }
+
+// MemFS is an in-memory FS that behaves like OSFS: Open creates a file
+// empty, List returns the names sorted, a read past the end returns what
+// is there and io.EOF, Truncate past the end zero-fills, and a closed
+// handle refuses I/O with os.ErrClosed. Every handle on a name shares its
+// bytes. Safe for concurrent use. It is the medium of a fault-injected
+// in-memory store; its contents live as long as the MemFS does.
+type MemFS struct {
+	mu    sync.RWMutex
+	files map[string][]byte
+}
+
+// NewMemFS returns an empty in-memory FS.
+func NewMemFS() *MemFS { return &MemFS{files: map[string][]byte{}} }
+
+// Open implements FS.
+func (m *MemFS) Open(name string) (File, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if _, ok := m.files[name]; !ok {
+		m.files[name] = nil
+	}
+	return &memFile{fs: m, name: name}, nil
+}
+
+// List implements FS.
+func (m *MemFS) List() ([]string, error) {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	names := make([]string, 0, len(m.files))
+	for name := range m.files {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names, nil
+}
+
+// memFile is one handle on a MemFS file.
+type memFile struct {
+	fs     *MemFS
+	name   string
+	closed atomic.Bool
+}
+
+func (f *memFile) ReadAt(p []byte, off int64) (int, error) {
+	if f.closed.Load() {
+		return 0, os.ErrClosed
+	}
+	if off < 0 {
+		return 0, fmt.Errorf("dbfs: read %s: negative offset", f.name)
+	}
+	f.fs.mu.RLock()
+	data := f.fs.files[f.name]
+	var n int
+	if off < int64(len(data)) {
+		n = copy(p, data[off:])
+	}
+	f.fs.mu.RUnlock()
+	if n < len(p) {
+		return n, io.EOF
+	}
+	return n, nil
+}
+
+func (f *memFile) Append(p []byte) (int, error) {
+	if f.closed.Load() {
+		return 0, os.ErrClosed
+	}
+	f.fs.mu.Lock()
+	f.fs.files[f.name] = append(f.fs.files[f.name], p...)
+	f.fs.mu.Unlock()
+	return len(p), nil
+}
+
+func (f *memFile) Truncate(size int64) error {
+	if f.closed.Load() {
+		return os.ErrClosed
+	}
+	if size < 0 {
+		return fmt.Errorf("dbfs: truncate %s: negative size", f.name)
+	}
+	f.fs.mu.Lock()
+	defer f.fs.mu.Unlock()
+	data := f.fs.files[f.name]
+	if size <= int64(len(data)) {
+		f.fs.files[f.name] = data[:size]
+	} else {
+		f.fs.files[f.name] = append(data, make([]byte, size-int64(len(data)))...)
+	}
+	return nil
+}
+
+func (f *memFile) Sync() error {
+	if f.closed.Load() {
+		return os.ErrClosed
+	}
+	return nil
+}
+
+func (f *memFile) Size() (int64, error) {
+	f.fs.mu.RLock()
+	defer f.fs.mu.RUnlock()
+	return int64(len(f.fs.files[f.name])), nil
+}
+
+func (f *memFile) Close() error {
+	if f.closed.Swap(true) {
+		return os.ErrClosed
+	}
+	return nil
+}

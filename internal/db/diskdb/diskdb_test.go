@@ -6,9 +6,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"forkwatch/internal/db"
+	"forkwatch/internal/db/dbfs"
 	"forkwatch/internal/db/diskdb/faultfile"
 )
 
@@ -278,12 +280,7 @@ func TestSupersededRecordsAcrossSegments(t *testing.T) {
 }
 
 func TestCrashTornAppendRecovers(t *testing.T) {
-	dir := t.TempDir()
-	osfs, err := NewOSFS(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ffs := faultfile.Wrap(osfs, faultfile.Faults{Seed: 7})
+	ffs := faultfile.Wrap(dbfs.NewMemFS(), faultfile.Faults{Seed: 7})
 	d, err := Open(ffs, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -319,12 +316,7 @@ func TestCrashTornAppendRecovers(t *testing.T) {
 }
 
 func TestRetryAbsorbsInjectedFaults(t *testing.T) {
-	dir := t.TempDir()
-	osfs, err := NewOSFS(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ffs := faultfile.Wrap(osfs, faultfile.Faults{
+	ffs := faultfile.Wrap(dbfs.NewMemFS(), faultfile.Faults{
 		Seed:           42,
 		ReadErrRate:    0.2,
 		WriteErrRate:   0.2,
@@ -358,6 +350,164 @@ func TestRetryAbsorbsInjectedFaults(t *testing.T) {
 	defer re.Close()
 	for i := 0; i < 60; i++ {
 		mustGet(t, re, fmt.Sprintf("k%02d", i), fmt.Sprintf("v%02d", i))
+	}
+}
+
+// TestRetryAbsorbsInjectedErrors: at a 50% error rate on every read,
+// append and sync, each kind of store operation — Put, Get, Has,
+// Delete and a batch Write — still succeeds through db.Retry.
+func TestRetryAbsorbsInjectedErrors(t *testing.T) {
+	ffs := faultfile.Wrap(dbfs.NewMemFS(), faultfile.Faults{Seed: 11, ReadErrRate: 0.5, WriteErrRate: 0.5})
+	d, err := Open(ffs, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	// A write needs its append and its sync to pass: 1/4 per attempt, so
+	// 64 attempts all fail with probability ~1e-8. The seed is fixed, so
+	// the run either always passes or always fails.
+	kv := db.NewRetry(d, 64)
+	for i := 0; i < 40; i++ {
+		key := []byte{0x70, byte(i)}
+		if err := kv.Put(key, []byte{byte(i)}); err != nil {
+			t.Fatalf("Put %d through retry: %v", i, err)
+		}
+		v, ok, err := kv.Get(key)
+		if err != nil || !ok || !bytes.Equal(v, []byte{byte(i)}) {
+			t.Fatalf("Get %d through retry: %v %v %v", i, v, ok, err)
+		}
+		b := kv.NewBatch()
+		b.Put([]byte{0x71, byte(i)}, []byte{byte(i)})
+		b.Delete(key)
+		if err := b.Write(); err != nil {
+			t.Fatalf("batch %d through retry: %v", i, err)
+		}
+		if ok, err := kv.Has(key); err != nil || ok {
+			t.Fatalf("Has %d after batch delete: %v %v, want absent", i, ok, err)
+		}
+		if ok, err := kv.Has([]byte{0x71, byte(i)}); err != nil || !ok {
+			t.Fatalf("Has %d after batch put: %v %v, want present", i, ok, err)
+		}
+		if err := kv.Delete([]byte{0x71, byte(i)}); err != nil {
+			t.Fatalf("Delete %d through retry: %v", i, err)
+		}
+	}
+	if len(ffs.Journal()) == 0 {
+		t.Fatal("plan injected nothing")
+	}
+	if st := d.Stats(); st.Entries != 0 {
+		t.Fatalf("Entries = %d, want 0 after every key was deleted", st.Entries)
+	}
+}
+
+// faultWorkload runs a fixed operation sequence against a store on a
+// medium under plan, rebuilding the store whenever the medium crashes,
+// and returns how many operations failed and the medium's fault journal.
+func faultWorkload(t *testing.T, plan faultfile.Faults) (int, []faultfile.Event) {
+	t.Helper()
+	ffs := faultfile.Wrap(dbfs.NewMemFS(), plan)
+	open := func() *DB {
+		// Recovery runs with injection paused, as the chaos harnesses do.
+		ffs.SetEnabled(false)
+		defer ffs.SetEnabled(true)
+		d, err := Open(ffs, Options{SegmentBytes: 512})
+		if err != nil {
+			t.Fatalf("Open: %v", err)
+		}
+		return d
+	}
+	d := open()
+	failures := 0
+	for i := 0; i < 400; i++ {
+		key := []byte{byte(i), byte(i >> 8)}
+		val := bytes.Repeat([]byte{byte(i)}, 8)
+		var err error
+		switch i % 4 {
+		case 0:
+			err = d.Put(key, val)
+		case 1:
+			_, _, err = d.Get(key)
+		case 2:
+			b := d.NewBatch()
+			b.Put(key, val)
+			b.Put(append(key, 0xff), val)
+			err = b.Write()
+		case 3:
+			_, err = d.Has(key)
+		}
+		if err != nil {
+			failures++
+		}
+		if ffs.Crashed() {
+			d.Close()
+			ffs.Reopen()
+			d = open()
+		}
+	}
+	d.Close()
+	return failures, ffs.Journal()
+}
+
+// TestDeterminism: the same seed drives a store through the same
+// failures and the same fault journal, crashes and recoveries included;
+// another seed does not.
+func TestDeterminism(t *testing.T) {
+	plan := faultfile.Faults{Seed: 42, ReadErrRate: 0.2, WriteErrRate: 0.2, TornWriteRate: 0.05, CorruptRate: 0.05}
+	failsA, ja := faultWorkload(t, plan)
+	failsB, jb := faultWorkload(t, plan)
+	if failsA != failsB {
+		t.Fatalf("same seed diverged: %d vs %d failures", failsA, failsB)
+	}
+	if failsA == 0 {
+		t.Fatal("fault plan failed no operation")
+	}
+	if !reflect.DeepEqual(ja, jb) {
+		t.Fatalf("same seed produced different journals: %d vs %d events", len(ja), len(jb))
+	}
+	reopens := 0
+	for _, ev := range ja {
+		if ev.Kind == "reopen" {
+			reopens++
+		}
+	}
+	if reopens == 0 {
+		t.Fatal("plan never crashed the medium; the workload did not exercise recovery")
+	}
+
+	plan.Seed = 43
+	if _, jc := faultWorkload(t, plan); reflect.DeepEqual(ja, jc) {
+		t.Fatal("different seeds produced identical journals")
+	}
+}
+
+// countingKV counts the Puts that reach the store, to observe how often
+// a db.Retry above it re-issues one.
+type countingKV struct {
+	db.KV
+	puts int
+}
+
+func (c *countingKV) Put(key, value []byte) error {
+	c.puts++
+	return c.KV.Put(key, value)
+}
+
+// TestRetryPassesCrashThrough: a crashed medium fails a write for good,
+// so db.Retry hands the error back after one attempt.
+func TestRetryPassesCrashThrough(t *testing.T) {
+	ffs := faultfile.Wrap(dbfs.NewMemFS(), faultfile.Faults{Seed: 13})
+	d, err := Open(ffs, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	counter := &countingKV{KV: d}
+	ffs.Crash()
+	if err := db.NewRetry(counter, 10).Put([]byte("k"), []byte("v")); err == nil || db.IsTransient(err) {
+		t.Fatalf("Put on a crashed medium through retry = %v, want a permanent error", err)
+	}
+	if counter.puts != 1 {
+		t.Fatalf("retry issued %d attempts against a crashed medium, want 1 (fatal errors pass through)", counter.puts)
 	}
 }
 
@@ -406,11 +556,7 @@ func (f *brickFile) Size() (int64, error) { return f.inner.Size() }
 func (f *brickFile) Close() error         { return f.inner.Close() }
 
 func TestDegradeToReadOnly(t *testing.T) {
-	osfs, err := NewOSFS(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	bfs := &brickFS{inner: osfs, budget: 3}
+	bfs := &brickFS{inner: dbfs.NewMemFS(), budget: 3}
 	d, err := Open(bfs, Options{})
 	if err != nil {
 		t.Fatal(err)

@@ -1,11 +1,17 @@
 // Package faultfile wraps a dbfs.FS with deterministic, seeded fault
-// injection on the real file API — the file-level counterpart of
-// internal/db/faultkv. Where faultkv tears logical batches, faultfile
-// breaks the physical medium underneath diskdb: short writes that leave a
-// prefix of an append on disk, torn writes that additionally kill the
-// process model, fsync errors, read-path bit-rot, and a crash armed to
-// land on an exact append — which is what the crash-offset sweep and the
-// disk chaos suites drive.
+// injection on the file API — the storage counterpart of
+// internal/faultnet's network faults, and the one storage fault seam:
+// every fault-injected store is diskdb over a dbfs medium (OSFS or MemFS)
+// under this layer. It breaks the physical medium underneath diskdb:
+// short writes that leave a prefix of an append on the medium, torn
+// writes that additionally kill the process model, fsync errors,
+// read-path bit-rot, and a crash armed to land on an exact append —
+// which is what the crash-offset sweeps and the chaos suites drive.
+//
+// The paper's observations are stories about nodes surviving hostile
+// events: O2's two-day recovery and O5's months-long replay window both
+// presume ledgers that keep serving a consistent view through crashes
+// and flaky disks. Faults is the one plan behind -storage-faults.
 //
 // Every fault decision comes from a seeded RNG and is journaled, so a
 // chaos run that finds a bug replays bit-for-bit. Expected reactions in

@@ -3,6 +3,8 @@ package diskdb
 import (
 	"bytes"
 	"testing"
+
+	"forkwatch/internal/db/dbfs"
 )
 
 // FuzzDecodeRecord drives the segment-record decoder with arbitrary
@@ -51,7 +53,9 @@ func FuzzScanSegment(f *testing.F) {
 	f.Add([]byte("not a segment at all"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fs := memFS{segName(1): append([]byte(nil), data...)}
+		fs := dbfs.NewMemFS()
+		seg, _ := fs.Open(segName(1))
+		seg.Append(data)
 		d, err := Open(fs, Options{})
 		if err != nil {
 			return // an unreadable medium may refuse to open; it must not panic
@@ -66,48 +70,3 @@ func FuzzScanSegment(f *testing.F) {
 		}
 	})
 }
-
-// memFS is a minimal in-memory FS for fuzzing segment scans.
-type memFS map[string][]byte
-
-func (m memFS) Open(name string) (File, error) {
-	if _, ok := m[name]; !ok {
-		m[name] = nil
-	}
-	return &memFile{m: m, name: name}, nil
-}
-func (m memFS) List() ([]string, error) {
-	names := make([]string, 0, len(m))
-	for name := range m {
-		names = append(names, name)
-	}
-	return names, nil
-}
-
-type memFile struct {
-	m    memFS
-	name string
-}
-
-func (f *memFile) ReadAt(p []byte, off int64) (int, error) {
-	data := f.m[f.name]
-	if off >= int64(len(data)) {
-		return 0, bytes.ErrTooLarge // any error will do; diskdb only reads scanned ranges
-	}
-	n := copy(p, data[off:])
-	if n < len(p) {
-		return n, bytes.ErrTooLarge
-	}
-	return n, nil
-}
-func (f *memFile) Append(p []byte) (int, error) {
-	f.m[f.name] = append(f.m[f.name], p...)
-	return len(p), nil
-}
-func (f *memFile) Truncate(size int64) error {
-	f.m[f.name] = f.m[f.name][:size]
-	return nil
-}
-func (f *memFile) Sync() error          { return nil }
-func (f *memFile) Size() (int64, error) { return int64(len(f.m[f.name])), nil }
-func (f *memFile) Close() error         { return nil }

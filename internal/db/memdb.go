@@ -15,7 +15,8 @@ const memShards = 16
 // backend. Keys are striped over shards by a byte-mix of the key, so
 // concurrent committers and readers (one chain writing state while p2p
 // peers serve historical nodes) contend only per shard. MemDB never fails;
-// fault-injection harnesses wrap it (faultkv).
+// a store with injected faults is diskdb over an in-memory dbfs.MemFS
+// instead (see internal/sim's OpenChainStore).
 type MemDB struct {
 	shards [memShards]memShard
 

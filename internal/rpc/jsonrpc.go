@@ -47,7 +47,7 @@ const (
 	// ErrCodeNotFound reports a block/state the archive does not have.
 	ErrCodeNotFound = -32001
 	// ErrCodeStorage reports a failed or corrupt read from the chain's
-	// key-value store (the faultkv chaos path lands here).
+	// key-value store (injected storage faults land here).
 	ErrCodeStorage = -32010
 	// ErrCodeTimeout reports a request that exceeded the server's
 	// execution deadline (e.g. behind a stalled storage device).

@@ -15,7 +15,9 @@ import (
 
 	"forkwatch/internal/chain"
 	"forkwatch/internal/db"
-	"forkwatch/internal/db/faultkv"
+	"forkwatch/internal/db/dbfs"
+	"forkwatch/internal/db/diskdb"
+	"forkwatch/internal/db/diskdb/faultfile"
 	"forkwatch/internal/types"
 )
 
@@ -524,19 +526,23 @@ func TestNoStaleHeadUnderConcurrentMining(t *testing.T) {
 	<-stop
 }
 
-// TestChaosFaultyStorage hammers a server whose chain sits on a fault-
-// injecting KV with a 20% read-error rate: every single response must be
+// TestChaosFaultyStorage hammers a server whose chain sits on a store
+// whose medium fails 20% of its reads: every single response must be
 // well-formed JSON-RPC (result or typed error object), with zero panics
 // and zero hung requests.
 func TestChaosFaultyStorage(t *testing.T) {
-	inner := db.NewMemDB()
-	fkv := faultkv.Wrap(inner, faultkv.Faults{
+	ffs := faultfile.Wrap(dbfs.NewMemFS(), faultfile.Faults{
 		Seed:        42,
 		ReadErrRate: 0.20,
 	})
-	fkv.SetEnabled(false) // build the fixture cleanly
+	ffs.SetEnabled(false) // build the fixture cleanly
+	store, err := diskdb.Open(ffs, diskdb.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
 	cfg := chain.MainnetLikeConfig()
-	eth, err := chain.NewBlockchainWithDB(cfg, testGenesis(), fkv)
+	eth, err := chain.NewBlockchainWithDB(cfg, testGenesis(), store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -546,7 +552,7 @@ func TestChaosFaultyStorage(t *testing.T) {
 		mine(t, eth, pool1, tx)
 		txHashes = append(txHashes, tx.Hash().Hex())
 	}
-	fkv.SetEnabled(true) // chaos on
+	ffs.SetEnabled(true) // chaos on
 
 	srv := NewServer(ServerConfig{Workers: 4, QueueDepth: 1024, RequestTimeout: 5 * time.Second})
 	defer srv.Close()

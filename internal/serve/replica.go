@@ -177,9 +177,6 @@ type ReplicaConfig struct {
 	// DataDir overrides the scenario's disk directory — a replica must
 	// never share the primary's store. Required for the disk backend.
 	DataDir string
-	// WrapKV, when set, wraps each chain's store before use (chaos tests
-	// inject storage faults here).
-	WrapKV func(chainName string, kv db.KV) db.KV
 	// Logf receives debug lines.
 	Logf func(format string, args ...any)
 }
@@ -247,16 +244,16 @@ type headRelay struct {
 // DataDir already holds them) stores seeded with the shared genesis, an
 // RPC server mounting every chain, and one follow loop per chain that
 // connects to the primary, tracks staleness and keeps the sync pulled.
-// The scenario is only consulted for the chain configs and genesis — the
-// replica never simulates; every block arrives over the wire.
+// The scenario is only consulted for the chain configs, genesis and its
+// storage fault plan, which the stores apply — the replica never
+// simulates, so it refuses a crash schedule; every block arrives over the
+// wire.
 func NewReplica(sc *sim.Scenario, cfg ReplicaConfig, rcfg rpc.ServerConfig) (*Replica, error) {
 	if sc.Mode != sim.ModeFull {
 		return nil, fmt.Errorf("serve: scenario mode must be full (replicas serve real chains)")
 	}
-	if sc.StorageFaults.Enabled() || len(sc.Crashes) > 0 {
-		// The replica opens bare stores (sim.OpenChainStore, engine=false):
-		// the scenario's injectors would be dropped without a word.
-		return nil, fmt.Errorf("serve: a replica does not apply the scenario's storage faults or crashes; inject through ReplicaConfig.WrapKV")
+	if len(sc.Crashes) > 0 {
+		return nil, fmt.Errorf("serve: a replica mines no blocks, so it cannot apply a crash schedule")
 	}
 	if cfg.Transport.Dialer == nil {
 		return nil, fmt.Errorf("serve: replica transport has no dialer")
@@ -280,7 +277,7 @@ func NewReplica(sc *sim.Scenario, cfg ReplicaConfig, rcfg rpc.ServerConfig) (*Re
 		}
 		own.Storage.DataDir = cfg.DataDir
 	}
-	chains, stores, err := openLedgers(&own, sim.NewWorkload(sc).Genesis(), cfg.WrapKV)
+	chains, stores, err := openLedgers(&own, sim.NewWorkload(sc).Genesis())
 	if err != nil {
 		return nil, err
 	}

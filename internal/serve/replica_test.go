@@ -12,8 +12,7 @@ import (
 	"time"
 
 	"forkwatch/internal/clock"
-	"forkwatch/internal/db"
-	"forkwatch/internal/db/faultkv"
+	"forkwatch/internal/db/diskdb/faultfile"
 	"forkwatch/internal/faultnet"
 	"forkwatch/internal/metrics"
 	"forkwatch/internal/p2p"
@@ -55,28 +54,17 @@ func (s *swappableHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	h.ServeHTTP(w, r)
 }
 
-// faultyReplicaKV builds a ReplicaConfig.WrapKV that layers injected
-// storage faults under a bounded retry, returning the fault handles so
-// the test can keep injection off while the store bootstraps.
-func faultyReplicaKV(seed int64) (func(string, db.KV) db.KV, *[]*faultkv.KV) {
-	var mu sync.Mutex
-	handles := &[]*faultkv.KV{}
-	wrap := func(chainName string, kv db.KV) db.KV {
-		fkv := faultkv.Wrap(kv, faultkv.Faults{
-			Seed:        seed + int64(len(chainName)),
-			ReadErrRate: 0.01,
-			StallEvery:  4000,
-			Stall:       5 * time.Millisecond,
-		})
-		fkv.SetEnabled(false)
-		mu.Lock()
-		*handles = append(*handles, fkv)
-		mu.Unlock()
-		// The retry absorbs most injected transients; the ones that leak
-		// through surface as typed -32010 errors and feed the breaker.
-		return db.NewRetry(fkv, 4)
+// faultyReplica is sc with a storage fault plan for one replica's
+// stores: rare read errors under the derived retry budget, and stalls.
+func faultyReplica(sc *sim.Scenario, seed int64) *sim.Scenario {
+	own := *sc
+	own.StorageFaults = faultfile.Faults{
+		Seed:        seed,
+		ReadErrRate: 0.01,
+		StallEvery:  4000,
+		Stall:       5 * time.Millisecond,
 	}
-	return wrap, handles
+	return &own
 }
 
 // waitReplicaCaughtUp steps clk by step, pausing a millisecond of wall
@@ -216,38 +204,28 @@ func TestChaosReplicaServingPlane(t *testing.T) {
 	// and the failover client count into it, so the /debug/metrics
 	// assertions below see the whole run.
 	shared := metrics.NewRegistry()
-	mkReplica := func(name string, faultSeed int64, reg *metrics.Registry) (*Replica, *[]*faultkv.KV) {
-		wrap, handles := faultyReplicaKV(faultSeed)
-		r, err := NewReplica(sc, ReplicaConfig{
+	mkReplica := func(name string, faultSeed int64, reg *metrics.Registry) *Replica {
+		r, err := NewReplica(faultyReplica(sc, faultSeed), ReplicaConfig{
 			Name:           name,
 			PrimaryAddrs:   primaryAddrs,
 			Transport:      FaultyTransport(base, fnet, name),
 			StalenessBound: 4,
-			WrapKV:         wrap,
 		}, rpc.ServerConfig{Registry: reg})
 		if err != nil {
 			t.Fatalf("NewReplica(%s): %v", name, err)
 		}
-		return r, handles
-	}
-	enable := func(handles *[]*faultkv.KV) {
-		for _, h := range *handles {
-			h.SetEnabled(true)
-		}
+		return r
 	}
 
-	r1, f1 := mkReplica("replica1", 100, shared)
+	r1 := mkReplica("replica1", 100, shared)
 	defer func() { r1.Close() }()
-	r2, f2 := mkReplica("replica2", 200, nil)
+	r2 := mkReplica("replica2", 200, nil)
 	defer r2.Close()
 
-	// Initial convergence happens with storage faults off (the interesting
-	// fault window is the serving run, and sync-time injection only
-	// changes how long this wait takes); the wire faults are always on.
+	// Storage faults are on from the first synced block; the wire faults
+	// are always on.
 	waitReplicaCaughtUp(t, "initial sync r1", r1, primary, clk, 10*time.Millisecond, 10*time.Minute)
 	waitReplicaCaughtUp(t, "initial sync r2", r2, primary, clk, 10*time.Millisecond, 10*time.Minute)
-	enable(f1)
-	enable(f2)
 
 	h1 := &swappableHandler{h: r1.Server}
 	ts1 := httptest.NewServer(h1)
@@ -319,8 +297,7 @@ func TestChaosReplicaServingPlane(t *testing.T) {
 		case total / 2:
 			// Restart it under the same name: fresh mem stores, full resync
 			// from the primary over the same faulty wire, same registry.
-			r1, f1 = mkReplica("replica1", 101, shared)
-			enable(f1)
+			r1 = mkReplica("replica1", 101, shared)
 			h1.set(r1.Server)
 			atRestart = follower.cursor
 		}
@@ -429,17 +406,19 @@ func TestChaosReplicaServingPlane(t *testing.T) {
 	}
 }
 
-// TestNewReplicaRejectsScenarioFaults: a replica opens bare stores, so
-// scenario-level fault injection would be silently dropped (`forkserve
-// -follow ... -storage-faults` injected nothing); NewReplica refuses it
-// and points at ReplicaConfig.WrapKV.
+// TestNewReplicaRejectsScenarioFaults: a replica mines no blocks, so a
+// crash schedule — with or without a fault plan beside it — would be
+// dropped without a word; NewReplica refuses it.
 func TestNewReplicaRejectsScenarioFaults(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		set  func(*sim.Scenario)
 	}{
-		{"storage faults", func(sc *sim.Scenario) { sc.StorageFaults = faultkv.Faults{Seed: 1, ReadErrRate: 0.2} }},
 		{"scheduled crash", func(sc *sim.Scenario) { sc.Crashes = []sim.CrashSpec{{Chain: "ETH", Day: 0, Block: 1, Op: 1}} }},
+		{"crash beside a fault plan", func(sc *sim.Scenario) {
+			sc.Crashes = []sim.CrashSpec{{Chain: "ETH", Day: 0, Block: 1, Op: 1}}
+			sc.StorageFaults = faultfile.Faults{Seed: 1, ReadErrRate: 0.2}
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sc := replicaScenario()
@@ -451,9 +430,35 @@ func TestNewReplicaRejectsScenarioFaults(t *testing.T) {
 			}, rpc.ServerConfig{})
 			if err == nil {
 				r.Close()
-				t.Fatal("NewReplica accepted fault injection it never applies")
+				t.Fatal("NewReplica accepted a crash schedule it never applies")
 			}
 		})
+	}
+}
+
+// TestNewReplicaAppliesStorageFaults: a replica opens its stores through
+// the scenario's fault plan. Genesis lands clean; from then on every read
+// of the medium fails, so a state query answers a typed storage error,
+// never a balance.
+func TestNewReplicaAppliesStorageFaults(t *testing.T) {
+	sc := replicaScenario()
+	sc.StorageFaults = faultfile.Faults{Seed: 1, ReadErrRate: 1}
+	mem := p2p.NewMemNet()
+	r, err := NewReplica(sc, ReplicaConfig{
+		PrimaryAddrs: []string{"nowhere-ETH", "nowhere-ETC"},
+		Transport:    Transport{Listen: mem.Listen, Dialer: mem, Clock: clock.NewFake()},
+	}, rpc.ServerConfig{})
+	if err != nil {
+		t.Fatalf("NewReplica with a storage fault plan: %v", err)
+	}
+	defer r.Close()
+	for addr := range sim.NewWorkload(sc).Genesis().Alloc {
+		raw := post(t, r.Server, "/eth", fmt.Sprintf(`{"jsonrpc":"2.0","id":1,"method":"eth_getBalance","params":[%q,"0x0"]}`, addr.Hex()))
+		var resp struct{ Error *rpc.Error }
+		if err := json.Unmarshal(raw, &resp); err != nil || resp.Error == nil || resp.Error.Code != rpc.ErrCodeStorage {
+			t.Fatalf("eth_getBalance with every read failing answered %s, want a typed storage error", raw)
+		}
+		break
 	}
 }
 

@@ -198,13 +198,16 @@ func refusePersistedChains(sc *sim.Scenario) error {
 	return nil
 }
 
-// openLedgers opens every partition's bare store under sc.Storage and the
-// ledger over it: the chain the store holds (chain.Open — WAL redo, no
+// openLedgers opens every partition's serving store under sc.Storage —
+// bare, or the fault stack when sc.StorageFaults is set — and the ledger
+// over it: the chain the store holds (chain.Open — WAL redo, no
 // re-simulation) or, when genesis is given and the store holds none, a
-// fresh chain at that genesis. A failure closes every store opened so far
+// fresh chain at that genesis. Fault injection is on once genesis is
+// durable: from the open of a store that holds a chain, right after
+// writing a fresh one's genesis. A failure closes every store opened so far
 // (nothing was written through them), so the caller can reuse the
 // directory in this process.
-func openLedgers(sc *sim.Scenario, genesis *chain.Genesis, wrap func(name string, kv db.KV) db.KV) ([]ServedChain, []*sim.ChainStore, error) {
+func openLedgers(sc *sim.Scenario, genesis *chain.Genesis) ([]ServedChain, []*sim.ChainStore, error) {
 	cfgs := sim.PartitionChainConfigs(sc)
 	specs := sc.PartitionSpecs()
 	chains := make([]ServedChain, len(specs))
@@ -216,13 +219,12 @@ func openLedgers(sc *sim.Scenario, genesis *chain.Genesis, wrap func(name string
 			return nil, nil, err
 		}
 		stores[i] = st
-		kv := st.KV()
-		if wrap != nil {
-			kv = wrap(sp.Name, kv)
-		}
-		led, err := sim.OpenFullLedger(cfgs[i], sc, sp.Name, kv)
+		st.EnableFaults(true) // a chain the store holds has its genesis durable
+		led, err := sim.OpenFullLedger(cfgs[i], sc, sp.Name, st.KV())
 		if genesis != nil && errors.Is(err, chain.ErrNoChain) {
-			led, err = sim.NewFullLedgerWithDB(cfgs[i], genesis, prng.New(sc.Seed, "seal", sp.Name), kv)
+			st.EnableFaults(false) // writing genesis has no recovery path
+			led, err = sim.NewFullLedgerWithDB(cfgs[i], genesis, prng.New(sc.Seed, "seal", sp.Name), st.KV())
+			st.EnableFaults(true)
 		}
 		if err != nil {
 			sim.CloseStores(stores)
@@ -238,9 +240,10 @@ func openLedgers(sc *sim.Scenario, genesis *chain.Genesis, wrap func(name string
 // chain lives in its own subdirectory) via chain.Open — WAL redo, no
 // re-simulation — and served exactly as Build would serve them. The
 // scenario must use the disk backend and full mode; it is otherwise only
-// consulted for the chain configs and the data directory, so the restart
-// serves whatever the directory durably holds. Result.Engine is nil: no
-// simulation ran.
+// consulted for the chain configs, the data directory and its storage
+// fault plan, so the restart serves whatever the directory durably holds,
+// through the faults the plan injects. Nothing is mined, so a crash
+// schedule is refused. Result.Engine is nil: no simulation ran.
 //
 // A directory holding no chain fails with chain.ErrNoChain (wrapped);
 // OpenOrBuild uses that to fall back to a fresh Build. A chain the replay
@@ -252,7 +255,10 @@ func Open(sc *sim.Scenario, cfg rpc.ServerConfig) (*Result, error) {
 	if sc.Storage.Backend != db.BackendDisk {
 		return nil, fmt.Errorf("serve: reopening an archive requires the %q storage backend, not %q", db.BackendDisk, sc.Storage.Backend)
 	}
-	chains, stores, err := openLedgers(sc, nil, nil)
+	if len(sc.Crashes) > 0 {
+		return nil, fmt.Errorf("serve: reopening an archive mines no blocks, so it cannot apply a crash schedule")
+	}
+	chains, stores, err := openLedgers(sc, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -288,9 +294,10 @@ func Open(sc *sim.Scenario, cfg rpc.ServerConfig) (*Result, error) {
 // OpenOrBuild reopens a persisted archive when the scenario's disk data
 // directory already holds one, and otherwise builds it by running the
 // simulation (which, on the disk backend, persists it for the next
-// restart). Non-disk scenarios always build.
+// restart). Non-disk scenarios, and scenarios with a crash schedule
+// (only mining applies one), always build.
 func OpenOrBuild(sc *sim.Scenario, cfg rpc.ServerConfig) (*Result, error) {
-	if sc.Storage.Backend != db.BackendDisk {
+	if sc.Storage.Backend != db.BackendDisk || len(sc.Crashes) > 0 {
 		return Build(sc, cfg)
 	}
 	res, err := Open(sc, cfg)

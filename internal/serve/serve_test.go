@@ -16,6 +16,7 @@ import (
 
 	"forkwatch/internal/chain"
 	"forkwatch/internal/db"
+	"forkwatch/internal/db/diskdb/faultfile"
 	"forkwatch/internal/rpc"
 	"forkwatch/internal/sim"
 	"forkwatch/internal/types"
@@ -340,6 +341,41 @@ func TestOpenFailureClosesOpenedStores(t *testing.T) {
 	}
 	if open := openHandlesUnder(t, dataDir); len(open) > 0 {
 		t.Fatalf("Open failing on %s left earlier stores open: %v", last, open)
+	}
+}
+
+// TestOpenAppliesStorageFaults: Open serves a reopened archive through
+// the scenario's fault plan. With every read of the medium failing it
+// cannot serve the archive, and says so with a typed read error — an
+// injected, transient fault — instead of answering from it.
+func TestOpenAppliesStorageFaults(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-fidelity build")
+	}
+	dataDir := t.TempDir()
+	built, err := Build(smallScenario(dataDir), rpc.ServerConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	built.Close()
+
+	sc := smallScenario(dataDir)
+	sc.StorageFaults = faultfile.Faults{Seed: 1, ReadErrRate: 1}
+	res, err := Open(sc, rpc.ServerConfig{})
+	if err == nil {
+		res.Close()
+		t.Fatal("Open served an archive whose every read fails")
+	}
+	if !errors.Is(err, faultfile.ErrInjected) || !db.IsTransient(err) {
+		t.Fatalf("Open = %v, want the injected read error", err)
+	}
+	if open := openHandlesUnder(t, dataDir); len(open) > 0 {
+		t.Fatalf("failed Open left segment handles open: %v", open)
+	}
+	sc.Crashes = []sim.CrashSpec{{Chain: "ETH", Day: 0, Block: 1}}
+	if res, err := Open(sc, rpc.ServerConfig{}); err == nil {
+		res.Close()
+		t.Fatal("Open accepted a crash schedule it never applies")
 	}
 }
 

@@ -221,7 +221,7 @@ func New(sc *Scenario) (*Engine, error) {
 				CloseStores(storage)
 				return nil, err
 			}
-			stg.enable(true)
+			stg.EnableFaults(true)
 			ledgers[i] = led
 		}
 	default:
@@ -343,7 +343,7 @@ func (e *Engine) CrashesFired() int {
 }
 
 // StorageFaultEvents reports how many storage faults (injected errors,
-// torn batches or appends, crashes, reopens) the chains' stores have
+// short or torn appends, crashes, reopens) the chains' stores have
 // logged. Zero when no StorageFaults are configured or in ModeFast.
 func (e *Engine) StorageFaultEvents() int {
 	n := 0
@@ -684,8 +684,8 @@ func (e *Engine) mineDay(day int, p *partition) error {
 			coinbase = p.pools.Pools[winner].Address
 		}
 
-		// A scheduled crash for this block arms the injector so the store
-		// dies mid-commit; recovery below reopens and resumes.
+		// A scheduled crash for this block arms the medium so the store
+		// dies mid-append; recovery below reopens and resumes.
 		if p.storage != nil {
 			for i, cs := range e.sc.Crashes {
 				if !p.crashFired[i] && cs.Chain == p.name && cs.Day == day && cs.Block == blockIdx {

@@ -6,17 +6,21 @@ import (
 	"testing"
 
 	"forkwatch/internal/chain"
-	"forkwatch/internal/db"
-	"forkwatch/internal/db/faultkv"
+	"forkwatch/internal/db/diskdb/faultfile"
 )
 
 // TestFullLedgerHeadViewDropsFaultedView: the ledger keeps one head-state
 // view across reads, but a view that hit a storage fault has latched the
 // error and must never answer again — the next read reopens the state.
 func TestFullLedgerHeadViewDropsFaultedView(t *testing.T) {
-	fkv := faultkv.Wrap(db.NewMemDB(), faultkv.Faults{Seed: 1, ReadErrRate: 1})
-	fkv.SetEnabled(false)
-	led, err := NewFullLedgerWithDB(chain.MainnetLikeConfig(), testGenesis(), rand.New(rand.NewSource(1)), fkv)
+	sc := NewScenario(1, 1)
+	sc.StorageFaults = faultfile.Faults{Seed: 1, ReadErrRate: 1}
+	st, err := OpenChainStore(sc, 0, "ETH", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	led, err := NewFullLedgerWithDB(chain.MainnetLikeConfig(), testGenesis(), rand.New(rand.NewSource(1)), st.KV())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +40,7 @@ func TestFullLedgerHeadViewDropsFaultedView(t *testing.T) {
 
 	// Every store read fails: bob's leaf is not resolved in the view yet,
 	// so this read faults, answers "absent" and latches the error.
-	fkv.SetEnabled(true)
+	st.EnableFaults(true)
 	if got := led.BalanceOf(bob); got.Sign() != 0 {
 		t.Fatalf("faulted read answered %v", got)
 	}
@@ -50,7 +54,7 @@ func TestFullLedgerHeadViewDropsFaultedView(t *testing.T) {
 	}
 
 	// Store healthy again: the read is retried on a fresh view.
-	fkv.SetEnabled(false)
+	st.EnableFaults(false)
 	if got := led.BalanceOf(bob); got.Cmp(wantBob) != 0 {
 		t.Fatalf("bob after the fault cleared = %v, want %v", got, wantBob)
 	}

@@ -9,7 +9,7 @@ import (
 
 	"forkwatch/internal/chain"
 	"forkwatch/internal/db"
-	"forkwatch/internal/db/faultkv"
+	"forkwatch/internal/db/diskdb/faultfile"
 	"forkwatch/internal/market"
 	"forkwatch/internal/types"
 )
@@ -52,7 +52,7 @@ type Scenario struct {
 	// full-fidelity chain's store (ModeFast ignores it). Partition i's
 	// fault stream runs on Seed+i so the partitions fail independently;
 	// the stack and its injection-pause rule are in storage.go.
-	StorageFaults faultkv.Faults
+	StorageFaults faultfile.Faults
 	// Crashes schedules storage crashes (ModeFull only): each spec kills
 	// one chain's store mid-commit, after which the engine reopens it,
 	// runs WAL recovery and resumes mining. A store that recovery cannot
@@ -167,11 +167,12 @@ type Scenario struct {
 }
 
 // CrashSpec schedules one storage crash: the store of the partition
-// named Chain is killed Op write operations into the persistence of the
-// Block-th block (0-based) it mines on Day. The tear lands somewhere in
-// that block's one commit batch — among its state nodes, on its WAL record
-// or among the chain records after it, depending on Op — exercising every
-// recovery path.
+// named Chain is killed on the (Op+1)-th append to its files counted from
+// the Block-th block (0-based) it mines on Day. Every mined block commits
+// as one append, so Op 0 tears that block's own commit and Op n the
+// commit n blocks later. The tear leaves a random strict prefix of the
+// append on the medium; the restart's recovery scan drops it whole, and
+// the block is re-mined.
 type CrashSpec struct {
 	Chain string
 	Day   int
@@ -181,9 +182,9 @@ type CrashSpec struct {
 
 // ParseCrashSpecs parses a comma-separated crash schedule, the format
 // behind cmd/forksim's -crash flag. Each element is chain:day:block:op,
-// e.g. "ETH:1:3:40,ETC:2:0:5" — kill the ETH store 40 write ops into its
-// 4th block on day 1, and the ETC store on the first write of its first
-// block on day 2.
+// e.g. "ETH:1:3:40,ETC:2:0:5" — kill the ETH store on the commit 40
+// blocks after its 4th block on day 1, and the ETC store on the commit 5
+// blocks after its first block on day 2.
 func ParseCrashSpecs(spec string) ([]CrashSpec, error) {
 	spec = strings.TrimSpace(spec)
 	if spec == "" {

@@ -9,37 +9,34 @@ import (
 	"forkwatch/internal/db/dbfs"
 	"forkwatch/internal/db/diskdb"
 	"forkwatch/internal/db/diskdb/faultfile"
-	"forkwatch/internal/db/faultkv"
 )
 
 // ChainStore is one partition's storage stack, built by OpenChainStore —
 // the only place the layers are put together. Outermost to innermost:
 //
-//	serving (no engine):   backend
-//	engine, fault-free:    Coalescer -> backend
-//	engine, faults, mem:   Retry -> faultkv -> MemDB
-//	engine, faults, disk:  Retry -> diskdb -> faultfile -> OS files
+//	serving, fault-free:  backend
+//	engine, fault-free:   Coalescer -> backend
+//	faults or crashes:    Retry -> diskdb -> faultfile -> MemFS | OSFS
 //
 // backend is db.Open(sc.Storage) with the partition's ChainDataDir. The
 // Coalescer turns a day's block commits into one backend write (the
 // engine flushes it at the end of every day); crash recovery needs every
-// block durable when MineBlock returns, so a scenario with StorageFaults
-// or Crashes gets the injector and a Retry that absorbs its transient
-// errors instead. The injector sits where its backend fails: faultkv tears
-// logical batches inside the in-memory store, faultfile tears physical
-// appends on the medium under diskdb.
+// block durable when MineBlock returns, so a store with StorageFaults (or
+// an engine store with Crashes) is diskdb over the scenario's medium —
+// the partition's directory on disk, a MemFS on mem — with the faultfile
+// layer between them and a Retry on top that absorbs its transient errors.
 //
 // Injection pause rule: random injection is off while the stack is built,
 // while the caller writes genesis (which has no recovery path — the
-// engine switches it on right after), and around every diskdb recovery
-// scan (which must see the medium's true bytes). It resumes at those fixed
-// points, never on a timer, so a fault timeline replays from its seed.
+// caller switches it on right after with EnableFaults), and around every
+// diskdb recovery scan (which must see the medium's true bytes). It
+// resumes at those fixed points, never on a timer, so a fault timeline
+// replays from its seed.
 type ChainStore struct {
 	kv      db.KV         // outermost layer
 	backend db.KV         // innermost KV; owns the medium's handles
 	coal    *db.Coalescer // fault-free engine stack only
-	inj     injector      // nil unless the scenario injects faults or crashes
-	medium  dbfs.FS       // the files under diskdb when inj is set
+	faults  *faultfile.FS // nil unless the store injects faults or crashes
 	// attempts is the Retry budget, see retryAttempts.
 	attempts int
 	// dead marks a store WAL recovery could not repair. The chain stops
@@ -48,23 +45,13 @@ type ChainStore struct {
 	dead bool
 }
 
-// injector is the deterministic crash/arm/journal surface faultkv.KV and
-// faultfile.FS share.
-type injector interface {
-	SetEnabled(on bool)
-	Crashed() bool
-	WriteOps() uint64
-	CrashAtWriteOp(n uint64)
-	Reopen()
-	JournalLen() int
-}
-
 // OpenChainStore opens partition idx's store from sc.Storage (the disk
 // backend keeps each chain in its own subdirectory of DataDir). engine
-// selects the stack: false gives the bare backend, every write durable
-// when it returns, for processes that reopen, probe or follow a chain;
-// true gives the simulation engine's stack (see ChainStore), with
-// injection off until enable(true).
+// selects the fault-free stack: false gives the bare backend, every write
+// durable when it returns, for processes that reopen, probe or follow a
+// chain; true gives the simulation engine's Coalescer. A scenario with
+// StorageFaults, or an engine scenario with Crashes, gets the fault stack
+// instead (see ChainStore), with injection off until EnableFaults(true).
 func OpenChainStore(sc *Scenario, idx int, name string, engine bool) (*ChainStore, error) {
 	cfg := sc.Storage
 	disk := cfg.Backend == db.BackendDisk
@@ -73,29 +60,26 @@ func OpenChainStore(sc *Scenario, idx int, name string, engine bool) (*ChainStor
 	}
 	f := sc.StorageFaults
 	f.Seed += int64(idx) // decorrelate the chains' fault streams
-	inject := engine && (f.Enabled() || len(sc.Crashes) > 0)
 	s := &ChainStore{}
 	var err error
-	if inject && disk {
-		var osfs *dbfs.OSFS
-		if osfs, err = dbfs.NewOSFS(cfg.DataDir); err == nil {
-			ffs := faultfile.Wrap(osfs, fileFaults(f))
-			ffs.SetEnabled(false)
-			s.inj, s.medium, s.attempts = ffs, ffs, retryAttempts(f, true)
+	if f.Enabled() || engine && len(sc.Crashes) > 0 {
+		var medium dbfs.FS
+		if disk {
+			medium, err = dbfs.NewOSFS(cfg.DataDir)
+		} else {
+			medium = dbfs.NewMemFS()
+		}
+		if err == nil {
+			s.faults = faultfile.Wrap(medium, f)
+			s.faults.SetEnabled(false)
+			s.attempts = retryAttempts(f)
 			err = s.openDisk()
 		}
 	} else if s.backend, err = db.Open(cfg); err == nil {
-		switch {
-		case inject:
-			fkv := faultkv.Wrap(s.backend, f)
-			fkv.SetEnabled(false)
-			s.inj, s.attempts = fkv, retryAttempts(f, false)
-			s.kv = db.NewRetry(fkv, s.attempts)
-		case engine:
+		s.kv = s.backend
+		if engine {
 			s.coal = db.NewCoalescer(s.backend)
 			s.kv = s.coal
-		default:
-			s.kv = s.backend
 		}
 	}
 	if err != nil {
@@ -111,7 +95,7 @@ func (s *ChainStore) openDisk() error {
 	if c, ok := s.backend.(io.Closer); ok {
 		c.Close()
 	}
-	d, err := diskdb.Open(s.medium, diskdb.Options{})
+	d, err := diskdb.Open(s.faults, diskdb.Options{})
 	if err != nil {
 		return err
 	}
@@ -125,41 +109,17 @@ const retryExhaustion = 1e-16
 
 // retryAttempts derives the Retry budget from the fault plan: the smallest
 // n with p^n <= retryExhaustion, p being the chance one attempt meets a
-// transient fault. On mem that is the read or write error rate; on disk a
-// read also fails its checksum at the bit-rot rate, and a durable append
-// draws the write-error rate twice (Append, then Sync) and the short-write
-// rate once.
-func retryAttempts(f faultkv.Faults, disk bool) int {
-	p := max(f.ReadErrRate, f.WriteErrRate)
-	if disk {
-		readOK := (1 - f.ReadErrRate) * (1 - f.CorruptRate)
-		writeOK := (1 - f.WriteErrRate) * (1 - f.WriteErrRate) * (1 - f.TornBatchRate)
-		p = 1 - min(readOK, writeOK)
-	}
+// transient fault. A read fails at the read-error rate or its checksum at
+// the bit-rot rate; a durable append draws the write-error rate twice
+// (Append, then Sync) and the short-write rate once.
+func retryAttempts(f faultfile.Faults) int {
+	readOK := (1 - f.ReadErrRate) * (1 - f.CorruptRate)
+	writeOK := (1 - f.WriteErrRate) * (1 - f.WriteErrRate) * (1 - f.ShortWriteRate)
+	p := 1 - min(readOK, writeOK)
 	if p <= 0 || p >= 1 {
 		return 1 // nothing to absorb, or nothing a retry could absorb
 	}
 	return int(math.Ceil(math.Log(retryExhaustion) / math.Log(p)))
-}
-
-// fileFaults translates the scenario's logical fault plan (faultkv rates
-// against a KV) into the physical plan the disk medium runs (faultfile
-// rates against the file API): read/write error and bit-rot rates carry
-// over, and the logical batch-tear rate becomes both a transient
-// short-write rate (truncate-repair + retry) and a crashing torn-append
-// rate (restart + recovery), so the disk chaos runs exercise strictly
-// more failure modes than the mem runs at the same knob settings.
-func fileFaults(f faultkv.Faults) faultfile.Faults {
-	return faultfile.Faults{
-		Seed:           f.Seed,
-		ReadErrRate:    f.ReadErrRate,
-		WriteErrRate:   f.WriteErrRate,
-		ShortWriteRate: f.TornBatchRate,
-		TornWriteRate:  f.TornBatchRate,
-		CorruptRate:    f.CorruptRate,
-		StallEvery:     f.StallEvery,
-		Stall:          f.Stall,
-	}
 }
 
 // KV returns the outermost layer, the store the chain persists through.
@@ -198,40 +158,39 @@ func (s *ChainStore) flush() error {
 	return s.coal.Flush()
 }
 
-// enable toggles random fault injection (armed crashes stay armed).
-func (s *ChainStore) enable(on bool) {
-	if s.inj != nil {
-		s.inj.SetEnabled(on)
+// EnableFaults toggles random fault injection (armed crashes stay armed).
+// A store opens with it off; its opener switches it on once genesis is
+// durable. A no-op on a fault-free store.
+func (s *ChainStore) EnableFaults(on bool) {
+	if s.faults != nil {
+		s.faults.SetEnabled(on)
 	}
 }
 
 // crashed reports whether the store's medium is dead and needs a restart.
-func (s *ChainStore) crashed() bool { return s.inj != nil && s.inj.Crashed() }
+func (s *ChainStore) crashed() bool { return s.faults != nil && s.faults.Crashed() }
 
-// armCrash arms the injector so the (op+1)-th write from now tears
-// mid-commit and kills the store.
+// armCrash arms the medium so the (op+1)-th append from now tears and
+// kills the store.
 func (s *ChainStore) armCrash(op uint64) {
-	s.inj.CrashAtWriteOp(s.inj.WriteOps() + 1 + op)
+	s.faults.CrashAtWriteOp(s.faults.WriteOps() + 1 + op)
 }
 
-// journalLen counts the fault events the injector has recorded.
+// journalLen counts the fault events the medium has recorded.
 func (s *ChainStore) journalLen() int {
-	if s.inj == nil {
+	if s.faults == nil {
 		return 0
 	}
-	return s.inj.JournalLen()
+	return s.faults.JournalLen()
 }
 
 // restart models the node process coming back up over the surviving
-// medium: the injector's crash flag clears, and on disk the store is
-// reopened with injection paused around the recovery scan. The chain-level
-// WAL redo on top (chain.Open over KV()) is the caller's job.
+// medium: the crash flag clears and diskdb reopens with injection paused
+// around the recovery scan. The chain-level WAL redo on top (chain.Open
+// over KV()) is the caller's job.
 func (s *ChainStore) restart() error {
-	s.inj.Reopen()
-	if s.medium == nil {
-		return nil
-	}
-	s.inj.SetEnabled(false)
-	defer s.inj.SetEnabled(true)
+	s.faults.Reopen()
+	s.faults.SetEnabled(false)
+	defer s.faults.SetEnabled(true)
 	return s.openDisk()
 }

@@ -12,14 +12,13 @@ import (
 	"forkwatch/internal/db/dbfs"
 	"forkwatch/internal/db/diskdb"
 	"forkwatch/internal/db/diskdb/faultfile"
-	"forkwatch/internal/db/faultkv"
 )
 
 // stackRow is one stack OpenChainStore can build for the engine.
 type stackRow struct {
 	name   string
 	disk   bool
-	faults faultkv.Faults
+	faults faultfile.Faults
 	crash  bool
 	layers []string // outermost -> innermost, see layersOf
 }
@@ -27,13 +26,15 @@ type stackRow struct {
 // stackRows is everything the constructor builds for an engine: {mem,
 // disk} x {fault-free, faults on, crash scheduled}. The "faults" rows run
 // every read and write error rate at 1, so whether injection is on is
-// visible in a single operation.
+// visible in a single operation. Faults or crashes give the same stack on
+// both backends; only the medium under faultfile differs (a MemFS on mem,
+// the chain's directory on disk).
 func stackRows() []stackRow {
-	always := faultkv.Faults{Seed: 3, ReadErrRate: 1, WriteErrRate: 1}
+	always := faultfile.Faults{Seed: 3, ReadErrRate: 1, WriteErrRate: 1}
 	return []stackRow{
 		{name: "mem/fault-free", layers: []string{"coalescer", "memdb"}},
-		{name: "mem/faults", faults: always, layers: []string{"retry", "faultkv", "memdb"}},
-		{name: "mem/crash", crash: true, layers: []string{"retry", "faultkv", "memdb"}},
+		{name: "mem/faults", faults: always, layers: []string{"retry", "diskdb", "faultfile"}},
+		{name: "mem/crash", crash: true, layers: []string{"retry", "diskdb", "faultfile"}},
 		{name: "disk/fault-free", disk: true, layers: []string{"coalescer", "diskdb"}},
 		{name: "disk/faults", disk: true, faults: always, layers: []string{"retry", "diskdb", "faultfile"}},
 		{name: "disk/crash", disk: true, crash: true, layers: []string{"retry", "diskdb", "faultfile"}},
@@ -56,9 +57,9 @@ func (r stackRow) scenario(t *testing.T) *Scenario {
 }
 
 // layersOf names a stack's layers from the ChainStore's own fields: the
-// outermost layer, the logical injector, the backend and the medium under
-// a fault-injected diskdb. TestChainStoreStacks checks by behaviour that
-// they are stacked in that order.
+// outermost layer, the backend and the fault layer under a fault-injected
+// diskdb. TestChainStoreStacks checks by behaviour that they are stacked
+// in that order.
 func layersOf(t *testing.T, st *ChainStore) []string {
 	t.Helper()
 	var out []string
@@ -68,9 +69,6 @@ func layersOf(t *testing.T, st *ChainStore) []string {
 	case *db.Retry:
 		out = append(out, "retry")
 	}
-	if _, ok := st.inj.(*faultkv.KV); ok {
-		out = append(out, "faultkv")
-	}
 	switch st.backend.(type) {
 	case *db.MemDB:
 		out = append(out, "memdb")
@@ -79,10 +77,7 @@ func layersOf(t *testing.T, st *ChainStore) []string {
 	default:
 		t.Fatalf("unknown backend %T", st.backend)
 	}
-	if st.medium != nil {
-		if _, ok := st.medium.(*faultfile.FS); !ok {
-			t.Fatalf("medium is %T, want *faultfile.FS", st.medium)
-		}
+	if st.faults != nil {
 		out = append(out, "faultfile")
 	}
 	return out
@@ -106,18 +101,18 @@ func mustHold(t *testing.T, kv db.KV, k, want string) {
 	}
 }
 
-// retryAbsorbs checks that row's stack puts its Retry over the injector:
-// at the chaos suites' rates every operation succeeds within the derived
-// budget while the injector's journal records the faults it absorbed.
+// retryAbsorbs checks that row's stack puts its Retry over the fault
+// layer: at the chaos suites' rates every operation succeeds within the
+// derived budget while the medium's journal records the faults it absorbed.
 func retryAbsorbs(t *testing.T, row stackRow) {
 	t.Helper()
-	row.faults = faultkv.Faults{Seed: 3, ReadErrRate: 0.2, WriteErrRate: 0.2}
+	row.faults = faultfile.Faults{Seed: 3, ReadErrRate: 0.2, WriteErrRate: 0.2}
 	st, err := OpenChainStore(row.scenario(t), 0, "ETH", true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	st.enable(true)
+	st.EnableFaults(true)
 	for i := 0; i < 200; i++ {
 		k := fmt.Sprintf("k%03d", i)
 		mustPut(t, st, k, "v")
@@ -143,8 +138,8 @@ func TestChainStoreStacks(t *testing.T) {
 			if got := layersOf(t, st); !slices.Equal(got, row.layers) {
 				t.Fatalf("layers %v, want %v", got, row.layers)
 			}
-			if (st.inj != nil) != (row.crash || row.faults.Enabled()) {
-				t.Fatalf("injector present = %v", st.inj != nil)
+			if (st.faults != nil) != (row.crash || row.faults.Enabled()) {
+				t.Fatalf("fault layer present = %v", st.faults != nil)
 			}
 
 			// A Coalescer sits over the backend: a write reaches the backend
@@ -165,11 +160,11 @@ func TestChainStoreStacks(t *testing.T) {
 			// Bootstrap window: the stack comes back with injection off.
 			mustPut(t, st, "genesis", "g")
 			mustHold(t, st.KV(), "genesis", "g")
-			if row.disk && st.inj != nil && st.inj.WriteOps() == 0 {
+			if st.faults != nil && st.faults.WriteOps() == 0 {
 				t.Fatal("a write through diskdb never reached the fault-injected medium")
 			}
 
-			st.enable(true)
+			st.EnableFaults(true)
 			if row.faults.Enabled() {
 				retryAbsorbs(t, row)
 				if err := st.KV().Put([]byte("k"), []byte("v")); !db.IsTransient(err) {
@@ -182,7 +177,7 @@ func TestChainStoreStacks(t *testing.T) {
 				mustPut(t, st, "k", "v")
 			}
 
-			if st.inj != nil {
+			if st.faults != nil {
 				// Kill the store on its next write (an armed crash wins over
 				// the random plan), then restart it with injection still on,
 				// as the engine does.
@@ -194,17 +189,17 @@ func TestChainStoreStacks(t *testing.T) {
 				if !st.crashed() {
 					t.Fatal("store not crashed after the armed write")
 				}
-				// On disk the recovery scan reads every segment: with read
-				// errors at rate 1 it only succeeds because injection is
-				// paused around it.
+				// The recovery scan reads every segment: with read errors
+				// at rate 1 it only succeeds because injection is paused
+				// around it.
 				if err := st.restart(); err != nil {
 					t.Fatalf("restart: %v", err)
 				}
 				if st.crashed() {
 					t.Fatal("still crashed after restart")
 				}
-				if row.disk == (st.backend == before) {
-					t.Fatalf("restart on disk=%v kept the same backend = %v (disk must re-run diskdb.Open)", row.disk, st.backend == before)
+				if st.backend == before {
+					t.Fatal("restart kept the same backend (it must re-run diskdb.Open)")
 				}
 				if got := layersOf(t, st); !slices.Equal(got, row.layers) {
 					t.Fatalf("layers after restart %v, want %v", got, row.layers)
@@ -220,7 +215,7 @@ func TestChainStoreStacks(t *testing.T) {
 				}
 				// What was durable before the crash survived; the torn
 				// write did not.
-				st.enable(false)
+				st.EnableFaults(false)
 				mustHold(t, st.KV(), "genesis", "g")
 				if ok, err := st.KV().Has([]byte("torn")); ok || err != nil {
 					t.Fatalf("torn write visible after restart: %v %v", ok, err)
@@ -261,6 +256,37 @@ func TestChainStoreStacks(t *testing.T) {
 	}
 }
 
+// TestServingStoreStacks: a serving store (engine=false) stays bare unless
+// the scenario has a fault plan, which it applies through the same fault
+// stack as the engine; a crash schedule alone, which only mining applies,
+// leaves it bare.
+func TestServingStoreStacks(t *testing.T) {
+	for _, row := range stackRows() {
+		t.Run(row.name, func(t *testing.T) {
+			st, err := OpenChainStore(row.scenario(t), 0, "ETH", false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			want := row.layers
+			if !row.faults.Enabled() {
+				want = []string{"memdb"}
+				if row.disk {
+					want = []string{"diskdb"}
+				}
+			}
+			if got := layersOf(t, st); !slices.Equal(got, want) {
+				t.Fatalf("layers %v, want %v", got, want)
+			}
+			mustPut(t, st, "genesis", "g") // injection off until EnableFaults
+			st.EnableFaults(true)
+			if _, _, err := st.KV().Get([]byte("genesis")); row.faults.Enabled() != db.IsTransient(err) {
+				t.Fatalf("Get with the plan enabled = %v", err)
+			}
+		})
+	}
+}
+
 // TestEngineInjectionStartsAfterGenesis: New writes every genesis with
 // injection off (rate-1 faults would otherwise fail it) and hands the
 // engine stacks that inject from the first mined block on.
@@ -287,27 +313,25 @@ func TestEngineInjectionStartsAfterGenesis(t *testing.T) {
 // TestRetryAttemptsDerived pins the budget for the plans the chaos suites
 // run (they used to ask for 24 by hand) and for the edges.
 func TestRetryAttemptsDerived(t *testing.T) {
-	chaos := faultkv.Faults{ReadErrRate: 0.2, WriteErrRate: 0.2, TornBatchRate: 0.002}
 	for _, tc := range []struct {
-		f    faultkv.Faults
-		disk bool
+		f    faultfile.Faults
 		want int
 	}{
-		{faultkv.Faults{}, false, 1},
-		{faultkv.Faults{}, true, 1},
-		{chaos, false, 23}, // 0.2^23 = 8.4e-17
-		{chaos, true, 37},  // per attempt 1 - 0.8*0.8*0.998 = 0.361
-		{faultkv.Faults{ReadErrRate: 1}, false, 1},
+		{faultfile.Faults{}, 1},
+		// torn=0.002: per attempt 1 - 0.8*0.8*0.998 = 0.361
+		{faultfile.Faults{ReadErrRate: 0.2, WriteErrRate: 0.2, ShortWriteRate: 0.002, TornWriteRate: 0.002}, 37},
+		{faultfile.Faults{ReadErrRate: 0.2}, 23}, // 0.2^23 = 8.4e-17
+		{faultfile.Faults{ReadErrRate: 1}, 1},
 	} {
-		if got := retryAttempts(tc.f, tc.disk); got != tc.want {
-			t.Errorf("retryAttempts(%+v, disk=%v) = %d, want %d", tc.f, tc.disk, got, tc.want)
+		if got := retryAttempts(tc.f); got != tc.want {
+			t.Errorf("retryAttempts(%+v) = %d, want %d", tc.f, got, tc.want)
 		}
 	}
 }
 
 // TestChainStoreMatchesModel drives every stack with a seeded random
 // Put/Delete/Batch/Flush/close/reopen sequence and checks it against a
-// map. Fault rates are zero (the injector rows are armed by a crash
+// map. Fault rates are zero (the fault-stack rows are armed by a crash
 // schedule or a stall-only plan), so the model is exact: a write is
 // visible at once, durable at once on the write-through stacks and at the
 // next flush under the Coalescer, and a close drops what was not durable —
@@ -315,7 +339,7 @@ func TestRetryAttemptsDerived(t *testing.T) {
 func TestChainStoreMatchesModel(t *testing.T) {
 	for _, row := range stackRows() {
 		if row.faults.Enabled() {
-			row.faults = faultkv.Faults{Seed: 3, StallEvery: 1 << 30, Stall: time.Nanosecond}
+			row.faults = faultfile.Faults{Seed: 3, StallEvery: 1 << 30, Stall: time.Nanosecond}
 		}
 		t.Run(row.name, func(t *testing.T) {
 			sc := row.scenario(t)
@@ -324,7 +348,7 @@ func TestChainStoreMatchesModel(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				st.enable(true)
+				st.EnableFaults(true)
 				return st
 			}
 			st := open()

@@ -84,7 +84,7 @@ func TestParallelFullModeByteIdentical(t *testing.T) {
 // TestParallelChaosFiguresByteIdentical crosses the two hard guarantees:
 // 20% injected storage faults plus scheduled mid-commit crashes, stepped
 // serially and in parallel, must still render byte-identical figures —
-// the parallel mining path recovers through the same WAL machinery.
+// the parallel mining path recovers through the same restart machinery.
 // (Name carries "Chaos" so `make chaos` picks it up.)
 func TestParallelChaosFiguresByteIdentical(t *testing.T) {
 	if testing.Short() {
@@ -99,10 +99,11 @@ func TestParallelChaosFiguresByteIdentical(t *testing.T) {
 		sc.ETCTxPerDay = 12
 		sc.Parallelism = par
 		sc.StorageFaults = forkwatch.StorageFaults{
-			Seed:          99,
-			ReadErrRate:   0.20,
-			WriteErrRate:  0.20,
-			TornBatchRate: 0.002,
+			Seed:           99,
+			ReadErrRate:    0.20,
+			WriteErrRate:   0.20,
+			ShortWriteRate: 0.002,
+			TornWriteRate:  0.002,
 		}
 		sc.Crashes = []forkwatch.CrashSpec{
 			{Chain: "ETH", Day: 0, Block: 4, Op: 3},

@@ -3,12 +3,12 @@
 # on both chain endpoints, checks /debug/metrics, and fails on any
 # malformed response. forkload then loads it for a second and must finish
 # without a protocol or transport error. Next it boots a replica following
-# the primary's sync plane, waits for it to catch up, checks that the
-# replica serves the same answers plus the replica-tier metrics, and
-# drains it with SIGTERM. Last, an orphan replica following addresses where nothing
-# listens must report itself degraded, log its failed dials and drain
-# cleanly. CI's RPC smoke job runs this; `make rpcsmoke` locally does
-# the same.
+# the primary's sync plane under injected storage read errors, waits for
+# it to catch up, checks that the replica serves the same answers plus the
+# replica-tier metrics, and drains it with SIGTERM. Last, an orphan replica
+# following addresses where nothing listens must report itself degraded,
+# log its failed dials and drain cleanly. CI's RPC smoke job runs this;
+# `make rpcsmoke` locally does the same.
 set -eu
 
 ADDR="${RPCSMOKE_ADDR:-127.0.0.1:18545}"
@@ -180,12 +180,13 @@ for key in requests sub_events; do
     echo "rpcsmoke: ok   forkload $key=$n"
 done
 
-# Replica tier: boot a replica following the primary's sync plane, wait
-# for /readyz to flip to 200 (readiness implies the head sync caught up
+# Replica tier: boot a replica following the primary's sync plane with
+# injected storage faults (a fifth of its store's reads fail), wait for
+# /readyz to flip to 200 (readiness implies the head sync caught up
 # within the staleness bound), then require byte-identical answers and
 # the replica-tier gauges.
-echo "rpcsmoke: booting replica following $P2P..."
-"$BIN/forkserve" -days "$DAYS" -addr "$RADDR" -follow "$P2P" -replica-name smoke >"$RLOG" 2>&1 &
+echo "rpcsmoke: booting replica following $P2P under storage faults..."
+"$BIN/forkserve" -days "$DAYS" -addr "$RADDR" -follow "$P2P" -replica-name smoke -storage-faults "seed=7,readerr=0.2" >"$RLOG" 2>&1 &
 RPID=$!
 
 echo "rpcsmoke: waiting for $RBASE/readyz..."

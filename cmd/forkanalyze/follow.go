@@ -9,6 +9,8 @@ import (
 	"strings"
 	"time"
 
+	"forkwatch"
+	"forkwatch/internal/analysis"
 	"forkwatch/internal/export"
 	"forkwatch/internal/live"
 	"forkwatch/internal/live/feed"
@@ -39,18 +41,21 @@ func followLive(targets, outDir string, epoch uint64) error {
 	defer client.Close()
 
 	an := live.NewAnalyzer(epoch, live.Options{})
-	// With -out the decoded events also feed the batch exporter's
-	// recorder: the tables are byte-identical to a batch export because
-	// the same code writes them.
+	// The decoded events also feed a batch collector, whose O1–O6 lines
+	// the follower prints at EOF, and with -out the batch exporter's
+	// recorder: lines and tables match a batch run's because the same
+	// code derives them.
+	col := analysis.NewCollector(epoch)
 	rec := &export.Recorder{}
-	var tables []sim.Observer
+	also := []sim.Observer{col}
 	if outDir != "" {
-		tables = []sim.Observer{rec}
+		also = append(also, rec)
 	}
 	var (
 		cursor   uint64
 		failures int
 		lastDay  = -1
+		chains   []string // partition order, from the latest day event
 	)
 	for {
 		var page rpc.LivePage
@@ -75,11 +80,15 @@ func followLive(targets, outDir string, epoch uint64) error {
 		}
 		done := false
 		for _, ev := range page.Events {
-			if err := an.Apply(ev, tables...); err != nil {
+			if err := an.Apply(ev, also...); err != nil {
 				return fmt.Errorf("applying event %d: %w", ev.Seq, err)
 			}
-			if ev.Kind == feed.KindDay && ev.Day != nil && ev.Day.Day != lastDay {
+			if ev.Kind == feed.KindDay && ev.Day.Day != lastDay {
 				lastDay = ev.Day.Day
+				chains = chains[:0]
+				for _, p := range ev.Day.Partitions {
+					chains = append(chains, p.Chain)
+				}
 				printDayLine(an)
 			}
 			if ev.Kind == feed.KindEOF {
@@ -95,7 +104,12 @@ func followLive(targets, outDir string, epoch uint64) error {
 		}
 	}
 
-	printSummary(an)
+	if len(chains) == 0 {
+		return fmt.Errorf("the feed ended without a day event")
+	}
+	snap := an.Snapshot()
+	fmt.Printf("\nrun complete: %d events, %d days, %d chains\n", snap.Events, snap.Days, len(snap.Chains))
+	fmt.Print(forkwatch.Observations(col, chains))
 	if outDir != "" {
 		if err := rec.Err(); err != nil {
 			return err
@@ -185,28 +199,4 @@ func printDayLine(an *live.Analyzer) {
 			c.Chain, c.Head, c.Txs, c.Top5Share, c.HashesPerUSD))
 	}
 	fmt.Printf("day %3d  %s\n", snap.Days-1, strings.Join(parts, " | "))
-}
-
-// printSummary prints the figure-level summary once the feed completes.
-func printSummary(an *live.Analyzer) {
-	snap := an.Snapshot()
-	fmt.Printf("\nrun complete: %d events, %d days, %d chains\n\n",
-		snap.Events, snap.Days, len(snap.Chains))
-	for _, c := range snap.Chains {
-		fmt.Printf("Fig 1  %s blocks %d; window mean delta %.0fs; recovery hour: %d\n",
-			c.Chain, c.Blocks, c.WindowMeanDelta, c.RecoveryHour)
-	}
-	for _, c := range snap.Chains {
-		fmt.Printf("Fig 2  %s txs %d; day contract%% %.0f\n", c.Chain, c.Txs, c.DayContractPct)
-	}
-	for _, p := range snap.Correlations {
-		fmt.Printf("Fig 3  hashes/USD correlation %s vs %s: %.4f\n", p.A, p.B, p.Correlation)
-	}
-	for _, c := range snap.Chains {
-		fmt.Printf("Fig 4  echoes into %s: %d (%d same-day)\n", c.Chain, c.Echoes, c.SameDayEchoes)
-	}
-	for _, c := range snap.Chains {
-		fmt.Printf("Fig 5  %s pools %d; top-1 share %.2f; top-5 share %.2f; gini %.2f\n",
-			c.Chain, c.Pools, c.Top1Share, c.Top5Share, c.PoolGini)
-	}
 }

@@ -283,27 +283,33 @@ func (r *Report) RecoveryHours() []int {
 }
 
 // Summary renders the run's key findings against the paper's six
-// observations. The first partition plays the paper's majority (ETH)
-// role; every later partition is reported against it.
+// observations: a header naming the run, then its Observations.
 func (r *Report) Summary() string {
-	c := r.Collector
 	names := r.Chains()
+	return fmt.Sprintf("forkwatch run: %d days, seed %d, partitions %s\n",
+		r.Collector.Days(), r.Scenario.Seed, strings.Join(names, "/")) +
+		Observations(r.Collector, names)
+}
+
+// Observations renders the O1–O6 lines of a collected run, chains in
+// partition order: the first partition plays the paper's majority (ETH)
+// role, and every later one is reported against it. It is the one
+// reading of a run — Summary, forkanalyze over an export and forkanalyze
+// following a live feed all print these lines, so one run reads the same
+// on every path.
+func Observations(c *Collector, names []string) string {
 	anchor := names[0]
 	var b strings.Builder
 	days := c.Days()
-	fmt.Fprintf(&b, "forkwatch run: %d days, seed %d, partitions %s\n",
-		days, r.Scenario.Seed, strings.Join(names, "/"))
 
-	rec := r.RecoveryHours()
-	for i := 1; i < len(names); i++ {
-		minority := names[i]
+	for _, minority := range names[1:] {
 		fmt.Fprintf(&b, "O1/O2  %s block rate first hours: %.0f/hr vs %s %.0f/hr; max mean delta %.0fs; %s recovery at hour %d (%s %d)\n",
 			minority,
 			analysis.MeanOver(c.BlocksPerHour(minority), 0, 6),
 			anchor,
 			analysis.MeanOver(c.BlocksPerHour(anchor), 0, 6),
 			analysis.MaxOver(c.HourlyMeanDelta(minority), 0, 96),
-			minority, rec[i], anchor, rec[0])
+			minority, c.RecoveryHour(minority, 14, 0.9, 6), anchor, c.RecoveryHour(anchor, 14, 0.9, 6))
 	}
 
 	if days > 1 {

@@ -50,10 +50,11 @@ type Genesis struct {
 //
 // Every persistent record — trie nodes, block bodies, receipts, total
 // difficulties, the canonical index — lives in one db.KV behind Store.
-// Decoded blocks, TDs and state roots are additionally kept in in-memory
-// maps: they are read on every validation and fork-choice step, and
-// re-decoding them from RLP per access would dominate. Receipts are read
-// only by analysis/export, so they live in the KV alone.
+// Decoded blocks and TDs are additionally kept in in-memory maps: they are
+// read on every validation and fork-choice step, and re-decoding them from
+// RLP per access would dominate. A block's state root is its header's
+// (execution rejects any other). Receipts are read only by the serving
+// layer, so they live in the KV alone.
 type Blockchain struct {
 	cfg   *Config
 	proc  *Processor
@@ -62,13 +63,12 @@ type Blockchain struct {
 	// states is what the chain's own states read through (see stateKV).
 	states *stateKV
 
-	mu         sync.RWMutex
-	blocks     map[types.Hash]*Block
-	tds        map[types.Hash]*big.Int
-	stateRoots map[types.Hash]types.Hash
-	canon      map[uint64]types.Hash
-	head       *Block
-	genesis    *Block
+	mu      sync.RWMutex
+	blocks  map[types.Hash]*Block
+	tds     map[types.Hash]*big.Int
+	canon   map[uint64]types.Hash
+	head    *Block
+	genesis *Block
 
 	// headState is the state the block that last became head left behind,
 	// committed at headStateRoot: its account trie is still resident, so
@@ -121,17 +121,16 @@ func NewBlockchainWithDB(cfg *Config, gen *Genesis, kv db.KV) (*Blockchain, erro
 	genesis := &Block{Header: header}
 	store := NewStore(kv)
 	bc := &Blockchain{
-		cfg:        cfg,
-		proc:       NewProcessor(cfg),
-		db:         kv,
-		store:      store,
-		states:     &stateKV{KV: kv},
-		blocks:     map[types.Hash]*Block{genesis.Hash(): genesis},
-		tds:        map[types.Hash]*big.Int{genesis.Hash(): types.BigCopy(diff)},
-		stateRoots: map[types.Hash]types.Hash{genesis.Hash(): root},
-		canon:      map[uint64]types.Hash{0: genesis.Hash()},
-		head:       genesis,
-		genesis:    genesis,
+		cfg:     cfg,
+		proc:    NewProcessor(cfg),
+		db:      kv,
+		store:   store,
+		states:  &stateKV{KV: kv},
+		blocks:  map[types.Hash]*Block{genesis.Hash(): genesis},
+		tds:     map[types.Hash]*big.Int{genesis.Hash(): types.BigCopy(diff)},
+		canon:   map[uint64]types.Hash{0: genesis.Hash()},
+		head:    genesis,
+		genesis: genesis,
 	}
 	wb := store.NewWALBatch()
 	store.PutBlock(wb, genesis)
@@ -171,15 +170,14 @@ func Open(cfg *Config, kv db.KV) (*Blockchain, error) {
 	}
 
 	bc := &Blockchain{
-		cfg:        cfg,
-		proc:       NewProcessor(cfg),
-		db:         kv,
-		store:      store,
-		states:     &stateKV{KV: kv},
-		blocks:     make(map[types.Hash]*Block),
-		tds:        make(map[types.Hash]*big.Int),
-		stateRoots: make(map[types.Hash]types.Hash),
-		canon:      make(map[uint64]types.Hash),
+		cfg:    cfg,
+		proc:   NewProcessor(cfg),
+		db:     kv,
+		store:  store,
+		states: &stateKV{KV: kv},
+		blocks: make(map[types.Hash]*Block),
+		tds:    make(map[types.Hash]*big.Int),
+		canon:  make(map[uint64]types.Hash),
 	}
 	// Rebuild the in-memory indices by walking the canonical chain. Side
 	// branches persist in the store but are not re-indexed; they are
@@ -205,9 +203,11 @@ func Open(cfg *Config, kv db.KV) (*Blockchain, error) {
 		if err != nil || !ok {
 			return nil, fmt.Errorf("%w: no state root for canonical block %d (%v)", ErrCorruptStore, n, err)
 		}
+		if root != b.Header.StateRoot {
+			return nil, fmt.Errorf("%w: canonical block %d records state root %s, header %s", ErrCorruptStore, n, root, b.Header.StateRoot)
+		}
 		bc.blocks[h] = b
 		bc.tds[h] = td
-		bc.stateRoots[h] = root
 		bc.canon[n] = h
 		if n == 0 {
 			bc.genesis = b
@@ -219,7 +219,7 @@ func Open(cfg *Config, kv db.KV) (*Blockchain, error) {
 		return nil, fmt.Errorf("%w: head %s not on canonical chain", ErrCorruptStore, headHash)
 	}
 	// The head state must be openable, or every future insert would fail.
-	if _, err := state.New(bc.stateRoots[headHash], kv); err != nil {
+	if _, err := state.New(bc.head.Header.StateRoot, kv); err != nil {
 		return nil, fmt.Errorf("%w: head state unopenable (%v)", ErrCorruptStore, err)
 	}
 	return bc, nil
@@ -300,18 +300,6 @@ func (bc *Blockchain) TD(h types.Hash) (*big.Int, bool) {
 	return types.BigCopy(td), true
 }
 
-// Receipts returns the execution receipts of a known block, decoded from
-// the KV store. The error reports a failed or corrupt read.
-func (bc *Blockchain) Receipts(h types.Hash) ([]*Receipt, bool, error) {
-	bc.mu.RLock()
-	_, known := bc.blocks[h]
-	bc.mu.RUnlock()
-	if !known {
-		return nil, false, nil
-	}
-	return bc.store.Receipts(h)
-}
-
 // TransactionByHash resolves a transaction through the store's tx index:
 // the transaction, the hash and number of the block that included it, and
 // its position in that block. ok=false means the hash is unknown.
@@ -345,13 +333,11 @@ func (bc *Blockchain) StorageStats() db.Stats { return bc.db.Stats() }
 
 // StateAt opens the state committed by the given block.
 func (bc *Blockchain) StateAt(h types.Hash) (*state.DB, error) {
-	bc.mu.RLock()
-	root, ok := bc.stateRoots[h]
-	bc.mu.RUnlock()
+	b, ok := bc.GetBlock(h)
 	if !ok {
 		return nil, fmt.Errorf("chain: no state for block %s", h)
 	}
-	return state.New(root, bc.db)
+	return state.New(b.Header.StateRoot, bc.db)
 }
 
 // HeadState opens the state at the canonical head.
@@ -389,35 +375,22 @@ func (bc *Blockchain) keepState(b *Block, st *state.DB, root types.Hash) {
 // ranges of at most this many, so a received range lands as one commit.
 const MaxRun = 128
 
-// InsertBlock validates and executes a block, extends the store, and
-// performs total-difficulty fork choice. It returns ErrKnownBlock for
-// duplicates and ErrUnknownParent when the parent has not arrived yet
-// (callers queue and retry, as gossip is unordered). The block is one
-// commit, and nothing of it reaches the store unless every check passes.
+// InsertBlock inserts one block: InsertChain of a run of one. It returns
+// ErrKnownBlock for duplicates and ErrUnknownParent when the parent has
+// not arrived yet (callers queue and retry, as gossip is unordered).
 func (bc *Blockchain) InsertBlock(b *Block) error {
-	bc.mu.Lock()
-	defer bc.mu.Unlock()
-
-	if err := bc.check(b); err != nil {
-		return err
+	n, err := bc.InsertChain([]*Block{b})
+	if n == 0 && err == nil {
+		return ErrKnownBlock
 	}
-	c := bc.newCommit()
-	st, receipts, root, err := bc.execute(b, c.batch)
-	if err != nil {
-		return err
-	}
-	c.stage(b, receipts, root)
-	if err := c.write(); err != nil {
-		return err
-	}
-	bc.keepState(b, st, root)
-	return nil
+	return err
 }
 
-// InsertChain inserts blocks in order, each validated and executed as
-// InsertBlock would, and lands them as ONE commit: their states read and
-// commit through a run-scoped overlay of the store, their records collect
-// into one WAL record, and the run reaches the store as one batch —
+// InsertChain inserts blocks in order, each validated, executed and put
+// through total-difficulty fork choice, and lands them as ONE commit:
+// their states read and commit through a run-scoped overlay of the store,
+// their records collect into one WAL record, and the run reaches the
+// store as one batch —
 // [state nodes…, WAL record, chain records…, watermark]. Known blocks are
 // skipped. It returns how many blocks it inserted; callers hand it runs of
 // at most MaxRun blocks.
@@ -467,8 +440,8 @@ func (bc *Blockchain) InsertChain(blocks []*Block) (int, error) {
 // insertInRun executes a checked block of a run and stages it into c. The
 // state it commits enters the run's overlay only once every check has
 // passed, so the next block of the run can read it and a rejected block
-// leaves nothing behind; the state is carried to the next block as
-// InsertBlock carries it, and dropped again if the commit fails.
+// leaves nothing behind; the state is carried to the next block
+// (keepState), and dropped again if the commit fails.
 func (bc *Blockchain) insertInRun(c *commit, overlay *db.Coalescer, b *Block) error {
 	nodes := overlay.NewBatch()
 	st, receipts, root, err := bc.execute(b, nodes)
@@ -553,7 +526,7 @@ func (bc *Blockchain) check(b *Block) error {
 // receipts against the header's roots. Nothing is written: a block that
 // fails here leaves no trace in the store, only a state to drop.
 func (bc *Blockchain) execute(b *Block, batch db.Batch) (*state.DB, []*Receipt, types.Hash, error) {
-	st, err := bc.takeState(bc.stateRoots[b.Header.ParentHash])
+	st, err := bc.takeState(bc.blocks[b.Header.ParentHash].Header.StateRoot)
 	if err != nil {
 		return nil, nil, types.Hash{}, err
 	}
@@ -609,7 +582,7 @@ func (c *commit) stage(b *Block, receipts []*Receipt, root types.Hash) {
 	s.PutTD(wb, hash, td)
 	s.PutStateRoot(wb, hash, root)
 	s.PutBlockTxIndices(wb, b)
-	bc.blocks[hash], bc.tds[hash], bc.stateRoots[hash] = b, td, root
+	bc.blocks[hash], bc.tds[hash] = b, td
 	c.added = append(c.added, hash)
 
 	if td.Cmp(bc.tds[bc.head.Hash()]) <= 0 {
@@ -669,7 +642,6 @@ func (c *commit) rollback() {
 	for _, h := range c.added {
 		delete(bc.blocks, h)
 		delete(bc.tds, h)
-		delete(bc.stateRoots, h)
 	}
 	for n, h := range c.canon {
 		if h.IsZero() {
@@ -770,7 +742,7 @@ func (bc *Blockchain) BuildBlockWithUncles(coinbase types.Address, time uint64, 
 	defer bc.mu.Unlock()
 
 	block := &Block{Header: bc.nextHeader(coinbase, time, uncles), Txs: txs, Uncles: uncles}
-	st, err := state.New(bc.stateRoots[bc.head.Hash()], bc.db)
+	st, err := state.New(bc.head.Header.StateRoot, bc.db)
 	if err != nil {
 		return nil, err
 	}
@@ -846,7 +818,7 @@ func (bc *Blockchain) MineBlock(coinbase types.Address, time uint64, candidates 
 			return nil, err
 		}
 	}
-	st, err := bc.takeState(bc.stateRoots[bc.head.Hash()])
+	st, err := bc.takeState(bc.head.Header.StateRoot)
 	if err != nil {
 		return nil, err
 	}

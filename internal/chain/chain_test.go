@@ -130,7 +130,7 @@ func TestMineTransfersAndReward(t *testing.T) {
 	if st.GetNonce(alice) != 1 {
 		t.Error("sender nonce not advanced")
 	}
-	rec, ok, _ := bc.Receipts(bc.Head().Hash())
+	rec, ok, _ := bc.Store().Receipts(bc.Head().Hash())
 	if !ok || len(rec) != 1 {
 		t.Fatalf("receipts = %v, %v", rec, ok)
 	}
@@ -549,7 +549,7 @@ func TestContractCallClassification(t *testing.T) {
 	}
 	create := NewTransaction(0, nil, nil, 200_000, big.NewInt(1), initCode).Sign(alice, 0)
 	blk := mine(t, bc, 14, create)
-	recs, _, _ := bc.Receipts(blk.Hash())
+	recs, _, _ := bc.Store().Receipts(blk.Hash())
 	if !recs[0].ContractCall {
 		t.Error("creation should classify as contract transaction")
 	}
@@ -561,7 +561,7 @@ func TestContractCallClassification(t *testing.T) {
 	call := NewTransaction(1, &contractAddr, nil, 100_000, big.NewInt(1), nil).Sign(alice, 0)
 	send := transfer(2, alice, bob, 5, 0)
 	blk2 := mine(t, bc, 14, call, send)
-	recs2, _, _ := bc.Receipts(blk2.Hash())
+	recs2, _, _ := bc.Store().Receipts(blk2.Hash())
 	if !recs2[0].ContractCall {
 		t.Error("call to code should classify as contract transaction")
 	}

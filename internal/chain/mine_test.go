@@ -176,8 +176,8 @@ func TestMineBlockMatchesBuildInsert(t *testing.T) {
 		if tdGot.Cmp(tdWant) != 0 {
 			t.Fatalf("round %d: TD %v, model %v", round, tdGot, tdWant)
 		}
-		recGot, _, _ := mined.Receipts(got.Hash())
-		recWant, _, _ := model.Receipts(want.Hash())
+		recGot, _, _ := mined.Store().Receipts(got.Hash())
+		recWant, _, _ := model.Store().Receipts(want.Hash())
 		if len(recGot) != len(recWant) {
 			t.Fatalf("round %d: %d receipts, model %d", round, len(recGot), len(recWant))
 		}

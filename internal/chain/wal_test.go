@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/big"
+	"strings"
 	"testing"
 
 	"forkwatch/internal/db"
@@ -338,6 +339,24 @@ func TestVerifyHeadDetectsInconsistency(t *testing.T) {
 	}
 	if _, err := Open(MainnetLikeConfig(), kv); !errors.Is(err, ErrCorruptStore) {
 		t.Fatalf("Open over inconsistent store = %v, want ErrCorruptStore", err)
+	}
+}
+
+// TestOpenRejectsStateRootMismatch: a canonical block's state-root record
+// must equal its header's root; a store where the two disagree is
+// corrupt, not a chain whose state is the record's.
+func TestOpenRejectsStateRootMismatch(t *testing.T) {
+	kv := db.NewMemDB()
+	bc := mineDense(t, kv, 4, 2)
+	if _, err := Open(MainnetLikeConfig(), kv); err != nil {
+		t.Fatalf("Open over the intact store: %v", err)
+	}
+	h := bc.CanonicalBlocks(2, 2)[0].Hash()
+	if err := kv.Put(hashKey(prefixStateRoot, h), types.HexToHash("0xbad").Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(MainnetLikeConfig(), kv); !errors.Is(err, ErrCorruptStore) || !strings.Contains(err.Error(), "block 2") {
+		t.Fatalf("Open over a mismatched state-root record = %v, want ErrCorruptStore naming block 2", err)
 	}
 }
 

@@ -6,13 +6,13 @@
 package export
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"math/big"
 	"os"
 	"path/filepath"
 	"slices"
-	"sort"
 
 	"forkwatch/internal/chain"
 	"forkwatch/internal/sim"
@@ -102,51 +102,38 @@ func difficulty64(chain string, number uint64, d *big.Int) (uint64, error) {
 	return d.Uint64(), nil
 }
 
-// appendBlockRows appends b's block row to blocks and one row per
-// transaction to txs; a transaction's Contract flag comes from the receipt
-// at its index, when receipts has one.
-func appendBlockRows(blocks []BlockRow, txs []TxRow, name string, b *chain.Block, receipts []*chain.Receipt) ([]BlockRow, []TxRow, error) {
-	diff, err := difficulty64(name, b.Number(), b.Header.Difficulty)
-	if err != nil {
-		return blocks, txs, err
-	}
-	blocks = append(blocks, BlockRow{
-		Chain:      name,
-		Number:     b.Number(),
-		Time:       b.Header.Time,
-		Difficulty: diff,
-		Coinbase:   b.Header.Coinbase,
-		TxCount:    uint32(len(b.Txs)),
-	})
-	for i, tx := range b.Txs {
-		row := TxRow{
-			Chain:       name,
-			BlockNumber: b.Number(),
-			BlockTime:   b.Header.Time,
-			Hash:        tx.Hash(),
-			From:        tx.From,
-			Nonce:       tx.Nonce,
-			ChainID:     tx.ChainID,
-		}
-		if i < len(receipts) {
-			row.Contract = receipts[i].ContractCall
-		}
-		txs = append(txs, row)
-	}
-	return blocks, txs, nil
-}
-
 // FromBlockchain extracts rows from a full ledger's canonical chain
-// (blocks 1..head; genesis carries no transactions). A block whose
-// difficulty does not fit 64 bits is an error.
+// (blocks 1..head; genesis carries no transactions). A transaction row
+// classifies its transaction as the engine's events do (sim.TxInfoOf). A
+// block whose difficulty does not fit 64 bits is an error.
 func FromBlockchain(name string, bc *chain.Blockchain) ([]BlockRow, []TxRow, error) {
 	var blocks []BlockRow
 	var txs []TxRow
 	for _, b := range bc.CanonicalBlocks(1, bc.Head().Number()) {
-		receipts, _, _ := bc.Receipts(b.Hash())
-		var err error
-		if blocks, txs, err = appendBlockRows(blocks, txs, name, b, receipts); err != nil {
+		diff, err := difficulty64(name, b.Number(), b.Header.Difficulty)
+		if err != nil {
 			return nil, nil, err
+		}
+		blocks = append(blocks, BlockRow{
+			Chain:      name,
+			Number:     b.Number(),
+			Time:       b.Header.Time,
+			Difficulty: diff,
+			Coinbase:   b.Header.Coinbase,
+			TxCount:    uint32(len(b.Txs)),
+		})
+		for _, tx := range b.Txs {
+			info := sim.TxInfoOf(tx)
+			txs = append(txs, TxRow{
+				Chain:       name,
+				BlockNumber: b.Number(),
+				BlockTime:   b.Header.Time,
+				Hash:        info.Hash,
+				From:        info.From,
+				Nonce:       tx.Nonce,
+				ChainID:     tx.ChainID,
+				Contract:    info.Contract,
+			})
 		}
 	}
 	return blocks, txs, nil
@@ -306,8 +293,7 @@ func WriteTables(dir string, blocks []BlockRow, txs []TxRow, days []DayRow) erro
 // ChainOrder returns the chains of an export in partition order: the day
 // table's column order when there is one (that is the engine's partition
 // order), then any chain only the block table names, in the order the
-// table first names it. Replay sorts blocks by time, so take the order
-// before replaying.
+// table first names it.
 func ChainOrder(blocks []BlockRow, days []DayRow) []string {
 	var chains []string
 	seen := map[string]bool{}
@@ -326,25 +312,34 @@ func ChainOrder(blocks []BlockRow, days []DayRow) []string {
 	return chains
 }
 
+// dayOf is the day index of a block mined at t, as the engine numbers it.
+func dayOf(t, epoch, dayLength uint64) int { return int((t - epoch) / dayLength) }
+
 // Replay feeds exported rows back through a sim.Observer (typically the
-// analysis collector), reconstructing block events in time order: it sorts
-// blocks in place by time, then chain, then number. Day indices derive
-// from epoch and dayLength. Per-chain deltas are recomputed from
-// consecutive block times. Like the engine, Replay pools its event: one
-// BlockEvent, with its Difficulty and Txs backing, carries every block, so
-// an observer must copy what it keeps past OnBlock.
+// analysis collector) in the engine's delivery order: it sorts blocks in
+// place by day, then by partition (ChainOrder of the block table alone),
+// then by number. That is the order every table forksim writes is already
+// in, and the order echo detection — first-seen across chains — needs to
+// attribute each echo as the run did. Day indices derive from epoch and
+// dayLength. Per-chain deltas are recomputed from consecutive block
+// times. Like the engine, Replay pools its event: one BlockEvent, with its
+// Difficulty and Txs backing, carries every block, so an observer must
+// copy what it keeps past OnBlock.
 func Replay(blocks []BlockRow, txs []TxRow, epoch uint64, dayLength uint64, obs sim.Observer) {
-	// Interleave by mining time: echo detection is first-seen ordering
-	// across chains, so replay must present blocks globally in time
-	// order, exactly as the live simulation did.
-	sort.SliceStable(blocks, func(i, j int) bool {
-		if blocks[i].Time != blocks[j].Time {
-			return blocks[i].Time < blocks[j].Time
-		}
-		if blocks[i].Chain != blocks[j].Chain {
-			return blocks[i].Chain < blocks[j].Chain
-		}
-		return blocks[i].Number < blocks[j].Number
+	replay(blocks, txs, ChainOrder(blocks, nil), epoch, dayLength, obs)
+}
+
+// replay is Replay with the partition order given.
+func replay(blocks []BlockRow, txs []TxRow, chains []string, epoch, dayLength uint64, obs sim.Observer) {
+	rank := make(map[string]int, len(chains))
+	for i, c := range chains {
+		rank[c] = i
+	}
+	slices.SortStableFunc(blocks, func(a, b BlockRow) int {
+		return cmp.Or(
+			cmp.Compare(dayOf(a.Time, epoch, dayLength), dayOf(b.Time, epoch, dayLength)),
+			cmp.Compare(rank[a.Chain], rank[b.Chain]),
+			cmp.Compare(a.Number, b.Number))
 	})
 	type blockKey struct {
 		chain string
@@ -365,7 +360,7 @@ func Replay(blocks []BlockRow, txs []TxRow, epoch uint64, dayLength uint64, obs 
 		}
 		lastTime[b.Chain] = b.Time
 		ev.Chain = b.Chain
-		ev.Day = int((b.Time - epoch) / dayLength)
+		ev.Day = dayOf(b.Time, epoch, dayLength)
 		ev.Number = b.Number
 		ev.Time = b.Time
 		ev.Delta = b.Time - prev
@@ -387,13 +382,14 @@ func Replay(blocks []BlockRow, txs []TxRow, epoch uint64, dayLength uint64, obs 
 // ReplayAll replays block/tx rows and then synthesises the per-day events
 // (prices from the day table; difficulty from each chain's last block of
 // the day), so an analysis collector reconstructs every figure — Fig 3
-// included — from a pure export. The day events list the partitions in
-// ChainOrder; like Replay, ReplayAll sorts blocks in place.
+// included — from a pure export. Partition order is ChainOrder of both
+// tables: the blocks replay in delivery order under it, as Replay's do,
+// and the day events list the partitions in it.
 func ReplayAll(blocks []BlockRow, txs []TxRow, days []DayRow, epoch, dayLength uint64, obs sim.Observer) {
 	chains := ChainOrder(blocks, days)
-	Replay(blocks, txs, epoch, dayLength, obs)
+	replay(blocks, txs, chains, epoch, dayLength, obs)
 
-	// Last difficulty per (chain, day); blocks are in time order now.
+	// Last difficulty per (chain, day); blocks are in delivery order now.
 	lastDiff := make(map[string]map[int]uint64, len(chains))
 	for _, c := range chains {
 		lastDiff[c] = map[int]uint64{}
@@ -403,7 +399,7 @@ func ReplayAll(blocks []BlockRow, txs []TxRow, days []DayRow, epoch, dayLength u
 		if b.Time < epoch {
 			continue
 		}
-		d := int((b.Time - epoch) / dayLength)
+		d := dayOf(b.Time, epoch, dayLength)
 		lastDiff[b.Chain][d] = b.Difficulty
 		maxDay = max(maxDay, d)
 	}

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"forkwatch/internal/analysis"
 	"forkwatch/internal/chain"
 	"forkwatch/internal/sim"
 	"forkwatch/internal/types"
@@ -200,9 +201,9 @@ func TestReplayReconstructsEvents(t *testing.T) {
 	if stub.blocks != 3 || stub.txs != 2 {
 		t.Fatalf("replayed %d blocks, %d txs", stub.blocks, stub.txs)
 	}
-	// Replay interleaves globally by time — ETH@1014, ETH@1028,
-	// ETC@90000 — with per-chain deltas recomputed from consecutive
-	// times (first block measured from the epoch).
+	// Replay delivers by day, then partition, then number — ETH@1014,
+	// ETH@1028, ETC@90000 — with per-chain deltas recomputed from
+	// consecutive times (first block measured from the epoch).
 	if stub.deltas[0] != 14 || stub.deltas[1] != 14 || stub.deltas[2] != 89_000 {
 		t.Errorf("deltas = %v", stub.deltas)
 	}
@@ -370,9 +371,10 @@ func TestReplayPoolsItsEvent(t *testing.T) {
 	}
 }
 
-// TestReplayAllKeepsTableChainOrder: without a day table, the day events
-// list chains in the order the block table first names them, although
-// the replay sorts the rows by time.
+// TestReplayAllKeepsTableChainOrder: without a day table, the partition
+// order is the order the block table first names the chains, and a day's
+// blocks replay in it — the engine's delivery order — although the second
+// partition mined the earlier block.
 func TestReplayAllKeepsTableChainOrder(t *testing.T) {
 	blocks := []BlockRow{
 		{Chain: "MAJ", Number: 1, Time: 1020, Difficulty: 5},
@@ -383,12 +385,42 @@ func TestReplayAllKeepsTableChainOrder(t *testing.T) {
 	}
 	l := &eventLog{}
 	ReplayAll(blocks, nil, nil, 1000, 86_400, l)
+	if want := []string{"MAJ/1 d=5 txs=0", "MIN/1 d=3 txs=0"}; !reflect.DeepEqual(l.seen, want) {
+		t.Errorf("replayed %q, want %q", l.seen, want)
+	}
 	if len(l.days) != 1 || len(l.days[0].Partitions) != 2 ||
 		l.days[0].Partitions[0].Name != "MAJ" || l.days[0].Partitions[1].Name != "MIN" {
 		t.Fatalf("day events %+v, want one day listing MAJ then MIN", l.days)
 	}
-	if blocks[0].Chain != "MIN" {
-		t.Errorf("ReplayAll left the rows unsorted: %+v", blocks)
+	if blocks[0].Chain != "MAJ" {
+		t.Errorf("ReplayAll reordered rows already in delivery order: %+v", blocks)
+	}
+}
+
+// TestReplaySameDayEchoFollowsPartitionOrder: a transaction mined on both
+// chains the same day is first seen on the earlier partition, as the
+// engine delivers it, even where the later partition's block carries the
+// earlier timestamp — so the echo counts into the later partition. The
+// day table fixes the partition order whatever order the rows come in.
+func TestReplaySameDayEchoFollowsPartitionOrder(t *testing.T) {
+	tx := types.HexToHash("0xe0")
+	chains := []string{"ETH", "ETC"}
+	days := []DayRow{{Day: 0, Chains: chains, USD: []float64{12, 1.2}, Hashrate: []float64{1, 1}}}
+	blocks := []BlockRow{
+		{Chain: "ETC", Number: 1, Time: 1010, Difficulty: 3, TxCount: 1},
+		{Chain: "ETH", Number: 1, Time: 1050, Difficulty: 5, TxCount: 1},
+	}
+	txs := []TxRow{
+		{Chain: "ETC", BlockNumber: 1, BlockTime: 1010, Hash: tx},
+		{Chain: "ETH", BlockNumber: 1, BlockTime: 1050, Hash: tx},
+	}
+	col := analysis.NewCollector(1000)
+	ReplayAll(blocks, txs, days, 1000, 86_400, col)
+	if eth, etc := col.TotalEchoes("ETH"), col.TotalEchoes("ETC"); eth != 0 || etc != 1 {
+		t.Errorf("echoes into ETH %d, into ETC %d; want 0 and 1", eth, etc)
+	}
+	if got := col.SameDayEchoesPerDay("ETC"); len(got) != 1 || got[0] != 1 {
+		t.Errorf("ETC same-day echoes per day = %v, want [1]", got)
 	}
 }
 

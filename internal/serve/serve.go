@@ -276,16 +276,13 @@ func Open(sc *sim.Scenario, cfg rpc.ServerConfig) (*Result, error) {
 	srv, backends := mount(cfg, chains)
 	plane := newPlane(srv, backends, sc.Epoch)
 	// Rebuild the live observables by replaying the persisted chains in
-	// global time order (the same reconstruction the batch analyzer
-	// uses). Day-table economics are not persisted in the chain stores,
-	// so a reopened archive's plane has no day rows or hashes-per-USD —
-	// blocks, windows, echoes and pool shares are all restored. Echo
-	// TOTALS are conserved but per-chain attribution can differ from the
-	// original run's: the engine delivers a day's events in partition
-	// order while this replay interleaves by timestamp, so which chain
-	// "saw the tx first" may flip for same-day pairs. The run ended
-	// before the restart, so the feed completes immediately: followers
-	// replay the ring and see EOF.
+	// the engine's delivery order (the same reconstruction the batch
+	// analyzer uses; the rows come chain by chain in partition order).
+	// Day-table economics are not persisted in the chain stores, so a
+	// reopened archive's plane has no day rows or hashes-per-USD —
+	// blocks, windows, echoes and pool shares are all restored as the
+	// run derived them. The run ended before the restart, so the feed
+	// completes immediately: followers replay the ring and see EOF.
 	export.Replay(blocks, txs, sc.Epoch, sc.DayLength, plane)
 	plane.Complete()
 	return &Result{Server: srv, Chains: chains, Live: plane, stores: stores}, nil

@@ -255,9 +255,8 @@ func (sc *Scenario) StructHashrates(day int, specs []PartitionSpec) []float64 {
 }
 
 // Validate cross-checks the scenario's partition specs and the fields
-// that couple to them. It mirrors db.Config.Validate: every violation is
-// reported with the offending field, and the zero-configured legacy
-// scenario always passes.
+// that couple to them: every violation is reported with the offending
+// field, and the zero-configured legacy scenario always passes.
 func (sc *Scenario) Validate() error {
 	if sc.Days < 0 {
 		return fmt.Errorf("sim: Days %d is negative", sc.Days)

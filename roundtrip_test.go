@@ -3,6 +3,8 @@ package forkwatch
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"forkwatch/internal/analysis"
@@ -12,35 +14,80 @@ import (
 	"forkwatch/internal/sim"
 )
 
-// figureCSVs renders every figure of a report to CSV bytes, keyed by name,
-// so two reports can be compared byte-for-byte.
-func figureCSVs(t *testing.T, rep *Report) map[string][]byte {
+// sameFigures requires every RenderFigures CSV of got to equal want's
+// byte for byte.
+func sameFigures(t *testing.T, want, got *Report) {
 	t.Helper()
-	out := map[string][]byte{}
-	add := func(name string, s Series) {
-		var buf bytes.Buffer
-		if err := WriteFigureCSV(&buf, s); err != nil {
-			t.Fatalf("rendering %s: %v", name, err)
+	w, err := RenderFigures(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := RenderFigures(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, wb := range w {
+		if gb := g[name]; !bytes.Equal(wb, gb) {
+			t.Errorf("%s differs:\nrun:\n%s\nreplayed:\n%s", name, wb, gb)
 		}
-		out[name] = buf.Bytes()
 	}
-	bph, diffH, deltaH := rep.Figure1()
-	add("fig1_blocks_per_hour", bph)
-	add("fig1_difficulty", diffH)
-	add("fig1_delta", deltaH)
-	diffD, txD, pctC := rep.Figure2()
-	add("fig2_difficulty", diffD)
-	add("fig2_tx_per_day", txD)
-	add("fig2_pct_contract", pctC)
-	hpu, _ := rep.Figure3()
-	add("fig3_hashes_per_usd", hpu)
-	echoPct, echoes := rep.Figure4()
-	add("fig4_echo_pct", echoPct)
-	add("fig4_echoes_per_day", echoes)
-	for n, s := range rep.Figure5() {
-		add(fmt.Sprintf("fig5_top%d", n), s)
+}
+
+// readTables reads back the three tables export.WriteTables wrote to dir.
+func readTables(t *testing.T, dir string) ([]export.BlockRow, []export.TxRow, []export.DayRow) {
+	t.Helper()
+	open := func(name string) *os.File {
+		f, err := os.Open(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { f.Close() })
+		return f
 	}
-	return out
+	blocks, err := export.ReadBlocks(open("blocks.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	txs, err := export.ReadTxs(open("txs.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	days, err := export.ReadDays(open("days.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blocks, txs, days
+}
+
+// TestReplayedExportReadsAsTheRun: a run's own export, written, read back
+// and replayed, yields every figure CSV and every O1–O6 line of the run
+// byte for byte — the contract forkanalyze -dir rests on. Echo detection
+// is first-seen across chains, so this holds only if the replay delivers
+// blocks in the engine's order (day, partition, number); a replay by
+// timestamp attributes some same-day echoes to the other chain.
+func TestReplayedExportReadsAsTheRun(t *testing.T) {
+	for _, days := range []int{30, 90} {
+		t.Run(fmt.Sprintf("%dd", days), func(t *testing.T) {
+			sc := NewScenario(1, days)
+			rep, rec, err := RunRecorded(sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dir := t.TempDir()
+			if err := export.WriteTables(dir, rec.Blocks, rec.Txs, rec.Days); err != nil {
+				t.Fatal(err)
+			}
+
+			blocks, txs, dayRows := readTables(t, dir)
+			col := analysis.NewCollector(sc.Epoch)
+			export.ReplayAll(blocks, txs, dayRows, sc.Epoch, sc.DayLength, col)
+			sameFigures(t, rep, &Report{Scenario: sc, Collector: col})
+			want := Observations(rep.Collector, rep.Chains())
+			if got := Observations(col, export.ChainOrder(blocks, dayRows)); got != want {
+				t.Errorf("O1–O6 lines differ:\nrun:\n%s\nreplayed:\n%s", want, got)
+			}
+		})
+	}
 }
 
 // TestFullModeKVRoundTrip is the persistence acceptance test: a ModeFull
@@ -155,15 +202,5 @@ func TestFullModeKVRoundTrip(t *testing.T) {
 		rec.Days, sc.Epoch, sc.DayLength, col2)
 	replayed := &Report{Scenario: sc, Collector: col2}
 
-	want := figureCSVs(t, live)
-	got := figureCSVs(t, replayed)
-	for name, w := range want {
-		g, ok := got[name]
-		if !ok {
-			t.Fatalf("replayed report missing %s", name)
-		}
-		if !bytes.Equal(w, g) {
-			t.Errorf("%s differs after round trip:\nlive:\n%s\nreplayed:\n%s", name, w, g)
-		}
-	}
+	sameFigures(t, live, replayed)
 }

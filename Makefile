@@ -81,6 +81,7 @@ fuzz:
 	$(GO) test -fuzz '^FuzzScanSegment$$' -fuzztime $(FUZZTIME) ./internal/db/diskdb/
 	$(GO) test -fuzz '^FuzzParseSpec$$' -fuzztime $(FUZZTIME) ./internal/db/diskdb/faultfile/
 	$(GO) test -fuzz '^FuzzAppendBlockRow$$' -fuzztime $(FUZZTIME) ./internal/export/
+	$(GO) test -fuzz '^FuzzReplayTables$$' -fuzztime $(FUZZTIME) ./internal/export/
 
 # Storage chaos battery under the race detector: the fault-injection unit
 # tests, the WAL crash/recovery sweeps over a batch-tearing test store, and
@@ -135,7 +136,9 @@ bench-selftest:
 # that catches pools pinning memory rather than churning it.
 # forksim/cpu.pprof is one whole `forksim -days 90 -out` run — simulation,
 # figure rendering and the CSV export, the figures-90d op of bench/ — and
-# forksim/heap.pprof the rows it retains; the CSVs themselves are dropped.
+# forksim/heap.pprof its live heap right after the run, which holds the
+# collector's buckets and no ledger rows (the tables stream to disk as the
+# run delivers its blocks); the CSVs themselves are dropped.
 # archive/{cpu,heap}.pprof are dense-6h disk serve.Build runs, the
 # archive-build-disk op of bench/ (BenchmarkArchiveBuildDense), and
 # import/{cpu,heap}.pprof replica syncs and restarts on disk, the shape of
@@ -168,8 +171,9 @@ rpcsmoke:
 # Live measurement plane smoke: boot forkserve -live, follow the event
 # feed over RPC with forkanalyze -follow (given a dead first endpoint, so
 # the follower's failover path runs), and require the streamed CSV
-# tables byte-identical to a batch forksim export of the same scenario.
-# The convergence diff (empty on success) lands in LIVESMOKE_OUT; CI
+# tables byte-identical to a batch forksim export of the same scenario,
+# and the O1-O6 lines of forkanalyze -dir over either export and of the
+# follower identical to forksim's. The convergence diff (empty on success) lands in LIVESMOKE_OUT; CI
 # uploads it as an artifact.
 LIVESMOKE_OUT ?= live-smoke-out
 

@@ -43,19 +43,22 @@ func followLive(targets, outDir string, epoch uint64) error {
 	an := live.NewAnalyzer(epoch, live.Options{})
 	// The decoded events also feed a batch collector, whose O1–O6 lines
 	// the follower prints at EOF, and with -out the batch exporter's
-	// recorder: lines and tables match a batch run's because the same
+	// table writer: lines and tables match a batch run's because the same
 	// code derives them.
 	col := analysis.NewCollector(epoch)
-	rec := &export.Recorder{}
 	also := []sim.Observer{col}
+	var tables *export.Tables
 	if outDir != "" {
-		also = append(also, rec)
+		if tables, err = export.NewTables(outDir); err != nil {
+			return err
+		}
+		defer tables.Abort() // a follow that fails publishes no table
+		also = append(also, tables)
 	}
 	var (
 		cursor   uint64
 		failures int
 		lastDay  = -1
-		chains   []string // partition order, from the latest day event
 	)
 	for {
 		var page rpc.LivePage
@@ -85,10 +88,6 @@ func followLive(targets, outDir string, epoch uint64) error {
 			}
 			if ev.Kind == feed.KindDay && ev.Day.Day != lastDay {
 				lastDay = ev.Day.Day
-				chains = chains[:0]
-				for _, p := range ev.Day.Partitions {
-					chains = append(chains, p.Chain)
-				}
 				printDayLine(an)
 			}
 			if ev.Kind == feed.KindEOF {
@@ -104,17 +103,15 @@ func followLive(targets, outDir string, epoch uint64) error {
 		}
 	}
 
+	chains := col.Chains()
 	if len(chains) == 0 {
 		return fmt.Errorf("the feed ended without a day event")
 	}
 	snap := an.Snapshot()
 	fmt.Printf("\nrun complete: %d events, %d days, %d chains\n", snap.Events, snap.Days, len(snap.Chains))
 	fmt.Print(forkwatch.Observations(col, chains))
-	if outDir != "" {
-		if err := rec.Err(); err != nil {
-			return err
-		}
-		if err := export.WriteTables(outDir, rec.Blocks, rec.Txs, rec.Days); err != nil {
+	if tables != nil {
+		if err := tables.Close(); err != nil {
 			return err
 		}
 		fmt.Printf("\nwrote blocks.csv txs.csv days.csv to %s (byte-identical to a batch export of the run)\n", outDir)

@@ -64,48 +64,42 @@ func main() {
 	}
 }
 
-// analyzeDir loads the export in dir, replays it through a collector in
-// the engine's delivery order and prints the run's O1–O6 lines to w.
+// analyzeDir replays the export in dir through a collector in the
+// engine's delivery order and prints the run's O1–O6 lines to w.
 func analyzeDir(w io.Writer, dir string, epoch, dayLength uint64) error {
-	blocksF, err := os.Open(filepath.Join(dir, "blocks.csv"))
+	blocks, err := os.Open(filepath.Join(dir, "blocks.csv"))
 	if err != nil {
 		return err
 	}
-	defer blocksF.Close()
-	blocks, err := export.ReadBlocks(blocksF)
+	defer blocks.Close()
+	txs, err := os.Open(filepath.Join(dir, "txs.csv"))
 	if err != nil {
 		return err
 	}
-	txsF, err := os.Open(filepath.Join(dir, "txs.csv"))
-	if err != nil {
-		return err
-	}
-	defer txsF.Close()
-	txs, err := export.ReadTxs(txsF)
-	if err != nil {
-		return err
-	}
-
+	defer txs.Close()
 	// The day table (prices) is optional; with it, Fig 3 reconstructs too.
-	var dayRows []export.DayRow
-	if daysF, err := os.Open(filepath.Join(dir, "days.csv")); err == nil {
-		dayRows, err = export.ReadDays(daysF)
-		daysF.Close()
-		if err != nil {
-			return err
-		}
+	var days io.Reader
+	if f, err := os.Open(filepath.Join(dir, "days.csv")); err == nil {
+		defer f.Close()
+		days = f
 	}
 
-	chains := export.ChainOrder(blocks, dayRows)
+	col := analysis.NewCollector(epoch)
+	if err := export.ReplayTables(blocks, txs, days, epoch, dayLength, col); err != nil {
+		return err
+	}
+	chains := col.Chains()
 	if len(chains) == 0 {
 		return fmt.Errorf("export holds no blocks for any chain")
 	}
-	col := analysis.NewCollector(epoch)
-	export.ReplayAll(blocks, txs, dayRows, epoch, dayLength, col)
-
-	fmt.Fprintf(w, "loaded %d blocks, %d transactions across %s\n",
-		len(blocks), len(txs), strings.Join(chains, "/"))
-	if len(dayRows) == 0 {
+	nb, nt := 0, 0
+	for _, c := range chains {
+		for _, d := range col.Daily(c) {
+			nb, nt = nb+d.Blocks, nt+d.Txs
+		}
+	}
+	fmt.Fprintf(w, "loaded %d blocks, %d transactions across %s\n", nb, nt, strings.Join(chains, "/"))
+	if days == nil {
 		fmt.Fprintln(w, "no days.csv in the export directory: O4 has no prices to correlate")
 	}
 	fmt.Fprint(w, forkwatch.Observations(col, chains))

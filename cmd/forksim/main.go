@@ -108,15 +108,17 @@ func main() {
 	}
 	col := analysis.NewCollector(sc.Epoch)
 	eng.AddObserver(col)
-	// The ledger capture is only paid for when it will be written out.
-	rec := &forkwatch.Recorder{}
+	// The ledger tables are written as the run delivers its blocks.
+	var tables *export.Tables
 	if *outDir != "" {
-		rec.Reserve(sc.LedgerSizeHint())
-		eng.AddObserver(rec)
+		if tables, err = export.NewTables(*outDir); err != nil {
+			log.Fatal(err)
+		}
+		eng.AddObserver(tables)
 	}
 
-	// The CPU profile spans the whole command — simulation, figure
-	// rendering and the CSV export — so it stops when main returns; the
+	// The CPU profile spans the whole command — simulation with the CSV
+	// export, then figure rendering — so it stops when main returns; the
 	// heap profile is the retained state right after the run.
 	if *profDir != "" {
 		if err := os.MkdirAll(*profDir, 0o755); err != nil {
@@ -137,10 +139,15 @@ func main() {
 			log.Printf("wrote cpu.pprof and heap.pprof to %s", *profDir)
 		}()
 	}
-	if err := eng.Run(); err != nil {
-		log.Fatal(err)
+	err = eng.Run()
+	if tables != nil {
+		if err != nil {
+			tables.Abort()
+		} else {
+			err = tables.Close()
+		}
 	}
-	if err := rec.Err(); err != nil {
+	if err != nil {
 		log.Fatal(err)
 	}
 	if *profDir != "" {
@@ -174,9 +181,6 @@ func main() {
 	if *outDir == "" {
 		return
 	}
-	if err := os.MkdirAll(*outDir, 0o755); err != nil {
-		log.Fatal(err)
-	}
 	figs, err := forkwatch.RenderFigures(rep)
 	if err != nil {
 		log.Fatal(err)
@@ -192,10 +196,6 @@ func main() {
 		}
 	}
 	_, corr := rep.Figure3()
-
-	if err := export.WriteTables(*outDir, rec.Blocks, rec.Txs, rec.Days); err != nil {
-		log.Fatal(err)
-	}
 	log.Printf("wrote figures and ledger export to %s (fig3 correlation %.4f)", *outDir, corr)
 }
 

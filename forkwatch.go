@@ -144,8 +144,9 @@ func Run(sc *Scenario) (*Report, error) {
 }
 
 // RunRecorded executes the scenario collecting both the report and the raw
-// export rows (for cmd/forksim's CSV output). A block the recorder refused
-// (Recorder.Err) fails the run.
+// export rows, retained in memory (cmd/forksim streams its tables with
+// export.Tables instead). A block the recorder refused (Recorder.Err)
+// fails the run.
 func RunRecorded(sc *Scenario) (*Report, *Recorder, error) {
 	eng, err := sim.New(sc)
 	if err != nil {

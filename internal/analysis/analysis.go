@@ -63,6 +63,7 @@ type Collector struct {
 	series map[string]*chainSeries
 	seen   map[types.Hash]txSeen
 	days   int
+	chains []string // the latest day event's partitions
 
 	// A collector fed from an endless stream bounds the first-seen set:
 	// past seenBound entries (0 = unbounded) the oldest is forgotten,
@@ -197,7 +198,9 @@ func (c *Collector) OnDay(ev *sim.DayEvent) {
 	if ev.Day+1 > c.days {
 		c.days = ev.Day + 1
 	}
+	c.chains = c.chains[:0]
 	for _, pd := range ev.Partitions {
+		c.chains = append(c.chains, pd.Name)
 		b := c.chain(pd.Name).day(ev.Day)
 		b.USD = pd.USD
 		b.Hashrate = pd.Hashrate
@@ -205,9 +208,14 @@ func (c *Collector) OnDay(ev *sim.DayEvent) {
 	}
 }
 
+// Chains returns the partitions of the latest day event, in partition
+// order (nil before any); the next day event overwrites the slice.
+func (c *Collector) Chains() []string { return c.chains }
+
 // Days returns the number of observed days: day events when the collector
-// was driven by a live simulation, otherwise (e.g. replaying an export,
-// which has no day events) the extent of the per-day block buckets.
+// was driven by a run or a replayed export, otherwise (e.g. a reopened
+// archive's replay, which has no day events) the extent of the per-day
+// block buckets.
 func (c *Collector) Days() int {
 	days := c.days
 	for _, cs := range c.series {

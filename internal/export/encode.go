@@ -81,11 +81,10 @@ func AppendTxRow(dst []byte, r TxRow) []byte {
 	dst = appendHex(dst, r.Hash[:])
 	dst = append(dst, ',')
 	dst = appendHex(dst, r.From[:])
-	dst = append(dst, ',')
-	dst = strconv.AppendUint(dst, r.Nonce, 10)
-	dst = append(dst, ',')
-	dst = strconv.AppendUint(dst, r.ChainID, 10)
-	dst = append(dst, ',')
+	dst = append(dst, ",0,0,"...) // nonce 0, then the 0/1 chainid marker
+	if r.ChainBound {
+		dst[len(dst)-2] = '1'
+	}
 	dst = strconv.AppendBool(dst, r.Contract)
 	return append(dst, '\n')
 }

@@ -42,8 +42,8 @@ func EncodeTxRow(r TxRow) []string {
 		strconv.FormatUint(r.BlockTime, 10),
 		r.Hash.Hex(),
 		r.From.Hex(),
-		strconv.FormatUint(r.Nonce, 10),
-		strconv.FormatUint(r.ChainID, 10),
+		"0",
+		map[bool]string{false: "0", true: "1"}[r.ChainBound],
 		strconv.FormatBool(r.Contract),
 	}
 }
@@ -156,9 +156,8 @@ func randTxRow(r *rand.Rand) TxRow {
 		Chain:       randChain(r),
 		BlockNumber: randUint(r),
 		BlockTime:   randUint(r),
-		Nonce:       randUint(r),
-		ChainID:     randUint(r),
 		Contract:    r.Intn(2) == 0,
+		ChainBound:  r.Intn(2) == 0,
 	}
 	r.Read(row.Hash[:])
 	r.Read(row.From[:])

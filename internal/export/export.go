@@ -1,29 +1,27 @@
 // Package export persists ledgers to CSV — the equivalent of the paper's
 // §3.1 pipeline, which dumped every block and transaction from its two
-// full nodes into a database and ran the analysis offline. cmd/forksim
-// exports simulated ledgers; cmd/forkanalyze reloads exports and re-runs
-// the full figure pipeline without re-simulating.
+// full nodes into a database and ran the analysis offline. The tables are
+// a stream in the engine's delivery order: Tables writes each row as its
+// event arrives (cmd/forksim -out), ReplayTables reads the three tables
+// back in lockstep and re-delivers the run's events (cmd/forkanalyze), and
+// ReplayChains delivers a reopened archive's chains the same way.
 package export
 
 import (
-	"cmp"
 	"fmt"
 	"io"
-	"math/big"
 	"os"
 	"path/filepath"
 	"slices"
 
-	"forkwatch/internal/chain"
 	"forkwatch/internal/sim"
 	"forkwatch/internal/types"
 )
 
-// BlockRow is one exported block record, 64 bytes: a nine-month export
-// retains millions. Its difficulty is a 64-bit value; a wider one is
-// refused where it enters (Recorder.Err, FromBlockchain, ReadBlocks),
-// never truncated. It has no hash: simulation events carry none, so the
-// table's hash column is always the zero hash.
+// BlockRow is one exported block record, 64 bytes. Its difficulty is a
+// 64-bit value; a wider one is refused where it enters a table, never
+// truncated. It has no hash: simulation events carry none, so the table's
+// hash column is always the zero hash.
 type BlockRow struct {
 	Chain      string
 	Number     uint64
@@ -33,117 +31,74 @@ type BlockRow struct {
 	TxCount    uint32
 }
 
-// TxRow is one exported transaction record.
+// TxRow is one exported transaction record. Events carry no nonce, so the
+// table's nonce column is always 0, and its chainid column is a 0/1
+// chain-bound marker (the exact id is a per-chain constant).
 type TxRow struct {
 	Chain       string
 	BlockNumber uint64
 	BlockTime   uint64
 	Hash        types.Hash
 	From        types.Address
-	Nonce       uint64
-	ChainID     uint64
 	Contract    bool
+	ChainBound  bool
 }
 
-// writeBufSize is how much encoded table the writers gather before handing
-// it to the io.Writer: large enough that a 170 MB table is a few hundred
-// writes, small enough to stay cache-resident between the encoder and the
-// copy into the kernel.
-const writeBufSize = 256 << 10
-
-// newWriteBuf returns the one buffer a table writer reuses for every row;
-// the slack keeps the row that crosses writeBufSize from growing it.
-func newWriteBuf() []byte { return make([]byte, 0, writeBufSize+1024) }
-
-// spill writes buf to w once it holds at least threshold bytes and returns
-// the buffer to keep appending to.
-func spill(w io.Writer, buf []byte, threshold int) ([]byte, error) {
-	if len(buf) < threshold {
-		return buf, nil
-	}
-	_, err := w.Write(buf)
-	return buf[:0], err
+// DayRow is one exported day record (prices and hashrates — the
+// "coinmarketcap join" of the paper's pipeline): parallel slices in
+// partition order.
+type DayRow struct {
+	Day      int
+	Chains   []string
+	USD      []float64
+	Hashrate []float64
 }
 
-// WriteBlocks writes block rows as CSV.
-func WriteBlocks(w io.Writer, rows []BlockRow) error {
-	buf := AppendBlockHeader(newWriteBuf())
-	var err error
-	for i := range rows {
-		buf = AppendBlockRow(buf, rows[i])
-		if buf, err = spill(w, buf, writeBufSize); err != nil {
-			return err
-		}
-	}
-	_, err = spill(w, buf, 1)
-	return err
-}
-
-// WriteTxs writes transaction rows as CSV.
-func WriteTxs(w io.Writer, rows []TxRow) error {
-	buf := AppendTxHeader(newWriteBuf())
-	var err error
-	for i := range rows {
-		buf = AppendTxRow(buf, rows[i])
-		if buf, err = spill(w, buf, writeBufSize); err != nil {
-			return err
-		}
-	}
-	_, err = spill(w, buf, 1)
-	return err
-}
-
-// difficulty64 returns a block's difficulty as a row holds it, or an error
-// naming the block when it has no 64-bit unsigned form.
-func difficulty64(chain string, number uint64, d *big.Int) (uint64, error) {
+// blockRow is the row of a block event, or an error naming the block when
+// its difficulty has no 64-bit unsigned form.
+func blockRow(ev *sim.BlockEvent) (BlockRow, error) {
+	d := ev.Difficulty
 	if d == nil || !d.IsUint64() {
-		return 0, fmt.Errorf("export: %s block %d: difficulty %v does not fit 64 bits", chain, number, d)
+		return BlockRow{}, fmt.Errorf("export: %s block %d: difficulty %v does not fit 64 bits", ev.Chain, ev.Number, d)
 	}
-	return d.Uint64(), nil
+	return BlockRow{
+		Chain:      ev.Chain,
+		Number:     ev.Number,
+		Time:       ev.Time,
+		Difficulty: d.Uint64(),
+		Coinbase:   ev.Coinbase,
+		TxCount:    uint32(len(ev.Txs)),
+	}, nil
 }
 
-// FromBlockchain extracts rows from a full ledger's canonical chain
-// (blocks 1..head; genesis carries no transactions). A transaction row
-// classifies its transaction as the engine's events do (sim.TxInfoOf). A
-// block whose difficulty does not fit 64 bits is an error.
-func FromBlockchain(name string, bc *chain.Blockchain) ([]BlockRow, []TxRow, error) {
-	var blocks []BlockRow
-	var txs []TxRow
-	for _, b := range bc.CanonicalBlocks(1, bc.Head().Number()) {
-		diff, err := difficulty64(name, b.Number(), b.Header.Difficulty)
-		if err != nil {
-			return nil, nil, err
-		}
-		blocks = append(blocks, BlockRow{
-			Chain:      name,
-			Number:     b.Number(),
-			Time:       b.Header.Time,
-			Difficulty: diff,
-			Coinbase:   b.Header.Coinbase,
-			TxCount:    uint32(len(b.Txs)),
-		})
-		for _, tx := range b.Txs {
-			info := sim.TxInfoOf(tx)
-			txs = append(txs, TxRow{
-				Chain:       name,
-				BlockNumber: b.Number(),
-				BlockTime:   b.Header.Time,
-				Hash:        info.Hash,
-				From:        info.From,
-				Nonce:       tx.Nonce,
-				ChainID:     tx.ChainID,
-				Contract:    info.Contract,
-			})
-		}
+// txRow is the row of one of a block event's transactions.
+func txRow(ev *sim.BlockEvent, tx *sim.TxInfo) TxRow {
+	return TxRow{
+		Chain:       ev.Chain,
+		BlockNumber: ev.Number,
+		BlockTime:   ev.Time,
+		Hash:        tx.Hash,
+		From:        tx.From,
+		Contract:    tx.Contract,
+		ChainBound:  tx.ChainBound,
 	}
-	return blocks, txs, nil
 }
 
-// Recorder is a sim.Observer that captures rows during a simulation run,
-// in either ledger mode. The zero value is ready to use; Reserve spares a
-// long run the regrowth of its row slices. A row copies everything it
-// keeps out of the pooled event, so recording a block allocates nothing
-// once the rows have room.
+// dayRow is the row of a day event.
+func dayRow(ev *sim.DayEvent) DayRow {
+	r := DayRow{Day: ev.Day}
+	for _, pd := range ev.Partitions {
+		r.Chains = append(r.Chains, pd.Name)
+		r.USD = append(r.USD, pd.USD)
+		r.Hashrate = append(r.Hashrate, pd.Hashrate)
+	}
+	return r
+}
+
+// Recorder is a sim.Observer that retains a run's rows in memory: what
+// RunRecorded returns, and the reference the streamed tables are tested
+// against. The zero value is ready to use; Reserve spares a long run the
+// regrowth of its row slices, so recording a block allocates nothing.
 //
 // A block whose difficulty does not fit 64 bits is not recorded: the first
 // such block is reported by Err, which a caller checks after the run.
@@ -166,265 +121,216 @@ func (rec *Recorder) Reserve(blocks, txs int) {
 // Err returns the first block the recorder refused, or nil.
 func (rec *Recorder) Err() error { return rec.err }
 
-// OnBlock implements sim.Observer. Events carry no block hash, so the
-// table's hash column stays zero; a tx row's ChainID is a 0/1 chain-bound
-// marker (the exact id is a per-chain constant).
+// OnBlock implements sim.Observer.
 func (rec *Recorder) OnBlock(ev *sim.BlockEvent) {
-	diff, err := difficulty64(ev.Chain, ev.Number, ev.Difficulty)
+	row, err := blockRow(ev)
 	if err != nil {
 		if rec.err == nil {
 			rec.err = err
 		}
 		return
 	}
-	rec.Blocks = append(rec.Blocks, BlockRow{
-		Chain:      ev.Chain,
-		Number:     ev.Number,
-		Time:       ev.Time,
-		Difficulty: diff,
-		Coinbase:   ev.Coinbase,
-		TxCount:    uint32(len(ev.Txs)),
-	})
+	rec.Blocks = append(rec.Blocks, row)
 	for i := range ev.Txs {
-		tx := &ev.Txs[i]
-		row := TxRow{
-			Chain:       ev.Chain,
-			BlockNumber: ev.Number,
-			BlockTime:   ev.Time,
-			Hash:        tx.Hash,
-			From:        tx.From,
-			Contract:    tx.Contract,
-		}
-		if tx.ChainBound {
-			row.ChainID = 1
-		}
-		rec.Txs = append(rec.Txs, row)
+		rec.Txs = append(rec.Txs, txRow(ev, &ev.Txs[i]))
 	}
 }
 
 // OnDay implements sim.Observer.
-func (rec *Recorder) OnDay(ev *sim.DayEvent) {
-	row := DayRow{
-		Day:      ev.Day,
-		Chains:   make([]string, len(ev.Partitions)),
-		USD:      make([]float64, len(ev.Partitions)),
-		Hashrate: make([]float64, len(ev.Partitions)),
-	}
-	for i, pd := range ev.Partitions {
-		row.Chains[i] = pd.Name
-		row.USD[i] = pd.USD
-		row.Hashrate[i] = pd.Hashrate
-	}
-	rec.Days = append(rec.Days, row)
+func (rec *Recorder) OnDay(ev *sim.DayEvent) { rec.Days = append(rec.Days, dayRow(ev)) }
+
+// writeBufSize is how much encoded table a table gathers before handing
+// it to its io.Writer: a 170 MB table is a few hundred writes, and the
+// buffer stays cache-resident between the encoder and the kernel copy.
+const writeBufSize = 256 << 10
+
+// table is the one row appender of every table writer: rows are encoded
+// into buf, which reaches w writeBufSize at a time (the slack keeps the
+// row that crosses writeBufSize from growing it).
+type table struct {
+	w   io.Writer
+	buf []byte
 }
 
-// DayRow is one exported day record (prices and hashrates — the
-// "coinmarketcap join" of the paper's pipeline): parallel slices in
-// partition order.
-type DayRow struct {
-	Day      int
-	Chains   []string
-	USD      []float64
-	Hashrate []float64
+func newTable(w io.Writer) table {
+	return table{w: w, buf: make([]byte, 0, writeBufSize+1024)}
 }
 
-// Value returns the row's (usd, hashrate) for a chain; zeros if absent.
-func (r DayRow) Value(chain string) (usd, hashrate float64) {
-	for i, c := range r.Chains {
-		if c == chain {
-			return r.USD[i], r.Hashrate[i]
+// spill writes the gathered rows once they fill the buffer.
+func (t *table) spill() error {
+	if len(t.buf) < writeBufSize {
+		return nil
+	}
+	return t.flush()
+}
+
+func (t *table) flush() error {
+	_, err := t.w.Write(t.buf)
+	t.buf = t.buf[:0]
+	return err
+}
+
+// writeRows writes a header and then each row through one table.
+func writeRows[R any](w io.Writer, header func([]byte) []byte, rows []R, appendRow func([]byte, R) []byte) error {
+	t := newTable(w)
+	t.buf = header(t.buf)
+	for _, r := range rows {
+		t.buf = appendRow(t.buf, r)
+		if err := t.spill(); err != nil {
+			return err
 		}
 	}
-	return 0, 0
+	return t.flush()
+}
+
+// WriteBlocks writes block rows as CSV.
+func WriteBlocks(w io.Writer, rows []BlockRow) error {
+	return writeRows(w, AppendBlockHeader, rows, AppendBlockRow)
+}
+
+// WriteTxs writes transaction rows as CSV.
+func WriteTxs(w io.Writer, rows []TxRow) error {
+	return writeRows(w, AppendTxHeader, rows, AppendTxRow)
 }
 
 // WriteDays writes day rows as CSV. All rows must share one chain list
-// (one simulation's partitions).
+// (one simulation's partitions); otherwise nothing is written.
 func WriteDays(w io.Writer, rows []DayRow) error {
 	var chains []string
 	if len(rows) > 0 {
 		chains = rows[0].Chains
 	}
-	buf := AppendDayHeader(newWriteBuf(), chains)
-	var err error
-	for i, r := range rows {
-		if len(r.Chains) != len(chains) || len(r.USD) != len(chains) || len(r.Hashrate) != len(chains) {
-			return fmt.Errorf("export: day row %d has %d chains, want %d", i, len(r.Chains), len(chains))
-		}
-		buf = AppendDayRow(buf, r)
-		if buf, err = spill(w, buf, writeBufSize); err != nil {
+	for _, r := range rows {
+		if err := sameWidth(r, chains); err != nil {
 			return err
 		}
 	}
-	_, err = spill(w, buf, 1)
-	return err
+	header := func(dst []byte) []byte { return AppendDayHeader(dst, chains) }
+	return writeRows(w, header, rows, AppendDayRow)
 }
 
-// WriteTables writes the three ledger tables — blocks.csv, txs.csv and
-// days.csv — into dir, creating it if needed. A table counts as written
-// only once its file has closed without error.
-func WriteTables(dir string, blocks []BlockRow, txs []TxRow, days []DayRow) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	for _, t := range []struct {
-		name  string
-		write func(io.Writer) error
-	}{
-		{"blocks.csv", func(w io.Writer) error { return WriteBlocks(w, blocks) }},
-		{"txs.csv", func(w io.Writer) error { return WriteTxs(w, txs) }},
-		{"days.csv", func(w io.Writer) error { return WriteDays(w, days) }},
-	} {
-		f, err := os.Create(filepath.Join(dir, t.name))
-		if err != nil {
-			return err
-		}
-		if err := t.write(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
+// sameWidth checks that a day row has one column pair per chain.
+func sameWidth(r DayRow, chains []string) error {
+	if len(r.Chains) != len(chains) || len(r.USD) != len(chains) || len(r.Hashrate) != len(chains) {
+		return fmt.Errorf("export: day %d has %d chains, want %d", r.Day, len(r.Chains), len(chains))
 	}
 	return nil
 }
 
-// ChainOrder returns the chains of an export in partition order: the day
-// table's column order when there is one (that is the engine's partition
-// order), then any chain only the block table names, in the order the
-// table first names it.
-func ChainOrder(blocks []BlockRow, days []DayRow) []string {
-	var chains []string
-	seen := map[string]bool{}
-	if len(days) > 0 {
-		for _, c := range days[0].Chains {
-			chains = append(chains, c)
-			seen[c] = true
-		}
-	}
-	for _, b := range blocks {
-		if !seen[b.Chain] {
-			seen[b.Chain] = true
-			chains = append(chains, b.Chain)
-		}
-	}
-	return chains
+var tableNames = [3]string{"blocks.csv", "txs.csv", "days.csv"}
+
+// Tables is a sim.Observer that writes a run's three ledger tables into a
+// directory, appending each row as its event arrives, so it holds one
+// buffer per table and no rows. The day table's columns are the first day
+// event's partitions. A table is renamed from a temporary name to its
+// final one only when Close finds every write clean, so a failed run
+// leaves no table that reads as a shorter run. Close returns the first
+// error, a block refused for a difficulty wider than 64 bits included;
+// Abort drops the tables of a run that failed elsewhere.
+type Tables struct {
+	dir    string
+	files  [3]*os.File
+	tabs   [3]table // blocks, txs, days
+	chains []string // the day table's columns, once its header is written
+	err    error
 }
 
-// dayOf is the day index of a block mined at t, as the engine numbers it.
-func dayOf(t, epoch, dayLength uint64) int { return int((t - epoch) / dayLength) }
-
-// Replay feeds exported rows back through a sim.Observer (typically the
-// analysis collector) in the engine's delivery order: it sorts blocks in
-// place by day, then by partition (ChainOrder of the block table alone),
-// then by number. That is the order every table forksim writes is already
-// in, and the order echo detection — first-seen across chains — needs to
-// attribute each echo as the run did. Day indices derive from epoch and
-// dayLength. Per-chain deltas are recomputed from consecutive block
-// times. Like the engine, Replay pools its event: one BlockEvent, with its
-// Difficulty and Txs backing, carries every block, so an observer must
-// copy what it keeps past OnBlock.
-func Replay(blocks []BlockRow, txs []TxRow, epoch uint64, dayLength uint64, obs sim.Observer) {
-	replay(blocks, txs, ChainOrder(blocks, nil), epoch, dayLength, obs)
+// NewTables creates dir if needed and opens the three tables in it.
+func NewTables(dir string) (*Tables, error) {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, err
+	}
+	t := &Tables{dir: dir}
+	for i, name := range tableNames {
+		f, err := os.Create(filepath.Join(dir, name+".tmp"))
+		if err != nil {
+			t.Abort()
+			return nil, err
+		}
+		t.files[i] = f
+	}
+	for i, f := range t.files {
+		t.tabs[i] = newTable(f)
+	}
+	t.tabs[0].buf = AppendBlockHeader(t.tabs[0].buf)
+	t.tabs[1].buf = AppendTxHeader(t.tabs[1].buf) // the day table's waits for the first day
+	return t, nil
 }
 
-// replay is Replay with the partition order given.
-func replay(blocks []BlockRow, txs []TxRow, chains []string, epoch, dayLength uint64, obs sim.Observer) {
-	rank := make(map[string]int, len(chains))
-	for i, c := range chains {
-		rank[c] = i
-	}
-	slices.SortStableFunc(blocks, func(a, b BlockRow) int {
-		return cmp.Or(
-			cmp.Compare(dayOf(a.Time, epoch, dayLength), dayOf(b.Time, epoch, dayLength)),
-			cmp.Compare(rank[a.Chain], rank[b.Chain]),
-			cmp.Compare(a.Number, b.Number))
-	})
-	type blockKey struct {
-		chain string
-		n     uint64
-	}
-	txByBlock := make(map[blockKey][]TxRow)
-	for _, t := range txs {
-		key := blockKey{t.Chain, t.BlockNumber}
-		txByBlock[key] = append(txByBlock[key], t)
-	}
-	lastTime := map[string]uint64{}
-	var diff big.Int
-	ev := &sim.BlockEvent{Difficulty: &diff}
-	for _, b := range blocks {
-		prev, ok := lastTime[b.Chain]
-		if !ok {
-			prev = epoch
-		}
-		lastTime[b.Chain] = b.Time
-		ev.Chain = b.Chain
-		ev.Day = dayOf(b.Time, epoch, dayLength)
-		ev.Number = b.Number
-		ev.Time = b.Time
-		ev.Delta = b.Time - prev
-		diff.SetUint64(b.Difficulty)
-		ev.Coinbase = b.Coinbase
-		ev.Txs = ev.Txs[:0]
-		for _, t := range txByBlock[blockKey{b.Chain, b.Number}] {
-			ev.Txs = append(ev.Txs, sim.TxInfo{
-				Hash:       t.Hash,
-				From:       t.From,
-				Contract:   t.Contract,
-				ChainBound: t.ChainID != 0,
-			})
-		}
-		obs.OnBlock(ev)
+func (t *Tables) fail(err error) {
+	if t.err == nil {
+		t.err = err
 	}
 }
 
-// ReplayAll replays block/tx rows and then synthesises the per-day events
-// (prices from the day table; difficulty from each chain's last block of
-// the day), so an analysis collector reconstructs every figure — Fig 3
-// included — from a pure export. Partition order is ChainOrder of both
-// tables: the blocks replay in delivery order under it, as Replay's do,
-// and the day events list the partitions in it.
-func ReplayAll(blocks []BlockRow, txs []TxRow, days []DayRow, epoch, dayLength uint64, obs sim.Observer) {
-	chains := ChainOrder(blocks, days)
-	replay(blocks, txs, chains, epoch, dayLength, obs)
+// OnBlock implements sim.Observer. After the first error it writes nothing.
+func (t *Tables) OnBlock(ev *sim.BlockEvent) {
+	if t.err != nil {
+		return
+	}
+	row, err := blockRow(ev)
+	if err != nil {
+		t.fail(err)
+		return
+	}
+	b, x := &t.tabs[0], &t.tabs[1]
+	b.buf = AppendBlockRow(b.buf, row)
+	t.fail(b.spill())
+	for i := 0; i < len(ev.Txs) && t.err == nil; i++ {
+		x.buf = AppendTxRow(x.buf, txRow(ev, &ev.Txs[i]))
+		t.fail(x.spill())
+	}
+}
 
-	// Last difficulty per (chain, day); blocks are in delivery order now.
-	lastDiff := make(map[string]map[int]uint64, len(chains))
-	for _, c := range chains {
-		lastDiff[c] = map[int]uint64{}
+// OnDay implements sim.Observer.
+func (t *Tables) OnDay(ev *sim.DayEvent) {
+	if t.err != nil {
+		return
 	}
-	maxDay := 0
-	for _, b := range blocks {
-		if b.Time < epoch {
-			continue
+	row, d := dayRow(ev), &t.tabs[2]
+	if t.chains == nil {
+		t.chains = append([]string{}, row.Chains...)
+		d.buf = AppendDayHeader(d.buf, t.chains)
+	}
+	if err := sameWidth(row, t.chains); err != nil {
+		t.fail(err)
+		return
+	}
+	d.buf = AppendDayRow(d.buf, row)
+	t.fail(d.spill())
+}
+
+// Close flushes and closes the tables and, if every write was clean,
+// gives them their final names; otherwise it removes them and returns
+// the first error.
+func (t *Tables) Close() error {
+	if t.chains == nil { // no day event: the header alone
+		t.tabs[2].buf = AppendDayHeader(t.tabs[2].buf, nil)
+	}
+	for i, f := range t.files {
+		if t.err == nil {
+			t.fail(t.tabs[i].flush())
 		}
-		d := dayOf(b.Time, epoch, dayLength)
-		lastDiff[b.Chain][d] = b.Difficulty
-		maxDay = max(maxDay, d)
+		t.fail(f.Close())
 	}
-	dayRow := make(map[int]DayRow, len(days))
-	for _, r := range days {
-		dayRow[r.Day] = r
-		maxDay = max(maxDay, r.Day)
-	}
-	// A chain's difficulty carries forward over the days it mined nothing.
-	carry := make(map[string]uint64, len(chains))
-	for d := 0; d <= maxDay; d++ {
-		r := dayRow[d]
-		ev := &sim.DayEvent{Day: d, Partitions: make([]sim.PartitionDay, len(chains))}
-		for i, c := range chains {
-			if v, ok := lastDiff[c][d]; ok {
-				carry[c] = v
-			}
-			usd, hashrate := r.Value(c)
-			ev.Partitions[i] = sim.PartitionDay{
-				Name:       c,
-				USD:        usd,
-				Hashrate:   hashrate,
-				Difficulty: new(big.Int).SetUint64(carry[c]),
-			}
+	for i, f := range t.files {
+		if t.err == nil {
+			t.fail(os.Rename(f.Name(), filepath.Join(t.dir, tableNames[i])))
 		}
-		obs.OnDay(ev)
+	}
+	if t.err != nil {
+		t.Abort()
+	}
+	return t.err
+}
+
+// Abort removes the tables without publishing them; after Close there is
+// nothing left to remove.
+func (t *Tables) Abort() {
+	for _, f := range t.files {
+		if f != nil {
+			f.Close()
+			os.Remove(f.Name())
+		}
 	}
 }

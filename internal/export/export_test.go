@@ -3,6 +3,7 @@ package export
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math"
 	"math/big"
 	"os"
@@ -26,89 +27,165 @@ func sampleBlocks() []BlockRow {
 	}
 }
 
+// sampleTxs are block 1's transactions.
 func sampleTxs() []TxRow {
 	return []TxRow{
 		{Chain: "ETH", BlockNumber: 1, BlockTime: 1000, Hash: types.HexToHash("0xt1"),
-			From: types.HexToAddress("0xee"), Nonce: 0, ChainID: 0, Contract: false},
+			From: types.HexToAddress("0xee"), Contract: false},
 		{Chain: "ETH", BlockNumber: 1, BlockTime: 1000, Hash: types.HexToHash("0xt2"),
-			From: types.HexToAddress("0xee"), Nonce: 1, ChainID: 1, Contract: true},
+			From: types.HexToAddress("0xee"), Contract: true, ChainBound: true},
 	}
 }
 
+// encodeTables writes rows as the three tables; days may be nil.
+func encodeTables(t *testing.T, blocks []BlockRow, txs []TxRow, days []DayRow) (b, x, d []byte) {
+	t.Helper()
+	var bb, xb, db bytes.Buffer
+	if err := WriteBlocks(&bb, blocks); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteTxs(&xb, txs); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteDays(&db, days); err != nil {
+		t.Fatal(err)
+	}
+	return bb.Bytes(), xb.Bytes(), db.Bytes()
+}
+
+// replayBytes replays tables held in memory; a nil days replays without a
+// day table.
+func replayBytes(blocks, txs, days []byte, epoch, dayLength uint64, obs sim.Observer) error {
+	var dr io.Reader
+	if days != nil {
+		dr = bytes.NewReader(days)
+	}
+	return ReplayTables(bytes.NewReader(blocks), bytes.NewReader(txs), dr, epoch, dayLength, obs)
+}
+
+// replayRows writes rows as tables and replays them, without a day table,
+// into a Recorder.
+func replayRows(t *testing.T, blocks []BlockRow, txs []TxRow, epoch uint64) *Recorder {
+	t.Helper()
+	b, x, _ := encodeTables(t, blocks, txs, nil)
+	rec := &Recorder{}
+	if err := replayBytes(b, x, nil, epoch, 86_400, rec); err != nil {
+		t.Fatal(err)
+	}
+	return rec
+}
+
 func TestBlocksRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteBlocks(&buf, sampleBlocks()); err != nil {
-		t.Fatal(err)
-	}
-	rows, err := ReadBlocks(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := sampleBlocks()
-	if len(rows) != len(want) {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	for i := range rows {
-		if rows[i] != want[i] {
-			t.Errorf("row %d mismatch: %+v vs %+v", i, rows[i], want[i])
-		}
+	rec := replayRows(t, sampleBlocks(), sampleTxs(), 1000)
+	if !reflect.DeepEqual(rec.Blocks, sampleBlocks()) {
+		t.Errorf("replayed blocks %+v, want %+v", rec.Blocks, sampleBlocks())
 	}
 }
 
 func TestTxsRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteTxs(&buf, sampleTxs()); err != nil {
-		t.Fatal(err)
-	}
-	rows, err := ReadTxs(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := sampleTxs()
-	for i := range rows {
-		if rows[i] != want[i] {
-			t.Errorf("row %d mismatch: %+v vs %+v", i, rows[i], want[i])
-		}
+	rec := replayRows(t, sampleBlocks(), sampleTxs(), 1000)
+	if !reflect.DeepEqual(rec.Txs, sampleTxs()) {
+		t.Errorf("replayed txs %+v, want %+v", rec.Txs, sampleTxs())
 	}
 }
 
+// TestReadRejectsBadInput: the row parsers refuse malformed tables, naming
+// the row and the field.
 func TestReadRejectsBadInput(t *testing.T) {
-	if _, err := ReadBlocks(strings.NewReader("")); err == nil {
+	const header = "chain,number,hash,time,difficulty,coinbase,txcount\n"
+	const txs = "chain,block,blocktime,hash,from,nonce,chainid,contract\n"
+	replay := func(blocks, txs string) error {
+		return ReplayTables(strings.NewReader(blocks), strings.NewReader(txs), nil, 0, 86_400, &Recorder{})
+	}
+	if err := replay("", txs); err == nil {
 		t.Error("empty input should fail")
 	}
-	if _, err := ReadBlocks(strings.NewReader("wrong,header\n")); err == nil {
+	if err := replay("wrong,header\n", txs); err == nil {
 		t.Error("wrong header should fail")
 	}
-	bad := "chain,number,hash,time,difficulty,coinbase,txcount\nETH,notanumber,0x,0,1,0x,0\n"
-	if _, err := ReadBlocks(strings.NewReader(bad)); err == nil {
+	if err := replay(header+"ETH,notanumber,0x,0,1,0x,0\n", txs); err == nil {
 		t.Error("bad number should fail")
 	}
 	// A row holds a 64-bit difficulty and a 32-bit txcount: wider or
 	// negative values are refused, naming the row, never truncated.
-	const header = "chain,number,hash,time,difficulty,coinbase,txcount\n"
-	const good = "ETH,1,0x,0,18446744073709551615,0x,4294967295\n"
+	const good = "ETH,1,0x,0,18446744073709551615,0x,0\n"
 	for _, tc := range []struct{ row, field string }{
 		{"ETH,2,0x,0,18446744073709551616,0x,0\n", "difficulty"},
 		{"ETH,2,0x,0,-1,0x,0\n", "difficulty"},
 		{"ETH,2,0x,0,1,0x,-1\n", "txcount"},
 		{"ETH,2,0x,0,1,0x,4294967296\n", "txcount"},
+		{"ETH,2,0x,0,1,0x\n", "fields"},
 	} {
-		_, err := ReadBlocks(strings.NewReader(header + good + tc.row))
+		err := replay(header+good+tc.row, txs)
 		if err == nil || !strings.Contains(err.Error(), "row 2") || !strings.Contains(err.Error(), tc.field) {
-			t.Errorf("ReadBlocks(%q) = %v, want an error naming row 2's %s", tc.row, err, tc.field)
+			t.Errorf("replaying %q = %v, want an error naming row 2's %s", tc.row, err, tc.field)
 		}
 	}
-	if rows, err := ReadBlocks(strings.NewReader(header + good)); err != nil || rows[0].Difficulty != math.MaxUint64 || rows[0].TxCount != math.MaxUint32 {
-		t.Errorf("ReadBlocks of the largest values = %+v, %v", rows, err)
+	rec := &Recorder{}
+	if err := ReplayTables(strings.NewReader(header+good), strings.NewReader(txs), nil, 0, 86_400, rec); err != nil || rec.Blocks[0].Difficulty != math.MaxUint64 {
+		t.Errorf("replaying the largest difficulty = %+v, %v", rec.Blocks, err)
 	}
-	if _, err := ReadTxs(strings.NewReader("x\n")); err == nil {
+	// The largest txcount parses; the tx table then runs out.
+	err := replay(header+"ETH,1,0x,0,1,0x,4294967295\n", txs)
+	if err == nil || !strings.Contains(err.Error(), "0 of block row 1's 4294967295 transactions") {
+		t.Errorf("replaying the largest txcount = %v, want the tx table to end inside block row 1", err)
+	}
+	if err := replay(header, "x\n"); err == nil {
 		t.Error("bad tx header should fail")
+	}
+	if err := replay(header+"ETH,1,0x,0,1,0x,1\n", txs+"ETH,1,0,0x,0x,0,0,maybe\n"); err == nil || !strings.Contains(err.Error(), "tx row 1 contract") {
+		t.Errorf("bad contract flag = %v, want an error naming tx row 1's contract", err)
 	}
 }
 
-func TestFromBlockchain(t *testing.T) {
+// TestReplayTablesRejectsForeignStreams: tables that are not one run's
+// stream in delivery order are refused, naming the row.
+func TestReplayTablesRejectsForeignStreams(t *testing.T) {
+	const bh = "chain,number,hash,time,difficulty,coinbase,txcount\n"
+	const th = "chain,block,blocktime,hash,from,nonce,chainid,contract\n"
+	const dh = "day,ethusd,etcusd,ethhashrate,etchashrate\n"
+	tx := func(chain string, n, tm int) string {
+		return fmt.Sprintf("%s,%d,%d,0x01,0x02,0,0,false\n", chain, n, tm)
+	}
+	for _, tc := range []struct {
+		name, blocks, txs, days, want string
+	}{
+		{"number order", bh + "ETH,2,0x,1010,1,0x,0\nETH,1,0x,1020,1,0x,0\n", th, "", "block row 2 (ETH block 1): out of delivery order"},
+		{"repeated block", bh + "ETH,1,0x,1010,1,0x,0\nETH,1,0x,1020,1,0x,0\n", th, "", "block row 2 (ETH block 1): out of delivery order"},
+		{"partition order", bh + "ETC,1,0x,1010,1,0x,0\nETH,1,0x,1020,1,0x,0\n", th, dh + "0,1,1,1,1\n", "block row 2 (ETH block 1): out of delivery order"},
+		{"day order", bh + "ETH,1,0x,90000,1,0x,0\nETC,1,0x,1020,1,0x,0\n", th, "", "block row 2 (ETC block 1): out of delivery order"},
+		{"time goes back", bh + "ETH,1,0x,1020,1,0x,0\nETH,2,0x,1010,1,0x,0\n", th, "", "block row 2 (ETH block 2): time 1010 is before"},
+		{"tx of another block", bh + "ETH,1,0x,1010,1,0x,1\nETH,2,0x,1020,1,0x,0\n", th + tx("ETH", 2, 1020), "", "tx row 1 (ETH block 2 at 1020) does not belong to block row 1"},
+		{"tx of another chain", bh + "ETH,1,0x,1010,1,0x,1\n", th + tx("ETC", 1, 1010), "", "tx row 1 (ETC block 1 at 1010) does not belong"},
+		{"tx left over", bh + "ETH,1,0x,1010,1,0x,1\n", th + tx("ETH", 1, 1010) + tx("ETH", 1, 1010), "", "tx row 2 follows the last block's transactions"},
+		{"tx table short", bh + "ETH,1,0x,1010,1,0x,2\n", th + tx("ETH", 1, 1010), "", "the tx table ends at 1 of block row 1's 2 transactions"},
+		{"before the epoch", bh + "ETH,1,0x,999,1,0x,0\n", th, "", "block row 1 (ETH block 1): time 999 is before the epoch 1000"},
+		{"past the day table", bh + "ETH,1,0x,1010,1,0x,0\nETH,2,0x,90000,1,0x,0\n", th, dh + "0,1,1,1,1\n", "block row 2 (ETH block 2): on day 1, past the day table's last day 0"},
+		{"day rows out of order", bh, th, dh + "1,1,1,1,1\n0,1,1,1,1\n", "day row 2: day 0 does not follow day 1"},
+		{"negative day", bh, th, dh + "-1,1,1,1,1\n", "day row 1: day -1"},
+		{"too far past the epoch", bh + "ETH,1,0x,99999999999,1,0x,0\n", th, "", "block row 1 (ETH block 1): time 99999999999 is more than"},
+	} {
+		var days []byte
+		if tc.days != "" {
+			days = []byte(tc.days)
+		}
+		err := replayBytes([]byte(tc.blocks), []byte(tc.txs), days, 1000, 86_400, &Recorder{})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: %v, want an error containing %q", tc.name, err, tc.want)
+		}
+	}
+	b, x, _ := encodeTables(t, sampleBlocks(), sampleTxs(), nil)
+	if err := replayBytes(b, x, nil, 1000, 0, &Recorder{}); err == nil || !strings.Contains(err.Error(), "day length is 0") {
+		t.Errorf("a zero day length = %v, want an error", err)
+	}
+}
+
+// testChain returns a chain whose genesis difficulty is diff, with one
+// mined block holding a signed transfer.
+func testChain(t *testing.T, diff *big.Int) (*chain.Blockchain, *chain.Block, *chain.Transaction) {
+	t.Helper()
 	gen := &chain.Genesis{
-		Difficulty: big.NewInt(131072),
+		Difficulty: diff,
 		Time:       1_000_000,
 		Alloc: map[types.Address]*big.Int{
 			types.HexToAddress("0xa11ce"): new(big.Int).Mul(big.NewInt(10), chain.Ether),
@@ -128,38 +205,47 @@ func TestFromBlockchain(t *testing.T) {
 	if err := bc.InsertBlock(blk); err != nil {
 		t.Fatal(err)
 	}
-	blocks, txs, err := FromBlockchain("ETH", bc)
-	if err != nil {
+	return bc, blk, tx
+}
+
+// TestReplayChains: a reopened chain replays as the engine delivered it —
+// the rows a Recorder takes are the block's — and a difficulty wider than
+// 64 bits is delivered, not refused.
+func TestReplayChains(t *testing.T) {
+	bc, blk, tx := testChain(t, big.NewInt(131072))
+	rec := &Recorder{}
+	if err := ReplayChains([]string{"ETH"}, []*chain.Blockchain{bc}, 1_000_000, 86_400, rec); err != nil {
 		t.Fatal(err)
-	}
-	if len(blocks) != 1 || len(txs) != 1 {
-		t.Fatalf("rows = %d blocks, %d txs", len(blocks), len(txs))
 	}
 	want := BlockRow{Chain: "ETH", Number: 1, Time: blk.Header.Time, Difficulty: blk.Header.Difficulty.Uint64(),
 		Coinbase: blk.Header.Coinbase, TxCount: 1}
-	if blocks[0] != want || txs[0].Hash != tx.Hash() {
-		t.Errorf("exported %+v / tx %s, want %+v / tx %s", blocks[0], txs[0].Hash.Hex(), want, tx.Hash().Hex())
+	if len(rec.Blocks) != 1 || rec.Blocks[0] != want || len(rec.Txs) != 1 || rec.Txs[0].Hash != tx.Hash() {
+		t.Fatalf("replayed %+v / %+v, want %+v / tx %s", rec.Blocks, rec.Txs, want, tx.Hash().Hex())
 	}
-	if got := bc.CanonicalBlocks(1, 1)[0].Hash(); got != blk.Hash() {
-		t.Errorf("canonical block 1 is %s, inserted %s", got.Hex(), blk.Hash().Hex())
+	if len(rec.Days) != 0 {
+		t.Errorf("replayed %d day events; chains hold no prices", len(rec.Days))
 	}
 
-	// A chain whose difficulty outgrew 64 bits has no rows: an error, not
-	// truncated difficulties.
-	wide := &chain.Genesis{Difficulty: new(big.Int).Lsh(big.NewInt(1), 70), Time: gen.Time}
-	wbc, err := chain.NewBlockchain(chain.MainnetLikeConfig(), wide)
-	if err != nil {
-		t.Fatal(err)
+	wbc, wblk, _ := testChain(t, new(big.Int).Lsh(big.NewInt(1), 70))
+	l := &eventLog{}
+	if err := ReplayChains([]string{"ETH"}, []*chain.Blockchain{wbc}, 1_000_000, 86_400, l); err != nil {
+		t.Fatalf("replaying a %d-bit difficulty: %v", wblk.Header.Difficulty.BitLen(), err)
 	}
-	wblk, err := wbc.BuildBlock(types.HexToAddress("0x9001"), wide.Time+14, nil)
-	if err != nil {
-		t.Fatal(err)
+	if want := fmt.Sprintf("ETH/1 d=%v txs=1", wblk.Header.Difficulty); len(l.seen) != 1 || l.seen[0] != want {
+		t.Errorf("replayed %q, want [%s]", l.seen, want)
 	}
-	if err := wbc.InsertBlock(wblk); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := FromBlockchain("ETH", wbc); err == nil || !strings.Contains(err.Error(), "block 1") {
-		t.Errorf("FromBlockchain over a %d-bit difficulty = %v, want an error naming block 1", wblk.Header.Difficulty.BitLen(), err)
+
+	for _, tc := range []struct {
+		epoch, dayLength uint64
+		want             string
+	}{
+		{blk.Header.Time + 1, 86_400, "ETH block 1: time 1000014 is before the epoch 1000015"},
+		{1_000_000, 0, "day length is 0"},
+	} {
+		err := ReplayChains([]string{"ETH"}, []*chain.Blockchain{bc}, tc.epoch, tc.dayLength, &Recorder{})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("ReplayChains(epoch %d, day length %d) = %v, want %q", tc.epoch, tc.dayLength, err, tc.want)
+		}
 	}
 }
 
@@ -188,22 +274,24 @@ func (c *collectorStub) OnDay(*sim.DayEvent) {}
 
 func TestReplayReconstructsEvents(t *testing.T) {
 	blocks := []BlockRow{
+		{Chain: "ETH", Number: 1, Time: 1014, Difficulty: 1, TxCount: 1},
 		{Chain: "ETH", Number: 2, Time: 1028, Difficulty: 2},
-		{Chain: "ETH", Number: 1, Time: 1014, Difficulty: 1},
-		{Chain: "ETC", Number: 1, Time: 90_000, Difficulty: 3},
+		{Chain: "ETC", Number: 1, Time: 90_000, Difficulty: 3, TxCount: 1},
 	}
 	txs := []TxRow{
-		{Chain: "ETH", BlockNumber: 1, Hash: types.HexToHash("0xt1")},
-		{Chain: "ETC", BlockNumber: 1, Hash: types.HexToHash("0xt1")},
+		{Chain: "ETH", BlockNumber: 1, BlockTime: 1014, Hash: types.HexToHash("0xt1")},
+		{Chain: "ETC", BlockNumber: 1, BlockTime: 90_000, Hash: types.HexToHash("0xt1")},
 	}
+	b, x, _ := encodeTables(t, blocks, txs, nil)
 	stub := &collectorStub{}
-	Replay(blocks, txs, 1000, 86_400, stub)
+	if err := replayBytes(b, x, nil, 1000, 86_400, stub); err != nil {
+		t.Fatal(err)
+	}
 	if stub.blocks != 3 || stub.txs != 2 {
 		t.Fatalf("replayed %d blocks, %d txs", stub.blocks, stub.txs)
 	}
-	// Replay delivers by day, then partition, then number — ETH@1014,
-	// ETH@1028, ETC@90000 — with per-chain deltas recomputed from
-	// consecutive times (first block measured from the epoch).
+	// Per-chain deltas come from consecutive times (a chain's first block
+	// is measured from the epoch).
 	if stub.deltas[0] != 14 || stub.deltas[1] != 14 || stub.deltas[2] != 89_000 {
 		t.Errorf("deltas = %v", stub.deltas)
 	}
@@ -216,8 +304,9 @@ func TestReplayReconstructsEvents(t *testing.T) {
 	}
 }
 
-// TestRecorderEndToEnd runs a short sim with a Recorder, exports, reloads
-// and replays into a stub, checking counts survive the full round trip.
+// TestRecorderEndToEnd runs a short sim with a Recorder, writes its
+// tables, and replays them into a second Recorder: it takes back every
+// row written.
 func TestRecorderEndToEnd(t *testing.T) {
 	sc := sim.NewScenario(3, 2)
 	sc.DayLength = 3600
@@ -233,32 +322,28 @@ func TestRecorderEndToEnd(t *testing.T) {
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if len(rec.Blocks) == 0 {
+	if len(rec.Blocks) == 0 || len(rec.Txs) == 0 {
 		t.Fatal("recorder captured nothing")
 	}
+	b, x, d := encodeTables(t, rec.Blocks, rec.Txs, rec.Days)
+	back := &Recorder{}
+	if err := replayBytes(b, x, d, sc.Epoch, sc.DayLength, back); err != nil {
+		t.Fatal(err)
+	}
+	sameRows(t, back, rec)
+}
 
-	var bbuf, tbuf bytes.Buffer
-	if err := WriteBlocks(&bbuf, rec.Blocks); err != nil {
-		t.Fatal(err)
+// sameRows requires got to hold want's rows, row for row.
+func sameRows(t *testing.T, got, want *Recorder) {
+	t.Helper()
+	if !reflect.DeepEqual(got.Blocks, want.Blocks) {
+		t.Errorf("block rows differ: %d rows, want %d", len(got.Blocks), len(want.Blocks))
 	}
-	if err := WriteTxs(&tbuf, rec.Txs); err != nil {
-		t.Fatal(err)
+	if !reflect.DeepEqual(got.Txs, want.Txs) {
+		t.Errorf("tx rows differ: %d rows, want %d", len(got.Txs), len(want.Txs))
 	}
-	blocks, err := ReadBlocks(&bbuf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	txs, err := ReadTxs(&tbuf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stub := &collectorStub{}
-	Replay(blocks, txs, sc.Epoch, sc.DayLength, stub)
-	if stub.blocks != len(rec.Blocks) {
-		t.Errorf("replayed %d blocks, recorded %d", stub.blocks, len(rec.Blocks))
-	}
-	if stub.txs != len(rec.Txs) {
-		t.Errorf("replayed %d txs, recorded %d", stub.txs, len(rec.Txs))
+	if !reflect.DeepEqual(got.Days, want.Days) {
+		t.Errorf("day rows differ: %d rows, want %d", len(got.Days), len(want.Days))
 	}
 }
 
@@ -268,26 +353,15 @@ func TestDaysRoundTrip(t *testing.T) {
 		{Day: 0, Chains: chains, USD: []float64{12, 1.2}, Hashrate: []float64{4.9e12, 1e11}},
 		{Day: 1, Chains: chains, USD: []float64{12.5, 1.1}, Hashrate: []float64{4.8e12, 2e11}},
 	}
-	var buf bytes.Buffer
-	if err := WriteDays(&buf, rows); err != nil {
+	b, x, d := encodeTables(t, nil, nil, rows)
+	rec := &Recorder{}
+	if err := replayBytes(b, x, d, 1000, 86_400, rec); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadDays(&buf)
-	if err != nil {
-		t.Fatal(err)
+	if !reflect.DeepEqual(rec.Days, rows) {
+		t.Fatalf("round trip returned %+v, want %+v", rec.Days, rows)
 	}
-	if len(got) != 2 {
-		t.Fatalf("round trip returned %d rows", len(got))
-	}
-	for i, row := range got {
-		if row.Day != rows[i].Day ||
-			!reflect.DeepEqual(row.Chains, rows[i].Chains) ||
-			!reflect.DeepEqual(row.USD, rows[i].USD) ||
-			!reflect.DeepEqual(row.Hashrate, rows[i].Hashrate) {
-			t.Fatalf("row %d mismatch: %+v vs %+v", i, row, rows[i])
-		}
-	}
-	if _, err := ReadDays(strings.NewReader("bad\n")); err == nil {
+	if err := replayBytes(b, x, []byte("bad\n"), 1000, 86_400, rec); err == nil {
 		t.Error("bad header should fail")
 	}
 }
@@ -300,7 +374,7 @@ type dayCollector struct {
 
 func (d *dayCollector) OnDay(ev *sim.DayEvent) { d.days = append(d.days, ev) }
 
-func TestReplayAllSynthesisesDayEvents(t *testing.T) {
+func TestReplayTablesSynthesisesDayEvents(t *testing.T) {
 	blocks := []BlockRow{
 		{Chain: "ETH", Number: 1, Time: 1014, Difficulty: 100},
 		{Chain: "ETH", Number: 2, Time: 1028, Difficulty: 110},
@@ -311,11 +385,15 @@ func TestReplayAllSynthesisesDayEvents(t *testing.T) {
 	days := []DayRow{
 		{Day: 0, Chains: chains, USD: []float64{12, 1.2}, Hashrate: []float64{0, 0}},
 		{Day: 1, Chains: chains, USD: []float64{13, 1.3}, Hashrate: []float64{0, 0}},
+		{Day: 3, Chains: chains, USD: []float64{14, 1.4}, Hashrate: []float64{0, 0}},
 	}
+	b, x, d := encodeTables(t, blocks, nil, days)
 	col := &dayCollector{}
-	ReplayAll(blocks, nil, days, 1000, 86_400, col)
-	if len(col.days) != 2 {
-		t.Fatalf("day events = %d, want 2", len(col.days))
+	if err := replayBytes(b, x, d, 1000, 86_400, col); err != nil {
+		t.Fatal(err)
+	}
+	if len(col.days) != 4 {
+		t.Fatalf("day events = %d, want 4 (through the day table's last day)", len(col.days))
 	}
 	d0eth, d0etc := col.days[0].Partition("ETH"), col.days[0].Partition("ETC")
 	if d0eth == nil || d0etc == nil {
@@ -328,6 +406,13 @@ func TestReplayAllSynthesisesDayEvents(t *testing.T) {
 	d1eth, d1etc := col.days[1].Partition("ETH"), col.days[1].Partition("ETC")
 	if d1eth.Difficulty.Int64() != 120 || d1etc.Difficulty.Int64() != 9 || d1etc.USD != 1.3 {
 		t.Errorf("day 1 = %+v", col.days[1])
+	}
+	// Day 2 has no row: no prices, difficulties carried.
+	if d2 := col.days[2].Partition("ETH"); col.days[2].Day != 2 || d2.USD != 0 || d2.Difficulty.Int64() != 120 {
+		t.Errorf("day 2 = %+v", col.days[2])
+	}
+	if d3 := col.days[3].Partition("ETC"); col.days[3].Day != 3 || d3.USD != 1.4 {
+		t.Errorf("day 3 = %+v", col.days[3])
 	}
 }
 
@@ -345,46 +430,49 @@ func (l *eventLog) OnBlock(ev *sim.BlockEvent) {
 }
 func (l *eventLog) OnDay(ev *sim.DayEvent) { l.days = append(l.days, ev) }
 
-// TestReplayPoolsItsEvent: Replay hands every block over in one reused
+// TestReplayPoolsItsEvent: a replay hands every block over in one reused
 // event, as the engine does, carrying each block's own values.
 func TestReplayPoolsItsEvent(t *testing.T) {
 	blocks := []BlockRow{
-		{Chain: "ETH", Number: 1, Time: 1014, Difficulty: math.MaxUint64},
+		{Chain: "ETH", Number: 1, Time: 1014, Difficulty: math.MaxUint64, TxCount: 2},
 		{Chain: "ETH", Number: 2, Time: 1028, Difficulty: 1 << 63},
-		{Chain: "ETC", Number: 1, Time: 1030, Difficulty: 0},
+		{Chain: "ETC", Number: 1, Time: 1030, Difficulty: 0, TxCount: 1},
 	}
 	txs := []TxRow{
-		{Chain: "ETH", BlockNumber: 1, Hash: types.HexToHash("0x1")},
-		{Chain: "ETH", BlockNumber: 1, Hash: types.HexToHash("0x2")},
-		{Chain: "ETC", BlockNumber: 1, Hash: types.HexToHash("0x3")},
+		{Chain: "ETH", BlockNumber: 1, BlockTime: 1014, Hash: types.HexToHash("0x1")},
+		{Chain: "ETH", BlockNumber: 1, BlockTime: 1014, Hash: types.HexToHash("0x2")},
+		{Chain: "ETC", BlockNumber: 1, BlockTime: 1030, Hash: types.HexToHash("0x3")},
 	}
+	b, x, _ := encodeTables(t, blocks, txs, nil)
 	l := &eventLog{}
-	Replay(blocks, txs, 1000, 86_400, l)
+	if err := replayBytes(b, x, nil, 1000, 86_400, l); err != nil {
+		t.Fatal(err)
+	}
 	want := []string{"ETH/1 d=18446744073709551615 txs=2", "ETH/2 d=9223372036854775808 txs=0", "ETC/1 d=0 txs=1"}
 	if !reflect.DeepEqual(l.seen, want) {
 		t.Errorf("replayed %q, want %q", l.seen, want)
 	}
 	for i, ev := range l.events {
 		if ev != l.events[0] {
-			t.Errorf("event %d is a fresh BlockEvent; Replay must reuse one", i)
+			t.Errorf("event %d is a fresh BlockEvent; the replay must reuse one", i)
 		}
 	}
 }
 
-// TestReplayAllKeepsTableChainOrder: without a day table, the partition
+// TestReplayTablesKeepsTableChainOrder: without a day table, the partition
 // order is the order the block table first names the chains, and a day's
 // blocks replay in it — the engine's delivery order — although the second
 // partition mined the earlier block.
-func TestReplayAllKeepsTableChainOrder(t *testing.T) {
+func TestReplayTablesKeepsTableChainOrder(t *testing.T) {
 	blocks := []BlockRow{
 		{Chain: "MAJ", Number: 1, Time: 1020, Difficulty: 5},
 		{Chain: "MIN", Number: 1, Time: 1010, Difficulty: 3},
 	}
-	if got := ChainOrder(blocks, nil); !reflect.DeepEqual(got, []string{"MAJ", "MIN"}) {
-		t.Errorf("ChainOrder = %q, want [MAJ MIN]", got)
-	}
+	b, x, _ := encodeTables(t, blocks, nil, nil)
 	l := &eventLog{}
-	ReplayAll(blocks, nil, nil, 1000, 86_400, l)
+	if err := replayBytes(b, x, nil, 1000, 86_400, l); err != nil {
+		t.Fatal(err)
+	}
 	if want := []string{"MAJ/1 d=5 txs=0", "MIN/1 d=3 txs=0"}; !reflect.DeepEqual(l.seen, want) {
 		t.Errorf("replayed %q, want %q", l.seen, want)
 	}
@@ -392,48 +480,69 @@ func TestReplayAllKeepsTableChainOrder(t *testing.T) {
 		l.days[0].Partitions[0].Name != "MAJ" || l.days[0].Partitions[1].Name != "MIN" {
 		t.Fatalf("day events %+v, want one day listing MAJ then MIN", l.days)
 	}
-	if blocks[0].Chain != "MAJ" {
-		t.Errorf("ReplayAll reordered rows already in delivery order: %+v", blocks)
-	}
 }
 
 // TestReplaySameDayEchoFollowsPartitionOrder: a transaction mined on both
 // chains the same day is first seen on the earlier partition, as the
 // engine delivers it, even where the later partition's block carries the
 // earlier timestamp — so the echo counts into the later partition. The
-// day table fixes the partition order whatever order the rows come in.
+// day table fixes the partition order: rows in another order are refused.
 func TestReplaySameDayEchoFollowsPartitionOrder(t *testing.T) {
 	tx := types.HexToHash("0xe0")
 	chains := []string{"ETH", "ETC"}
 	days := []DayRow{{Day: 0, Chains: chains, USD: []float64{12, 1.2}, Hashrate: []float64{1, 1}}}
-	blocks := []BlockRow{
-		{Chain: "ETC", Number: 1, Time: 1010, Difficulty: 3, TxCount: 1},
-		{Chain: "ETH", Number: 1, Time: 1050, Difficulty: 5, TxCount: 1},
-	}
-	txs := []TxRow{
-		{Chain: "ETC", BlockNumber: 1, BlockTime: 1010, Hash: tx},
-		{Chain: "ETH", BlockNumber: 1, BlockTime: 1050, Hash: tx},
-	}
+	eth := BlockRow{Chain: "ETH", Number: 1, Time: 1050, Difficulty: 5, TxCount: 1}
+	etc := BlockRow{Chain: "ETC", Number: 1, Time: 1010, Difficulty: 3, TxCount: 1}
+	ethTx := TxRow{Chain: "ETH", BlockNumber: 1, BlockTime: 1050, Hash: tx}
+	etcTx := TxRow{Chain: "ETC", BlockNumber: 1, BlockTime: 1010, Hash: tx}
+
+	b, x, d := encodeTables(t, []BlockRow{eth, etc}, []TxRow{ethTx, etcTx}, days)
 	col := analysis.NewCollector(1000)
-	ReplayAll(blocks, txs, days, 1000, 86_400, col)
+	if err := replayBytes(b, x, d, 1000, 86_400, col); err != nil {
+		t.Fatal(err)
+	}
 	if eth, etc := col.TotalEchoes("ETH"), col.TotalEchoes("ETC"); eth != 0 || etc != 1 {
 		t.Errorf("echoes into ETH %d, into ETC %d; want 0 and 1", eth, etc)
 	}
 	if got := col.SameDayEchoesPerDay("ETC"); len(got) != 1 || got[0] != 1 {
 		t.Errorf("ETC same-day echoes per day = %v, want [1]", got)
 	}
+
+	b, x, d = encodeTables(t, []BlockRow{etc, eth}, []TxRow{etcTx, ethTx}, days)
+	if err := replayBytes(b, x, d, 1000, 86_400, analysis.NewCollector(1000)); err == nil || !strings.Contains(err.Error(), "out of delivery order") {
+		t.Errorf("ETC's block before ETH's under an ETH,ETC day table = %v, want a delivery-order error", err)
+	}
 }
 
-// TestWriteTables: a good directory holds three tables the readers take
-// back unchanged, and a directory that cannot be created is an error, not
-// a log line after the fact.
+// TestWriteTables: Tables publishes the three tables only when Close finds
+// every write clean. A good run leaves tables the replay takes back
+// unchanged; a refused block, an aborted run or a directory that cannot be
+// created leaves no table, and no table of an earlier run is replaced.
 func TestWriteTables(t *testing.T) {
 	chains := []string{"ETH", "ETC"}
-	days := []DayRow{{Day: 0, Chains: chains, USD: []float64{12, 1.2}, Hashrate: []float64{4.9e12, 1e11}}}
+	day := &sim.DayEvent{Day: 0, Partitions: []sim.PartitionDay{
+		{Name: "ETH", USD: 12, Hashrate: 4.9e12, Difficulty: big.NewInt(1)},
+		{Name: "ETC", USD: 1.2, Hashrate: 1e11, Difficulty: big.NewInt(1)},
+	}}
+	var diff big.Int
+	block := &sim.BlockEvent{Chain: "ETH", Number: 1, Time: 1014, Difficulty: &diff,
+		Txs: []sim.TxInfo{{Hash: types.HexToHash("0x1"), ChainBound: true}}}
 	dir := filepath.Join(t.TempDir(), "out")
-	if err := WriteTables(dir, sampleBlocks(), sampleTxs(), days); err != nil {
+	tables, err := NewTables(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
+	diff.SetUint64(131072)
+	tables.OnBlock(block)
+	tables.OnDay(day)
+	if err := tables.Close(); err != nil {
+		t.Fatal(err)
+	}
+	tables.Abort() // after Close: nothing to drop
+	want := &Recorder{}
+	want.OnBlock(block)
+	want.OnDay(day)
+	got := &Recorder{}
 	open := func(name string) *os.File {
 		f, err := os.Open(filepath.Join(dir, name))
 		if err != nil {
@@ -442,18 +551,59 @@ func TestWriteTables(t *testing.T) {
 		t.Cleanup(func() { f.Close() })
 		return f
 	}
-	if got, err := ReadBlocks(open("blocks.csv")); err != nil || !reflect.DeepEqual(got, sampleBlocks()) {
-		t.Errorf("blocks.csv read back as %+v, %v", got, err)
+	if err := ReplayTables(open("blocks.csv"), open("txs.csv"), open("days.csv"), 1000, 86_400, got); err != nil {
+		t.Fatal(err)
 	}
-	if got, err := ReadTxs(open("txs.csv")); err != nil || !reflect.DeepEqual(got, sampleTxs()) {
-		t.Errorf("txs.csv read back as %+v, %v", got, err)
+	sameRows(t, got, want)
+	if !reflect.DeepEqual(got.Days[0].Chains, chains) {
+		t.Errorf("day table columns %q, want %q", got.Days[0].Chains, chains)
 	}
-	if got, err := ReadDays(open("days.csv")); err != nil || !reflect.DeepEqual(got, days) {
-		t.Errorf("days.csv read back as %+v, %v", got, err)
+	onlyTables := func(dir string) {
+		t.Helper()
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		if want := []string{"blocks.csv", "days.csv", "txs.csv"}; !reflect.DeepEqual(names, want) {
+			t.Errorf("%s holds %q, want %q", dir, names, want)
+		}
+	}
+	onlyTables(dir)
+	before, err := os.ReadFile(filepath.Join(dir, "blocks.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// A 65-bit difficulty: Close names the block and publishes nothing.
+	tables, err = NewTables(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tables.OnBlock(block)
+	diff.Lsh(big.NewInt(1), 64)
+	block.Number = 2
+	tables.OnBlock(block)
+	if err := tables.Close(); err == nil || !strings.Contains(err.Error(), "ETH block 2") {
+		t.Errorf("Close after a 65-bit difficulty = %v, want an error naming ETH block 2", err)
+	}
+	// An aborted run publishes nothing either.
+	tables, err = NewTables(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tables.OnBlock(block)
+	tables.Abort()
+	onlyTables(dir)
+	if after, err := os.ReadFile(filepath.Join(dir, "blocks.csv")); err != nil || !bytes.Equal(after, before) {
+		t.Errorf("a failed run replaced the earlier run's blocks.csv (%v)", err)
 	}
 
 	// A regular file where the directory should go: MkdirAll must fail.
-	if err := WriteTables(filepath.Join(dir, "blocks.csv", "sub"), sampleBlocks(), sampleTxs(), days); err == nil {
-		t.Error("WriteTables into a path under a regular file returned no error")
+	if _, err := NewTables(filepath.Join(dir, "blocks.csv", "sub")); err == nil {
+		t.Error("NewTables under a regular file returned no error")
 	}
 }

@@ -12,8 +12,8 @@
 // accumulator of the O1–O6 observables — and the Plane bundling a Feed
 // with an Analyzer behind one observer. The analyzer keeps no ledger
 // tables: a follower that wants the block/tx/day CSVs hands Apply an
-// export.Recorder, which receives the same decoded events and is the
-// batch exporter.
+// export.Tables, the batch exporter, which receives the same decoded
+// events and writes each row as it arrives.
 //
 // The convergence guarantee rests on ordering: the engine delivers
 // events at the day barrier in fixed partition order (the same property
@@ -113,7 +113,7 @@ func newAnalyzer(epoch uint64, seenBound int, onEcho analysis.EchoFunc) *Analyze
 // Apply consumes one wire event, decoding it to the engine's form; a
 // malformed event is an error and changes nothing. The observers in also
 // get the same decoded event after the analyzer, so a follower's
-// export.Recorder sees exactly what the analyzer saw. Echo events are
+// export.Tables sees exactly what the analyzer saw. Echo events are
 // skipped — the analyzer derives its own join from heads, so a wire
 // consumer converges without trusting upstream derivations. EOF marks the
 // run complete.

@@ -246,8 +246,9 @@ func openLedgers(sc *sim.Scenario, genesis *chain.Genesis) ([]ServedChain, []*si
 // schedule is refused. Result.Engine is nil: no simulation ran.
 //
 // A directory holding no chain fails with chain.ErrNoChain (wrapped);
-// OpenOrBuild uses that to fall back to a fresh Build. A chain the replay
-// cannot export (export.FromBlockchain) fails the open too.
+// OpenOrBuild uses that to fall back to a fresh Build. A chain the
+// replay refuses (export.ReplayChains: a block before the epoch or out
+// of delivery order) fails the open too.
 func Open(sc *sim.Scenario, cfg rpc.ServerConfig) (*Result, error) {
 	if sc.Mode != sim.ModeFull {
 		return nil, fmt.Errorf("serve: scenario mode must be full (the archive serves real chains)")
@@ -262,28 +263,25 @@ func Open(sc *sim.Scenario, cfg rpc.ServerConfig) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	var blocks []export.BlockRow
-	var txs []export.TxRow
-	for _, c := range chains {
-		b, t, err := export.FromBlockchain(c.Name, c.Ledger.BC)
-		if err != nil {
-			sim.CloseStores(stores)
-			return nil, err
-		}
-		blocks = append(blocks, b...)
-		txs = append(txs, t...)
+	names := make([]string, len(chains))
+	bcs := make([]*chain.Blockchain, len(chains))
+	for i, c := range chains {
+		names[i], bcs[i] = c.Name, c.Ledger.BC
 	}
 	srv, backends := mount(cfg, chains)
 	plane := newPlane(srv, backends, sc.Epoch)
 	// Rebuild the live observables by replaying the persisted chains in
-	// the engine's delivery order (the same reconstruction the batch
-	// analyzer uses; the rows come chain by chain in partition order).
+	// the engine's delivery order (per day, then partition, then number).
 	// Day-table economics are not persisted in the chain stores, so a
 	// reopened archive's plane has no day rows or hashes-per-USD —
 	// blocks, windows, echoes and pool shares are all restored as the
 	// run derived them. The run ended before the restart, so the feed
 	// completes immediately: followers replay the ring and see EOF.
-	export.Replay(blocks, txs, sc.Epoch, sc.DayLength, plane)
+	if err := export.ReplayChains(names, bcs, sc.Epoch, sc.DayLength, plane); err != nil {
+		srv.Close()
+		sim.CloseStores(stores)
+		return nil, err
+	}
 	plane.Complete()
 	return &Result{Server: srv, Chains: chains, Live: plane, stores: stores}, nil
 }

@@ -3,6 +3,7 @@ package forkwatch
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -33,8 +34,29 @@ func sameFigures(t *testing.T, want, got *Report) {
 	}
 }
 
-// readTables reads back the three tables export.WriteTables wrote to dir.
-func readTables(t *testing.T, dir string) ([]export.BlockRow, []export.TxRow, []export.DayRow) {
+// writeTables writes a Recorder's rows as the three tables into dir.
+func writeTables(t *testing.T, dir string, rec *export.Recorder) {
+	t.Helper()
+	for name, write := range map[string]func(io.Writer) error{
+		"blocks.csv": func(w io.Writer) error { return export.WriteBlocks(w, rec.Blocks) },
+		"txs.csv":    func(w io.Writer) error { return export.WriteTxs(w, rec.Txs) },
+		"days.csv":   func(w io.Writer) error { return export.WriteDays(w, rec.Days) },
+	} {
+		f, err := os.Create(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := write(f); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// replayDir replays the tables in dir into a collector.
+func replayDir(t *testing.T, dir string, sc *Scenario) *analysis.Collector {
 	t.Helper()
 	open := func(name string) *os.File {
 		f, err := os.Open(filepath.Join(dir, name))
@@ -44,23 +66,15 @@ func readTables(t *testing.T, dir string) ([]export.BlockRow, []export.TxRow, []
 		t.Cleanup(func() { f.Close() })
 		return f
 	}
-	blocks, err := export.ReadBlocks(open("blocks.csv"))
-	if err != nil {
+	col := analysis.NewCollector(sc.Epoch)
+	if err := export.ReplayTables(open("blocks.csv"), open("txs.csv"), open("days.csv"), sc.Epoch, sc.DayLength, col); err != nil {
 		t.Fatal(err)
 	}
-	txs, err := export.ReadTxs(open("txs.csv"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	days, err := export.ReadDays(open("days.csv"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return blocks, txs, days
+	return col
 }
 
-// TestReplayedExportReadsAsTheRun: a run's own export, written, read back
-// and replayed, yields every figure CSV and every O1–O6 line of the run
+// TestReplayedExportReadsAsTheRun: a run's own export, written and
+// replayed, yields every figure CSV and every O1–O6 line of the run
 // byte for byte — the contract forkanalyze -dir rests on. Echo detection
 // is first-seen across chains, so this holds only if the replay delivers
 // blocks in the engine's order (day, partition, number); a replay by
@@ -74,16 +88,11 @@ func TestReplayedExportReadsAsTheRun(t *testing.T) {
 				t.Fatal(err)
 			}
 			dir := t.TempDir()
-			if err := export.WriteTables(dir, rec.Blocks, rec.Txs, rec.Days); err != nil {
-				t.Fatal(err)
-			}
-
-			blocks, txs, dayRows := readTables(t, dir)
-			col := analysis.NewCollector(sc.Epoch)
-			export.ReplayAll(blocks, txs, dayRows, sc.Epoch, sc.DayLength, col)
+			writeTables(t, dir, rec)
+			col := replayDir(t, dir, sc)
 			sameFigures(t, rep, &Report{Scenario: sc, Collector: col})
 			want := Observations(rep.Collector, rep.Chains())
-			if got := Observations(col, export.ChainOrder(blocks, dayRows)); got != want {
+			if got := Observations(col, col.Chains()); got != want {
 				t.Errorf("O1–O6 lines differ:\nrun:\n%s\nreplayed:\n%s", want, got)
 			}
 		})
@@ -92,11 +101,11 @@ func TestReplayedExportReadsAsTheRun(t *testing.T) {
 
 // TestFullModeKVRoundTrip is the persistence acceptance test: a ModeFull
 // run whose ledgers live in the KV store is exported with WriteChain,
-// re-imported into fresh stores with ImportChain, reopened from those
-// stores with chain.Open, read back via export.FromBlockchain, and
-// replayed into a second collector.
-// Every figure of the reconstructed report must equal the live run's
-// byte-for-byte.
+// re-imported into fresh stores with ImportChain and reopened from those
+// stores with chain.Open. Replaying the reopened chains
+// (export.ReplayChains) gives the live run's Recorder rows, row for row,
+// and those rows with the run's day table replay into every figure of the
+// live run, byte for byte.
 func TestFullModeKVRoundTrip(t *testing.T) {
 	sc := NewScenario(7, 2)
 	sc.Mode = ModeFull
@@ -131,7 +140,7 @@ func TestFullModeKVRoundTrip(t *testing.T) {
 	// Snapshot each partition, re-import into a brand-new store, and read
 	// the rows back from a chain reopened over that store rather than the
 	// one that imported them.
-	reload := func(name string, led sim.Ledger) ([]export.BlockRow, []export.TxRow) {
+	reopen := func(name string, led sim.Ledger) *chain.Blockchain {
 		fl, ok := led.(*sim.FullLedger)
 		if !ok {
 			t.Fatalf("%s: not a full ledger", name)
@@ -156,16 +165,8 @@ func TestFullModeKVRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: reopening the imported store: %v", name, err)
 		}
-		blocks, txs, err := export.FromBlockchain(name, reopened)
-		if err != nil {
-			t.Fatalf("%s: exporting the reopened chain: %v", name, err)
-		}
-		// The reopened view and the live run's view must agree: the same
-		// canonical block hashes, and the same rows.
-		liveBlocks, liveTxs, err := export.FromBlockchain(name, fl.BC)
-		if err != nil {
-			t.Fatalf("%s: exporting the live chain: %v", name, err)
-		}
+		// The reopened view and the live run's view must agree on the
+		// canonical block hashes.
 		head := fl.BC.Head().Number()
 		reopenedCanon, liveCanon := reopened.CanonicalBlocks(1, head), fl.BC.CanonicalBlocks(1, head)
 		if len(reopenedCanon) != len(liveCanon) {
@@ -176,31 +177,32 @@ func TestFullModeKVRoundTrip(t *testing.T) {
 				t.Fatalf("%s: canonical block %d is %s reopened, %s live", name, i+1, reopenedCanon[i].Hash().Hex(), liveCanon[i].Hash().Hex())
 			}
 		}
-		if len(blocks) != len(liveBlocks) || len(txs) != len(liveTxs) {
-			t.Fatalf("%s: reopened view %d blocks/%d txs, live view %d/%d",
-				name, len(blocks), len(txs), len(liveBlocks), len(liveTxs))
-		}
-		for i := range blocks {
-			if blocks[i] != liveBlocks[i] {
-				t.Fatalf("%s: block row %d differs: reopened %+v, live %+v", name, i, blocks[i], liveBlocks[i])
-			}
-		}
-		for i := range txs {
-			if txs[i] != liveTxs[i] {
-				t.Fatalf("%s: tx row %d differs: reopened %+v, live %+v", name, i, txs[i], liveTxs[i])
-			}
-		}
-		return blocks, txs
+		return reopened
 	}
-	ethBlocks, ethTxs := reload("ETH", eng.Ledger("ETH"))
-	etcBlocks, etcTxs := reload("ETC", eng.Ledger("ETC"))
+	names := []string{"ETH", "ETC"}
+	chains := []*chain.Blockchain{reopen("ETH", eng.Ledger("ETH")), reopen("ETC", eng.Ledger("ETC"))}
+	got := &export.Recorder{}
+	if err := export.ReplayChains(names, chains, sc.Epoch, sc.DayLength, got); err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Blocks) != len(rec.Blocks) || len(got.Txs) != len(rec.Txs) {
+		t.Fatalf("reopened chains replay %d blocks/%d txs, the run recorded %d/%d",
+			len(got.Blocks), len(got.Txs), len(rec.Blocks), len(rec.Txs))
+	}
+	for i := range rec.Blocks {
+		if got.Blocks[i] != rec.Blocks[i] {
+			t.Fatalf("block row %d differs: reopened %+v, live %+v", i, got.Blocks[i], rec.Blocks[i])
+		}
+	}
+	for i := range rec.Txs {
+		if got.Txs[i] != rec.Txs[i] {
+			t.Fatalf("tx row %d differs: reopened %+v, live %+v", i, got.Txs[i], rec.Txs[i])
+		}
+	}
 
-	col2 := analysis.NewCollector(sc.Epoch)
-	export.ReplayAll(
-		append(ethBlocks, etcBlocks...),
-		append(ethTxs, etcTxs...),
-		rec.Days, sc.Epoch, sc.DayLength, col2)
-	replayed := &Report{Scenario: sc, Collector: col2}
-
-	sameFigures(t, live, replayed)
+	got.Days = rec.Days
+	dir := t.TempDir()
+	writeTables(t, dir, got)
+	col2 := replayDir(t, dir, sc)
+	sameFigures(t, live, &Report{Scenario: sc, Collector: col2})
 }

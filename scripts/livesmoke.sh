@@ -6,7 +6,9 @@
 # (forksim -mode full), and require the two CSV sets byte-identical —
 # the streaming analyzer's convergence guarantee, exercised over a real
 # HTTP wire — and the O1-O6 lines of forksim, of forkanalyze -dir over
-# its export and of the follower's EOF summary identical. The follower is given a dead first endpoint, so every read
+# its export and over the follower's streamed tables, and of the
+# follower's EOF summary identical. The follower is given a dead first
+# endpoint, so every read
 # proves the RPC client's failover path as well. It also checks the
 # streamed head against the polled eth_blockNumber and the live metrics.
 # The convergence diff lands in $OUT/convergence.diff (empty on success;
@@ -96,6 +98,7 @@ echo "livesmoke: ok   live metrics"
 echo "livesmoke: running the batch export for comparison..."
 "$BIN/forksim" -seed "$SEED" -days "$DAYS" -mode full -out "$OUT/batch" >"$OUT/forksim.log"
 "$BIN/forkanalyze" -dir "$OUT/batch" >"$OUT/analyze.log"
+"$BIN/forkanalyze" -dir "$OUT/live" >"$OUT/analyze-live.log"
 
 status=0
 for f in blocks.csv txs.csv days.csv; do
@@ -108,10 +111,11 @@ for f in blocks.csv txs.csv days.csv; do
 done
 
 # One reading of a run: forksim's O1-O6 lines, forkanalyze -dir's over
-# the batch export and the summary -follow printed at EOF must agree.
+# the batch export and over the follower's streamed tables, and the
+# summary -follow printed at EOF must agree.
 grep '^O[1-6]' "$OUT/forksim.log" >"$OUT/forksim.obs" || true
 [ -s "$OUT/forksim.obs" ] || { echo "livesmoke: FAIL forksim printed no O1-O6 lines" >&2; exit 1; }
-for src in analyze follow; do
+for src in analyze analyze-live follow; do
     grep '^O[1-6]' "$OUT/$src.log" >"$OUT/$src.obs" || true
     if ! diff -u "$OUT/forksim.obs" "$OUT/$src.obs" >>"$OUT/convergence.diff" 2>&1; then
         echo "livesmoke: FAIL O1-O6 lines of $src.log differ from forksim's" >&2

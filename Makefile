@@ -80,6 +80,8 @@ fuzz:
 	$(GO) test -fuzz '^FuzzDecodeRecord$$' -fuzztime $(FUZZTIME) ./internal/db/diskdb/
 	$(GO) test -fuzz '^FuzzScanSegment$$' -fuzztime $(FUZZTIME) ./internal/db/diskdb/
 	$(GO) test -fuzz '^FuzzParseSpec$$' -fuzztime $(FUZZTIME) ./internal/db/diskdb/faultfile/
+	$(GO) test -fuzz '^FuzzParseSpec$$' -fuzztime $(FUZZTIME) ./internal/faultnet/
+	$(GO) test -fuzz '^FuzzScenarioSpecs$$' -fuzztime $(FUZZTIME) ./internal/sim/
 	$(GO) test -fuzz '^FuzzAppendBlockRow$$' -fuzztime $(FUZZTIME) ./internal/export/
 	$(GO) test -fuzz '^FuzzReplayTables$$' -fuzztime $(FUZZTIME) ./internal/export/
 

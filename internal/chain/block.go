@@ -5,7 +5,6 @@ import (
 	"math/big"
 	"sync/atomic"
 
-	"forkwatch/internal/db"
 	"forkwatch/internal/keccak"
 	"forkwatch/internal/rlp"
 	"forkwatch/internal/trie"
@@ -340,39 +339,37 @@ func DecodeBlock(enc []byte) (*Block, error) {
 }
 
 // ReceiptRoot computes the Merkle-Patricia root over the receipt list,
-// keyed by RLP(index) as in Ethereum. The trie is built over a throwaway
-// ephemeral store: only the root survives the call.
+// keyed by RLP(index) as in Ethereum.
 func ReceiptRoot(receipts []*Receipt) types.Hash {
-	tr := trie.NewEmpty(db.NewEphemeral())
-	var kb [9]byte
-	for i, r := range receipts {
-		key := rlp.AppendUint(kb[:0], uint64(i))
-		if err := tr.Update(key, r.Encode()); err != nil {
-			panic(err) // fresh ephemeral store: no faults, nothing to resolve
-		}
-	}
-	root, err := tr.Hash()
-	if err != nil {
-		panic(err) // ephemeral batch writes cannot fail
-	}
-	return root
+	return listRoot(len(receipts), func(i int) []byte { return receipts[i].Encode() })
 }
 
 // TxRoot computes the Merkle-Patricia root over the transaction list,
-// keyed by RLP(index) as in Ethereum. Uses an ephemeral store like
-// ReceiptRoot.
+// keyed by RLP(index) as in Ethereum.
 func TxRoot(txs []*Transaction) types.Hash {
-	tr := trie.NewEmpty(db.NewEphemeral())
+	return listRoot(len(txs), func(i int) []byte { return txs[i].Encode() })
+}
+
+// listRoot is the root of a fresh trie holding enc(i) under RLP(i) for
+// every i < n. Only the root survives: the trie hashes its nodes into a
+// batch that discards them, so it needs no store.
+func listRoot(n int, enc func(i int) []byte) types.Hash {
+	tr := trie.NewEmpty(nil)
 	var kb [9]byte
-	for i, tx := range txs {
-		key := rlp.AppendUint(kb[:0], uint64(i))
-		if err := tr.Update(key, tx.Encode()); err != nil {
-			panic(err) // fresh ephemeral store: no faults, nothing to resolve
+	for i := 0; i < n; i++ {
+		if err := tr.Update(rlp.AppendUint(kb[:0], uint64(i)), enc(i)); err != nil {
+			panic(err) // a fresh trie holds every node: nothing to resolve
 		}
 	}
-	root, err := tr.Hash()
-	if err != nil {
-		panic(err) // ephemeral batch writes cannot fail
-	}
-	return root
+	return tr.CommitTo(discardBatch{})
 }
+
+// discardBatch is a db.Batch that drops every write.
+type discardBatch struct{}
+
+func (discardBatch) Put(key, value []byte) {}
+func (discardBatch) Delete(key []byte)     {}
+func (discardBatch) Len() int              { return 0 }
+func (discardBatch) ValueSize() int        { return 0 }
+func (discardBatch) Write() error          { return nil }
+func (discardBatch) Reset()                {}

@@ -30,8 +30,7 @@
 // How they stack per chain is decided in one place, internal/sim's
 // OpenChainStore.
 //
-// All implementations are safe for concurrent use unless documented
-// otherwise (see NewEphemeral).
+// All implementations are safe for concurrent use.
 package db
 
 import "errors"

@@ -13,8 +13,7 @@ import (
 // contract.
 func backends() map[string]func() KV {
 	return map[string]func() KV{
-		"mem":       func() KV { return NewMemDB() },
-		"ephemeral": NewEphemeral,
+		"mem": func() KV { return NewMemDB() },
 	}
 }
 

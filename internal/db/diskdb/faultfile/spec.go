@@ -2,10 +2,23 @@ package faultfile
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
-	"time"
+	"math"
+
+	"forkwatch/internal/spec"
 )
+
+// knobs declares the storage-fault plan's keys; torn is listed twice
+// because it sets two rates.
+var knobs = []spec.Knob{
+	{Keys: "seed", Field: "Seed"},
+	{Keys: "readerr", Field: "ReadErrRate", Max: 1},
+	{Keys: "writeerr", Field: "WriteErrRate", Max: 1},
+	{Keys: "torn", Field: "ShortWriteRate", Max: 1},
+	{Keys: "torn", Field: "TornWriteRate", Max: 1},
+	{Keys: "corrupt", Field: "CorruptRate", Max: 1},
+	{Keys: "stallevery", Field: "StallEvery", Max: math.Inf(1)},
+	{Keys: "stall", Field: "Stall"},
+}
 
 // ParseSpec parses a comma-separated key=value storage-fault
 // specification, the format behind the -storage-faults flag:
@@ -17,58 +30,18 @@ import (
 // (duration); neither stall value may be negative. torn sets both the
 // short-write and the torn-write rate: an append that tears may leave a
 // repairable prefix or kill the medium. Unknown keys are rejected.
-func ParseSpec(spec string) (Faults, error) {
+func ParseSpec(s string) (Faults, error) {
 	var f Faults
-	for _, part := range strings.Split(spec, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		key, val, ok := strings.Cut(part, "=")
-		if !ok {
-			return f, fmt.Errorf("faultfile: bad spec element %q (want key=value)", part)
-		}
-		key, val = strings.TrimSpace(key), strings.TrimSpace(val)
-		var err error
-		switch key {
-		case "seed":
-			f.Seed, err = strconv.ParseInt(val, 10, 64)
-		case "readerr":
-			f.ReadErrRate, err = parseRate(val)
-		case "writeerr":
-			f.WriteErrRate, err = parseRate(val)
-		case "torn":
-			f.TornWriteRate, err = parseRate(val)
-			f.ShortWriteRate = f.TornWriteRate
-		case "corrupt":
-			f.CorruptRate, err = parseRate(val)
-		case "stallevery":
-			if f.StallEvery, err = strconv.Atoi(val); err == nil && f.StallEvery < 0 {
-				err = fmt.Errorf("negative count %d", f.StallEvery)
-			}
-		case "stall":
-			if f.Stall, err = time.ParseDuration(val); err == nil && f.Stall < 0 {
-				err = fmt.Errorf("negative duration %v", f.Stall)
-			}
-		default:
-			return f, fmt.Errorf("faultfile: unknown spec key %q", key)
-		}
-		if err != nil {
-			return f, fmt.Errorf("faultfile: bad value for %s: %v", key, err)
-		}
+	if err := spec.Parse(&f, knobs, s); err != nil {
+		return Faults{}, fmt.Errorf("faultfile: %w", err)
 	}
 	return f, nil
 }
 
-func parseRate(val string) (float64, error) {
-	r, err := strconv.ParseFloat(val, 64)
-	if err != nil {
-		return 0, err
-	}
-	if !(r >= 0 && r <= 1) { // also refuses NaN
-		return 0, fmt.Errorf("rate %v outside [0,1]", r)
-	}
-	return r, nil
+// Validate checks a plan, parsed or built in Go, against the bounds
+// ParseSpec enforces.
+func (f Faults) Validate() error {
+	return spec.Check(f, knobs)
 }
 
 // String summarises the plan for logs.

@@ -221,58 +221,3 @@ func (b *memBatch) Reset() {
 	b.ops = b.ops[:0]
 	b.size = 0
 }
-
-// ephemeralKV is a plain single-map store without locking or statistics:
-// the cheapest possible backend for throwaway single-goroutine tries
-// (TxRoot/ReceiptRoot computations build and discard one per call).
-type ephemeralKV map[string][]byte
-
-// NewEphemeral returns an unsynchronized throwaway store. NOT safe for
-// concurrent use; reach for NewMemDB anywhere the store outlives one call
-// stack.
-func NewEphemeral() KV { return make(ephemeralKV) }
-
-func (e ephemeralKV) Get(key []byte) ([]byte, bool, error) {
-	v, ok := e[string(key)]
-	return v, ok, nil
-}
-func (e ephemeralKV) Has(key []byte) (bool, error) { _, ok := e[string(key)]; return ok, nil }
-func (e ephemeralKV) Put(key, value []byte) error  { e[string(key)] = value; return nil }
-func (e ephemeralKV) Delete(key []byte) error      { delete(e, string(key)); return nil }
-func (e ephemeralKV) Stats() Stats                 { return Stats{Entries: len(e)} }
-func (e ephemeralKV) NewBatch() Batch              { return &ephemeralBatch{kv: e} }
-
-type ephemeralBatch struct {
-	kv   ephemeralKV
-	ops  []batchOp
-	size int
-}
-
-func (b *ephemeralBatch) Put(key, value []byte) {
-	b.ops = append(b.ops, batchOp{key: string(key), value: value})
-	b.size += len(value)
-}
-
-func (b *ephemeralBatch) Delete(key []byte) {
-	b.ops = append(b.ops, batchOp{key: string(key), del: true})
-}
-
-func (b *ephemeralBatch) Len() int       { return len(b.ops) }
-func (b *ephemeralBatch) ValueSize() int { return b.size }
-
-func (b *ephemeralBatch) Write() error {
-	for _, op := range b.ops {
-		if op.del {
-			delete(b.kv, op.key)
-		} else {
-			b.kv[op.key] = op.value
-		}
-	}
-	b.Reset()
-	return nil
-}
-
-func (b *ephemeralBatch) Reset() {
-	b.ops = b.ops[:0]
-	b.size = 0
-}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"runtime"
 	"sync"
@@ -434,11 +435,36 @@ func TestParseSpec(t *testing.T) {
 	if empty, err := ParseSpec(""); err != nil || empty.Enabled() {
 		t.Errorf("empty spec: %+v, %v", empty, err)
 	}
-	for _, bad := range []string{"drop=1.5", "nope=1", "latency", "seed=abc"} {
+	for _, bad := range []string{"drop=1.5", "nope=1", "latency", "seed=abc",
+		// Each of these parsed to a plan that injects nothing.
+		"drop=NaN", "corrupt=nan", "latency=-1s", "jitter=-2ms", "bw=-5", "stall=-3"} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Errorf("ParseSpec(%q) accepted", bad)
 		}
 	}
+}
+
+// FuzzParseSpec: parsing never panics, and every accepted plan has each
+// rate in [0,1] and no negative duration, bandwidth or stall.
+func FuzzParseSpec(f *testing.F) {
+	f.Add("seed=42,latency=20ms,jitter=200ms,drop=0.2,corrupt=0.01,reset=0.001,bw=1048576,stall=9")
+	f.Add("drop=NaN,corrupt=nan")
+	f.Add("latency=-1s,jitter=-2ms,bw=-5,stall=-3")
+	f.Add(" , =,reset=1e-3")
+	f.Fuzz(func(t *testing.T, spec string) {
+		p, err := ParseSpec(spec)
+		if err != nil {
+			return
+		}
+		for _, r := range []float64{p.DropRate, p.CorruptRate, p.ResetRate} {
+			if math.IsNaN(r) || r < 0 || r > 1 {
+				t.Fatalf("ParseSpec(%q) accepted rate %v: %+v", spec, r, p)
+			}
+		}
+		if p.Latency < 0 || p.Jitter < 0 || p.BandwidthBps < 0 || p.StallWrites < 0 {
+			t.Fatalf("ParseSpec(%q) accepted a negative delay, bandwidth or stall: %+v", spec, p)
+		}
+	})
 }
 
 func isTimeout(err error) bool {

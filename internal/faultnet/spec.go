@@ -2,72 +2,38 @@ package faultnet
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
-	"time"
+	"math"
+
+	"forkwatch/internal/spec"
 )
+
+// knobs declares the fault plan's keys.
+var knobs = []spec.Knob{
+	{Keys: "seed", Field: "Seed"},
+	{Keys: "latency", Field: "Latency"},
+	{Keys: "jitter", Field: "Jitter"},
+	{Keys: "drop", Field: "DropRate", Max: 1},
+	{Keys: "corrupt", Field: "CorruptRate", Max: 1},
+	{Keys: "reset", Field: "ResetRate", Max: 1},
+	{Keys: "bw", Field: "BandwidthBps", Max: math.Inf(1)},
+	{Keys: "stall", Field: "StallWrites", Max: math.Inf(1)},
+}
 
 // ParseSpec parses a comma-separated key=value fault specification, the
 // format behind cmd/forknode's -faults flag:
 //
 //	seed=42,latency=20ms,jitter=200ms,drop=0.2,corrupt=0.01,reset=0.001,bw=1048576,stall=0
 //
-// Keys: seed (int), latency/jitter (durations), drop/corrupt/reset
-// (probabilities in [0,1]), bw (bytes per second), stall (frames before a
-// slow-loris stall, 0 = never). Unknown keys are rejected.
-func ParseSpec(spec string) (Faults, error) {
+// Keys: seed (int), latency/jitter (non-negative durations),
+// drop/corrupt/reset (probabilities in [0,1]), bw (bytes per second,
+// 0 = unlimited), stall (frames before a slow-loris stall, 0 = never).
+// Unknown keys are rejected.
+func ParseSpec(s string) (Faults, error) {
 	var f Faults
-	spec = strings.TrimSpace(spec)
-	if spec == "" {
-		return f, nil
-	}
-	for _, part := range strings.Split(spec, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		key, val, ok := strings.Cut(part, "=")
-		if !ok {
-			return f, fmt.Errorf("faultnet: bad spec element %q (want key=value)", part)
-		}
-		key, val = strings.TrimSpace(key), strings.TrimSpace(val)
-		var err error
-		switch key {
-		case "seed":
-			f.Seed, err = strconv.ParseInt(val, 10, 64)
-		case "latency":
-			f.Latency, err = time.ParseDuration(val)
-		case "jitter":
-			f.Jitter, err = time.ParseDuration(val)
-		case "drop":
-			f.DropRate, err = parseRate(val)
-		case "corrupt":
-			f.CorruptRate, err = parseRate(val)
-		case "reset":
-			f.ResetRate, err = parseRate(val)
-		case "bw":
-			f.BandwidthBps, err = strconv.Atoi(val)
-		case "stall":
-			f.StallWrites, err = strconv.Atoi(val)
-		default:
-			return f, fmt.Errorf("faultnet: unknown spec key %q", key)
-		}
-		if err != nil {
-			return f, fmt.Errorf("faultnet: bad value for %s: %v", key, err)
-		}
+	if err := spec.Parse(&f, knobs, s); err != nil {
+		return Faults{}, fmt.Errorf("faultnet: %w", err)
 	}
 	return f, nil
-}
-
-func parseRate(val string) (float64, error) {
-	r, err := strconv.ParseFloat(val, 64)
-	if err != nil {
-		return 0, err
-	}
-	if r < 0 || r > 1 {
-		return 0, fmt.Errorf("rate %v outside [0,1]", r)
-	}
-	return r, nil
 }
 
 // Enabled reports whether the plan injects any fault at all.

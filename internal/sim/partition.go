@@ -5,12 +5,12 @@ import (
 	"math"
 	"regexp"
 	"sort"
-	"strconv"
 	"strings"
 
 	"forkwatch/internal/chain"
 	"forkwatch/internal/market"
 	"forkwatch/internal/pool"
+	"forkwatch/internal/spec"
 	"forkwatch/internal/types"
 )
 
@@ -254,15 +254,62 @@ func (sc *Scenario) StructHashrates(day int, specs []PartitionSpec) []float64 {
 	return out
 }
 
-// Validate cross-checks the scenario's partition specs and the fields
-// that couple to them: every violation is reported with the offending
-// field, and the zero-configured legacy scenario always passes.
+// maxTxPerDay caps a partition's daily transaction rate at 100 000, above
+// the tens of thousands either chain carried in the paper's window.
+// poisson's cost is linear in the rate (it halves rates above 500), so
+// the cap bounds a simulated day: at the cap, about 0.1 s of fast-mode
+// work per partition on a 2-core host.
+const maxTxPerDay = 1e5
+
+// partitionKnobs declares every -partitions key once: ParsePartitionSpecs
+// sets and defaults fields through it, and Validate checks every spec,
+// parsed or built in Go, against the same bounds. The bounds keep the
+// engine's arithmetic finite: prices, weights and drifts stop short of
+// overflowing the price walk, and the pool exponents short of
+// underflowing attachment.
+var partitionKnobs = []spec.Knob{
+	{Keys: "chainid", Field: "ChainID", Default: func(idx int) any { return idx + 1 }},
+	// The anchor keeps the pro-fork rules by default.
+	{Keys: "dao", Field: "DAOSupport", Default: func(idx int) any { return idx == 0 }},
+	{Keys: "share", Field: "ShareAtFork", Max: 1},
+	{Keys: "weight", Field: "EconomicWeight", Max: 1e6},
+	{Keys: "rejoin", Field: "RejoinShare", Max: 1},
+	{Keys: "rejointau", Field: "RejoinTauDays", Max: math.Inf(1)},
+	{Keys: "collapseday", Field: "CollapseDay", Max: math.Inf(1)},
+	{Keys: "collapsetau", Field: "CollapseTauDays", Max: math.Inf(1)},
+	{Keys: "behaviour|behavior", Field: "Behaviour"},
+	{Keys: "ideological", Field: "IdeologicalShare", Max: 1},
+	{Keys: "price0", Field: "Price0", Min: 1e-6, Max: 1e6, Default: 1},
+	{Keys: "driftedge", Field: "DriftEdge", Min: -0.1, Max: 0.1},
+	{Keys: "rallyshare", Field: "RallyShare", Max: 1},
+	{Keys: "primary", Field: "PrimaryFraction", Max: 1},
+	{Keys: "txperday", Field: "TxPerDay", Max: maxTxPerDay, Default: 100},
+	{Keys: "speculation", Field: "Speculation"},
+	{Keys: "eip155", Field: "EIP155Day", Default: -1},
+	{Keys: "pools", Field: "Pools", Min: 1, Max: 10_000, Default: 20},
+	{Keys: "zipf", Field: "PoolZipf", Max: 10},
+	{Keys: "churn", Field: "PoolChurn", Max: 1},
+	{Keys: "alpha", Field: "PoolAlpha", Max: 10, Default: 1},
+	{Keys: "cap", Field: "PoolCap", Max: 1, Default: 0.24},
+	{Keys: "lag", Field: "PoolLagDays", Max: math.Inf(1)},
+}
+
+// Validate checks the scenario: every partition knob and crash field
+// against its declared bounds, then the cross-field rules. Every
+// violation is reported with the offending field, and the
+// zero-configured legacy scenario always passes.
 func (sc *Scenario) Validate() error {
 	if sc.Days < 0 {
 		return fmt.Errorf("sim: Days %d is negative", sc.Days)
 	}
 	if sc.DayLength == 0 {
 		return fmt.Errorf("sim: DayLength must be positive")
+	}
+	if sc.Parallelism < 0 {
+		return fmt.Errorf("sim: Parallelism %d is negative", sc.Parallelism)
+	}
+	if err := sc.StorageFaults.Validate(); err != nil {
+		return fmt.Errorf("sim: StorageFaults: %w", err)
 	}
 	specs := sc.PartitionSpecs()
 	if len(specs) == 0 {
@@ -275,6 +322,9 @@ func (sc *Scenario) Validate() error {
 	weightSum := 0.0
 	for i, sp := range specs {
 		where := fmt.Sprintf("sim: partition %d (%q)", i, sp.Name)
+		if err := spec.Check(sp, partitionKnobs); err != nil {
+			return fmt.Errorf("%s: %w", where, err)
+		}
 		if !partitionNameRE.MatchString(sp.Name) {
 			return fmt.Errorf("%s: name must match %s", where, partitionNameRE)
 		}
@@ -282,6 +332,7 @@ func (sc *Scenario) Validate() error {
 			return fmt.Errorf("%s: duplicate name", where)
 		}
 		names[sp.Name] = true
+		// Every partition needs its own replay domain, and 0 is none.
 		if sp.ChainID == 0 {
 			return fmt.Errorf("%s: ChainID must be nonzero", where)
 		}
@@ -289,38 +340,14 @@ func (sc *Scenario) Validate() error {
 			return fmt.Errorf("%s: ChainID %d already used by %q", where, sp.ChainID, prev)
 		}
 		chainIDs[sp.ChainID] = sp.Name
-		if sp.ShareAtFork < 0 || sp.ShareAtFork > 1 {
-			return fmt.Errorf("%s: ShareAtFork %g outside [0,1]", where, sp.ShareAtFork)
-		}
 		if i > 0 {
 			shareSum += sp.ShareAtFork
 		}
-		if sp.EconomicWeight < 0 {
-			return fmt.Errorf("%s: EconomicWeight %g is negative", where, sp.EconomicWeight)
-		}
 		weightSum += sp.economicWeight()
-		if sp.RejoinShare < 0 || sp.RejoinTauDays < 0 {
-			return fmt.Errorf("%s: rejoin curve (share %g, tau %g) must be non-negative", where, sp.RejoinShare, sp.RejoinTauDays)
-		}
-		if sp.CollapseDay < 0 || sp.CollapseTauDays < 0 {
-			return fmt.Errorf("%s: collapse (day %d, tau %g) must be non-negative", where, sp.CollapseDay, sp.CollapseTauDays)
-		}
 		if _, err := sp.behaviour(); err != nil {
 			return fmt.Errorf("%s: %w", where, err)
 		}
-		if sp.IdeologicalShare < 0 || sp.IdeologicalShare > 1 {
-			return fmt.Errorf("%s: IdeologicalShare %g outside [0,1]", where, sp.IdeologicalShare)
-		}
-		if sp.PrimaryFraction < 0 || sp.PrimaryFraction > 1 {
-			return fmt.Errorf("%s: PrimaryFraction %g outside [0,1]", where, sp.PrimaryFraction)
-		}
 		primarySum += sp.PrimaryFraction
-		if sp.TxPerDay < 0 {
-			return fmt.Errorf("%s: TxPerDay %g is negative", where, sp.TxPerDay)
-		}
-		if sp.Pools < 1 {
-			return fmt.Errorf("%s: Pools %d (need at least one)", where, sp.Pools)
-		}
 	}
 	const tol = 1e-9
 	if shareSum > 1+tol {
@@ -336,11 +363,11 @@ func (sc *Scenario) Validate() error {
 		return fmt.Errorf("sim: PrimaryFraction sum %g exceeds 1", primarySum)
 	}
 	for i, cs := range sc.Crashes {
+		if err := spec.Check(cs, crashKnobs); err != nil {
+			return fmt.Errorf("sim: crash spec %d: %w", i, err)
+		}
 		if !names[cs.Chain] {
 			return fmt.Errorf("sim: crash spec %d names unknown chain %q (have %s)", i, cs.Chain, strings.Join(sortedNames(names), ", "))
-		}
-		if cs.Day < 0 || cs.Block < 0 {
-			return fmt.Errorf("sim: crash spec %d: day %d / block %d must be non-negative", i, cs.Day, cs.Block)
 		}
 	}
 	return nil
@@ -360,123 +387,20 @@ func sortedNames(set map[string]bool) []string {
 //
 //	MAIN:weight=0.7,txperday=400;CLASSIC:share=0.3,weight=0.3,behaviour=mixed,rejoin=0.05,rejointau=10
 //
-// Keys: share, weight, rejoin, rejointau, collapseday, collapsetau,
-// behaviour, ideological, price0, driftedge, rallyshare, primary,
-// txperday, speculation, eip155, chainid, dao, pools, zipf, churn,
-// alpha, cap, lag. Unset keys default to a neutral spec (chain id
-// index+1, weight 1, price0 1, 20 uniform pools, EIP-155 never).
+// The keys, their ranges and their defaults are partitionKnobs. Unset
+// keys default to a neutral spec (chain id index+1, weight 1, price0 1,
+// 20 uniform pools, EIP-155 never).
 func ParsePartitionSpecs(s string) ([]PartitionSpec, error) {
-	s = strings.TrimSpace(s)
-	if s == "" {
-		return nil, nil
-	}
 	var out []PartitionSpec
-	for _, part := range strings.Split(s, ";") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
+	for _, part := range spec.List(s, ";") {
 		name, rest, _ := strings.Cut(part, ":")
 		name = strings.ToUpper(strings.TrimSpace(name))
-		sp := DefaultPartitionSpec(name, len(out))
-		if strings.TrimSpace(rest) != "" {
-			for _, kv := range strings.Split(rest, ",") {
-				kv = strings.TrimSpace(kv)
-				if kv == "" {
-					continue
-				}
-				key, val, ok := strings.Cut(kv, "=")
-				if !ok {
-					return nil, fmt.Errorf("sim: partition %q: bad key=value %q", name, kv)
-				}
-				if err := sp.set(strings.ToLower(strings.TrimSpace(key)), strings.TrimSpace(val)); err != nil {
-					return nil, fmt.Errorf("sim: partition %q: %w", name, err)
-				}
-			}
+		sp := PartitionSpec{Name: name}
+		spec.Defaults(&sp, partitionKnobs, len(out))
+		if err := spec.Parse(&sp, partitionKnobs, rest); err != nil {
+			return nil, fmt.Errorf("sim: partition %q: %w", name, err)
 		}
 		out = append(out, sp)
 	}
 	return out, nil
-}
-
-// DefaultPartitionSpec returns a neutral spec for a parsed partition:
-// every knob that must be positive gets a sane default, everything else
-// stays zero. idx is the partition's position, used for the default
-// chain id.
-func DefaultPartitionSpec(name string, idx int) PartitionSpec {
-	return PartitionSpec{
-		Name:       name,
-		ChainID:    uint64(idx + 1),
-		DAOSupport: idx == 0, // the anchor keeps the pro-fork rules by default
-		Price0:     1,
-		TxPerDay:   100,
-		EIP155Day:  -1,
-		Pools:      20,
-		PoolAlpha:  1,
-		PoolCap:    0.24,
-	}
-}
-
-// set applies one key=value of the -partitions grammar.
-func (p *PartitionSpec) set(key, val string) error {
-	f := func() (float64, error) { return strconv.ParseFloat(val, 64) }
-	i := func() (int, error) { return strconv.Atoi(val) }
-	b := func() (bool, error) { return strconv.ParseBool(val) }
-	var err error
-	switch key {
-	case "share":
-		p.ShareAtFork, err = f()
-	case "weight":
-		p.EconomicWeight, err = f()
-	case "rejoin":
-		p.RejoinShare, err = f()
-	case "rejointau":
-		p.RejoinTauDays, err = f()
-	case "collapseday":
-		p.CollapseDay, err = i()
-	case "collapsetau":
-		p.CollapseTauDays, err = f()
-	case "behaviour", "behavior":
-		p.Behaviour = val
-	case "ideological":
-		p.IdeologicalShare, err = f()
-	case "price0":
-		p.Price0, err = f()
-	case "driftedge":
-		p.DriftEdge, err = f()
-	case "rallyshare":
-		p.RallyShare, err = f()
-	case "primary":
-		p.PrimaryFraction, err = f()
-	case "txperday":
-		p.TxPerDay, err = f()
-	case "speculation":
-		p.Speculation, err = b()
-	case "eip155":
-		p.EIP155Day, err = i()
-	case "chainid":
-		var id uint64
-		id, err = strconv.ParseUint(val, 10, 64)
-		p.ChainID = id
-	case "dao":
-		p.DAOSupport, err = b()
-	case "pools":
-		p.Pools, err = i()
-	case "zipf":
-		p.PoolZipf, err = f()
-	case "churn":
-		p.PoolChurn, err = f()
-	case "alpha":
-		p.PoolAlpha, err = f()
-	case "cap":
-		p.PoolCap, err = f()
-	case "lag":
-		p.PoolLagDays, err = i()
-	default:
-		return fmt.Errorf("unknown key %q", key)
-	}
-	if err != nil {
-		return fmt.Errorf("key %q: bad value %q", key, val)
-	}
-	return nil
 }

@@ -4,6 +4,9 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
+
+	"forkwatch/internal/db/diskdb/faultfile"
 )
 
 // threeSpecs returns a valid three-way partition list for mutation-based
@@ -115,6 +118,32 @@ func TestValidate(t *testing.T) {
 			sc.Partitions = threeSpecs()
 			sc.Crashes = []CrashSpec{{Chain: "TRI", Day: -1, Block: 1, Op: 1}}
 		}, wantErr: "crash spec"},
+		{name: "negative parallelism", mutate: func(sc *Scenario) {
+			sc.Parallelism = -3
+		}, wantErr: "Parallelism"},
+		// NaN passed every x < 0 || x > 1 range check, and most knobs had
+		// none: each of these hung or silently zeroed a run.
+		{name: "NaN tx rate", mutate: func(sc *Scenario) {
+			sc.Partitions = threeSpecs()
+			sc.Partitions[1].TxPerDay = math.NaN()
+		}, wantErr: "TxPerDay"},
+		{name: "runaway tx rate", mutate: func(sc *Scenario) {
+			sc.ETCTxPerDay = 1e300
+		}, wantErr: "TxPerDay"},
+		{name: "NaN share", mutate: func(sc *Scenario) {
+			sc.Partitions = threeSpecs()
+			sc.Partitions[1].ShareAtFork = math.NaN()
+		}, wantErr: "ShareAtFork"},
+		{name: "NaN weight", mutate: func(sc *Scenario) {
+			sc.Partitions = threeSpecs()
+			sc.Partitions[2].EconomicWeight = math.NaN()
+		}, wantErr: "EconomicWeight"},
+		{name: "infinite price", mutate: func(sc *Scenario) {
+			sc.Market.ETC0 = math.Inf(1)
+		}, wantErr: "Price0"},
+		{name: "NaN storage fault rate", mutate: func(sc *Scenario) {
+			sc.StorageFaults.ReadErrRate = math.NaN()
+		}, wantErr: "ReadErrRate"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -166,13 +195,29 @@ func TestParsePartitionSpecs(t *testing.T) {
 		t.Errorf("parsed specs do not validate: %v", err)
 	}
 
-	for _, bad := range []string{
-		"MAIN:weight",           // no value
-		"MAIN:bogus=1",          // unknown key
-		"MAIN:share=notanumber", // unparsable value
+	// The behaviour alias and the index-dependent defaults.
+	specs, err = ParsePartitionSpecs("a;b:behavior=mixed")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, b := specs[0], specs[1]; a.Name != "A" || a.ChainID != 1 || !a.DAOSupport ||
+		b.Name != "B" || b.ChainID != 2 || b.DAOSupport || b.Behaviour != "mixed" {
+		t.Errorf("defaults = %+v", specs)
+	}
+
+	for bad, key := range map[string]string{
+		"MAIN:weight":            "weight", // no value
+		"MAIN:bogus=1":           "bogus",
+		"MAIN:share=notanumber":  "share",
+		"ETH;ETC:txperday=NaN":   "txperday",
+		"ETH;ETC:txperday=1e300": "txperday",
+		"ETH;ETC:share=NaN":      "share",
+		"ETH;ETC:weight=NaN":     "weight",
+		"ETH;ETC:price0=Inf":     "price0",
+		"ETH:pools=1000000000":   "pools",
 	} {
-		if _, err := ParsePartitionSpecs(bad); err == nil {
-			t.Errorf("ParsePartitionSpecs(%q) = nil error", bad)
+		if _, err := ParsePartitionSpecs(bad); err == nil || !strings.Contains(err.Error(), key) {
+			t.Errorf("ParsePartitionSpecs(%q) = %v, want an error naming %q", bad, err, key)
 		}
 	}
 	if specs, err := ParsePartitionSpecs("  "); err != nil || specs != nil {
@@ -287,4 +332,72 @@ func TestMatrixCells(t *testing.T) {
 			t.Errorf("cell %s did not inherit seed/days", key)
 		}
 	}
+}
+
+func TestParseCrashSpecs(t *testing.T) {
+	got, err := ParseCrashSpecs(" eth:1:3:40, ETC:2:0:5 ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []CrashSpec{{Chain: "ETH", Day: 1, Block: 3, Op: 40}, {Chain: "ETC", Day: 2, Block: 0, Op: 5}}
+	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
+		t.Fatalf("ParseCrashSpecs = %+v, want %+v", got, want)
+	}
+	for _, bad := range []string{"ETH:1:3", "ETH:1:3:40:5", "e-th:1:3:40", "ETH:-1:3:40", "ETH:1:-3:40", "ETH:1:3:-40", "ETH:x:3:40"} {
+		if _, err := ParseCrashSpecs(bad); err == nil {
+			t.Errorf("ParseCrashSpecs(%q) accepted", bad)
+		}
+	}
+	if got, err := ParseCrashSpecs(" , "); err != nil || got != nil {
+		t.Errorf("blank schedule = %v, %v", got, err)
+	}
+}
+
+// FuzzScenarioSpecs: any partition list, storage-fault plan and crash
+// schedule that parse and validate run a shrunk fast-mode scenario to
+// completion, without a panic and within a deadline. The seeds are the
+// inputs that hung (a NaN or runaway tx rate), zeroed (a NaN share) or
+// printed NaN (an infinite price) before their knobs had bounds.
+func FuzzScenarioSpecs(f *testing.F) {
+	f.Add("ETH;ETC:txperday=NaN", "", "")
+	f.Add("ETH;ETC:txperday=1e300", "", "")
+	f.Add("ETH;ETC:share=NaN", "", "")
+	f.Add("ETH;ETC:weight=NaN", "", "")
+	f.Add("ETH;ETC:price0=Inf", "", "")
+	f.Add("", "readerr=NaN", "ETH:0:1:2")
+	f.Add("ONE:share=0;TRI:share=0.1,collapseday=1,behaviour=ideological;TWO:share=0.2,weight=0.6,behaviour=mixed,ideological=0.5",
+		"seed=42,readerr=0.2,writeerr=0.2,torn=0.01", "TWO:1:0:1")
+	f.Add("A:txperday=1e5,pools=10000;B:share=0.5,zipf=10,alpha=10,cap=1e-9,churn=1", "", "")
+	f.Fuzz(func(t *testing.T, parts, faults, crashes string) {
+		sc := NewScenario(1, 2)
+		sc.DayLength = 3600
+		sc.Users = 20
+		var err error
+		if sc.Partitions, err = ParsePartitionSpecs(parts); err != nil {
+			return
+		}
+		if sc.StorageFaults, err = faultfile.ParseSpec(faults); err != nil {
+			return
+		}
+		if sc.Crashes, err = ParseCrashSpecs(crashes); err != nil {
+			return
+		}
+		if sc.Validate() != nil {
+			return
+		}
+		eng, err := New(sc)
+		if err != nil {
+			t.Fatalf("New on a valid scenario: %v", err)
+		}
+		done := make(chan error, 1)
+		go func() { done <- eng.Run() }()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("Run(%q, %q, %q): %v", parts, faults, crashes, err)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatalf("Run(%q, %q, %q) still running after 30 s", parts, faults, crashes)
+		}
+	})
 }

@@ -2,15 +2,16 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/big"
 	"runtime"
-	"strconv"
 	"strings"
 
 	"forkwatch/internal/chain"
 	"forkwatch/internal/db"
 	"forkwatch/internal/db/diskdb/faultfile"
 	"forkwatch/internal/market"
+	"forkwatch/internal/spec"
 	"forkwatch/internal/types"
 )
 
@@ -180,43 +181,37 @@ type CrashSpec struct {
 	Op    uint64
 }
 
+// crashKnobs declares a crash spec's fields in their -crash order.
+var crashKnobs = []spec.Knob{
+	{Keys: "chain", Field: "Chain"},
+	{Keys: "day", Field: "Day", Max: math.Inf(1)},
+	{Keys: "block", Field: "Block", Max: math.Inf(1)},
+	{Keys: "op", Field: "Op"},
+}
+
 // ParseCrashSpecs parses a comma-separated crash schedule, the format
 // behind cmd/forksim's -crash flag. Each element is chain:day:block:op,
 // e.g. "ETH:1:3:40,ETC:2:0:5" — kill the ETH store on the commit 40
 // blocks after its 4th block on day 1, and the ETC store on the commit 5
 // blocks after its first block on day 2.
-func ParseCrashSpecs(spec string) ([]CrashSpec, error) {
-	spec = strings.TrimSpace(spec)
-	if spec == "" {
-		return nil, nil
-	}
+func ParseCrashSpecs(s string) ([]CrashSpec, error) {
 	var out []CrashSpec
-	for _, part := range strings.Split(spec, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
+	for _, part := range spec.List(s, ",") {
 		fields := strings.Split(part, ":")
-		if len(fields) != 4 {
+		if len(fields) != len(crashKnobs) {
 			return nil, fmt.Errorf("sim: bad crash spec %q (want chain:day:block:op)", part)
 		}
-		chain := strings.ToUpper(strings.TrimSpace(fields[0]))
-		if !partitionNameRE.MatchString(chain) {
+		var cs CrashSpec
+		for i, k := range crashKnobs {
+			if err := k.Set(&cs, strings.TrimSpace(fields[i])); err != nil {
+				return nil, fmt.Errorf("sim: bad crash spec %q: %w", part, err)
+			}
+		}
+		cs.Chain = strings.ToUpper(cs.Chain)
+		if !partitionNameRE.MatchString(cs.Chain) {
 			return nil, fmt.Errorf("sim: bad crash spec chain %q (want a partition name)", fields[0])
 		}
-		day, err := strconv.Atoi(strings.TrimSpace(fields[1]))
-		if err != nil || day < 0 {
-			return nil, fmt.Errorf("sim: bad crash spec day %q", fields[1])
-		}
-		block, err := strconv.Atoi(strings.TrimSpace(fields[2]))
-		if err != nil || block < 0 {
-			return nil, fmt.Errorf("sim: bad crash spec block %q", fields[2])
-		}
-		op, err := strconv.ParseUint(strings.TrimSpace(fields[3]), 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("sim: bad crash spec op %q", fields[3])
-		}
-		out = append(out, CrashSpec{Chain: chain, Day: day, Block: block, Op: op})
+		out = append(out, cs)
 	}
 	return out, nil
 }

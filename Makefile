@@ -77,6 +77,7 @@ fuzz:
 	$(GO) test -fuzz '^FuzzPointRead$$' -fuzztime $(FUZZTIME) ./internal/chain/
 	$(GO) test -fuzz '^FuzzReadMsg$$' -fuzztime $(FUZZTIME) ./internal/p2p/
 	$(GO) test -fuzz '^FuzzDecodeRequest$$' -fuzztime $(FUZZTIME) ./internal/rpc/
+	$(GO) test -fuzz '^FuzzResponseEnvelope$$' -fuzztime $(FUZZTIME) ./internal/rpc/
 	$(GO) test -fuzz '^FuzzDecodeRecord$$' -fuzztime $(FUZZTIME) ./internal/db/diskdb/
 	$(GO) test -fuzz '^FuzzScanSegment$$' -fuzztime $(FUZZTIME) ./internal/db/diskdb/
 	$(GO) test -fuzz '^FuzzParseSpec$$' -fuzztime $(FUZZTIME) ./internal/db/diskdb/faultfile/

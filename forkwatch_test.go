@@ -113,3 +113,27 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 		t.Error("same seed produced different summaries")
 	}
 }
+
+// TestExtremePoolCap is `forksim -days 30 -partitions
+// 'ETH;ETC:share=0.2,cap=1e-300,churn=0.5'`: a cap that underflows every
+// attachment propensity used to turn ETC's pool weights NaN, and O6
+// printed "ETC 1.00 -> 1.00". The top-5 series must stay a share.
+func TestExtremePoolCap(t *testing.T) {
+	sc := forkwatch.NewScenario(1, 30)
+	var err error
+	if sc.Partitions, err = forkwatch.ParsePartitionSpecs("ETH;ETC:share=0.2,cap=1e-300,churn=0.5"); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := forkwatch.Run(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := rep.Summary(); strings.Contains(s, "ETC 1.00 -> 1.00") {
+		t.Errorf("O6 collapsed:\n%s", s)
+	}
+	for day, v := range rep.Figure5()[5].Chain("ETC") {
+		if !(v > 0 && v < 0.5) {
+			t.Fatalf("ETC top-5 share on day %d = %v", day, v)
+		}
+	}
+}

@@ -129,6 +129,18 @@ func (p *Population) Consolidate(churn, alpha, cap float64, r *rand.Rand) {
 		}
 		total += prop[i]
 	}
+	if !(total > 0) {
+		// Every propensity underflowed: a cap far below every pool's
+		// weight damps them all to zero. Re-home the loose weight in
+		// proportion to weight, which leaves the shares where they were.
+		// No pool here has weight zero (its damping would be exp(0) = 1),
+		// so the new total is positive.
+		total = 0
+		for i, pool := range p.Pools {
+			prop[i] = pool.Weight
+			total += prop[i]
+		}
+	}
 	for i := range p.Pools {
 		p.Pools[i].Weight += loose * prop[i] / total
 	}

@@ -115,6 +115,33 @@ func TestConsolidateNoChurnIsNoOp(t *testing.T) {
 	}
 }
 
+// TestConsolidateUnderflowedCap: a cap so small that every attachment
+// propensity underflows to zero must not divide the loose weight by a
+// zero total (which turned every weight NaN). The loose weight goes back
+// in proportion to weight, so the shares stay put and remain a
+// distribution.
+func TestConsolidateUnderflowedCap(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	p := NewZipfPopulation("etc", 25, 1)
+	before := make([]float64, len(p.Pools))
+	for i, pool := range p.Pools {
+		before[i] = pool.Weight
+	}
+	for day := 0; day < 30; day++ {
+		p.Consolidate(0.5, 1.3, 1e-300, r)
+	}
+	sum := 0.0
+	for i, pool := range p.Pools {
+		if math.IsNaN(pool.Weight) || math.Abs(pool.Weight-before[i]) > 1e-9 {
+			t.Fatalf("pool %d weight %v, want %v", i, pool.Weight, before[i])
+		}
+		sum += pool.Weight
+	}
+	if math.Abs(sum-1) > 1e-9 {
+		t.Errorf("weights sum to %v", sum)
+	}
+}
+
 func TestTopNFromCounts(t *testing.T) {
 	counts := map[types.Address]int{
 		AddressFor("a"): 50,

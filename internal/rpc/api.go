@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math/big"
 	"sort"
+	"strconv"
 	"strings"
 
 	"forkwatch/internal/chain"
@@ -91,14 +92,18 @@ func Methods() []string {
 // --- hex quantity/data helpers (Ethereum JSON-RPC conventions) ---
 
 // encUint encodes a quantity as minimal 0x-hex.
-func encUint(v uint64) string { return fmt.Sprintf("0x%x", v) }
+func encUint(v uint64) string {
+	var buf [18]byte
+	return string(strconv.AppendUint(append(buf[:0], "0x"...), v, 16))
+}
 
 // encBig encodes a big quantity as minimal 0x-hex.
 func encBig(v *big.Int) string {
 	if v == nil || v.Sign() == 0 {
 		return "0x0"
 	}
-	return "0x" + v.Text(16)
+	var buf [66]byte // 0x and the 64 digits of a 256-bit value
+	return string(v.Append(append(buf[:0], "0x"...), 16))
 }
 
 // encBytes encodes data bytes as 0x-hex.
@@ -120,8 +125,10 @@ func parseQuantity(raw json.RawMessage, what string) (uint64, *Error) {
 	if !strings.HasPrefix(s, "0x") && !strings.HasPrefix(s, "0X") {
 		return 0, Errf(ErrCodeInvalidParams, "bad %s: quantity %q must be 0x-prefixed hex", what, s)
 	}
-	var v uint64
-	if _, err := fmt.Sscanf(strings.ToLower(s[2:]), "%x", &v); err != nil || s[2:] == "" {
+	// The whole remainder must be hex digits: in base 16 ParseUint refuses
+	// signs, spaces, underscores and any trailing byte.
+	v, err := strconv.ParseUint(s[2:], 16, 64)
+	if err != nil {
 		return 0, Errf(ErrCodeInvalidParams, "bad %s: quantity %q", what, s)
 	}
 	return v, nil

@@ -2,6 +2,7 @@ package rpc
 
 import (
 	"encoding/json"
+	"strings"
 	"testing"
 )
 
@@ -26,6 +27,9 @@ func FuzzDecodeRequest(f *testing.F) {
 		``,
 		"\x00\x01\x02",
 		`{"jsonrpc":"2.0","id":1,"method":"x","extra":true}`,
+		`{"jsonrpc":"2.0","id":1,"method":"eth_getBlockByNumber","params":["0x10zz",false]}`,
+		`{"jsonrpc":"2.0","id":1,"method":"eth_getBlockByNumber","params":["0x 5",false]}`,
+		`{"jsonrpc":"2.0","id":1,"method":"eth_getBlockByNumber","params":["0x1_0",false]}`,
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
@@ -63,6 +67,18 @@ func FuzzDecodeRequest(f *testing.F) {
 			// The cache key must be deterministic and never panic.
 			if k1, k2 := req.CacheKey(), req.CacheKey(); k1 != k2 {
 				t.Fatalf("entry %d: unstable cache key", i)
+			}
+			// A quantity parses only as 0x and hex digits, to the value
+			// they spell.
+			for _, p := range req.Params {
+				var s string
+				v, qerr := parseQuantity(p, "q")
+				if qerr != nil || json.Unmarshal(p, &s) != nil {
+					continue
+				}
+				if digits := strings.TrimLeft(strings.ToLower(s[2:]), "0"); encUint(v) != "0x"+digits && (v != 0 || digits != "") {
+					t.Fatalf("entry %d: quantity %q parsed as %d", i, s, v)
+				}
 			}
 		}
 	})

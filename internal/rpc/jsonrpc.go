@@ -30,6 +30,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strconv"
+	"strings"
 )
 
 // Version is the fixed JSON-RPC protocol version.
@@ -87,37 +89,109 @@ type Request struct {
 	Params  []json.RawMessage `json:"params,omitempty"`
 }
 
-// Response is one JSON-RPC response object. Staleness is forkwatch's
-// degraded-mode extension: a replica serving more than its staleness
-// bound behind the primary tags every response with how many blocks it
-// lags instead of silently answering from an old head. Healthy serving
-// omits the member, so a caught-up replica's responses stay byte-
-// identical to the primary's.
-type Response struct {
-	JSONRPC   string          `json:"jsonrpc"`
-	ID        json.RawMessage `json:"id"`
-	Result    any             `json:"result,omitempty"`
-	Error     *Error          `json:"error,omitempty"`
-	Staleness *uint64         `json:"staleness,omitempty"`
+// answer is one call's outcome, ready to be framed into a response
+// object: the raw request id and either the encoded result or a typed
+// error. Staleness is forkwatch's degraded-mode extension: a replica
+// serving more than its staleness bound behind the primary tags every
+// response with how many blocks it lags (the "staleness" member) instead
+// of silently answering from an old head. Healthy serving omits the
+// member, so a caught-up replica's responses stay byte-identical to the
+// primary's.
+type answer struct {
+	id     json.RawMessage
+	result []byte // encoded JSON result; unused when err is set
+	err    *Error
+	stale  bool // add the staleness member
+	lag    uint64
 }
 
-// reply builds a success response for req.
-func reply(id json.RawMessage, result any) *Response {
-	return &Response{JSONRPC: Version, ID: normalizeID(id), Result: result}
-}
-
-// replyErr builds an error response for req.
-func replyErr(id json.RawMessage, err *Error) *Response {
-	return &Response{JSONRPC: Version, ID: normalizeID(id), Error: err}
-}
-
-// normalizeID maps a missing id to explicit null so the marshalled
-// response always carries the member, as the spec requires.
-func normalizeID(id json.RawMessage) json.RawMessage {
-	if len(id) == 0 {
-		return json.RawMessage("null")
+// encodeBody frames answers as one HTTP body: the single response
+// object, or for a batch a JSON array of them. It is the serving path's
+// only envelope encoder. Results are copied verbatim: they are the
+// output of one json.Marshal (fresh or cached), so they are already
+// compact and HTML-escaped, and re-encoding them would only repeat that
+// work byte by byte. Only an Error object goes through json.Marshal; if
+// one cannot be encoded the whole body becomes a typed internal error,
+// as when the envelope itself failed to marshal.
+func encodeBody(answers []answer, batch bool) []byte {
+	size := 2
+	for i := range answers {
+		// 64 covers the members around a result and the separator.
+		size += len(answers[i].id) + len(answers[i].result) + 64
 	}
-	return id
+	buf := make([]byte, 0, size)
+	if batch {
+		buf = append(buf, '[')
+	}
+	for i := range answers {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		var err error
+		if buf, err = appendResponse(buf, &answers[i]); err != nil {
+			return encodeBody([]answer{{err: Errf(ErrCodeInternal, "marshalling response: %v", err)}}, false)
+		}
+	}
+	if batch {
+		buf = append(buf, ']')
+	}
+	return buf
+}
+
+// appendResponse appends one response object, members in the order
+// jsonrpc, id, result or error, staleness.
+func appendResponse(dst []byte, a *answer) ([]byte, error) {
+	dst = append(dst, `{"jsonrpc":"2.0","id":`...)
+	dst = appendID(dst, a.id)
+	if a.err != nil {
+		enc, err := json.Marshal(a.err)
+		if err != nil {
+			return dst, err
+		}
+		dst = append(dst, `,"error":`...)
+		dst = append(dst, enc...)
+	} else {
+		dst = append(dst, `,"result":`...)
+		dst = append(dst, a.result...)
+	}
+	if a.stale {
+		dst = append(dst, `,"staleness":`...)
+		dst = strconv.AppendUint(dst, a.lag, 10)
+	}
+	return append(dst, '}'), nil
+}
+
+// appendID appends the request's raw id token the way encoding/json
+// re-encodes a json.RawMessage. A missing id is null, so the member is
+// always present, as the spec requires. The decoder only hands over
+// syntactically valid tokens; one that fails to compact anyway is
+// answered as null.
+func appendID(dst []byte, id json.RawMessage) []byte {
+	tok, err := reencode(id, true)
+	if len(id) == 0 || err != nil {
+		return append(dst, "null"...)
+	}
+	return append(dst, tok...)
+}
+
+// reencode returns a JSON token as encoding/json writes a
+// json.RawMessage: compacted and, with escapeHTML, with <, >, & and
+// U+2028/U+2029 escaped. A token that already reads so is returned as
+// is, which is every id and param a well-behaved client sends.
+func reencode(raw []byte, escapeHTML bool) ([]byte, error) {
+	if !bytes.ContainsAny(raw, " \t\r\n") && !(escapeHTML && bytes.ContainsAny(raw, "<>&\u2028\u2029")) {
+		return raw, nil
+	}
+	var compact bytes.Buffer
+	if err := json.Compact(&compact, raw); err != nil {
+		return raw, err
+	}
+	if !escapeHTML {
+		return compact.Bytes(), nil
+	}
+	var escaped bytes.Buffer
+	json.HTMLEscape(&escaped, compact.Bytes())
+	return escaped.Bytes(), nil
 }
 
 // rawRequest mirrors Request but keeps params unsplit, so a non-array
@@ -214,16 +288,17 @@ func (r *Request) IsNotification() bool { return len(r.ID) == 0 }
 // whitespace or member order inside the envelope share a key; params are
 // compared textually after compaction.
 func (r *Request) CacheKey() string {
-	var b bytes.Buffer
+	n := len(r.Method) + 1
+	for _, p := range r.Params {
+		n += len(p) + 1
+	}
+	var b strings.Builder
+	b.Grow(n) // compaction only shrinks a param
 	b.WriteString(r.Method)
 	b.WriteByte(0)
 	for _, p := range r.Params {
-		var c bytes.Buffer
-		if err := json.Compact(&c, p); err == nil {
-			b.Write(c.Bytes())
-		} else {
-			b.Write(p)
-		}
+		p, _ = reencode(p, false) // unchanged when it does not parse
+		b.Write(p)
 		b.WriteByte(0)
 	}
 	return b.String()

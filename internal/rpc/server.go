@@ -3,7 +3,9 @@ package rpc
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"runtime"
@@ -71,7 +73,7 @@ func (c ServerConfig) withDefaults() ServerConfig {
 // job is one HTTP request's worth of calls travelling through the pool.
 type job struct {
 	ctx   context.Context
-	be    *Backend
+	rt    *route
 	reqs  []Request
 	errs  []*Error
 	batch bool
@@ -86,11 +88,11 @@ type Server struct {
 	reg     *metrics.Registry
 	limiter *rateLimiter
 
-	mu       sync.RWMutex
-	chains   map[string]*Backend // route ("eth") -> backend
-	caches   map[string]*respCache
-	breakers map[string]*breaker      // route -> storage circuit breaker
-	stale    map[string]StalenessFunc // route -> degraded-mode staleness source
+	queueDepth *metrics.Gauge
+
+	mu     sync.RWMutex
+	routes map[string]*route        // "eth" -> mounted chain
+	stale  map[string]StalenessFunc // route -> degraded-mode staleness source
 
 	draining atomic.Bool
 	inflight atomic.Int64
@@ -103,10 +105,75 @@ type Server struct {
 	wg        sync.WaitGroup
 }
 
+// route is one mounted chain with everything its requests touch resolved
+// at registration: the storage circuit breaker, and per method the
+// response cache and metric handles, so serving a call builds no metric
+// name and looks nothing up in the registry.
+type route struct {
+	name         string // lowercase path segment, e.g. "eth"
+	be           *Backend
+	breaker      *breaker
+	httpRequests *metrics.Counter
+	methods      map[string]*methodHandle // the dispatch table, per route
+	unknown      *methodHandle            // every name methods lacks
+}
+
+// methodHandle is one (route, method) pair's serving state. cache is nil
+// for the live methods, which are neither cached nor breaker-gated; hits
+// and misses are nil with it.
+type methodHandle struct {
+	fn                             method
+	cache                          *respCache
+	requests, hits, misses, errors *metrics.Counter
+	latency                        *metrics.Histogram
+}
+
+// newRoute resolves a route's handles. Metrics are named
+// rpc.<route>.<method>.{requests,cache_hits,cache_misses,errors,latency};
+// unknown method names share rpc.<route>.method_not_found.* so a client
+// cannot grow the registry by inventing names.
+func (s *Server) newRoute(name string, be *Backend) *route {
+	handle := func(m string, fn method, cacheable bool) *methodHandle {
+		prefix := "rpc." + name + "." + m
+		h := &methodHandle{
+			fn:       fn,
+			requests: s.reg.Counter(prefix + ".requests"),
+			errors:   s.reg.Counter(prefix + ".errors"),
+			latency:  s.reg.Histogram(prefix + ".latency"),
+		}
+		if cacheable {
+			h.cache = newRespCache(s.cfg.CacheEntries)
+			h.hits = s.reg.Counter(prefix + ".cache_hits")
+			h.misses = s.reg.Counter(prefix + ".cache_misses")
+		}
+		return h
+	}
+	rt := &route{
+		name:         name,
+		be:           be,
+		breaker:      newBreaker(breakerThreshold, breakerCooldown),
+		httpRequests: s.reg.Counter("rpc." + name + ".http_requests"),
+		methods:      make(map[string]*methodHandle, len(methods)),
+		unknown:      handle("method_not_found", nil, false),
+	}
+	for m, fn := range methods {
+		rt.methods[m] = handle(m, fn, !uncacheable[m])
+	}
+	return rt
+}
+
+// handle returns the serving state for a method name.
+func (rt *route) handle(method string) *methodHandle {
+	if h, ok := rt.methods[method]; ok {
+		return h
+	}
+	return rt.unknown
+}
+
 // StalenessFunc reports how far one route's chain trails the head it
 // follows and whether that lag crosses the degraded line. The serving
 // path samples it per response: degraded routes tag every response with
-// the lag (see Response.Staleness) and flip the /readyz verdict.
+// the lag (the response's "staleness" member) and flip the /readyz verdict.
 type StalenessFunc func() (lag uint64, degraded bool)
 
 // NewServer builds the server and starts its worker pool. Call Close to
@@ -114,17 +181,16 @@ type StalenessFunc func() (lag uint64, degraded bool)
 func NewServer(cfg ServerConfig) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:      cfg,
-		reg:      cfg.Registry,
-		limiter:  newRateLimiter(cfg.RatePerSec),
-		chains:   map[string]*Backend{},
-		caches:   map[string]*respCache{},
-		breakers: map[string]*breaker{},
-		stale:    map[string]StalenessFunc{},
-		jobs:     make(chan *job, cfg.QueueDepth),
-		stopped:  make(chan struct{}),
-		drainCh:  make(chan struct{}),
+		cfg:     cfg,
+		reg:     cfg.Registry,
+		limiter: newRateLimiter(cfg.RatePerSec),
+		routes:  map[string]*route{},
+		stale:   map[string]StalenessFunc{},
+		jobs:    make(chan *job, cfg.QueueDepth),
+		stopped: make(chan struct{}),
+		drainCh: make(chan struct{}),
 	}
+	s.queueDepth = s.reg.Gauge("rpc.queue_depth")
 	// Pre-register the replica-tier metrics so /debug/metrics always
 	// carries them: a standalone primary reports zeroes, a replica (or a
 	// failover client sharing the registry) moves them.
@@ -150,43 +216,47 @@ func (s *Server) Close() {
 
 // RegisterChain mounts a backend at /<lowercase name> (e.g. "ETH" →
 // /eth). It also wires the chain's storage counters into the metrics
-// snapshot.
+// snapshot. Mounting a route again swaps its backend and keeps its
+// breaker, caches and metrics.
 func (s *Server) RegisterChain(be *Backend) {
-	route := strings.ToLower(be.Name())
+	name := strings.ToLower(be.Name())
 	s.mu.Lock()
-	s.chains[route] = be
-	br, hasBreaker := s.breakers[route]
-	if !hasBreaker {
-		br = newBreaker(breakerThreshold, breakerCooldown)
-		s.breakers[route] = br
+	rt, remount := s.routes[name]
+	if remount {
+		next := *rt
+		next.be = be
+		rt = &next
+	} else {
+		rt = s.newRoute(name, be)
 	}
+	s.routes[name] = rt
 	s.mu.Unlock()
-	if !hasBreaker {
-		s.reg.GaugeFunc("rpc."+route+".breaker_open", func() float64 {
+	if !remount {
+		br := rt.breaker
+		s.reg.GaugeFunc("rpc."+name+".breaker_open", func() float64 {
 			if br.Open() {
 				return 1
 			}
 			return 0
 		})
+		handles := rt.methods
+		s.reg.GaugeFunc("rpc."+name+".cache_entries", func() float64 {
+			n := 0
+			for _, h := range handles {
+				if h.cache != nil {
+					n += h.cache.len()
+				}
+			}
+			return float64(n)
+		})
 	}
 	bc := be.Chain()
-	prefix := "storage." + route + "."
+	prefix := "storage." + name + "."
 	s.reg.GaugeFunc(prefix+"reads", func() float64 { return float64(bc.StorageStats().Reads) })
 	s.reg.GaugeFunc(prefix+"writes", func() float64 { return float64(bc.StorageStats().Writes) })
 	s.reg.GaugeFunc(prefix+"entries", func() float64 { return float64(bc.StorageStats().Entries) })
 	s.reg.GaugeFunc(prefix+"hit_rate", func() float64 { return bc.StorageStats().HitRate() })
 	s.reg.GaugeFunc(prefix+"repairs", func() float64 { return float64(bc.StorageStats().Repairs) })
-	s.reg.GaugeFunc("rpc."+route+".cache_entries", func() float64 {
-		s.mu.RLock()
-		defer s.mu.RUnlock()
-		n := 0
-		for key, c := range s.caches {
-			if strings.HasPrefix(key, route+".") {
-				n += c.len()
-			}
-		}
-		return float64(n)
-	})
 }
 
 // Registry returns the server's metrics registry.
@@ -211,11 +281,11 @@ func (s *Server) stalenessFor(route string) StalenessFunc {
 	return s.stale[route]
 }
 
-// breakerFor returns the registered route's circuit breaker.
-func (s *Server) breakerFor(route string) *breaker {
+// routeFor returns the mounted route, or nil.
+func (s *Server) routeFor(name string) *route {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.breakers[route]
+	return s.routes[name]
 }
 
 // Drain stops accepting chain requests (503 + Retry-After) and waits up
@@ -257,44 +327,25 @@ func (s *Server) CheckReadiness() Readiness {
 		rd.Ready = false
 	}
 	s.mu.RLock()
-	routes := make([]string, 0, len(s.chains))
-	for route := range s.chains {
-		routes = append(routes, route)
+	routes := make([]*route, 0, len(s.routes))
+	for _, rt := range s.routes {
+		routes = append(routes, rt)
 	}
 	s.mu.RUnlock()
-	for _, route := range routes {
+	for _, rt := range routes {
 		h := routeHealth{}
-		if fn := s.stalenessFor(route); fn != nil {
+		if fn := s.stalenessFor(rt.name); fn != nil {
 			h.Staleness, h.Degraded = fn()
 		}
-		if br := s.breakerFor(route); br.Open() {
+		if rt.breaker.Open() {
 			h.Degraded = true
 		}
 		if h.Degraded {
 			rd.Ready = false
 		}
-		rd.Routes[route] = h
+		rd.Routes[rt.name] = h
 	}
 	return rd
-}
-
-// cacheFor returns the per-(chain, method) response cache.
-func (s *Server) cacheFor(route, method string) *respCache {
-	key := route + "." + method
-	s.mu.RLock()
-	c, ok := s.caches[key]
-	s.mu.RUnlock()
-	if ok {
-		return c
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if c, ok = s.caches[key]; ok {
-		return c
-	}
-	c = newRespCache(s.cfg.CacheEntries)
-	s.caches[key] = c
-	return c
 }
 
 // ServeHTTP implements http.Handler.
@@ -318,29 +369,25 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	default:
 		// /<route>/stream is the persistent subscription transport; the
 		// bare route is the POST JSON-RPC endpoint.
-		if route, ok := strings.CutSuffix(path, "/stream"); ok {
-			s.mu.RLock()
-			be, found := s.chains[route]
-			s.mu.RUnlock()
-			if !found {
+		if name, ok := strings.CutSuffix(path, "/stream"); ok {
+			rt := s.routeFor(name)
+			if rt == nil {
 				http.NotFound(w, r)
 				return
 			}
-			s.serveStream(w, r, route, be)
+			s.serveStream(w, r, rt.name, rt.be)
 			return
 		}
-		s.mu.RLock()
-		be, ok := s.chains[path]
-		s.mu.RUnlock()
-		if !ok {
+		rt := s.routeFor(path)
+		if rt == nil {
 			http.NotFound(w, r)
 			return
 		}
-		s.serveChain(w, r, path, be)
+		s.serveChain(w, r, rt)
 	}
 }
 
-func (s *Server) serveChain(w http.ResponseWriter, r *http.Request, route string, be *Backend) {
+func (s *Server) serveChain(w http.ResponseWriter, r *http.Request, rt *route) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
 		http.Error(w, "JSON-RPC requires POST", http.StatusMethodNotAllowed)
@@ -349,58 +396,50 @@ func (s *Server) serveChain(w http.ResponseWriter, r *http.Request, route string
 	// Draining: refuse new work before touching the queue, finish what is
 	// already in flight (tracked below).
 	if s.draining.Load() {
-		s.reg.Counter("rpc." + route + ".drained").Inc()
+		s.reg.Counter("rpc." + rt.name + ".drained").Inc()
 		w.Header().Set("Retry-After", "1")
 		http.Error(w, "server draining", http.StatusServiceUnavailable)
 		return
 	}
 	s.inflight.Add(1)
 	defer s.inflight.Add(-1)
-	s.reg.Counter("rpc." + route + ".http_requests").Inc()
+	rt.httpRequests.Inc()
 
 	// Per-client token bucket: shed before reading the body.
 	client := clientKey(r)
 	if ok, retry := s.limiter.allow(client); !ok {
-		s.reg.Counter("rpc." + route + ".ratelimited").Inc()
+		s.reg.Counter("rpc." + rt.name + ".ratelimited").Inc()
 		w.Header().Set("Retry-After", fmt.Sprintf("%d", int(retry.Seconds()+0.5)))
 		http.Error(w, "rate limit exceeded", http.StatusTooManyRequests)
 		return
 	}
 
-	body := make([]byte, 0, 512)
-	limited := http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	buf := make([]byte, 4096)
-	for {
-		n, err := limited.Read(buf)
-		body = append(body, buf[:n]...)
-		if err != nil {
-			if err.Error() == "http: request body too large" {
-				s.reg.Counter("rpc." + route + ".oversized").Inc()
-				http.Error(w, "request body too large", http.StatusRequestEntityTooLarge)
-				return
-			}
-			break
-		}
+	// A read error other than the size bound decodes what arrived.
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if errors.As(err, new(*http.MaxBytesError)) {
+		s.reg.Counter("rpc." + rt.name + ".oversized").Inc()
+		http.Error(w, "request body too large", http.StatusRequestEntityTooLarge)
+		return
 	}
 
 	reqs, errs, isBatch, topErr := DecodeRequests(body, maxBatch)
 	if topErr != nil {
-		s.reg.Counter("rpc." + route + ".malformed").Inc()
-		writeJSON(w, http.StatusOK, replyErr(nil, topErr))
+		s.reg.Counter("rpc." + rt.name + ".malformed").Inc()
+		writeBody(w, encodeBody([]answer{{err: topErr}}, false))
 		return
 	}
 
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
-	j := &job{ctx: ctx, be: be, reqs: reqs, errs: errs, batch: isBatch, done: make(chan []byte, 1)}
+	j := &job{ctx: ctx, rt: rt, reqs: reqs, errs: errs, batch: isBatch, done: make(chan []byte, 1)}
 
 	// Queue-depth backpressure: a full queue answers 429 immediately
 	// rather than parking the connection.
 	select {
 	case s.jobs <- j:
-		s.reg.Gauge("rpc.queue_depth").Set(int64(len(s.jobs)))
+		s.queueDepth.Set(int64(len(s.jobs)))
 	default:
-		s.reg.Counter("rpc." + route + ".shed").Inc()
+		s.reg.Counter("rpc." + rt.name + ".shed").Inc()
 		w.Header().Set("Retry-After", "1")
 		http.Error(w, "server saturated, retry later", http.StatusTooManyRequests)
 		return
@@ -418,32 +457,33 @@ func (s *Server) serveChain(w http.ResponseWriter, r *http.Request, route string
 		// The worker may still be grinding behind a stalled store; the
 		// client gets a well-formed timeout error regardless. The
 		// buffered done channel lets the worker finish without leaking.
-		s.reg.Counter("rpc." + route + ".timeouts").Inc()
-		writeJSON(w, http.StatusOK, s.timeoutBody(reqs, isBatch))
+		s.reg.Counter("rpc." + rt.name + ".timeouts").Inc()
+		writeBody(w, s.timeoutBody(reqs, isBatch))
 	}
 }
 
-// timeoutBody builds the timeout response mirroring the request shape.
-func (s *Server) timeoutBody(reqs []Request, isBatch bool) any {
+// timeoutBody builds the timeout response mirroring the request shape
+// (a batch of notifications only gets an empty array).
+func (s *Server) timeoutBody(reqs []Request, isBatch bool) []byte {
+	e := Errf(ErrCodeTimeout, "request timed out after %s", s.cfg.RequestTimeout)
 	if !isBatch {
 		var id json.RawMessage
 		if len(reqs) > 0 {
 			id = reqs[0].ID
 		}
-		return replyErr(id, Errf(ErrCodeTimeout, "request timed out after %s", s.cfg.RequestTimeout))
+		return encodeBody([]answer{{id: id, err: e}}, false)
 	}
-	out := make([]*Response, 0, len(reqs))
+	out := make([]answer, 0, len(reqs))
 	for _, req := range reqs {
-		if req.IsNotification() {
-			continue
+		if !req.IsNotification() {
+			out = append(out, answer{id: req.ID, err: e})
 		}
-		out = append(out, replyErr(req.ID, Errf(ErrCodeTimeout, "request timed out after %s", s.cfg.RequestTimeout)))
 	}
-	return out
+	return encodeBody(out, true)
 }
 
 // worker drains the job queue, executing each HTTP request's calls in
-// order and handing the marshalled body back to the transport goroutine.
+// order and handing the encoded body back to the transport goroutine.
 func (s *Server) worker() {
 	defer s.wg.Done()
 	for {
@@ -451,23 +491,28 @@ func (s *Server) worker() {
 		case <-s.stopped:
 			return
 		case j := <-s.jobs:
-			s.reg.Gauge("rpc.queue_depth").Set(int64(len(s.jobs)))
+			s.queueDepth.Set(int64(len(s.jobs)))
 			j.done <- s.process(j)
 		}
 	}
 }
 
-// process executes one job and marshals the response body (nil when the
-// request was only notifications).
+// process executes one job and encodes the response body (nil when the
+// request was only notifications). Every answer from a method carries
+// the route's staleness, sampled as it is answered; the cache holds
+// result bytes only, so a replica that catches back up stops tagging at
+// once and its responses return to byte-identical with the primary.
 func (s *Server) process(j *job) []byte {
-	route := strings.ToLower(j.be.Name())
-	responses := make([]*Response, 0, len(j.reqs))
-	for i, req := range j.reqs {
+	stale := s.stalenessFor(j.rt.name)
+	var one [1]answer // a single call's answer stays off the heap
+	answers := one[:0]
+	for i := range j.reqs {
+		req := &j.reqs[i]
 		// Abandoned by the transport already? Stop burning the worker.
 		select {
 		case <-j.ctx.Done():
 			if !req.IsNotification() {
-				responses = append(responses, replyErr(req.ID, Errf(ErrCodeTimeout, "request timed out")))
+				answers = append(answers, answer{id: req.ID, err: Errf(ErrCodeTimeout, "request timed out")})
 			}
 			continue
 		default:
@@ -475,118 +520,103 @@ func (s *Server) process(j *job) []byte {
 		if j.errs != nil && j.errs[i] != nil {
 			// A malformed call is never a valid notification: it always
 			// gets an error response (id null when undeterminable).
-			responses = append(responses, replyErr(req.ID, j.errs[i]))
+			answers = append(answers, answer{id: req.ID, err: j.errs[i]})
 			continue
 		}
-		resp := s.call(j.ctx, route, j.be, &req)
+		result, rpcErr := s.call(j.ctx, j.rt, req)
 		if req.IsNotification() {
 			continue
 		}
-		responses = append(responses, resp)
+		a := answer{id: req.ID, result: result, err: rpcErr}
+		if stale != nil {
+			a.lag, a.stale = stale()
+		}
+		answers = append(answers, a)
 	}
-	if len(responses) == 0 {
+	if len(answers) == 0 {
 		return nil
 	}
-	var body any = responses
-	if !j.batch {
-		body = responses[0]
-	}
-	enc, err := json.Marshal(body)
-	if err != nil {
-		enc, _ = json.Marshal(replyErr(nil, Errf(ErrCodeInternal, "marshalling response: %v", err)))
-	}
-	return enc
+	return encodeBody(answers, j.batch)
 }
 
-// call executes one request against a backend, consulting the
-// generation-tagged response cache.
-func (s *Server) call(ctx context.Context, route string, be *Backend, req *Request) *Response {
-	mName := "rpc." + route + "." + req.Method
+// call executes one request against a route, consulting the
+// generation-tagged response cache, and returns the encoded result or a
+// typed error.
+func (s *Server) call(ctx context.Context, rt *route, req *Request) ([]byte, *Error) {
+	h := rt.handle(req.Method)
 	start := time.Now()
-	s.reg.Counter(mName + ".requests").Inc()
-	defer s.reg.Histogram(mName + ".latency").ObserveSince(start)
+	h.requests.Inc()
+	defer h.latency.ObserveSince(start)
 
-	fn, ok := methods[req.Method]
-	if !ok {
-		s.reg.Counter(mName + ".errors").Inc()
-		return s.tagStaleness(route, replyErr(req.ID, Errf(ErrCodeMethodNotFound, "method %q not found", req.Method)))
+	if h.fn == nil {
+		h.errors.Inc()
+		return nil, Errf(ErrCodeMethodNotFound, "method %q not found", req.Method)
 	}
 
 	// Live/subscription methods bypass the cache AND the breaker: their
 	// results move independently of the head (so generation tagging would
 	// serve stale cursors), and they never touch storage (so a tripped
 	// breaker says nothing about them).
-	if uncacheable[req.Method] {
-		result, rpcErr := safeCall(ctx, fn, be, req.Params)
+	if h.cache == nil {
+		result, rpcErr := safeCall(ctx, h.fn, rt.be, req.Params)
 		if rpcErr != nil {
-			s.reg.Counter(mName + ".errors").Inc()
-			return s.tagStaleness(route, replyErr(req.ID, rpcErr))
+			h.errors.Inc()
+			return nil, rpcErr
 		}
-		enc, err := json.Marshal(result)
-		if err != nil {
-			s.reg.Counter(mName + ".errors").Inc()
-			return s.tagStaleness(route, replyErr(req.ID, Errf(ErrCodeInternal, "marshalling result: %v", err)))
-		}
-		return s.tagStaleness(route, reply(req.ID, json.RawMessage(enc)))
+		return h.encode(result)
 	}
 
 	// The generation is read BEFORE executing: if the head advances while
 	// we compute, the entry lands under the older generation, where no
 	// post-advance request will look. See respCache.
-	gen := be.Generation()
-	cache := s.cacheFor(route, req.Method)
+	gen := rt.be.Generation()
 	key := req.CacheKey()
-	if raw, ok := cache.get(key, gen); ok {
-		s.reg.Counter(mName + ".cache_hits").Inc()
-		return s.tagStaleness(route, reply(req.ID, json.RawMessage(raw)))
+	if raw, ok := h.cache.get(key, gen); ok {
+		h.hits.Inc()
+		return raw, nil
 	}
-	s.reg.Counter(mName + ".cache_misses").Inc()
+	h.misses.Inc()
 
 	// Cache misses hit storage: behind an open circuit breaker they are
 	// shed with a typed error instead of grinding a failing store (cache
 	// hits above still serve — they cost the store nothing).
-	br := s.breakerFor(route)
-	if !br.Allow() {
-		s.reg.Counter(mName + ".errors").Inc()
-		s.reg.Counter("rpc." + route + ".breaker_shed").Inc()
-		e := Errf(ErrCodeUnavailable, "storage circuit open on %s, retry after cooldown", route)
+	if !rt.breaker.Allow() {
+		h.errors.Inc()
+		s.reg.Counter("rpc." + rt.name + ".breaker_shed").Inc()
+		e := Errf(ErrCodeUnavailable, "storage circuit open on %s, retry after cooldown", rt.name)
 		e.Data = "circuit-open"
-		return s.tagStaleness(route, replyErr(req.ID, e))
+		return nil, e
 	}
 
-	result, rpcErr := safeCall(ctx, fn, be, req.Params)
+	result, rpcErr := safeCall(ctx, h.fn, rt.be, req.Params)
 	if rpcErr != nil {
 		// Only dependency failures feed the breaker; caller mistakes
 		// (bad params, unknown blocks) say nothing about the store.
 		if rpcErr.Code == ErrCodeStorage {
-			br.Fail()
+			rt.breaker.Fail()
 		} else {
-			br.Success()
+			rt.breaker.Success()
 		}
-		s.reg.Counter(mName + ".errors").Inc()
-		return s.tagStaleness(route, replyErr(req.ID, rpcErr))
+		h.errors.Inc()
+		return nil, rpcErr
 	}
-	br.Success()
-	enc, err := json.Marshal(result)
-	if err != nil {
-		s.reg.Counter(mName + ".errors").Inc()
-		return s.tagStaleness(route, replyErr(req.ID, Errf(ErrCodeInternal, "marshalling result: %v", err)))
+	rt.breaker.Success()
+	enc, rpcErr := h.encode(result)
+	if rpcErr == nil {
+		h.cache.put(key, gen, enc)
 	}
-	cache.put(key, gen, enc)
-	return s.tagStaleness(route, reply(req.ID, json.RawMessage(enc)))
+	return enc, rpcErr
 }
 
-// tagStaleness stamps a degraded route's lag onto the response envelope.
-// The response cache stores result bytes only, so the tag is computed
-// fresh per request: a replica that catches back up immediately stops
-// tagging, and its responses return to byte-identical with the primary.
-func (s *Server) tagStaleness(route string, resp *Response) *Response {
-	if fn := s.stalenessFor(route); fn != nil {
-		if lag, degraded := fn(); degraded {
-			resp.Staleness = &lag
-		}
+// encode is a result's one json.Marshal; the bytes it returns are what
+// the cache holds and what the envelope copies.
+func (h *methodHandle) encode(result any) ([]byte, *Error) {
+	enc, err := json.Marshal(result)
+	if err != nil {
+		h.errors.Inc()
+		return nil, Errf(ErrCodeInternal, "marshalling result: %v", err)
 	}
-	return resp
+	return enc, nil
 }
 
 // safeCall runs a method behind a panic fence: whatever a backend or a
@@ -608,6 +638,14 @@ func clientKey(r *http.Request) string {
 		return r.RemoteAddr
 	}
 	return host
+}
+
+// writeBody writes an encoded envelope the way writeJSON writes a value:
+// status 200 and a trailing newline.
+func writeBody(w http.ResponseWriter, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(append(body, '\n'))
 }
 
 func writeJSON(w http.ResponseWriter, status int, body any) {

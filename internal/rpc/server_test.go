@@ -306,6 +306,9 @@ func TestProtocolErrors(t *testing.T) {
 		{"bad hash param", `{"jsonrpc":"2.0","id":1,"method":"eth_getTransactionByHash","params":["0x12"]}`, ErrCodeInvalidParams},
 		{"param count", `{"jsonrpc":"2.0","id":1,"method":"eth_getBalance","params":[]}`, ErrCodeInvalidParams},
 		{"inverted window", `{"jsonrpc":"2.0","id":1,"method":"fork_poolShares","params":["0x5","0x1"]}`, ErrCodeInvalidParams},
+		{"trailing junk in quantity", `{"jsonrpc":"2.0","id":1,"method":"eth_getBlockByNumber","params":["0x10zz",false]}`, ErrCodeInvalidParams},
+		{"space in quantity", `{"jsonrpc":"2.0","id":1,"method":"eth_getBlockByNumber","params":["0x 5",false]}`, ErrCodeInvalidParams},
+		{"underscore in quantity", `{"jsonrpc":"2.0","id":1,"method":"eth_getBlockByNumber","params":["0x1_0",false]}`, ErrCodeInvalidParams},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -639,6 +642,26 @@ func TestChaosFaultyStorage(t *testing.T) {
 	}
 	if successes == 0 {
 		t.Error("some requests should still succeed under 20% faults")
+	}
+}
+
+// TestBodySizeBound: a body of maxBodyBytes is read and answered, one
+// byte more is refused with 413 and counted as oversized.
+func TestBodySizeBound(t *testing.T) {
+	_, _, srv := newTestPair(t)
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	call := `{"jsonrpc":"2.0","id":1,"method":"eth_blockNumber","params":[]}`
+	oversized := srv.Registry().Counter("rpc.eth.oversized")
+
+	fits := call + strings.Repeat(" ", maxBodyBytes-len(call))
+	resp, raw := postJSON(t, ts.URL+"/eth", fits)
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(raw), `"result":"0x3"`) || oversized.Value() != 0 {
+		t.Fatalf("%d-byte body: status %d, body %s, oversized %d", len(fits), resp.StatusCode, raw, oversized.Value())
+	}
+	resp, _ = postJSON(t, ts.URL+"/eth", fits+" ")
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || oversized.Value() != 1 {
+		t.Fatalf("%d-byte body: status %d, oversized %d; want 413 and 1", len(fits)+1, resp.StatusCode, oversized.Value())
 	}
 }
 

@@ -27,7 +27,7 @@ type liveResult struct {
 func TestLiveTransportsOverASmallRing(t *testing.T) {
 	_, _, srv := newTestPair(t)
 	f := feed.NewFeed(srv.Registry(), 8)
-	srv.chains["eth"].SetLive(&LiveSource{Feed: f})
+	srv.routes["eth"].be.SetLive(&LiveSource{Feed: f})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 

@@ -75,6 +75,7 @@ fuzz:
 	$(GO) test -fuzz '^FuzzDecodeBlock$$' -fuzztime $(FUZZTIME) ./internal/chain/
 	$(GO) test -fuzz '^FuzzImportChain$$' -fuzztime $(FUZZTIME) ./internal/chain/
 	$(GO) test -fuzz '^FuzzPointRead$$' -fuzztime $(FUZZTIME) ./internal/chain/
+	$(GO) test -fuzz '^FuzzEVM$$' -fuzztime $(FUZZTIME) ./internal/evm/
 	$(GO) test -fuzz '^FuzzReadMsg$$' -fuzztime $(FUZZTIME) ./internal/p2p/
 	$(GO) test -fuzz '^FuzzDecodeRequest$$' -fuzztime $(FUZZTIME) ./internal/rpc/
 	$(GO) test -fuzz '^FuzzResponseEnvelope$$' -fuzztime $(FUZZTIME) ./internal/rpc/

@@ -6,15 +6,18 @@
 // bug let an attacker drain ~$50M, and Fig 2 (bottom) classifies ledger
 // transactions into contract calls vs plain transfers. This package gives
 // forkwatch both: contract transactions carry real bytecode executed here,
-// and the daoattack example reproduces the reentrancy drain that motivated
+// and TestDAOReentrancyDrain reproduces the reentrancy drain that motivated
 // the hard fork.
 //
 // The instruction set is the subset needed for realistic
 // transfer/withdraw/ledger contracts (arithmetic, comparison, Keccak,
-// storage, control flow, CALL with value and stipend semantics, CREATE,
-// RETURN/REVERT). Gas costs follow the Homestead schedule in shape
-// (storage writes dominate; calls carry a stipend) with simplified memory
-// pricing; DESIGN.md records the substitution.
+// storage, control flow, logs, CALL with value and stipend semantics,
+// DELEGATECALL, CREATE, RETURN/REVERT). It is one table (opcodes.go): each
+// row declares an opcode's name, constant gas and stack arity, the
+// interpreter loop checks the stack and charges that gas, and the opcode's
+// body charges only the dynamic rest. Gas costs follow the Homestead
+// schedule in shape (storage writes dominate; calls carry a stipend) with
+// simplified, linear memory pricing; DESIGN.md records the substitution.
 package evm
 
 import (
@@ -69,6 +72,13 @@ const (
 	GasCopyWord    = 3
 )
 
+const (
+	stackLimit     = 1024
+	memoryLimit    = 1 << 32 // bytes; a range ending past it fails
+	gasLogByte     = 8
+	gasCodeDeposit = 200 // per byte of deployed code
+)
+
 // Context carries per-block and per-transaction execution environment.
 type Context struct {
 	BlockNumber *big.Int
@@ -91,6 +101,14 @@ type EVM struct {
 	depth int
 }
 
+// Log is one LOG0..LOG4 event emitted during execution. Logs from
+// reverted frames are discarded, as in Ethereum.
+type Log struct {
+	Address types.Address
+	Topics  []types.Hash
+	Data    []byte
+}
+
 // New returns an EVM bound to the given state and block context.
 func New(st *state.DB, ctx Context) *EVM {
 	if ctx.BlockNumber == nil {
@@ -109,7 +127,7 @@ func (e *EVM) Call(caller, to types.Address, input []byte, value *big.Int, gas u
 	if value == nil {
 		value = new(big.Int)
 	}
-	if e.State.GetBalance(caller).Cmp(value) < 0 {
+	if e.State.BalanceCmp(caller, value) < 0 {
 		return nil, gas, ErrInsufficientBalance
 	}
 	snap := e.State.Snapshot()
@@ -120,18 +138,7 @@ func (e *EVM) Call(caller, to types.Address, input []byte, value *big.Int, gas u
 	if len(code) == 0 {
 		return nil, gas, nil // plain transfer
 	}
-	logMark := len(e.Logs)
-	e.depth++
-	ret, left, err := e.run(newFrame(caller, to, input, value, gas, code))
-	e.depth--
-	if err != nil {
-		e.State.RevertToSnapshot(snap)
-		e.Logs = e.Logs[:logMark]
-		if !errors.Is(err, ErrRevert) {
-			left = 0
-		}
-	}
-	return ret, left, err
+	return e.enter(snap, newFrame(caller, to, input, value, gas, code), false)
 }
 
 // Create deploys a contract: runs initCode and installs its return value
@@ -143,7 +150,7 @@ func (e *EVM) Create(caller types.Address, initCode []byte, value *big.Int, gas 
 	if value == nil {
 		value = new(big.Int)
 	}
-	if e.State.GetBalance(caller).Cmp(value) < 0 {
+	if e.State.BalanceCmp(caller, value) < 0 {
 		return types.Address{}, gas, ErrInsufficientBalance
 	}
 	nonce := e.State.GetNonce(caller)
@@ -154,29 +161,36 @@ func (e *EVM) Create(caller types.Address, initCode []byte, value *big.Int, gas 
 	e.State.SubBalance(caller, value)
 	e.State.AddBalance(addr, value)
 	e.State.SetNonce(addr, 1)
-
-	logMark := len(e.Logs)
-	e.depth++
-	code, left, err := e.run(newFrame(caller, addr, nil, value, gas, initCode))
-	e.depth--
+	code, left, err := e.enter(snap, newFrame(caller, addr, nil, value, gas, initCode), true)
 	if err != nil {
-		e.State.RevertToSnapshot(snap)
-		e.Logs = e.Logs[:logMark]
-		if !errors.Is(err, ErrRevert) {
-			left = 0
-		}
 		return types.Address{}, left, err
 	}
-	// Charge code-deposit gas (200/byte in Ethereum; simplified to the
-	// same rate).
-	deposit := uint64(len(code)) * 200
-	if left < deposit {
-		e.State.RevertToSnapshot(snap)
-		return types.Address{}, 0, ErrOutOfGas
-	}
-	left -= deposit
 	e.State.SetCode(addr, code)
 	return addr, left, nil
+}
+
+// enter runs f one call level deeper: the one path by which Call, Create
+// and DELEGATECALL execute code. A failed frame rolls the state back to
+// snap and drops the logs it emitted, and every error but REVERT burns
+// the frame's gas. A creating frame must also pay for the code it returns
+// (200 gas a byte, Ethereum's deposit rate) or it fails out of gas.
+func (e *EVM) enter(snap int, f *frame, create bool) ([]byte, uint64, error) {
+	mark := len(e.Logs)
+	e.depth++
+	ret, err := e.run(f)
+	e.depth--
+	if err == nil && create {
+		err = f.useGas(uint64(len(ret)) * gasCodeDeposit)
+	}
+	if err != nil {
+		e.State.RevertToSnapshot(snap)
+		e.Logs = e.Logs[:mark]
+		if !errors.Is(err, ErrRevert) {
+			f.gas = 0
+		}
+		return nil, f.gas, err
+	}
+	return ret, f.gas, nil
 }
 
 // CreateAddress derives a contract address from creator and nonce, as
@@ -210,11 +224,13 @@ type frame struct {
 	gas     uint64
 	code    []byte
 
-	pc         uint64
-	stack      []*big.Int
+	pc    uint64
+	stack []*big.Int
+	// mem is the frame's memory; len(mem) is MSIZE, always whole words.
 	mem        []byte
-	returnData []byte
-	jumpdests  map[uint64]bool
+	returnData []byte   // output of the frame's last call; CREATE clears it
+	out        []byte   // the frame's own output, set by RETURN
+	jumpdests  []uint64 // bitset of valid JUMP targets
 }
 
 func newFrame(caller, address types.Address, input []byte, value *big.Int, gas uint64, code []byte) *frame {
@@ -222,15 +238,14 @@ func newFrame(caller, address types.Address, input []byte, value *big.Int, gas u
 		caller: caller, address: address, input: input, value: value,
 		gas: gas, code: code,
 		stack:     make([]*big.Int, 0, 32),
-		jumpdests: make(map[uint64]bool),
+		jumpdests: make([]uint64, (len(code)+63)/64),
 	}
-	// Pre-scan valid JUMPDESTs, skipping PUSH data.
-	for i := uint64(0); i < uint64(len(code)); i++ {
-		op := OpCode(code[i])
-		if op == JUMPDEST {
-			f.jumpdests[i] = true
+	// Mark the JUMPDEST bytes, skipping PUSH data.
+	for i := 0; i < len(code); i++ {
+		if op := OpCode(code[i]); op == JUMPDEST {
+			f.jumpdests[i/64] |= 1 << (i % 64)
 		} else if op >= PUSH1 && op <= PUSH32 {
-			i += uint64(op - PUSH1 + 1)
+			i += int(op-PUSH1) + 1
 		}
 	}
 	return f
@@ -241,29 +256,17 @@ var tt256m1 = new(big.Int).Sub(tt256, big.NewInt(1))
 
 func u256(v *big.Int) *big.Int { return v.And(v, tt256m1) }
 
-func (f *frame) push(v *big.Int) error {
-	if len(f.stack) >= 1024 {
-		return ErrStackOverflow
-	}
-	f.stack = append(f.stack, v)
-	return nil
-}
+// The stack accessors do no bounds checks: run checks every opcode's
+// arity against its table row before the body runs.
+func (f *frame) push(v *big.Int) { f.stack = append(f.stack, v) }
 
-func (f *frame) pop() (*big.Int, error) {
-	if len(f.stack) == 0 {
-		return nil, ErrStackUnderflow
-	}
+func (f *frame) pop() *big.Int {
 	v := f.stack[len(f.stack)-1]
 	f.stack = f.stack[:len(f.stack)-1]
-	return v, nil
+	return v
 }
 
-func (f *frame) peek(n int) (*big.Int, error) {
-	if len(f.stack) < n+1 {
-		return nil, ErrStackUnderflow
-	}
-	return f.stack[len(f.stack)-1-n], nil
-}
+func (f *frame) peek(n int) *big.Int { return f.stack[len(f.stack)-1-n] }
 
 // useGas deducts amount, reporting out-of-gas.
 func (f *frame) useGas(amount uint64) error {
@@ -274,504 +277,71 @@ func (f *frame) useGas(amount uint64) error {
 	return nil
 }
 
-// extendMem grows memory to cover [offset, offset+size), charging linear
-// word gas for the growth.
-func (f *frame) extendMem(offset, size *big.Int) error {
+// memory returns the size bytes of memory at off (nil when size is 0),
+// first growing memory to cover them at GasMemWord per new word. Memory
+// grows by append, so a frame's total copying stays linear in its final
+// size; the slack capacity past len is never read or written.
+func (f *frame) memory(off, size *big.Int) ([]byte, error) {
 	if size.Sign() == 0 {
-		return nil
+		return nil, nil
 	}
-	if !offset.IsUint64() || !size.IsUint64() {
-		return ErrGasUintOverflow
+	if !off.IsUint64() || !size.IsUint64() {
+		return nil, ErrGasUintOverflow
 	}
-	end := offset.Uint64() + size.Uint64()
-	if end < offset.Uint64() || end > 1<<32 {
-		return ErrGasUintOverflow
+	start := off.Uint64()
+	end := start + size.Uint64()
+	if end < start || end > memoryLimit {
+		return nil, ErrGasUintOverflow
 	}
-	if uint64(len(f.mem)) >= end {
-		return nil
+	if have := uint64(len(f.mem)); end > have {
+		words := (end + 31) / 32
+		if err := f.useGas((words - have/32) * GasMemWord); err != nil {
+			return nil, err
+		}
+		f.mem = append(f.mem, make([]byte, words*32-have)...)
 	}
-	newWords := (end + 31) / 32
-	oldWords := (uint64(len(f.mem)) + 31) / 32
-	if err := f.useGas((newWords - oldWords) * GasMemWord); err != nil {
-		return err
+	return f.mem[start:end], nil
+}
+
+// jump moves pc to dst, which must be a JUMPDEST outside PUSH data.
+func (f *frame) jump(dst *big.Int) error {
+	d := dst.Uint64()
+	if !dst.IsUint64() || d >= uint64(len(f.code)) || f.jumpdests[d/64]&(1<<(d%64)) == 0 {
+		return fmt.Errorf("%w: pc %v", ErrInvalidJump, dst)
 	}
-	grown := make([]byte, newWords*32)
-	copy(grown, f.mem)
-	f.mem = grown
+	f.pc = d
 	return nil
 }
 
-func (f *frame) memSlice(offset, size uint64) []byte {
-	if size == 0 {
-		return nil
-	}
-	return f.mem[offset : offset+size]
+// halt ends the frame with output out: it moves pc past the code.
+func (f *frame) halt(out []byte) {
+	f.out = out
+	f.pc = uint64(len(f.code))
 }
 
-// run interprets the frame's code to completion.
-func (e *EVM) run(f *frame) ([]byte, uint64, error) {
-	for {
-		if f.pc >= uint64(len(f.code)) {
-			return nil, f.gas, nil // implicit STOP
-		}
+// run interprets the frame's code until it halts, fails or runs off the
+// end of the code (an implicit STOP). Each step is one table row: the
+// loop checks the stack, charges the row's constant gas and moves pc past
+// the opcode byte, then the body runs.
+func (e *EVM) run(f *frame) ([]byte, error) {
+	for f.pc < uint64(len(f.code)) {
 		op := OpCode(f.code[f.pc])
-		ret, done, err := e.step(f, op)
-		if err != nil {
-			return nil, f.gas, err
+		in := &instructions[op]
+		switch {
+		case in.exec == nil:
+			return nil, fmt.Errorf("%w: 0x%02x at pc %d", ErrInvalidOpcode, byte(op), f.pc)
+		case len(f.stack) < in.pops:
+			return nil, ErrStackUnderflow
+		case len(f.stack)-in.pops+in.pushes > stackLimit:
+			return nil, ErrStackOverflow
 		}
-		if done {
-			return ret, f.gas, nil
+		if err := f.useGas(in.gas); err != nil {
+			return nil, err
+		}
+		f.pc++
+		if err := in.exec(e, f); err != nil {
+			return nil, err
 		}
 	}
+	return f.out, nil
 }
-
-// step executes a single opcode; done reports normal termination.
-func (e *EVM) step(f *frame, op OpCode) (ret []byte, done bool, err error) {
-	switch {
-	case op >= PUSH1 && op <= PUSH32:
-		if err := f.useGas(GasFastestStep); err != nil {
-			return nil, false, err
-		}
-		n := uint64(op-PUSH1) + 1
-		end := f.pc + 1 + n
-		var data []byte
-		if f.pc+1 <= uint64(len(f.code)) {
-			if end > uint64(len(f.code)) {
-				end = uint64(len(f.code))
-			}
-			data = f.code[f.pc+1 : end]
-		}
-		v := new(big.Int).SetBytes(data)
-		// Right-pad truncated push data, as Ethereum does.
-		if short := n - uint64(len(data)); short > 0 {
-			v.Lsh(v, uint(8*short))
-		}
-		if err := f.push(v); err != nil {
-			return nil, false, err
-		}
-		f.pc += n + 1
-		return nil, false, nil
-
-	case op >= DUP1 && op <= DUP16:
-		if err := f.useGas(GasFastestStep); err != nil {
-			return nil, false, err
-		}
-		v, err := f.peek(int(op - DUP1))
-		if err != nil {
-			return nil, false, err
-		}
-		if err := f.push(new(big.Int).Set(v)); err != nil {
-			return nil, false, err
-		}
-		f.pc++
-		return nil, false, nil
-
-	case op >= SWAP1 && op <= SWAP16:
-		if err := f.useGas(GasFastestStep); err != nil {
-			return nil, false, err
-		}
-		n := int(op-SWAP1) + 1
-		if len(f.stack) < n+1 {
-			return nil, false, ErrStackUnderflow
-		}
-		top := len(f.stack) - 1
-		f.stack[top], f.stack[top-n] = f.stack[top-n], f.stack[top]
-		f.pc++
-		return nil, false, nil
-	}
-
-	switch op {
-	case STOP:
-		return nil, true, nil
-
-	case ADD, SUB, MUL, DIV, MOD, AND, OR, XOR, LT, GT, EQ:
-		cost := uint64(GasFastestStep)
-		if op == MUL || op == DIV || op == MOD {
-			cost = GasFastStep
-		}
-		if err := f.useGas(cost); err != nil {
-			return nil, false, err
-		}
-		x, err := f.pop()
-		if err != nil {
-			return nil, false, err
-		}
-		y, err := f.pop()
-		if err != nil {
-			return nil, false, err
-		}
-		var z *big.Int
-		switch op {
-		case ADD:
-			z = u256(new(big.Int).Add(x, y))
-		case SUB:
-			z = u256(new(big.Int).Sub(x, y))
-		case MUL:
-			z = u256(new(big.Int).Mul(x, y))
-		case DIV:
-			if y.Sign() == 0 {
-				z = new(big.Int)
-			} else {
-				z = new(big.Int).Div(x, y)
-			}
-		case MOD:
-			if y.Sign() == 0 {
-				z = new(big.Int)
-			} else {
-				z = new(big.Int).Mod(x, y)
-			}
-		case AND:
-			z = new(big.Int).And(x, y)
-		case OR:
-			z = new(big.Int).Or(x, y)
-		case XOR:
-			z = new(big.Int).Xor(x, y)
-		case LT:
-			z = boolToBig(x.Cmp(y) < 0)
-		case GT:
-			z = boolToBig(x.Cmp(y) > 0)
-		case EQ:
-			z = boolToBig(x.Cmp(y) == 0)
-		}
-		if err := f.push(z); err != nil {
-			return nil, false, err
-		}
-		f.pc++
-		return nil, false, nil
-
-	case ISZERO, NOT:
-		if err := f.useGas(GasFastestStep); err != nil {
-			return nil, false, err
-		}
-		x, err := f.pop()
-		if err != nil {
-			return nil, false, err
-		}
-		var z *big.Int
-		if op == ISZERO {
-			z = boolToBig(x.Sign() == 0)
-		} else {
-			z = new(big.Int).Xor(x, tt256m1)
-		}
-		if err := f.push(z); err != nil {
-			return nil, false, err
-		}
-		f.pc++
-		return nil, false, nil
-
-	case SHA3:
-		off, err := f.pop()
-		if err != nil {
-			return nil, false, err
-		}
-		size, err := f.pop()
-		if err != nil {
-			return nil, false, err
-		}
-		if err := f.extendMem(off, size); err != nil {
-			return nil, false, err
-		}
-		words := (size.Uint64() + 31) / 32
-		if err := f.useGas(GasSha3 + GasSha3Word*words); err != nil {
-			return nil, false, err
-		}
-		h := keccak.Sum256(f.memSlice(off.Uint64(), size.Uint64()))
-		if err := f.push(new(big.Int).SetBytes(h[:])); err != nil {
-			return nil, false, err
-		}
-		f.pc++
-		return nil, false, nil
-
-	case ADDRESS, CALLER, CALLVALUE, CALLDATASIZE, NUMBER, TIMESTAMP, GAS, CHAINID:
-		if err := f.useGas(GasQuickStep); err != nil {
-			return nil, false, err
-		}
-		var v *big.Int
-		switch op {
-		case ADDRESS:
-			v = new(big.Int).SetBytes(f.address.Bytes())
-		case CALLER:
-			v = new(big.Int).SetBytes(f.caller.Bytes())
-		case CALLVALUE:
-			v = new(big.Int).Set(f.value)
-		case CALLDATASIZE:
-			v = big.NewInt(int64(len(f.input)))
-		case NUMBER:
-			v = new(big.Int).Set(e.Ctx.BlockNumber)
-		case TIMESTAMP:
-			v = new(big.Int).SetUint64(e.Ctx.Timestamp)
-		case GAS:
-			v = new(big.Int).SetUint64(f.gas)
-		case CHAINID:
-			v = new(big.Int).SetUint64(e.Ctx.ChainID)
-		}
-		if err := f.push(v); err != nil {
-			return nil, false, err
-		}
-		f.pc++
-		return nil, false, nil
-
-	case BALANCE:
-		if err := f.useGas(GasBalance); err != nil {
-			return nil, false, err
-		}
-		x, err := f.pop()
-		if err != nil {
-			return nil, false, err
-		}
-		bal := e.State.GetBalance(types.BytesToAddress(x.Bytes()))
-		if err := f.push(bal); err != nil {
-			return nil, false, err
-		}
-		f.pc++
-		return nil, false, nil
-
-	case CALLDATALOAD:
-		if err := f.useGas(GasFastestStep); err != nil {
-			return nil, false, err
-		}
-		off, err := f.pop()
-		if err != nil {
-			return nil, false, err
-		}
-		var word [32]byte
-		if off.IsUint64() {
-			start := off.Uint64()
-			for i := uint64(0); i < 32; i++ {
-				if start+i < uint64(len(f.input)) {
-					word[i] = f.input[start+i]
-				}
-			}
-		}
-		if err := f.push(new(big.Int).SetBytes(word[:])); err != nil {
-			return nil, false, err
-		}
-		f.pc++
-		return nil, false, nil
-
-	case POP:
-		if err := f.useGas(GasQuickStep); err != nil {
-			return nil, false, err
-		}
-		if _, err := f.pop(); err != nil {
-			return nil, false, err
-		}
-		f.pc++
-		return nil, false, nil
-
-	case MLOAD, MSTORE:
-		if err := f.useGas(GasFastestStep); err != nil {
-			return nil, false, err
-		}
-		off, err := f.pop()
-		if err != nil {
-			return nil, false, err
-		}
-		if err := f.extendMem(off, big.NewInt(32)); err != nil {
-			return nil, false, err
-		}
-		if op == MLOAD {
-			v := new(big.Int).SetBytes(f.memSlice(off.Uint64(), 32))
-			if err := f.push(v); err != nil {
-				return nil, false, err
-			}
-		} else {
-			v, err := f.pop()
-			if err != nil {
-				return nil, false, err
-			}
-			b := v.Bytes()
-			dst := f.memSlice(off.Uint64(), 32)
-			for i := range dst {
-				dst[i] = 0
-			}
-			copy(dst[32-len(b):], b)
-		}
-		f.pc++
-		return nil, false, nil
-
-	case SLOAD:
-		if err := f.useGas(GasSload); err != nil {
-			return nil, false, err
-		}
-		k, err := f.pop()
-		if err != nil {
-			return nil, false, err
-		}
-		v := e.State.GetState(f.address, types.BytesToHash(k.Bytes()))
-		if err := f.push(v.Big()); err != nil {
-			return nil, false, err
-		}
-		f.pc++
-		return nil, false, nil
-
-	case SSTORE:
-		k, err := f.pop()
-		if err != nil {
-			return nil, false, err
-		}
-		v, err := f.pop()
-		if err != nil {
-			return nil, false, err
-		}
-		key := types.BytesToHash(k.Bytes())
-		cur := e.State.GetState(f.address, key)
-		cost := uint64(GasSstoreReset)
-		if cur.IsZero() && v.Sign() != 0 {
-			cost = GasSstoreSet
-		}
-		if err := f.useGas(cost); err != nil {
-			return nil, false, err
-		}
-		e.State.SetState(f.address, key, types.BytesToHash(v.Bytes()))
-		f.pc++
-		return nil, false, nil
-
-	case JUMP, JUMPI:
-		if err := f.useGas(GasMidStep); err != nil {
-			return nil, false, err
-		}
-		dst, err := f.pop()
-		if err != nil {
-			return nil, false, err
-		}
-		take := true
-		if op == JUMPI {
-			cond, err := f.pop()
-			if err != nil {
-				return nil, false, err
-			}
-			take = cond.Sign() != 0
-		}
-		if take {
-			if !dst.IsUint64() || !f.jumpdests[dst.Uint64()] {
-				return nil, false, fmt.Errorf("%w: pc %v", ErrInvalidJump, dst)
-			}
-			f.pc = dst.Uint64()
-		} else {
-			f.pc++
-		}
-		return nil, false, nil
-
-	case PC:
-		if err := f.useGas(GasQuickStep); err != nil {
-			return nil, false, err
-		}
-		if err := f.push(new(big.Int).SetUint64(f.pc)); err != nil {
-			return nil, false, err
-		}
-		f.pc++
-		return nil, false, nil
-
-	case JUMPDEST:
-		if err := f.useGas(1); err != nil {
-			return nil, false, err
-		}
-		f.pc++
-		return nil, false, nil
-
-	case RETURN, REVERT:
-		off, err := f.pop()
-		if err != nil {
-			return nil, false, err
-		}
-		size, err := f.pop()
-		if err != nil {
-			return nil, false, err
-		}
-		if err := f.extendMem(off, size); err != nil {
-			return nil, false, err
-		}
-		out := append([]byte(nil), f.memSlice(off.Uint64(), size.Uint64())...)
-		if op == REVERT {
-			return nil, false, fmt.Errorf("%w: %x", ErrRevert, out)
-		}
-		return out, true, nil
-
-	case CALL:
-		return nil, false, e.opCall(f)
-
-	default:
-		handled, err := e.stepExtended(f, op)
-		if err != nil {
-			return nil, false, err
-		}
-		if handled {
-			return nil, false, nil
-		}
-		return nil, false, fmt.Errorf("%w: 0x%02x at pc %d", ErrInvalidOpcode, byte(op), f.pc)
-	}
-}
-
-// opCall implements CALL: gas, to, value, inOff, inSize, outOff, outSize.
-func (e *EVM) opCall(f *frame) error {
-	args := make([]*big.Int, 7)
-	for i := range args {
-		v, err := f.pop()
-		if err != nil {
-			return err
-		}
-		args[i] = v
-	}
-	gasArg, toArg, valueArg := args[0], args[1], args[2]
-	inOff, inSize, outOff, outSize := args[3], args[4], args[5], args[6]
-
-	if err := f.useGas(GasCall); err != nil {
-		return err
-	}
-	if err := f.extendMem(inOff, inSize); err != nil {
-		return err
-	}
-	if err := f.extendMem(outOff, outSize); err != nil {
-		return err
-	}
-	input := append([]byte(nil), f.memSlice(inOff.Uint64(), inSize.Uint64())...)
-
-	transfersValue := valueArg.Sign() != 0
-	if transfersValue {
-		if err := f.useGas(GasCallValue); err != nil {
-			return err
-		}
-	}
-	// EIP-150 style 63/64 retention keeps runaway recursion bounded.
-	maxForward := f.gas - f.gas/64
-	callGas := maxForward
-	if gasArg.IsUint64() && gasArg.Uint64() < maxForward {
-		callGas = gasArg.Uint64()
-	}
-	if err := f.useGas(callGas); err != nil {
-		return err
-	}
-	if transfersValue {
-		callGas += CallStipend
-	}
-
-	to := types.BytesToAddress(toArg.Bytes())
-	ret, left, err := e.Call(f.address, to, input, valueArg, callGas)
-	f.gas += left
-	f.returnData = append([]byte(nil), ret...)
-
-	success := err == nil
-	if success && outSize.Uint64() > 0 {
-		dst := f.memSlice(outOff.Uint64(), outSize.Uint64())
-		n := copy(dst, ret)
-		for i := n; i < len(dst); i++ {
-			dst[i] = 0
-		}
-	}
-	if err := f.push(boolToBig(success)); err != nil {
-		return err
-	}
-	f.pc++
-	return nil
-}
-
-func boolToBig(b bool) *big.Int {
-	if b {
-		return big.NewInt(1)
-	}
-	return new(big.Int)
-}
-
-// errorsIsRevert reports whether err is (or wraps) ErrRevert.
-func errorsIsRevert(err error) bool { return errors.Is(err, ErrRevert) }

@@ -167,10 +167,13 @@ profile:
 	@echo "profiles in $(PROFILE_DIR)/: cpu.pprof mem.pprof heap.pprof forksim/cpu.pprof forksim/heap.pprof archive/cpu.pprof archive/heap.pprof import/cpu.pprof import/heap.pprof"
 
 # RPC smoke: boot forkserve, curl every method on both chain endpoints,
-# check /debug/metrics and load it with forkload (what CI's rpc-smoke job
-# runs).
+# check /debug/metrics, save its in-use heap to RPCSMOKE_OUT/heap.pprof
+# and load it with forkload (what CI's rpc-smoke job runs; CI uploads the
+# profile).
+RPCSMOKE_OUT ?= rpcsmoke-out
+
 rpcsmoke:
-	GO="$(GO)" sh scripts/rpcsmoke.sh
+	GO="$(GO)" RPCSMOKE_OUT="$(RPCSMOKE_OUT)" sh scripts/rpcsmoke.sh
 
 # Live measurement plane smoke: boot forkserve -live, follow the event
 # feed over RPC with forkanalyze -follow (given a dead first endpoint, so

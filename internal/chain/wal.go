@@ -115,8 +115,10 @@ func (b *WALBatch) Len() int { return len(b.ops) }
 // ValueSize implements db.Batch.
 func (b *WALBatch) ValueSize() int { return b.size }
 
-// Reset implements db.Batch.
+// Reset implements db.Batch. The dropped ops are zeroed first, so the
+// kept backing array pins none of their keys or values.
 func (b *WALBatch) Reset() {
+	clear(b.ops)
 	b.ops = b.ops[:0]
 	b.size = 0
 }

@@ -19,8 +19,9 @@ import (
 // crash recovery (recoverMine) depends on per-block durability.
 //
 // All methods are safe for concurrent use. Values put into the overlay are
-// aliased, not copied, matching the batch contract ("retained until
-// Write").
+// aliased, not copied, and retained until the Flush that writes them;
+// once a flush succeeds the overlay holds no reference to anything it
+// wrote. A failed flush keeps every staged op.
 type Coalescer struct {
 	inner KV
 
@@ -123,8 +124,11 @@ func (c *Coalescer) Flush() error {
 	if err := batch.Write(); err != nil {
 		return err
 	}
-	c.ops = c.ops[:0]
-	clear(c.idx)
+	// Drop the arrays, not just their lengths: a truncated slice and a
+	// cleared map would keep the last flush's keys and values (a whole
+	// day's trie nodes and block records) reachable until the next one.
+	c.ops = nil
+	c.idx = make(map[string]int)
 	return nil
 }
 
@@ -172,6 +176,6 @@ func (b *coalesceBatch) Write() error {
 }
 
 func (b *coalesceBatch) Reset() {
-	b.ops = b.ops[:0]
+	b.ops = resetOps(b.ops)
 	b.size = 0
 }

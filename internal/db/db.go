@@ -77,6 +77,12 @@ type KV interface {
 
 // Batch queues writes for a single atomic application. Batches are not
 // safe for concurrent use; each goroutine builds its own.
+//
+// Values are aliased, not copied: a batch references each queued value
+// until a Write succeeds or Reset is called, so the caller must not
+// change it before then, and no reference survives either one — a batch
+// kept for reuse pins nothing it was handed. A failed Write keeps the
+// queue for a retry. Keys are copied.
 type Batch interface {
 	// Put queues a write. The value is retained until Write or Reset.
 	Put(key, value []byte)

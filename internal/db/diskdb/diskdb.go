@@ -534,9 +534,13 @@ func (d *DB) Close() error {
 // NewBatch implements db.KV.
 func (d *DB) NewBatch() db.Batch { return &diskBatch{d: d} }
 
+// batchOp is one queued batch operation. The key is copied once, into
+// the string that becomes the index entry's key; the value is aliased
+// until a Write succeeds or Reset is called (the db.Batch contract).
 type batchOp struct {
-	key, value []byte
-	del        bool
+	key   string
+	value []byte
+	del   bool
 }
 
 type diskBatch struct {
@@ -546,21 +550,21 @@ type diskBatch struct {
 }
 
 func (b *diskBatch) Put(key, value []byte) {
-	b.ops = append(b.ops, batchOp{
-		key:   append([]byte(nil), key...),
-		value: append([]byte(nil), value...),
-	})
+	b.ops = append(b.ops, batchOp{key: string(key), value: value})
 	b.size += len(value)
 }
 
 func (b *diskBatch) Delete(key []byte) {
-	b.ops = append(b.ops, batchOp{key: append([]byte(nil), key...), del: true})
+	b.ops = append(b.ops, batchOp{key: string(key), del: true})
 }
 
 func (b *diskBatch) Len() int       { return len(b.ops) }
 func (b *diskBatch) ValueSize() int { return b.size }
 
+// Reset drops every queued op, zeroing them first so the kept backing
+// array pins none of their keys or values.
 func (b *diskBatch) Reset() {
+	clear(b.ops)
 	b.ops = b.ops[:0]
 	b.size = 0
 }
@@ -572,20 +576,20 @@ func (b *diskBatch) Write() error {
 	if len(b.ops) == 0 {
 		return nil
 	}
-	total := 0
+	var count [4]byte
+	binary.BigEndian.PutUint32(count[:], uint32(len(b.ops)))
+	total := frameSize("", count[:])
 	for _, op := range b.ops {
 		total += frameSize(op.key, op.value)
 	}
-	buf := make([]byte, 0, total+frameSize(nil, make([]byte, 4)))
+	buf := make([]byte, 0, total)
 	for _, op := range b.ops {
 		kind := recStagedPut
 		if op.del {
 			kind = recStagedDel
 		}
-		buf = appendRecord(buf, kind, op.key, op.value)
+		buf = appendFrame(buf, kind, op.key, op.value)
 	}
-	var count [4]byte
-	binary.BigEndian.PutUint32(count[:], uint32(len(b.ops)))
 	buf = appendRecord(buf, recCommit, nil, count[:])
 
 	d := b.d
@@ -604,7 +608,7 @@ func (b *diskBatch) Write() error {
 	cursor := off
 	for _, op := range b.ops {
 		fl := frameSize(op.key, op.value)
-		d.apply(string(op.key), entry{seg: d.active.id, off: cursor, flen: int32(fl), del: op.del})
+		d.apply(op.key, entry{seg: d.active.id, off: cursor, flen: int32(fl), del: op.del})
 		cursor += int64(fl)
 		if op.del {
 			d.deletes.Add(1)

@@ -61,6 +61,12 @@ type record struct {
 
 // appendRecord appends the frame for one record to dst.
 func appendRecord(dst []byte, kind byte, key, value []byte) []byte {
+	return appendFrame(dst, kind, key, value)
+}
+
+// appendFrame is appendRecord for a key held as bytes or as a string: a
+// batch keeps each key as the one string its index entry will own.
+func appendFrame[K string | []byte](dst []byte, kind byte, key K, value []byte) []byte {
 	plen := payloadHeader + len(key) + len(value)
 	start := len(dst)
 	dst = append(dst, 0, 0, 0, 0) // crc32, patched below
@@ -75,7 +81,7 @@ func appendRecord(dst []byte, kind byte, key, value []byte) []byte {
 }
 
 // frameSize returns the full frame length for a key/value pair.
-func frameSize(key, value []byte) int {
+func frameSize[K string | []byte](key K, value []byte) int {
 	return frameHeader + payloadHeader + len(key) + len(value)
 }
 

@@ -218,6 +218,13 @@ func (b *memBatch) Write() error {
 
 // Reset implements Batch.
 func (b *memBatch) Reset() {
-	b.ops = b.ops[:0]
+	b.ops = resetOps(b.ops)
 	b.size = 0
+}
+
+// resetOps empties a reusable op queue, zeroing the dropped ops first so
+// the kept backing array pins none of their keys or values.
+func resetOps(ops []batchOp) []batchOp {
+	clear(ops)
+	return ops[:0]
 }

@@ -131,6 +131,63 @@ func TestCalldata(t *testing.T) {
 	}
 }
 
+// TestCalldataloadOffsetNearWrap: an offset whose 32-byte window crosses
+// 2^64 reads zeros, not the start of the input.
+func TestCalldataloadOffsetNearWrap(t *testing.T) {
+	input := make([]byte, 40)
+	for i := range input {
+		input[i] = byte(i + 1)
+	}
+	top := new(big.Int).Lsh(big.NewInt(1), 64)
+	for _, back := range []int64{1, 2, 31, 32, 33} {
+		off := new(big.Int).Sub(top, big.NewInt(back))
+		e := newTestEVM()
+		addr := deploy(e, returnTop(func(a *Asm) { a.PushBig(off).Op(CALLDATALOAD) }))
+		ret, _, err := e.Call(alice, addr, input, nil, 1_000_000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if new(big.Int).SetBytes(ret).Sign() != 0 {
+			t.Errorf("CALLDATALOAD at 2^64-%d = %x, want 0", back, ret)
+		}
+	}
+	// The last input byte still reads, at the word's top.
+	e := newTestEVM()
+	addr := deploy(e, returnTop(func(a *Asm) { a.Push(39).Op(CALLDATALOAD) }))
+	ret, _, err := e.Call(alice, addr, input, nil, 1_000_000)
+	if err != nil || len(ret) != 32 || ret[0] != 40 || new(big.Int).SetBytes(ret[1:]).Sign() != 0 {
+		t.Errorf("CALLDATALOAD at 39 = %x (%v), want 0x28 then zeros", ret, err)
+	}
+}
+
+// TestDelegateCallAtDepthLimitKeepsGas: a DELEGATECALL refused at the
+// depth limit runs nothing and hands its gas back, as a refused CALL does.
+func TestDelegateCallAtDepthLimitKeepsGas(t *testing.T) {
+	e := newTestEVM()
+	library := types.HexToAddress("0x11b")
+	e.State.SetCode(library, NewAsm().Push(1).Push(1).Op(SSTORE).MustAssemble())
+	proxy := deploy(e, returnTop(func(a *Asm) {
+		a.Push(0).Push(0).Push(0).Push(0).PushAddr(library).Op(GAS, DELEGATECALL)
+		a.Push(1).Op(SSTORE) // slot 1 = the success flag
+		a.Op(GAS)
+	}))
+	const gas = 100_000
+	e.depth = MaxCallDepth - 1 // the proxy runs at the limit
+	ret, left, err := e.Call(alice, proxy, nil, nil, gas)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after := new(big.Int).SetBytes(ret).Uint64(); after < gas-30_000 {
+		t.Errorf("gas after the refused DELEGATECALL = %d of %d: the forwarded gas was burnt", after, gas)
+	}
+	if left < gas-30_000 {
+		t.Errorf("Call left %d of %d gas", left, gas)
+	}
+	if flag := e.State.GetState(proxy, types.BytesToHash([]byte{1})); !flag.IsZero() {
+		t.Errorf("refused DELEGATECALL pushed success %v", flag.Big())
+	}
+}
+
 func TestStoragePersistsAcrossCalls(t *testing.T) {
 	e := newTestEVM()
 	// First call stores 77 at slot 5; second call loads it.

@@ -179,6 +179,15 @@ func fuzzSeeds() [][]byte {
 			a.Push(32).Push(0).Push(0).Push(0).Op(evm.ADDRESS, evm.GAS, evm.DELEGATECALL)
 			a.Op(evm.RETURNDATASIZE).Push(0).Push(0).Op(evm.RETURNDATACOPY, evm.STOP)
 		}),
+		asm(func(a *evm.Asm) { // CALLDATALOAD whose window crosses 2^64
+			a.PushBig(new(big.Int).SetUint64(1<<64 - 1)).Op(evm.CALLDATALOAD)
+			a.PushBig(new(big.Int).SetUint64(1<<64-31)).Op(evm.CALLDATALOAD, evm.OR)
+			a.Push(0).Op(evm.MSTORE).Push(32).Push(0).Op(evm.RETURN)
+		}),
+		asm(func(a *evm.Asm) { // DELEGATECALL into itself until gas or depth refuses it
+			a.Push(0).Push(0).Push(0).Push(0).Op(evm.ADDRESS, evm.GAS, evm.DELEGATECALL)
+			a.Op(evm.GAS).Push(0).Op(evm.MSTORE).Push(32).Push(0).Op(evm.RETURN)
+		}),
 		asm(func(a *evm.Asm) { // CREATE of the input as init code
 			a.Op(evm.CALLDATASIZE).Push(0).Push(0).Op(evm.CALLDATACOPY)
 			a.Op(evm.CALLDATASIZE).Push(0).Push(0).Op(evm.CREATE)

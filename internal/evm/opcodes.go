@@ -345,16 +345,11 @@ func opGasprice(e *EVM, _ *frame) *big.Int {
 }
 
 // opCalldataload pushes the 32 input bytes at the popped offset; bytes
-// past the end of the input read as zero.
+// past the end of the input read as zero, whatever the offset.
 func opCalldataload(_ *EVM, f *frame) error {
 	var word [32]byte
-	if off := f.pop(); off.IsUint64() {
-		start := off.Uint64()
-		for i := uint64(0); i < 32; i++ {
-			if start+i < uint64(len(f.input)) {
-				word[i] = f.input[start+i]
-			}
-		}
+	if off := f.pop(); off.IsUint64() && off.Uint64() < uint64(len(f.input)) {
+		copy(word[:], f.input[off.Uint64():])
 	}
 	f.push(new(big.Int).SetBytes(word[:]))
 	return nil
@@ -587,7 +582,7 @@ func opDelegateCall(e *EVM, f *frame) error {
 		case len(code) == 0:
 			return nil, gas, nil // delegating to empty code trivially succeeds
 		case e.depth >= MaxCallDepth:
-			return nil, 0, ErrDepth
+			return nil, gas, ErrDepth // refused before running: the gas goes back, as in Call
 		}
 		return e.enter(e.State.Snapshot(), newFrame(f.caller, f.address, input, f.value, gas, code), false)
 	})

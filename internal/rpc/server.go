@@ -106,16 +106,24 @@ type Server struct {
 }
 
 // route is one mounted chain with everything its requests touch resolved
-// at registration: the storage circuit breaker, and per method the
-// response cache and metric handles, so serving a call builds no metric
-// name and looks nothing up in the registry.
+// at registration: the storage circuit breaker, the route's refusal
+// counters, and per method the response cache and metric handles, so
+// serving a call — or refusing one under overload — builds no metric name
+// and looks nothing up in the registry.
 type route struct {
 	name         string // lowercase path segment, e.g. "eth"
 	be           *Backend
 	breaker      *breaker
 	httpRequests *metrics.Counter
+	refused      refusals
 	methods      map[string]*methodHandle // the dispatch table, per route
 	unknown      *methodHandle            // every name methods lacks
+}
+
+// refusals counts, per route, the requests turned away before or instead
+// of running, under rpc.<route>.<reason>.
+type refusals struct {
+	drained, ratelimited, oversized, malformed, shed, timeouts, breakerShed *metrics.Counter
 }
 
 // methodHandle is one (route, method) pair's serving state. cache is nil
@@ -148,13 +156,23 @@ func (s *Server) newRoute(name string, be *Backend) *route {
 		}
 		return h
 	}
+	counter := func(reason string) *metrics.Counter { return s.reg.Counter("rpc." + name + "." + reason) }
 	rt := &route{
 		name:         name,
 		be:           be,
 		breaker:      newBreaker(breakerThreshold, breakerCooldown),
-		httpRequests: s.reg.Counter("rpc." + name + ".http_requests"),
-		methods:      make(map[string]*methodHandle, len(methods)),
-		unknown:      handle("method_not_found", nil, false),
+		httpRequests: counter("http_requests"),
+		refused: refusals{
+			drained:     counter("drained"),
+			ratelimited: counter("ratelimited"),
+			oversized:   counter("oversized"),
+			malformed:   counter("malformed"),
+			shed:        counter("shed"),
+			timeouts:    counter("timeouts"),
+			breakerShed: counter("breaker_shed"),
+		},
+		methods: make(map[string]*methodHandle, len(methods)),
+		unknown: handle("method_not_found", nil, false),
 	}
 	for m, fn := range methods {
 		rt.methods[m] = handle(m, fn, !uncacheable[m])
@@ -396,7 +414,7 @@ func (s *Server) serveChain(w http.ResponseWriter, r *http.Request, rt *route) {
 	// Draining: refuse new work before touching the queue, finish what is
 	// already in flight (tracked below).
 	if s.draining.Load() {
-		s.reg.Counter("rpc." + rt.name + ".drained").Inc()
+		rt.refused.drained.Inc()
 		w.Header().Set("Retry-After", "1")
 		http.Error(w, "server draining", http.StatusServiceUnavailable)
 		return
@@ -408,7 +426,7 @@ func (s *Server) serveChain(w http.ResponseWriter, r *http.Request, rt *route) {
 	// Per-client token bucket: shed before reading the body.
 	client := clientKey(r)
 	if ok, retry := s.limiter.allow(client); !ok {
-		s.reg.Counter("rpc." + rt.name + ".ratelimited").Inc()
+		rt.refused.ratelimited.Inc()
 		w.Header().Set("Retry-After", fmt.Sprintf("%d", int(retry.Seconds()+0.5)))
 		http.Error(w, "rate limit exceeded", http.StatusTooManyRequests)
 		return
@@ -417,14 +435,14 @@ func (s *Server) serveChain(w http.ResponseWriter, r *http.Request, rt *route) {
 	// A read error other than the size bound decodes what arrived.
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if errors.As(err, new(*http.MaxBytesError)) {
-		s.reg.Counter("rpc." + rt.name + ".oversized").Inc()
+		rt.refused.oversized.Inc()
 		http.Error(w, "request body too large", http.StatusRequestEntityTooLarge)
 		return
 	}
 
 	reqs, errs, isBatch, topErr := DecodeRequests(body, maxBatch)
 	if topErr != nil {
-		s.reg.Counter("rpc." + rt.name + ".malformed").Inc()
+		rt.refused.malformed.Inc()
 		writeBody(w, encodeBody([]answer{{err: topErr}}, false))
 		return
 	}
@@ -439,7 +457,7 @@ func (s *Server) serveChain(w http.ResponseWriter, r *http.Request, rt *route) {
 	case s.jobs <- j:
 		s.queueDepth.Set(int64(len(s.jobs)))
 	default:
-		s.reg.Counter("rpc." + rt.name + ".shed").Inc()
+		rt.refused.shed.Inc()
 		w.Header().Set("Retry-After", "1")
 		http.Error(w, "server saturated, retry later", http.StatusTooManyRequests)
 		return
@@ -457,7 +475,7 @@ func (s *Server) serveChain(w http.ResponseWriter, r *http.Request, rt *route) {
 		// The worker may still be grinding behind a stalled store; the
 		// client gets a well-formed timeout error regardless. The
 		// buffered done channel lets the worker finish without leaking.
-		s.reg.Counter("rpc." + rt.name + ".timeouts").Inc()
+		rt.refused.timeouts.Inc()
 		writeBody(w, s.timeoutBody(reqs, isBatch))
 	}
 }
@@ -582,7 +600,7 @@ func (s *Server) call(ctx context.Context, rt *route, req *Request) ([]byte, *Er
 	// hits above still serve — they cost the store nothing).
 	if !rt.breaker.Allow() {
 		h.errors.Inc()
-		s.reg.Counter("rpc." + rt.name + ".breaker_shed").Inc()
+		rt.refused.breakerShed.Inc()
 		e := Errf(ErrCodeUnavailable, "storage circuit open on %s, retry after cooldown", rt.name)
 		e.Data = "circuit-open"
 		return nil, e

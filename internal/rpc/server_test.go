@@ -694,6 +694,33 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// TestRefusalCountersFromMount: a route's refusal counters exist at 0 as
+// soon as it is mounted, and a refusal moves the handle the route resolved
+// then, so the overload paths never look a name up.
+func TestRefusalCountersFromMount(t *testing.T) {
+	eth, err := chain.NewBlockchain(chain.MainnetLikeConfig(), testGenesis())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(ServerConfig{Workers: 1})
+	defer srv.Close()
+	srv.RegisterChain(NewBackend("ETH", eth))
+	snap := srv.Registry().Snapshot()
+	for _, reason := range []string{"drained", "ratelimited", "oversized", "malformed", "shed", "timeouts", "breaker_shed"} {
+		if v, ok := snap["rpc.eth."+reason]; !ok || v != uint64(0) {
+			t.Errorf("rpc.eth.%s at mount = %v (present %v), want 0", reason, v, ok)
+		}
+	}
+
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	postJSON(t, ts.URL+"/eth", `{"jsonrpc":`)
+	srv.routeFor("eth").refused.malformed.Inc()
+	if got := srv.Registry().Counter("rpc.eth.malformed").Value(); got != 2 {
+		t.Fatalf("rpc.eth.malformed = %d after one malformed body and one direct Inc, want 2", got)
+	}
+}
+
 func TestClientBatch(t *testing.T) {
 	_, _, srv := newTestPair(t)
 	ts := httptest.NewServer(srv)

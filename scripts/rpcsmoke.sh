@@ -7,8 +7,10 @@
 # it to catch up, checks that the replica serves the same answers plus the
 # replica-tier metrics, and drains it with SIGTERM. Last, an orphan replica
 # following addresses where nothing listens must report itself degraded,
-# log its failed dials and drain cleanly. CI's RPC smoke job runs this;
-# `make rpcsmoke` locally does the same.
+# log its failed dials and drain cleanly. Along the way it saves the
+# booted primary's in-use heap (after a GC) to $RPCSMOKE_OUT/heap.pprof
+# and prints its total. CI's RPC smoke job runs this and uploads the
+# profile; `make rpcsmoke` locally does the same.
 set -eu
 
 ADDR="${RPCSMOKE_ADDR:-127.0.0.1:18545}"
@@ -18,6 +20,7 @@ RBASE="http://$RADDR"
 OADDR="${RPCSMOKE_ORPHAN_ADDR:-127.0.0.1:18547}"
 P2P="${RPCSMOKE_P2P:-127.0.0.1:18561,127.0.0.1:18562}"
 DAYS="${RPCSMOKE_DAYS:-1}"
+OUT="${RPCSMOKE_OUT:-rpcsmoke-out}"
 LOG="$(mktemp)"
 RLOG="$(mktemp)"
 OLOG="$(mktemp)"
@@ -117,6 +120,15 @@ for key in 'rpc.eth.eth_blockNumber.requests' 'rpc.etc.eth_blockNumber.requests'
     esac
 done
 echo "rpcsmoke: ok   /debug/metrics"
+
+# What the booted primary holds: its heap after a GC, as a profile to
+# keep and as one in-use total.
+mkdir -p "$OUT"
+curl -sf -o "$OUT/heap.pprof" "$BASE/debug/pprof/heap?gc=1" || {
+    echo "rpcsmoke: FAIL /debug/pprof/heap?gc=1" >&2; exit 1; }
+inuse="$($GO tool pprof -sample_index=inuse_space -top "$OUT/heap.pprof" 2>/dev/null | sed -n 's/.* of \(.*\) total$/\1/p')"
+[ -n "$inuse" ] || { echo "rpcsmoke: FAIL $OUT/heap.pprof has no in-use total" >&2; exit 1; }
+echo "rpcsmoke: ok   heap in use after GC: $inuse ($OUT/heap.pprof)"
 
 # Live phase: the live measurement plane must answer on every route —
 # snapshot, a cursor read of the whole feed (the archive is complete, so

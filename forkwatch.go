@@ -101,7 +101,7 @@ func MatrixCells(seed int64, days int) []MatrixCell {
 
 // Storage backend names for StorageConfig.Backend.
 const (
-	// StorageMem is the sharded in-memory store (default).
+	// StorageMem is the in-memory store (default).
 	StorageMem = db.BackendMem
 	// StorageDisk is the log-structured file store; set
 	// StorageConfig.DataDir to the directory holding its segments.

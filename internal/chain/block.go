@@ -370,6 +370,5 @@ type discardBatch struct{}
 func (discardBatch) Put(key, value []byte) {}
 func (discardBatch) Delete(key []byte)     {}
 func (discardBatch) Len() int              { return 0 }
-func (discardBatch) ValueSize() int        { return 0 }
 func (discardBatch) Write() error          { return nil }
 func (discardBatch) Reset()                {}

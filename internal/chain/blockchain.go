@@ -478,12 +478,6 @@ func (k *stateKV) Get(key []byte) ([]byte, bool, error) { return k.store().Get(k
 // Has implements db.KV.
 func (k *stateKV) Has(key []byte) (bool, error) { return k.store().Has(key) }
 
-// Put implements db.KV.
-func (k *stateKV) Put(key, value []byte) error { return k.store().Put(key, value) }
-
-// Delete implements db.KV.
-func (k *stateKV) Delete(key []byte) error { return k.store().Delete(key) }
-
 // NewBatch implements db.KV.
 func (k *stateKV) NewBatch() db.Batch { return k.store().NewBatch() }
 

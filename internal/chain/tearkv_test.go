@@ -22,12 +22,10 @@ type tearKV struct {
 	crashed         bool
 }
 
-func (k *tearKV) WriteOps() uint64            { k.mu.Lock(); defer k.mu.Unlock(); return k.writes }
-func (k *tearKV) CrashAtWriteOp(n uint64)     { k.mu.Lock(); k.crashAt = n; k.mu.Unlock() }
-func (k *tearKV) Reopen()                     { k.mu.Lock(); k.crashed, k.crashAt = false, 0; k.mu.Unlock() }
-func (k *tearKV) Put(key, value []byte) error { b := k.NewBatch(); b.Put(key, value); return b.Write() }
-func (k *tearKV) Delete(key []byte) error     { b := k.NewBatch(); b.Delete(key); return b.Write() }
-func (k *tearKV) NewBatch() db.Batch          { return &tearBatch{kv: k} }
+func (k *tearKV) WriteOps() uint64        { k.mu.Lock(); defer k.mu.Unlock(); return k.writes }
+func (k *tearKV) CrashAtWriteOp(n uint64) { k.mu.Lock(); k.crashAt = n; k.mu.Unlock() }
+func (k *tearKV) Reopen()                 { k.mu.Lock(); k.crashed, k.crashAt = false, 0; k.mu.Unlock() }
+func (k *tearKV) NewBatch() db.Batch      { return &tearBatch{kv: k} }
 
 // tearBatch queues operations as writes into a batch of the inner store.
 type tearBatch struct {
@@ -35,9 +33,8 @@ type tearBatch struct {
 	ops []func(db.Batch)
 }
 
-func (b *tearBatch) Len() int       { return len(b.ops) }
-func (b *tearBatch) ValueSize() int { return 0 } // unused by the chain
-func (b *tearBatch) Reset()         { b.ops = b.ops[:0] }
+func (b *tearBatch) Len() int { return len(b.ops) }
+func (b *tearBatch) Reset()   { b.ops = b.ops[:0] }
 func (b *tearBatch) Put(k, v []byte) {
 	k = append([]byte(nil), k...)
 	b.ops = append(b.ops, func(w db.Batch) { w.Put(k, v) })

@@ -91,8 +91,7 @@ type walOp struct {
 // Store.Put* helpers queue into it, but the staged operations only reach
 // the device through Store.CommitWAL.
 type WALBatch struct {
-	ops  []walOp
-	size int
+	ops []walOp
 }
 
 // NewWALBatch returns an empty staging batch.
@@ -101,7 +100,6 @@ func (s *Store) NewWALBatch() *WALBatch { return &WALBatch{} }
 // Put implements db.Batch.
 func (b *WALBatch) Put(key, value []byte) {
 	b.ops = append(b.ops, walOp{Key: append([]byte(nil), key...), Value: value})
-	b.size += len(value)
 }
 
 // Delete implements db.Batch.
@@ -112,15 +110,11 @@ func (b *WALBatch) Delete(key []byte) {
 // Len implements db.Batch.
 func (b *WALBatch) Len() int { return len(b.ops) }
 
-// ValueSize implements db.Batch.
-func (b *WALBatch) ValueSize() int { return b.size }
-
 // Reset implements db.Batch. The dropped ops are zeroed first, so the
 // kept backing array pins none of their keys or values.
 func (b *WALBatch) Reset() {
 	clear(b.ops)
 	b.ops = b.ops[:0]
-	b.size = 0
 }
 
 // Write implements db.Batch. Staged batches must go through
@@ -192,10 +186,12 @@ func (s *Store) RecoverWAL() error {
 		}
 		seq, ops, err := decodeWALRecord(enc)
 		if err != nil {
-			// Bit-rot in a WAL record: truncate it. If it was the newest
-			// record and its batch tore, the head check below catches the
-			// inconsistency.
-			if derr := s.kv.Delete(walSlotKey(slot)); derr != nil {
+			// Bit-rot in a WAL record: truncate it, in a batch of its
+			// own. If it was the newest record and its batch tore, the
+			// head check below catches the inconsistency.
+			truncate := s.kv.NewBatch()
+			truncate.Delete(walSlotKey(slot))
+			if derr := truncate.Write(); derr != nil {
 				return fmt.Errorf("chain: truncating WAL slot %d: %w", slot, derr)
 			}
 			continue

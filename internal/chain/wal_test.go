@@ -248,7 +248,7 @@ func TestWALTruncatesCorruptRecord(t *testing.T) {
 	}
 	rotted := append([]byte(nil), rec...)
 	rotted[len(rotted)/2] ^= 0x40
-	if err := kv.Put(slot, rotted); err != nil {
+	if err := putKV(kv, slot, rotted); err != nil {
 		t.Fatal(err)
 	}
 
@@ -303,7 +303,7 @@ func TestDoubleFaultFallsBackToPreviousHead(t *testing.T) {
 				// The block's WAL record landed but its batch tore: the
 				// double-fault setup. Rot the record and recover.
 				rec[len(rec)-1] ^= 0x01
-				if err := inner.Put(walSlotKey(seq%walSlots), rec); err != nil {
+				if err := putKV(inner, walSlotKey(seq%walSlots), rec); err != nil {
 					t.Fatal(err)
 				}
 				re, err := Open(MainnetLikeConfig(), fkv)
@@ -330,7 +330,7 @@ func TestDoubleFaultFallsBackToPreviousHead(t *testing.T) {
 // resync fallback signal).
 func TestVerifyHeadDetectsInconsistency(t *testing.T) {
 	kv := db.NewMemDB()
-	if err := kv.Put(keyHead, types.HexToHash("0xdead").Bytes()); err != nil {
+	if err := putKV(kv, keyHead, types.HexToHash("0xdead").Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	store := NewStore(kv)
@@ -352,7 +352,7 @@ func TestOpenRejectsStateRootMismatch(t *testing.T) {
 		t.Fatalf("Open over the intact store: %v", err)
 	}
 	h := bc.CanonicalBlocks(2, 2)[0].Hash()
-	if err := kv.Put(hashKey(prefixStateRoot, h), types.HexToHash("0xbad").Bytes()); err != nil {
+	if err := putKV(kv, hashKey(prefixStateRoot, h), types.HexToHash("0xbad").Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Open(MainnetLikeConfig(), kv); !errors.Is(err, ErrCorruptStore) || !strings.Contains(err.Error(), "block 2") {
@@ -377,16 +377,23 @@ func cloneMemDB(t *testing.T, m *db.MemDB) map[string][]byte {
 // restoreMemDB rewinds a MemDB to a snapshot.
 func restoreMemDB(t *testing.T, m *db.MemDB, snap map[string][]byte) {
 	t.Helper()
+	b := m.NewBatch()
 	for _, k := range m.Keys() {
 		if _, ok := snap[string(k)]; !ok {
-			if err := m.Delete(k); err != nil {
-				t.Fatal(err)
-			}
+			b.Delete(k)
 		}
 	}
 	for k, v := range snap {
-		if err := m.Put([]byte(k), v); err != nil {
-			t.Fatal(err)
-		}
+		b.Put([]byte(k), v)
 	}
+	if err := b.Write(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// putKV writes one key through a one-op batch.
+func putKV(kv db.KV, k, v []byte) error {
+	b := kv.NewBatch()
+	b.Put(k, v)
+	return b.Write()
 }

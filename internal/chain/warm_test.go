@@ -54,22 +54,11 @@ func (l *putLog) add(key, value []byte, del bool) {
 	*l = append(*l, fmt.Sprintf("%x=%x del=%v", key, value, del))
 }
 
-// loggedKV is a store that records its writes in log: single Puts and
-// Deletes as they happen, a batch's operations in queue order once it is
-// written.
+// loggedKV is a store that records its writes in log: a batch's
+// operations in queue order once it is written.
 type loggedKV struct {
 	db.KV
 	log *putLog
-}
-
-func (l loggedKV) Put(key, value []byte) error {
-	l.log.add(key, value, false)
-	return l.KV.Put(key, value)
-}
-
-func (l loggedKV) Delete(key []byte) error {
-	l.log.add(key, nil, true)
-	return l.KV.Delete(key)
 }
 
 func (l loggedKV) NewBatch() db.Batch { return &loggedBatch{Batch: l.KV.NewBatch(), log: l.log} }

@@ -17,7 +17,7 @@ func benchKeys(n int) [][]byte {
 }
 
 // BenchmarkKVBatchWrite measures committing a trie-commit-sized batch
-// (256 nodes of ~100 bytes) into the sharded store.
+// (256 nodes of ~100 bytes) into the in-memory store.
 func BenchmarkKVBatchWrite(b *testing.B) {
 	kv := NewMemDB()
 	keys := benchKeys(256)
@@ -33,26 +33,31 @@ func BenchmarkKVBatchWrite(b *testing.B) {
 	}
 }
 
-// BenchmarkKVPut measures unbatched single writes for comparison.
-func BenchmarkKVPut(b *testing.B) {
+// BenchmarkKVOneOpBatch measures single writes, each its own batch, for
+// comparison.
+func BenchmarkKVOneOpBatch(b *testing.B) {
 	kv := NewMemDB()
 	keys := benchKeys(256)
 	val := make([]byte, 100)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		kv.Put(keys[i%len(keys)], val)
+		batch := kv.NewBatch()
+		batch.Put(keys[i%len(keys)], val)
+		batch.Write()
 	}
 }
 
-// BenchmarkKVGet measures reads from the sharded store.
+// BenchmarkKVGet measures reads from the in-memory store.
 func BenchmarkKVGet(b *testing.B) {
 	kv := NewMemDB()
 	keys := benchKeys(1024)
 	val := make([]byte, 100)
+	batch := kv.NewBatch()
 	for _, k := range keys {
-		kv.Put(k, val)
+		batch.Put(k, val)
 	}
+	batch.Write()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -5,9 +5,9 @@ import (
 	"sync/atomic"
 )
 
-// Coalescer is a write-coalescing overlay over a KV: Put/Delete and batch
-// Writes land in an in-memory overlay that reads consult first, and Flush
-// pushes everything accumulated since the last flush into the inner store
+// Coalescer is a write-coalescing overlay over a KV: batch Writes land in
+// an in-memory overlay that reads consult first, and Flush pushes
+// everything accumulated since the last flush into the inner store
 // through one atomic batch. Layered under a full-fidelity ledger it turns
 // the per-block state commits of a simulated day into a single backend
 // write, which is where the disk backend's fsync and record-framing costs
@@ -68,22 +68,6 @@ func (c *Coalescer) Has(key []byte) (bool, error) {
 	}
 	c.mu.RUnlock()
 	return c.inner.Has(key)
-}
-
-// Put implements KV; the write is deferred until the next Flush.
-func (c *Coalescer) Put(key, value []byte) error {
-	c.mu.Lock()
-	c.stage(batchOp{key: string(key), value: value})
-	c.mu.Unlock()
-	return nil
-}
-
-// Delete implements KV; the removal is deferred until the next Flush.
-func (c *Coalescer) Delete(key []byte) error {
-	c.mu.Lock()
-	c.stage(batchOp{key: string(key), del: true})
-	c.mu.Unlock()
-	return nil
 }
 
 // stage records one operation, overwriting any pending op on the same key
@@ -147,22 +131,19 @@ func (c *Coalescer) Stats() Stats {
 // into reusable buffers must copy before Put when a Coalescer may sit in
 // the stack (no current writer does either).
 type coalesceBatch struct {
-	c    *Coalescer
-	ops  []batchOp
-	size int
+	c   *Coalescer
+	ops []batchOp
 }
 
 func (b *coalesceBatch) Put(key, value []byte) {
 	b.ops = append(b.ops, batchOp{key: string(key), value: value})
-	b.size += len(value)
 }
 
 func (b *coalesceBatch) Delete(key []byte) {
 	b.ops = append(b.ops, batchOp{key: string(key), del: true})
 }
 
-func (b *coalesceBatch) Len() int       { return len(b.ops) }
-func (b *coalesceBatch) ValueSize() int { return b.size }
+func (b *coalesceBatch) Len() int { return len(b.ops) }
 
 func (b *coalesceBatch) Write() error {
 	c := b.c
@@ -175,7 +156,4 @@ func (b *coalesceBatch) Write() error {
 	return nil
 }
 
-func (b *coalesceBatch) Reset() {
-	b.ops = resetOps(b.ops)
-	b.size = 0
-}
+func (b *coalesceBatch) Reset() { b.ops = resetOps(b.ops) }

@@ -4,7 +4,7 @@ import "fmt"
 
 // Backend names accepted by Config/Open.
 const (
-	// BackendMem is the sharded in-memory store.
+	// BackendMem is the in-memory store (MemDB).
 	BackendMem = "mem"
 	// BackendDisk is the log-structured file store (internal/db/diskdb).
 	// Requires DataDir; the diskdb package must be linked into the binary

@@ -7,8 +7,9 @@
 // scale live or die by their ingest store. forkwatch's equivalent hot path
 // — trie commits and ledger persistence over the ~3.3M-block nine-month
 // runs — flows through the KV interface defined here, so the backend
-// (sharded memory, or the log-structured files of the diskdb sub-package)
-// is chosen by Config without touching the trie, state or chain layers.
+// (a locked map in memory, or the log-structured files of the diskdb
+// sub-package) is chosen by Config without touching the trie, state or
+// chain layers. Reads are point reads; every write is an atomic Batch.
 //
 // Every operation can fail: the interface models a real storage device,
 // not a map. The in-memory backends never return errors on their own, but
@@ -22,7 +23,7 @@
 //
 // Implementations shipping in this package:
 //
-//   - MemDB: a sharded, mutex-striped in-memory store (the default).
+//   - MemDB: one map under one RWMutex (the default).
 //   - Coalescer: a write-coalescing overlay that turns many commits into
 //     one backend batch per Flush.
 //   - Retry: a wrapper that re-attempts transient errors.
@@ -51,19 +52,15 @@ var ErrReadOnly = errors.New("db: store is read-only")
 // KV is the storage interface. Keys and values are arbitrary byte strings;
 // implementations must not retain or mutate the caller's key slice after a
 // call returns, and callers must not mutate a returned value (it may alias
-// the store's copy).
+// the store's copy). The only way to write is a Batch.
 type KV interface {
 	// Get returns the value stored under key and whether it exists. A
 	// non-nil error means the read itself failed (the existence of the
 	// key is then unknown).
 	Get(key []byte) ([]byte, bool, error)
-	// Put stores value under key, replacing any previous value.
-	Put(key, value []byte) error
 	// Has reports whether key exists without counting as a data read in
 	// hit/miss statistics.
 	Has(key []byte) (bool, error)
-	// Delete removes key. Deleting an absent key is a no-op.
-	Delete(key []byte) error
 	// NewBatch returns an empty write batch whose Write applies every
 	// queued operation atomically: either all operations land or none do
 	// (a Write that returns a transient error must leave the store
@@ -84,15 +81,13 @@ type KV interface {
 // kept for reuse pins nothing it was handed. A failed Write keeps the
 // queue for a retry. Keys are copied.
 type Batch interface {
-	// Put queues a write. The value is retained until Write or Reset.
+	// Put queues a write, replacing any previous value of key. The value
+	// is retained until Write or Reset.
 	Put(key, value []byte)
-	// Delete queues a removal.
+	// Delete queues a removal. Removing an absent key is a no-op.
 	Delete(key []byte)
 	// Len returns the number of queued operations.
 	Len() int
-	// ValueSize returns the total queued value bytes (for flush
-	// heuristics in future disk backends).
-	ValueSize() int
 	// Write applies every queued operation to the backing store and
 	// resets the batch for reuse. On error nothing was applied; after a
 	// crash the store must be reopened and recovered before further use.
@@ -115,10 +110,11 @@ func IsTransient(err error) bool {
 	return errors.As(err, &te) && te.Transient()
 }
 
-// Stats is a snapshot of a store's activity counters. Reads and writes
-// count Get/Put/Delete calls (batch operations count individually); Hits
-// and Misses split reads by whether the key was found (a Coalescer counts
-// a read its overlay answered as a hit).
+// Stats is a snapshot of a store's activity counters. Reads count Get
+// calls; Writes and Deletes count the Put and Delete operations of
+// written batches, one per operation; Hits and Misses split reads by
+// whether the key was found (a Coalescer counts a read its overlay
+// answered as a hit).
 type Stats struct {
 	Reads   uint64
 	Writes  uint64

@@ -10,10 +10,32 @@ import (
 )
 
 // backends under test: every KV implementation must satisfy the same
-// contract.
+// contract, and every write goes through a batch.
 func backends() map[string]func() KV {
 	return map[string]func() KV{
-		"mem": func() KV { return NewMemDB() },
+		"mem":       func() KV { return NewMemDB() },
+		"coalescer": func() KV { return NewCoalescer(NewMemDB()) },
+		"retry":     func() KV { return NewRetry(NewMemDB(), 3) },
+	}
+}
+
+// put writes one key through a one-op batch.
+func put(t testing.TB, kv KV, k, v string) {
+	t.Helper()
+	b := kv.NewBatch()
+	b.Put([]byte(k), []byte(v))
+	if err := b.Write(); err != nil {
+		t.Fatalf("put %q: %v", k, err)
+	}
+}
+
+// del removes one key through a one-op batch.
+func del(t testing.TB, kv KV, k string) {
+	t.Helper()
+	b := kv.NewBatch()
+	b.Delete([]byte(k))
+	if err := b.Write(); err != nil {
+		t.Fatalf("delete %q: %v", k, err)
 	}
 }
 
@@ -24,23 +46,26 @@ func TestKVBasicOps(t *testing.T) {
 			if _, ok, _ := kv.Get([]byte("absent")); ok {
 				t.Error("Get on empty store returned ok")
 			}
-			kv.Put([]byte("k1"), []byte("v1"))
-			kv.Put([]byte("k2"), []byte("v2"))
+			put(t, kv, "k1", "v1")
+			put(t, kv, "k2", "v2")
 			if v, ok, _ := kv.Get([]byte("k1")); !ok || !bytes.Equal(v, []byte("v1")) {
 				t.Errorf("Get k1 = %q, %v", v, ok)
 			}
 			if ok, _ := kv.Has([]byte("k2")); !ok {
 				t.Error("Has k2 = false")
 			}
-			kv.Put([]byte("k1"), []byte("v1b")) // overwrite
+			put(t, kv, "k1", "v1b") // overwrite
 			if v, _, _ := kv.Get([]byte("k1")); !bytes.Equal(v, []byte("v1b")) {
 				t.Errorf("overwrite lost: %q", v)
 			}
-			kv.Delete([]byte("k2"))
+			del(t, kv, "k2")
 			if ok, _ := kv.Has([]byte("k2")); ok {
 				t.Error("Has after Delete = true")
 			}
-			kv.Delete([]byte("never-existed")) // no-op must not panic
+			del(t, kv, "never-existed") // no-op must not fail
+			if ok, _ := kv.Has([]byte("never-existed")); ok {
+				t.Error("deleting an absent key created it")
+			}
 		})
 	}
 }
@@ -49,7 +74,7 @@ func TestKVBatchAppliesAtomically(t *testing.T) {
 	for name, mk := range backends() {
 		t.Run(name, func(t *testing.T) {
 			kv := mk()
-			kv.Put([]byte("stale"), []byte("x"))
+			put(t, kv, "stale", "x")
 			b := kv.NewBatch()
 			for i := 0; i < 100; i++ {
 				b.Put([]byte(fmt.Sprintf("key%03d", i)), []byte(fmt.Sprintf("val%03d", i)))
@@ -64,7 +89,9 @@ func TestKVBatchAppliesAtomically(t *testing.T) {
 			if ok, _ := kv.Has([]byte("key050")); ok {
 				t.Error("batched key visible before Write")
 			}
-			b.Write()
+			if err := b.Write(); err != nil {
+				t.Fatal(err)
+			}
 			for i := 1; i < 100; i++ {
 				want := []byte(fmt.Sprintf("val%03d", i))
 				if v, ok, _ := kv.Get([]byte(fmt.Sprintf("key%03d", i))); !ok || !bytes.Equal(v, want) {
@@ -86,10 +113,10 @@ func TestKVBatchAppliesAtomically(t *testing.T) {
 
 func TestMemDBStatsCounters(t *testing.T) {
 	kv := NewMemDB()
-	kv.Put([]byte("a"), []byte("1"))
+	put(t, kv, "a", "1")
 	kv.Get([]byte("a"))      // hit
 	kv.Get([]byte("absent")) // miss
-	kv.Delete([]byte("a"))
+	del(t, kv, "a")
 	s := kv.Stats()
 	if s.Writes != 1 || s.Reads != 2 || s.Hits != 1 || s.Misses != 1 || s.Deletes != 1 {
 		t.Errorf("stats = %+v", s)
@@ -153,9 +180,7 @@ func TestConfigValidation(t *testing.T) {
 // replacement must survive that pattern — plus batch writers — under the
 // race detector.
 func TestConcurrentAccess(t *testing.T) {
-	for name, mk := range map[string]func() KV{
-		"mem": func() KV { return NewMemDB() },
-	} {
+	for name, mk := range backends() {
 		t.Run(name, func(t *testing.T) {
 			kv := mk()
 			const (
@@ -169,13 +194,14 @@ func TestConcurrentAccess(t *testing.T) {
 				go func(w int) {
 					defer wg.Done()
 					for i := 0; i < keys; i++ {
-						key := []byte(fmt.Sprintf("w%d-k%d", w, i))
-						kv.Put(key, []byte{byte(i)})
+						b := kv.NewBatch()
+						b.Put([]byte(fmt.Sprintf("w%d-k%d", w, i)), []byte{byte(i)})
 						if i%3 == 0 {
-							b := kv.NewBatch()
 							b.Put([]byte(fmt.Sprintf("w%d-b%d", w, i)), []byte{byte(i)})
 							b.Delete([]byte(fmt.Sprintf("w%d-k%d", w, i/2)))
-							b.Write()
+						}
+						if err := b.Write(); err != nil {
+							t.Error(err)
 						}
 					}
 				}(w)
@@ -208,73 +234,76 @@ func TestConcurrentAccess(t *testing.T) {
 }
 
 // TestBatchAtomicUnderConcurrentReaders is the -race witness that a
-// multi-shard batch commits as one unit even while readers are hammering
-// the store (PR 6 satellite). The writer commits every generation with
-// one batch that puts keyFirst as its first operation and keyLast as its
-// last, with filler keys between to spread the batch across shards. Each
-// reader loads keyFirst and then keyLast: because keyLast only ever
-// advances inside the same atomic batch as keyFirst, the later read must
-// never observe an older generation than the earlier one — a torn,
-// shard-by-shard application would expose exactly that window.
+// batch commits as one unit even while readers are hammering the store.
+// The writer commits every generation with one batch that puts keyFirst
+// as its first operation and keyLast as its last, with filler keys
+// between. Each reader loads keyFirst and then keyLast: because keyLast
+// only ever advances inside the same atomic batch as keyFirst, the later
+// read must never observe an older generation than the earlier one — an
+// op-by-op application would expose exactly that window.
 func TestBatchAtomicUnderConcurrentReaders(t *testing.T) {
-	m := NewMemDB()
-	keyFirst := []byte("atomic-first")
-	keyLast := []byte("atomic-last")
+	for name, mk := range backends() {
+		t.Run(name, func(t *testing.T) {
+			m := mk()
+			keyFirst := []byte("atomic-first")
+			keyLast := []byte("atomic-last")
 
-	stop := make(chan struct{})
-	torn := make(chan string, 1)
-	var wg sync.WaitGroup
-	for r := 0; r < 4; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				va, okA, err := m.Get(keyFirst)
-				if err != nil || !okA {
-					continue // no batch committed yet
-				}
-				genFirst := binary.BigEndian.Uint64(va)
-				vb, okB, err := m.Get(keyLast)
-				if err != nil || !okB {
-					select {
-					case torn <- fmt.Sprintf("keyFirst at gen %d but keyLast missing", genFirst):
-					default:
+			stop := make(chan struct{})
+			torn := make(chan string, 1)
+			var wg sync.WaitGroup
+			for r := 0; r < 4; r++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						va, okA, err := m.Get(keyFirst)
+						if err != nil || !okA {
+							continue // no batch committed yet
+						}
+						genFirst := binary.BigEndian.Uint64(va)
+						vb, okB, err := m.Get(keyLast)
+						if err != nil || !okB {
+							select {
+							case torn <- fmt.Sprintf("keyFirst at gen %d but keyLast missing", genFirst):
+							default:
+							}
+							return
+						}
+						if genLast := binary.BigEndian.Uint64(vb); genLast < genFirst {
+							select {
+							case torn <- fmt.Sprintf("torn batch observed: keyFirst gen %d, keyLast gen %d", genFirst, genLast):
+							default:
+							}
+							return
+						}
 					}
-					return
+				}()
+			}
+
+			for gen := uint64(1); gen <= 2000; gen++ {
+				v := binary.BigEndian.AppendUint64(nil, gen)
+				b := m.NewBatch()
+				b.Put(keyFirst, v)
+				for i := 0; i < 6; i++ {
+					b.Put([]byte{'f', 'i', 'l', 'l', byte(i)}, v)
 				}
-				if genLast := binary.BigEndian.Uint64(vb); genLast < genFirst {
-					select {
-					case torn <- fmt.Sprintf("torn batch observed: keyFirst gen %d, keyLast gen %d", genFirst, genLast):
-					default:
-					}
-					return
+				b.Put(keyLast, v)
+				if err := b.Write(); err != nil {
+					t.Fatalf("gen %d: %v", gen, err)
 				}
 			}
-		}()
-	}
-
-	for gen := uint64(1); gen <= 2000; gen++ {
-		v := binary.BigEndian.AppendUint64(nil, gen)
-		b := m.NewBatch()
-		b.Put(keyFirst, v)
-		for i := 0; i < 6; i++ { // spread the batch across shards
-			b.Put([]byte{'f', 'i', 'l', 'l', byte(i)}, v)
-		}
-		b.Put(keyLast, v)
-		if err := b.Write(); err != nil {
-			t.Fatalf("gen %d: %v", gen, err)
-		}
-	}
-	close(stop)
-	wg.Wait()
-	select {
-	case msg := <-torn:
-		t.Fatal(msg)
-	default:
+			close(stop)
+			wg.Wait()
+			select {
+			case msg := <-torn:
+				t.Fatal(msg)
+			default:
+			}
+		})
 	}
 }

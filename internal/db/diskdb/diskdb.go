@@ -2,14 +2,14 @@
 // append-only segment files of CRC-framed records, an in-memory key →
 // file-location index rebuilt by scanning the segments on open, segment
 // rotation at a size threshold, and tombstone records for deletes. There
-// is no compaction pass: segments are never rewritten or removed.
+// is no compaction pass: segments are never rewritten or removed. Every
+// write is a batch.
 //
 // The paper's measurement archive must survive node restarts (§3.1 —
 // export everything, then join); this backend is what lets forkserve
 // reopen the two simulated chains from disk instead of re-simulating
 // them. Crash consistency shapes the design:
 //
-//   - A plain Put/Delete is one record, appended and fsynced as a unit.
 //   - A Batch commits as one append of staged records followed by a
 //     commit record carrying the group's op count. Replay applies a
 //     staged group only when its commit record survives intact, so a
@@ -18,6 +18,10 @@
 //     or an imported run of blocks, state nodes and WAL record included
 //     — so a chain commit costs one append and one fsync, and a crash
 //     loses it whole.
+//   - Segments written by earlier builds may also hold plain put and
+//     tombstone records, each committed on its own. Nothing writes them
+//     any more, but replay and Get still read them, so those archives
+//     reopen.
 //   - On open, a torn tail (half-written frame, uncommitted group) is
 //     truncated away; a fully-framed record whose checksum fails is
 //     skipped; both count into db.Stats.Repairs.
@@ -366,8 +370,8 @@ func (d *DB) rotate() error {
 	return nil
 }
 
-// appendDurable appends one buffer (a record, or a whole staged group) to
-// the active segment and fsyncs it. On failure the file is truncated back
+// appendDurable appends one buffer (a batch's whole staged group) to the
+// active segment and fsyncs it. On failure the file is truncated back
 // to the pre-append offset so the next attempt lands on clean framing —
 // which is what makes a blind re-append from db.Retry safe. If even the
 // truncate repair fails, the medium is unwritable: degrade to read-only.
@@ -440,50 +444,6 @@ func (d *DB) Has(key []byte) (bool, error) {
 	return ok && !e.del, nil
 }
 
-// Put implements db.KV: one record, one append, one fsync.
-func (d *DB) Put(key, value []byte) error {
-	frame := appendRecord(nil, recPut, key, value)
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if err := d.writable(); err != nil {
-		return err
-	}
-	if err := d.rotate(); err != nil {
-		return err
-	}
-	off, err := d.appendDurable(frame)
-	if err != nil {
-		return err
-	}
-	d.apply(string(key), entry{seg: d.active.id, off: off, flen: int32(len(frame))})
-	d.writes.Add(1)
-	return nil
-}
-
-// Delete implements db.KV: appends a tombstone record. Deleting an
-// absent key is a no-op and writes nothing.
-func (d *DB) Delete(key []byte) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if err := d.writable(); err != nil {
-		return err
-	}
-	d.deletes.Add(1)
-	if e, ok := d.index[string(key)]; !ok || e.del {
-		return nil
-	}
-	if err := d.rotate(); err != nil {
-		return err
-	}
-	frame := appendRecord(nil, recDel, key, nil)
-	off, err := d.appendDurable(frame)
-	if err != nil {
-		return err
-	}
-	d.apply(string(key), entry{seg: d.active.id, off: off, flen: int32(len(frame)), del: true})
-	return nil
-}
-
 // Stats implements db.KV.
 func (d *DB) Stats() db.Stats {
 	d.mu.RLock()
@@ -544,29 +504,25 @@ type batchOp struct {
 }
 
 type diskBatch struct {
-	d    *DB
-	ops  []batchOp
-	size int
+	d   *DB
+	ops []batchOp
 }
 
 func (b *diskBatch) Put(key, value []byte) {
 	b.ops = append(b.ops, batchOp{key: string(key), value: value})
-	b.size += len(value)
 }
 
 func (b *diskBatch) Delete(key []byte) {
 	b.ops = append(b.ops, batchOp{key: string(key), del: true})
 }
 
-func (b *diskBatch) Len() int       { return len(b.ops) }
-func (b *diskBatch) ValueSize() int { return b.size }
+func (b *diskBatch) Len() int { return len(b.ops) }
 
 // Reset drops every queued op, zeroing them first so the kept backing
 // array pins none of their keys or values.
 func (b *diskBatch) Reset() {
 	clear(b.ops)
 	b.ops = b.ops[:0]
-	b.size = 0
 }
 
 // Write implements db.Batch: the whole group — staged records plus the

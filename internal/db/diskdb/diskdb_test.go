@@ -34,10 +34,31 @@ func reopenDir(t *testing.T, dir string, opts Options) *DB {
 	return d
 }
 
+// putKV writes one key through a one-op batch.
+func putKV(kv db.KV, k, v []byte) error {
+	b := kv.NewBatch()
+	b.Put(k, v)
+	return b.Write()
+}
+
+// deleteKV removes one key through a one-op batch.
+func deleteKV(kv db.KV, k []byte) error {
+	b := kv.NewBatch()
+	b.Delete(k)
+	return b.Write()
+}
+
 func mustPut(t *testing.T, d *DB, k, v string) {
 	t.Helper()
-	if err := d.Put([]byte(k), []byte(v)); err != nil {
-		t.Fatalf("Put(%q): %v", k, err)
+	if err := putKV(d, []byte(k), []byte(v)); err != nil {
+		t.Fatalf("put %q: %v", k, err)
+	}
+}
+
+func mustDelete(t *testing.T, d *DB, k string) {
+	t.Helper()
+	if err := deleteKV(d, []byte(k)); err != nil {
+		t.Fatalf("delete %q: %v", k, err)
 	}
 }
 
@@ -61,12 +82,8 @@ func TestRoundTripAndReopen(t *testing.T) {
 	mustPut(t, d, "alpha", "1")
 	mustPut(t, d, "beta", "2")
 	mustPut(t, d, "alpha", "3") // supersede
-	if err := d.Delete([]byte("beta")); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Delete([]byte("never-existed")); err != nil {
-		t.Fatal(err)
-	}
+	mustDelete(t, d, "beta")
+	mustDelete(t, d, "never-existed")
 	mustGet(t, d, "alpha", "3")
 	mustAbsent(t, d, "beta")
 	if ok, err := d.Has([]byte("alpha")); err != nil || !ok {
@@ -81,6 +98,30 @@ func TestRoundTripAndReopen(t *testing.T) {
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
+	// Every write was a batch: the segment holds staged records and
+	// commit records only, one group per write.
+	raw, err := os.ReadFile(filepath.Join(dir, segName(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	commits := 0
+	for off := 0; off < len(raw); {
+		rec, n, err := decodeRecord(raw[off:])
+		if err != nil {
+			t.Fatalf("record at %d: %v", off, err)
+		}
+		switch rec.kind {
+		case recStagedPut, recStagedDel:
+		case recCommit:
+			commits++
+		default:
+			t.Fatalf("record at %d has kind %d, want only staged and commit records", off, rec.kind)
+		}
+		off += n
+	}
+	if commits != 5 {
+		t.Fatalf("segment holds %d commit records, want 5", commits)
+	}
 
 	re := reopenDir(t, dir, Options{})
 	defer re.Close()
@@ -88,6 +129,64 @@ func TestRoundTripAndReopen(t *testing.T) {
 	mustAbsent(t, re, "beta")
 	if st := re.Stats(); st.Repairs != 0 {
 		t.Fatalf("clean reopen counted %d repairs", st.Repairs)
+	}
+}
+
+// TestPlainRecordsReplay: segments written by earlier builds hold plain
+// put and tombstone records, each committed on its own. Nothing writes
+// them any more, but such an archive reopens with newest-wins replay,
+// serves their values, and takes batches on top.
+func TestPlainRecordsReplay(t *testing.T) {
+	d, dir := openTmp(t, Options{})
+	d.Close()
+	old := appendRecord(nil, recPut, []byte("alpha"), []byte("1"))
+	old = appendRecord(old, recPut, []byte("beta"), []byte("2"))
+	old = appendRecord(old, recPut, []byte("alpha"), []byte("3"))
+	old = appendRecord(old, recDel, []byte("beta"), nil)
+	old = appendRecord(old, recPut, []byte("gamma"), []byte("4"))
+	appendRaw(t, dir, 1, old)
+
+	re := reopenDir(t, dir, Options{})
+	mustGet(t, re, "alpha", "3")
+	mustAbsent(t, re, "beta")
+	mustGet(t, re, "gamma", "4")
+	if st := re.Stats(); st.Entries != 2 || st.Repairs != 0 {
+		t.Fatalf("Entries = %d Repairs = %d, want 2 live keys and a clean replay", st.Entries, st.Repairs)
+	}
+	mustPut(t, re, "beta", "5")
+	mustDelete(t, re, "gamma")
+	re.Close()
+
+	re2 := reopenDir(t, dir, Options{})
+	defer re2.Close()
+	mustGet(t, re2, "alpha", "3")
+	mustGet(t, re2, "beta", "5")
+	mustAbsent(t, re2, "gamma")
+	if st := re2.Stats(); st.Entries != 2 || st.Repairs != 0 {
+		t.Fatalf("Entries = %d Repairs = %d after batches on a plain segment", st.Entries, st.Repairs)
+	}
+}
+
+// TestPlainRecordInterruptsGroup: a plain record between a staged group
+// and its commit record drops the group (and then the commit, which no
+// longer follows a group), while the plain record itself replays.
+func TestPlainRecordInterruptsGroup(t *testing.T) {
+	d, dir := openTmp(t, Options{})
+	mustPut(t, d, "safe", "durable")
+	d.Close()
+
+	group := appendRecord(nil, recStagedPut, []byte("ghost"), []byte("x"))
+	group = appendRecord(group, recPut, []byte("plain"), []byte("p"))
+	group = appendRecord(group, recCommit, nil, []byte{0, 0, 0, 1})
+	appendRaw(t, dir, 1, group)
+
+	re := reopenDir(t, dir, Options{})
+	defer re.Close()
+	mustGet(t, re, "safe", "durable")
+	mustGet(t, re, "plain", "p")
+	mustAbsent(t, re, "ghost")
+	if st := re.Stats(); st.Repairs != 2 {
+		t.Fatalf("Repairs = %d, want 2 (the interrupted group, the stray commit)", st.Repairs)
 	}
 }
 
@@ -150,14 +249,16 @@ func appendRaw(t *testing.T, dir string, seg uint64, raw []byte) {
 	}
 }
 
+// TestTornTailTruncatedOnOpen: an earlier build's segment of plain
+// records whose last append tore.
 func TestTornTailTruncatedOnOpen(t *testing.T) {
 	d, dir := openTmp(t, Options{})
-	mustPut(t, d, "safe", "durable")
 	d.Close()
 
 	// Half a frame: a valid header claiming more payload than exists.
+	raw := appendRecord(nil, recPut, []byte("safe"), []byte("durable"))
 	torn := appendRecord(nil, recPut, []byte("torn"), []byte("lost-value"))
-	appendRaw(t, dir, 1, torn[:len(torn)-4])
+	appendRaw(t, dir, 1, append(raw, torn[:len(torn)-4]...))
 
 	re := reopenDir(t, dir, Options{})
 	defer re.Close()
@@ -215,11 +316,13 @@ func TestCommitCountMismatchDropsGroup(t *testing.T) {
 	}
 }
 
+// TestChecksumSkipMidFile: a rotted plain record mid-file is skipped and
+// the records after it replay.
 func TestChecksumSkipMidFile(t *testing.T) {
 	d, dir := openTmp(t, Options{})
-	mustPut(t, d, "victim", "will-rot")
-	mustPut(t, d, "survivor", "fine")
 	d.Close()
+	raw := appendRecord(nil, recPut, []byte("victim"), []byte("will-rot"))
+	appendRaw(t, dir, 1, appendRecord(raw, recPut, []byte("survivor"), []byte("fine")))
 
 	// Rot one bit inside the first record's value, mid-file.
 	path := filepath.Join(dir, segName(1))
@@ -253,9 +356,7 @@ func TestSupersededRecordsAcrossSegments(t *testing.T) {
 			mustPut(t, d, fmt.Sprintf("k%d", i), fmt.Sprintf("r%d-%d", round, i))
 		}
 	}
-	if err := d.Delete([]byte("k3")); err != nil {
-		t.Fatal(err)
-	}
+	mustDelete(t, d, "k3")
 	segs := d.Segments()
 	if segs < 2 {
 		t.Fatalf("want the versions spread over several segments, have %d", segs)
@@ -329,8 +430,8 @@ func TestRetryAbsorbsInjectedFaults(t *testing.T) {
 	}
 	kv := db.NewRetry(d, 64)
 	for i := 0; i < 60; i++ {
-		if err := kv.Put([]byte(fmt.Sprintf("k%02d", i)), []byte(fmt.Sprintf("v%02d", i))); err != nil {
-			t.Fatalf("Put through faults: %v", err)
+		if err := putKV(kv, []byte(fmt.Sprintf("k%02d", i)), []byte(fmt.Sprintf("v%02d", i))); err != nil {
+			t.Fatalf("put through faults: %v", err)
 		}
 	}
 	for i := 0; i < 60; i++ {
@@ -354,8 +455,8 @@ func TestRetryAbsorbsInjectedFaults(t *testing.T) {
 }
 
 // TestRetryAbsorbsInjectedErrors: at a 50% error rate on every read,
-// append and sync, each kind of store operation — Put, Get, Has,
-// Delete and a batch Write — still succeeds through db.Retry.
+// append and sync, each kind of store operation — Get, Has, and batch
+// Writes of puts, deletes and both — still succeeds through db.Retry.
 func TestRetryAbsorbsInjectedErrors(t *testing.T) {
 	ffs := faultfile.Wrap(dbfs.NewMemFS(), faultfile.Faults{Seed: 11, ReadErrRate: 0.5, WriteErrRate: 0.5})
 	d, err := Open(ffs, Options{})
@@ -369,8 +470,8 @@ func TestRetryAbsorbsInjectedErrors(t *testing.T) {
 	kv := db.NewRetry(d, 64)
 	for i := 0; i < 40; i++ {
 		key := []byte{0x70, byte(i)}
-		if err := kv.Put(key, []byte{byte(i)}); err != nil {
-			t.Fatalf("Put %d through retry: %v", i, err)
+		if err := putKV(kv, key, []byte{byte(i)}); err != nil {
+			t.Fatalf("put %d through retry: %v", i, err)
 		}
 		v, ok, err := kv.Get(key)
 		if err != nil || !ok || !bytes.Equal(v, []byte{byte(i)}) {
@@ -388,8 +489,8 @@ func TestRetryAbsorbsInjectedErrors(t *testing.T) {
 		if ok, err := kv.Has([]byte{0x71, byte(i)}); err != nil || !ok {
 			t.Fatalf("Has %d after batch put: %v %v, want present", i, ok, err)
 		}
-		if err := kv.Delete([]byte{0x71, byte(i)}); err != nil {
-			t.Fatalf("Delete %d through retry: %v", i, err)
+		if err := deleteKV(kv, []byte{0x71, byte(i)}); err != nil {
+			t.Fatalf("delete %d through retry: %v", i, err)
 		}
 	}
 	if len(ffs.Journal()) == 0 {
@@ -424,7 +525,7 @@ func faultWorkload(t *testing.T, plan faultfile.Faults) (int, []faultfile.Event)
 		var err error
 		switch i % 4 {
 		case 0:
-			err = d.Put(key, val)
+			err = putKV(d, key, val)
 		case 1:
 			_, _, err = d.Get(key)
 		case 2:
@@ -480,16 +581,23 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-// countingKV counts the Puts that reach the store, to observe how often
-// a db.Retry above it re-issues one.
+// countingKV counts the batch Writes that reach the store, to observe
+// how often a db.Retry above it re-issues one.
 type countingKV struct {
 	db.KV
-	puts int
+	writes int
 }
 
-func (c *countingKV) Put(key, value []byte) error {
-	c.puts++
-	return c.KV.Put(key, value)
+func (c *countingKV) NewBatch() db.Batch { return &countingBatch{Batch: c.KV.NewBatch(), c: c} }
+
+type countingBatch struct {
+	db.Batch
+	c *countingKV
+}
+
+func (b *countingBatch) Write() error {
+	b.c.writes++
+	return b.Batch.Write()
 }
 
 // TestRetryPassesCrashThrough: a crashed medium fails a write for good,
@@ -503,11 +611,11 @@ func TestRetryPassesCrashThrough(t *testing.T) {
 	defer d.Close()
 	counter := &countingKV{KV: d}
 	ffs.Crash()
-	if err := db.NewRetry(counter, 10).Put([]byte("k"), []byte("v")); err == nil || db.IsTransient(err) {
-		t.Fatalf("Put on a crashed medium through retry = %v, want a permanent error", err)
+	if err := putKV(db.NewRetry(counter, 10), []byte("k"), []byte("v")); err == nil || db.IsTransient(err) {
+		t.Fatalf("write on a crashed medium through retry = %v, want a permanent error", err)
 	}
-	if counter.puts != 1 {
-		t.Fatalf("retry issued %d attempts against a crashed medium, want 1 (fatal errors pass through)", counter.puts)
+	if counter.writes != 1 {
+		t.Fatalf("retry issued %d attempts against a crashed medium, want 1 (fatal errors pass through)", counter.writes)
 	}
 }
 
@@ -566,19 +674,20 @@ func TestDegradeToReadOnly(t *testing.T) {
 	mustPut(t, d, "b", "2")
 	mustPut(t, d, "c", "3")
 
-	err = d.Put([]byte("d"), []byte("4"))
+	err = putKV(d, []byte("d"), []byte("4"))
 	if !errors.Is(err, db.ErrReadOnly) {
-		t.Fatalf("Put on bricked medium = %v, want ErrReadOnly", err)
+		t.Fatalf("write on bricked medium = %v, want ErrReadOnly", err)
 	}
 	if db.IsTransient(err) {
 		t.Fatal("ErrReadOnly must not be transient (retrying a dead disk is pointless)")
 	}
-	// Every further write fails the same way; batches too.
-	if err := d.Delete([]byte("a")); !errors.Is(err, db.ErrReadOnly) {
-		t.Fatalf("Delete after degrade = %v", err)
+	// Every further write fails the same way.
+	if err := deleteKV(d, []byte("a")); !errors.Is(err, db.ErrReadOnly) {
+		t.Fatalf("delete after degrade = %v", err)
 	}
 	b := d.NewBatch()
 	b.Put([]byte("e"), []byte("5"))
+	b.Delete([]byte("b"))
 	if err := b.Write(); !errors.Is(err, db.ErrReadOnly) {
 		t.Fatalf("batch Write after degrade = %v", err)
 	}
@@ -598,7 +707,7 @@ func TestOpenThroughDBConfig(t *testing.T) {
 	if err != nil {
 		t.Fatalf("db.Open(disk): %v", err)
 	}
-	if err := kv.Put([]byte("k"), []byte("v")); err != nil {
+	if err := putKV(kv, []byte("k"), []byte("v")); err != nil {
 		t.Fatal(err)
 	}
 	if d, ok := kv.(*DB); !ok {
@@ -627,8 +736,8 @@ func TestClosedStoreRefusesUse(t *testing.T) {
 	if _, _, err := d.Get([]byte("k")); !errors.Is(err, errClosed) {
 		t.Fatalf("Get after Close = %v", err)
 	}
-	if err := d.Put([]byte("k"), []byte("v")); !errors.Is(err, errClosed) {
-		t.Fatalf("Put after Close = %v", err)
+	if err := putKV(d, []byte("k"), []byte("v")); !errors.Is(err, errClosed) {
+		t.Fatalf("write after Close = %v", err)
 	}
 	if err := d.Close(); err != nil {
 		t.Fatalf("double Close = %v", err)

@@ -61,8 +61,8 @@ func FuzzScanSegment(f *testing.F) {
 			return // an unreadable medium may refuse to open; it must not panic
 		}
 		defer d.Close()
-		if err := d.Put([]byte("post-open"), []byte("works")); err != nil {
-			t.Fatalf("Put after scanning arbitrary segment: %v", err)
+		if err := putKV(d, []byte("post-open"), []byte("works")); err != nil {
+			t.Fatalf("write after scanning arbitrary segment: %v", err)
 		}
 		v, ok, err := d.Get([]byte("post-open"))
 		if err != nil || !ok || string(v) != "works" {

@@ -16,16 +16,17 @@ import (
 //	    key         [len(key)]byte
 //	    value       rest of the payload
 //
-// Record kinds. Plain puts and tombstones commit individually (one
-// Append+Sync per record). A batch commits as one Append+Sync of staged
-// records followed by a commit record carrying the group's operation
-// count — the single durable commit point of the group, and so of the
-// chain commit it carries: replay applies a staged group only when its commit
-// record survives with a matching count, so a torn batch write is
-// indistinguishable from a batch that never happened.
+// Record kinds. Every write is a batch, committed as one Append+Sync of
+// staged records followed by a commit record carrying the group's
+// operation count — the single durable commit point of the group, and so
+// of the chain commit it carries: replay applies a staged group only when
+// its commit record survives with a matching count, so a torn batch write
+// is indistinguishable from a batch that never happened. Plain puts and
+// tombstones, each committed on its own, are only read: segments written
+// by earlier builds hold them.
 const (
-	recPut       = byte(1) // individually committed put
-	recDel       = byte(2) // individually committed tombstone
+	recPut       = byte(1) // individually committed put (read only)
+	recDel       = byte(2) // individually committed tombstone (read only)
 	recStagedPut = byte(3) // put inside a batch group
 	recStagedDel = byte(4) // tombstone inside a batch group
 	recCommit    = byte(5) // batch commit marker; value = op count uint32 BE

@@ -74,8 +74,8 @@ func TestBatchPutAliasesValue(t *testing.T) {
 	if per := (after.TotalAlloc - before.TotalAlloc) / puts; per > 4<<10 {
 		t.Errorf("Put of a 1 MiB value allocates %d bytes, want well under 1 MiB", per)
 	}
-	if b.ValueSize() != puts<<20 {
-		t.Errorf("ValueSize = %d, want %d", b.ValueSize(), puts<<20)
+	if b.Len() != puts {
+		t.Errorf("Len = %d, want %d", b.Len(), puts)
 	}
 	if err := b.Write(); err != nil {
 		t.Fatal(err)

@@ -40,10 +40,12 @@ func requireReclaimed(t *testing.T, ptrs []weak.Pointer[byte]) {
 // kept can still reach their values.
 func forget(t *testing.T, m *MemDB, n int) {
 	t.Helper()
+	b := m.NewBatch()
 	for i := 0; i < n; i++ {
-		if err := m.Delete(retentionKey(i)); err != nil {
-			t.Fatal(err)
-		}
+		b.Delete(retentionKey(i))
+	}
+	if err := b.Write(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -91,24 +93,8 @@ func TestWrittenValuesAreNotPinned(t *testing.T) {
 		forget(t, m, n)
 		requireReclaimed(t, ptrs)
 		runtime.KeepAlive(b)
-	})
-	t.Run("coalescer_put_flush", func(t *testing.T) {
-		m := NewMemDB()
-		c := NewCoalescer(m)
-		ptrs := putFresh(n, func(k, v []byte) {
-			if err := c.Put(k, v); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if err := c.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		forget(t, m, n)
-		requireReclaimed(t, ptrs)
 		// The emptied overlay still takes writes.
-		if err := c.Put([]byte("again"), []byte("1")); err != nil {
-			t.Fatal(err)
-		}
+		put(t, c, "again", "1")
 		if v, ok, _ := c.Get([]byte("again")); !ok || string(v) != "1" {
 			t.Fatalf("overlay after flush: Get = %q %v", v, ok)
 		}
@@ -146,12 +132,8 @@ func (b *failingBatch) Write() error {
 func TestCoalescerFailedFlushKeepsOverlay(t *testing.T) {
 	inner := &failingKV{MemDB: NewMemDB(), fail: true}
 	c := NewCoalescer(inner)
-	if err := c.Put([]byte("a"), []byte("1")); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Delete([]byte("b")); err != nil {
-		t.Fatal(err)
-	}
+	put(t, c, "a", "1")
+	del(t, c, "b")
 	if err := c.Flush(); err == nil {
 		t.Fatal("Flush over a failing batch succeeded")
 	}

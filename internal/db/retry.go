@@ -13,9 +13,8 @@ package db
 // retriable hiccups a flaky device produces into either clean success or
 // a single, meaningful failure.
 //
-// Operations are idempotent at this interface (Put/Delete/batch apply;
-// for the log-structured disk backend a re-run append is superseded by
-// newest-wins replay), so re-running a partially-observed attempt is
+// Operations are idempotent at this interface (a read, or a batch Write,
+// which on failure applied nothing), so re-running a failed attempt is
 // always safe.
 type Retry struct {
 	inner    KV
@@ -58,16 +57,6 @@ func (r *Retry) Has(key []byte) (ok bool, err error) {
 	return ok, err
 }
 
-// Put implements KV.
-func (r *Retry) Put(key, value []byte) error {
-	return r.do(func() error { return r.inner.Put(key, value) })
-}
-
-// Delete implements KV.
-func (r *Retry) Delete(key []byte) error {
-	return r.do(func() error { return r.inner.Delete(key) })
-}
-
 // Stats implements KV.
 func (r *Retry) Stats() Stats { return r.inner.Stats() }
 
@@ -82,7 +71,6 @@ type retryBatch struct {
 func (b *retryBatch) Put(key, value []byte) { b.inner.Put(key, value) }
 func (b *retryBatch) Delete(key []byte)     { b.inner.Delete(key) }
 func (b *retryBatch) Len() int              { return b.inner.Len() }
-func (b *retryBatch) ValueSize() int        { return b.inner.ValueSize() }
 func (b *retryBatch) Reset()                { b.inner.Reset() }
 
 func (b *retryBatch) Write() error {

@@ -32,46 +32,60 @@ func (f *flakyKV) Get(key []byte) ([]byte, bool, error) {
 	}
 	return f.inner.Get(key)
 }
-func (f *flakyKV) Put(key, value []byte) error {
-	if f.fail() {
-		return stubTransient{}
-	}
-	return f.inner.Put(key, value)
-}
 func (f *flakyKV) Has(key []byte) (bool, error) {
 	if f.fail() {
 		return false, stubTransient{}
 	}
 	return f.inner.Has(key)
 }
-func (f *flakyKV) Delete(key []byte) error {
-	if f.fail() {
+func (f *flakyKV) NewBatch() Batch { return &flakyBatch{Batch: f.inner.NewBatch(), f: f} }
+func (f *flakyKV) Stats() Stats    { return f.inner.Stats() }
+
+// flakyBatch fails its Write, applying nothing, while its store's budget
+// lasts.
+type flakyBatch struct {
+	Batch
+	f *flakyKV
+}
+
+func (b *flakyBatch) Write() error {
+	if b.f.fail() {
 		return stubTransient{}
 	}
-	return f.inner.Delete(key)
+	return b.Batch.Write()
 }
-func (f *flakyKV) NewBatch() Batch { return f.inner.NewBatch() }
-func (f *flakyKV) Stats() Stats    { return f.inner.Stats() }
 
 // TestRetryAbsorbsBoundedFaults: Retry re-attempts transient errors up to
 // the budget and surfaces the fault when the budget is spent.
 func TestRetryAbsorbsBoundedFaults(t *testing.T) {
 	f := &flakyKV{inner: NewMemDB(), failures: 3}
 	r := NewRetry(f, 4)
-	if err := r.Put([]byte("k"), []byte("v")); err != nil {
-		t.Fatalf("Put with 3 faults under 4 attempts: %v", err)
+	b := r.NewBatch()
+	b.Put([]byte("k"), []byte("v"))
+	if err := b.Write(); err != nil {
+		t.Fatalf("Write with 3 faults under 4 attempts: %v", err)
 	}
 	if f.calls != 4 {
 		t.Fatalf("attempts = %d, want 4", f.calls)
 	}
+	if v, ok, err := r.Get([]byte("k")); err != nil || !ok || string(v) != "v" {
+		t.Fatalf("Get after the retried Write = %q %v %v", v, ok, err)
+	}
 
 	f.failures = 4
 	f.calls = 0
-	err := r.Put([]byte("k"), []byte("v2"))
+	b.Put([]byte("k"), []byte("v2"))
+	err := b.Write()
 	if !IsTransient(err) {
 		t.Fatalf("exhausted budget returned %v, want the transient fault", err)
 	}
 	if f.calls != 4 {
 		t.Fatalf("attempts = %d, want 4 (budget)", f.calls)
+	}
+	if b.Len() != 1 {
+		t.Fatalf("failed Write left Len %d, want the op still queued", b.Len())
+	}
+	if v, _, _ := f.inner.Get([]byte("k")); string(v) != "v" {
+		t.Fatalf("failed Write applied %q", v)
 	}
 }

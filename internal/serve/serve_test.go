@@ -258,12 +258,14 @@ func TestCloseThenOpen(t *testing.T) {
 				t.Fatalf("second close: %v", err)
 			}
 			for _, led := range ledgers {
-				// The coalescer only stages a Put; the flush is the store write.
+				// The coalescer only stages a batch; the flush is the store write.
 				coal, ok := led.(*sim.FullLedger).BC.DB().(*db.Coalescer)
 				if !ok {
 					t.Fatalf("store is %T, want the engine's *db.Coalescer", led.(*sim.FullLedger).BC.DB())
 				}
-				if err := coal.Put([]byte("after-close"), []byte{1}); err != nil {
+				b := coal.NewBatch()
+				b.Put([]byte("after-close"), []byte{1})
+				if err := b.Write(); err != nil {
 					t.Fatal(err)
 				}
 				if err := coal.Flush(); err == nil {

@@ -46,7 +46,7 @@ type Scenario struct {
 	Epoch uint64
 	// Storage selects the key-value backend each full-fidelity chain
 	// persists through (trie nodes, blocks, receipts). The zero value is
-	// the default sharded in-memory store; ModeFast keeps no chain
+	// the default in-memory store; ModeFast keeps no chain
 	// storage and ignores it.
 	Storage db.Config
 	// StorageFaults injects deterministic storage faults into every

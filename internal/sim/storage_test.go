@@ -83,9 +83,23 @@ func layersOf(t *testing.T, st *ChainStore) []string {
 	return out
 }
 
+// putKV writes one key through a one-op batch.
+func putKV(kv db.KV, k, v []byte) error {
+	b := kv.NewBatch()
+	b.Put(k, v)
+	return b.Write()
+}
+
+// deleteKV removes one key through a one-op batch.
+func deleteKV(kv db.KV, k []byte) error {
+	b := kv.NewBatch()
+	b.Delete(k)
+	return b.Write()
+}
+
 func mustPut(t *testing.T, st *ChainStore, k, v string) {
 	t.Helper()
-	if err := st.KV().Put([]byte(k), []byte(v)); err != nil {
+	if err := putKV(st.KV(), []byte(k), []byte(v)); err != nil {
 		t.Fatalf("Put(%s): %v", k, err)
 	}
 	if err := st.flush(); err != nil {
@@ -145,7 +159,7 @@ func TestChainStoreStacks(t *testing.T) {
 			// A Coalescer sits over the backend: a write reaches the backend
 			// at the flush, not before.
 			if st.coal != nil {
-				if err := st.KV().Put([]byte("staged"), []byte("s")); err != nil {
+				if err := putKV(st.KV(), []byte("staged"), []byte("s")); err != nil {
 					t.Fatal(err)
 				}
 				if ok, err := st.backend.Has([]byte("staged")); ok || err != nil {
@@ -167,7 +181,7 @@ func TestChainStoreStacks(t *testing.T) {
 			st.EnableFaults(true)
 			if row.faults.Enabled() {
 				retryAbsorbs(t, row)
-				if err := st.KV().Put([]byte("k"), []byte("v")); !db.IsTransient(err) {
+				if err := putKV(st.KV(), []byte("k"), []byte("v")); !db.IsTransient(err) {
 					t.Fatalf("Put with injection on = %v, want the injected transient error", err)
 				}
 				if _, _, err := st.KV().Get([]byte("genesis")); !db.IsTransient(err) {
@@ -183,7 +197,7 @@ func TestChainStoreStacks(t *testing.T) {
 				// as the engine does.
 				before := st.backend
 				st.armCrash(0)
-				if err := st.KV().Put([]byte("torn"), []byte("x")); err == nil || db.IsTransient(err) {
+				if err := putKV(st.KV(), []byte("torn"), []byte("x")); err == nil || db.IsTransient(err) {
 					t.Fatalf("Put on an armed store = %v, want a crash", err)
 				}
 				if !st.crashed() {
@@ -209,7 +223,7 @@ func TestChainStoreStacks(t *testing.T) {
 				}
 				// Injection is on again once the scan is done.
 				if row.faults.Enabled() {
-					if err := st.KV().Put([]byte("k2"), []byte("v")); !db.IsTransient(err) {
+					if err := putKV(st.KV(), []byte("k2"), []byte("v")); !db.IsTransient(err) {
 						t.Fatalf("Put after restart = %v: injection did not resume", err)
 					}
 				}
@@ -234,7 +248,7 @@ func TestChainStoreStacks(t *testing.T) {
 			if !row.disk {
 				return
 			}
-			err = st.KV().Put([]byte("after"), []byte("x"))
+			err = putKV(st.KV(), []byte("after"), []byte("x"))
 			if err == nil {
 				err = st.flush()
 			}
@@ -302,7 +316,7 @@ func TestEngineInjectionStartsAfterGenesis(t *testing.T) {
 			}
 			defer eng.Close()
 			for _, p := range eng.parts {
-				if err := p.storage.KV().Put([]byte("k"), []byte("v")); !db.IsTransient(err) {
+				if err := putKV(p.storage.KV(), []byte("k"), []byte("v")); !db.IsTransient(err) {
 					t.Fatalf("%s: Put after New = %v, want the injected transient error", p.name, err)
 				}
 			}
@@ -330,7 +344,8 @@ func TestRetryAttemptsDerived(t *testing.T) {
 }
 
 // TestChainStoreMatchesModel drives every stack with a seeded random
-// Put/Delete/Batch/Flush/close/reopen sequence and checks it against a
+// put/delete/batch/flush/close/reopen sequence (a put or delete is a
+// one-op batch) and checks it against a
 // map. Fault rates are zero (the fault-stack rows are armed by a crash
 // schedule or a stall-only plan), so the model is exact: a write is
 // visible at once, durable at once on the write-through stacks and at the
@@ -377,11 +392,11 @@ func TestChainStoreMatchesModel(t *testing.T) {
 				switch n := r.Intn(100); {
 				case n < 45:
 					k, v := key(), val()
-					err = st.KV().Put(k, v)
+					err = putKV(st.KV(), k, v)
 					put(k, v)
 				case n < 60:
 					k := key()
-					err = st.KV().Delete(k)
+					err = deleteKV(st.KV(), k)
 					del(k)
 				case n < 80:
 					b := st.KV().NewBatch()

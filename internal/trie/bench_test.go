@@ -24,7 +24,7 @@ func benchEntries(n int) ([][]byte, [][]byte) {
 }
 
 // BenchmarkTrieCommit measures building a 256-entry trie and committing it
-// through a single batch into the sharded store — the per-block cost of a
+// through a single batch into the in-memory store — the per-block cost of a
 // full-mode state commit.
 func BenchmarkTrieCommit(b *testing.B) {
 	keys, vals := benchEntries(256)

@@ -26,8 +26,8 @@ import (
 // The WAL record is the commit's chain records as one checksummed value
 // under a WAL slot key; the watermark ('w'+'a' -> seq) names the newest
 // record whose records have fully applied. Every store in this repository
-// writes a batch atomically — diskdb commits it as one append, and its
-// recovery scan drops a torn append whole — but a device that tore a
+// writes a batch atomically — diskdb commits it behind one commit record,
+// and its recovery scan drops a torn group whole — but a device that tore a
 // batch mid-write could leave any prefix of it applied, and every prefix
 // is one recovery resolves (the WAL tests drive such a device):
 //
@@ -46,7 +46,7 @@ import (
 //     "repaired" backwards by replaying its predecessor.
 //
 // A crash therefore loses whole commits — on the import path a whole run —
-// and never half of one. (diskdb batches go further: one append behind a
+// and never half of one. (diskdb batches go further: one group behind a
 // commit marker, so a torn one is dropped whole on open and case 1 is the
 // only one a disk crash produces.)
 //

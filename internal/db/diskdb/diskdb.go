@@ -10,14 +10,15 @@
 // reopen the two simulated chains from disk instead of re-simulating
 // them. Crash consistency shapes the design:
 //
-//   - A Batch commits as one append of staged records followed by a
-//     commit record carrying the group's op count. Replay applies a
-//     staged group only when its commit record survives intact, so a
-//     batch torn anywhere is a batch that never happened. The chain
-//     hands the store one batch per commit — a mined or inserted block,
-//     or an imported run of blocks, state nodes and WAL record included
-//     — so a chain commit costs one append and one fsync, and a crash
-//     loses it whole.
+//   - A Batch commits as staged records followed by a commit record
+//     carrying the group's op count, appended in chunks of at most
+//     chunkBytes and then fsynced once. Replay applies a staged group
+//     only when its commit record survives intact, so a batch torn
+//     anywhere is a batch that never happened. The chain hands the store
+//     one batch per commit — a mined or inserted block, or an imported
+//     run of blocks, state nodes and WAL record included — so a chain
+//     commit costs one fsync (and one append unless it passes
+//     chunkBytes), and a crash loses it whole.
 //   - Segments written by earlier builds may also hold plain put and
 //     tombstone records, each committed on its own. Nothing writes them
 //     any more, but replay and Get still read them, so those archives
@@ -25,8 +26,8 @@
 //   - On open, a torn tail (half-written frame, uncommitted group) is
 //     truncated away; a fully-framed record whose checksum fails is
 //     skipped; both count into db.Stats.Repairs.
-//   - A failed append is repaired by truncating back to the pre-append
-//     offset before the (transient) error is returned, so a db.Retry
+//   - A failed append is repaired by truncating back to the group's
+//     start before the (transient) error is returned, so a db.Retry
 //     re-append lands on clean framing. If the repair itself fails the
 //     store degrades to read-only (db.ErrReadOnly) instead of panicking:
 //     reads keep serving the archive while writes report the dead disk.
@@ -40,6 +41,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -60,6 +62,11 @@ func NewOSFS(dir string) (FS, error) { return dbfs.NewOSFS(dir) }
 // DefaultSegmentBytes is the rotation threshold when Options.SegmentBytes
 // is zero.
 const DefaultSegmentBytes = 4 << 20
+
+// chunkBytes bounds one append of a batch group. A group is framed into
+// one buffer of at most this size, appended each time it fills, so a
+// write never holds a second copy of the batch's values.
+const chunkBytes = 1 << 20
 
 // Options parameterises a store.
 type Options struct {
@@ -370,19 +377,30 @@ func (d *DB) rotate() error {
 	return nil
 }
 
-// appendDurable appends one buffer (a batch's whole staged group) to the
-// active segment and fsyncs it. On failure the file is truncated back
-// to the pre-append offset so the next attempt lands on clean framing —
-// which is what makes a blind re-append from db.Retry safe. If even the
-// truncate repair fails, the medium is unwritable: degrade to read-only.
-// Caller holds d.mu.
-func (d *DB) appendDurable(buf []byte) (int64, error) {
+// appendGroup appends a batch's staged group — one frame per op, then
+// the commit record carrying count — to the active segment in chunks of
+// at most chunkBytes, then fsyncs once. total is the group's framed
+// size. On failure the file is truncated back to the group's start so
+// the next attempt lands on clean framing — which is what makes a blind
+// re-append from db.Retry safe. If even the truncate repair fails, the
+// medium is unwritable: degrade to read-only. Caller holds d.mu.
+func (d *DB) appendGroup(ops []batchOp, count []byte, total int) (int64, error) {
 	seg := d.active
 	off := seg.size
-	_, err := seg.f.Append(buf)
+	w := groupWriter{f: seg.f, buf: make([]byte, 0, min(total, chunkBytes))}
+	for _, op := range ops {
+		kind := recStagedPut
+		if op.del {
+			kind = recStagedDel
+		}
+		w.frame(kind, op.key, op.value)
+	}
+	w.frame(recCommit, "", count)
+	w.flush()
+	err := w.err
 	if err == nil {
 		if err = seg.f.Sync(); err == nil {
-			seg.size += int64(len(buf))
+			seg.size += int64(total)
 			return off, nil
 		}
 	}
@@ -526,8 +544,8 @@ func (b *diskBatch) Reset() {
 }
 
 // Write implements db.Batch: the whole group — staged records plus the
-// commit record — goes down in a single append+fsync, so the commit
-// record's durability is the batch's single commit point.
+// commit record — is appended in chunks and then fsynced once, and the
+// commit record, last, is the batch's single commit point.
 func (b *diskBatch) Write() error {
 	if len(b.ops) == 0 {
 		return nil
@@ -538,15 +556,6 @@ func (b *diskBatch) Write() error {
 	for _, op := range b.ops {
 		total += frameSize(op.key, op.value)
 	}
-	buf := make([]byte, 0, total)
-	for _, op := range b.ops {
-		kind := recStagedPut
-		if op.del {
-			kind = recStagedDel
-		}
-		buf = appendFrame(buf, kind, op.key, op.value)
-	}
-	buf = appendRecord(buf, recCommit, nil, count[:])
 
 	d := b.d
 	d.mu.Lock()
@@ -557,7 +566,7 @@ func (b *diskBatch) Write() error {
 	if err := d.rotate(); err != nil {
 		return err
 	}
-	off, err := d.appendDurable(buf)
+	off, err := d.appendGroup(b.ops, count[:], total)
 	if err != nil {
 		return err
 	}
@@ -574,4 +583,58 @@ func (b *diskBatch) Write() error {
 	}
 	b.Reset()
 	return nil
+}
+
+// groupWriter frames a group's records into buf and appends buf to f
+// each time the next frame does not fit. A frame larger than buf is
+// streamed through it in buf-sized pieces. The first failed append
+// sticks in err, and nothing is appended after it.
+type groupWriter struct {
+	f   File
+	buf []byte
+	err error
+}
+
+func (w *groupWriter) frame(kind byte, key string, value []byte) {
+	size := frameSize(key, value)
+	if size > cap(w.buf)-len(w.buf) {
+		w.flush()
+		if size > cap(w.buf) {
+			w.stream(kind, key, value)
+			return
+		}
+	}
+	w.buf = appendFrame(w.buf, kind, key, value)
+}
+
+// stream writes one frame too large for buf: its header, with the
+// checksum taken over the payload in place, then key and value.
+func (w *groupWriter) stream(kind byte, key string, value []byte) {
+	var hdr [frameHeader + payloadHeader]byte
+	binary.BigEndian.PutUint32(hdr[4:], uint32(payloadHeader+len(key)+len(value)))
+	hdr[frameHeader] = kind
+	binary.BigEndian.PutUint32(hdr[frameHeader+1:], uint32(len(key)))
+	k := []byte(key)
+	crc := crc32.ChecksumIEEE(hdr[frameHeader:])
+	crc = crc32.Update(crc, crc32.IEEETable, k)
+	crc = crc32.Update(crc, crc32.IEEETable, value)
+	binary.BigEndian.PutUint32(hdr[:], crc)
+	for _, p := range [][]byte{hdr[:], k, value} {
+		for len(p) > 0 {
+			if len(w.buf) == cap(w.buf) {
+				w.flush()
+			}
+			n := min(len(p), cap(w.buf)-len(w.buf))
+			w.buf = append(w.buf, p[:n]...)
+			p = p[n:]
+		}
+	}
+}
+
+// flush appends what buf holds and empties it.
+func (w *groupWriter) flush() {
+	if w.err == nil && len(w.buf) > 0 {
+		_, w.err = w.f.Append(w.buf)
+	}
+	w.buf = w.buf[:0]
 }

@@ -161,7 +161,8 @@ func (s *FS) WriteOps() uint64 {
 // CrashAtWriteOp arms a crash: the n-th append of the medium's life (see
 // WriteOps for the current count) tears — a random strict prefix lands —
 // and the medium dies. Every subsequent operation fails with ErrCrashed
-// until Reopen.
+// until Reopen. diskdb appends a batch group in chunks of at most 1 MiB,
+// so a larger group counts one append per chunk.
 func (s *FS) CrashAtWriteOp(n uint64) {
 	s.mu.Lock()
 	s.crashAtWrite = n

@@ -16,14 +16,14 @@ import (
 //	    key         [len(key)]byte
 //	    value       rest of the payload
 //
-// Record kinds. Every write is a batch, committed as one Append+Sync of
-// staged records followed by a commit record carrying the group's
-// operation count — the single durable commit point of the group, and so
-// of the chain commit it carries: replay applies a staged group only when
-// its commit record survives with a matching count, so a torn batch write
-// is indistinguishable from a batch that never happened. Plain puts and
-// tombstones, each committed on its own, are only read: segments written
-// by earlier builds hold them.
+// Record kinds. Every write is a batch: staged records followed by a
+// commit record carrying the group's operation count, appended in chunks
+// and fsynced once. The commit record is the single durable commit point
+// of the group, and so of the chain commit it carries: replay applies a
+// staged group only when its commit record survives with a matching
+// count, so a torn batch write is indistinguishable from a batch that
+// never happened. Plain puts and tombstones, each committed on its own,
+// are only read: segments written by earlier builds hold them.
 const (
 	recPut       = byte(1) // individually committed put (read only)
 	recDel       = byte(2) // individually committed tombstone (read only)
@@ -60,13 +60,9 @@ type record struct {
 	value []byte // aliases the input buffer
 }
 
-// appendRecord appends the frame for one record to dst.
-func appendRecord(dst []byte, kind byte, key, value []byte) []byte {
-	return appendFrame(dst, kind, key, value)
-}
-
-// appendFrame is appendRecord for a key held as bytes or as a string: a
-// batch keeps each key as the one string its index entry will own.
+// appendFrame appends the frame for one record to dst. The key may be
+// held as bytes or as a string: a batch keeps each key as the one string
+// its index entry will own.
 func appendFrame[K string | []byte](dst []byte, kind byte, key K, value []byte) []byte {
 	plen := payloadHeader + len(key) + len(value)
 	start := len(dst)

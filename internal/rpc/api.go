@@ -49,10 +49,11 @@ func (b *Backend) Name() string { return b.name }
 // Chain returns the served blockchain.
 func (b *Backend) Chain() *chain.Blockchain { return b.bc }
 
-// Generation identifies the current head for cache tagging. Any block
-// commit changes it, so a response cached under an old generation can
-// never be served after the head advances.
-func (b *Backend) Generation() uint64 { return b.bc.Head().Number() }
+// Generation identifies the current head for cache tagging: its hash.
+// Any head change — an advance, or a reorg to a sibling at the same
+// height or to a heavier lower head — changes it, so a response cached
+// under an old generation can never be served after the head moves.
+func (b *Backend) Generation() types.Hash { return b.bc.Head().Hash() }
 
 // maxWindow bounds the fork_* range scans: an archive query over more
 // canonical blocks than this is rejected with InvalidParams rather than
@@ -94,16 +95,29 @@ func Methods() []string {
 // encUint encodes a quantity as minimal 0x-hex.
 func encUint(v uint64) string {
 	var buf [18]byte
-	return string(strconv.AppendUint(append(buf[:0], "0x"...), v, 16))
+	return string(appendUint(buf[:0], v))
 }
 
 // encBig encodes a big quantity as minimal 0x-hex.
 func encBig(v *big.Int) string {
-	if v == nil || v.Sign() == 0 {
-		return "0x0"
-	}
 	var buf [66]byte // 0x and the 64 digits of a 256-bit value
-	return string(v.Append(append(buf[:0], "0x"...), 16))
+	return string(appendBig(buf[:0], v))
+}
+
+// appendUint appends a quantity as minimal 0x-hex.
+func appendUint(dst []byte, v uint64) []byte {
+	return strconv.AppendUint(append(dst, "0x"...), v, 16)
+}
+
+// appendBig appends a big quantity as minimal 0x-hex; nil reads as zero.
+func appendBig(dst []byte, v *big.Int) []byte {
+	switch {
+	case v == nil || v.Sign() == 0:
+		return append(dst, "0x0"...)
+	case v.IsUint64():
+		return appendUint(dst, v.Uint64())
+	}
+	return v.Append(append(dst, "0x"...), 16)
 }
 
 // encBytes encodes data bytes as 0x-hex.
@@ -522,21 +536,34 @@ func forkDifficultyWindow(_ context.Context, b *Backend, params []json.RawMessag
 	if perr != nil {
 		return nil, perr
 	}
-	type point struct {
-		Number     string `json:"number"`
-		Timestamp  string `json:"timestamp"`
-		Difficulty string `json:"difficulty"`
+	return encodeWindow(b.name, b.bc.CanonicalBlocks(from, to)), nil
+}
+
+// encodeWindow encodes a difficulty window as
+// {"chain":…,"points":[{"number","timestamp","difficulty"},…]}, exactly
+// what json.Marshal makes of that map. A window is up to maxWindow
+// points, so they are appended straight into the result bytes instead of
+// being built as values and marshalled.
+func encodeWindow(chainName string, blocks []*chain.Block) json.RawMessage {
+	name, _ := json.Marshal(chainName) // a string always marshals
+	// A point is about 80 bytes while difficulty fits in 64 bits.
+	dst := make([]byte, 0, len(`{"chain":,"points":[]}`)+len(name)+80*len(blocks))
+	dst = append(dst, `{"chain":`...)
+	dst = append(dst, name...)
+	dst = append(dst, `,"points":[`...)
+	for i, blk := range blocks {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, `{"number":"`...)
+		dst = appendUint(dst, blk.Number())
+		dst = append(dst, `","timestamp":"`...)
+		dst = appendUint(dst, blk.Header.Time)
+		dst = append(dst, `","difficulty":"`...)
+		dst = appendBig(dst, blk.Header.Difficulty)
+		dst = append(dst, `"}`...)
 	}
-	blocks := b.bc.CanonicalBlocks(from, to)
-	out := make([]point, 0, len(blocks))
-	for _, blk := range blocks {
-		out = append(out, point{
-			Number:     encUint(blk.Number()),
-			Timestamp:  encUint(blk.Header.Time),
-			Difficulty: encBig(blk.Header.Difficulty),
-		})
-	}
-	return map[string]any{"chain": b.name, "points": out}, nil
+	return append(dst, "]}"...)
 }
 
 // forkEchoCandidates joins this chain's canonical window against every

@@ -5,12 +5,14 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math/big"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
+	"forkwatch/internal/chain"
 	"forkwatch/internal/live/feed"
 )
 
@@ -275,6 +277,16 @@ func FuzzResponseEnvelope(f *testing.F) {
 	}
 	f.Add([]byte(`[{"jsonrpc":"2.0","id":1,"method":"a"},{"jsonrpc":"2.0","id":"\u003c","method":"b"},{"x":1}]`), []byte(`[ 1, "a" ]`))
 	f.Add([]byte(`{"jsonrpc":"2.0","id":{ "a" : [1, 2] },"method":"x","extra":true}`), []byte(`null`))
+	// Appended difficulty windows: empty, and across 2^64 under a name
+	// json.Marshal escapes.
+	two64 := new(big.Int).Lsh(big.NewInt(1), 64)
+	window := []*chain.Block{
+		{Header: &chain.Header{Number: 1, Time: 13, Difficulty: new(big.Int).Sub(two64, big.NewInt(1))}},
+		{Header: &chain.Header{Number: 2, Time: 26, Difficulty: two64}},
+		{Header: &chain.Header{Number: 3, Time: 39}},
+	}
+	f.Add([]byte(`{"jsonrpc":"2.0","id":"<w>","method":"fork_difficultyWindow"}`), []byte(encodeWindow("ETH", nil)))
+	f.Add([]byte(`[{"jsonrpc":"2.0","id":9,"method":"fork_difficultyWindow"}]`), []byte(encodeWindow("E<T>&\u2028", window)))
 	f.Fuzz(func(t *testing.T, body, raw []byte) {
 		reqs, errs, _, topErr := DecodeRequests(body, maxBatch)
 		if topErr != nil || !json.Valid(raw) {

@@ -29,8 +29,9 @@ type ServerConfig struct {
 	// execution. A request that cannot finish (stalled storage) gets a
 	// typed timeout error instead of hanging (default 5s).
 	RequestTimeout time.Duration
-	// CacheEntries is the per-method response-cache capacity (default
-	// 4096; negative disables caching).
+	// CacheEntries is the per-route response-cache capacity in entries
+	// (default 4096; negative disables caching). The cache is also bounded
+	// by maxCacheBytes.
 	CacheEntries int
 	// RatePerSec is the per-client token refill rate (0 = unlimited); the
 	// bucket holds two seconds' worth.
@@ -41,9 +42,10 @@ type ServerConfig struct {
 
 // Fixed serving limits.
 const (
-	maxBodyBytes = 1 << 20         // request body bound
-	maxBatch     = 64              // calls per batch request
-	drainTimeout = 5 * time.Second // how long Drain waits for in-flight requests
+	maxBodyBytes  = 1 << 20         // request body bound
+	maxCacheBytes = 16 << 20        // a route's response cache: keys plus results (respCache)
+	maxBatch      = 64              // calls per batch request
+	drainTimeout  = 5 * time.Second // how long Drain waits for in-flight requests
 	// A route's storage circuit breaker opens after breakerThreshold
 	// consecutive storage failures; while open the route sheds with a typed
 	// ErrCodeUnavailable for breakerCooldown before a half-open probe.
@@ -106,14 +108,15 @@ type Server struct {
 }
 
 // route is one mounted chain with everything its requests touch resolved
-// at registration: the storage circuit breaker, the route's refusal
-// counters, and per method the response cache and metric handles, so
-// serving a call — or refusing one under overload — builds no metric name
-// and looks nothing up in the registry.
+// at registration: the storage circuit breaker, the response cache, the
+// route's refusal counters, and per method the metric handles, so serving
+// a call — or refusing one under overload — builds no metric name and
+// looks nothing up in the registry.
 type route struct {
 	name         string // lowercase path segment, e.g. "eth"
 	be           *Backend
 	breaker      *breaker
+	cache        *respCache // every cacheable method's answers
 	httpRequests *metrics.Counter
 	refused      refusals
 	methods      map[string]*methodHandle // the dispatch table, per route
@@ -126,12 +129,12 @@ type refusals struct {
 	drained, ratelimited, oversized, malformed, shed, timeouts, breakerShed *metrics.Counter
 }
 
-// methodHandle is one (route, method) pair's serving state. cache is nil
-// for the live methods, which are neither cached nor breaker-gated; hits
-// and misses are nil with it.
+// methodHandle is one (route, method) pair's serving state. cached is
+// false for the live methods, which are neither cached nor
+// breaker-gated; hits and misses are nil with it.
 type methodHandle struct {
 	fn                             method
-	cache                          *respCache
+	cached                         bool
 	requests, hits, misses, errors *metrics.Counter
 	latency                        *metrics.Histogram
 }
@@ -150,7 +153,7 @@ func (s *Server) newRoute(name string, be *Backend) *route {
 			latency:  s.reg.Histogram(prefix + ".latency"),
 		}
 		if cacheable {
-			h.cache = newRespCache(s.cfg.CacheEntries)
+			h.cached = true
 			h.hits = s.reg.Counter(prefix + ".cache_hits")
 			h.misses = s.reg.Counter(prefix + ".cache_misses")
 		}
@@ -161,6 +164,7 @@ func (s *Server) newRoute(name string, be *Backend) *route {
 		name:         name,
 		be:           be,
 		breaker:      newBreaker(breakerThreshold, breakerCooldown),
+		cache:        newRespCache(s.cfg.CacheEntries, maxCacheBytes),
 		httpRequests: counter("http_requests"),
 		refused: refusals{
 			drained:     counter("drained"),
@@ -235,7 +239,7 @@ func (s *Server) Close() {
 // RegisterChain mounts a backend at /<lowercase name> (e.g. "ETH" →
 // /eth). It also wires the chain's storage counters into the metrics
 // snapshot. Mounting a route again swaps its backend and keeps its
-// breaker, caches and metrics.
+// breaker, cache and metrics.
 func (s *Server) RegisterChain(be *Backend) {
 	name := strings.ToLower(be.Name())
 	s.mu.Lock()
@@ -257,14 +261,13 @@ func (s *Server) RegisterChain(be *Backend) {
 			}
 			return 0
 		})
-		handles := rt.methods
+		cache := rt.cache
 		s.reg.GaugeFunc("rpc."+name+".cache_entries", func() float64 {
-			n := 0
-			for _, h := range handles {
-				if h.cache != nil {
-					n += h.cache.len()
-				}
-			}
+			n, _ := cache.stats()
+			return float64(n)
+		})
+		s.reg.GaugeFunc("rpc."+name+".cache_bytes", func() float64 {
+			_, n := cache.stats()
 			return float64(n)
 		})
 	}
@@ -557,7 +560,7 @@ func (s *Server) process(j *job) []byte {
 	return encodeBody(answers, j.batch)
 }
 
-// call executes one request against a route, consulting the
+// call executes one request against a route, consulting the route's
 // generation-tagged response cache, and returns the encoded result or a
 // typed error.
 func (s *Server) call(ctx context.Context, rt *route, req *Request) ([]byte, *Error) {
@@ -575,7 +578,7 @@ func (s *Server) call(ctx context.Context, rt *route, req *Request) ([]byte, *Er
 	// results move independently of the head (so generation tagging would
 	// serve stale cursors), and they never touch storage (so a tripped
 	// breaker says nothing about them).
-	if h.cache == nil {
+	if !h.cached {
 		result, rpcErr := safeCall(ctx, h.fn, rt.be, req.Params)
 		if rpcErr != nil {
 			h.errors.Inc()
@@ -584,12 +587,13 @@ func (s *Server) call(ctx context.Context, rt *route, req *Request) ([]byte, *Er
 		return h.encode(result)
 	}
 
-	// The generation is read BEFORE executing: if the head advances while
-	// we compute, the entry lands under the older generation, where no
-	// post-advance request will look. See respCache.
+	// The generation is read BEFORE executing: if the head moves while we
+	// compute, the entry lands under the older generation, which requests
+	// after the move do not look up while that head is not current. See
+	// respCache.
 	gen := rt.be.Generation()
 	key := req.CacheKey()
-	if raw, ok := h.cache.get(key, gen); ok {
+	if raw, ok := rt.cache.get(key, gen); ok {
 		h.hits.Inc()
 		return raw, nil
 	}
@@ -621,14 +625,19 @@ func (s *Server) call(ctx context.Context, rt *route, req *Request) ([]byte, *Er
 	rt.breaker.Success()
 	enc, rpcErr := h.encode(result)
 	if rpcErr == nil {
-		h.cache.put(key, gen, enc)
+		rt.cache.put(key, gen, enc)
 	}
 	return enc, rpcErr
 }
 
 // encode is a result's one json.Marshal; the bytes it returns are what
-// the cache holds and what the envelope copies.
+// the cache holds and what the envelope copies. A method that appends
+// its own encoding returns it as a json.RawMessage, which is passed
+// through: it must be the bytes json.Marshal would produce.
 func (h *methodHandle) encode(result any) ([]byte, *Error) {
+	if raw, ok := result.(json.RawMessage); ok {
+		return raw, nil
+	}
 	enc, err := json.Marshal(result)
 	if err != nil {
 		h.errors.Inc()

@@ -169,11 +169,12 @@ type Scenario struct {
 
 // CrashSpec schedules one storage crash: the store of the partition
 // named Chain is killed on the (Op+1)-th append to its files counted from
-// the Block-th block (0-based) it mines on Day. Every mined block commits
-// as one append, so Op 0 tears that block's own commit and Op n the
-// commit n blocks later. The tear leaves a random strict prefix of the
-// append on the medium; the restart's recovery scan drops it whole, and
-// the block is re-mined.
+// the Block-th block (0-based) it mines on Day. diskdb appends a commit
+// as chunks of at most 1 MiB, one append each; a mined block's commit
+// fits one chunk, so every mined block commits as one append, Op 0 tears
+// that block's own commit and Op n the commit n blocks later. The tear
+// leaves a random strict prefix of the append on the medium; the
+// restart's recovery scan drops it whole, and the block is re-mined.
 type CrashSpec struct {
 	Chain string
 	Day   int

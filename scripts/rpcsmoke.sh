@@ -1,7 +1,8 @@
 #!/bin/sh
 # rpcsmoke boots forkserve on a throwaway port, curls every served method
 # on both chain endpoints, checks /debug/metrics, and fails on any
-# malformed response. forkload then loads it for a second and must finish
+# malformed response. It then sends 2 000 distinct difficulty windows and
+# fails unless the route's response cache stays within its 16 MiB. forkload then loads it for a second and must finish
 # without a protocol or transport error. Next it boots a replica following
 # the primary's sync plane under injected storage read errors, waits for
 # it to catch up, checks that the replica serves the same answers plus the
@@ -120,6 +121,34 @@ for key in 'rpc.eth.eth_blockNumber.requests' 'rpc.etc.eth_blockNumber.requests'
     esac
 done
 echo "rpcsmoke: ok   /debug/metrics"
+
+# The response cache is bounded in bytes: 2 000 distinct 1 000-block
+# difficulty windows (about 80 KB of result each, 160 MB in all), sent to
+# the primary in batches of 50, must leave the route's cache within its
+# 16 MiB.
+from=1
+while [ "$from" -le 2000 ]; do
+    body="["
+    i=0
+    while [ "$i" -lt 50 ]; do
+        f=$((from+i))
+        [ "$i" -eq 0 ] || body="$body,"
+        body="$body{\"jsonrpc\":\"2.0\",\"id\":$f,\"method\":\"fork_difficultyWindow\",\"params\":[\"$(printf '0x%x' "$f")\",\"$(printf '0x%x' $((f+999)))\"]}"
+        i=$((i+1))
+    done
+    curl -sf -o "$BIN/windows.json" -X POST -H 'Content-Type: application/json' -d "$body]" "$BASE/eth" || {
+        echo "rpcsmoke: FAIL difficulty window batch from $from: transport error" >&2; exit 1; }
+    if grep -q '"error"' "$BIN/windows.json"; then
+        echo "rpcsmoke: FAIL difficulty window batch from $from: $(head -c 300 "$BIN/windows.json")" >&2; exit 1
+    fi
+    from=$((from+50))
+done
+cbytes="$(curl -sf "$BASE/debug/metrics" | sed -n 's/^ *"rpc\.eth\.cache_bytes": \([0-9.e+]*\),\{0,1\}$/\1/p')"
+[ -n "$cbytes" ] || { echo "rpcsmoke: FAIL metrics snapshot missing rpc.eth.cache_bytes" >&2; exit 1; }
+if ! awk -v b="$cbytes" 'BEGIN { exit !(b > 0 && b <= 16 * 1024 * 1024) }'; then
+    echo "rpcsmoke: FAIL rpc.eth.cache_bytes = $cbytes after 2000 windows, want (0, 16 MiB]" >&2; exit 1
+fi
+echo "rpcsmoke: ok   2000 difficulty windows leave rpc.eth.cache_bytes at $cbytes (bound 16 MiB)"
 
 # What the booted primary holds: its heap after a GC, as a profile to
 # keep and as one in-use total.

@@ -82,7 +82,6 @@ func main() {
 		faults  = flag.String("storage-faults", "", `storage fault injection kept on while serving, e.g. "seed=42,readerr=0.2"`)
 		workers = flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
 		queue   = flag.Int("queue", 0, "queue depth before 429 backpressure (0 = default)")
-		cacheN  = flag.Int("cache-entries", 0, "per-route response-cache capacity in entries, besides its 16 MiB bound (0 = default, <0 disables)")
 		rate    = flag.Float64("rate", 0, "per-client requests/second (0 = unlimited)")
 		timeout = flag.Duration("timeout", 5*time.Second, "per-request execution deadline")
 		par     = flag.Int("parallelism", 0, "simulation partition-stepping goroutines: 0 = GOMAXPROCS, 1 = serial; served chains are identical either way")
@@ -121,7 +120,6 @@ func main() {
 	srvCfg := rpc.ServerConfig{
 		Workers:        *workers,
 		QueueDepth:     *queue,
-		CacheEntries:   *cacheN,
 		RatePerSec:     *rate,
 		RequestTimeout: *timeout,
 	}

@@ -26,6 +26,7 @@ type Backend struct {
 	bc    *chain.Blockchain
 	peers []*Backend
 	live  *LiveSource
+	stale StalenessFunc
 }
 
 // NewBackend wraps one chain for serving. name is the chain label used
@@ -39,9 +40,16 @@ func NewBackend(name string, bc *chain.Blockchain) *Backend {
 // responses join against peers in registration order.
 func (b *Backend) AddPeer(peer *Backend) { b.peers = append(b.peers, peer) }
 
-// SetPeer links a single peer backend, replacing any existing links —
-// the two-way convenience over AddPeer.
-func (b *Backend) SetPeer(peer *Backend) { b.peers = []*Backend{peer} }
+// StalenessFunc reports how far one route's chain trails the head it
+// follows and whether that lag crosses the degraded line. The serving
+// path samples it per response: degraded routes tag every response with
+// the lag (the response's "staleness" member) and flip the /readyz verdict.
+type StalenessFunc func() (lag uint64, degraded bool)
+
+// SetStaleness installs the route's staleness source (replicas wire
+// their sync-lag tracker here). Like SetLive, call it before the server
+// serves the route. Routes without one are never degraded by lag.
+func (b *Backend) SetStaleness(fn StalenessFunc) { b.stale = fn }
 
 // Name returns the chain label.
 func (b *Backend) Name() string { return b.name }
@@ -63,31 +71,33 @@ const maxWindow = 100_000
 // method is one RPC method implementation.
 type method func(ctx context.Context, b *Backend, params []json.RawMessage) (any, *Error)
 
-// methods is the dispatch table. Entries are cacheable — results are
-// pure functions of (chain state at generation, params) — unless they
-// also appear in uncacheable (the live/subscription methods, whose
-// results change independently of the head).
-var methods = map[string]method{
-	"eth_blockNumber":           ethBlockNumber,
-	"eth_getBlockByNumber":      ethGetBlockByNumber,
-	"eth_getBlockByHash":        ethGetBlockByHash,
-	"eth_getTransactionByHash":  ethGetTransactionByHash,
-	"eth_getTransactionReceipt": ethGetTransactionReceipt,
-	"eth_getBalance":            ethGetBalance,
-	"eth_getTransactionCount":   ethGetTransactionCount,
-	"fork_difficultyWindow":     forkDifficultyWindow,
-	"fork_echoCandidates":       forkEchoCandidates,
-	"fork_poolShares":           forkPoolShares,
+// methodSpec is one method's entry in the dispatch table: its handler
+// and its serving policy.
+type methodSpec struct {
+	fn method
+	// live marks the live methods (subs.go), which the server neither
+	// caches nor gates behind the storage breaker: their results move
+	// independently of the head, so generation tagging would serve stale
+	// cursors, and they never touch storage, so a tripped breaker says
+	// nothing about them. Every other method is cached: its result is a
+	// pure function of (chain state at generation, params).
+	live bool
 }
 
-// Methods lists the served method names (for smoke tooling).
-func Methods() []string {
-	out := make([]string, 0, len(methods))
-	for name := range methods {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
+// methods is the dispatch table, the one place a method is declared.
+var methods = map[string]methodSpec{
+	"eth_blockNumber":           {fn: ethBlockNumber},
+	"eth_getBlockByNumber":      {fn: ethGetBlockByNumber},
+	"eth_getBlockByHash":        {fn: ethGetBlockByHash},
+	"eth_getTransactionByHash":  {fn: ethGetTransactionByHash},
+	"eth_getTransactionReceipt": {fn: ethGetTransactionReceipt},
+	"eth_getBalance":            {fn: ethGetBalance},
+	"eth_getTransactionCount":   {fn: ethGetTransactionCount},
+	"fork_difficultyWindow":     {fn: forkDifficultyWindow},
+	"fork_echoCandidates":       {fn: forkEchoCandidates},
+	"fork_poolShares":           {fn: forkPoolShares},
+	"fork_liveEvents":           {fn: forkLiveEvents, live: true},
+	"fork_liveSnapshot":         {fn: forkLiveSnapshot, live: true},
 }
 
 // --- hex quantity/data helpers (Ethereum JSON-RPC conventions) ---

@@ -3,6 +3,8 @@ package rpc
 import (
 	"sync"
 	"time"
+
+	"forkwatch/internal/clock"
 )
 
 // breaker is a consecutive-failure circuit breaker guarding one route's
@@ -18,7 +20,7 @@ import (
 type breaker struct {
 	threshold int
 	cooldown  time.Duration
-	now       func() time.Time // test hook; nil = time.Now
+	clk       clock.Clock
 
 	mu       sync.Mutex
 	fails    int       // consecutive failures while closed
@@ -29,14 +31,7 @@ type breaker struct {
 // newBreaker builds a breaker tripping after threshold consecutive
 // failures and shedding for cooldown before probing.
 func newBreaker(threshold int, cooldown time.Duration) *breaker {
-	return &breaker{threshold: threshold, cooldown: cooldown}
-}
-
-func (b *breaker) clock() time.Time {
-	if b.now != nil {
-		return b.now()
-	}
-	return time.Now()
+	return &breaker{threshold: threshold, cooldown: cooldown, clk: clock.Real}
 }
 
 // Allow reports whether an attempt may proceed. While open it returns
@@ -48,7 +43,7 @@ func (b *breaker) Allow() bool {
 	if b.openedAt.IsZero() {
 		return true
 	}
-	if b.clock().Sub(b.openedAt) < b.cooldown {
+	if b.clk.Now().Sub(b.openedAt) < b.cooldown {
 		return false
 	}
 	if b.probing {
@@ -76,13 +71,13 @@ func (b *breaker) Fail() {
 	if !b.openedAt.IsZero() {
 		// Failed probe (or a straggler from before the trip): restart the
 		// cooldown from now.
-		b.openedAt = b.clock()
+		b.openedAt = b.clk.Now()
 		b.probing = false
 		return
 	}
 	b.fails++
 	if b.fails >= b.threshold {
-		b.openedAt = b.clock()
+		b.openedAt = b.clk.Now()
 		b.fails = 0
 	}
 }
@@ -91,5 +86,5 @@ func (b *breaker) Fail() {
 func (b *breaker) Open() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return !b.openedAt.IsZero() && b.clock().Sub(b.openedAt) < b.cooldown
+	return !b.openedAt.IsZero() && b.clk.Now().Sub(b.openedAt) < b.cooldown
 }

@@ -3,15 +3,17 @@ package rpc
 import (
 	"testing"
 	"time"
+
+	"forkwatch/internal/clock"
 )
 
-// TestBreakerTripAndRecover walks the full state machine on a hand-driven
+// TestBreakerTripAndRecover walks the full state machine on a fake
 // clock: closed until the threshold, open for the cooldown, a single
 // half-open probe, and both probe outcomes.
 func TestBreakerTripAndRecover(t *testing.T) {
-	now := time.Unix(0, 0)
+	clk := clock.NewFake()
 	b := newBreaker(3, time.Second)
-	b.now = func() time.Time { return now }
+	b.clk = clk
 
 	// Closed: failures below the threshold keep allowing.
 	b.Fail()
@@ -33,12 +35,12 @@ func TestBreakerTripAndRecover(t *testing.T) {
 	}
 
 	// Cooldown: still shedding just before it elapses.
-	now = now.Add(time.Second - time.Millisecond)
+	clk.Advance(time.Second - time.Millisecond)
 	if b.Allow() {
 		t.Fatal("breaker admitted work inside the cooldown")
 	}
 	// After the cooldown exactly one probe goes through.
-	now = now.Add(2 * time.Millisecond)
+	clk.Advance(2 * time.Millisecond)
 	if !b.Allow() {
 		t.Fatal("breaker refused the half-open probe")
 	}
@@ -50,7 +52,7 @@ func TestBreakerTripAndRecover(t *testing.T) {
 	if b.Allow() {
 		t.Fatal("failed probe did not re-open the breaker")
 	}
-	now = now.Add(time.Second + time.Millisecond)
+	clk.Advance(time.Second + time.Millisecond)
 	if !b.Allow() {
 		t.Fatal("breaker refused the probe after the second cooldown")
 	}

@@ -41,8 +41,7 @@ type cacheEntry struct {
 func (e *cacheEntry) size() int { return len(e.key) + len(e.result) }
 
 // newRespCache returns an LRU holding up to maxItems entries and maxBytes
-// bytes of keys plus results; maxItems <= 0 disables caching (every
-// lookup misses, stores are dropped).
+// bytes of keys plus results.
 func newRespCache(maxItems, maxBytes int) *respCache {
 	return &respCache{
 		maxItems: maxItems,
@@ -54,9 +53,6 @@ func newRespCache(maxItems, maxBytes int) *respCache {
 
 // get returns the cached result for (key, gen), if present.
 func (c *respCache) get(key string, gen types.Hash) ([]byte, bool) {
-	if c.maxItems <= 0 {
-		return nil, false
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
@@ -78,9 +74,6 @@ func (c *respCache) get(key string, gen types.Hash) ([]byte, bool) {
 // entries until both bounds hold. An oversized result replaces nothing:
 // it drops the key's older entry and is not stored.
 func (c *respCache) put(key string, gen types.Hash, result []byte) {
-	if c.maxItems <= 0 {
-		return
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {

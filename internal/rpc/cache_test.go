@@ -133,31 +133,6 @@ func TestOversizeResultAnsweredNotStored(t *testing.T) {
 	}
 }
 
-// TestNegativeCacheEntriesDisables: CacheEntries < 0 stores nothing and
-// every call misses.
-func TestNegativeCacheEntriesDisables(t *testing.T) {
-	eth, err := chain.NewBlockchain(chain.MainnetLikeConfig(), testGenesis())
-	if err != nil {
-		t.Fatal(err)
-	}
-	mine(t, eth, pool1)
-	srv := NewServer(ServerConfig{Workers: 1, CacheEntries: -1})
-	defer srv.Close()
-	srv.RegisterChain(NewBackend("ETH", eth))
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-	for i := 0; i < 3; i++ {
-		postJSON(t, ts.URL+"/eth", `{"jsonrpc":"2.0","id":1,"method":"eth_getBlockByNumber","params":["0x1",false]}`)
-	}
-	reg := srv.Registry()
-	if hits := reg.Counter("rpc.eth.eth_getBlockByNumber.cache_hits").Value(); hits != 0 {
-		t.Fatalf("%d hits with the cache disabled", hits)
-	}
-	if entries, held := srv.routes["eth"].cache.stats(); entries != 0 || held != 0 {
-		t.Fatalf("disabled cache holds %d entries, %d bytes", entries, held)
-	}
-}
-
 // TestCacheGauges: rpc.<route>.cache_entries and cache_bytes exist from
 // mount and report what the route's cache holds.
 func TestCacheGauges(t *testing.T) {
@@ -223,9 +198,8 @@ func TestCacheTagsHeadHash(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv := NewServer(ServerConfig{Workers: 1})
+	srv := NewServer(ServerConfig{Workers: 1}, NewBackend("ETH", eth))
 	defer srv.Close()
-	srv.RegisterChain(NewBackend("ETH", eth))
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	blockHash := func() string {

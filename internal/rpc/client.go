@@ -1,7 +1,6 @@
 package rpc
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 )
@@ -25,64 +24,6 @@ func (c *FailoverClient) Call(out any, method string, params ...any) (Outcome, e
 		return outc, failure(res.raw, outc.Class)
 	}
 	return outc, res.resp.unpack(out)
-}
-
-// BatchElem is one call in a batch: method, params and a destination for
-// the result. After Batch returns, Err holds the per-call outcome.
-type BatchElem struct {
-	Method string
-	Params []any
-	Result any
-	Err    error
-}
-
-// Batch sends all elems as a single JSON-RPC batch and fills each elem's
-// Result/Err. The batch fails over as a whole: an endpoint that fails at
-// the transport or HTTP level (or answers garbage) hands the same body to
-// the next one, while a batch that was answered is final — per-element
-// errors, typed or not, stay with their element. The returned error
-// means no endpoint answered the batch: the last failure, or the server's
-// own *Error when it refused the batch itself (too large, say).
-func (c *FailoverClient) Batch(elems []BatchElem) error {
-	if len(elems) == 0 {
-		return nil
-	}
-	reqs := make([]*Request, len(elems))
-	byID := make(map[string]int, len(elems))
-	for i := range elems {
-		req, err := buildRequest(c.nextID.Add(1), elems[i].Method, elems[i].Params)
-		if err != nil {
-			return err
-		}
-		reqs[i] = req
-		byID[string(req.ID)] = i
-	}
-	body, err := json.Marshal(reqs)
-	if err != nil {
-		return err
-	}
-	res, outc := c.do(body)
-	if outc.Class != ClassOK {
-		return failure(res.raw, outc.Class)
-	}
-	if res.batch == nil {
-		return fmt.Errorf("rpc: batch answered with a single response")
-	}
-	seen := make([]bool, len(elems))
-	for i := range res.batch {
-		idx, ok := byID[string(bytes.TrimSpace(res.batch[i].ID))]
-		if !ok {
-			continue
-		}
-		seen[idx] = true
-		elems[idx].Err = res.batch[i].unpack(elems[idx].Result)
-	}
-	for i := range elems {
-		if !seen[i] && elems[i].Err == nil {
-			elems[i].Err = fmt.Errorf("no response for batch element %d (%s)", i, elems[i].Method)
-		}
-	}
-	return nil
 }
 
 // failure is the error for a request no endpoint answered usably: the

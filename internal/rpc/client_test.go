@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -77,12 +76,16 @@ func TestOneEndpointCallTable(t *testing.T) {
 	}
 }
 
-// TestBatchFailsOverAsAWhole: a first endpoint that sheds (429), drains
-// (503), answers garbage or is not there at all hands the whole batch to
-// the second; what the second says per element — a result, a typed
-// infrastructure *Error, nothing at all — stays with that element and
-// sends nothing to a third endpoint.
+// TestBatchFailsOverAsAWhole: Do hands a batch body to one endpoint at a
+// time. A first endpoint that sheds (429), drains (503), answers garbage
+// or is not there at all hands the whole batch to the second; an array
+// answer from the second is final — class ok whatever its elements say (a
+// typed infrastructure error, a missing element) — and sends nothing to a
+// third endpoint.
 func TestBatchFailsOverAsAWhole(t *testing.T) {
+	const batch = `[{"jsonrpc":"2.0","id":1,"method":"eth_blockNumber"},
+		{"jsonrpc":"2.0","id":2,"method":"eth_getBalance","params":["0x1","latest"]},
+		{"jsonrpc":"2.0","id":3,"method":"eth_gasPrice"}]`
 	// answer replies to elements 0 and 1 of the batch and drops the rest.
 	var answered atomic.Int64
 	answer := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -92,9 +95,9 @@ func TestBatchFailsOverAsAWhole(t *testing.T) {
 			http.Error(w, "want a batch of three", http.StatusBadRequest)
 			return
 		}
-		fmt.Fprintf(w, `[{"jsonrpc":"2.0","id":%s,"error":{"code":-32010,"message":"storage"}},
-			{"jsonrpc":"2.0","id":%s,"result":"0x2a"}]`, reqs[1].ID, reqs[0].ID)
+		fmt.Fprintf(w, `[{"jsonrpc":"2.0","id":%s,"error":{"code":-32010,"message":"storage"}},{"jsonrpc":"2.0","id":%s,"result":"0x2a"}]`, reqs[1].ID, reqs[0].ID)
 	})
+	const want = `[{"jsonrpc":"2.0","id":2,"error":{"code":-32010,"message":"storage"}},{"jsonrpc":"2.0","id":1,"result":"0x2a"}]`
 	firsts := map[string]http.HandlerFunc{
 		"sheds":   func(w http.ResponseWriter, r *http.Request) { http.Error(w, "saturated", http.StatusTooManyRequests) },
 		"drains":  func(w http.ResponseWriter, r *http.Request) { http.Error(w, "draining", http.StatusServiceUnavailable) },
@@ -115,24 +118,12 @@ func TestBatchFailsOverAsAWhole(t *testing.T) {
 			defer s2.Close()
 			cl := newFC(t, FailoverConfig{Endpoints: []string{first + "/eth", s2.URL + "/eth", s3.URL + "/eth"}})
 
-			var head, other string
-			elems := []BatchElem{
-				{Method: "eth_blockNumber", Result: &head},
-				{Method: "eth_getBalance", Params: []any{"0x1", "latest"}, Result: &other},
-				{Method: "eth_gasPrice", Result: &other},
+			raw, outc := cl.Do([]byte(batch))
+			if string(raw) != want {
+				t.Errorf("body %s, want the second endpoint's answer %s", raw, want)
 			}
-			if err := cl.Batch(elems); err != nil {
-				t.Fatalf("Batch: %v", err)
-			}
-			if elems[0].Err != nil || head != "0x2a" {
-				t.Errorf("elem 0: err=%v head=%q, want 0x2a", elems[0].Err, head)
-			}
-			var rpcErr *Error
-			if !errors.As(elems[1].Err, &rpcErr) || rpcErr.Code != ErrCodeStorage {
-				t.Errorf("elem 1: err=%v, want the element's own *Error -32010", elems[1].Err)
-			}
-			if elems[2].Err == nil || !strings.Contains(elems[2].Err.Error(), "no response for batch element 2") {
-				t.Errorf("elem 2: err=%v, want the no-response error", elems[2].Err)
+			if outc.Class != ClassOK || outc.Failovers != 1 || outc.Endpoint != s2.URL+"/eth" {
+				t.Errorf("outcome %+v, want class ok from the second endpoint after one failover", outc)
 			}
 			if st := cl.Stats(); st.Requests != 1 || st.Failovers != 1 || st.ByClass[ClassOK] != 1 {
 				t.Errorf("stats %+v, want one request answered after one failover", st)
@@ -146,13 +137,12 @@ func TestBatchFailsOverAsAWhole(t *testing.T) {
 		t.Errorf("second endpoint answered %d batches, want 4", answered.Load())
 	}
 
-	// No endpoint answers: the batch's own error says so, typed for a shed.
+	// No endpoint answers: the outcome is the last endpoint's shed.
 	s1 := httptest.NewServer(firsts["sheds"])
 	defer s1.Close()
 	cl := newFC(t, FailoverConfig{Endpoints: []string{"http://127.0.0.1:1/eth", s1.URL + "/eth"}})
-	var rpcErr *Error
-	if err := cl.Batch([]BatchElem{{Method: "eth_blockNumber"}}); !errors.As(err, &rpcErr) || rpcErr.Code != ErrCodeOverloaded {
-		t.Errorf("exhausted batch: err=%v, want *Error -32012", err)
+	if _, outc := cl.Do([]byte(batch)); outc.Class != ClassOverloaded || outc.Failovers != 1 {
+		t.Errorf("exhausted batch: outcome %+v, want class overloaded after one failover", outc)
 	}
 
 	// A server refusing the batch itself answers one envelope: that is the
@@ -161,8 +151,8 @@ func TestBatchFailsOverAsAWhole(t *testing.T) {
 	s4 := httptest.NewServer(refuse.handler())
 	defer s4.Close()
 	cl = newFC(t, FailoverConfig{Endpoints: []string{s4.URL + "/eth", s3.URL + "/eth"}})
-	if err := cl.Batch([]BatchElem{{Method: "eth_blockNumber"}}); !errors.As(err, &rpcErr) || rpcErr.Code != ErrCodeInvalidRequest {
-		t.Errorf("refused batch: err=%v, want the server's *Error -32600", err)
+	if raw, outc := cl.Do([]byte(batch)); outc.Class != ClassRPCError || string(raw) != refuse.body {
+		t.Errorf("refused batch: outcome %+v body %s, want class rpc_error and the server's envelope", outc, raw)
 	}
 	if third.hits.Load() != 0 {
 		t.Error("a refused batch was retried on another endpoint")

@@ -99,9 +99,9 @@ func modelServe(t *testing.T, be *Backend, body string, lag *uint64) (want []byt
 			continue
 		}
 		a := answer{id: req.ID}
-		if fn, found := methods[req.Method]; !found {
+		if spec, found := methods[req.Method]; !found {
 			a.err = Errf(ErrCodeMethodNotFound, "method %q not found", req.Method)
-		} else if result, rpcErr := fn(context.Background(), be, req.Params); rpcErr != nil {
+		} else if result, rpcErr := spec.fn(context.Background(), be, req.Params); rpcErr != nil {
 			a.err = rpcErr
 		} else {
 			a.result = mustMarshal(t, result)
@@ -211,9 +211,9 @@ func TestEnvelopeMatchesModel(t *testing.T) {
 	}
 	t.Run("healthy", func(t *testing.T) { run(t, nil) })
 	lag := uint64(12)
-	srv.SetStaleness("eth", func() (uint64, bool) { return lag, true })
+	rt.be.SetStaleness(func() (uint64, bool) { return lag, true })
 	t.Run("degraded", func(t *testing.T) { run(t, &lag) })
-	srv.SetStaleness("eth", func() (uint64, bool) { return 3, false })
+	rt.be.SetStaleness(func() (uint64, bool) { return 3, false })
 	t.Run("caught up", func(t *testing.T) { run(t, nil) })
 }
 

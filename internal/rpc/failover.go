@@ -114,7 +114,7 @@ type fepState struct {
 // Responses tagged with a staleness field are surfaced as
 // ClassDegraded, never hidden. One endpoint is the degenerate case — no
 // health loop, no hedge, nowhere to fail over to — with the same
-// classification and the same Call/Batch decoding. Safe for concurrent
+// classification and the same Call decoding. Safe for concurrent
 // use; ids are allocated atomically.
 type FailoverClient struct {
 	cfg    FailoverConfig
@@ -231,15 +231,13 @@ func (c *FailoverClient) count(name string) {
 }
 
 // attemptResult carries one endpoint's answer back to do: the raw body,
-// its class, and the body as attempt decoded it to classify it — the
-// envelope of a single response, or the array of an answered batch — so
-// Call and Batch do not parse it a second time.
+// its class, and, for a single response, the envelope attempt decoded to
+// classify it, so Call does not parse it a second time.
 type attemptResult struct {
 	ep    *fepState
 	raw   []byte
 	class string
 	resp  clientResponse
-	batch []clientResponse
 }
 
 // Do posts one JSON-RPC body, failing over and hedging across the
@@ -365,7 +363,8 @@ func (c *FailoverClient) attempt(ep *fepState, body []byte) (res attemptResult) 
 		res.class = ClassProtocol
 		return res
 	}
-	if b := bytes.TrimLeft(body, " \t\r\n"); len(b) > 0 && b[0] == '[' && json.Unmarshal(res.raw, &res.batch) == nil {
+	var answered []clientResponse
+	if b := bytes.TrimLeft(body, " \t\r\n"); len(b) > 0 && b[0] == '[' && json.Unmarshal(res.raw, &answered) == nil {
 		// An answered batch: what each element says is its caller's
 		// affair, not a reason to ask another endpoint. Anything else in
 		// reply to a batch is one envelope (the server refusing the

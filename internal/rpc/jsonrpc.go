@@ -10,9 +10,10 @@
 //   - a bounded worker pool with queue-depth backpressure: when the queue
 //     is full the transport answers 429 with Retry-After instead of
 //     letting goroutines pile up;
-//   - per-method LRU response caches keyed on the canonical request
-//     encoding and tagged with the chain's head generation, so a head
-//     advance invalidates every cached answer at once;
+//   - one LRU response cache per route, keyed on the canonical request
+//     encoding, bounded by fixed entry and byte counts, and tagged with
+//     the chain's head generation, so a head change invalidates every
+//     cached answer at once;
 //   - token-bucket rate limiting per client;
 //   - request timeouts and body/batch size limits, so a stalled storage
 //     read can never hang a client;

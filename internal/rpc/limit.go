@@ -3,6 +3,8 @@ package rpc
 import (
 	"sync"
 	"time"
+
+	"forkwatch/internal/clock"
 )
 
 // rateLimiter is a per-client token-bucket limiter: each client key (the
@@ -14,11 +16,11 @@ import (
 type rateLimiter struct {
 	rate  float64 // tokens per second; <= 0 disables limiting
 	burst float64
+	clk   clock.Clock
 
 	mu      sync.Mutex
 	buckets map[string]*bucket
 	lastGC  time.Time
-	now     func() time.Time // injectable clock for tests
 }
 
 type bucket struct {
@@ -33,8 +35,8 @@ func newRateLimiter(rate float64) *rateLimiter {
 	return &rateLimiter{
 		rate:    rate,
 		burst:   float64(max(int(2*rate), 1)),
+		clk:     clock.Real,
 		buckets: make(map[string]*bucket),
-		now:     time.Now,
 	}
 }
 
@@ -44,7 +46,7 @@ func (l *rateLimiter) allow(key string) (ok bool, retryAfter time.Duration) {
 	if l.rate <= 0 {
 		return true, 0
 	}
-	now := l.now()
+	now := l.clk.Now()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	b, exists := l.buckets[key]

@@ -29,10 +29,6 @@ type ServerConfig struct {
 	// execution. A request that cannot finish (stalled storage) gets a
 	// typed timeout error instead of hanging (default 5s).
 	RequestTimeout time.Duration
-	// CacheEntries is the per-route response-cache capacity in entries
-	// (default 4096; negative disables caching). The cache is also bounded
-	// by maxCacheBytes.
-	CacheEntries int
 	// RatePerSec is the per-client token refill rate (0 = unlimited); the
 	// bucket holds two seconds' worth.
 	RatePerSec float64
@@ -42,10 +38,11 @@ type ServerConfig struct {
 
 // Fixed serving limits.
 const (
-	maxBodyBytes  = 1 << 20         // request body bound
-	maxCacheBytes = 16 << 20        // a route's response cache: keys plus results (respCache)
-	maxBatch      = 64              // calls per batch request
-	drainTimeout  = 5 * time.Second // how long Drain waits for in-flight requests
+	maxBodyBytes    = 1 << 20         // request body bound
+	maxCacheEntries = 4096            // a route's response cache: entries (respCache)
+	maxCacheBytes   = 16 << 20        // a route's response cache: keys plus results
+	maxBatch        = 64              // calls per batch request
+	drainTimeout    = 5 * time.Second // how long Drain waits for in-flight requests
 	// A route's storage circuit breaker opens after breakerThreshold
 	// consecutive storage failures; while open the route sheds with a typed
 	// ErrCodeUnavailable for breakerCooldown before a half-open probe.
@@ -62,9 +59,6 @@ func (c ServerConfig) withDefaults() ServerConfig {
 	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 5 * time.Second
-	}
-	if c.CacheEntries == 0 {
-		c.CacheEntries = 4096
 	}
 	if c.Registry == nil {
 		c.Registry = metrics.NewRegistry()
@@ -83,8 +77,8 @@ type job struct {
 }
 
 // Server routes per-chain JSON-RPC endpoints plus /debug/metrics over a
-// shared bounded worker pool. Create with NewServer, register chains,
-// then serve it as an http.Handler.
+// shared bounded worker pool. Create with NewServer, which mounts every
+// chain, then serve it as an http.Handler.
 type Server struct {
 	cfg     ServerConfig
 	reg     *metrics.Registry
@@ -92,9 +86,7 @@ type Server struct {
 
 	queueDepth *metrics.Gauge
 
-	mu     sync.RWMutex
-	routes map[string]*route        // "eth" -> mounted chain
-	stale  map[string]StalenessFunc // route -> degraded-mode staleness source
+	routes map[string]*route // "eth" -> mounted chain; fixed by NewServer
 
 	draining atomic.Bool
 	inflight atomic.Int64
@@ -108,7 +100,7 @@ type Server struct {
 }
 
 // route is one mounted chain with everything its requests touch resolved
-// at registration: the storage circuit breaker, the response cache, the
+// at mount: the storage circuit breaker, the response cache, the
 // route's refusal counters, and per method the metric handles, so serving
 // a call — or refusing one under overload — builds no metric name and
 // looks nothing up in the registry.
@@ -164,7 +156,7 @@ func (s *Server) newRoute(name string, be *Backend) *route {
 		name:         name,
 		be:           be,
 		breaker:      newBreaker(breakerThreshold, breakerCooldown),
-		cache:        newRespCache(s.cfg.CacheEntries, maxCacheBytes),
+		cache:        newRespCache(maxCacheEntries, maxCacheBytes),
 		httpRequests: counter("http_requests"),
 		refused: refusals{
 			drained:     counter("drained"),
@@ -178,8 +170,8 @@ func (s *Server) newRoute(name string, be *Backend) *route {
 		methods: make(map[string]*methodHandle, len(methods)),
 		unknown: handle("method_not_found", nil, false),
 	}
-	for m, fn := range methods {
-		rt.methods[m] = handle(m, fn, !uncacheable[m])
+	for m, spec := range methods {
+		rt.methods[m] = handle(m, spec.fn, !spec.live)
 	}
 	return rt
 }
@@ -192,22 +184,17 @@ func (rt *route) handle(method string) *methodHandle {
 	return rt.unknown
 }
 
-// StalenessFunc reports how far one route's chain trails the head it
-// follows and whether that lag crosses the degraded line. The serving
-// path samples it per response: degraded routes tag every response with
-// the lag (the response's "staleness" member) and flip the /readyz verdict.
-type StalenessFunc func() (lag uint64, degraded bool)
-
-// NewServer builds the server and starts its worker pool. Call Close to
-// stop the workers.
-func NewServer(cfg ServerConfig) *Server {
+// NewServer builds the server, mounts each backend at /<lowercase name>
+// (e.g. "ETH" → /eth) and starts the worker pool. Call Close to stop the
+// workers. Two backends with one route name are a caller's bug: NewServer
+// panics naming the route.
+func NewServer(cfg ServerConfig, backends ...*Backend) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:     cfg,
 		reg:     cfg.Registry,
 		limiter: newRateLimiter(cfg.RatePerSec),
-		routes:  map[string]*route{},
-		stale:   map[string]StalenessFunc{},
+		routes:  make(map[string]*route, len(backends)),
 		jobs:    make(chan *job, cfg.QueueDepth),
 		stopped: make(chan struct{}),
 		drainCh: make(chan struct{}),
@@ -222,6 +209,9 @@ func NewServer(cfg ServerConfig) *Server {
 	s.reg.Gauge("sync.lag_blocks").Set(0)
 	// live.subscribers counts open /<route>/stream connections (subs.go).
 	s.reg.Gauge("live.subscribers").Set(0)
+	for _, be := range backends {
+		s.mount(be)
+	}
 	for i := 0; i < cfg.Workers; i++ {
 		s.wg.Add(1)
 		go s.worker()
@@ -230,47 +220,37 @@ func NewServer(cfg ServerConfig) *Server {
 }
 
 // Close stops the worker pool. In-flight jobs finish; queued jobs are
-// answered with an overloaded error.
+// never run: each waits out RequestTimeout and is answered with a timeout
+// error (ErrCodeTimeout).
 func (s *Server) Close() {
 	s.stopOnce.Do(func() { close(s.stopped) })
 	s.wg.Wait()
 }
 
-// RegisterChain mounts a backend at /<lowercase name> (e.g. "ETH" →
-// /eth). It also wires the chain's storage counters into the metrics
-// snapshot. Mounting a route again swaps its backend and keeps its
-// breaker, cache and metrics.
-func (s *Server) RegisterChain(be *Backend) {
+// mount routes a backend at its lowercase name and wires the route's
+// breaker and cache gauges and the chain's storage counters into the
+// metrics snapshot.
+func (s *Server) mount(be *Backend) {
 	name := strings.ToLower(be.Name())
-	s.mu.Lock()
-	rt, remount := s.routes[name]
-	if remount {
-		next := *rt
-		next.be = be
-		rt = &next
-	} else {
-		rt = s.newRoute(name, be)
+	if _, dup := s.routes[name]; dup {
+		panic(fmt.Sprintf("rpc: route /%s mounted twice", name))
 	}
+	rt := s.newRoute(name, be)
 	s.routes[name] = rt
-	s.mu.Unlock()
-	if !remount {
-		br := rt.breaker
-		s.reg.GaugeFunc("rpc."+name+".breaker_open", func() float64 {
-			if br.Open() {
-				return 1
-			}
-			return 0
-		})
-		cache := rt.cache
-		s.reg.GaugeFunc("rpc."+name+".cache_entries", func() float64 {
-			n, _ := cache.stats()
-			return float64(n)
-		})
-		s.reg.GaugeFunc("rpc."+name+".cache_bytes", func() float64 {
-			_, n := cache.stats()
-			return float64(n)
-		})
-	}
+	s.reg.GaugeFunc("rpc."+name+".breaker_open", func() float64 {
+		if rt.breaker.Open() {
+			return 1
+		}
+		return 0
+	})
+	s.reg.GaugeFunc("rpc."+name+".cache_entries", func() float64 {
+		n, _ := rt.cache.stats()
+		return float64(n)
+	})
+	s.reg.GaugeFunc("rpc."+name+".cache_bytes", func() float64 {
+		_, n := rt.cache.stats()
+		return float64(n)
+	})
 	bc := be.Chain()
 	prefix := "storage." + name + "."
 	s.reg.GaugeFunc(prefix+"reads", func() float64 { return float64(bc.StorageStats().Reads) })
@@ -282,32 +262,6 @@ func (s *Server) RegisterChain(be *Backend) {
 
 // Registry returns the server's metrics registry.
 func (s *Server) Registry() *metrics.Registry { return s.reg }
-
-// SetStaleness installs a route's staleness source (replicas wire their
-// sync-lag tracker here). A nil fn removes it.
-func (s *Server) SetStaleness(route string, fn StalenessFunc) {
-	s.mu.Lock()
-	if fn == nil {
-		delete(s.stale, route)
-	} else {
-		s.stale[route] = fn
-	}
-	s.mu.Unlock()
-}
-
-// stalenessFor returns the route's staleness source, or nil.
-func (s *Server) stalenessFor(route string) StalenessFunc {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.stale[route]
-}
-
-// routeFor returns the mounted route, or nil.
-func (s *Server) routeFor(name string) *route {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.routes[name]
-}
 
 // Drain stops accepting chain requests (503 + Retry-After) and waits up
 // to drainTimeout for the in-flight ones to finish, so a shutdown never
@@ -322,9 +276,6 @@ func (s *Server) Drain() {
 		time.Sleep(5 * time.Millisecond)
 	}
 }
-
-// Draining reports whether Drain has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
 
 // routeHealth is one route's entry in the /readyz report.
 type routeHealth struct {
@@ -347,15 +298,9 @@ func (s *Server) CheckReadiness() Readiness {
 	if rd.Draining {
 		rd.Ready = false
 	}
-	s.mu.RLock()
-	routes := make([]*route, 0, len(s.routes))
 	for _, rt := range s.routes {
-		routes = append(routes, rt)
-	}
-	s.mu.RUnlock()
-	for _, rt := range routes {
 		h := routeHealth{}
-		if fn := s.stalenessFor(rt.name); fn != nil {
+		if fn := rt.be.stale; fn != nil {
 			h.Staleness, h.Degraded = fn()
 		}
 		if rt.breaker.Open() {
@@ -391,7 +336,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		// /<route>/stream is the persistent subscription transport; the
 		// bare route is the POST JSON-RPC endpoint.
 		if name, ok := strings.CutSuffix(path, "/stream"); ok {
-			rt := s.routeFor(name)
+			rt := s.routes[name]
 			if rt == nil {
 				http.NotFound(w, r)
 				return
@@ -399,7 +344,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			s.serveStream(w, r, rt.name, rt.be)
 			return
 		}
-		rt := s.routeFor(path)
+		rt := s.routes[path]
 		if rt == nil {
 			http.NotFound(w, r)
 			return
@@ -524,7 +469,7 @@ func (s *Server) worker() {
 // result bytes only, so a replica that catches back up stops tagging at
 // once and its responses return to byte-identical with the primary.
 func (s *Server) process(j *job) []byte {
-	stale := s.stalenessFor(j.rt.name)
+	stale := j.rt.be.stale
 	var one [1]answer // a single call's answer stays off the heap
 	answers := one[:0]
 	for i := range j.reqs {

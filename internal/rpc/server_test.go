@@ -1,6 +1,7 @@
 package rpc
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
@@ -18,6 +19,7 @@ import (
 	"forkwatch/internal/db/dbfs"
 	"forkwatch/internal/db/diskdb"
 	"forkwatch/internal/db/diskdb/faultfile"
+	"forkwatch/internal/live/feed"
 	"forkwatch/internal/types"
 )
 
@@ -77,14 +79,12 @@ func newTestPair(t *testing.T) (*chain.Blockchain, *chain.Blockchain, *Server) {
 	mine(t, eth, pool2)
 	mine(t, etc, pool2, echoTx)
 
-	srv := NewServer(ServerConfig{Workers: 4})
-	t.Cleanup(srv.Close)
 	beEth := NewBackend("ETH", eth)
 	beEtc := NewBackend("ETC", etc)
-	beEth.SetPeer(beEtc)
-	beEtc.SetPeer(beEth)
-	srv.RegisterChain(beEth)
-	srv.RegisterChain(beEtc)
+	beEth.AddPeer(beEtc)
+	beEtc.AddPeer(beEth)
+	srv := NewServer(ServerConfig{Workers: 4}, beEth, beEtc)
+	t.Cleanup(srv.Close)
 	return eth, etc, srv
 }
 
@@ -378,9 +378,8 @@ func TestRateLimiting(t *testing.T) {
 	}
 	// One token a second: the bucket holds two, and the three requests
 	// below arrive well inside a second.
-	srv := NewServer(ServerConfig{Workers: 2, RatePerSec: 1})
+	srv := NewServer(ServerConfig{Workers: 2, RatePerSec: 1}, NewBackend("ETH", eth))
 	defer srv.Close()
-	srv.RegisterChain(NewBackend("ETH", eth))
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -405,8 +404,7 @@ func TestQueueBackpressure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(ServerConfig{Workers: 1, QueueDepth: 1, RequestTimeout: 300 * time.Millisecond})
-	srv.RegisterChain(NewBackend("ETH", eth))
+	srv := NewServer(ServerConfig{Workers: 1, QueueDepth: 1, RequestTimeout: 300 * time.Millisecond}, NewBackend("ETH", eth))
 	// Stop the workers: jobs queue but never drain, so the queue slot
 	// stays occupied and the next request must be shed.
 	srv.Close()
@@ -458,9 +456,8 @@ func TestNoStaleHeadUnderConcurrentMining(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(ServerConfig{Workers: 8, QueueDepth: 4096, RequestTimeout: 10 * time.Second})
+	srv := NewServer(ServerConfig{Workers: 8, QueueDepth: 4096, RequestTimeout: 10 * time.Second}, NewBackend("ETH", eth))
 	defer srv.Close()
-	srv.RegisterChain(NewBackend("ETH", eth))
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -557,9 +554,8 @@ func TestChaosFaultyStorage(t *testing.T) {
 	}
 	ffs.SetEnabled(true) // chaos on
 
-	srv := NewServer(ServerConfig{Workers: 4, QueueDepth: 1024, RequestTimeout: 5 * time.Second})
+	srv := NewServer(ServerConfig{Workers: 4, QueueDepth: 1024, RequestTimeout: 5 * time.Second}, NewBackend("ETH", eth))
 	defer srv.Close()
-	srv.RegisterChain(NewBackend("ETH", eth))
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -702,9 +698,8 @@ func TestRefusalCountersFromMount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(ServerConfig{Workers: 1})
+	srv := NewServer(ServerConfig{Workers: 1}, NewBackend("ETH", eth))
 	defer srv.Close()
-	srv.RegisterChain(NewBackend("ETH", eth))
 	snap := srv.Registry().Snapshot()
 	for _, reason := range []string{"drained", "ratelimited", "oversized", "malformed", "shed", "timeouts", "breaker_shed"} {
 		if v, ok := snap["rpc.eth."+reason]; !ok || v != uint64(0) {
@@ -715,47 +710,93 @@ func TestRefusalCountersFromMount(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	postJSON(t, ts.URL+"/eth", `{"jsonrpc":`)
-	srv.routeFor("eth").refused.malformed.Inc()
+	srv.routes["eth"].refused.malformed.Inc()
 	if got := srv.Registry().Counter("rpc.eth.malformed").Value(); got != 2 {
 		t.Fatalf("rpc.eth.malformed = %d after one malformed body and one direct Inc, want 2", got)
 	}
 }
 
-func TestClientBatch(t *testing.T) {
-	_, _, srv := newTestPair(t)
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-	cl := newFC(t, FailoverConfig{Endpoints: []string{ts.URL + "/eth"}})
-
-	var head string
-	var blk map[string]any
-	elems := []BatchElem{
-		{Method: "eth_blockNumber", Result: &head},
-		{Method: "eth_getBlockByNumber", Params: []any{"0x1", false}, Result: &blk},
-		{Method: "eth_nothing"},
+// TestDuplicateRouteRefused: two backends on one route (names are
+// lowercased) are a bug NewServer refuses, naming the route.
+func TestDuplicateRouteRefused(t *testing.T) {
+	eth, err := chain.NewBlockchain(chain.MainnetLikeConfig(), testGenesis())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := cl.Batch(elems); err != nil {
-		t.Fatalf("Batch: %v", err)
-	}
-	if elems[0].Err != nil || head == "" {
-		t.Fatalf("batch elem 0: err=%v head=%q", elems[0].Err, head)
-	}
-	if elems[1].Err != nil || blk["number"] != "0x1" {
-		t.Fatalf("batch elem 1: err=%v blk=%v", elems[1].Err, blk)
-	}
-	var rpcErr *Error
-	if elems[2].Err == nil || !errorsAs(elems[2].Err, &rpcErr) || rpcErr.Code != ErrCodeMethodNotFound {
-		t.Fatalf("batch elem 2: err=%v, want method-not-found", elems[2].Err)
-	}
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "/eth") {
+			t.Fatalf("panic %q, want one naming /eth", msg)
+		}
+	}()
+	srv := NewServer(ServerConfig{Workers: 1}, NewBackend("ETH", eth), NewBackend("eth", eth))
+	srv.Close()
+	t.Fatal("NewServer mounted /eth twice")
 }
 
-// errorsAs is a tiny local wrapper to keep the test imports tidy.
-func errorsAs(err error, target *(*Error)) bool {
-	e, ok := err.(*Error)
-	if ok {
-		*target = e
+// TestBackendStaleness: a staleness source set on a Backend tags that
+// route's responses, its /readyz entry and its /<route>/stream lines, and
+// no other route's.
+func TestBackendStaleness(t *testing.T) {
+	_, _, srv := newTestPair(t)
+	be := srv.routes["eth"].be
+	be.SetStaleness(func() (uint64, bool) { return 12, true })
+	f := feed.NewFeed(srv.Registry(), 8)
+	be.SetLive(&LiveSource{Feed: f})
+	f.Publish(feed.Event{Kind: feed.KindHead, Head: &feed.HeadEvent{Chain: "ETH", Number: 1, Difficulty: "1"}})
+	f.Publish(feed.Event{Kind: feed.KindEOF})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	for route, want := range map[string]string{"eth": "12", "etc": "none"} {
+		_, raw := postJSON(t, ts.URL+"/"+route, `{"jsonrpc":"2.0","id":1,"method":"eth_blockNumber","params":[]}`)
+		var resp struct{ Staleness *uint64 }
+		if err := json.Unmarshal(raw, &resp); err != nil {
+			t.Fatalf("%s: %v: %s", route, err, raw)
+		}
+		got := "none"
+		if resp.Staleness != nil {
+			got = strconv.FormatUint(*resp.Staleness, 10)
+		}
+		if got != want {
+			t.Errorf("/%s response staleness %s, want %s", route, got, want)
+		}
 	}
-	return ok
+
+	resp, err := http.Get(ts.URL + "/readyz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rd Readiness
+	err = json.NewDecoder(resp.Body).Decode(&rd)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusServiceUnavailable || rd.Ready ||
+		rd.Routes["eth"] != (routeHealth{Degraded: true, Staleness: 12}) || rd.Routes["etc"] != (routeHealth{}) {
+		t.Errorf("/readyz %d %+v, want 503 with eth degraded at 12 and etc healthy", resp.StatusCode, rd)
+	}
+
+	resp, err = http.Get(ts.URL + "/eth/stream?stream=events&cursor=0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var lines []string
+	for sc := bufio.NewScanner(resp.Body); sc.Scan(); {
+		lines = append(lines, sc.Text())
+	}
+	if len(lines) != 3 {
+		t.Fatalf("stream lines %q, want a header, the head and EOF", lines)
+	}
+	for _, line := range lines[1:] {
+		var note struct {
+			Params struct{ Staleness *uint64 }
+		}
+		if err := json.Unmarshal([]byte(line), &note); err != nil || note.Params.Staleness == nil || *note.Params.Staleness != 12 {
+			t.Errorf("stream line %s: staleness not 12 (%v)", line, err)
+		}
+	}
 }
 
 // TestReceiptBlockNumberFromStore: a receipt names the block number its
@@ -805,9 +846,8 @@ func TestReceiptBlockNumberFromStore(t *testing.T) {
 	if _, ok := re.GetBlock(slow.Hash()); ok {
 		t.Fatal("reopened chain holds the abandoned block; the test needs one it does not")
 	}
-	srv := NewServer(ServerConfig{Workers: 2})
+	srv := NewServer(ServerConfig{Workers: 2}, NewBackend("ETH", re))
 	t.Cleanup(srv.Close)
-	srv.RegisterChain(NewBackend("ETH", re))
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	cl := newFC(t, FailoverConfig{Endpoints: []string{ts.URL + "/eth"}})

@@ -12,9 +12,9 @@
 //     and pushes newline-delimited JSON notifications as events arrive
 //     (the WebSocket-style transport, without a WebSocket dependency).
 //
-// Live methods are uncacheable — their results move independently of
-// the chain head — and bypass the storage breaker, since they never
-// touch the store.
+// The dispatch table (api.go) marks both methods live: uncached — their
+// results move independently of the chain head — and not gated by the
+// storage breaker, since they never touch the store.
 package rpc
 
 import (
@@ -40,17 +40,6 @@ func (b *Backend) SetLive(src *LiveSource) { b.live = src }
 
 // Live returns the attached live source, or nil.
 func (b *Backend) Live() *LiveSource { return b.live }
-
-// uncacheable marks methods the server must not cache or breaker-gate.
-var uncacheable = map[string]bool{
-	"fork_liveEvents":   true,
-	"fork_liveSnapshot": true,
-}
-
-func init() {
-	methods["fork_liveEvents"] = forkLiveEvents
-	methods["fork_liveSnapshot"] = forkLiveSnapshot
-}
 
 // maxPollBatch caps the events returned per read.
 const maxPollBatch = 4096
@@ -214,7 +203,7 @@ func (s *Server) serveStream(w http.ResponseWriter, r *http.Request, route strin
 	for {
 		events, next, gap := src.Feed.ReadSince(stream, chainFilter, cursor, maxPollBatch)
 		var staleness *uint64
-		if fn := s.stalenessFor(route); fn != nil {
+		if fn := be.stale; fn != nil {
 			if lag, degraded := fn(); degraded {
 				staleness = &lag
 			}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -126,16 +127,57 @@ func TestLiveTransportsOverASmallRing(t *testing.T) {
 	}
 }
 
-// TestLiveMethodSet: fork_liveEvents and fork_liveSnapshot are the whole
-// live namespace.
-func TestLiveMethodSet(t *testing.T) {
+// TestMethodTableLiveSet: the dispatch table's live methods are exactly
+// fork_liveEvents and fork_liveSnapshot. Behind an open storage breaker
+// they still answer, count no cache traffic and leave the cache empty;
+// every other method is looked up in the cache and then shed.
+func TestMethodTableLiveSet(t *testing.T) {
 	var live []string
-	for _, m := range Methods() {
-		if strings.HasPrefix(m, "fork_live") || strings.Contains(strings.ToLower(m), "subscri") {
+	for m, spec := range methods {
+		if spec.live {
 			live = append(live, m)
 		}
 	}
-	if strings.Join(live, ",") != "fork_liveEvents,fork_liveSnapshot" {
-		t.Errorf("live methods = %v", live)
+	sort.Strings(live)
+	if got := strings.Join(live, ","); got != "fork_liveEvents,fork_liveSnapshot" {
+		t.Fatalf("live methods = %s", got)
+	}
+
+	_, _, srv := newTestPair(t)
+	rt := srv.routes["eth"]
+	rt.be.SetLive(&LiveSource{Feed: feed.NewFeed(srv.Registry(), 8), Snapshot: func() any { return "snapshot" }})
+	for i := 0; i < breakerThreshold; i++ {
+		rt.breaker.Fail()
+	}
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	params := map[string]string{"fork_liveEvents": `["events",0]`, "fork_liveSnapshot": `[]`}
+	for m, spec := range methods {
+		p, ok := params[m]
+		if !ok {
+			p = `[]` // a cached method is shed before its params are read
+		}
+		_, raw := postJSON(t, ts.URL+"/eth", `{"jsonrpc":"2.0","id":1,"method":"`+m+`","params":`+p+`}`)
+		var resp Response
+		if err := json.Unmarshal(raw, &resp); err != nil {
+			t.Fatalf("%s: %v: %s", m, err, raw)
+		}
+		_, counted := srv.Registry().Snapshot()["rpc.eth."+m+".cache_misses"]
+		if spec.live {
+			if resp.Error != nil || counted {
+				t.Errorf("live %s behind an open breaker: error %+v, cache_misses counted %v", m, resp.Error, counted)
+			}
+			continue
+		}
+		if resp.Error == nil || resp.Error.Code != ErrCodeUnavailable || resp.Error.Data != "circuit-open" {
+			t.Errorf("cached %s behind an open breaker: error %+v, want circuit-open", m, resp.Error)
+		}
+		if n := srv.Registry().Counter("rpc.eth." + m + ".cache_misses").Value(); n != 1 {
+			t.Errorf("cached %s: %d cache misses, want 1", m, n)
+		}
+	}
+	if entries, _ := rt.cache.stats(); entries != 0 {
+		t.Errorf("cache holds %d entries after live answers, want 0", entries)
 	}
 }

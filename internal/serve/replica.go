@@ -307,7 +307,7 @@ func NewReplica(sc *sim.Scenario, cfg ReplicaConfig, rcfg rpc.ServerConfig) (*Re
 		route := strings.ToLower(c.Name)
 		tracker := &syncTracker{bc: c.Ledger.BC, bound: cfg.StalenessBound}
 		r.trackers = append(r.trackers, tracker)
-		r.Server.SetStaleness(route, tracker.staleness)
+		backends[i].SetStaleness(tracker.staleness)
 		reg.GaugeFunc("sync."+route+".lag_blocks", func() float64 {
 			lag, _ := tracker.staleness()
 			return float64(lag)

@@ -76,11 +76,10 @@ func (r *Result) Close() error {
 	return err
 }
 
-// mount registers every chain on a new server, cross-linking all ordered
+// mount builds a server over every chain, cross-linking all ordered
 // backend pairs for the fork_* joins, and routes each at its lowercase
 // name.
 func mount(cfg rpc.ServerConfig, chains []ServedChain) (*rpc.Server, []*rpc.Backend) {
-	srv := rpc.NewServer(cfg)
 	backends := make([]*rpc.Backend, len(chains))
 	for i, c := range chains {
 		backends[i] = rpc.NewBackend(c.Name, c.Ledger.BC)
@@ -91,9 +90,8 @@ func mount(cfg rpc.ServerConfig, chains []ServedChain) (*rpc.Server, []*rpc.Back
 				b.AddPeer(p)
 			}
 		}
-		srv.RegisterChain(b)
 	}
-	return srv, backends
+	return rpc.NewServer(cfg, backends...), backends
 }
 
 // newPlane builds the live measurement plane on the server's registry

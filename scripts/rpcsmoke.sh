@@ -2,8 +2,10 @@
 # rpcsmoke boots forkserve on a throwaway port, curls every served method
 # on both chain endpoints, checks /debug/metrics, and fails on any
 # malformed response. It then sends 2 000 distinct difficulty windows and
-# fails unless the route's response cache stays within its 16 MiB. forkload then loads it for a second and must finish
-# without a protocol or transport error. Next it boots a replica following
+# 5 000 distinct balance lookups, and fails unless the route's response
+# cache stays within its 16 MiB and its 4 096 entries. forkload then loads
+# it for a second and must finish without a protocol or transport error.
+# Next it boots a replica following
 # the primary's sync plane under injected storage read errors, waits for
 # it to catch up, checks that the replica serves the same answers plus the
 # replica-tier metrics, and drains it with SIGTERM. Last, an orphan replica
@@ -149,6 +151,33 @@ if ! awk -v b="$cbytes" 'BEGIN { exit !(b > 0 && b <= 16 * 1024 * 1024) }'; then
     echo "rpcsmoke: FAIL rpc.eth.cache_bytes = $cbytes after 2000 windows, want (0, 16 MiB]" >&2; exit 1
 fi
 echo "rpcsmoke: ok   2000 difficulty windows leave rpc.eth.cache_bytes at $cbytes (bound 16 MiB)"
+
+# The response cache is bounded in entries too: 5 000 distinct small
+# eth_getBalance answers (one address each), sent in batches of 50, must
+# leave the route's cache within its 4 096 entries.
+from=1
+while [ "$from" -le 5000 ]; do
+    body="["
+    i=0
+    while [ "$i" -lt 50 ]; do
+        f=$((from+i))
+        [ "$i" -eq 0 ] || body="$body,"
+        body="$body{\"jsonrpc\":\"2.0\",\"id\":$f,\"method\":\"eth_getBalance\",\"params\":[\"$(printf '0x%040x' "$f")\",\"latest\"]}"
+        i=$((i+1))
+    done
+    curl -sf -o "$BIN/balances.json" -X POST -H 'Content-Type: application/json' -d "$body]" "$BASE/eth" || {
+        echo "rpcsmoke: FAIL balance batch from $from: transport error" >&2; exit 1; }
+    if grep -q '"error"' "$BIN/balances.json"; then
+        echo "rpcsmoke: FAIL balance batch from $from: $(head -c 300 "$BIN/balances.json")" >&2; exit 1
+    fi
+    from=$((from+50))
+done
+centries="$(curl -sf "$BASE/debug/metrics" | sed -n 's/^ *"rpc\.eth\.cache_entries": \([0-9.e+]*\),\{0,1\}$/\1/p')"
+[ -n "$centries" ] || { echo "rpcsmoke: FAIL metrics snapshot missing rpc.eth.cache_entries" >&2; exit 1; }
+if ! awk -v n="$centries" 'BEGIN { exit !(n > 0 && n <= 4096) }'; then
+    echo "rpcsmoke: FAIL rpc.eth.cache_entries = $centries after 5000 balances, want (0, 4096]" >&2; exit 1
+fi
+echo "rpcsmoke: ok   5000 balances leave rpc.eth.cache_entries at $centries (bound 4096)"
 
 # What the booted primary holds: its heap after a GC, as a profile to
 # keep and as one in-use total.

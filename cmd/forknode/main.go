@@ -267,6 +267,9 @@ func mineLoop(bc *chain.Blockchain, srv *p2p.Server, r *rand.Rand, every time.Du
 		uncles := bc.CollectUncles(head.Hash())
 		blk, err := bc.MineBlock(coinbase, head.Header.Time+bc.Config().TargetBlockTime, []*chain.Transaction{tx}, uncles,
 			func(h *chain.Header) { pow.Seal(h, r) })
+		if err == nil {
+			err = bc.Flush()
+		}
 		if err != nil {
 			log.Printf("mine: %v", err)
 			continue

@@ -49,8 +49,9 @@ type Genesis struct {
 // Safe for concurrent use.
 //
 // Every persistent record — trie nodes, block bodies, receipts, total
-// difficulties, the canonical index — lives in one db.KV behind Store.
-// Decoded blocks and TDs are additionally kept in in-memory maps: they are
+// difficulties, the canonical index — lives in one db.KV behind Store,
+// read and written through the chain's one stager (Flush lands what it
+// holds). Decoded blocks and TDs are additionally kept in in-memory maps: they are
 // read on every validation and fork-choice step, and re-decoding them from
 // RLP per access would dominate. A block's state root is its header's
 // (execution rejects any other). Receipts are read only by the serving
@@ -58,10 +59,11 @@ type Genesis struct {
 type Blockchain struct {
 	cfg   *Config
 	proc  *Processor
-	db    db.KV
 	store *Store
-	// states is what the chain's own states read through (see stateKV).
-	states *stateKV
+	// coal is the chain's one stager: every state and store read and
+	// every commit goes through it. staged undoes what it holds (rollback).
+	coal   *db.Coalescer
+	staged *undo
 
 	mu      sync.RWMutex
 	blocks  map[types.Hash]*Block
@@ -86,8 +88,11 @@ func NewBlockchain(cfg *Config, gen *Genesis) (*Blockchain, error) {
 
 // NewBlockchainWithDB creates a chain from genesis over the given store
 // (the Storage scenario knob plumbs a configured backend through here).
+// Genesis is staged: it is durable once Flush, or the first InsertChain,
+// lands it.
 func NewBlockchainWithDB(cfg *Config, gen *Genesis, kv db.KV) (*Blockchain, error) {
-	st, err := state.New(types.Hash{}, kv)
+	bc := newChain(cfg, NewStore(kv))
+	st, err := state.New(types.Hash{}, bc.coal)
 	if err != nil {
 		return nil, err
 	}
@@ -99,7 +104,7 @@ func NewBlockchainWithDB(cfg *Config, gen *Genesis, kv db.KV) (*Blockchain, erro
 	}
 	// Genesis is one commit like any block: its state and its records land
 	// as one batch.
-	batch := kv.NewBatch()
+	batch := bc.coal.NewBatch()
 	root, err := st.CommitTo(batch)
 	if err != nil {
 		return nil, err
@@ -119,19 +124,11 @@ func NewBlockchainWithDB(cfg *Config, gen *Genesis, kv db.KV) (*Blockchain, erro
 		UncleHash:   EmptyUncleHash,
 	}
 	genesis := &Block{Header: header}
-	store := NewStore(kv)
-	bc := &Blockchain{
-		cfg:     cfg,
-		proc:    NewProcessor(cfg),
-		db:      kv,
-		store:   store,
-		states:  &stateKV{KV: kv},
-		blocks:  map[types.Hash]*Block{genesis.Hash(): genesis},
-		tds:     map[types.Hash]*big.Int{genesis.Hash(): types.BigCopy(diff)},
-		canon:   map[uint64]types.Hash{0: genesis.Hash()},
-		head:    genesis,
-		genesis: genesis,
-	}
+	bc.blocks[genesis.Hash()] = genesis
+	bc.tds[genesis.Hash()] = types.BigCopy(diff)
+	bc.canon[0] = genesis.Hash()
+	bc.head, bc.genesis = genesis, genesis
+	store := bc.store
 	wb := store.NewWALBatch()
 	store.PutBlock(wb, genesis)
 	store.PutReceipts(wb, genesis.Hash(), nil)
@@ -143,6 +140,22 @@ func NewBlockchainWithDB(cfg *Config, gen *Genesis, kv db.KV) (*Blockchain, erro
 		return nil, err
 	}
 	return bc, nil
+}
+
+// newChain returns a chain with no blocks yet over store, whose reads and
+// writes go through the chain's stager from now on.
+func newChain(cfg *Config, store *Store) *Blockchain {
+	coal := db.NewCoalescer(store.kv)
+	store.kv = coal
+	return &Blockchain{
+		cfg:    cfg,
+		proc:   NewProcessor(cfg),
+		store:  store,
+		coal:   coal,
+		blocks: make(map[types.Hash]*Block),
+		tds:    make(map[types.Hash]*big.Int),
+		canon:  make(map[uint64]types.Hash),
+	}
 }
 
 // Open reopens an existing chain from its store, running WAL recovery
@@ -169,16 +182,7 @@ func Open(cfg *Config, kv db.KV) (*Blockchain, error) {
 		return nil, fmt.Errorf("%w: head block %s unreadable (%v)", ErrCorruptStore, headHash, err)
 	}
 
-	bc := &Blockchain{
-		cfg:    cfg,
-		proc:   NewProcessor(cfg),
-		db:     kv,
-		store:  store,
-		states: &stateKV{KV: kv},
-		blocks: make(map[types.Hash]*Block),
-		tds:    make(map[types.Hash]*big.Int),
-		canon:  make(map[uint64]types.Hash),
-	}
+	bc := newChain(cfg, store)
 	// Rebuild the in-memory indices by walking the canonical chain. Side
 	// branches persist in the store but are not re-indexed; they are
 	// rediscovered through gossip, like any node restarting from disk.
@@ -219,7 +223,7 @@ func Open(cfg *Config, kv db.KV) (*Blockchain, error) {
 		return nil, fmt.Errorf("%w: head %s not on canonical chain", ErrCorruptStore, headHash)
 	}
 	// The head state must be openable, or every future insert would fail.
-	if _, err := state.New(bc.head.Header.StateRoot, kv); err != nil {
+	if _, err := state.New(bc.head.Header.StateRoot, bc.coal); err != nil {
 		return nil, fmt.Errorf("%w: head state unopenable (%v)", ErrCorruptStore, err)
 	}
 	return bc, nil
@@ -302,9 +306,13 @@ func (bc *Blockchain) TD(h types.Hash) (*big.Int, bool) {
 
 // TransactionByHash resolves a transaction through the store's tx index:
 // the transaction, the hash and number of the block that included it, and
-// its position in that block. ok=false means the hash is unknown.
+// its position in that block. ok=false means the hash is unknown. It reads
+// under the chain's read lock, so it never sees a run InsertChain has
+// staged but not yet landed.
 func (bc *Blockchain) TransactionByHash(h types.Hash) (tx *Transaction, blockHash types.Hash, blockNumber uint64, index uint32, ok bool, err error) {
+	bc.mu.RLock()
 	t, lk, num, ok, err := bc.store.Transaction(h)
+	bc.mu.RUnlock()
 	if err != nil || !ok {
 		return nil, types.Hash{}, 0, 0, false, err
 	}
@@ -312,9 +320,12 @@ func (bc *Blockchain) TransactionByHash(h types.Hash) (tx *Transaction, blockHas
 }
 
 // ReceiptByTxHash resolves a transaction's execution receipt through the
-// store's tx index. Store.Receipt also returns the block's number.
+// store's tx index, under the read lock as TransactionByHash does.
+// Store.Receipt also returns the block's number.
 func (bc *Blockchain) ReceiptByTxHash(h types.Hash) (r *Receipt, blockHash types.Hash, index uint32, ok bool, err error) {
+	bc.mu.RLock()
 	rec, lk, _, ok, err := bc.store.Receipt(h)
+	bc.mu.RUnlock()
 	if err != nil || !ok {
 		return nil, types.Hash{}, 0, false, err
 	}
@@ -325,11 +336,29 @@ func (bc *Blockchain) ReceiptByTxHash(h types.Hash) (r *Receipt, blockHash types
 // trie). Export tooling reads blocks and receipts through it.
 func (bc *Blockchain) Store() *Store { return bc.store }
 
-// DB returns the backing key-value store.
-func (bc *Blockchain) DB() db.KV { return bc.db }
+// StorageStats reports the backing store's counters, reads the stager
+// answered included.
+func (bc *Blockchain) StorageStats() db.Stats { return bc.coal.Stats() }
 
-// StorageStats reports the backing store's counters.
-func (bc *Blockchain) StorageStats() db.Stats { return bc.db.Stats() }
+// Flush lands everything staged since the last flush — genesis, mined
+// blocks — in the store as one batch: a nil return means all of it is
+// durable. On error the chain drops all of it and goes back to its last
+// durable head (rollback); one whose genesis never landed is of no use.
+func (bc *Blockchain) Flush() error {
+	bc.mu.Lock()
+	defer bc.mu.Unlock()
+	return bc.flush()
+}
+
+// flush is Flush for callers that hold bc.mu.
+func (bc *Blockchain) flush() error {
+	if err := bc.coal.Flush(); err != nil {
+		bc.rollback()
+		return err
+	}
+	bc.staged = nil
+	return nil
+}
 
 // StateAt opens the state committed by the given block.
 func (bc *Blockchain) StateAt(h types.Hash) (*state.DB, error) {
@@ -337,7 +366,7 @@ func (bc *Blockchain) StateAt(h types.Hash) (*state.DB, error) {
 	if !ok {
 		return nil, fmt.Errorf("chain: no state for block %s", h)
 	}
-	return state.New(b.Header.StateRoot, bc.db)
+	return state.New(b.Header.StateRoot, bc.coal)
 }
 
 // HeadState opens the state at the canonical head.
@@ -358,12 +387,12 @@ func (bc *Blockchain) takeState(root types.Hash) (*state.DB, error) {
 			return st, nil
 		}
 	}
-	return state.New(root, bc.states)
+	return state.New(root, bc.coal)
 }
 
 // keepState hands the chain the state b's execution committed at root, once
-// b is staged: it is kept only if b became the head, and a commit that
-// fails to land drops it again (rollback).
+// b is staged: it is kept only if b became the head, and a flush that
+// fails drops it again (rollback).
 func (bc *Blockchain) keepState(b *Block, st *state.DB, root types.Hash) {
 	if bc.head == b {
 		bc.headState, bc.headStateRoot = st, root
@@ -387,26 +416,28 @@ func (bc *Blockchain) InsertBlock(b *Block) error {
 }
 
 // InsertChain inserts blocks in order, each validated, executed and put
-// through total-difficulty fork choice, and lands them as ONE commit:
-// their states read and commit through a run-scoped overlay of the store,
-// their records collect into one WAL record, and the run reaches the
-// store as one batch —
+// through total-difficulty fork choice, and lands them as ONE commit: each
+// block's state stages as it executes, so the next block reads it, the
+// run's records collect into one WAL record, and the run, flushed on its
+// own before InsertChain returns, reaches the store as one batch —
 // [state nodes…, WAL record, chain records…, watermark]. Known blocks are
 // skipped. It returns how many blocks it inserted; callers hand it runs of
 // at most MaxRun blocks.
 //
 // At the first block that fails, the blocks before it are committed and
-// the block's error is returned, naming it. If the commit itself fails,
-// none of the run is inserted: the chain stays at its last committed head,
-// which is what reopening the store would rebuild.
+// the block's error is returned, naming it. If the flush fails, none of
+// the run is inserted: the chain stays at its last committed head, which
+// is what reopening the store would rebuild. Readers of the view and the
+// tx index wait on the lock InsertChain holds, so none sees a run before
+// it is durable.
 func (bc *Blockchain) InsertChain(blocks []*Block) (int, error) {
 	bc.mu.Lock()
 	defer bc.mu.Unlock()
 
-	c := bc.newCommit()
-	overlay := db.NewCoalescer(runKV{KV: bc.db, batch: c.batch})
-	bc.states.run = overlay
-	defer func() { bc.states.run = nil }()
+	if err := bc.flush(); err != nil {
+		return 0, err
+	}
+	batch, wal := bc.newCommit()
 	n := 0
 	var failed error
 	for _, b := range blocks {
@@ -415,7 +446,7 @@ func (bc *Blockchain) InsertChain(blocks []*Block) (int, error) {
 			continue // resuming over an overlap
 		}
 		if err == nil {
-			err = bc.insertInRun(c, overlay, b)
+			err = bc.insertInRun(wal, b)
 		}
 		if err != nil {
 			failed = fmt.Errorf("block %d: %w", b.Number(), err)
@@ -426,24 +457,23 @@ func (bc *Blockchain) InsertChain(blocks []*Block) (int, error) {
 	if n == 0 {
 		return 0, failed
 	}
-	// Queue the run's state nodes ahead of its WAL record (see runKV).
-	if err := overlay.Flush(); err != nil {
-		c.rollback()
+	if err := bc.store.CommitWAL(batch, wal); err != nil {
+		bc.rollback()
 		return 0, err
 	}
-	if err := c.write(); err != nil {
+	if err := bc.flush(); err != nil {
 		return 0, err
 	}
 	return n, failed
 }
 
-// insertInRun executes a checked block of a run and stages it into c. The
-// state it commits enters the run's overlay only once every check has
-// passed, so the next block of the run can read it and a rejected block
-// leaves nothing behind; the state is carried to the next block
-// (keepState), and dropped again if the commit fails.
-func (bc *Blockchain) insertInRun(c *commit, overlay *db.Coalescer, b *Block) error {
-	nodes := overlay.NewBatch()
+// insertInRun executes a checked block of a run and stages it into wal. The
+// state it commits enters the stager only once every check has passed, so
+// the next block of the run can read it and a rejected block leaves
+// nothing behind; the state is carried to the next block (keepState), and
+// dropped again if the run fails to land (rollback).
+func (bc *Blockchain) insertInRun(wal *WALBatch, b *Block) error {
+	nodes := bc.coal.NewBatch()
 	st, receipts, root, err := bc.execute(b, nodes)
 	if err != nil {
 		return err
@@ -451,52 +481,10 @@ func (bc *Blockchain) insertInRun(c *commit, overlay *db.Coalescer, b *Block) er
 	if err := nodes.Write(); err != nil {
 		return err
 	}
-	c.stage(b, receipts, root)
+	bc.stage(wal, b, receipts, root)
 	bc.keepState(b, st, root)
 	return nil
 }
-
-// stateKV is the store the chain's own states — the ones blocks execute on,
-// carried from block to block — read and commit through: the chain's
-// store, or, while InsertChain runs, the run's overlay of it, which holds
-// the state the run's earlier blocks committed. Only touched under bc.mu.
-type stateKV struct {
-	db.KV
-	run *db.Coalescer // the overlay of the run in progress, nil between runs
-}
-
-func (k *stateKV) store() db.KV {
-	if k.run != nil {
-		return k.run
-	}
-	return k.KV
-}
-
-// Get implements db.KV.
-func (k *stateKV) Get(key []byte) ([]byte, bool, error) { return k.store().Get(key) }
-
-// Has implements db.KV.
-func (k *stateKV) Has(key []byte) (bool, error) { return k.store().Has(key) }
-
-// NewBatch implements db.KV.
-func (k *stateKV) NewBatch() db.Batch { return k.store().NewBatch() }
-
-// runKV is the store under a run's overlay: reads reach the chain's store,
-// and the overlay's Flush, instead of writing, queues everything the run's
-// states committed into the run's one batch.
-type runKV struct {
-	db.KV
-	batch db.Batch
-}
-
-// NewBatch implements db.KV.
-func (k runKV) NewBatch() db.Batch { return queued{k.batch} }
-
-// queued is a batch whose Write leaves its operations queued, for the
-// commit to write.
-type queued struct{ db.Batch }
-
-func (queued) Write() error { return nil }
 
 // check runs the validation that needs no execution: b is not known yet,
 // its parent is, and its header and body are valid against that parent.
@@ -541,34 +529,35 @@ func (bc *Blockchain) execute(b *Block, batch db.Batch) (*state.DB, []*Receipt, 
 	return st, receipts, root, nil
 }
 
-// commit is one commit in the making — a block, or a run of blocks — and
-// the only way a block reaches the store: the batch it lands as (holding
-// the state nodes queued so far), its chain records staged for the WAL
-// record, and what undoes its in-memory side. stage applies each block to
-// the chain's maps at once, so the next block of a run validates against
-// it; the caller holds bc.mu from the first stage to the write, so no
-// reader sees a block before its records are in the store, and a failed
-// write puts the maps back (rollback).
-type commit struct {
-	bc    *Blockchain
-	batch db.Batch
-	wal   *WALBatch
-	head  *Block                // the head before the commit
-	added []types.Hash          // blocks added to the maps
-	canon map[uint64]types.Hash // canonical heights rewritten, with their old hash (zero: none)
+// undo puts the chain's view back where the last flush left it: the head
+// and WAL sequence then, the blocks added since, and the canonical heights
+// rewritten since, with the hash each held then (zero: none).
+type undo struct {
+	head   *Block
+	walSeq uint64
+	added  []types.Hash
+	canon  map[uint64]types.Hash
 }
 
-// newCommit starts a commit on top of the current head. Callers hold bc.mu.
-func (bc *Blockchain) newCommit() *commit {
-	return &commit{bc: bc, batch: bc.db.NewBatch(), wal: bc.store.NewWALBatch(), head: bc.head}
+// newCommit starts a commit — a block, or a run of blocks — on top of the
+// current head: a stager batch for its state nodes and a WALBatch for its
+// records, which Store.CommitWAL stages as one batch. Callers hold bc.mu
+// throughout, InsertChain on to the flush, so no reader sees a run before
+// its records are in the store.
+func (bc *Blockchain) newCommit() (db.Batch, *WALBatch) {
+	if bc.staged == nil {
+		bc.staged = &undo{head: bc.head, walSeq: bc.store.walSeq, canon: make(map[uint64]types.Hash)}
+	}
+	return bc.coal.NewBatch(), bc.store.NewWALBatch()
 }
 
-// stage queues the records of b, executed to root, into c — body,
+// stage queues the records of b, executed to root, into wb — body,
 // receipts, TD, state root, tx index and, when b wins total-difficulty fork
 // choice, the canonical-index rewrite and the head marker — and applies the
-// same change to the in-memory view.
-func (c *commit) stage(b *Block, receipts []*Receipt, root types.Hash) {
-	bc, s, wb := c.bc, c.bc.store, c.wal
+// same change to the in-memory view at once, so the next block of a run
+// validates against it, noting in bc.staged what undoes it.
+func (bc *Blockchain) stage(wb *WALBatch, b *Block, receipts []*Receipt, root types.Hash) {
+	s := bc.store
 	hash := b.Hash()
 	td := new(big.Int).Add(bc.tds[b.Header.ParentHash], b.Header.Difficulty)
 	s.PutBlock(wb, b)
@@ -577,7 +566,7 @@ func (c *commit) stage(b *Block, receipts []*Receipt, root types.Hash) {
 	s.PutStateRoot(wb, hash, root)
 	s.PutBlockTxIndices(wb, b)
 	bc.blocks[hash], bc.tds[hash] = b, td
-	c.added = append(c.added, hash)
+	bc.staged.added = append(bc.staged.added, hash)
 
 	if td.Cmp(bc.tds[bc.head.Hash()]) <= 0 {
 		return
@@ -591,60 +580,52 @@ func (c *commit) stage(b *Block, receipts []*Receipt, root types.Hash) {
 		if u != b {
 			s.PutBlockTxIndices(wb, u)
 		}
-		c.setCanon(u.Number(), u.Hash())
+		bc.setCanon(u.Number(), u.Hash())
 	}
 	for _, n := range stale {
 		s.DeleteCanon(wb, n)
-		c.setCanon(n, types.Hash{})
+		bc.setCanon(n, types.Hash{})
 	}
 	s.PutHead(wb, hash)
 	bc.head = b
 }
 
 // setCanon points the in-memory canonical index at h for height n (zero:
-// no entry), remembering the value the commit found there.
-func (c *commit) setCanon(n uint64, h types.Hash) {
-	if c.canon == nil {
-		c.canon = make(map[uint64]types.Hash)
-	}
-	if _, saved := c.canon[n]; !saved {
-		c.canon[n] = c.bc.canon[n]
+// no entry), noting the value the last flush left there.
+func (bc *Blockchain) setCanon(n uint64, h types.Hash) {
+	if _, saved := bc.staged.canon[n]; !saved {
+		bc.staged.canon[n] = bc.canon[n]
 	}
 	if h.IsZero() {
-		delete(c.bc.canon, n)
+		delete(bc.canon, n)
 	} else {
-		c.bc.canon[n] = h
+		bc.canon[n] = h
 	}
 }
 
-// write lands the commit as one batch through the WAL (Store.CommitWAL).
-// If the write fails — nothing committed, or the store crashed mid-write
-// and the commit is for recovery to settle — the in-memory view goes back
-// to the last committed head.
-func (c *commit) write() error {
-	if err := c.bc.store.CommitWAL(c.batch, c.wal); err != nil {
-		c.rollback()
-		return err
+// rollback drops everything the stager holds and puts the view back where
+// the last flush left it, without a carried state, as a chain reopened over
+// the store would be. Callers hold bc.mu.
+func (bc *Blockchain) rollback() {
+	bc.coal.Discard()
+	bc.headState = nil
+	u := bc.staged
+	if u == nil {
+		return
 	}
-	return nil
-}
-
-// rollback undoes the commit's in-memory side and drops the carried state,
-// as a chain reopened over the store would have none.
-func (c *commit) rollback() {
-	bc := c.bc
-	for _, h := range c.added {
+	bc.staged = nil
+	for _, h := range u.added {
 		delete(bc.blocks, h)
 		delete(bc.tds, h)
 	}
-	for n, h := range c.canon {
+	for n, h := range u.canon {
 		if h.IsZero() {
 			delete(bc.canon, n)
 		} else {
 			bc.canon[n] = h
 		}
 	}
-	bc.head, bc.headState = c.head, nil
+	bc.head, bc.store.walSeq = u.head, u.walSeq
 }
 
 // canonDelta computes the canonical-index rewrite that making b the head
@@ -736,7 +717,7 @@ func (bc *Blockchain) BuildBlockWithUncles(coinbase types.Address, time uint64, 
 	defer bc.mu.Unlock()
 
 	block := &Block{Header: bc.nextHeader(coinbase, time, uncles), Txs: txs, Uncles: uncles}
-	st, err := state.New(bc.head.Header.StateRoot, bc.db)
+	st, err := state.New(bc.head.Header.StateRoot, bc.coal)
 	if err != nil {
 		return nil, err
 	}
@@ -792,8 +773,10 @@ func fillRoots(block *Block, receipts []*Receipt, root types.Hash) {
 }
 
 // MineBlock is the local miner's door: it builds a child of the current
-// head from the candidates that still apply, and persists it as one commit,
+// head from the candidates that still apply, and stages it as one commit,
 // executing every transaction exactly once and committing the state once.
+// The block is the head, and readable, when MineBlock returns; it is
+// durable once the caller's Flush lands it.
 // Candidates run in order against the real header; one that no longer
 // validates or does not fit the gas pool is skipped (ApplyTransaction
 // rejects before it mutates). seal stamps the PoW seal on the otherwise
@@ -830,15 +813,16 @@ func (bc *Blockchain) MineBlock(coinbase types.Address, time uint64, candidates 
 		receipts = append(receipts, rec)
 	}
 	bc.proc.payRewards(header, uncles, st)
-	c := bc.newCommit()
-	root, err := st.CommitTo(c.batch)
+	batch, wal := bc.newCommit()
+	root, err := st.CommitTo(batch)
 	if err != nil {
 		return nil, err
 	}
 	fillRoots(block, receipts, root)
 	seal(header)
-	c.stage(block, receipts, root)
-	if err := c.write(); err != nil {
+	bc.stage(wal, block, receipts, root)
+	if err := bc.store.CommitWAL(batch, wal); err != nil {
+		bc.rollback()
 		return nil, err
 	}
 	bc.keepState(block, st, root)

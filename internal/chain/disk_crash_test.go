@@ -39,6 +39,9 @@ func TestDiskCrashSweepMidImport(t *testing.T) {
 	// Calibrate the import's append footprint on a clean disk run.
 	calibFS, calibDB := diskStack(t)
 	calib, err := NewBlockchainWithDB(MainnetLikeConfig(), testGenesis(), calibDB)
+	if err == nil {
+		err = calib.Flush() // genesis lands before the import starts
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,6 +58,9 @@ func TestDiskCrashSweepMidImport(t *testing.T) {
 	for off := uint64(1); off <= totalOps; off++ {
 		ffs, d := diskStack(t)
 		victim, err := NewBlockchainWithDB(MainnetLikeConfig(), testGenesis(), d)
+		if err == nil {
+			err = victim.Flush()
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,8 +100,9 @@ func TestDiskCrashSweepMidImport(t *testing.T) {
 }
 
 // TestOneAppendPerCommit pins the write count a commit costs on disk: a
-// mined or inserted block is one append (one fsync), and an import of N
-// blocks is one append per run of MaxRun.
+// mined block is staged, and its Flush is one append (one fsync), an
+// inserted block is one append, and an import of N blocks is one append
+// per run of MaxRun.
 func TestOneAppendPerCommit(t *testing.T) {
 	srcFS, srcDB := diskStack(t)
 	defer srcDB.Close()
@@ -105,8 +112,14 @@ func TestOneAppendPerCommit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if got := srcFS.WriteOps() - before; got != 0 {
+		t.Fatalf("MineBlock made %d appends, want 0 before its Flush", got)
+	}
+	if err := src.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	if got := srcFS.WriteOps() - before; got != 1 {
-		t.Fatalf("MineBlock made %d appends, want 1", got)
+		t.Fatalf("MineBlock and Flush made %d appends, want 1", got)
 	}
 	var buf bytes.Buffer
 	if err := src.WriteChain(&buf); err != nil {
@@ -118,6 +131,9 @@ func TestOneAppendPerCommit(t *testing.T) {
 	dstFS, dstDB := diskStack(t)
 	defer dstDB.Close()
 	dst, err := NewBlockchainWithDB(MainnetLikeConfig(), gen, dstDB)
+	if err == nil {
+		err = dst.Flush() // genesis is an append of its own
+	}
 	if err != nil {
 		t.Fatal(err)
 	}

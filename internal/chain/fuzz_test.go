@@ -91,7 +91,7 @@ func FuzzDecodeBlock(f *testing.F) {
 func FuzzPointRead(f *testing.F) {
 	bc := newTestChain(f, MainnetLikeConfig())
 	b := mine(f, bc, 14, transfer(0, alice, bob, 10, 0), transfer(1, alice, bob, 20, 0))
-	receipts, _, err := bc.DB().Get(hashKey(prefixReceipts, b.Hash()))
+	receipts, _, err := bc.Store().KV().Get(hashKey(prefixReceipts, b.Hash()))
 	if err != nil {
 		f.Fatal(err)
 	}

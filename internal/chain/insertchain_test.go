@@ -163,6 +163,15 @@ func TestInsertChainFailedCommitKeepsView(t *testing.T) {
 				t.Fatal(err)
 			}
 			sameView(t, bc, kv)
+			// The stager dropped the run: reads through it see the store.
+			if head, _, err := bc.Store().Head(); err != nil || head != blocks[3].Hash() {
+				t.Fatalf("the chain reads head marker %s (%v), want the acknowledged %s", head, err, blocks[3].Hash())
+			}
+			for _, b := range blocks[4:9] {
+				if has, err := bc.Store().HasBlock(b.Hash()); has || err != nil {
+					t.Fatalf("block %d of the failed run still readable through the chain (%v)", b.Number(), err)
+				}
+			}
 
 			if _, err := bc.InsertChain(blocks[4:]); err != nil {
 				t.Fatalf("resumed run: %v", err)

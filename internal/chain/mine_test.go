@@ -150,6 +150,9 @@ func TestMineBlockMatchesBuildInsert(t *testing.T) {
 		coinbase := users[r.Intn(len(users))]
 
 		got, err := mined.MineBlock(coinbase, tm, cands, uncles, testSeal)
+		if err == nil {
+			err = mined.Flush()
+		}
 		if err != nil {
 			t.Fatalf("round %d: MineBlock: %v", round, err)
 		}
@@ -279,7 +282,8 @@ func TestMineBlockValidatesUncles(t *testing.T) {
 	}
 }
 
-// mineDense mines blocks×perBlock transfers through MineBlock over kv.
+// mineDense mines blocks×perBlock transfers through MineBlock over kv,
+// flushing each block as a miner does.
 func mineDense(t testing.TB, kv db.KV, blocks, perBlock int) *Blockchain {
 	t.Helper()
 	users, gen := mineUsers(64)
@@ -297,6 +301,9 @@ func mineDense(t testing.TB, kv db.KV, blocks, perBlock int) *Blockchain {
 			nonces[from]++
 		}
 		blk, err := bc.MineBlock(pool1, bc.Head().Header.Time+14, cands, nil, testSeal)
+		if err == nil {
+			err = bc.Flush()
+		}
 		if err != nil {
 			t.Fatal(err)
 		}

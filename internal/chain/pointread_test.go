@@ -140,7 +140,7 @@ func TestPointReadsRejectCorruptRecords(t *testing.T) {
 	bc := newTestChain(t, MainnetLikeConfig())
 	b := mine(t, bc, 14, transfer(0, alice, bob, 10, 0), transfer(1, alice, bob, 20, 0))
 	block := b.Encode()
-	receipts, _, err := bc.DB().Get(hashKey(prefixReceipts, b.Hash()))
+	receipts, _, err := bc.Store().KV().Get(hashKey(prefixReceipts, b.Hash()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestPointReadsKeepReadErrors(t *testing.T) {
 	mine(t, bc, 14, tx)
 	readErr := errors.New("injected read error")
 	for _, prefix := range []byte{prefixBlock, prefixReceipts} {
-		s := NewStore(failingGets{bc.DB(), prefix, readErr})
+		s := NewStore(failingGets{bc.Store().KV(), prefix, readErr})
 		_, _, _, _, rerr := s.Receipt(tx.Hash())
 		errs := []error{rerr}
 		if prefix == prefixBlock {

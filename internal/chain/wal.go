@@ -14,12 +14,12 @@ import (
 
 // Write-ahead log: the crash-consistency protocol of the chain store.
 //
-// A commit is what the chain hands the store in one piece: one block
-// (InsertBlock, MineBlock, genesis) or a run of blocks (InsertChain). Its
-// persistence spans many keys — state trie nodes and contract code, then
-// per block the body, receipts, total difficulty, state root and tx index
-// entries, the canonical index and the head marker — and it reaches the
-// store as ONE batch, in this order:
+// A commit is what the chain stages in one piece: one block (InsertBlock,
+// MineBlock, genesis) or a run of blocks (InsertChain). Its persistence
+// spans many keys — state trie nodes and contract code, then per block the
+// body, receipts, total difficulty, state root and tx index entries, the
+// canonical index and the head marker — and it reaches the store, in its
+// chain's next Flush, as ONE batch (or part of one), in this order:
 //
 //	[state nodes…, WAL record, chain records…, watermark]
 //
@@ -129,8 +129,8 @@ func (b *WALBatch) Write() error {
 // operations themselves and the applied watermark, in that order, and is
 // written.
 //
-// A nil return means the commit is durable and fully applied. An error
-// from a write that applied nothing means nothing committed. An error
+// A nil return means the commit is applied (to the chain's stager: staged).
+// An error from a write that applied nothing means nothing committed. An error
 // from a torn write (the store crashed) leaves a prefix that RecoverWAL
 // resolves on reopen: to the previous commit, or — when the WAL record
 // landed — to this one.

@@ -131,6 +131,9 @@ func TestCrashMidImportRecovers(t *testing.T) {
 	// Measure the import's total write footprint on a clean run.
 	calibKV := &tearKV{KV: db.NewMemDB()}
 	calib, err := NewBlockchainWithDB(MainnetLikeConfig(), testGenesis(), calibKV)
+	if err == nil {
+		err = calib.Flush() // genesis lands before the import starts
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,6 +150,9 @@ func TestCrashMidImportRecovers(t *testing.T) {
 	for off := uint64(1); off <= totalOps; off++ {
 		fkv := &tearKV{KV: db.NewMemDB()}
 		victim, err := NewBlockchainWithDB(MainnetLikeConfig(), testGenesis(), fkv)
+		if err == nil {
+			err = victim.Flush()
+		}
 		if err != nil {
 			t.Fatal(err)
 		}

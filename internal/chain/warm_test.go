@@ -110,6 +110,9 @@ func (s *warmScript) mine(cands ...*Transaction) *Block {
 	s.t.Helper()
 	s.settle()
 	blk, err := s.bc.MineBlock(pool1, s.bc.Head().Header.Time+14, cands, nil, testSeal)
+	if err == nil {
+		err = s.bc.Flush()
+	}
 	if err != nil {
 		s.t.Fatalf("MineBlock at %d: %v", s.bc.Head().Number()+1, err)
 	}
@@ -165,7 +168,10 @@ func runWarmScript(t *testing.T, carry bool) (log []string, head *Block) {
 
 	fk := &tearKV{KV: loggedKV{KV: db.NewMemDB(), log: &s.log}}
 	var err error
-	if s.bc, err = NewBlockchainWithDB(MainnetLikeConfig(), gen, fk); err != nil {
+	if s.bc, err = NewBlockchainWithDB(MainnetLikeConfig(), gen, fk); err == nil {
+		err = s.bc.Flush()
+	}
+	if err != nil {
 		t.Fatal(err)
 	}
 	u := users
@@ -223,6 +229,9 @@ func runWarmScript(t *testing.T, carry bool) (log []string, head *Block) {
 	headBefore, writesBefore := s.bc.Head(), len(s.log)
 	fk.CrashAtWriteOp(fk.WriteOps() + 3)
 	_, err = s.bc.MineBlock(pool1, headBefore.Header.Time+14, cands, nil, testSeal)
+	if err == nil {
+		err = s.bc.Flush()
+	}
 	fk.Reopen()
 	if !errors.Is(err, errTorn) {
 		t.Fatalf("faulted MineBlock: %v, want the crash tearing its batch", err)

@@ -1,8 +1,8 @@
-// Package clock is the wire's one source of time. p2p, faultnet, the
-// replica follow loop and the failover client read the time and arm their
-// timers through a Clock: Real in the commands, a Fake that moves only on
-// Advance in tests, so a test steps a production timeout (a 5 m ban, a
-// 10 s stall) in microseconds, and a busy host cannot fire one early.
+// Package clock is the one source of time. p2p, faultnet, the replica
+// follow loop, the failover client and faultfile's stalls read the time
+// and arm their timers through a Clock: Real in the commands, a Fake that
+// moves only on Advance in tests, so a test steps a production timeout (a
+// 5 m ban, a 10 s stall) in microseconds, and a busy host cannot fire one early.
 package clock
 
 import (

@@ -3,25 +3,22 @@ package db
 import (
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // Coalescer is a write-coalescing overlay over a KV: batch Writes land in
 // an in-memory overlay that reads consult first, and Flush pushes
 // everything accumulated since the last flush into the inner store
-// through one atomic batch. Layered under a full-fidelity ledger it turns
-// the per-block state commits of a simulated day into a single backend
-// write, which is where the disk backend's fsync and record-framing costs
-// live.
-//
-// The trade is durability granularity: between flushes the inner store is
-// one coherent-but-stale snapshot, so the engine only installs a Coalescer
-// when the scenario injects no storage faults and schedules no crashes —
-// crash recovery (recoverMine) depends on per-block durability.
+// through one atomic batch. Every chain.Blockchain stages its commits in
+// one: a simulated day of block commits, or an imported run of blocks,
+// reaches the backend as a single write, which is where the disk
+// backend's fsync and record-framing costs live. Between flushes the
+// inner store is one coherent-but-stale snapshot.
 //
 // All methods are safe for concurrent use. Values put into the overlay are
-// aliased, not copied, and retained until the Flush that writes them;
-// once a flush succeeds the overlay holds no reference to anything it
-// wrote. A failed flush keeps every staged op.
+// aliased, not copied, and retained until the Flush that writes them or a
+// Discard; once either returns, the overlay holds no reference to anything
+// it staged. A failed flush keeps every staged op.
 type Coalescer struct {
 	inner KV
 
@@ -89,8 +86,8 @@ func (c *Coalescer) NewBatch() Batch {
 
 // Flush applies every staged operation to the inner store as one atomic
 // batch and empties the overlay. A flush error leaves the overlay intact
-// (the inner batch is atomic), so the caller may retry or abort with the
-// pending state still readable.
+// (the inner batch is atomic), so the caller may retry, or Discard with
+// the store at its last flush.
 func (c *Coalescer) Flush() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -99,22 +96,31 @@ func (c *Coalescer) Flush() error {
 	}
 	batch := c.inner.NewBatch()
 	for _, op := range c.ops {
+		// Put and Delete copy the key (Batch), so the string is lent as is.
+		key := unsafe.Slice(unsafe.StringData(op.key), len(op.key))
 		if op.del {
-			batch.Delete([]byte(op.key))
+			batch.Delete(key)
 		} else {
-			batch.Put([]byte(op.key), op.value)
+			batch.Put(key, op.value)
 		}
 	}
 	if err := batch.Write(); err != nil {
 		return err
 	}
-	// Drop the arrays, not just their lengths: a truncated slice and a
-	// cleared map would keep the last flush's keys and values (a whole
-	// day's trie nodes and block records) reachable until the next one.
-	c.ops = nil
-	c.idx = make(map[string]int)
+	c.drop()
 	return nil
 }
+
+// Discard drops every staged operation unwritten.
+func (c *Coalescer) Discard() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.drop()
+}
+
+// drop empties the overlay, arrays and all: a truncated slice and a
+// cleared map would keep a day's trie nodes and records reachable.
+func (c *Coalescer) drop() { c.ops, c.idx = nil, make(map[string]int) }
 
 // Stats implements KV: the inner store's counters plus the overlay-served
 // reads (reported as read+hit, like a cache layer).
@@ -127,9 +133,9 @@ func (c *Coalescer) Stats() Stats {
 }
 
 // coalesceBatch tightens the Batch contract: values are retained past
-// Write, until the Coalescer's next successful Flush. Callers that encode
-// into reusable buffers must copy before Put when a Coalescer may sit in
-// the stack (no current writer does either).
+// Write, until the Coalescer's next successful Flush or its Discard.
+// Callers that encode into reusable buffers must copy before Put (no
+// current writer does).
 type coalesceBatch struct {
 	c   *Coalescer
 	ops []batchOp

@@ -2,6 +2,7 @@ package db
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 )
 
@@ -100,5 +101,74 @@ func TestCoalescerStatsCountOverlayHits(t *testing.T) {
 	after := c.Stats()
 	if after.Reads-before.Reads != 3 || after.Hits-before.Hits != 3 {
 		t.Fatalf("overlay reads not counted: before %+v after %+v", before, after)
+	}
+}
+
+// TestCoalescerFlushAllocs: a Flush hands its staged keys to the inner
+// batch as they are, so one Flush of n ops over a MemDB allocates the
+// inner batch's own n key copies plus a constant, not a conversion per
+// key besides. The keys already exist in the MemDB, so its map does not
+// grow; staging costs the same in both measured loops and cancels out.
+func TestCoalescerFlushAllocs(t *testing.T) {
+	const n = 512
+	inner := NewMemDB()
+	c := NewCoalescer(inner)
+	keys := make([][]byte, n)
+	value := []byte("v")
+	seed := inner.NewBatch()
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("key-%04d", i))
+		seed.Put(keys[i], value)
+	}
+	if err := seed.Write(); err != nil {
+		t.Fatal(err)
+	}
+	stage := func() {
+		b := c.NewBatch()
+		for _, k := range keys {
+			b.Put(k, value)
+		}
+		if err := b.Write(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	flushed := testing.AllocsPerRun(20, func() {
+		stage()
+		if err := c.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	discarded := testing.AllocsPerRun(20, func() {
+		stage()
+		c.Discard()
+	})
+	const slack = 32 // the inner batch and its op slice's growth
+	got := flushed - discarded
+	t.Logf("a Flush of %d ops: %.0f allocations", n, got)
+	if got > n+slack {
+		t.Fatalf("a Flush of %d ops allocated %.0f times, want at most %d (the inner batch's key copies) + %d", n, got, n, slack)
+	}
+}
+
+// TestCoalescerDiscard: Discard drops every staged op unwritten, and reads
+// answer from the inner store again.
+func TestCoalescerDiscard(t *testing.T) {
+	inner := NewMemDB()
+	put(t, inner, "a", "1")
+	c := NewCoalescer(inner)
+	put(t, c, "a", "2")
+	put(t, c, "b", "3")
+	c.Discard()
+	if v, ok, err := c.Get([]byte("a")); err != nil || !ok || string(v) != "1" {
+		t.Fatalf("after Discard: a = %q %v %v, want the inner store's \"1\"", v, ok, err)
+	}
+	if has, _ := c.Has([]byte("b")); has {
+		t.Fatal("a discarded put is still visible")
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, _ := inner.Get([]byte("b")); ok {
+		t.Fatal("a Flush after Discard wrote a discarded op")
 	}
 }

@@ -25,10 +25,10 @@
 //
 //   - MemDB: one map under one RWMutex (the default).
 //   - Coalescer: a write-coalescing overlay that turns many commits into
-//     one backend batch per Flush.
+//     one backend batch per Flush: every chain's one stager.
 //   - Retry: a wrapper that re-attempts transient errors.
 //
-// How they stack per chain is decided in one place, internal/sim's
+// How the others stack per chain is decided in one place, internal/sim's
 // OpenChainStore.
 //
 // All implementations are safe for concurrent use.
@@ -79,7 +79,8 @@ type KV interface {
 // until a Write succeeds or Reset is called, so the caller must not
 // change it before then, and no reference survives either one — a batch
 // kept for reuse pins nothing it was handed. A failed Write keeps the
-// queue for a retry. Keys are copied.
+// queue for a retry. Keys are copied: Put and Delete neither keep nor
+// change the key slice (a Coalescer lends its staged key strings on that).
 type Batch interface {
 	// Put queues a write, replacing any previous value of key. The value
 	// is retained until Write or Reset.

@@ -34,6 +34,7 @@ import (
 	"sync"
 	"time"
 
+	"forkwatch/internal/clock"
 	"forkwatch/internal/db/dbfs"
 )
 
@@ -108,6 +109,7 @@ type Event struct {
 type FS struct {
 	inner dbfs.FS
 	f     Faults
+	clk   clock.Clock // what a stall waits on
 
 	mu           sync.Mutex
 	rng          *rand.Rand
@@ -121,7 +123,7 @@ type FS struct {
 
 // Wrap decorates inner with the fault plan.
 func Wrap(inner dbfs.FS, f Faults) *FS {
-	return &FS{inner: inner, f: f, rng: rand.New(rand.NewSource(f.Seed))}
+	return &FS{inner: inner, f: f, clk: clock.Real, rng: rand.New(rand.NewSource(f.Seed))}
 }
 
 // SetEnabled toggles the random fault plan. While disabled, no stalls,
@@ -220,7 +222,7 @@ func (s *FS) step(op, name string) error {
 	if !s.disabled && s.f.StallEvery > 0 && s.f.Stall > 0 && s.ops%uint64(s.f.StallEvery) == 0 {
 		s.record(Event{Seq: s.ops, Op: op, Kind: "stall", Name: name})
 		s.mu.Unlock()
-		time.Sleep(s.f.Stall)
+		clock.Wait(s.clk, s.f.Stall, nil)
 		s.mu.Lock()
 		if s.crashed { // crashed while stalled
 			return ErrCrashed

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"forkwatch/internal/clock"
 	"forkwatch/internal/db"
 	"forkwatch/internal/db/dbfs"
 )
@@ -384,6 +385,68 @@ func TestStall(t *testing.T) {
 	}
 	if stalls != 2 {
 		t.Fatalf("journaled %d stalls, want 2", stalls)
+	}
+}
+
+// TestStallWaitsOnClock: a stall waits on the FS's clock, not on wall
+// time — a stalled append returns only once the clock has advanced by
+// Stall — and a run on a fake clock journals exactly what the same run on
+// the wall clock does.
+func TestStallWaitsOnClock(t *testing.T) {
+	plan := Faults{Seed: 9, WriteErrRate: 0.3, ReadErrRate: 0.3, StallEvery: 2, Stall: time.Hour}
+	clk := clock.NewFake()
+	s := Wrap(dbfs.NewMemFS(), plan)
+	s.clk = clk
+	f, err := s.Open("seg") // operation 1
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		f.Append([]byte{1}) // operation 2: stalls
+		close(done)
+	}()
+	for deadline := time.Now().Add(5 * time.Second); clk.Pending() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the stalled append is not waiting on the FS's clock")
+		}
+	}
+	clk.Advance(plan.Stall - 1)
+	select {
+	case <-done:
+		t.Fatal("the stalled append returned before its stall had passed on the clock")
+	case <-time.After(20 * time.Millisecond):
+	}
+	clk.Advance(1)
+	<-done
+
+	// The same operation sequence, on the wall clock and on a fake one
+	// advanced whenever a stall waits, journals the same events.
+	plan.StallEvery, plan.Stall = 50, time.Millisecond
+	want := drive(t, Wrap(dbfs.NewMemFS(), plan))
+	clk = clock.NewFake()
+	s = Wrap(dbfs.NewMemFS(), plan)
+	s.clk = clk
+	var got []Event
+	driven := make(chan struct{})
+	go func() {
+		got = drive(t, s)
+		close(driven)
+	}()
+	for stalled := true; stalled; {
+		select {
+		case <-driven:
+			stalled = false
+		default:
+			if clk.Pending() > 0 {
+				clk.Advance(plan.Stall)
+			} else {
+				time.Sleep(10 * time.Microsecond)
+			}
+		}
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("journal on the fake clock differs from the wall clock's:\n got %v\nwant %v", got, want)
 	}
 }
 

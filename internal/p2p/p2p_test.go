@@ -392,6 +392,9 @@ func TestSyncCommitsOncePerRange(t *testing.T) {
 	}
 	var commits atomic.Int64
 	bc, err := chain.NewBlockchainWithDB(chain.MainnetLikeConfig(), testGenesis(), commitCountKV{KV: db.NewMemDB(), commits: &commits})
+	if err == nil {
+		err = bc.Flush()
+	}
 	if err != nil {
 		t.Fatal(err)
 	}

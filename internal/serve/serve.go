@@ -222,6 +222,9 @@ func openLedgers(sc *sim.Scenario, genesis *chain.Genesis) ([]ServedChain, []*si
 		if genesis != nil && errors.Is(err, chain.ErrNoChain) {
 			st.EnableFaults(false) // writing genesis has no recovery path
 			led, err = sim.NewFullLedgerWithDB(cfgs[i], genesis, prng.New(sc.Seed, "seal", sp.Name), st.KV())
+			if err == nil {
+				err = led.BC.Flush()
+			}
 			st.EnableFaults(true)
 		}
 		if err != nil {

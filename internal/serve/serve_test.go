@@ -258,10 +258,11 @@ func TestCloseThenOpen(t *testing.T) {
 				t.Fatalf("second close: %v", err)
 			}
 			for _, led := range ledgers {
-				// The coalescer only stages a batch; the flush is the store write.
-				coal, ok := led.(*sim.FullLedger).BC.DB().(*db.Coalescer)
+				// The chain's stager only stages a batch; the flush is the
+				// store write.
+				coal, ok := led.(*sim.FullLedger).BC.Store().KV().(*db.Coalescer)
 				if !ok {
-					t.Fatalf("store is %T, want the engine's *db.Coalescer", led.(*sim.FullLedger).BC.DB())
+					t.Fatalf("store is %T, want the chain's *db.Coalescer", led.(*sim.FullLedger).BC.Store().KV())
 				}
 				b := coal.NewBatch()
 				b.Put([]byte("after-close"), []byte{1})

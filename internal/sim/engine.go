@@ -217,6 +217,9 @@ func New(sc *Scenario) (*Engine, error) {
 			}
 			storage[i] = stg
 			led, err := NewFullLedgerWithDB(cfgs[i], gen, prng.New(sc.Seed, "seal", sp.Name), stg.KV())
+			if err == nil && stg.faults != nil { // genesis lands before injection starts
+				err = led.BC.Flush()
+			}
 			if err != nil {
 				CloseStores(storage)
 				return nil, err
@@ -516,10 +519,10 @@ func (e *Engine) stepDay(day int, p *partition) error {
 	if err := e.mineDay(day, p); err != nil {
 		return err
 	}
-	// One backend write for the whole day's block commits (a no-op on the
-	// stacks that write through).
+	// One backend write for the whole day's block commits (a no-op on a
+	// durable store, which flushed every block).
 	if p.storage != nil {
-		if err := p.storage.flush(); err != nil {
+		if err := p.ledger.(*FullLedger).BC.Flush(); err != nil {
 			return fmt.Errorf("sim: %s day %d storage flush: %w", p.name, day, err)
 		}
 	}
@@ -562,7 +565,16 @@ func (e *Engine) finishSigning(plans []txPlan) {
 	wg.Wait()
 }
 
-// recoverMine handles a MineBlock failure on a chain wired for storage
+// mine mines one block on p's chain, and flushes it on a durable store.
+func (p *partition) mine(t uint64, coinbase types.Address, txs []*chain.Transaction) ([]*chain.Transaction, error) {
+	included, err := p.ledger.MineBlock(t, coinbase, txs)
+	if err == nil && p.storage != nil && p.storage.faults != nil {
+		err = p.ledger.(*FullLedger).BC.Flush()
+	}
+	return included, err
+}
+
+// recoverMine handles a failure of p.mine on a chain wired for storage
 // faults. If the store crashed (torn batch or scheduled kill), it models
 // the node restarting: reopen the medium, run WAL recovery via
 // chain.Open, and either adopt the in-flight block — it reached its WAL
@@ -574,8 +586,9 @@ func (e *Engine) finishSigning(plans []txPlan) {
 //
 // Returns the included transactions, whether a block was produced, and
 // a fatal error. Errors that are not storage crashes surface unchanged.
-func (e *Engine) recoverMine(led Ledger, stg *ChainStore, mineErr error, t uint64, coinbase types.Address, txs []*chain.Transaction) ([]*chain.Transaction, bool, error) {
-	fl, isFull := led.(*FullLedger)
+func (p *partition) recoverMine(mineErr error, t uint64, coinbase types.Address, txs []*chain.Transaction) ([]*chain.Transaction, bool, error) {
+	fl, isFull := p.ledger.(*FullLedger)
+	stg := p.storage
 	if stg == nil || !isFull || !stg.crashed() {
 		return nil, false, mineErr
 	}
@@ -598,7 +611,7 @@ func (e *Engine) recoverMine(led Ledger, stg *ChainStore, mineErr error, t uint6
 			// re-mining: its transactions are the included set.
 			return bc.Head().Txs, true, nil
 		}
-		included, err := fl.MineBlock(t, coinbase, txs)
+		included, err := p.mine(t, coinbase, txs)
 		if err == nil {
 			return included, true, nil
 		}
@@ -696,10 +709,10 @@ func (e *Engine) mineDay(day int, p *partition) error {
 		}
 
 		parentTime := led.HeadTime()
-		included, err := led.MineBlock(t, coinbase, txs)
+		included, err := p.mine(t, coinbase, txs)
 		if err != nil {
 			var mined bool
-			included, mined, err = e.recoverMine(led, p.storage, err, t, coinbase, txs)
+			included, mined, err = p.recoverMine(err, t, coinbase, txs)
 			if err != nil {
 				return fmt.Errorf("sim: mining %s day %d: %w", p.name, day, err)
 			}

@@ -27,6 +27,9 @@ func TestFullLedgerHeadViewDropsFaultedView(t *testing.T) {
 	if _, err := led.MineBlock(led.HeadTime()+14, miner, []*chain.Transaction{transfer(0, alice, bob, 1000, 0)}); err != nil {
 		t.Fatal(err)
 	}
+	if err := led.BC.Flush(); err != nil { // the reads below must reach the store
+		t.Fatal(err)
+	}
 	wantBob := new(big.Int).Add(testGenesis().Alloc[bob], big.NewInt(1000))
 
 	// Healthy: one view serves every read at this head.

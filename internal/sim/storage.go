@@ -14,17 +14,18 @@ import (
 // ChainStore is one partition's storage stack, built by OpenChainStore —
 // the only place the layers are put together. Outermost to innermost:
 //
-//	serving, fault-free:  backend
-//	engine, fault-free:   Coalescer -> backend
-//	faults or crashes:    Retry -> diskdb -> faultfile -> MemFS | OSFS
+//	fault-free:         backend
+//	faults or crashes:  Retry -> diskdb -> faultfile -> MemFS | OSFS
 //
 // backend is db.Open(sc.Storage) with the partition's ChainDataDir. The
-// Coalescer turns a day's block commits into one backend write (the
-// engine flushes it at the end of every day); crash recovery needs every
-// block durable when MineBlock returns, so a store with StorageFaults (or
-// an engine store with Crashes) is diskdb over the scenario's medium —
-// the partition's directory on disk, a MemFS on mem — with the faultfile
-// layer between them and a Retry on top that absorbs its transient errors.
+// chain over the store stages its commits (chain.Blockchain.Flush lands
+// them): on a fault-free store the engine flushes once a day, so a day's
+// block commits are one backend write. Crash recovery needs every block
+// durable before the next is mined, so a store with StorageFaults (or an
+// engine store with Crashes) is diskdb over the scenario's medium — the
+// partition's directory on disk, a MemFS on mem — with the faultfile
+// layer between them and a Retry on top that absorbs its transient
+// errors, and the engine flushes it after every block.
 //
 // Injection pause rule: random injection is off while the stack is built,
 // while the caller writes genesis (which has no recovery path — the
@@ -35,7 +36,6 @@ import (
 type ChainStore struct {
 	kv      db.KV         // outermost layer
 	backend db.KV         // innermost KV; owns the medium's handles
-	coal    *db.Coalescer // fault-free engine stack only
 	faults  *faultfile.FS // nil unless the store injects faults or crashes
 	// attempts is the Retry budget, see retryAttempts.
 	attempts int
@@ -46,12 +46,10 @@ type ChainStore struct {
 }
 
 // OpenChainStore opens partition idx's store from sc.Storage (the disk
-// backend keeps each chain in its own subdirectory of DataDir). engine
-// selects the fault-free stack: false gives the bare backend, every write
-// durable when it returns, for processes that reopen, probe or follow a
-// chain; true gives the simulation engine's Coalescer. A scenario with
-// StorageFaults, or an engine scenario with Crashes, gets the fault stack
-// instead (see ChainStore), with injection off until EnableFaults(true).
+// backend keeps each chain in its own subdirectory of DataDir): the bare
+// backend, every write durable when it returns, or — for a scenario with
+// StorageFaults, or an engine's (engine true) with Crashes — the fault
+// stack (see ChainStore), with injection off until EnableFaults(true).
 func OpenChainStore(sc *Scenario, idx int, name string, engine bool) (*ChainStore, error) {
 	cfg := sc.Storage
 	disk := cfg.Backend == db.BackendDisk
@@ -77,10 +75,6 @@ func OpenChainStore(sc *Scenario, idx int, name string, engine bool) (*ChainStor
 		}
 	} else if s.backend, err = db.Open(cfg); err == nil {
 		s.kv = s.backend
-		if engine {
-			s.coal = db.NewCoalescer(s.backend)
-			s.kv = s.coal
-		}
 	}
 	if err != nil {
 		return nil, fmt.Errorf("sim: opening %s store: %w", name, err)
@@ -126,9 +120,9 @@ func retryAttempts(f faultfile.Faults) int {
 // It changes when a crashed disk stack restarts.
 func (s *ChainStore) KV() db.KV { return s.kv }
 
-// Close releases the medium. Writes still staged in the Coalescer are
-// dropped, not flushed: only a run cut short mid-day has any, and its
-// archive then ends at the last whole day. Idempotent, as diskdb's Close is.
+// Close releases the medium. Writes the chain still stages are dropped,
+// not flushed: only a run cut short mid-day has any, and its archive then
+// ends at the last whole day. Idempotent, as diskdb's Close is.
 func (s *ChainStore) Close() error {
 	if c, ok := s.backend.(io.Closer); ok {
 		return c.Close()
@@ -148,14 +142,6 @@ func CloseStores(stores []*ChainStore) error {
 		}
 	}
 	return first
-}
-
-// flush pushes the day's coalesced block commits into the backend.
-func (s *ChainStore) flush() error {
-	if s.coal == nil {
-		return nil
-	}
-	return s.coal.Flush()
 }
 
 // EnableFaults toggles random fault injection (armed crashes stay armed).

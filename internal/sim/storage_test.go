@@ -32,10 +32,10 @@ type stackRow struct {
 func stackRows() []stackRow {
 	always := faultfile.Faults{Seed: 3, ReadErrRate: 1, WriteErrRate: 1}
 	return []stackRow{
-		{name: "mem/fault-free", layers: []string{"coalescer", "memdb"}},
+		{name: "mem/fault-free", layers: []string{"memdb"}},
 		{name: "mem/faults", faults: always, layers: []string{"retry", "diskdb", "faultfile"}},
 		{name: "mem/crash", crash: true, layers: []string{"retry", "diskdb", "faultfile"}},
-		{name: "disk/fault-free", disk: true, layers: []string{"coalescer", "diskdb"}},
+		{name: "disk/fault-free", disk: true, layers: []string{"diskdb"}},
 		{name: "disk/faults", disk: true, faults: always, layers: []string{"retry", "diskdb", "faultfile"}},
 		{name: "disk/crash", disk: true, crash: true, layers: []string{"retry", "diskdb", "faultfile"}},
 	}
@@ -63,10 +63,7 @@ func (r stackRow) scenario(t *testing.T) *Scenario {
 func layersOf(t *testing.T, st *ChainStore) []string {
 	t.Helper()
 	var out []string
-	switch st.KV().(type) {
-	case *db.Coalescer:
-		out = append(out, "coalescer")
-	case *db.Retry:
+	if _, ok := st.KV().(*db.Retry); ok {
 		out = append(out, "retry")
 	}
 	switch st.backend.(type) {
@@ -101,9 +98,6 @@ func mustPut(t *testing.T, st *ChainStore, k, v string) {
 	t.Helper()
 	if err := putKV(st.KV(), []byte(k), []byte(v)); err != nil {
 		t.Fatalf("Put(%s): %v", k, err)
-	}
-	if err := st.flush(); err != nil {
-		t.Fatalf("flush after Put(%s): %v", k, err)
 	}
 }
 
@@ -154,21 +148,6 @@ func TestChainStoreStacks(t *testing.T) {
 			}
 			if (st.faults != nil) != (row.crash || row.faults.Enabled()) {
 				t.Fatalf("fault layer present = %v", st.faults != nil)
-			}
-
-			// A Coalescer sits over the backend: a write reaches the backend
-			// at the flush, not before.
-			if st.coal != nil {
-				if err := putKV(st.KV(), []byte("staged"), []byte("s")); err != nil {
-					t.Fatal(err)
-				}
-				if ok, err := st.backend.Has([]byte("staged")); ok || err != nil {
-					t.Fatalf("coalesced write in the backend before the flush: %v %v", ok, err)
-				}
-				if err := st.flush(); err != nil {
-					t.Fatal(err)
-				}
-				mustHold(t, st.backend, "staged", "s")
 			}
 
 			// Bootstrap window: the stack comes back with injection off.
@@ -248,11 +227,7 @@ func TestChainStoreStacks(t *testing.T) {
 			if !row.disk {
 				return
 			}
-			err = putKV(st.KV(), []byte("after"), []byte("x"))
-			if err == nil {
-				err = st.flush()
-			}
-			if err == nil {
+			if err := putKV(st.KV(), []byte("after"), []byte("x")); err == nil {
 				t.Fatal("a closed disk stack accepted a write")
 			}
 			osfs, err := dbfs.NewOSFS(ChainDataDir(sc.Storage.DataDir, "ETH"))
@@ -344,13 +319,11 @@ func TestRetryAttemptsDerived(t *testing.T) {
 }
 
 // TestChainStoreMatchesModel drives every stack with a seeded random
-// put/delete/batch/flush/close/reopen sequence (a put or delete is a
-// one-op batch) and checks it against a
-// map. Fault rates are zero (the fault-stack rows are armed by a crash
-// schedule or a stall-only plan), so the model is exact: a write is
-// visible at once, durable at once on the write-through stacks and at the
-// next flush under the Coalescer, and a close drops what was not durable —
-// everything, on mem.
+// put/delete/batch/close/reopen sequence (a put or delete is a one-op
+// batch) and checks it against a map. Fault rates are zero (the
+// fault-stack rows are armed by a crash schedule or a stall-only plan), so
+// the model is exact: a write is visible and durable at once, and a close
+// drops everything on mem.
 func TestChainStoreMatchesModel(t *testing.T) {
 	for _, row := range stackRows() {
 		if row.faults.Enabled() {
@@ -368,25 +341,13 @@ func TestChainStoreMatchesModel(t *testing.T) {
 			}
 			st := open()
 			defer func() { st.Close() }()
-			coalesced := st.coal != nil
 
 			r := rand.New(rand.NewSource(11))
 			key := func() []byte { return []byte(fmt.Sprintf("k%02d", r.Intn(48))) }
 			val := func() []byte { return []byte(fmt.Sprintf("v%d", r.Int63())) }
-			durable := map[string][]byte{}
 			view := map[string][]byte{} // what reads must see
-			put := func(k, v []byte) {
-				view[string(k)] = v
-				if !coalesced {
-					durable[string(k)] = v
-				}
-			}
-			del := func(k []byte) {
-				delete(view, string(k))
-				if !coalesced {
-					delete(durable, string(k))
-				}
-			}
+			put := func(k, v []byte) { view[string(k)] = v }
+			del := func(k []byte) { delete(view, string(k)) }
 			for step := 0; step < 4000; step++ {
 				var err error
 				switch n := r.Intn(100); {
@@ -398,7 +359,7 @@ func TestChainStoreMatchesModel(t *testing.T) {
 					k := key()
 					err = deleteKV(st.KV(), k)
 					del(k)
-				case n < 80:
+				case n < 97:
 					b := st.KV().NewBatch()
 					for i := r.Intn(6); i >= 0; i-- {
 						if k := key(); r.Intn(4) == 0 {
@@ -411,20 +372,10 @@ func TestChainStoreMatchesModel(t *testing.T) {
 						}
 					}
 					err = b.Write()
-				case n < 97:
-					err = st.flush()
-					durable = map[string][]byte{}
-					for k, v := range view {
-						durable[k] = v
-					}
 				default:
 					err = st.Close()
 					if !row.disk {
-						durable = map[string][]byte{}
-					}
-					view = map[string][]byte{}
-					for k, v := range durable {
-						view[k] = v
+						view = map[string][]byte{}
 					}
 					st = open()
 				}

@@ -427,24 +427,25 @@ func TestStallWaitsOnClock(t *testing.T) {
 	clk = clock.NewFake()
 	s = Wrap(dbfs.NewMemFS(), plan)
 	s.clk = clk
-	var got []Event
-	driven := make(chan struct{})
-	go func() {
-		got = drive(t, s)
-		close(driven)
-	}()
-	for stalled := true; stalled; {
-		select {
-		case <-driven:
-			stalled = false
-		default:
+	stop, stopped := make(chan struct{}), make(chan struct{})
+	go func() { // advance the clock whenever a stall waits on it
+		defer close(stopped)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
 			if clk.Pending() > 0 {
 				clk.Advance(plan.Stall)
 			} else {
 				time.Sleep(10 * time.Microsecond)
 			}
 		}
-	}
+	}()
+	got := drive(t, s)
+	close(stop)
+	<-stopped
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("journal on the fake clock differs from the wall clock's:\n got %v\nwant %v", got, want)
 	}

@@ -51,9 +51,9 @@ type Genesis struct {
 // Every persistent record — trie nodes, block bodies, receipts, total
 // difficulties, the canonical index — lives in one db.KV behind Store,
 // read and written through the chain's one stager (Flush lands what it
-// holds). Decoded blocks and TDs are additionally kept in in-memory maps: they are
-// read on every validation and fork-choice step, and re-decoding them from
-// RLP per access would dominate. A block's state root is its header's
+// holds). Decoded blocks and TDs are additionally kept in in-memory maps:
+// they are read on every validation and fork-choice step, and re-decoding
+// them from RLP per access would dominate. A block's state root is its header's
 // (execution rejects any other). Receipts are read only by the serving
 // layer, so they live in the KV alone.
 type Blockchain struct {
@@ -61,9 +61,8 @@ type Blockchain struct {
 	proc  *Processor
 	store *Store
 	// coal is the chain's one stager: every state and store read and
-	// every commit goes through it. staged undoes what it holds (rollback).
-	coal   *db.Coalescer
-	staged *undo
+	// every commit goes through it.
+	coal *db.Coalescer
 
 	mu      sync.RWMutex
 	blocks  map[types.Hash]*Block
@@ -71,6 +70,7 @@ type Blockchain struct {
 	canon   map[uint64]types.Hash
 	head    *Block
 	genesis *Block
+	staged  *undo // undoes what coal holds (rollback); nil: no block staged
 
 	// headState is the state the block that last became head left behind,
 	// committed at headStateRoot: its account trie is still resident, so

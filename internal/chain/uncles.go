@@ -69,10 +69,11 @@ func (bc *Blockchain) validateUncles(h *Header, uncles []*Header, self types.Has
 	included := map[types.Hash]bool{}
 	cur := h.ParentHash
 	for i := 0; i < MaxUncleDepth; i++ {
-		blk, ok := bc.blocks[cur]
+		k, ok := bc.blocks[cur]
 		if !ok {
 			break
 		}
+		blk := k.block
 		ancestors[blk.Hash()] = true
 		for _, u := range blk.Uncles {
 			included[u.Hash()] = true
@@ -102,7 +103,7 @@ func (bc *Blockchain) validateUncles(h *Header, uncles []*Header, self types.Has
 
 		// The uncle header must itself be consensus-valid relative to
 		// its parent.
-		parent := bc.blocks[u.ParentHash]
+		parent := bc.blocks[u.ParentHash].block
 		if u.Number != parent.Number()+1 {
 			return fmt.Errorf("%w: uncle %d number %d after parent %d", ErrInvalidBody, i, u.Number, parent.Number())
 		}
@@ -149,10 +150,11 @@ func (bc *Blockchain) CollectUncles(parentHash types.Hash) []*Header {
 	heights := map[uint64]bool{}
 	cur := parentHash
 	for i := 0; i < MaxUncleDepth; i++ {
-		blk, ok := bc.blocks[cur]
+		k, ok := bc.blocks[cur]
 		if !ok {
 			break
 		}
+		blk := k.block
 		ancestors[blk.Hash()] = true
 		heights[blk.Number()] = true
 		for _, u := range blk.Uncles {
@@ -164,8 +166,9 @@ func (bc *Blockchain) CollectUncles(parentHash types.Hash) []*Header {
 		cur = blk.Header.ParentHash
 	}
 	var out []*Header
-	for h, blk := range bc.blocks {
-		if ancestors[h] || included[h] || blk.Number() > parent.Number() || !heights[blk.Number()] {
+	for h, k := range bc.blocks {
+		blk := k.block
+		if ancestors[h] || included[h] || blk.Number() > parent.block.Number() || !heights[blk.Number()] {
 			continue
 		}
 		if !ancestors[blk.Header.ParentHash] {

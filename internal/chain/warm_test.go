@@ -108,8 +108,14 @@ func (s *warmScript) transfer(from, to types.Address, wei int64) *Transaction {
 
 func (s *warmScript) mine(cands ...*Transaction) *Block {
 	s.t.Helper()
+	return s.mineAfter(14, cands...)
+}
+
+// mineAfter mines a block interval seconds after the head.
+func (s *warmScript) mineAfter(interval uint64, cands ...*Transaction) *Block {
+	s.t.Helper()
 	s.settle()
-	blk, err := s.bc.MineBlock(pool1, s.bc.Head().Header.Time+14, cands, nil, testSeal)
+	blk, err := s.bc.MineBlock(pool1, s.bc.Head().Header.Time+interval, cands, nil, testSeal)
 	if err == nil {
 		err = s.bc.Flush()
 	}
@@ -134,8 +140,8 @@ func (s *warmScript) insert(b *Block, wantHead bool) {
 }
 
 // branch returns a private chain that followed s.bc's canonical chain up to
-// height upTo and then mined n blocks of its own.
-func (s *warmScript) branch(gen *Genesis, upTo uint64, coinbase types.Address, n int) []*Block {
+// height upTo and then mined n blocks of its own, interval seconds apart.
+func (s *warmScript) branch(gen *Genesis, upTo uint64, coinbase types.Address, n int, interval uint64) []*Block {
 	s.t.Helper()
 	donor, err := NewBlockchain(MainnetLikeConfig(), gen)
 	if err != nil {
@@ -150,8 +156,12 @@ func (s *warmScript) branch(gen *Genesis, upTo uint64, coinbase types.Address, n
 	var out []*Block
 	for i := 0; i < n; i++ {
 		from := s.users[8+i]
-		cands := []*Transaction{transfer(0, from, s.users[0], int64(100+i), 0)}
-		b, err := donor.MineBlock(coinbase, donor.Head().Header.Time+14, cands, nil, testSeal)
+		st, err := donor.HeadState()
+		if err != nil {
+			s.t.Fatal(err)
+		}
+		cands := []*Transaction{transfer(st.GetNonce(from), from, s.users[0], int64(100+i), 0)}
+		b, err := donor.MineBlock(coinbase, donor.Head().Header.Time+interval, cands, nil, testSeal)
 		if err != nil {
 			s.t.Fatal(err)
 		}
@@ -199,8 +209,8 @@ func runWarmScript(t *testing.T, carry bool) (log []string, head *Block) {
 
 	// A side chain off block 1 overtakes the head, and the first chain
 	// takes it back.
-	bs := s.branch(gen, 1, pool2, 2)
-	as := s.branch(gen, 2, pool1, 3)
+	bs := s.branch(gen, 1, pool2, 2, 14)
+	as := s.branch(gen, 2, pool1, 3, 14)
 	s.insert(bs[0], false)
 	s.insert(bs[1], true) // reorg onto the side chain
 	s.insert(as[0], false)
@@ -248,6 +258,25 @@ func runWarmScript(t *testing.T, carry bool) (log []string, head *Block) {
 	for i := 0; i < 3; i++ {
 		s.mine(s.transfer(u[i], u[i+1], int64(20+i)), s.transfer(u[6], u[5], 1))
 	}
+
+	// A shorter but heavier branch moves the head back down: seven slow
+	// blocks lower the difficulty, and six quick ones off the block below
+	// them outweigh them. The next block executes on the branch's head, not
+	// on the state the dropped tail left. The slow blocks' sender is used
+	// nowhere else, so the nonces the script tracks stay true.
+	fork := s.bc.Head().Number()
+	for i := 0; i < 7; i++ {
+		s.mineAfter(1000, s.transfer(u[14], u[15], int64(30+i)))
+	}
+	short := s.branch(gen, fork, pool2, 6, 1)
+	for _, b := range short[:5] {
+		s.insert(b, false)
+	}
+	s.insert(short[5], true)
+	if got := s.bc.Head().Number(); got != fork+6 {
+		t.Fatalf("head %d after the reorg, want %d", got, fork+6)
+	}
+	s.mine(s.transfer(u[5], u[6], 23), s.transfer(u[0], u[15], 29))
 	return s.log, s.bc.Head()
 }
 

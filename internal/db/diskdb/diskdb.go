@@ -19,10 +19,10 @@
 //     run of blocks, state nodes and WAL record included — so a chain
 //     commit costs one fsync (and one append unless it passes
 //     chunkBytes), and a crash loses it whole.
-//   - Segments written by earlier builds may also hold plain put and
-//     tombstone records, each committed on its own. Nothing writes them
-//     any more, but replay and Get still read them, so those archives
-//     reopen.
+//   - Segments hold batch groups only. Archives written before every
+//     write was a batch also hold plain put and tombstone records; those
+//     no longer decode, so such an archive no longer opens with its data:
+//     each plain record is repaired away like any undecodable frame.
 //   - On open, a torn tail (half-written frame, uncommitted group) is
 //     truncated away; a fully-framed record whose checksum fails is
 //     skipped; both count into db.Stats.Repairs.
@@ -260,11 +260,6 @@ scan:
 		}
 
 		switch rec.kind {
-		case recPut, recDel:
-			if pendingStart >= 0 { // group interrupted by a plain record
-				dropPending()
-			}
-			d.apply(string(rec.key), entry{seg: seg.id, off: off, flen: int32(n), del: rec.kind == recDel})
 		case recStagedPut, recStagedDel:
 			if pendingStart < 0 {
 				pendingStart = off
@@ -441,7 +436,7 @@ func (d *DB) Get(key []byte) ([]byte, bool, error) {
 	}
 	rec, _, derr := decodeRecord(buf)
 	if derr != nil || !bytes.Equal(rec.key, key) ||
-		(rec.kind != recPut && rec.kind != recStagedPut) {
+		rec.kind != recStagedPut {
 		if derr == nil {
 			derr = errFramePayload
 		}

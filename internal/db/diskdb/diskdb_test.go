@@ -132,61 +132,49 @@ func TestRoundTripAndReopen(t *testing.T) {
 	}
 }
 
-// TestPlainRecordsReplay: segments written by earlier builds hold plain
-// put and tombstone records, each committed on its own. Nothing writes
-// them any more, but such an archive reopens with newest-wins replay,
-// serves their values, and takes batches on top.
-func TestPlainRecordsReplay(t *testing.T) {
-	d, dir := openTmp(t, Options{})
-	d.Close()
-	old := appendRecord(nil, recPut, []byte("alpha"), []byte("1"))
-	old = appendRecord(old, recPut, []byte("beta"), []byte("2"))
-	old = appendRecord(old, recPut, []byte("alpha"), []byte("3"))
-	old = appendRecord(old, recDel, []byte("beta"), nil)
-	old = appendRecord(old, recPut, []byte("gamma"), []byte("4"))
-	appendRaw(t, dir, 1, old)
+// TestPlainRecordKindsUndecodable: a frame of kind 1 or 2, the plain put
+// and tombstone records of archives from before every write was a batch,
+// fails to decode like any undecodable payload: skipped mid-file and
+// truncated at the tail, each a repair.
+func TestPlainRecordKindsUndecodable(t *testing.T) {
+	for _, kind := range []byte{1, 2} {
+		t.Run(fmt.Sprintf("kind %d", kind), func(t *testing.T) {
+			plain := appendRecord(nil, kind, []byte("plain"), []byte("p"))
+			if _, _, err := decodeRecord(plain); !errors.Is(err, errFramePayload) {
+				t.Fatalf("decodeRecord = %v, want errFramePayload", err)
+			}
 
-	re := reopenDir(t, dir, Options{})
-	mustGet(t, re, "alpha", "3")
-	mustAbsent(t, re, "beta")
-	mustGet(t, re, "gamma", "4")
-	if st := re.Stats(); st.Entries != 2 || st.Repairs != 0 {
-		t.Fatalf("Entries = %d Repairs = %d, want 2 live keys and a clean replay", st.Entries, st.Repairs)
-	}
-	mustPut(t, re, "beta", "5")
-	mustDelete(t, re, "gamma")
-	re.Close()
+			d, dir := openTmp(t, Options{})
+			d.Close()
+			safe := appendPut(nil, "safe", "durable")
+			appendRaw(t, dir, 1, append(append(safe, plain...), appendPut(nil, "after", "x")...))
+			re := reopenDir(t, dir, Options{})
+			mustGet(t, re, "safe", "durable")
+			mustGet(t, re, "after", "x")
+			mustAbsent(t, re, "plain")
+			if st := re.Stats(); st.Repairs != 1 {
+				t.Fatalf("mid-file: Repairs = %d, want 1", st.Repairs)
+			}
+			re.Close()
 
-	re2 := reopenDir(t, dir, Options{})
-	defer re2.Close()
-	mustGet(t, re2, "alpha", "3")
-	mustGet(t, re2, "beta", "5")
-	mustAbsent(t, re2, "gamma")
-	if st := re2.Stats(); st.Entries != 2 || st.Repairs != 0 {
-		t.Fatalf("Entries = %d Repairs = %d after batches on a plain segment", st.Entries, st.Repairs)
-	}
-}
-
-// TestPlainRecordInterruptsGroup: a plain record between a staged group
-// and its commit record drops the group (and then the commit, which no
-// longer follows a group), while the plain record itself replays.
-func TestPlainRecordInterruptsGroup(t *testing.T) {
-	d, dir := openTmp(t, Options{})
-	mustPut(t, d, "safe", "durable")
-	d.Close()
-
-	group := appendRecord(nil, recStagedPut, []byte("ghost"), []byte("x"))
-	group = appendRecord(group, recPut, []byte("plain"), []byte("p"))
-	group = appendRecord(group, recCommit, nil, []byte{0, 0, 0, 1})
-	appendRaw(t, dir, 1, group)
-
-	re := reopenDir(t, dir, Options{})
-	defer re.Close()
-	mustGet(t, re, "safe", "durable")
-	mustGet(t, re, "plain", "p")
-	mustAbsent(t, re, "ghost")
-	if st := re.Stats(); st.Repairs != 2 {
-		t.Fatalf("Repairs = %d, want 2 (the interrupted group, the stray commit)", st.Repairs)
+			d, dir = openTmp(t, Options{})
+			d.Close()
+			appendRaw(t, dir, 1, append(safe, plain...))
+			re = reopenDir(t, dir, Options{})
+			mustGet(t, re, "safe", "durable")
+			mustAbsent(t, re, "plain")
+			if st := re.Stats(); st.Repairs != 1 {
+				t.Fatalf("tail: Repairs = %d, want 1", st.Repairs)
+			}
+			re.Close()
+			fi, err := os.Stat(filepath.Join(dir, segName(1)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fi.Size() != int64(len(safe)) {
+				t.Fatalf("tail truncated to %d bytes, want the last group's end, %d", fi.Size(), len(safe))
+			}
+		})
 	}
 }
 
@@ -249,15 +237,15 @@ func appendRaw(t *testing.T, dir string, seg uint64, raw []byte) {
 	}
 }
 
-// TestTornTailTruncatedOnOpen: an earlier build's segment of plain
-// records whose last append tore.
+// TestTornTailTruncatedOnOpen: a segment of one-op groups whose last
+// append tore.
 func TestTornTailTruncatedOnOpen(t *testing.T) {
 	d, dir := openTmp(t, Options{})
 	d.Close()
 
 	// Half a frame: a valid header claiming more payload than exists.
-	raw := appendRecord(nil, recPut, []byte("safe"), []byte("durable"))
-	torn := appendRecord(nil, recPut, []byte("torn"), []byte("lost-value"))
+	raw := appendPut(nil, "safe", "durable")
+	torn := appendPut(nil, "torn", "lost-value")
 	appendRaw(t, dir, 1, append(raw, torn[:len(torn)-4]...))
 
 	re := reopenDir(t, dir, Options{})
@@ -316,13 +304,13 @@ func TestCommitCountMismatchDropsGroup(t *testing.T) {
 	}
 }
 
-// TestChecksumSkipMidFile: a rotted plain record mid-file is skipped and
-// the records after it replay.
+// TestChecksumSkipMidFile: a rotted record mid-file is skipped and the
+// groups after it replay. The rotted put takes its group with it: two
+// repairs, the record and its commit, which now follows no staged record.
 func TestChecksumSkipMidFile(t *testing.T) {
 	d, dir := openTmp(t, Options{})
 	d.Close()
-	raw := appendRecord(nil, recPut, []byte("victim"), []byte("will-rot"))
-	appendRaw(t, dir, 1, appendRecord(raw, recPut, []byte("survivor"), []byte("fine")))
+	appendRaw(t, dir, 1, appendPut(appendPut(nil, "victim", "will-rot"), "survivor", "fine"))
 
 	// Rot one bit inside the first record's value, mid-file.
 	path := filepath.Join(dir, segName(1))
@@ -340,8 +328,8 @@ func TestChecksumSkipMidFile(t *testing.T) {
 	defer re.Close()
 	mustAbsent(t, re, "victim") // rotted record skipped, no older version
 	mustGet(t, re, "survivor", "fine")
-	if st := re.Stats(); st.Repairs != 1 {
-		t.Fatalf("Repairs = %d, want 1", st.Repairs)
+	if st := re.Stats(); st.Repairs != 2 {
+		t.Fatalf("Repairs = %d, want 2", st.Repairs)
 	}
 }
 

@@ -11,13 +11,13 @@ import (
 // bytes: it must never panic, never claim to consume more bytes than it
 // was given, and must round-trip everything appendRecord produces.
 func FuzzDecodeRecord(f *testing.F) {
-	f.Add(appendRecord(nil, recPut, []byte("key"), []byte("value")))
-	f.Add(appendRecord(nil, recDel, []byte("gone"), nil))
+	f.Add(appendPut(nil, "key", "value"))
+	f.Add(appendRecord(nil, recStagedDel, []byte("gone"), nil))
 	f.Add(appendRecord(nil, recStagedPut, []byte("s"), bytes.Repeat([]byte{0xAA}, 100)))
 	f.Add(appendRecord(nil, recCommit, nil, []byte{0, 0, 0, 2}))
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
-	torn := appendRecord(nil, recPut, []byte("torn"), []byte("tail"))
+	torn := appendPut(nil, "torn", "tail")
 	f.Add(torn[:len(torn)-3])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -29,7 +29,7 @@ func FuzzDecodeRecord(f *testing.F) {
 			if n > len(data) {
 				t.Fatalf("valid record consumed %d > %d available bytes", n, len(data))
 			}
-			if rec.kind < recPut || rec.kind > recCommit {
+			if rec.kind < recStagedPut || rec.kind > recCommit {
 				t.Fatalf("valid record with kind %d", rec.kind)
 			}
 			// A decoded record must re-encode to the exact same frame.
@@ -45,9 +45,7 @@ func FuzzDecodeRecord(f *testing.F) {
 // store open: whatever the medium holds, Open must not panic and must
 // leave a store that reads and writes.
 func FuzzScanSegment(f *testing.F) {
-	clean := appendRecord(nil, recPut, []byte("a"), []byte("1"))
-	clean = appendRecord(clean, recStagedPut, []byte("b"), []byte("2"))
-	clean = appendRecord(clean, recCommit, nil, []byte{0, 0, 0, 1})
+	clean := appendPut(appendPut(nil, "a", "1"), "b", "2")
 	f.Add(clean)
 	f.Add(clean[:len(clean)-5])
 	f.Add([]byte("not a segment at all"))

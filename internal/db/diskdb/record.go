@@ -22,11 +22,9 @@ import (
 // of the group, and so of the chain commit it carries: replay applies a
 // staged group only when its commit record survives with a matching
 // count, so a torn batch write is indistinguishable from a batch that
-// never happened. Plain puts and tombstones, each committed on its own,
-// are only read: segments written by earlier builds hold them.
+// never happened. Kinds 1 and 2 were plain puts and tombstones, each
+// committed on its own; a frame of either kind no longer decodes.
 const (
-	recPut       = byte(1) // individually committed put (read only)
-	recDel       = byte(2) // individually committed tombstone (read only)
 	recStagedPut = byte(3) // put inside a batch group
 	recStagedDel = byte(4) // tombstone inside a batch group
 	recCommit    = byte(5) // batch commit marker; value = op count uint32 BE
@@ -104,7 +102,7 @@ func decodeRecord(buf []byte) (record, int, error) {
 	}
 	kind := payload[0]
 	klen := int(binary.BigEndian.Uint32(payload[1:]))
-	if kind < recPut || kind > recCommit || klen < 0 || payloadHeader+klen > plen {
+	if kind < recStagedPut || kind > recCommit || klen < 0 || payloadHeader+klen > plen {
 		return record{}, frameHeader + plen, errFramePayload
 	}
 	return record{

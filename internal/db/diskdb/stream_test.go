@@ -18,6 +18,11 @@ func appendRecord(dst []byte, kind byte, key, value []byte) []byte {
 	return appendFrame(dst, kind, key, value)
 }
 
+// appendPut appends the one-op committed group a one-op batch writes.
+func appendPut(dst []byte, key, value string) []byte {
+	return append(dst, modelGroup([]batchOp{{key: key, value: []byte(value)}})...)
+}
+
 // groupOps is a batch spanning several chunks: small values around one
 // value larger than a chunk, which is streamed through the buffer.
 func groupOps() []batchOp {

@@ -64,9 +64,9 @@ func DefaultParams(days int) Params {
 }
 
 // ChainParams configures one partition's leg of the coupled price walk.
-// The legacy two-way calibration maps onto two entries: the pro-fork
-// chain gets {ETH0, ETHEdge, 1} and the classic chain {ETC0, 0,
-// RallyETCShare}.
+// The legacy two-way calibration maps onto two entries
+// (sim.Scenario.LegacyPartitions): the pro-fork chain gets {ETH0,
+// ETHEdge, 1} and the classic chain {ETC0, 0, RallyETCShare}.
 type ChainParams struct {
 	// Price0 is the day-0 USD price.
 	Price0 float64
@@ -74,12 +74,6 @@ type ChainParams struct {
 	DriftEdge float64
 	// RallyShare is the fraction of RallyDrift this chain enjoys.
 	RallyShare float64
-}
-
-// Series holds aligned daily price samples.
-type Series struct {
-	ETHUSD []float64
-	ETCUSD []float64
 }
 
 // GenerateSeries draws every partition's daily USD price from the coupled
@@ -111,22 +105,6 @@ func GenerateSeries(p Params, chains []ChainParams, r *rand.Rand) [][]float64 {
 	return out
 }
 
-// LegacyChainParams maps Params' two-way calibration onto the ChainParams
-// list GenerateSeries consumes: the pro-fork leg first, the classic leg
-// second.
-func LegacyChainParams(p Params) []ChainParams {
-	return []ChainParams{
-		{Price0: p.ETH0, DriftEdge: p.ETHEdge, RallyShare: 1},
-		{Price0: p.ETC0, DriftEdge: 0, RallyShare: p.RallyETCShare},
-	}
-}
-
-// GeneratePrices draws the legacy two-way Series from the coupled walk.
-func GeneratePrices(p Params, r *rand.Rand) Series {
-	s := GenerateSeries(p, LegacyChainParams(p), r)
-	return Series{ETHUSD: s[0], ETCUSD: s[1]}
-}
-
 // Allocator nudges the cross-chain hashrate split toward the arbitrage
 // fixed point where USD-per-hash is equal on both chains.
 type Allocator struct {
@@ -136,24 +114,15 @@ type Allocator struct {
 	Elasticity float64
 }
 
-// Step returns the new ETH share of the mobile hashrate pool.
+// StepToward moves a share toward a target by Elasticity, clamped to
+// [0,1].
 //
 // At difficulty equilibrium each chain's difficulty is proportional to its
 // hashrate, so expected USD/hash on chain i is proportional to
-// price_i/share_i. Equal returns therefore mean share_i ∝ price_i: the
-// equilibrium ETH share is ethUSD/(ethUSD+etcUSD) (equal block rewards on
-// both chains). We move the current share toward it by Elasticity.
-func (a Allocator) Step(currentETHShare, ethUSD, etcUSD float64) float64 {
-	if ethUSD <= 0 && etcUSD <= 0 {
-		return currentETHShare
-	}
-	return a.StepToward(currentETHShare, ethUSD/(ethUSD+etcUSD))
-}
-
-// StepToward moves a share toward an arbitrary target by Elasticity,
-// clamped to [0,1] — the N-way engine computes each partition's target
-// share (economic-weighted price over the weighted total) and steps every
-// non-anchor component with this.
+// price_i/share_i. Equal returns therefore mean share_i ∝ price_i (equal
+// block rewards on every chain): the N-way engine computes each
+// partition's target share (economic-weighted price over the weighted
+// total) and steps every non-anchor component with this.
 func (a Allocator) StepToward(current, target float64) float64 {
 	next := current + a.Elasticity*(target-current)
 	return clamp01(next)

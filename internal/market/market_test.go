@@ -6,17 +6,27 @@ import (
 	"testing"
 )
 
+// twoWay draws the paper's two-way walk: the pro-fork leg first, the
+// classic leg second, as sim.Scenario.LegacyPartitions maps them.
+func twoWay(p Params, seed int64) (eth, etc []float64) {
+	s := GenerateSeries(p, []ChainParams{
+		{Price0: p.ETH0, DriftEdge: p.ETHEdge, RallyShare: 1},
+		{Price0: p.ETC0, DriftEdge: 0, RallyShare: p.RallyETCShare},
+	}, rand.New(rand.NewSource(seed)))
+	return s[0], s[1]
+}
+
 func TestGeneratePricesBasics(t *testing.T) {
 	p := DefaultParams(300)
-	s := GeneratePrices(p, rand.New(rand.NewSource(1)))
-	if len(s.ETHUSD) != 300 || len(s.ETCUSD) != 300 {
-		t.Fatalf("series lengths %d/%d", len(s.ETHUSD), len(s.ETCUSD))
+	eth, etc := twoWay(p, 1)
+	if len(eth) != 300 || len(etc) != 300 {
+		t.Fatalf("series lengths %d/%d", len(eth), len(etc))
 	}
-	if s.ETHUSD[0] != p.ETH0 || s.ETCUSD[0] != p.ETC0 {
+	if eth[0] != p.ETH0 || etc[0] != p.ETC0 {
 		t.Error("day 0 should be the initial prices")
 	}
 	for d := 0; d < 300; d++ {
-		if s.ETHUSD[d] <= 0 || s.ETCUSD[d] <= 0 {
+		if eth[d] <= 0 || etc[d] <= 0 {
 			t.Fatalf("non-positive price on day %d", d)
 		}
 	}
@@ -24,10 +34,10 @@ func TestGeneratePricesBasics(t *testing.T) {
 
 func TestGeneratePricesDeterministic(t *testing.T) {
 	p := DefaultParams(100)
-	a := GeneratePrices(p, rand.New(rand.NewSource(7)))
-	b := GeneratePrices(p, rand.New(rand.NewSource(7)))
-	for d := range a.ETHUSD {
-		if a.ETHUSD[d] != b.ETHUSD[d] || a.ETCUSD[d] != b.ETCUSD[d] {
+	aETH, aETC := twoWay(p, 7)
+	bETH, bETC := twoWay(p, 7)
+	for d := range aETH {
+		if aETH[d] != bETH[d] || aETC[d] != bETC[d] {
 			t.Fatal("same seed should reproduce prices")
 		}
 	}
@@ -37,23 +47,23 @@ func TestRallyRaisesETH(t *testing.T) {
 	p := DefaultParams(300)
 	p.SharedVol, p.IdioVol, p.Drift, p.ETHEdge = 0, 0, 0, 0 // isolate the rally term
 	p.RallyETCShare = 0
-	s := GeneratePrices(p, rand.New(rand.NewSource(1)))
-	if s.ETHUSD[239] != p.ETH0 {
+	eth, etc := twoWay(p, 1)
+	if eth[239] != p.ETH0 {
 		t.Error("ETH should be flat before the rally")
 	}
-	if s.ETHUSD[299] <= s.ETHUSD[239]*2 {
-		t.Errorf("rally too weak: %v -> %v", s.ETHUSD[239], s.ETHUSD[299])
+	if eth[299] <= eth[239]*2 {
+		t.Errorf("rally too weak: %v -> %v", eth[239], eth[299])
 	}
-	if s.ETCUSD[299] != p.ETC0 {
+	if etc[299] != p.ETC0 {
 		t.Error("rally should not move ETC when RallyETCShare is 0")
 	}
 	// With a shared rally, ETC rises too — but less than ETH.
 	p.RallyETCShare = 0.6
-	s = GeneratePrices(p, rand.New(rand.NewSource(1)))
-	if s.ETCUSD[299] <= p.ETC0 {
+	eth, etc = twoWay(p, 1)
+	if etc[299] <= p.ETC0 {
 		t.Error("shared rally should lift ETC")
 	}
-	if s.ETCUSD[299]/p.ETC0 >= s.ETHUSD[299]/p.ETH0 {
+	if etc[299]/p.ETC0 >= eth[299]/p.ETH0 {
 		t.Error("ETH should outpace ETC during the rally")
 	}
 }
@@ -64,7 +74,7 @@ func TestRallyRaisesETH(t *testing.T) {
 func TestPricesCorrelated(t *testing.T) {
 	p := DefaultParams(270)
 	p.RallyDrift = 0
-	s := GeneratePrices(p, rand.New(rand.NewSource(3)))
+	eth, etc := twoWay(p, 3)
 	rets := func(xs []float64) []float64 {
 		out := make([]float64, len(xs)-1)
 		for i := 1; i < len(xs); i++ {
@@ -72,7 +82,7 @@ func TestPricesCorrelated(t *testing.T) {
 		}
 		return out
 	}
-	c := Correlation(rets(s.ETHUSD), rets(s.ETCUSD))
+	c := Correlation(rets(eth), rets(etc))
 	if c < 0.8 {
 		t.Errorf("return correlation = %.3f, want > 0.8", c)
 	}
@@ -82,7 +92,7 @@ func TestAllocatorConvergesToPriceShare(t *testing.T) {
 	a := Allocator{Elasticity: 0.3}
 	share := 0.5
 	for i := 0; i < 100; i++ {
-		share = a.Step(share, 12, 1.2) // target 12/13.2 ≈ 0.909
+		share = a.StepToward(share, 12/13.2) // the price share, ≈ 0.909
 	}
 	want := 12.0 / 13.2
 	if math.Abs(share-want) > 1e-6 {
@@ -92,11 +102,11 @@ func TestAllocatorConvergesToPriceShare(t *testing.T) {
 
 func TestAllocatorClamps(t *testing.T) {
 	a := Allocator{Elasticity: 5} // over-aggressive
-	if s := a.Step(0.9, 1, 0); s > 1 || s < 0 {
+	if s := a.StepToward(0.9, 1); s > 1 || s < 0 {
 		t.Errorf("share %v out of range", s)
 	}
-	if s := a.Step(0.5, 0, 0); s != 0.5 {
-		t.Errorf("degenerate prices should not move the share: %v", s)
+	if s := a.StepToward(0.1, 0); s > 1 || s < 0 {
+		t.Errorf("share %v out of range", s)
 	}
 }
 

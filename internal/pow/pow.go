@@ -6,14 +6,13 @@
 // finds blocks. Mining is a memoryless lottery, so block inter-arrival
 // times are exponential with mean difficulty/hashrate; the Sampler draws
 // from exactly that distribution with a seeded RNG. The seal itself is a
-// binding commitment (MixDigest = keccak256(sealHash || nonce)) that
-// validators check, preserving header integrity on the wire without
-// requiring real work.
+// deterministic stamp (MixDigest = keccak256(sealHash || nonce)) that
+// nothing verifies: the nonce and mix digest are inside the header hash,
+// so a tampered seal already makes a different block.
 package pow
 
 import (
 	"encoding/binary"
-	"errors"
 	"math"
 	"math/big"
 	"math/rand"
@@ -24,25 +23,12 @@ import (
 	"forkwatch/internal/types"
 )
 
-// ErrInvalidSeal reports a header whose seal does not commit to its
-// contents.
-var ErrInvalidSeal = errors.New("pow: invalid seal")
-
-// Seal stamps the header with a nonce and the binding mix digest. The
+// Seal stamps the header with a nonce and its mix digest. The
 // nonce is drawn from r so identical simulation seeds produce identical
 // chains.
 func Seal(h *chain.Header, r *rand.Rand) {
 	h.Nonce = r.Uint64()
 	h.MixDigest = mixDigest(h.SealHash(), h.Nonce)
-}
-
-// Verify checks that the header's mix digest commits to its seal hash and
-// nonce.
-func Verify(h *chain.Header) error {
-	if h.MixDigest != mixDigest(h.SealHash(), h.Nonce) {
-		return ErrInvalidSeal
-	}
-	return nil
 }
 
 func mixDigest(sealHash types.Hash, nonce uint64) types.Hash {
@@ -98,20 +84,11 @@ func (s *Sampler) BlockIntervalFloat(difficulty, hashrate float64) uint64 {
 	return uint64(draw)
 }
 
-// WinnerIndex picks which miner found the block, proportionally to the
-// weights (hashrates). Zero total weight returns -1.
-func (s *Sampler) WinnerIndex(weights []float64) int {
-	total := 0.0
-	for _, w := range weights {
-		total += w
-	}
-	return s.WinnerIndexTotal(weights, total)
-}
-
-// WinnerIndexTotal is WinnerIndex with the weight sum precomputed by the
-// caller (it must be the left-to-right sum of weights, or the draw's
-// scaling — and therefore determinism — breaks). The engine sums each
-// day's pool weights once instead of once per block.
+// WinnerIndexTotal picks which miner found the block, proportionally to
+// the weights (hashrates), given their total. Zero total weight returns
+// -1. The total must be the left-to-right sum of weights, or the draw's
+// scaling — and therefore determinism — breaks; the engine sums each day's
+// pool weights once instead of once per block.
 func (s *Sampler) WinnerIndexTotal(weights []float64, total float64) int {
 	if total <= 0 {
 		return -1
@@ -138,11 +115,4 @@ func MeanFloat(difficulty, hashrate float64) float64 {
 		return math.Inf(1)
 	}
 	return difficulty / hashrate
-}
-
-// EquilibriumHashrate returns the hashrate that would produce the target
-// block time at the given difficulty — useful for calibrating scenarios.
-func EquilibriumHashrate(difficulty *big.Int, targetSeconds float64) float64 {
-	d := types.BigToFloat64(difficulty)
-	return d / targetSeconds
 }

@@ -184,9 +184,6 @@ func (r *Registry) Len() int { return len(r.specs) }
 // Specs returns the spec list in partition order (do not mutate).
 func (r *Registry) Specs() []PartitionSpec { return r.specs }
 
-// Spec returns the i-th partition's spec.
-func (r *Registry) Spec(i int) PartitionSpec { return r.specs[i] }
-
 // Index maps a partition name to its slot.
 func (r *Registry) Index(name string) (int, bool) {
 	i, ok := r.byName[name]

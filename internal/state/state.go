@@ -222,11 +222,6 @@ func (s *DB) getOrCreate(addr types.Address) *stateObject {
 	return obj
 }
 
-// Exist reports whether addr has an account in the state.
-func (s *DB) Exist(addr types.Address) bool {
-	return s.getObject(addr) != nil
-}
-
 // GetBalance returns addr's balance (zero for absent accounts).
 func (s *DB) GetBalance(addr types.Address) *big.Int {
 	if obj := s.getObject(addr); obj != nil {
@@ -337,14 +332,6 @@ func (s *DB) SetCode(addr types.Address, code []byte) {
 	obj.account.CodeHash = types.BytesToHash(h[:])
 	obj.code = append([]byte(nil), code...)
 	s.codes[obj.account.CodeHash] = obj.code
-}
-
-// GetCodeHash returns the code hash of addr (EmptyCodeHash when absent).
-func (s *DB) GetCodeHash(addr types.Address) types.Hash {
-	if obj := s.getObject(addr); obj != nil {
-		return obj.account.CodeHash
-	}
-	return EmptyCodeHash
 }
 
 // GetState returns the storage slot `key` of contract addr.

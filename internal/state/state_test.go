@@ -16,14 +16,14 @@ func addr(b byte) types.Address { return types.BytesToAddress([]byte{b}) }
 func TestBalanceLifecycle(t *testing.T) {
 	s := NewEmpty()
 	a := addr(1)
-	if s.Exist(a) {
+	if s.getObject(a) != nil {
 		t.Error("fresh state should have no accounts")
 	}
 	if s.GetBalance(a).Sign() != 0 {
 		t.Error("absent account balance should be zero")
 	}
 	s.AddBalance(a, big.NewInt(100))
-	if !s.Exist(a) {
+	if s.getObject(a) == nil {
 		t.Error("AddBalance should create the account")
 	}
 	s.SubBalance(a, big.NewInt(30))
@@ -65,15 +65,15 @@ func TestCode(t *testing.T) {
 	if s.GetCode(a) != nil {
 		t.Error("absent account should have nil code")
 	}
-	if s.GetCodeHash(a) != EmptyCodeHash {
-		t.Error("absent account code hash should be EmptyCodeHash")
+	if s.getObject(a) != nil {
+		t.Error("absent account should have no object, so EmptyCodeHash")
 	}
 	code := []byte{0x60, 0x00, 0x60, 0x00}
 	s.SetCode(a, code)
 	if got := s.GetCode(a); string(got) != string(code) {
 		t.Errorf("code = %x", got)
 	}
-	if s.GetCodeHash(a) == EmptyCodeHash {
+	if s.getObject(a).account.CodeHash == EmptyCodeHash {
 		t.Error("code hash should change after SetCode")
 	}
 }
@@ -125,7 +125,7 @@ func TestSnapshotRevert(t *testing.T) {
 	if s.GetCode(b) != nil {
 		t.Error("code not reverted")
 	}
-	if s.Exist(b) {
+	if s.getObject(b) != nil {
 		t.Error("account creation not reverted")
 	}
 }

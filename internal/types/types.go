@@ -9,8 +9,6 @@ package types
 
 import (
 	"encoding/hex"
-	"errors"
-	"fmt"
 	"math/big"
 )
 
@@ -151,17 +149,4 @@ func BigToFloat64(v *big.Int) float64 {
 	}
 	f, _ := new(big.Float).SetInt(v).Float64()
 	return f
-}
-
-// ErrValueTooLarge reports a big.Int that does not fit the requested
-// fixed-size integer type.
-var ErrValueTooLarge = errors.New("types: value does not fit target type")
-
-// BigToUint64 converts v to a uint64, returning ErrValueTooLarge when v is
-// negative or exceeds 64 bits.
-func BigToUint64(v *big.Int) (uint64, error) {
-	if v.Sign() < 0 || v.BitLen() > 64 {
-		return 0, fmt.Errorf("%w: %s", ErrValueTooLarge, v)
-	}
-	return v.Uint64(), nil
 }

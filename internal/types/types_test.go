@@ -1,7 +1,6 @@
 package types
 
 import (
-	"math/big"
 	"testing"
 	"testing/quick"
 )
@@ -66,19 +65,6 @@ func TestBigHelpers(t *testing.T) {
 	}
 	if BigCopy(nil) != nil {
 		t.Error("BigCopy(nil) should be nil")
-	}
-}
-
-func TestBigToUint64(t *testing.T) {
-	if v, err := BigToUint64(Big(42)); err != nil || v != 42 {
-		t.Errorf("BigToUint64(42) = %d, %v", v, err)
-	}
-	if _, err := BigToUint64(Big(-1)); err == nil {
-		t.Error("negative value should error")
-	}
-	huge := new(big.Int).Lsh(big.NewInt(1), 64)
-	if _, err := BigToUint64(huge); err == nil {
-		t.Error("2^64 should error")
 	}
 }
 

@@ -217,11 +217,11 @@ func (s *Store) Head() (types.Hash, bool, error) {
 	return types.BytesToHash(enc), true, nil
 }
 
-// TxLookup locates a transaction by hash: the hash of the block that
-// included it and the transaction's position in that block. Entries are
-// written in the same commit as the block itself, so a lookup can never
-// race ahead of the block it points at, and the chain shows a block as
-// canonical only once its commit has landed. Lookups replace
+// TxLookup locates a transaction by hash: the hash of the canonical block
+// that included it and the transaction's position in that block. Entries
+// are written in the commit that makes the block canonical and deleted in
+// the one that drops it, so a lookup can never race ahead of the block it
+// points at, and resolves only along the canonical chain. Lookups replace
 // the O(n) canonical-chain scan a serving layer would otherwise need for
 // eth_getTransactionByHash / eth_getTransactionReceipt.
 type TxLookup struct {
@@ -243,6 +243,12 @@ func (s *Store) PutBlockTxIndices(batch db.Batch, b *Block) {
 	for i, tx := range b.Txs {
 		s.PutTxIndex(batch, tx.Hash(), h, uint32(i))
 	}
+}
+
+// DeleteTxIndex queues removal of a transaction's lookup entry (a reorg
+// dropped the only block that held it).
+func (s *Store) DeleteTxIndex(batch db.Batch, txHash types.Hash) {
+	batch.Delete(hashKey(prefixTxIndex, txHash))
 }
 
 // TxIndex reads the lookup entry of a transaction hash.

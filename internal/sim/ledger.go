@@ -96,7 +96,7 @@ type FastLedger struct {
 	costScratch big.Int // CostInto destination
 	costTmp     big.Int // CostInto clobber
 	// incArena backs MineBlock's included-transaction slices for the
-	// current day; resetDayArena truncates it at the day barrier.
+	// current day; resetDayArena empties it at the day barrier.
 	incArena []*chain.Transaction
 }
 
@@ -146,8 +146,12 @@ func (l *FastLedger) HeadDifficultyFloat() float64 { return l.diffFloat }
 func (l *FastLedger) headDiffRef() *big.Int { return l.diff }
 
 // resetDayArena recycles the day's included-transaction backing; the
-// engine calls it at the day barrier once every borrower is done.
-func (l *FastLedger) resetDayArena() { l.incArena = l.incArena[:0] }
+// engine calls it at the day barrier once every borrower is done. The
+// slots are zeroed, so a kept ledger pins none of the day's transactions.
+func (l *FastLedger) resetDayArena() {
+	clear(l.incArena)
+	l.incArena = l.incArena[:0]
+}
 
 func (l *FastLedger) account(a types.Address) *fastAccount {
 	acct, ok := l.accounts[a]

@@ -62,8 +62,10 @@ import (
 )
 
 // dayPacer slows a -live run down to watchable speed: it sleeps after
-// every simulated day, on the engine goroutine, so the feed's day
-// barrier is also the pacing barrier.
+// every simulated day's events have gone out on the feed. The engine
+// delivers a day while it mines the next one and waits for that delivery
+// at the next barrier, so a paced chain runs at most one day ahead of its
+// feed.
 type dayPacer time.Duration
 
 func (p dayPacer) OnBlock(*sim.BlockEvent) {}

@@ -799,12 +799,13 @@ func TestBackendStaleness(t *testing.T) {
 	}
 }
 
-// TestReceiptBlockNumberFromStore: a receipt names the block number its
-// tx index entry resolves to, the same as eth_getTransactionByHash does,
-// even when that block is not in the chain's memory. A chain reopened
-// from its store walks only the canonical branch, so a transaction left
-// behind on an abandoned branch is such a case.
-func TestReceiptBlockNumberFromStore(t *testing.T) {
+// TestReceiptFollowsTxIndexAcrossReorg: eth_getTransactionReceipt
+// resolves a transaction exactly as eth_getTransactionByHash does, from the
+// store's tx index: both name the transaction's block while it is
+// canonical, and once a reorg abandons that block both answer null — on the
+// live chain and on one reopened from the store, which does not hold the
+// abandoned block.
+func TestReceiptFollowsTxIndexAcrossReorg(t *testing.T) {
 	cfg := chain.MainnetLikeConfig()
 	kv := db.NewMemDB()
 	bc, err := chain.NewBlockchainWithDB(cfg, testGenesis(), kv)
@@ -820,6 +821,27 @@ func TestReceiptBlockNumberFromStore(t *testing.T) {
 	if err := bc.InsertBlock(slow); err != nil {
 		t.Fatal(err)
 	}
+	lookup := func(c *chain.Blockchain) (byHash, rec map[string]any) {
+		t.Helper()
+		srv := NewServer(ServerConfig{Workers: 2}, NewBackend("ETH", c))
+		defer srv.Close()
+		ts := httptest.NewServer(srv)
+		defer ts.Close()
+		cl := newFC(t, FailoverConfig{Endpoints: []string{ts.URL + "/eth"}})
+		if _, err := cl.Call(&byHash, "eth_getTransactionByHash", tx.Hash().Hex()); err != nil {
+			t.Fatalf("eth_getTransactionByHash: %v", err)
+		}
+		if _, err := cl.Call(&rec, "eth_getTransactionReceipt", tx.Hash().Hex()); err != nil {
+			t.Fatalf("eth_getTransactionReceipt: %v", err)
+		}
+		return byHash, rec
+	}
+	byHash, rec := lookup(bc)
+	if byHash["blockNumber"] != "0x1" || rec["blockNumber"] != "0x1" || rec["blockHash"] != slow.Hash().Hex() {
+		t.Fatalf("tx says block %v, receipt says block %v (%v); want 0x1 (%s)",
+			byHash["blockNumber"], rec["blockNumber"], rec["blockHash"], slow.Hash().Hex())
+	}
+
 	// A heavier branch without tx, built on a twin sharing genesis.
 	twin, err := chain.NewBlockchain(cfg, testGenesis())
 	if err != nil {
@@ -838,7 +860,6 @@ func TestReceiptBlockNumberFromStore(t *testing.T) {
 		}
 		parent = b
 	}
-
 	re, err := chain.Open(cfg, kv)
 	if err != nil {
 		t.Fatal(err)
@@ -846,21 +867,9 @@ func TestReceiptBlockNumberFromStore(t *testing.T) {
 	if _, ok := re.GetBlock(slow.Hash()); ok {
 		t.Fatal("reopened chain holds the abandoned block; the test needs one it does not")
 	}
-	srv := NewServer(ServerConfig{Workers: 2}, NewBackend("ETH", re))
-	t.Cleanup(srv.Close)
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-	cl := newFC(t, FailoverConfig{Endpoints: []string{ts.URL + "/eth"}})
-
-	var byHash, rec map[string]any
-	if _, err := cl.Call(&byHash, "eth_getTransactionByHash", tx.Hash().Hex()); err != nil {
-		t.Fatalf("eth_getTransactionByHash: %v", err)
-	}
-	if _, err := cl.Call(&rec, "eth_getTransactionReceipt", tx.Hash().Hex()); err != nil {
-		t.Fatalf("eth_getTransactionReceipt: %v", err)
-	}
-	if byHash["blockNumber"] != "0x1" || rec["blockNumber"] != "0x1" || rec["blockHash"] != slow.Hash().Hex() {
-		t.Fatalf("tx says block %v, receipt says block %v (%v); want 0x1 (%s)",
-			byHash["blockNumber"], rec["blockNumber"], rec["blockHash"], slow.Hash().Hex())
+	for name, c := range map[string]*chain.Blockchain{"live": bc, "reopened": re} {
+		if byHash, rec := lookup(c); byHash != nil || rec != nil {
+			t.Errorf("%s chain: the abandoned tx resolves: by hash %v, receipt %v", name, byHash, rec)
+		}
 	}
 }

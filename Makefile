@@ -62,30 +62,19 @@ matrix:
 	$(GO) run -race ./cmd/forksim -matrix -days $(MATRIX_DAYS) -out $(MATRIX_DIR)
 
 # Fuzz smoke: `go test -fuzz` takes exactly one target per invocation,
-# so each decoder and parser target runs on its own.
+# so each target runs on its own. The (package, target) list is every
+# `func Fuzz...` declared in a test file of this module (bench/ is its own
+# module), so a new target cannot be skipped silently.
 FUZZTIME ?= 30s
 
 fuzz:
-	$(GO) test -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/rlp/
-	$(GO) test -fuzz '^FuzzDecodePrefix$$' -fuzztime $(FUZZTIME) ./internal/rlp/
-	$(GO) test -fuzz '^FuzzEncodeRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/rlp/
-	$(GO) test -fuzz '^FuzzSplit$$' -fuzztime $(FUZZTIME) ./internal/rlp/
-	$(GO) test -fuzz '^FuzzDecodeTx$$' -fuzztime $(FUZZTIME) ./internal/chain/
-	$(GO) test -fuzz '^FuzzDecodeHeader$$' -fuzztime $(FUZZTIME) ./internal/chain/
-	$(GO) test -fuzz '^FuzzDecodeBlock$$' -fuzztime $(FUZZTIME) ./internal/chain/
-	$(GO) test -fuzz '^FuzzImportChain$$' -fuzztime $(FUZZTIME) ./internal/chain/
-	$(GO) test -fuzz '^FuzzPointRead$$' -fuzztime $(FUZZTIME) ./internal/chain/
-	$(GO) test -fuzz '^FuzzEVM$$' -fuzztime $(FUZZTIME) ./internal/evm/
-	$(GO) test -fuzz '^FuzzReadMsg$$' -fuzztime $(FUZZTIME) ./internal/p2p/
-	$(GO) test -fuzz '^FuzzDecodeRequest$$' -fuzztime $(FUZZTIME) ./internal/rpc/
-	$(GO) test -fuzz '^FuzzResponseEnvelope$$' -fuzztime $(FUZZTIME) ./internal/rpc/
-	$(GO) test -fuzz '^FuzzDecodeRecord$$' -fuzztime $(FUZZTIME) ./internal/db/diskdb/
-	$(GO) test -fuzz '^FuzzScanSegment$$' -fuzztime $(FUZZTIME) ./internal/db/diskdb/
-	$(GO) test -fuzz '^FuzzParseSpec$$' -fuzztime $(FUZZTIME) ./internal/db/diskdb/faultfile/
-	$(GO) test -fuzz '^FuzzParseSpec$$' -fuzztime $(FUZZTIME) ./internal/faultnet/
-	$(GO) test -fuzz '^FuzzScenarioSpecs$$' -fuzztime $(FUZZTIME) ./internal/sim/
-	$(GO) test -fuzz '^FuzzAppendBlockRow$$' -fuzztime $(FUZZTIME) ./internal/export/
-	$(GO) test -fuzz '^FuzzReplayTables$$' -fuzztime $(FUZZTIME) ./internal/export/
+	@targets=$$(grep -rHoE --include='*_test.go' --exclude-dir=bench '^func Fuzz[A-Za-z0-9_]+' . | \
+		sed -E 's|^(.*)/[^/]*:func (Fuzz[A-Za-z0-9_]+)$$|\1/ \2|' | sort) && \
+	test -n "$$targets" || { echo "no fuzz targets found"; exit 1; }; \
+	echo "$$targets" | while read -r pkg target; do \
+		echo "$(GO) test -fuzz '^$$target\$$' -fuzztime $(FUZZTIME) $$pkg"; \
+		$(GO) test -fuzz "^$$target\$$" -fuzztime $(FUZZTIME) $$pkg || exit 1; \
+	done
 
 # Storage chaos battery under the race detector: the fault-injection unit
 # tests, the WAL crash/recovery sweeps over a batch-tearing test store, and

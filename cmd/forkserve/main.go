@@ -86,7 +86,7 @@ func main() {
 		queue   = flag.Int("queue", 0, "queue depth before 429 backpressure (0 = default)")
 		rate    = flag.Float64("rate", 0, "per-client requests/second (0 = unlimited)")
 		timeout = flag.Duration("timeout", 5*time.Second, "per-request execution deadline")
-		par     = flag.Int("parallelism", 0, "simulation partition-stepping goroutines: 0 = GOMAXPROCS, 1 = serial; served chains are identical either way")
+		par     = flag.Int("parallelism", 0, "simulation: 1 = serial; >= 2 (all alike) = a goroutine per partition plus one delivering observers; 0 = GOMAXPROCS; served chains are identical either way")
 		parts   = flag.String("partitions", "", `N-way partition spec "NAME:key=v,...;NAME:key=v,..." (empty = historical two-way split)`)
 
 		liveRun = flag.Bool("live", false, "serve WHILE the scenario simulates: followers on fork_liveEvents or /<route>/stream watch the partition unfold, and the feed publishes EOF when the run ends")

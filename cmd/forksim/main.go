@@ -43,7 +43,7 @@ func main() {
 		faults  = flag.String("storage-faults", "", `full-mode storage fault injection, e.g. "seed=42,readerr=0.2,writeerr=0.2,torn=0.01" (empty = none)`)
 		crash   = flag.String("crash", "", `full-mode storage crash schedule: comma-separated chain:day:block:op, e.g. "ETH:1:3:40,ETC:2:0:5"`)
 		outDir  = flag.String("out", "", "directory for CSV output (figures + ledger export); empty = summary only")
-		par     = flag.Int("parallelism", 0, "partition-stepping goroutines: 0 = GOMAXPROCS, 1 = serial; output is byte-identical either way")
+		par     = flag.Int("parallelism", 0, "1 = serial; >= 2 (all alike) = a goroutine per partition plus one delivering observers; 0 = GOMAXPROCS; output is byte-identical either way")
 		profDir = flag.String("profile", "", "directory for cpu.pprof/heap.pprof capture of the run (empty = no profiling)")
 		parts   = flag.String("partitions", "", `N-way partition spec "NAME:key=v,...;NAME:key=v,..." (empty = historical two-way split); see DESIGN.md §12`)
 		matrix  = flag.Bool("matrix", false, "sweep the scenario matrix (hashrate/economics grid x pool behaviour models) and print a summary table instead of one run")

@@ -467,6 +467,12 @@ func TestProbeAndCrawlPartition(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		// Connect returns once the dialer's handshake is done; the seed
+		// adds each dialer to its table on its own accept goroutine.
+		seed := nodes[0].server
+		waitFor(t, seed.Self().Addr+" tables its inbound peers", func() bool {
+			return seed.Table().Len() >= len(nodes)-1
+		})
 	}
 	wire(ethNodes)
 	wire(etcNodes)

@@ -40,6 +40,7 @@ type digestObserver struct {
 	h       hash.Hash
 	buf     []byte
 	calls   int
+	txs     int
 	inCall  atomic.Int32
 	overlap atomic.Bool
 	gids    map[uint64]bool
@@ -79,6 +80,7 @@ func (d *digestObserver) OnBlock(ev *BlockEvent) {
 	b = append(b, ev.Difficulty.String()...)
 	b = append(b, ev.Coinbase.Bytes()...)
 	b = binary.AppendUvarint(b, uint64(len(ev.Txs)))
+	d.txs += len(ev.Txs)
 	for _, tx := range ev.Txs {
 		b = append(b, tx.Hash.Bytes()...)
 		b = append(b, tx.From.Bytes()...)
@@ -117,8 +119,10 @@ var raceEnabled bool
 // TestObserversSeeOneSerialStream: at Parallelism 1, 2 and 4 observers get
 // the same calls with the same contents in the same order, from one
 // goroutine at a time, that goroutine being Run's caller at Parallelism 1.
-// Under the race detector it runs 8 hour-long days: the detector needs
-// hand-offs between goroutines, not blocks, and -count repeats the draw.
+// Under the race detector the multi-day inputs run 8 hour-long days: the
+// detector needs hand-offs between goroutines, not blocks, and -count
+// repeats the draw. The dense input is one full day at mainnet-2016 rates,
+// so its day 0 mints and signs thousands of transactions per partition.
 func TestObserversSeeOneSerialStream(t *testing.T) {
 	days, dayLength := 30, uint64(0)
 	if testing.Short() {
@@ -131,16 +135,31 @@ func TestObserversSeeOneSerialStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, way := range []string{"two-way", "three-way"} {
-		for seed := int64(1); seed <= 4; seed++ {
+	inputs := []struct {
+		name   string
+		seeds  int64
+		minTxs int // delivered over the run, so the input is not degenerate
+		build  func(seed int64) *Scenario
+	}{
+		{"two-way", 4, 1, func(seed int64) *Scenario { return NewScenario(seed, days) }},
+		{"three-way", 4, 1, func(seed int64) *Scenario {
+			sc := NewScenario(seed, days)
+			sc.Partitions = three
+			return sc
+		}},
+		{"dense day", 1, 10_000, func(seed int64) *Scenario {
+			sc := NewScenario(seed, 1)
+			sc.ETHTxPerDay, sc.ETCTxPerDay = 40_000, 16_000
+			return sc
+		}},
+	}
+	for _, in := range inputs {
+		for seed := int64(1); seed <= in.seeds; seed++ {
 			var want []byte
 			for _, par := range []int{1, 2, 4} {
-				sc := NewScenario(seed, days)
-				if way == "three-way" {
-					sc.Partitions = three
-				}
+				sc := in.build(seed)
 				sc.Parallelism = par
-				if dayLength > 0 {
+				if dayLength > 0 && sc.Days > 1 {
 					sc.DayLength = dayLength
 				}
 				eng, err := New(sc)
@@ -152,12 +171,15 @@ func TestObserversSeeOneSerialStream(t *testing.T) {
 				if err := eng.Run(); err != nil {
 					t.Fatal(err)
 				}
-				label := fmt.Sprintf("%s seed %d parallelism %d", way, seed, par)
+				label := fmt.Sprintf("%s seed %d parallelism %d", in.name, seed, par)
 				if obs.overlap.Load() {
 					t.Errorf("%s: two observer calls overlapped", label)
 				}
 				if len(obs.gids) != 1 {
 					t.Errorf("%s: calls came from %d goroutines", label, len(obs.gids))
+				}
+				if obs.txs < in.minTxs {
+					t.Errorf("%s: %d transactions delivered, want at least %d", label, obs.txs, in.minTxs)
 				}
 				if par == 1 && !obs.gids[goid()] {
 					t.Errorf("%s: calls did not come from Run's goroutine", label)

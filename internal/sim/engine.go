@@ -182,18 +182,6 @@ type partition struct {
 	txScratch []*chain.Transaction
 }
 
-// diffLender is the sim-internal side door both ledgers implement: it
-// lends the live head-difficulty big.Int so per-block events can copy it
-// into their own buffers without an allocation. Borrowers must not hold
-// the reference across a head change.
-type diffLender interface{ headDiffRef() *big.Int }
-
-// dayArena is implemented by ledgers that carve per-day scratch (the fast
-// ledger's included-transaction arena); the engine resets it at the day
-// barrier once the echo attacker is done with the day's slices (block
-// events carry TxInfo values, not the slices).
-type dayArena interface{ resetDayArena() }
-
 // New builds an engine (ledgers, workload, pools, prices) from a
 // scenario, after validating it.
 func New(sc *Scenario) (*Engine, error) {
@@ -466,14 +454,6 @@ func (e *Engine) Run() error {
 			}
 		}
 
-		// Step every partition through the day. The signing fan-out
-		// borrows the cores the partitions leave idle; while yesterday's
-		// delivery runs beside them, that core is the delivery's, and
-		// signing stays on the partition goroutines.
-		signers := e.sc.ResolveParallelism()
-		if dl.inFlight() {
-			signers = 1
-		}
 		if concurrent {
 			var wg sync.WaitGroup
 			errs := make([]error, k)
@@ -481,7 +461,7 @@ func (e *Engine) Run() error {
 				wg.Add(1)
 				go func(p *partition) {
 					defer wg.Done()
-					errs[p.idx] = e.stepDay(day, p, signers)
+					errs[p.idx] = e.stepDay(day, p)
 				}(p)
 			}
 			wg.Wait()
@@ -492,28 +472,21 @@ func (e *Engine) Run() error {
 			}
 		} else {
 			for _, p := range e.parts {
-				if err := e.stepDay(day, p, signers); err != nil {
+				if err := e.stepDay(day, p); err != nil {
 					return err
 				}
 			}
 		}
 
-		// Day barrier: cross-chain effects in fixed order. FlushEchoes is
-		// the last reader of the day's included-tx slices (events hold
-		// TxInfo values), so the arena resets at once.
+		// Day barrier: cross-chain effects in fixed order.
 		e.Workload.FlushEchoes()
-		for _, p := range e.parts {
-			if a, ok := p.ledger.(dayArena); ok {
-				a.resetDayArena()
-			}
-		}
 		ev := &DayEvent{Day: day, Partitions: make([]PartitionDay, k)}
 		for i, p := range e.parts {
 			ev.Partitions[i] = PartitionDay{
 				Name:       p.name,
 				USD:        e.Prices[i][day],
 				Hashrate:   p.hashrate,
-				Difficulty: p.ledger.HeadDifficulty(),
+				Difficulty: types.BigCopy(p.ledger.HeadDifficulty()),
 			}
 		}
 
@@ -605,9 +578,6 @@ func (d *delivery) hand(ev *DayEvent) {
 	d.busy = true
 }
 
-// inFlight reports whether a handed day may still be delivering.
-func (d *delivery) inFlight() bool { return d != nil && d.busy }
-
 // wait blocks until the handed day has been delivered and re-raises an
 // observer's panic on the caller's goroutine. A nil delivery (inline
 // runs) has nothing in flight.
@@ -637,10 +607,10 @@ func (d *delivery) stop() {
 }
 
 // stepDay advances one partition through one day: pool consolidation,
-// traffic generation (its signatures on up to signers goroutines),
-// mining. Runs on the partition's goroutine in parallel mode; touches only
-// partition-local state and the workload's slot for this chain.
-func (e *Engine) stepDay(day int, p *partition, signers int) error {
+// traffic generation, mining. Runs on the partition's goroutine in
+// parallel mode; touches only partition-local state and the workload's
+// slot for this chain.
+func (e *Engine) stepDay(day int, p *partition) error {
 	// Pool consolidation (Fig 5): each partition's churn starts once its
 	// configured lag has passed (the historical calibration: ETH stable
 	// from day one, ETC consolidating after the dust settled).
@@ -648,12 +618,7 @@ func (e *Engine) stepDay(day int, p *partition, signers int) error {
 		p.pools.Consolidate(p.spec.PoolChurn, p.spec.PoolAlpha, p.spec.PoolCap, p.poolR)
 	}
 
-	// Traffic for the day: draw the deterministic plan single-threaded on
-	// this partition's streams, then fan the signature keccaks — the only
-	// order-independent part — across workers before anything validates.
-	plans := e.Workload.DayTraffic(day, p.name, p.ledger, p.eipDay)
-	finishSigning(plans, signers)
-	p.enqueue(plans)
+	p.enqueue(e.Workload.DayTraffic(day, p.name, p.ledger, p.eipDay))
 
 	if err := e.mineDay(day, p); err != nil {
 		return err
@@ -666,41 +631,6 @@ func (e *Engine) stepDay(day int, p *partition, signers int) error {
 		}
 	}
 	return nil
-}
-
-// signFanoutMin is the plan size below which the fan-out overhead beats
-// the keccak savings and signing stays inline.
-const signFanoutMin = 256
-
-// finishSigning completes the lazy signatures of a day's fresh
-// transactions on up to workers goroutines. Each FinishSign is a pure
-// function of its own transaction, so the work splits into chunks with no
-// effect on ordering or RNG streams — serial and parallel runs stay
-// byte-identical. Inline for one worker or a small batch.
-func finishSigning(plans []txPlan, workers int) {
-	if workers < 2 || len(plans) < signFanoutMin {
-		for i := range plans {
-			if plans[i].fresh {
-				plans[i].tx.FinishSign()
-			}
-		}
-		return
-	}
-	chunk := (len(plans) + workers - 1) / workers
-	var wg sync.WaitGroup
-	for start := 0; start < len(plans); start += chunk {
-		end := min(start+chunk, len(plans))
-		wg.Add(1)
-		go func(ps []txPlan) {
-			defer wg.Done()
-			for i := range ps {
-				if ps[i].fresh {
-					ps[i].tx.FinishSign()
-				}
-			}
-		}(plans[start:end])
-	}
-	wg.Wait()
 }
 
 // mine mines one block on p's chain, and flushes it on a durable store.
@@ -801,7 +731,6 @@ func (e *Engine) mineDay(day int, p *partition) error {
 	for _, w := range weights {
 		totalWeight += w
 	}
-	lender, _ := led.(diffLender)
 	blockIdx := 0
 
 	for {
@@ -811,9 +740,8 @@ func (e *Engine) mineDay(day int, p *partition) error {
 			return nil
 		}
 		// Submissions whose time has passed become the block body. The
-		// batch lives in per-partition scratch: no ledger retains it
-		// (FastLedger copies into its arena, FullLedger rebuilds its own
-		// included slice).
+		// batch lives in per-partition scratch: no ledger retains it (both
+		// build their own included slice).
 		queue := p.pending
 		daySecond := t - dayStart
 		cut := 0
@@ -873,11 +801,7 @@ func (e *Engine) mineDay(day int, p *partition) error {
 			ev.Number = led.HeadNumber()
 			ev.Time = t
 			ev.Delta = t - parentTime
-			if lender != nil {
-				ev.Difficulty = ev.diffBuf.Set(lender.headDiffRef())
-			} else {
-				ev.Difficulty = ev.diffBuf.Set(led.HeadDifficulty())
-			}
+			ev.Difficulty = ev.diffBuf.Set(led.HeadDifficulty())
 			ev.Coinbase = coinbase
 			ev.Txs = ev.Txs[:0]
 			for _, tx := range included {

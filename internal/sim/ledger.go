@@ -41,7 +41,9 @@ type Ledger interface {
 	HeadNumber() uint64
 	// HeadTime returns the head block's timestamp.
 	HeadTime() uint64
-	// HeadDifficulty returns the head block's difficulty.
+	// HeadDifficulty returns the head block's difficulty, not a copy: the
+	// caller must not modify it, and it is valid only until the next
+	// MineBlock. Copy it (types.BigCopy, big.Int.Set) to keep it.
 	HeadDifficulty() *big.Int
 	// HeadDifficultyFloat returns types.BigToFloat64 of the head
 	// difficulty without copying the big.Int — the sampler's hot input,
@@ -69,12 +71,11 @@ type fastAccount struct {
 // FastLedger simulates headers and account balances under the full
 // difficulty and replay rules, without EVM execution or tries.
 //
-// Per-block and per-transaction arithmetic runs entirely in reusable
-// scratch space (DESIGN.md §15): the difficulty double-buffers through
-// diffScratch, fees and costs accumulate in dedicated big.Ints, and the
-// included-transaction slices of a day's blocks are carved out of one
-// arena the engine resets at the day barrier. None of this is visible to
-// callers — the ledger is single-goroutine by contract.
+// Per-block and per-transaction arithmetic runs in reusable scratch space
+// (DESIGN.md §15): the difficulty double-buffers through diffScratch, and
+// fees and costs accumulate in dedicated big.Ints. None of this is visible
+// to callers — the ledger is single-goroutine by contract. MineBlock
+// allocates one included slice per non-empty block, which the caller owns.
 type FastLedger struct {
 	cfg      *chain.Config
 	number   uint64
@@ -95,9 +96,6 @@ type FastLedger struct {
 	feeScratch  big.Int // per-transaction fee accumulation
 	costScratch big.Int // CostInto destination
 	costTmp     big.Int // CostInto clobber
-	// incArena backs MineBlock's included-transaction slices for the
-	// current day; resetDayArena empties it at the day barrier.
-	incArena []*chain.Transaction
 }
 
 // NewFastLedger creates a fast ledger from a genesis spec.
@@ -136,22 +134,10 @@ func (l *FastLedger) HeadNumber() uint64 { return l.number }
 func (l *FastLedger) HeadTime() uint64 { return l.time }
 
 // HeadDifficulty implements Ledger.
-func (l *FastLedger) HeadDifficulty() *big.Int { return types.BigCopy(l.diff) }
+func (l *FastLedger) HeadDifficulty() *big.Int { return l.diff }
 
 // HeadDifficultyFloat implements Ledger.
 func (l *FastLedger) HeadDifficultyFloat() float64 { return l.diffFloat }
-
-// headDiffRef lends out the live head-difficulty big.Int; sim-internal
-// readers must copy (big.Int.Set) before the next MineBlock.
-func (l *FastLedger) headDiffRef() *big.Int { return l.diff }
-
-// resetDayArena recycles the day's included-transaction backing; the
-// engine calls it at the day barrier once every borrower is done. The
-// slots are zeroed, so a kept ledger pins none of the day's transactions.
-func (l *FastLedger) resetDayArena() {
-	clear(l.incArena)
-	l.incArena = l.incArena[:0]
-}
 
 func (l *FastLedger) account(a types.Address) *fastAccount {
 	acct, ok := l.accounts[a]
@@ -253,7 +239,7 @@ func (l *FastLedger) MineBlock(time uint64, coinbase types.Address, txs []*chain
 		l.ApplyDAOFork()
 	}
 
-	start := len(l.incArena)
+	var included []*chain.Transaction
 	gasPool := l.cfg.GasLimit
 	// One coinbase lookup per block: account pointers stay valid while
 	// the map grows underneath.
@@ -278,15 +264,12 @@ func (l *FastLedger) MineBlock(time uint64, coinbase types.Address, txs []*chain
 			rcpt.balance.Add(rcpt.balance, tx.Value)
 		}
 		cb.balance.Add(cb.balance, fee)
-		l.incArena = append(l.incArena, tx)
+		if included == nil {
+			included = make([]*chain.Transaction, 0, len(txs))
+		}
+		included = append(included, tx)
 	}
 	cb.balance.Add(cb.balance, l.cfg.BlockReward)
-	if len(l.incArena) == start {
-		return nil, nil
-	}
-	// Full-capacity slice so a later append for another block cannot
-	// clobber this one's tail.
-	included := l.incArena[start:len(l.incArena):len(l.incArena)]
 	return included, nil
 }
 
@@ -337,18 +320,12 @@ func (l *FullLedger) HeadNumber() uint64 { return l.BC.Head().Number() }
 func (l *FullLedger) HeadTime() uint64 { return l.BC.Head().Header.Time }
 
 // HeadDifficulty implements Ledger.
-func (l *FullLedger) HeadDifficulty() *big.Int {
-	return types.BigCopy(l.BC.Head().Header.Difficulty)
-}
+func (l *FullLedger) HeadDifficulty() *big.Int { return l.BC.Head().Header.Difficulty }
 
 // HeadDifficultyFloat implements Ledger.
 func (l *FullLedger) HeadDifficultyFloat() float64 {
 	return types.BigToFloat64(l.BC.Head().Header.Difficulty)
 }
-
-// headDiffRef lends out the head block's difficulty; sim-internal readers
-// must copy (big.Int.Set) before the head moves.
-func (l *FullLedger) headDiffRef() *big.Int { return l.BC.Head().Header.Difficulty }
 
 // headView returns the cached head-state view, reopening it per the
 // invalidation rule on FullLedger.view.

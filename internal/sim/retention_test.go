@@ -12,8 +12,9 @@ import (
 
 // TestRunLeavesNoDayScratch: once Run returns, an engine kept for its
 // ledgers pins none of the day loop's scratch — no pooled block event,
-// and no transaction the pending queue, the block scratch or the echo
-// queues still held on the last day.
+// no transaction the pending queue, the block scratch or the echo queues
+// still held on the last day, and none of the echo attacker's replayed
+// and mirrored sets.
 func TestRunLeavesNoDayScratch(t *testing.T) {
 	for _, par := range []int{1, 2} {
 		sc := shortScenario(13, 4, ModeFast)
@@ -24,6 +25,7 @@ func TestRunLeavesNoDayScratch(t *testing.T) {
 		}
 		events := map[weak.Pointer[BlockEvent]]bool{}
 		var txs []weak.Pointer[chain.Transaction]
+		var echoSets int
 		hold := func(list []*chain.Transaction) {
 			for _, tx := range list {
 				txs = append(txs, weak.Make(tx))
@@ -44,13 +46,17 @@ func TestRunLeavesNoDayScratch(t *testing.T) {
 				for _, ct := range eng.Workload.chains {
 					hold(ct.replayQueue)
 				}
+				echoSets = len(eng.Workload.replayed) + len(eng.Workload.mirrored)
 			},
 		})
 		if err := eng.Run(); err != nil {
 			t.Fatal(err)
 		}
-		if len(events) == 0 || len(txs) == 0 {
-			t.Fatalf("parallelism %d: nothing to check (%d events, %d transactions)", par, len(events), len(txs))
+		if len(events) == 0 || len(txs) == 0 || echoSets == 0 {
+			t.Fatalf("parallelism %d: nothing to check (%d events, %d transactions, %d echo entries)", par, len(events), len(txs), echoSets)
+		}
+		if n := len(eng.Workload.replayed) + len(eng.Workload.mirrored); n != 0 {
+			t.Fatalf("parallelism %d: the echo sets still hold %d entries after Run", par, n)
 		}
 		runtime.GC()
 		for p := range events {

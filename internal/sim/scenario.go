@@ -61,12 +61,14 @@ type Scenario struct {
 	// population departing (O1/O2).
 	Crashes []CrashSpec
 
-	// Parallelism caps how many goroutines the engine uses to step the
-	// partitions between day barriers: 0 means GOMAXPROCS, 1 forces
-	// the serial fallback, >=2 steps partitions concurrently. Output is
-	// byte-identical across all settings — every stochastic component
-	// draws from its own seed-derived stream (internal/prng), so
-	// scheduling never reorders draws (DESIGN.md §10).
+	// Parallelism selects how the engine steps the partitions between
+	// day barriers: 1 steps them one after another and delivers observer
+	// events inline, all on Run's goroutine; any value >= 2 steps each
+	// partition on its own goroutine and delivers on one more, beside the
+	// next day's mining (every such value behaves the same); 0 means
+	// GOMAXPROCS. Output is byte-identical across all settings — every
+	// stochastic component draws from its own seed-derived stream
+	// (internal/prng), so scheduling never reorders draws (DESIGN.md §10).
 	Parallelism int
 
 	// Partitions lists the named partitions of the fork. Empty means the
@@ -271,7 +273,7 @@ func NewScenario(seed int64, days int) *Scenario {
 	}
 }
 
-// ResolveParallelism returns the effective engine worker count:
+// ResolveParallelism returns the effective Parallelism setting:
 // Parallelism when positive, otherwise GOMAXPROCS.
 func (sc *Scenario) ResolveParallelism() int {
 	if sc.Parallelism > 0 {

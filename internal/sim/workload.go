@@ -247,13 +247,9 @@ func (w *Workload) DAODrainList() []types.Address {
 }
 
 // txPlan is a transaction with its submission second within the day.
-// fresh marks transactions minted by this DayTraffic call (lazily signed)
-// as opposed to echoes replayed from another chain; the engine finishes
-// fresh signatures before mining (finishSigning).
 type txPlan struct {
 	tx     *chain.Transaction
 	second uint64
-	fresh  bool
 }
 
 // DayTraffic generates the submission plan for one chain for one day,
@@ -261,6 +257,10 @@ type txPlan struct {
 // transactions activate on that chain; ledger supplies nonces and
 // balances. Safe to call concurrently for different chains: it only
 // touches the named chain's slot.
+//
+// Every transaction it returns is signed. The day's new transactions are
+// minted with SignLazy while the plan is drawn and signed in one
+// FinishSign loop at the end, after the echoes it replays.
 func (w *Workload) DayTraffic(day int, chainName string, led Ledger, eipDay int) []txPlan {
 	ct := w.chains[w.chainIx[chainName]]
 	// Release yesterday's unconfirmed nonces: the ledger is the truth.
@@ -268,7 +268,13 @@ func (w *Workload) DayTraffic(day int, chainName string, led Ledger, eipDay int)
 	clear(ct.nextNonce)
 	clear(ct.lastSecond)
 	plans := ct.plans[:0]
-	defer func() { ct.plans = plans }()
+	echoes := 0
+	defer func() {
+		for i := echoes; i < len(plans); i++ {
+			plans[i].tx.FinishSign()
+		}
+		ct.plans = plans
+	}()
 
 	// 1. Queued rebroadcasts (the echo traffic). Submission seconds
 	// spread over the day but preserve queue order: the rebroadcaster
@@ -282,6 +288,7 @@ func (w *Workload) DayTraffic(day int, chainName string, led Ledger, eipDay int)
 			plans = append(plans, txPlan{tx: tx, second: uint64(i+1) * step})
 		}
 		ct.replayQueue = ct.replayQueue[:0]
+		echoes = len(plans)
 	}
 
 	// 2. Fund-splitting transactions. Users only split chains they
@@ -309,7 +316,7 @@ func (w *Workload) DayTraffic(day int, chainName string, led Ledger, eipDay int)
 		// is replayable — the hazard the paper describes.
 		tx.SignLazy(u.common, w.chainIDFor(ct, day, eipDay, u))
 		u.splitDone[ct.idx] = true
-		plans = append(plans, txPlan{tx: tx, second: uint64(ct.r.Int63n(int64(w.sc.DayLength))), fresh: true})
+		plans = append(plans, txPlan{tx: tx, second: uint64(ct.r.Int63n(int64(w.sc.DayLength)))})
 	}
 
 	// 3. Regular traffic.
@@ -352,7 +359,7 @@ func (w *Workload) DayTraffic(day int, chainName string, led Ledger, eipDay int)
 			second = prev + 1
 		}
 		lastSecond[from] = second
-		plans = append(plans, txPlan{tx: tx, second: second, fresh: true})
+		plans = append(plans, txPlan{tx: tx, second: second})
 	}
 	return plans
 }
@@ -447,17 +454,20 @@ func (w *Workload) FlushEchoes() {
 				}
 			}
 		}
+		clear(ct.mined)
 		ct.mined = ct.mined[:0]
 	}
 }
 
-// dropCarried lets go of the buffers the workload carries from day to day
-// (plans, mined batches, rebroadcast queues); the engine calls it when a
-// run ends, so a kept engine pins none of the run's transactions.
+// dropCarried lets go of what the workload carries from day to day (plans,
+// mined batches, rebroadcast queues and the echo attacker's replayed and
+// mirrored sets); the engine calls it when a run ends, so a kept engine
+// pins none of the run's transactions or echo bookkeeping.
 func (w *Workload) dropCarried() {
 	for _, ct := range w.chains {
 		ct.plans, ct.mined, ct.replayQueue = nil, nil, nil
 	}
+	w.replayed, w.mirrored = nil, nil
 }
 
 // poisson draws a Poisson variate via Knuth's method (rates here are a

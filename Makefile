@@ -8,10 +8,14 @@
 # live-smoke), forkanalyze (make live-smoke), forkserve and forkload (make
 # rpcsmoke), forknode (make nodesmoke), forkrace (its main_test.go, tier-1),
 # tools/partitionlint (make partitionlint) and tools/peakrss (make fullrun).
+#
+# `make samebytes BASE=<rev>` checks that forksim's outputs are byte for
+# byte those of revision <rev> (scripts/samebytes.sh). CI does not run
+# it: it needs a base.
 
 GO ?= go
 
-.PHONY: all build test race vet fmt partitionlint docs-check matrix check bench-selftest profile fuzz chaos chaos-disk chaos-replica chaos-wire rpcsmoke live-smoke nodesmoke fullrun clean
+.PHONY: all build test race vet fmt partitionlint docs-check matrix check bench-selftest profile fuzz chaos chaos-disk chaos-replica chaos-wire rpcsmoke live-smoke nodesmoke fullrun samebytes clean
 
 all: build
 
@@ -136,6 +140,14 @@ fullrun:
 	$(GO) build -o "$$tmp/peakrss" ./tools/peakrss && \
 	"$$tmp/peakrss" "$$tmp/forksim" -mode full -storage disk -days $(DAYS) -seed 1 -datadir "$$tmp/data" && \
 	echo "archive_bytes $$(find "$$tmp/data" -type f -printf '%s\n' | awk '{ n += $$1 } END { print n }')"
+
+# Byte identity against a base revision: forksim built at BASE and from
+# the working tree, -days 270 -out at -parallelism 1, 2 and 0 and
+# -mode full -storage disk -days 3, seeds 1 and 2; every output directory
+# and stdout must match (scripts/samebytes.sh).
+samebytes:
+	@test -n "$(BASE)" || { echo "usage: make samebytes BASE=<rev>"; exit 2; }
+	GO="$(GO)" sh scripts/samebytes.sh "$(BASE)"
 
 # CPU/alloc profile of the long-horizon engine benchmark; inspect with
 # `go tool pprof cpu.pprof` / `go tool pprof -alloc_objects mem.pprof`.

@@ -293,7 +293,8 @@ func BenchmarkAblationDifficultyClamp(b *testing.B) {
 		b.Run(fmt.Sprintf("clamp=%d", clamp), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				sc := forkwatch.NewScenario(1, 6)
-				sc.ETCShareAtFork = 0.005
+				sc.Partitions = sc.PartitionSpecs()
+				sc.Partitions[1].ShareAtFork = 0.005
 				eng, err := forkwatch.NewEngine(sc)
 				if err != nil {
 					b.Fatal(err)
@@ -347,8 +348,9 @@ func BenchmarkAblationReplayProtection(b *testing.B) {
 		b.Run(tc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				sc := forkwatch.NewScenario(1, 220)
-				sc.EIP155DayETH = tc.eth
-				sc.EIP155DayETC = tc.etc
+				sc.Partitions = sc.PartitionSpecs()
+				sc.Partitions[0].EIP155Day = tc.eth
+				sc.Partitions[1].EIP155Day = tc.etc
 				rep := runScenario(b, sc)
 				b.ReportMetric(float64(rep.Collector.TotalEchoes("ETC")), "total_etc_echoes")
 				b.ReportMetric(analysis.MeanOver(rep.Collector.EchoesPerDay("ETC"), 190, 220), "etc_echoes/day_final")
@@ -366,7 +368,8 @@ func BenchmarkAblationPoolAttachment(b *testing.B) {
 		b.Run(fmt.Sprintf("alpha=%v", alpha), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				sc := forkwatch.NewScenario(1, 200)
-				sc.ETCPoolAlpha = alpha
+				sc.Partitions = sc.PartitionSpecs()
+				sc.Partitions[1].PoolAlpha = alpha
 				rep := runScenario(b, sc)
 				t5 := rep.Collector.TopNShare("ETC", 5)
 				b.ReportMetric(analysis.MeanOver(t5, 170, 200), "etc_top5_final_month")

@@ -253,12 +253,6 @@ func (r *Report) Figure4() (echoPct, echoesPerDay Series) {
 	return r.series("echo_pct", c.EchoPct), r.series("echoes/day", c.EchoesPerDay)
 }
 
-// Figure4SameDay returns Fig 4's "Same time" series: echoes mined on
-// more than one chain within the same day.
-func (r *Report) Figure4SameDay() Series {
-	return r.series("same_day_echoes", r.Collector.SameDayEchoesPerDay)
-}
-
 // Figure5 returns the top-N pool concentration series for n in {1, 3, 5}.
 func (r *Report) Figure5() map[int]Series {
 	c := r.Collector

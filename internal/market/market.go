@@ -17,56 +17,42 @@ import (
 	"math/rand"
 )
 
-// Params configures the price generator.
+// Params configures the price generator's shared walk: the horizon, the
+// common market factor and the rally. Each chain's own leg (its day-0
+// price, extra drift and rally share) is a ChainParams.
 type Params struct {
 	// Days is the number of daily samples to generate.
 	Days int
-	// ETH0 and ETC0 are the day-0 USD prices (post-fork: ~$12 / ~$1).
-	ETH0, ETC0 float64
 	// SharedVol is the daily volatility of the common market factor;
 	// IdioVol the per-chain idiosyncratic volatility. SharedVol >>
 	// IdioVol keeps the two prices strongly coupled, as observed.
 	SharedVol, IdioVol float64
 	// Drift is the common daily log drift.
 	Drift float64
-	// ETHEdge is an extra daily ETH log drift over the whole horizon:
-	// ETH's market value pulled away from ETC's throughout the study
-	// window (observation O3's divergence), which via arbitrage is what
-	// keeps ETC's hashrate roughly flat while ETH's grows.
-	ETHEdge float64
 
 	// RallyStartDay begins the March-2017 rally (≈ day 240 after the
-	// July 20 2016 fork); RallyDrift is the extra daily ETH log drift
-	// during it. Zero disables. RallyETCShare is the fraction of the
-	// rally drift ETC also enjoys (the whole market rose in March 2017,
-	// ETH just rose faster), which keeps the end-of-study difficulty
-	// ratio near the paper's ~10x instead of letting arbitrage strip
-	// ETC bare.
+	// July 20 2016 fork); RallyDrift is the extra daily log drift during
+	// it, of which each chain gets its ChainParams.RallyShare. Zero
+	// disables.
 	RallyStartDay int
 	RallyDrift    float64
-	RallyETCShare float64
 }
 
 // DefaultParams returns the calibration used by the Fig 2/3 scenarios.
 func DefaultParams(days int) Params {
 	return Params{
 		Days:          days,
-		ETH0:          12.0,
-		ETC0:          1.2,
 		SharedVol:     0.03,
 		IdioVol:       0.01,
 		Drift:         0.001,
-		ETHEdge:       0.0015,
 		RallyStartDay: 240,
 		RallyDrift:    0.03,
-		RallyETCShare: 0.6,
 	}
 }
 
-// ChainParams configures one partition's leg of the coupled price walk.
-// The legacy two-way calibration maps onto two entries
-// (sim.Scenario.LegacyPartitions): the pro-fork chain gets {ETH0,
-// ETHEdge, 1} and the classic chain {ETC0, 0, RallyETCShare}.
+// ChainParams configures one partition's leg of the coupled price walk;
+// sim.PartitionSpec carries it (Price0, DriftEdge, RallyShare), and the
+// historical pair's two legs are written out in internal/sim.
 type ChainParams struct {
 	// Price0 is the day-0 USD price.
 	Price0 float64

@@ -6,23 +6,26 @@ import (
 	"testing"
 )
 
-// twoWay draws the paper's two-way walk: the pro-fork leg first, the
-// classic leg second, as sim.Scenario.LegacyPartitions maps them.
-func twoWay(p Params, seed int64) (eth, etc []float64) {
-	s := GenerateSeries(p, []ChainParams{
-		{Price0: p.ETH0, DriftEdge: p.ETHEdge, RallyShare: 1},
-		{Price0: p.ETC0, DriftEdge: 0, RallyShare: p.RallyETCShare},
-	}, rand.New(rand.NewSource(seed)))
+// The paper's two legs, as the historical partition pair in internal/sim
+// writes them: the pro-fork chain first, the classic chain second.
+var (
+	ethLeg = ChainParams{Price0: 12.0, DriftEdge: 0.0015, RallyShare: 1}
+	etcLeg = ChainParams{Price0: 1.2, DriftEdge: 0, RallyShare: 0.6}
+)
+
+// twoWay draws the two-way walk over the given legs.
+func twoWay(p Params, ethC, etcC ChainParams, seed int64) (eth, etc []float64) {
+	s := GenerateSeries(p, []ChainParams{ethC, etcC}, rand.New(rand.NewSource(seed)))
 	return s[0], s[1]
 }
 
 func TestGeneratePricesBasics(t *testing.T) {
 	p := DefaultParams(300)
-	eth, etc := twoWay(p, 1)
+	eth, etc := twoWay(p, ethLeg, etcLeg, 1)
 	if len(eth) != 300 || len(etc) != 300 {
 		t.Fatalf("series lengths %d/%d", len(eth), len(etc))
 	}
-	if eth[0] != p.ETH0 || etc[0] != p.ETC0 {
+	if eth[0] != ethLeg.Price0 || etc[0] != etcLeg.Price0 {
 		t.Error("day 0 should be the initial prices")
 	}
 	for d := 0; d < 300; d++ {
@@ -34,8 +37,8 @@ func TestGeneratePricesBasics(t *testing.T) {
 
 func TestGeneratePricesDeterministic(t *testing.T) {
 	p := DefaultParams(100)
-	aETH, aETC := twoWay(p, 7)
-	bETH, bETC := twoWay(p, 7)
+	aETH, aETC := twoWay(p, ethLeg, etcLeg, 7)
+	bETH, bETC := twoWay(p, ethLeg, etcLeg, 7)
 	for d := range aETH {
 		if aETH[d] != bETH[d] || aETC[d] != bETC[d] {
 			t.Fatal("same seed should reproduce prices")
@@ -45,25 +48,26 @@ func TestGeneratePricesDeterministic(t *testing.T) {
 
 func TestRallyRaisesETH(t *testing.T) {
 	p := DefaultParams(300)
-	p.SharedVol, p.IdioVol, p.Drift, p.ETHEdge = 0, 0, 0, 0 // isolate the rally term
-	p.RallyETCShare = 0
-	eth, etc := twoWay(p, 1)
-	if eth[239] != p.ETH0 {
+	p.SharedVol, p.IdioVol, p.Drift = 0, 0, 0 // isolate the rally term
+	ethC, etcC := ethLeg, etcLeg
+	ethC.DriftEdge, etcC.RallyShare = 0, 0
+	eth, etc := twoWay(p, ethC, etcC, 1)
+	if eth[239] != ethC.Price0 {
 		t.Error("ETH should be flat before the rally")
 	}
 	if eth[299] <= eth[239]*2 {
 		t.Errorf("rally too weak: %v -> %v", eth[239], eth[299])
 	}
-	if etc[299] != p.ETC0 {
-		t.Error("rally should not move ETC when RallyETCShare is 0")
+	if etc[299] != etcC.Price0 {
+		t.Error("rally should not move ETC when its RallyShare is 0")
 	}
 	// With a shared rally, ETC rises too — but less than ETH.
-	p.RallyETCShare = 0.6
-	eth, etc = twoWay(p, 1)
-	if etc[299] <= p.ETC0 {
+	etcC.RallyShare = 0.6
+	eth, etc = twoWay(p, ethC, etcC, 1)
+	if etc[299] <= etcC.Price0 {
 		t.Error("shared rally should lift ETC")
 	}
-	if etc[299]/p.ETC0 >= eth[299]/p.ETH0 {
+	if etc[299]/etcC.Price0 >= eth[299]/ethC.Price0 {
 		t.Error("ETH should outpace ETC during the rally")
 	}
 }
@@ -74,7 +78,7 @@ func TestRallyRaisesETH(t *testing.T) {
 func TestPricesCorrelated(t *testing.T) {
 	p := DefaultParams(270)
 	p.RallyDrift = 0
-	eth, etc := twoWay(p, 3)
+	eth, etc := twoWay(p, ethLeg, etcLeg, 3)
 	rets := func(xs []float64) []float64 {
 		out := make([]float64, len(xs)-1)
 		for i := 1; i < len(xs); i++ {

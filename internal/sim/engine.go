@@ -431,7 +431,7 @@ func (e *Engine) Run() error {
 		// The residual partition's behaviour model still binds: its sticky
 		// fraction pins it toward its structural share, and the stepped
 		// partitions scale to keep the total at one. Profit-only residuals
-		// (sticky zero — including the legacy historical pair) skip this
+		// (sticky zero — including the historical pair) skip this
 		// entirely, leaving the two-way arithmetic untouched.
 		if s := e.parts[k-1].sticky; s > 0 && rest > 0 {
 			structShare := hr[k-1] / total
@@ -532,12 +532,16 @@ func (e *Engine) recycleDelivered() {
 }
 
 // dropDayScratch lets go of everything the day loop keeps for reuse —
-// pooled events, the pending queue and its buffer, the block scratch and
-// the workload's carried buffers — once no delivery is in flight.
+// pooled events, the pending queue and its buffer, the block scratch, the
+// fast ledger's included slice and the workload's carried buffers — once
+// no delivery is in flight.
 func (e *Engine) dropDayScratch() {
 	for _, p := range e.parts {
 		p.events, p.delivering, p.evFree = nil, nil, nil
 		p.pending, p.pendBuf, p.txScratch = nil, nil, nil
+		if fl, ok := p.ledger.(*FastLedger); ok {
+			fl.included = nil
+		}
 	}
 	e.Workload.dropCarried()
 }

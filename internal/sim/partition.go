@@ -19,7 +19,7 @@ import (
 // miners toward or away from it, and its workload and mining-pool
 // population. Scenario.Partitions holds one spec per partition; when the
 // list is empty the scenario resolves to the paper's historical two-way
-// split synthesised from the legacy scalar knobs (see LegacyPartitions).
+// split (see PartitionSpecs).
 //
 // The partition at index 0 is the anchor: its hashrate share is always
 // the residual 1 - sum(others), which is how the two-way engine always
@@ -200,12 +200,14 @@ func (r *Registry) Names() []string {
 }
 
 // PartitionSpecs resolves the scenario's partition list: the explicit
-// Partitions field when set, otherwise the legacy two-way synthesis.
+// Partitions field when set, otherwise a fresh copy of the historical
+// ETH/ETC pair at the scenario's ETHTxPerDay/ETCTxPerDay rates. To vary
+// the historical pair, set Partitions to this list and edit a spec.
 func (sc *Scenario) PartitionSpecs() []PartitionSpec {
 	if len(sc.Partitions) > 0 {
 		return sc.Partitions
 	}
-	return sc.LegacyPartitions()
+	return sc.historicalPartitions()
 }
 
 // Registry resolves and indexes the scenario's partitions.
@@ -293,8 +295,8 @@ var partitionKnobs = []spec.Knob{
 
 // Validate checks the scenario: every partition knob and crash field
 // against its declared bounds, then the cross-field rules. Every
-// violation is reported with the offending field, and the
-// zero-configured legacy scenario always passes.
+// violation is reported with the offending field, and NewScenario's
+// historical pair always passes.
 func (sc *Scenario) Validate() error {
 	if sc.Days < 0 {
 		return fmt.Errorf("sim: Days %d is negative", sc.Days)

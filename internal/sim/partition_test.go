@@ -2,6 +2,8 @@ package sim
 
 import (
 	"math"
+	"os"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -139,7 +141,8 @@ func TestValidate(t *testing.T) {
 			sc.Partitions[2].EconomicWeight = math.NaN()
 		}, wantErr: "EconomicWeight"},
 		{name: "infinite price", mutate: func(sc *Scenario) {
-			sc.Market.ETC0 = math.Inf(1)
+			sc.Partitions = sc.PartitionSpecs()
+			sc.Partitions[1].Price0 = math.Inf(1)
 		}, wantErr: "Price0"},
 		{name: "NaN storage fault rate", mutate: func(sc *Scenario) {
 			sc.StorageFaults.ReadErrRate = math.NaN()
@@ -225,27 +228,57 @@ func TestParsePartitionSpecs(t *testing.T) {
 	}
 }
 
+// historicalSpec is the default ETH/ETC split written as a -partitions
+// string, at NewScenario's transaction rates. README.md quotes it.
+const historicalSpec = "ETH:chainid=1,dao=true,weight=1,price0=12,driftedge=0.0015,rallyshare=1,primary=0.55,txperday=400,speculation=true,eip155=125,pools=20,zipf=1,alpha=1,cap=0.24;" +
+	"ETC:chainid=61,share=0.015,weight=1,rejoin=0.08,rejointau=10,price0=1.2,rallyshare=0.6,primary=0.25,txperday=110,eip155=177,pools=25,churn=0.15,alpha=1.3,cap=0.24,lag=30"
+
+// TestHistoricalSplitIsAPartitionsSpec: the default scenario's partition
+// list is exactly what its -partitions form parses to, so the historical
+// split is one N-way scenario, and the string README.md shows for it
+// stays the preset.
+func TestHistoricalSplitIsAPartitionsSpec(t *testing.T) {
+	got, err := ParsePartitionSpecs(historicalSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := NewScenario(1, 30).PartitionSpecs(); !reflect.DeepEqual(got, want) {
+		t.Errorf("ParsePartitionSpecs(historicalSpec) =\n%+v\nNewScenario's partitions =\n%+v", got, want)
+	}
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(readme), "'"+historicalSpec+"'") {
+		t.Errorf("README.md does not quote the historical split's -partitions string:\n%s", historicalSpec)
+	}
+}
+
 // TestStructHashratesMatchesLegacy pins the N-way structural schedule to
 // the legacy two-way closed form (fork exit, rejoin, exogenous growth,
-// the Zcash event) for the synthesised historical pair: the
-// byte-identity of old seeds depends on it.
+// the Zcash event) for the historical pair, as preset and with ETC's
+// schedule edited: the byte-identity of old seeds depends on it.
 func TestStructHashratesMatchesLegacy(t *testing.T) {
 	sc := NewScenario(42, 300)
-	specs := sc.PartitionSpecs()
-	for day := 0; day < 300; day++ {
-		d := float64(day)
-		etcShare := sc.ETCShareAtFork + sc.RejoinShare*(1-math.Exp(-d/sc.RejoinTauDays))
-		total := sc.TotalHashrate * math.Pow(1+sc.ETHGrowthPerDay, d)
-		if day >= sc.ZcashLaunchDay {
-			total *= 1 - sc.ZcashPull*math.Exp(-(d-float64(sc.ZcashLaunchDay))/sc.ZcashReturnTauDays)
-		}
-		eth, etc := total*(1-etcShare), total*etcShare
-		hr := sc.StructHashrates(day, specs)
-		if len(hr) != 2 {
-			t.Fatalf("day %d: %d partitions", day, len(hr))
-		}
-		if hr[0] != eth || hr[1] != etc {
-			t.Fatalf("day %d: StructHashrates = (%g, %g), legacy = (%g, %g)", day, hr[0], hr[1], eth, etc)
+	edited := sc.PartitionSpecs()
+	edited[1].ShareAtFork, edited[1].RejoinShare, edited[1].RejoinTauDays = 0.03, 0.05, 20
+	for _, specs := range [][]PartitionSpec{sc.PartitionSpecs(), edited} {
+		etcSpec := specs[1]
+		for day := 0; day < 300; day++ {
+			d := float64(day)
+			etcShare := etcSpec.ShareAtFork + etcSpec.RejoinShare*(1-math.Exp(-d/etcSpec.RejoinTauDays))
+			total := sc.TotalHashrate * math.Pow(1+sc.ETHGrowthPerDay, d)
+			if day >= sc.ZcashLaunchDay {
+				total *= 1 - sc.ZcashPull*math.Exp(-(d-float64(sc.ZcashLaunchDay))/sc.ZcashReturnTauDays)
+			}
+			eth, etc := total*(1-etcShare), total*etcShare
+			hr := sc.StructHashrates(day, specs)
+			if len(hr) != 2 {
+				t.Fatalf("day %d: %d partitions", day, len(hr))
+			}
+			if hr[0] != eth || hr[1] != etc {
+				t.Fatalf("ETC share %g: day %d: StructHashrates = (%g, %g), legacy = (%g, %g)", etcSpec.ShareAtFork, day, hr[0], hr[1], eth, etc)
+			}
 		}
 	}
 }

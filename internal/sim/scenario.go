@@ -28,7 +28,9 @@ const (
 )
 
 // Scenario configures one fork simulation. NewScenario fills the
-// calibration the experiments use; tests and ablations override fields.
+// calibration the experiments use; tests and ablations override global
+// fields, and per-partition values through Partitions (start from
+// PartitionSpecs and edit a spec).
 type Scenario struct {
 	// Seed drives every stochastic component; equal seeds reproduce runs
 	// bit for bit.
@@ -72,26 +74,16 @@ type Scenario struct {
 	Parallelism int
 
 	// Partitions lists the named partitions of the fork. Empty means the
-	// historical two-way ETH/ETC split synthesised from the scalar
-	// calibration below (LegacyPartitions); setting it explicitly turns
-	// the scenario into an N-way experiment — see DESIGN.md §12 and
-	// Scenario.Validate for the cross-field rules.
+	// historical two-way ETH/ETC split (PartitionSpecs); setting it
+	// explicitly turns the scenario into an N-way experiment, or edits the
+	// historical pair — see DESIGN.md §12 and Scenario.Validate for the
+	// cross-field rules.
 	Partitions []PartitionSpec
 
 	// TotalHashrate is the combined network hashrate at the fork, in
 	// hashes/second. Genesis difficulty is calibrated so the pre-fork
 	// network produced 14-second blocks.
 	TotalHashrate float64
-	// ETCShareAtFork is the fraction of hashrate that stays on ETC the
-	// moment the fork activates (the paper's drastic partition: ~3%,
-	// producing the ~90% node loss and near-zero block rate).
-	ETCShareAtFork float64
-	// RejoinShare is the additional total-hashrate fraction that returns
-	// to ETC over the weeks after the fork (the paper's two-week
-	// mirror-image difficulty shift), with exponential time constant
-	// RejoinTauDays.
-	RejoinShare   float64
-	RejoinTauDays float64
 	// ETHGrowthPerDay is the exogenous daily growth of ETH-side
 	// hashrate over the long term (observation O3: ETH difficulty grew
 	// roughly 10x over 9 months).
@@ -116,17 +108,12 @@ type Scenario struct {
 	// SplitFraction is the share of users who protect themselves by
 	// moving funds to chain-specific addresses shortly after the fork.
 	SplitFraction float64
-	// PrimaryETHFraction / PrimaryETCFraction divide users into
-	// single-chain populations; the remainder transacts on both. The
-	// paper notes "many users simply picked one of the two networks to
-	// participate in and ignored the other" — those users' other-chain
-	// nonces only advance through replays, which is why echo streams
-	// stay alive for months (Fig 4).
-	PrimaryETHFraction, PrimaryETCFraction float64
-	// ETHTxPerDay and ETCTxPerDay are base daily transaction rates
-	// (Poisson means). The paper's ratio is ~2.5:1, rising to ~5:1 in
-	// March 2017; SpeculationStartDay and SpeculationFactor implement
-	// the rise.
+	// ETHTxPerDay and ETCTxPerDay are the historical pair's base daily
+	// transaction rates (Poisson means), the last two per-chain scalars:
+	// they feed only the specs PartitionSpecs synthesises, so once
+	// Partitions is set they do nothing. The paper's ratio is ~2.5:1,
+	// rising to ~5:1 in March 2017; SpeculationStartDay and
+	// SpeculationFactor implement the rise.
 	ETHTxPerDay, ETCTxPerDay float64
 	SpeculationStartDay      int
 	SpeculationFactor        float64
@@ -137,10 +124,6 @@ type Scenario struct {
 	// rebroadcast onto the other chain the next day (attackers plus
 	// accidental rebroadcasters).
 	ReplayProbability float64
-	// EIP155DayETH / EIP155DayETC are the days replay protection
-	// activates (ETH: Spurious Dragon ~day 125; ETC: Jan 13 2017 ~day
-	// 177). Negative disables.
-	EIP155DayETH, EIP155DayETC int
 	// ChainIDAdoptionTauDays is how quickly users adopt chain-bound
 	// transactions once available.
 	ChainIDAdoptionTauDays float64
@@ -149,15 +132,6 @@ type Scenario struct {
 	// paper still observed hundreds of daily echoes at the end of its
 	// study window, months after chain ids shipped.
 	ChainIDAdoptionMax float64
-
-	// Pool model: counts and dynamics (Fig 5).
-	ETHPools, ETCPools       int
-	ETHPoolZipf              float64
-	ETCPoolChurn             float64
-	ETCPoolAlpha             float64
-	ETCPoolCap               float64
-	ETHPoolChurn             float64
-	PoolConsolidationLagDays int
 
 	// StructuralBlendTauDays controls how quickly the hashrate split
 	// hands over from the structural fork-exit schedule to pure price
@@ -229,10 +203,7 @@ func NewScenario(seed int64, days int) *Scenario {
 		DayLength: 86_400,
 		Epoch:     1469020840,
 
-		TotalHashrate:       5e12, // 5 TH/s, mid-2016 scale
-		ETCShareAtFork:      0.015,
-		RejoinShare:         0.08,
-		RejoinTauDays:       10,
+		TotalHashrate:       5e12,  // 5 TH/s, mid-2016 scale
 		ETHGrowthPerDay:     0.007, // several-fold over 9 months (O3)
 		ZcashLaunchDay:      100,
 		ZcashPull:           0.25,
@@ -244,27 +215,14 @@ func NewScenario(seed int64, days int) *Scenario {
 		Users:                  400,
 		UserFunds:              new(big.Int).Mul(big.NewInt(1000), big.NewInt(1e18)),
 		SplitFraction:          0.4,
-		PrimaryETHFraction:     0.55,
-		PrimaryETCFraction:     0.25,
 		ETHTxPerDay:            400,
 		ETCTxPerDay:            110,
 		SpeculationStartDay:    240,
 		SpeculationFactor:      2.0,
 		ContractFraction:       0.35,
 		ReplayProbability:      0.5,
-		EIP155DayETH:           125,
-		EIP155DayETC:           177,
 		ChainIDAdoptionTauDays: 30,
 		ChainIDAdoptionMax:     0.8,
-
-		ETHPools:                 20,
-		ETCPools:                 25,
-		ETHPoolZipf:              1.0,
-		ETCPoolChurn:             0.15,
-		ETCPoolAlpha:             1.3,
-		ETCPoolCap:               0.24,
-		ETHPoolChurn:             0, // ETH's distribution was stable from day one (O6)
-		PoolConsolidationLagDays: 30,
 
 		StructuralBlendTauDays: 20,
 

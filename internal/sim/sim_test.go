@@ -5,6 +5,7 @@ import (
 	"math/big"
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"forkwatch/internal/chain"
 	"forkwatch/internal/types"
@@ -29,6 +30,19 @@ func testGenesis() *chain.Genesis {
 
 func transfer(nonce uint64, from, to types.Address, wei int64, chainID uint64) *chain.Transaction {
 	return chain.NewTransaction(nonce, &to, big.NewInt(wei), 21_000, big.NewInt(1), nil).Sign(from, chainID)
+}
+
+// TestFastLedgersShareNoCacheLine: the engine mines each partition's
+// fast ledger on its own goroutine, so every ledger must start on a
+// 64-byte boundary; a size class that is not a multiple of 64 puts two
+// ledgers allocated side by side on one cache line.
+func TestFastLedgersShareNoCacheLine(t *testing.T) {
+	for i := 0; i < 8; i++ {
+		led := NewFastLedger(chain.MainnetLikeConfig(), testGenesis())
+		if off := uintptr(unsafe.Pointer(led)) % 64; off != 0 {
+			t.Fatalf("FastLedger %d starts %d bytes into a cache line (struct is %d bytes)", i, off, unsafe.Sizeof(*led))
+		}
+	}
 }
 
 func TestFastLedgerBasics(t *testing.T) {

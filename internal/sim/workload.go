@@ -34,12 +34,12 @@ var contractCallData = []byte{0xab, 0x01, 0x02, 0x03}
 // ("echo") attacker of the paper's Figure 4.
 //
 // Concurrency model: all per-chain state (traffic RNG, nonce tracking,
-// replay queues, the day's mined batches) lives in chainTraffic slots, and
-// the per-user flags are slices indexed by chain slot, so DayTraffic and
-// ObserveMined for different chains never write the same memory and may
-// run on separate goroutines. Anything that couples the chains — the echo
-// attacker's mirror decisions — is deferred to FlushEchoes, which the
-// engine calls single-threaded at the day barrier.
+// replay queues, the day's mined transactions) lives in chainTraffic
+// slots, and the per-user flags are slices indexed by chain slot, so
+// DayTraffic and ObserveMined for different chains never write the same
+// memory and may run on separate goroutines. Anything that couples the
+// chains — the echo attacker's mirror decisions — is deferred to
+// FlushEchoes, which the engine calls single-threaded at the day barrier.
 type Workload struct {
 	sc    *Scenario
 	specs []PartitionSpec
@@ -102,9 +102,9 @@ type chainTraffic struct {
 	// DayTraffic the next day.
 	replayQueue []*chain.Transaction
 
-	// mined accumulates the day's included transactions per block, in
-	// block order; FlushEchoes drains it at the barrier.
-	mined [][]*chain.Transaction
+	// mined accumulates the day's included transactions, in block
+	// order; FlushEchoes drains it at the barrier.
+	mined []*chain.Transaction
 }
 
 type simUser struct {
@@ -409,15 +409,16 @@ func (ct *chainTraffic) claimNonce(led Ledger, addr types.Address) uint64 {
 }
 
 // ObserveMined records a mined block's included transactions for the
-// rebroadcast attacker. Only the calling chain's slot is appended to, so
-// partitions may call it concurrently; the echo decisions themselves —
-// which couple the chains — happen in FlushEchoes at the day barrier.
+// rebroadcast attacker, copying them out of txs. Only the calling chain's
+// slot is appended to, so partitions may call it concurrently; the echo
+// decisions themselves — which couple the chains — happen in FlushEchoes
+// at the day barrier.
 func (w *Workload) ObserveMined(chainName string, txs []*chain.Transaction) {
 	if len(txs) == 0 {
 		return
 	}
 	ct := w.chains[w.chainIx[chainName]]
-	ct.mined = append(ct.mined, txs)
+	ct.mined = append(ct.mined, txs...)
 }
 
 // FlushEchoes runs the rebroadcast attacker over the day's mined
@@ -430,26 +431,24 @@ func (w *Workload) ObserveMined(chainName string, txs []*chain.Transaction) {
 // changes nothing downstream.
 func (w *Workload) FlushEchoes() {
 	for _, ct := range w.chains {
-		for _, txs := range ct.mined {
-			for _, tx := range txs {
-				if tx.ChainID != 0 {
-					continue // replay-protected: can never surface on another chain
-				}
-				h := tx.Hash()
-				if w.replayed[h] {
-					continue // an echo completing its tour
-				}
-				on, decided := w.mirrored[tx.From]
-				if !decided {
-					on = w.echoR.Float64() < w.sc.ReplayProbability
-					w.mirrored[tx.From] = on
-				}
-				if on {
-					w.replayed[h] = true
-					for _, other := range w.chains {
-						if other != ct {
-							other.replayQueue = append(other.replayQueue, tx)
-						}
+		for _, tx := range ct.mined {
+			if tx.ChainID != 0 {
+				continue // replay-protected: can never surface on another chain
+			}
+			h := tx.Hash()
+			if w.replayed[h] {
+				continue // an echo completing its tour
+			}
+			on, decided := w.mirrored[tx.From]
+			if !decided {
+				on = w.echoR.Float64() < w.sc.ReplayProbability
+				w.mirrored[tx.From] = on
+			}
+			if on {
+				w.replayed[h] = true
+				for _, other := range w.chains {
+					if other != ct {
+						other.replayQueue = append(other.replayQueue, tx)
 					}
 				}
 			}
@@ -460,7 +459,7 @@ func (w *Workload) FlushEchoes() {
 }
 
 // dropCarried lets go of what the workload carries from day to day (plans,
-// mined batches, rebroadcast queues and the echo attacker's replayed and
+// mined transactions, rebroadcast queues and the echo attacker's replayed and
 // mirrored sets); the engine calls it when a run ends, so a kept engine
 // pins none of the run's transactions or echo bookkeeping.
 func (w *Workload) dropCarried() {

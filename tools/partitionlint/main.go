@@ -15,7 +15,7 @@
 // A small allowlist covers the places that intentionally speak about the
 // historical pair:
 //
-//   - internal/sim/legacy.go      (the legacy two-way synthesis itself)
+//   - internal/sim/historical.go  (the historical pair's two partition specs)
 //   - internal/chain/config.go    (the historical ETH/ETC chain configs)
 //   - cmd/forknode/main.go        (a single historical node by name)
 //
@@ -48,9 +48,9 @@ var banned = map[string]bool{
 // allowed are repo-relative files that legitimately name the historical
 // pair.
 var allowed = map[string]bool{
-	"internal/sim/legacy.go":   true,
-	"internal/chain/config.go": true,
-	"cmd/forknode/main.go":     true,
+	"internal/sim/historical.go": true,
+	"internal/chain/config.go":   true,
+	"cmd/forknode/main.go":       true,
 }
 
 func main() {
